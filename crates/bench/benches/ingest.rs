@@ -22,36 +22,12 @@ use std::time::Instant;
 
 use urpsm_core::event::PlatformEvent;
 use urpsm_core::planner::{Planner, PruneGreedyDp};
-use urpsm_core::types::Time;
 use urpsm_dispatch::service::{ShardConfig, ShardedService};
-use urpsm_server::server::{Backend, IngestReply, IngestServer, ServerConfig, WalConfig};
-use urpsm_simulator::engine::SimConfig;
+use urpsm_server::server::{
+    sim_config, Backend, IngestReply, IngestServer, ServerConfig, WalConfig,
+};
 use urpsm_simulator::service::MobilityService;
 use urpsm_workloads::scenario::{metropolis, Scenario};
-
-fn start_time(scenario: &Scenario) -> Time {
-    [
-        scenario.requests.first().map(|r| r.release),
-        scenario.cancellations.first().map(|&(t, _)| t),
-        scenario.fleet_events.first().map(PlatformEvent::time),
-    ]
-    .into_iter()
-    .flatten()
-    .min()
-    .unwrap_or(0)
-}
-
-fn sim_config(scenario: &Scenario) -> SimConfig {
-    SimConfig {
-        grid_cell_m: scenario.grid_cell_m,
-        alpha: scenario.alpha,
-        drain: true,
-        threads: 0,
-        congestion: scenario.congestion.clone(),
-        td_oracle: false,
-        classes: scenario.classes.clone(),
-    }
-}
 
 fn build_backend(scenario: &Scenario, shards: usize) -> Backend<'static> {
     if shards <= 1 {
@@ -60,7 +36,7 @@ fn build_backend(scenario: &Scenario, shards: usize) -> Backend<'static> {
             scenario.workers.clone(),
             Box::new(PruneGreedyDp::new()),
             sim_config(scenario),
-            start_time(scenario),
+            scenario.start_time(),
         ))
     } else {
         Backend::Sharded(ShardedService::new(
@@ -72,7 +48,7 @@ fn build_backend(scenario: &Scenario, shards: usize) -> Backend<'static> {
                 sim: sim_config(scenario),
                 ..ShardConfig::default()
             },
-            start_time(scenario),
+            scenario.start_time(),
         ))
     }
 }
@@ -130,7 +106,7 @@ fn gate_byte_identity(scenario: &Scenario, events: &Arc<Vec<PlatformEvent>>) {
         scenario.workers.clone(),
         Box::new(PruneGreedyDp::new()),
         sim_config(scenario),
-        start_time(scenario),
+        scenario.start_time(),
     );
     let plain_replies = plain.submit_all(events.iter().copied());
     let plain_checkpoint = plain.checkpoint();

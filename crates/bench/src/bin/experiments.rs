@@ -48,7 +48,7 @@ struct Opts {
     parallel: bool,
     repeats: u64,
     /// Planner-internal fan-out (`PlannerConfig::threads` semantics;
-    /// 0 = inherit the planner default / `URPSM_THREADS`).
+    /// 0 = keep the planner default of 1).
     threads: usize,
     /// Geo-sharding for the figure sweeps (`Cell::shards` semantics:
     /// 0 = the plain single-service path, K ≥ 1 = a `ShardedService`
@@ -603,7 +603,7 @@ fn queries_experiment(fx: &CityFixture, out: &mut impl Write) {
             // scheduling changes the probe set in either direction, so
             // a threaded run would distort pruneGreedyDP's query count
             // and misstate Lemma 8's savings. Pinned regardless of
-            // --threads / URPSM_THREADS.
+            // --threads.
             cell.threads = 1;
             let g = run_cell(&cell, Algo::GreedyDp);
             let p = run_cell(&cell, Algo::PruneGreedyDp);

@@ -98,20 +98,16 @@ pub struct Cell {
     /// path; `K ≥ 1` runs the cell through a `ShardedService` with `K`
     /// shards under the default `Borrow` boundary policy.
     pub shards: usize,
-    /// Congestion profile for the cell (`None` = free flow; the cell
-    /// constructors leave this unset, so the `URPSM_CONGESTION`
-    /// environment default does *not* leak into benches — bench cells
-    /// opt in explicitly for comparability).
+    /// Congestion profile for the cell (`None` = free flow, which is
+    /// what the cell constructors set; bench cells opt in explicitly).
     pub congestion: Option<Arc<road_network::congestion::CongestionProfile>>,
     /// Route committed legs through the time-dependent oracle
-    /// (`SimConfig::td_oracle` semantics). Like `congestion`, cell
-    /// constructors leave this `false` so the `URPSM_TD_ORACLE`
-    /// environment default does not leak into benches.
+    /// (`SimConfig::td_oracle` semantics; `false` from the cell
+    /// constructors).
     pub td_oracle: bool,
     /// Vehicle-class table of the cell's fleet (`SimConfig::classes`
-    /// semantics). Like `congestion`, cell constructors leave this
-    /// `None` so the `URPSM_FLEET` environment default does not leak
-    /// into benches — the `experiments fleet` table opts in.
+    /// semantics; `None` from the cell constructors — the
+    /// `experiments fleet` table opts in).
     pub classes: Option<Arc<urpsm_core::types::ClassTable>>,
 }
 

@@ -35,7 +35,7 @@ pub mod shard_map;
 pub mod prelude {
     pub use crate::admission::{Admission, AdmissionConfig, AdmissionController};
     pub use crate::service::{
-        shards_from_env, BoundaryPolicy, ShardConfig, ShardReport, ShardedOutcome, ShardedService,
+        BoundaryPolicy, ShardConfig, ShardReport, ShardedOutcome, ShardedService,
     };
     pub use crate::shard_map::ShardMap;
 }

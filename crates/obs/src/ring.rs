@@ -23,7 +23,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum TraceKind {
-    /// Ingest tick began. `a` = tick horizon (`until`).
+    /// Ingest tick began. `a` = tick number, `b` = tick horizon
+    /// (`until`), `c` = events pending at tick start.
     TickStart = 1,
     /// Ingest tick ended. `a` = horizon, `b` = admitted, `c` = shed,
     /// `d` = end-of-tick backlog.

@@ -18,9 +18,7 @@
 //! hash spreads hot pairs uniformly. The path cache keeps one mutex:
 //! path queries are 2–4 per *accepted* request (§5.3), never hot.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::fxhash::FxHashMap;
 use crate::geo::Point;
@@ -28,6 +26,14 @@ use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabels;
 use crate::oracle::DistanceOracle;
 use crate::{Cost, VertexId};
+
+/// Locks `m`, recovering the guard from a poisoned mutex. What these
+/// locks guard carries no invariant across calls — memo caches, and
+/// search arenas that every query re-initialises before use — so a
+/// panic on another thread must not take the oracle down with it.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A fixed-capacity least-recently-used cache with O(1) operations.
 #[derive(Debug)]
@@ -284,23 +290,23 @@ impl<O: DistanceOracle> LruCachedOracle<O> {
     /// Distance-cache `(hits, misses)`, summed over all shards.
     pub fn dis_hit_stats(&self) -> (u64, u64) {
         self.dis_shards.iter().fold((0, 0), |(h, m), shard| {
-            let (sh, sm) = shard.lock().hit_stats();
+            let (sh, sm) = lock(shard).hit_stats();
             (h + sh, m + sm)
         })
     }
 
     /// Path-cache `(hits, misses)`.
     pub fn path_hit_stats(&self) -> (u64, u64) {
-        self.path_cache.lock().hit_stats()
+        lock(&self.path_cache).hit_stats()
     }
 
     /// Approximate memory used by both caches.
     pub fn mem_bytes(&self) -> usize {
         self.dis_shards
             .iter()
-            .map(|s| s.lock().mem_bytes())
+            .map(|s| lock(s).mem_bytes())
             .sum::<usize>()
-            + self.path_cache.lock().mem_bytes()
+            + lock(&self.path_cache).mem_bytes()
     }
 
     /// The wrapped oracle.
@@ -338,7 +344,7 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
         let key = sym_key(u, v);
         let shard = &self.dis_shards[shard_of(key)];
         {
-            let mut cache = shard.lock();
+            let mut cache = lock(shard);
             if let Some(&d) = cache.get(&key) {
                 // Cache hits are the hottest event in the system
                 // (thousands per planning request), so the registry is
@@ -362,11 +368,11 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
         let d = self.inner.dis(u, v);
         #[cfg(not(feature = "obs"))]
         {
-            let _ = shard.lock().insert(key, d);
+            let _ = lock(shard).insert(key, d);
         }
         #[cfg(feature = "obs")]
         {
-            let mut cache = shard.lock();
+            let mut cache = lock(shard);
             let evicted = cache.insert(key, d).is_some();
             // A miss already paid an inner-oracle query, so it always
             // flushes the pending batch — short runs stay visible in
@@ -391,7 +397,7 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
             return Some(vec![u]);
         }
         {
-            let mut cache = self.path_cache.lock();
+            let mut cache = lock(&self.path_cache);
             if let Some(p) = cache.get(&(u.0, v.0)) {
                 #[cfg(feature = "obs")]
                 urpsm_obs::with(|m| m.path_cache_hits.inc());
@@ -408,7 +414,7 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
         #[cfg(feature = "obs")]
         urpsm_obs::with(|m| m.path_cache_misses.inc());
         let p = self.inner.shortest_path(u, v)?;
-        self.path_cache.lock().insert((u.0, v.0), p.clone());
+        lock(&self.path_cache).insert((u.0, v.0), p.clone());
         Some(p)
     }
 }

@@ -321,21 +321,6 @@ impl CongestionProfile {
     }
 }
 
-/// Reads the `URPSM_CONGESTION` environment variable into a profile,
-/// mirroring `URPSM_THREADS` / `URPSM_SHARDS`: unset, empty, `off` or
-/// `none` mean no profile (free flow, the pre-congestion code path);
-/// `flat` installs the explicit identity profile (useful as an env
-/// canary — it must change nothing); `chengdu-2peak` installs the
-/// two-peak preset. Unknown values fall back to no profile.
-pub fn congestion_from_env() -> Option<std::sync::Arc<CongestionProfile>> {
-    let v = std::env::var("URPSM_CONGESTION").ok()?;
-    match v.trim() {
-        "flat" => Some(std::sync::Arc::new(CongestionProfile::flat())),
-        "chengdu-2peak" => Some(std::sync::Arc::new(CongestionProfile::chengdu_two_peak())),
-        _ => None,
-    }
-}
-
 impl TravelTimeProvider for CongestionProfile {
     /// Integrates progress through the bucket sequence.
     ///

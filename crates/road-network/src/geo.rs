@@ -6,10 +6,8 @@
 //! coordinates in meters and convert to time at the network's top speed,
 //! which preserves `euc(u, v) <= dis(u, v)`.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in a planar, meter-scaled coordinate system.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// East-west coordinate in meters.
     pub x: f64,
@@ -46,7 +44,7 @@ impl Point {
 }
 
 /// An axis-aligned bounding box over [`Point`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Minimum corner.
     pub min: Point,

@@ -5,8 +5,6 @@
 //! friendly traversal, plus planar coordinates per vertex so the
 //! Euclidean lower bound of §5.1 can be computed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geo::{BoundingBox, Point};
 use crate::{Cost, VertexId};
 
@@ -16,7 +14,7 @@ use crate::{Cost, VertexId};
 /// the maximum legal speed limit"; the paper quotes 23 m/s on motorways
 /// and 6 m/s on residential streets. The intermediate classes interpolate
 /// typical urban limits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoadClass {
     /// Grade-separated highway (~100 km/h limit).
     Motorway,
@@ -76,7 +74,7 @@ pub fn euclidean_cost(length_m: f64, top_speed_mps: f64) -> Cost {
 /// Build one with [`crate::builder::NetworkBuilder`]; the struct itself
 /// is immutable after construction, so it can be shared freely across
 /// planner threads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoadNetwork {
     pub(crate) coords: Vec<Point>,
     /// CSR offsets, `offsets.len() == num_vertices() + 1`.

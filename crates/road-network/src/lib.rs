@@ -72,19 +72,7 @@ pub fn cost_add3(a: Cost, b: Cost, c: Cost) -> Cost {
 }
 
 /// A vertex handle into a [`graph::RoadNetwork`] (or any oracle).
-#[derive(
-    Debug,
-    Default,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VertexId(pub u32);
 
 impl VertexId {
@@ -106,7 +94,7 @@ pub mod prelude {
     pub use crate::bidirectional::BidirDijkstra;
     pub use crate::builder::NetworkBuilder;
     pub use crate::cache::LruCachedOracle;
-    pub use crate::congestion::{congestion_from_env, CongestionProfile, TravelTimeProvider};
+    pub use crate::congestion::{CongestionProfile, TravelTimeProvider};
     pub use crate::dijkstra::DijkstraEngine;
     pub use crate::geo::Point;
     pub use crate::graph::{RoadClass, RoadNetwork};
@@ -115,8 +103,7 @@ pub mod prelude {
     pub use crate::matrix::MatrixOracle;
     pub use crate::oracle::{CountingOracle, DistanceOracle, QueryStats};
     pub use crate::td::{
-        td_oracle_from_env, TdCachedOracle, TdDijkstra, TdSearchStats, TdTravelTimeProvider,
-        TimeDependentOracle,
+        TdCachedOracle, TdDijkstra, TdSearchStats, TdTravelTimeProvider, TimeDependentOracle,
     };
     pub use crate::{cost_add, cost_add3, Cost, VertexId, INF};
 }

@@ -15,11 +15,10 @@
 //! distance queries" statistics (§6.2).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::bidirectional::BidirDijkstra;
+use crate::cache::lock;
 use crate::dijkstra::DijkstraEngine;
 use crate::geo::Point;
 use crate::graph::{euclidean_cost, RoadNetwork};
@@ -105,11 +104,11 @@ impl DistanceOracle for DijkstraOracle {
     }
 
     fn dis(&self, u: VertexId, v: VertexId) -> Cost {
-        self.engine.lock().distance(&self.g, u, v)
+        lock(&self.engine).distance(&self.g, u, v)
     }
 
     fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
-        self.engine.lock().shortest_path(&self.g, u, v)
+        lock(&self.engine).shortest_path(&self.g, u, v)
     }
 
     fn backing_network(&self) -> Option<&Arc<RoadNetwork>> {
@@ -173,7 +172,7 @@ impl DistanceOracle for HubLabelOracle {
     }
 
     fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
-        self.engine.lock().shortest_path(&self.g, u, v)
+        lock(&self.engine).shortest_path(&self.g, u, v)
     }
 
     fn backing_network(&self) -> Option<&Arc<RoadNetwork>> {

@@ -50,14 +50,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-// The pool wants `try_lock` (grab any free arena), which the vendored
-// `parking_lot` shim doesn't expose — std's mutex does.
-use std::sync::Mutex as PoolMutex;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use crate::cache::{LruCache, DIS_SHARDS};
+use crate::cache::{lock, LruCache, DIS_SHARDS};
 use crate::congestion::{CongestionProfile, TravelTimeProvider};
 use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabels;
@@ -299,7 +294,7 @@ pub struct TdDijkstra {
     g: Arc<RoadNetwork>,
     profile: Arc<CongestionProfile>,
     labels: Option<Arc<HubLabels>>,
-    pool: Vec<PoolMutex<SearchState>>,
+    pool: Vec<Mutex<SearchState>>,
     queries: AtomicU64,
     settled: AtomicU64,
     relaxed: AtomicU64,
@@ -332,7 +327,7 @@ impl TdDijkstra {
             profile,
             labels,
             pool: (0..STATE_POOL)
-                .map(|_| PoolMutex::new(SearchState::default()))
+                .map(|_| Mutex::new(SearchState::default()))
                 .collect(),
             queries: AtomicU64::new(0),
             settled: AtomicU64::new(0),
@@ -377,9 +372,7 @@ impl TdDijkstra {
                 return f(&mut state);
             }
         }
-        f(&mut self.pool[0]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner))
+        f(&mut lock(&self.pool[0]))
     }
 
     fn search<R>(
@@ -413,9 +406,8 @@ impl TimeDependentOracle for TdDijkstra {
             return 0;
         }
         // Flat profile ⇒ stretched costs equal static costs exactly, so
-        // the hub labels already hold the answer. This keeps flat CI
-        // runs (URPSM_TD_ORACLE=1 with env canaries) near-free while
-        // remaining bit-identical to the search it replaces.
+        // the hub labels already hold the answer: flat TD runs stay
+        // near-free and bit-identical to the search this replaces.
         if self.profile.is_flat() {
             if let Some(labels) = &self.labels {
                 return labels.distance(u, v);
@@ -551,9 +543,9 @@ impl<O: TimeDependentOracle> TdCachedOracle<O> {
     pub fn mem_bytes(&self) -> usize {
         self.dis_shards
             .iter()
-            .map(|s| s.lock().mem_bytes())
+            .map(|s| lock(s).mem_bytes())
             .sum::<usize>()
-            + self.path_cache.lock().mem_bytes()
+            + lock(&self.path_cache).mem_bytes()
     }
 
     #[inline]
@@ -572,7 +564,7 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         let (bucket, bucket_end) = self.bucket_of(depart);
         let key = (u.0, v.0, bucket);
         let shard = &self.dis_shards[td_shard_of(key)];
-        if let Some(&d) = shard.lock().get(&key) {
+        if let Some(&d) = lock(shard).get(&key) {
             if depart.saturating_add(d) <= bucket_end {
                 self.dis_hits.fetch_add(1, Ordering::Relaxed);
                 #[cfg(feature = "obs")]
@@ -605,7 +597,7 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         // fill race as the static cache: equal values, never wrong).
         let d = self.inner.dis_at(u, v, depart);
         if depart.saturating_add(d) <= bucket_end {
-            let _evicted = shard.lock().insert(key, d).is_some();
+            let _evicted = lock(shard).insert(key, d).is_some();
             #[cfg(feature = "obs")]
             if _evicted {
                 urpsm_obs::with(|m| m.td_evictions.inc());
@@ -630,7 +622,7 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         let (bucket, bucket_end) = self.bucket_of(depart);
         let key = (u.0, v.0, bucket);
         {
-            let mut cache = self.path_cache.lock();
+            let mut cache = lock(&self.path_cache);
             if let Some((d, p)) = cache.get(&key) {
                 if depart.saturating_add(*d) <= bucket_end {
                     self.path_hits.fetch_add(1, Ordering::Relaxed);
@@ -645,7 +637,7 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         urpsm_obs::with(|m| m.td_path_misses.inc());
         let (d, p) = self.inner.path_and_duration_at(u, v, depart)?;
         if depart.saturating_add(d) <= bucket_end {
-            let _evicted = self.path_cache.lock().insert(key, (d, p.clone())).is_some();
+            let _evicted = lock(&self.path_cache).insert(key, (d, p.clone())).is_some();
             #[cfg(feature = "obs")]
             if _evicted {
                 urpsm_obs::with(|m| m.td_evictions.inc());
@@ -816,17 +808,6 @@ impl TravelTimeProvider for TdTravelTimeProvider {
         }
         true
     }
-}
-
-/// Reads the `URPSM_TD_ORACLE` environment variable, mirroring
-/// `URPSM_THREADS` / `URPSM_SHARDS` / `URPSM_CONGESTION`: `1`, `true`
-/// or `on` route committed legs through the time-dependent oracle
-/// (`SimConfig::td_oracle`); anything else keeps the PR-5 overlay.
-pub fn td_oracle_from_env() -> bool {
-    matches!(
-        std::env::var("URPSM_TD_ORACLE").as_deref().map(str::trim),
-        Ok("1") | Ok("true") | Ok("on")
-    )
 }
 
 #[cfg(test)]
@@ -1156,21 +1137,6 @@ mod tests {
             panic!("flat provider must not emit")
         });
         assert!(!expanded, "flat falls back to static expansion");
-    }
-
-    #[test]
-    fn env_flag_parses() {
-        // Sequential writes only (tests in this module don't race on
-        // this variable).
-        std::env::remove_var("URPSM_TD_ORACLE");
-        assert!(!td_oracle_from_env());
-        std::env::set_var("URPSM_TD_ORACLE", "1");
-        assert!(td_oracle_from_env());
-        std::env::set_var("URPSM_TD_ORACLE", "on");
-        assert!(td_oracle_from_env());
-        std::env::set_var("URPSM_TD_ORACLE", "0");
-        assert!(!td_oracle_from_env());
-        std::env::remove_var("URPSM_TD_ORACLE");
     }
 
     mod props {

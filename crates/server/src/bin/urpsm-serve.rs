@@ -37,7 +37,7 @@ use urpsm_core::event::PlatformEvent;
 use urpsm_core::planner::{Planner, PruneGreedyDp};
 use urpsm_dispatch::admission::AdmissionConfig;
 use urpsm_dispatch::service::{ShardConfig, ShardedService};
-use urpsm_server::server::{recover, Backend, IngestServer, ServerConfig, WalConfig};
+use urpsm_server::server::{recover, sim_config, Backend, IngestServer, ServerConfig, WalConfig};
 use urpsm_simulator::engine::SimConfig;
 use urpsm_simulator::service::MobilityService;
 use urpsm_workloads::scenario::{chengdu_like, metropolis, nyc_like, Scenario};
@@ -69,7 +69,7 @@ fn parse_args() -> Args {
         queue_limit: usize::MAX,
         wal: None,
         recover: false,
-        td_oracle: road_network::td::td_oracle_from_env(),
+        td_oracle: false,
         metrics_file: None,
     };
     let mut it = std::env::args().skip(1);
@@ -130,29 +130,12 @@ fn build_scenario(args: &Args) -> Scenario {
         .build()
 }
 
-fn start_time(scenario: &Scenario) -> u64 {
-    [
-        scenario.requests.first().map(|r| r.release),
-        scenario.cancellations.first().map(|&(t, _)| t),
-        scenario.fleet_events.first().map(PlatformEvent::time),
-    ]
-    .into_iter()
-    .flatten()
-    .min()
-    .unwrap_or(0)
-}
-
 fn build_backend(scenario: &Scenario, shards: usize, td_oracle: bool) -> Backend<'static> {
     let sim = SimConfig {
-        grid_cell_m: scenario.grid_cell_m,
-        alpha: scenario.alpha,
-        drain: true,
-        threads: 0,
-        congestion: scenario.congestion.clone(),
         td_oracle,
-        classes: scenario.classes.clone(),
+        ..sim_config(scenario)
     };
-    let t0 = start_time(scenario);
+    let t0 = scenario.start_time();
     if shards <= 1 {
         Backend::single(MobilityService::new(
             scenario.oracle.clone(),

@@ -42,8 +42,8 @@ pub mod wal;
 pub mod prelude {
     pub use crate::ingest::{ProducerHandle, StampedEvent};
     pub use crate::server::{
-        recover, Backend, IngestReply, IngestServer, RecoveryReport, ServerConfig, ServerOutcome,
-        TickReport, WalConfig, WalStats,
+        recover, sim_config, Backend, IngestReply, IngestServer, RecoveryReport, ServerConfig,
+        ServerOutcome, TickReport, WalConfig, WalStats,
     };
     pub use crate::wal::{read_wal, Snapshot, WalScan, SNAPSHOT_FILE, WAL_FILE};
 }

@@ -35,14 +35,31 @@ use urpsm_core::event::{EventRouting, PlatformEvent};
 use urpsm_core::types::{RequestId, Time};
 use urpsm_dispatch::admission::{Admission, AdmissionConfig, AdmissionController};
 use urpsm_dispatch::service::ShardedService;
+use urpsm_simulator::engine::SimConfig;
 use urpsm_simulator::metrics::SimMetrics;
 use urpsm_simulator::service::{MobilityService, ServiceCheckpoint, ServiceReply};
 use urpsm_simulator::SimEvent;
+use urpsm_workloads::scenario::Scenario;
 
 use crate::ingest::{channel, ProducerHandle, StampedEvent};
 use crate::wal::{
     read_snapshot, read_wal, write_snapshot, Snapshot, WalWriter, SNAPSHOT_FILE, WAL_FILE,
 };
+
+/// The [`SimConfig`] a [`Scenario`] describes: its grid cell, `α`,
+/// congestion profile and class table, with the remaining fields at
+/// their library defaults (drain on, the planner's own width, overlay
+/// legs). The one scenario → config mapping: the facade constructors,
+/// `urpsm-serve` and `bench ingest` all open their services with it.
+pub fn sim_config(scenario: &Scenario) -> SimConfig {
+    SimConfig {
+        grid_cell_m: scenario.grid_cell_m,
+        alpha: scenario.alpha,
+        congestion: scenario.congestion.clone(),
+        classes: scenario.classes.clone(),
+        ..SimConfig::default()
+    }
+}
 
 /// The dispatch layer the server fronts: one platform, or `K` of them.
 pub enum Backend<'p> {
@@ -390,7 +407,7 @@ impl<'p> IngestServer<'p> {
                 urpsm_obs::TraceKind::TickStart,
                 self.ticks + 1,
                 until,
-                self.pending.len() as u64,
+                batch.len() as u64,
                 0,
             );
         });

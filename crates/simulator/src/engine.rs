@@ -34,16 +34,12 @@ pub struct SimConfig {
     /// Planning fan-out override, applied to the planner through
     /// [`urpsm_core::planner::Planner::set_threads`] when the service
     /// opens. `0` (the default) keeps whatever the planner was
-    /// configured with — including the `URPSM_THREADS` environment
-    /// default — so replay determinism never depends on this struct.
-    /// Any value produces identical outputs; only wall-clock changes.
+    /// configured with. Any value produces identical outputs; only
+    /// wall-clock changes.
     pub threads: usize,
     /// Time-dependent travel times: the congestion profile installed
-    /// into the platform (DESIGN.md §7). `None` is free flow — the
-    /// pre-congestion code path, byte for byte — and the default reads
-    /// the `URPSM_CONGESTION` environment variable (mirroring
-    /// `URPSM_THREADS` / `URPSM_SHARDS`), so a whole test suite or CI
-    /// job can run congested without touching call sites.
+    /// into the platform (DESIGN.md §7). `None` (the default) is free
+    /// flow — the pre-congestion code path, byte for byte.
     pub congestion: Option<Arc<road_network::congestion::CongestionProfile>>,
     /// Route committed legs through the true time-dependent oracle
     /// (`road_network::td`) instead of the profile *overlay*: schedules
@@ -52,9 +48,7 @@ pub struct SimConfig {
     /// graph-backed oracle (`DistanceOracle::backing_network`) and a
     /// congestion profile to have any effect; with a flat profile the
     /// TD oracle is byte-identical to the overlay (and to no profile at
-    /// all — `tests/td_equivalence.rs` pins it). The default reads the
-    /// `URPSM_TD_ORACLE` environment variable, mirroring
-    /// `URPSM_CONGESTION`.
+    /// all — `tests/td_equivalence.rs` pins it). Off by default.
     pub td_oracle: bool,
     /// Vehicle-class table of the fleet (DESIGN.md §12). `None` is the
     /// homogeneous single-standard-class fleet — the pre-class code
@@ -72,8 +66,8 @@ impl Default for SimConfig {
             alpha: 1,
             drain: true,
             threads: 0,
-            congestion: road_network::congestion::congestion_from_env(),
-            td_oracle: road_network::td::td_oracle_from_env(),
+            congestion: None,
+            td_oracle: false,
             classes: None,
         }
     }

@@ -13,7 +13,6 @@
 
 use road_network::Cost;
 
-use crate::exec::{IndexFeed, WorkPool};
 use crate::lower_bound::insertion_lower_bound;
 use crate::platform::{EligibleCandidates, FleetView, PlatformState};
 use crate::shortlist::LowerBoundSink;
@@ -39,9 +38,9 @@ impl DecisionOutcome {
 }
 
 /// The one Algo. 4 inner loop every scan shares: compute `LBΔ*` for
-/// each yielded worker and append survivors to `out`. Sequential and
-/// parallel decision phases (and the fused planner) all call this, so
-/// the lower-bound filter can never diverge between them. Generic over
+/// each yielded worker and append survivors to `out`. The sequential
+/// decision phase and the fused planner both call this, so the
+/// lower-bound filter can never diverge between them. Generic over
 /// the sink so the planner engines can fill their reusable SoA
 /// [`crate::shortlist::Shortlist`] with the very same loop that builds
 /// the public `Vec`-based [`DecisionOutcome`].
@@ -78,68 +77,15 @@ pub fn decision_phase(
     r: &Request,
     direct: Cost,
 ) -> DecisionOutcome {
-    decision_phase_with(
-        &WorkPool::default(),
-        alpha,
+    let candidates = candidates.as_ids();
+    let mut lower_bounds = Vec::with_capacity(candidates.len());
+    collect_lower_bounds(
         state.view(),
-        candidates,
         r,
         direct,
-    )
-}
-
-/// Runs Algo. 4 over `candidates` on a [`WorkPool`], fanning the
-/// per-candidate lower bounds out across the pool's threads.
-///
-/// Byte-identical to [`decision_phase`]: each `(LBΔ*, worker)` pair is
-/// a pure function of the immutable [`FleetView`], and the final
-/// `sort_unstable` key `(bound, worker_id)` is a total order, so the
-/// nondeterministic per-thread collection order cannot show in the
-/// output. Falls back to the sequential scan on a serial pool or a
-/// trivially small candidate list.
-pub fn decision_phase_with(
-    pool: &WorkPool,
-    alpha: u64,
-    view: FleetView<'_>,
-    candidates: EligibleCandidates<'_>,
-    r: &Request,
-    direct: Cost,
-) -> DecisionOutcome {
-    let candidates = candidates.as_ids();
-    if !pool.is_parallel() || candidates.len() < 2 * pool.threads() {
-        let mut lower_bounds = Vec::with_capacity(candidates.len());
-        collect_lower_bounds(
-            view,
-            r,
-            direct,
-            candidates.iter().copied(),
-            &mut lower_bounds,
-        );
-        return finish(alpha, r, lower_bounds);
-    }
-    let feed = IndexFeed::new(candidates.len());
-    let parts: Vec<Vec<(Cost, WorkerId)>> = pool.run(|_| {
-        let mut local = Vec::new();
-        collect_lower_bounds(
-            view,
-            r,
-            direct,
-            std::iter::from_fn(|| feed.next().map(|i| candidates[i])),
-            &mut local,
-        );
-        local
-    });
-    finish(alpha, r, parts.into_iter().flatten().collect())
-}
-
-/// Shared tail of both scans: sort by `(bound, worker)` and apply the
-/// economic rejection test `p_r < α · min LB`. The fused parallel
-/// planner replicates exactly this at its barrier merge.
-pub(crate) fn finish(
-    alpha: u64,
-    r: &Request,
-    mut lower_bounds: Vec<(Cost, WorkerId)>,
-) -> DecisionOutcome {
+        candidates.iter().copied(),
+        &mut lower_bounds,
+    );
     lower_bounds.sort_unstable();
     let reject = economic_reject(alpha, r, lower_bounds.first().map(|(lb, _)| *lb));
     DecisionOutcome {
@@ -149,7 +95,7 @@ pub(crate) fn finish(
 }
 
 /// The economic rejection test of Algo. 4, shared by the `Vec`-based
-/// [`finish`] and the planner engines' SoA shortlist path: reject when
+/// [`decision_phase`] and the planner engines' SoA shortlist path: reject when
 /// no worker can serve at all, or when `p_r < α · min LB` — serving
 /// could only ever cost more than rejecting.
 pub(crate) fn economic_reject(alpha: u64, r: &Request, min_lb: Option<Cost>) -> bool {
@@ -263,30 +209,6 @@ mod tests {
         let out = decision_phase(1, &state, EligibleCandidates::from_ids(&[]), &r, 200);
         assert!(out.reject);
         assert!(out.min_lower_bound().is_none());
-    }
-
-    #[test]
-    fn parallel_decision_phase_is_byte_identical() {
-        // Enough candidates to clear the fan-out threshold at 4 threads.
-        let vertices: Vec<u32> = (0..40).map(|i| (i * 2) % 90).collect();
-        let state = state(&vertices);
-        let cands: Vec<WorkerId> = (0..40).map(WorkerId).collect();
-        let r = request(31, 47, 100_000, 1_000_000);
-        let direct = state.oracle().dis(r.origin, r.destination);
-        let sequential =
-            decision_phase(1, &state, EligibleCandidates::from_ids(&cands), &r, direct);
-        for threads in [1, 2, 4, 8] {
-            let pool = WorkPool::new(threads);
-            let par = decision_phase_with(
-                &pool,
-                1,
-                state.view(),
-                EligibleCandidates::from_ids(&cands),
-                &r,
-                direct,
-            );
-            assert_eq!(sequential, par, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!   [`revenue`] / [`revenue_via_unified_cost`] in integer arithmetic.
 
 use road_network::{Cost, INF};
-use serde::{Deserialize, Serialize};
 
 /// An accumulated unified cost (Eq. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UnifiedCost {
     /// Weight `α` on the total travel distance.
     pub alpha: u64,
@@ -49,7 +48,7 @@ impl std::fmt::Display for UnifiedCost {
 }
 
 /// Named parameterizations of the unified objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectivePreset {
     /// Minimize total travel distance while serving every request:
     /// `α = 1`, `p_r = ∞`.

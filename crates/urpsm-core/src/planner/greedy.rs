@@ -367,7 +367,7 @@ fn plan_fused_parallel(
             }));
             // Merge point: one leader sorts and applies the economic gate —
             // the same `(LB, worker)` total order and `p_r < α · min LB`
-            // test as the sequential tail (`decision::finish`).
+            // test as the sequential `decision_phase`.
             if barrier.wait().is_leader() {
                 let merge = catch_unwind(AssertUnwindSafe(|| {
                     let lbs = std::mem::take(&mut *lock_lbs(&collected));

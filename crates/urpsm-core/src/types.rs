@@ -1,16 +1,13 @@
 //! Problem entities of the URPSM model (Definitions 2–4 of the paper).
 
 use road_network::{Cost, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Simulation/platform time, in the same integer centisecond unit as
 /// [`Cost`] (the paper uses travel time and distance interchangeably).
 pub type Time = u64;
 
 /// Identifier of a worker (driver / courier).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WorkerId(pub u32);
 
 impl WorkerId {
@@ -28,9 +25,7 @@ impl std::fmt::Display for WorkerId {
 }
 
 /// Identifier of a request (rider / parcel).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u32);
 
 impl RequestId {
@@ -53,9 +48,7 @@ impl std::fmt::Display for RequestId {
 /// paper: unit speed, no range limit. Heterogeneous fleets add further
 /// classes; eligibility against them is decided exclusively in the two
 /// seams documented on [`ClassTable`] — planners never see this type.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClassId(pub u16);
 
 impl ClassId {
@@ -85,7 +78,7 @@ pub const SPEED_BASELINE_PM: u32 = 1_000;
 /// into the route's `TravelTimeProvider`, which preserves the
 /// provider's FIFO / conservation / monotonicity contracts pointwise
 /// (see DESIGN.md §12).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VehicleClass {
     /// Human-readable label ("sedan", "van", "ebike", …).
     pub name: &'static str,
@@ -132,7 +125,7 @@ impl Default for VehicleClass {
 }
 
 /// Which vehicle classes may serve a request.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClassConstraint {
     /// Any class (the paper's setting; the default).
     #[default]
@@ -171,7 +164,7 @@ impl ClassConstraint {
 /// parameters from here at install time. Planners consume the opaque
 /// `EligibleCandidates` view those seams produce and therefore cannot
 /// observe classes at all.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassTable {
     classes: Vec<VehicleClass>,
 }
@@ -264,7 +257,7 @@ impl Default for ClassTable {
 /// capacity (seats in a taxi, box slots of a courier), extended with a
 /// [`ClassId`] for heterogeneous fleets (the default class 0 recovers
 /// the paper's homogeneous setting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Worker {
     /// Stable identifier.
     pub id: WorkerId,
@@ -277,7 +270,7 @@ pub struct Worker {
 }
 
 /// A request `r = <o_r, d_r, t_r, e_r, p_r, K_r>` (Def. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Stable identifier.
     pub id: RequestId,
@@ -308,9 +301,7 @@ impl Request {
 }
 
 /// What a stop on a route does.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StopKind {
     /// Pick the request's passengers/items up at its origin.
     #[default]
@@ -322,7 +313,7 @@ pub enum StopKind {
 /// One location `l_k` of a route (Def. 4): the origin or destination of
 /// an assigned request, plus the cached per-stop data the schedule
 /// arrays of §4.3 are rebuilt from.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Stop {
     /// The request being picked up / delivered.
     pub request: RequestId,

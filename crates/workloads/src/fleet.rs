@@ -22,8 +22,7 @@ pub struct FleetMix {
 
 impl FleetMix {
     /// The homogeneous single-standard-class fleet — the pre-class
-    /// code path, byte for byte. Explicitly requesting it overrides
-    /// the `URPSM_FLEET` environment default.
+    /// code path, byte for byte.
     pub fn single() -> Self {
         FleetMix {
             entries: vec![(VehicleClass::standard(), 1.0)],
@@ -38,7 +37,7 @@ impl FleetMix {
         FleetMix { entries }
     }
 
-    /// The three-class city of the `URPSM_FLEET=mixed` preset:
+    /// The three-class city of the `experiments fleet` panel:
     /// 60 % sedans (the baseline profile), 25 % six-seat vans at
     /// 1.1× travel time, 15 % single-passenger e-bikes at 1.5× with a
     /// battery range budget.
@@ -109,22 +108,6 @@ impl FleetMix {
 impl Default for FleetMix {
     fn default() -> Self {
         FleetMix::single()
-    }
-}
-
-/// The `URPSM_FLEET` environment default, mirroring `URPSM_THREADS` /
-/// `URPSM_CONGESTION`: unset, empty or `single` keeps the homogeneous
-/// fleet (`None`); `mixed` selects [`FleetMix::mixed`]. Any other
-/// value panics with the canonical table — a typo'd CI matrix entry
-/// must not silently run the wrong fleet.
-pub fn fleet_mix_from_env() -> Option<FleetMix> {
-    match std::env::var("URPSM_FLEET") {
-        Err(_) => None,
-        Ok(v) => match v.trim() {
-            "" | "single" => None,
-            "mixed" => Some(FleetMix::mixed()),
-            other => panic!("unknown URPSM_FLEET preset {other:?} (expected: single, mixed)"),
-        },
     }
 }
 

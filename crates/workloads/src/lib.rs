@@ -37,7 +37,7 @@ pub const MINUTE_CS: u64 = 6_000;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::adversary::AdversaryInstance;
-    pub use crate::fleet::{fleet_mix_from_env, FleetMix};
+    pub use crate::fleet::FleetMix;
     pub use crate::network_gen::{cycle_graph, grid_city, ring_radial_city};
     pub use crate::requests::{RequestStreamConfig, RequestStreamGenerator};
     pub use crate::scenario::{City, Scenario, ScenarioBuilder};

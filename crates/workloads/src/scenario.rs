@@ -14,7 +14,7 @@ use urpsm_core::types::{
     ClassConstraint, ClassId, ClassTable, Request, RequestId, Time, Worker, WorkerId,
 };
 
-use crate::fleet::{fleet_mix_from_env, FleetMix};
+use crate::fleet::FleetMix;
 use crate::network_gen::{grid_city, ring_radial_city};
 use crate::requests::{RequestStreamConfig, RequestStreamGenerator};
 use crate::MINUTE_CS;
@@ -61,10 +61,7 @@ pub struct Scenario {
     /// Objective weight `α`.
     pub alpha: u64,
     /// Supply-side congestion profile for the platform
-    /// ([`ScenarioBuilder::congestion`]); `None` = free flow. The
-    /// facade falls back to the `URPSM_CONGESTION` environment default
-    /// when unset, mirroring the demand-side `rush_hour_skew` knob's
-    /// supply-side counterpart.
+    /// ([`ScenarioBuilder::congestion`]); `None` = free flow.
     pub congestion: Option<Arc<CongestionProfile>>,
     /// Vehicle-class table of a heterogeneous fleet
     /// ([`ScenarioBuilder::fleet_mix`]); `None` = the homogeneous
@@ -74,6 +71,22 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The first timestamp of [`Scenario::event_stream`] (0 when the
+    /// stream is empty) — where a service over this scenario starts
+    /// its clock. Each source is sorted by construction, so this is
+    /// the min of the three heads; nothing is merged or sorted.
+    pub fn start_time(&self) -> Time {
+        [
+            self.requests.first().map(|r| r.release),
+            self.cancellations.first().map(|&(t, _)| t),
+            self.fleet_events.first().map(PlatformEvent::time),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .unwrap_or(0)
+    }
+
     /// Merges requests, cancellations and fleet churn into one ordered
     /// event stream, ready to feed a `MobilityService` one event at a
     /// time. Ties break on [`PlatformEvent::tie_rank`] (joins before
@@ -347,9 +360,7 @@ impl ScenarioBuilder {
     /// the mix's fractions and re-draw their capacities around the
     /// class's nominal capacity, all from an independent RNG stream —
     /// the base fleet-origin and request draws stay byte-identical.
-    /// Explicitly passing [`FleetMix::single`] forces the homogeneous
-    /// fleet even under `URPSM_FLEET=mixed`; leaving the knob unset
-    /// reads the environment default.
+    /// Unset (or [`FleetMix::single`]) is the homogeneous fleet.
     pub fn fleet_mix(mut self, mix: FleetMix) -> Self {
         self.fleet = Some(mix);
         self
@@ -369,7 +380,8 @@ impl ScenarioBuilder {
     /// the same construction-time contract as
     /// [`crate::requests::WeightedCdf`]: fail loudly where the knob
     /// was set, not deep inside generation with an opaque overflow.
-    fn validate(&self, mix: Option<&FleetMix>) {
+    fn validate(&self) {
+        let mix = self.fleet.as_ref();
         if let Some(mix) = mix {
             let sum: f64 = mix.entries().iter().map(|(_, f)| f).sum();
             assert!(
@@ -440,10 +452,8 @@ impl ScenarioBuilder {
     /// cell, ids overflowing `u32`) — each with a message naming the
     /// offending knob.
     pub fn build(self) -> Scenario {
-        // Explicit knob wins; otherwise the `URPSM_FLEET` environment
-        // default (mirroring the congestion/threads/shards knobs).
-        let mix = self.fleet.clone().or_else(fleet_mix_from_env);
-        self.validate(mix.as_ref());
+        self.validate();
+        let mix = self.fleet.as_ref();
         let network: Arc<RoadNetwork> = match self.spec {
             NetworkSpec::Grid { nx, ny, block_m } => {
                 Arc::new(grid_city(nx, ny, block_m, self.seed))
@@ -503,9 +513,9 @@ impl ScenarioBuilder {
         // destination, second-to-last class only), sharing the trip's
         // time budget. Independent RNG stream, so a zero fraction is
         // byte-identical to no knob at all.
-        let heterogeneous = mix.as_ref().is_some_and(|m| !m.is_single_standard());
+        let heterogeneous = mix.is_some_and(|m| !m.is_single_standard());
         if self.transfer_fraction > 0.0 {
-            let n_classes = mix.as_ref().map_or(1, |m| m.entries().len());
+            let n_classes = mix.map_or(1, |m| m.entries().len());
             let feeder = ClassConstraint::Only(ClassId((n_classes - 1) as u16));
             let trunk = ClassConstraint::Only(ClassId((n_classes - 2) as u16));
             let hub = central_hub(&network);
@@ -589,7 +599,7 @@ impl ScenarioBuilder {
         // perturbs the origin/capacity/lifecycle draws above.
         let mut classes = None;
         if heterogeneous {
-            let mix = mix.as_ref().expect("heterogeneous implies a mix");
+            let mix = mix.expect("heterogeneous implies a mix");
             let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0xc1a5));
             let assign = |w: &mut Worker, rng: &mut StdRng| {
                 w.class = mix.sample(rng.gen::<f64>());
@@ -756,15 +766,12 @@ mod tests {
 
     #[test]
     fn capacities_center_on_mu() {
-        // Pin the homogeneous fleet: under `URPSM_FLEET=mixed` the
-        // capacities would recenter on the class means instead of μ.
         let s = ScenarioBuilder::named("t")
             .grid_city(5, 5)
             .workers(500)
             .capacity(6)
             .requests(1)
             .seed(1)
-            .fleet_mix(FleetMix::single())
             .build();
         let avg: f64 =
             s.workers.iter().map(|w| f64::from(w.capacity)).sum::<f64>() / s.workers.len() as f64;
@@ -948,9 +955,7 @@ mod tests {
                 .requests(40)
                 .seed(13)
         };
-        // An explicit mix overrides `URPSM_FLEET`, so both sides are
-        // pinned and the comparison holds under every CI env job.
-        let plain = base().fleet_mix(FleetMix::single()).build();
+        let plain = base().build();
         let mixed = base().fleet_mix(FleetMix::mixed()).build();
         // The mix must not perturb demand or the fleet's placement;
         // classes/capacities are redrawn from their own stream.

@@ -108,7 +108,8 @@ pub use urpsm_workloads as workloads;
 
 use urpsm_core::planner::Planner;
 use urpsm_dispatch::service::{ShardConfig, ShardedService};
-use urpsm_simulator::engine::{SimConfig, SimOutcome, Simulation};
+use urpsm_server::server::sim_config;
+use urpsm_simulator::engine::{SimOutcome, Simulation};
 use urpsm_simulator::service::MobilityService;
 use urpsm_workloads::scenario::Scenario;
 
@@ -117,95 +118,36 @@ use urpsm_workloads::scenario::Scenario;
 /// [`Scenario::event_stream`] (or any other event feed). The service
 /// clock starts at the first event's time.
 pub fn service<'p>(scenario: &Scenario, planner: Box<dyn Planner + 'p>) -> MobilityService<'p> {
-    // Each source is sorted by construction, so the stream's first
-    // timestamp is the min of the three heads — no need to materialize
-    // and sort the merged stream here.
-    let start_time = [
-        scenario.requests.first().map(|r| r.release),
-        scenario.cancellations.first().map(|&(t, _)| t),
-        scenario
-            .fleet_events
-            .first()
-            .map(urpsm_core::event::PlatformEvent::time),
-    ]
-    .into_iter()
-    .flatten()
-    .min()
-    .unwrap_or(0);
     MobilityService::new(
         scenario.oracle.clone(),
         scenario.workers.clone(),
         planner,
-        SimConfig {
-            grid_cell_m: scenario.grid_cell_m,
-            alpha: scenario.alpha,
-            drain: true,
-            threads: 0,
-            congestion: scenario_congestion(scenario),
-            td_oracle: road_network::td::td_oracle_from_env(),
-            classes: scenario.classes.clone(),
-        },
-        start_time,
+        sim_config(scenario),
+        scenario.start_time(),
     )
 }
 
-/// The scenario's congestion profile, falling back to the
-/// `URPSM_CONGESTION` environment default (mirroring how
-/// `URPSM_THREADS` / `URPSM_SHARDS` reach scenario-driven runs).
-fn scenario_congestion(
-    scenario: &Scenario,
-) -> Option<std::sync::Arc<road_network::congestion::CongestionProfile>> {
-    scenario
-        .congestion
-        .clone()
-        .or_else(road_network::congestion::congestion_from_env)
-}
-
 /// Opens a geo-sharded [`ShardedService`] over a [`Scenario`]: the city
-/// is partitioned into `shards` territories (`0` = the `URPSM_SHARDS`
-/// environment default, which itself defaults to 1), each owning its
-/// own platform and a planner built by `planners(shard_id)`, with the
-/// default `Borrow` boundary policy handing idle border workers across
-/// seams. At one shard this is byte-identical to [`service`]'s plain
-/// `MobilityService` (pinned by `tests/shard_equivalence.rs`).
+/// is partitioned into `shards` territories (clamped to ≥ 1), each
+/// owning its own platform and a planner built by `planners(shard_id)`,
+/// with the default `Borrow` boundary policy handing idle border
+/// workers across seams. At one shard this is byte-identical to
+/// [`service`]'s plain `MobilityService` (pinned by
+/// `tests/shard_equivalence.rs`).
 pub fn sharded<'p, F>(scenario: &Scenario, shards: usize, planners: F) -> ShardedService<'p>
 where
     F: FnMut(usize) -> Box<dyn Planner + 'p>,
 {
-    let start_time = [
-        scenario.requests.first().map(|r| r.release),
-        scenario.cancellations.first().map(|&(t, _)| t),
-        scenario
-            .fleet_events
-            .first()
-            .map(urpsm_core::event::PlatformEvent::time),
-    ]
-    .into_iter()
-    .flatten()
-    .min()
-    .unwrap_or(0);
     ShardedService::new(
         scenario.oracle.clone(),
         scenario.workers.clone(),
         planners,
         ShardConfig {
-            shards: if shards == 0 {
-                urpsm_dispatch::service::shards_from_env()
-            } else {
-                shards
-            },
-            sim: SimConfig {
-                grid_cell_m: scenario.grid_cell_m,
-                alpha: scenario.alpha,
-                drain: true,
-                threads: 0,
-                congestion: scenario_congestion(scenario),
-                td_oracle: road_network::td::td_oracle_from_env(),
-                classes: scenario.classes.clone(),
-            },
+            shards,
+            sim: sim_config(scenario),
             ..ShardConfig::default()
         },
-        start_time,
+        scenario.start_time(),
     )
 }
 
@@ -219,15 +161,7 @@ pub fn simulate(scenario: &Scenario, planner: &mut dyn Planner) -> SimOutcome {
         scenario.oracle.clone(),
         scenario.workers.clone(),
         scenario.requests.clone(),
-        SimConfig {
-            grid_cell_m: scenario.grid_cell_m,
-            alpha: scenario.alpha,
-            drain: true,
-            threads: 0,
-            congestion: scenario_congestion(scenario),
-            td_oracle: road_network::td::td_oracle_from_env(),
-            classes: scenario.classes.clone(),
-        },
+        sim_config(scenario),
     )
     .expect("scenario request streams are sorted by construction")
     .run(planner)

@@ -11,10 +11,6 @@
 //! * **Metadata-only mixes** — a multi-class table whose classes all
 //!   have the standard profile (unit speed, no range) changes requests,
 //!   schedules and costs not at all.
-//!
-//! Every run here pins its own `SimConfig` and fleet mix explicitly, so
-//! the pins hold under all CI environment jobs (`URPSM_THREADS`,
-//! `URPSM_CONGESTION`, `URPSM_TD_ORACLE`, `URPSM_FLEET`).
 
 use std::sync::Arc;
 
@@ -25,36 +21,18 @@ use urpsm::network::prelude::Point;
 use urpsm::prelude::*;
 
 fn golden_scenario() -> Scenario {
-    // `FleetMix::single()` pins the homogeneous fleet even when the
-    // suite runs under `URPSM_FLEET=mixed`.
     ScenarioBuilder::named("golden")
         .grid_city(8, 8)
         .workers(6)
         .requests(60)
         .seed(42)
-        .fleet_mix(FleetMix::single())
         .build()
 }
 
-/// Runs the golden scenario under a fully pinned configuration — no
-/// environment knob can reach this run.
-fn run_pinned(sc: &Scenario, planner: Box<dyn Planner + '_>) -> SimOutcome {
-    let start_time = sc.requests.first().map(|r| r.release).unwrap_or(0);
-    let mut service = MobilityService::new(
-        sc.oracle.clone(),
-        sc.workers.clone(),
-        planner,
-        SimConfig {
-            grid_cell_m: sc.grid_cell_m,
-            alpha: sc.alpha,
-            drain: true,
-            threads: 0,
-            congestion: None,
-            td_oracle: false,
-            classes: sc.classes.clone(),
-        },
-        start_time,
-    );
+/// Replays the scenario through the facade's plain service and checks
+/// the audit.
+fn replay(sc: &Scenario, planner: Box<dyn Planner + '_>) -> SimOutcome {
+    let mut service = urpsm::service(sc, planner);
     for event in sc.event_stream() {
         service.submit(event);
     }
@@ -97,7 +75,7 @@ fn assert_golden(name: &str, out: &SimOutcome, g: &Golden) {
 #[test]
 fn greedy_dp_matches_pre_class_golden() {
     let sc = golden_scenario();
-    let out = run_pinned(&sc, Box::new(GreedyDp::new()));
+    let out = replay(&sc, Box::new(GreedyDp::new()));
     assert_golden(
         "GreedyDP",
         &out,
@@ -113,7 +91,7 @@ fn greedy_dp_matches_pre_class_golden() {
 #[test]
 fn prune_greedy_dp_matches_pre_class_golden() {
     let sc = golden_scenario();
-    let out = run_pinned(&sc, Box::new(PruneGreedyDp::new()));
+    let out = replay(&sc, Box::new(PruneGreedyDp::new()));
     assert_golden(
         "pruneGreedyDP",
         &out,
@@ -129,7 +107,7 @@ fn prune_greedy_dp_matches_pre_class_golden() {
 #[test]
 fn kinetic_matches_pre_class_golden() {
     let sc = golden_scenario();
-    let out = run_pinned(&sc, Box::new(KineticPlanner::new()));
+    let out = replay(&sc, Box::new(KineticPlanner::new()));
     assert_golden(
         "kinetic",
         &out,
@@ -145,7 +123,7 @@ fn kinetic_matches_pre_class_golden() {
 #[test]
 fn tshare_matches_pre_class_golden() {
     let sc = golden_scenario();
-    let out = run_pinned(&sc, Box::new(TSharePlanner::new()));
+    let out = replay(&sc, Box::new(TSharePlanner::new()));
     assert_golden(
         "T-Share",
         &out,
@@ -161,7 +139,7 @@ fn tshare_matches_pre_class_golden() {
 #[test]
 fn batch_matches_pre_class_golden() {
     let sc = golden_scenario();
-    let out = run_pinned(&sc, Box::new(BatchPlanner::new()));
+    let out = replay(&sc, Box::new(BatchPlanner::new()));
     assert_golden(
         "batch",
         &out,
@@ -280,36 +258,16 @@ fn class_ineligible_worker_is_never_probed() {
 /// homogeneous run — only the per-class metrics split.
 #[test]
 fn standard_profile_mix_is_byte_identical_to_single_class() {
-    let sc = golden_scenario();
-    let single = run_pinned(&sc, Box::new(PruneGreedyDp::new()));
+    let mut sc = golden_scenario();
+    let single = replay(&sc, Box::new(PruneGreedyDp::new()));
 
     // Same fleet, same requests, but workers alternate between two
     // standard-profile classes.
-    let mut workers = sc.workers.clone();
-    for (i, w) in workers.iter_mut().enumerate() {
+    for (i, w) in sc.workers.iter_mut().enumerate() {
         w.class = ClassId((i % 2) as u16);
     }
-    let start_time = sc.requests.first().map(|r| r.release).unwrap_or(0);
-    let mut service = MobilityService::new(
-        sc.oracle.clone(),
-        workers,
-        Box::new(PruneGreedyDp::new()),
-        SimConfig {
-            grid_cell_m: sc.grid_cell_m,
-            alpha: sc.alpha,
-            drain: true,
-            threads: 0,
-            congestion: None,
-            td_oracle: false,
-            classes: Some(two_class_table()),
-        },
-        start_time,
-    );
-    for event in sc.event_stream() {
-        service.submit(event);
-    }
-    let mixed = service.drain();
-    assert!(mixed.audit_errors.is_empty());
+    sc.classes = Some(two_class_table());
+    let mixed = replay(&sc, Box::new(PruneGreedyDp::new()));
 
     assert_eq!(single.events, mixed.events, "event logs must be identical");
     assert_eq!(single.metrics.unified_cost, mixed.metrics.unified_cost);

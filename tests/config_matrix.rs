@@ -1,0 +1,238 @@
+//! The configuration matrix: every way to open a service, in one
+//! process, over one cancellation-and-churn stream.
+//!
+//! A run is configured by values and nothing else — planner width,
+//! plain or sharded service, congestion profile, overlay or TD oracle,
+//! fleet mix — so the whole lattice can be enumerated here:
+//! threads {1, 4} × service {plain, K = 1, K = 4} × profile {none,
+//! flat, chengdu-2peak} × TD {off, on} × fleet {single, mixed} = 72
+//! runs. Each must be audit-clean with an exact ledger, and runs that
+//! differ only in a knob the equivalence suites promise is invisible
+//! (planner width; one shard vs the plain service; a flat profile,
+//! with or without the TD oracle) must agree byte for byte.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use road_network::congestion::HOUR_CS;
+use urpsm::prelude::*;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Service {
+    Plain,
+    Sharded(usize),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Profile {
+    None,
+    Flat,
+    TwoPeak,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Config {
+    mixed_fleet: bool,
+    service: Service,
+    profile: Profile,
+    td_oracle: bool,
+    threads: usize,
+}
+
+impl Config {
+    /// The configuration this one is promised to be indistinguishable
+    /// from: width 1, the plain service in place of one shard, and no
+    /// profile (hence no TD oracle) in place of the flat one.
+    fn canonical(self) -> Config {
+        let free_flow = self.profile != Profile::TwoPeak;
+        Config {
+            mixed_fleet: self.mixed_fleet,
+            service: match self.service {
+                Service::Sharded(1) => Service::Plain,
+                other => other,
+            },
+            profile: if free_flow {
+                Profile::None
+            } else {
+                self.profile
+            },
+            td_oracle: self.td_oracle && !free_flow,
+            threads: 1,
+        }
+    }
+}
+
+/// What a run leaves behind, wall-clock zeroed.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    events: Vec<SimEvent>,
+    metrics: SimMetrics,
+    handoffs: usize,
+}
+
+/// 80 workers on a 10 × 10 grid: shortlists long enough that width 4
+/// really fans out (the engine needs 16 candidates per thread), with
+/// cancellations, churn and cross-region trips so K = 4 hands workers
+/// across seams.
+fn scenario(mixed_fleet: bool) -> Scenario {
+    let builder = ScenarioBuilder::named("config-matrix")
+        .grid_city(10, 10)
+        .workers(80)
+        .requests(160)
+        .horizon(30 * MINUTE_CS)
+        .deadline_offset(8 * MINUTE_CS)
+        .hotspots(4)
+        .inter_region_trips(0.4)
+        .cancel_rate(0.15)
+        .cancel_delay(3 * MINUTE_CS)
+        .fleet_churn(2, 2)
+        .seed(2018);
+    if mixed_fleet {
+        builder.fleet_mix(FleetMix::mixed()).build()
+    } else {
+        builder.build()
+    }
+}
+
+/// The scenario's stream moved to 07:45, so the half hour crosses the
+/// two-peak profile's 1.3× → 1.7× bucket boundary instead of sitting
+/// in its free-flow night.
+fn peak_hour_stream(sc: &Scenario) -> Vec<PlatformEvent> {
+    const SHIFT: Time = 7 * HOUR_CS + 45 * MINUTE_CS;
+    let mut events = sc.event_stream();
+    for e in &mut events {
+        match e {
+            PlatformEvent::RequestArrived(r) => {
+                r.release += SHIFT;
+                r.deadline += SHIFT;
+            }
+            PlatformEvent::RequestCancelled { at, .. }
+            | PlatformEvent::WorkerJoined { at, .. }
+            | PlatformEvent::WorkerLeft { at, .. }
+            | PlatformEvent::Tick { at } => *at += SHIFT,
+        }
+    }
+    events
+}
+
+fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config) -> Observed {
+    let planner = || Box::new(PruneGreedyDp::with_threads(cfg.threads)) as Box<dyn Planner>;
+    let sim = SimConfig {
+        congestion: match cfg.profile {
+            Profile::None => None,
+            Profile::Flat => Some(Arc::new(CongestionProfile::flat())),
+            Profile::TwoPeak => Some(Arc::new(CongestionProfile::chengdu_two_peak())),
+        },
+        td_oracle: cfg.td_oracle,
+        ..sim_config(sc)
+    };
+    let start = stream[0].time();
+    let (oracle, workers) = (sc.oracle.clone(), sc.workers.clone());
+    let (mut metrics, events, audit_errors, assigned, handoffs) = match cfg.service {
+        Service::Plain => {
+            let mut service = MobilityService::new(oracle, workers, planner(), sim, start);
+            service.submit_all(stream.iter().copied());
+            let out = service.drain();
+            let assigned = out.state.total_assigned_distance();
+            (out.metrics, out.events, out.audit_errors, assigned, 0)
+        }
+        Service::Sharded(shards) => {
+            let shard_cfg = ShardConfig {
+                shards,
+                sim,
+                ..ShardConfig::default()
+            };
+            let mut service = ShardedService::new(oracle, workers, |_| planner(), shard_cfg, start);
+            service.submit_all(stream.iter().copied());
+            let out = service.drain();
+            let assigned = out.total_assigned_distance();
+            (
+                out.metrics,
+                out.events,
+                out.audit_errors,
+                assigned,
+                out.handoffs,
+            )
+        }
+    };
+    assert_eq!(audit_errors, Vec::<String>::new(), "{cfg:?}: audit");
+    assert_eq!(
+        metrics.driven_distance, assigned,
+        "{cfg:?}: driven == Σ assigned"
+    );
+    assert_eq!(
+        metrics.served + metrics.rejected + metrics.cancelled,
+        metrics.requests,
+        "{cfg:?}: every request has exactly one fate"
+    );
+    assert_eq!(metrics.requests, sc.requests.len(), "{cfg:?}");
+    metrics.planning_time = std::time::Duration::ZERO;
+    Observed {
+        events,
+        metrics,
+        handoffs,
+    }
+}
+
+#[test]
+fn every_configuration_is_clean_and_the_promised_identities_hold() {
+    let mut observed = BTreeMap::new();
+    for mixed_fleet in [false, true] {
+        let sc = scenario(mixed_fleet);
+        let stream = peak_hour_stream(&sc);
+        for service in [Service::Plain, Service::Sharded(1), Service::Sharded(4)] {
+            for profile in [Profile::None, Profile::Flat, Profile::TwoPeak] {
+                for td_oracle in [false, true] {
+                    for threads in [1usize, 4] {
+                        let cfg = Config {
+                            mixed_fleet,
+                            service,
+                            profile,
+                            td_oracle,
+                            threads,
+                        };
+                        observed.insert(cfg, run(&sc, &stream, cfg));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(observed.len(), 72);
+
+    for (cfg, got) in &observed {
+        assert_eq!(
+            got,
+            &observed[&cfg.canonical()],
+            "{cfg:?} diverged from {:?}",
+            cfg.canonical()
+        );
+    }
+
+    // The axes are live, not vacuous: the stream cancels, K = 4 moves
+    // workers across seams, the peak profile changes the log, and the
+    // mixed fleet reports its three classes.
+    let at = |mixed_fleet, service, profile| {
+        &observed[&Config {
+            mixed_fleet,
+            service,
+            profile,
+            td_oracle: false,
+            threads: 1,
+        }]
+    };
+    let base = at(false, Service::Plain, Profile::None);
+    assert!(base.metrics.cancelled > 0);
+    assert!(at(false, Service::Sharded(4), Profile::None).handoffs > 0);
+    assert_ne!(
+        base.events,
+        at(false, Service::Plain, Profile::TwoPeak).events
+    );
+    assert_eq!(base.metrics.per_class.len(), 1);
+    assert_eq!(
+        at(true, Service::Plain, Profile::None)
+            .metrics
+            .per_class
+            .len(),
+        3
+    );
+}

@@ -3,7 +3,7 @@
 //!
 //! * the **flat** profile (every multiplier exactly 1.0) is the
 //!   identity — event logs and costs equal the no-profile run at every
-//!   planner width (`URPSM_THREADS`-style 1/4) and shard count (1/4);
+//!   planner width (1/4) and shard count (1/4), overlay or TD oracle;
 //! * a **peak** profile strictly increases planned arrival times on a
 //!   pinned trace while leaving the free-flow economics (Δ*, planned
 //!   distance) untouched;
@@ -16,7 +16,12 @@ use std::sync::Arc;
 use urpsm::prelude::*;
 use urpsm_core::event::PlatformEvent;
 
-fn run(sc: &Scenario, threads: usize, congestion: Option<Arc<CongestionProfile>>) -> SimOutcome {
+fn run(
+    sc: &Scenario,
+    threads: usize,
+    congestion: Option<Arc<CongestionProfile>>,
+    td_oracle: bool,
+) -> SimOutcome {
     let cfg = PlannerConfig {
         alpha: sc.alpha,
         strict_economics: false,
@@ -35,11 +40,8 @@ fn run(sc: &Scenario, threads: usize, congestion: Option<Arc<CongestionProfile>>
             drain: true,
             threads: 0,
             congestion,
+            td_oracle,
             classes: sc.classes.clone(),
-            // Env default on purpose: the CI td-oracle job runs this
-            // whole suite with URPSM_TD_ORACLE=1, so every identity
-            // gate here also pins the TD provider.
-            ..SimConfig::default()
         },
         start,
     );
@@ -106,15 +108,19 @@ fn flat() -> Option<Arc<CongestionProfile>> {
 fn flat_profile_is_byte_identical_across_threads() {
     for seed in [3u64, 2018] {
         let sc = churny_scenario(seed);
-        let base = run(&sc, 1, None);
+        let base = run(&sc, 1, None, false);
         assert!(base.audit_errors.is_empty(), "seed {seed}");
         assert!(
             base.metrics.cancelled > 0,
             "seed {seed}: scenario must exercise the cancel path"
         );
         for threads in [1usize, 4] {
-            for (label, congestion) in [("none", None), ("flat", flat())] {
-                let other = run(&sc, threads, congestion);
+            for (label, congestion, td_oracle) in [
+                ("none", None, false),
+                ("flat", flat(), false),
+                ("flat+td", flat(), true),
+            ] {
+                let other = run(&sc, threads, congestion, td_oracle);
                 assert_eq!(
                     base.events, other.events,
                     "seed {seed} threads {threads} profile {label}: event log"
@@ -136,7 +142,7 @@ fn flat_profile_is_byte_identical_across_threads() {
 #[test]
 fn flat_profile_is_byte_identical_across_shards() {
     let sc = churny_scenario(2018);
-    let base = run(&sc, 1, None);
+    let base = run(&sc, 1, None, false);
     assert!(base.audit_errors.is_empty());
     for shards in [1usize, 4] {
         let none = run_sharded(&sc, shards, None);
@@ -270,7 +276,7 @@ fn congested_cancellations_keep_economics_exact() {
         CongestionProfile::constant("x1.4", 1.4).expect("valid profile"),
     ));
 
-    let out = run(&sc, 1, jam.clone());
+    let out = run(&sc, 1, jam.clone(), false);
     assert_eq!(out.audit_errors, Vec::<String>::new());
     assert!(out.metrics.cancelled > 0, "cancel path must run congested");
     assert_eq!(
@@ -280,7 +286,7 @@ fn congested_cancellations_keep_economics_exact() {
     );
 
     // Multi-threaded planning under congestion stays deterministic.
-    let par = run(&sc, 4, jam.clone());
+    let par = run(&sc, 4, jam.clone(), false);
     assert_eq!(out.events, par.events, "threads changed a congested log");
 
     // And the geo-sharded plane keeps every shard's ledger exact.

@@ -2,8 +2,9 @@
 //! §9): kill a server at an arbitrary event index, recover from
 //! snapshot + WAL, and the completed run must be **byte-identical** —
 //! event log, every reply, audit verdict, unified cost — to a run
-//! that never crashed. Pinned at `K = 1` and `K = 4`, with torn-tail
-//! and bit-flipped WAL corruption on top.
+//! that never crashed. Pinned at `K = 1` and `K = 4` on the library
+//! defaults and at the far corner of the configuration lattice (see
+//! [`CONFIGS`]), with torn-tail and bit-flipped WAL corruption on top.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,8 +13,32 @@ use proptest::prelude::*;
 
 use urpsm::prelude::*;
 
-fn scenario(seed: u64) -> Scenario {
-    ScenarioBuilder::named("recovery")
+/// One backend configuration: the shard count, and whether everything
+/// else is switched on too — 4 planner threads, a congested day routed
+/// through the TD oracle, and the mixed fleet.
+#[derive(Debug, Clone, Copy)]
+struct Config {
+    shards: usize,
+    everything_on: bool,
+}
+
+const CONFIGS: [Config; 3] = [
+    Config {
+        shards: 1,
+        everything_on: false,
+    },
+    Config {
+        shards: 4,
+        everything_on: false,
+    },
+    Config {
+        shards: 4,
+        everything_on: true,
+    },
+];
+
+fn scenario(seed: u64, cfg: Config) -> Scenario {
+    let builder = ScenarioBuilder::named("recovery")
         .grid_city(10, 10)
         .workers(6)
         .requests(90)
@@ -22,15 +47,40 @@ fn scenario(seed: u64) -> Scenario {
         .cancel_rate(0.15)
         .cancel_delay(3 * MINUTE_CS)
         .fleet_churn(1, 2)
-        .seed(seed)
+        .seed(seed);
+    if !cfg.everything_on {
+        return builder.build();
+    }
+    // The two-peak day compressed to 20 minutes, so the half-hour
+    // stream crosses every bucket boundary.
+    let wave = CongestionProfile::uniform("wave", 5 * MINUTE_CS, &[1.0, 1.3, 1.7, 1.2])
+        .expect("well-formed profile");
+    builder
+        .congestion(wave)
+        .fleet_mix(FleetMix::mixed())
         .build()
 }
 
-fn backend(sc: &Scenario, shards: usize) -> Backend<'static> {
-    if shards <= 1 {
+fn backend(sc: &Scenario, cfg: Config) -> Backend<'static> {
+    if cfg.everything_on {
+        Backend::Sharded(ShardedService::new(
+            sc.oracle.clone(),
+            sc.workers.clone(),
+            |_| Box::new(PruneGreedyDp::with_threads(4)),
+            ShardConfig {
+                shards: cfg.shards,
+                sim: SimConfig {
+                    td_oracle: true,
+                    ..sim_config(sc)
+                },
+                ..ShardConfig::default()
+            },
+            sc.start_time(),
+        ))
+    } else if cfg.shards <= 1 {
         Backend::single(urpsm::service(sc, Box::new(PruneGreedyDp::new())))
     } else {
-        Backend::Sharded(urpsm::sharded(sc, shards, |_| {
+        Backend::Sharded(urpsm::sharded(sc, cfg.shards, |_| {
             Box::new(PruneGreedyDp::new())
         }))
     }
@@ -65,8 +115,8 @@ fn normalized(mut m: SimMetrics) -> SimMetrics {
 }
 
 /// The uninterrupted reference run (WAL on, like the crashed runs).
-fn baseline(sc: &Scenario, shards: usize, dir: &std::path::Path) -> ServerOutcome {
-    let server = IngestServer::new(backend(sc, shards), config(dir)).expect("open server");
+fn baseline(sc: &Scenario, cfg: Config, dir: &std::path::Path) -> ServerOutcome {
+    let server = IngestServer::new(backend(sc, cfg), config(dir)).expect("open server");
     let outcome = server.run(sc.event_stream()).expect("run");
     assert!(
         outcome.audit_errors.is_empty(),
@@ -80,8 +130,8 @@ fn baseline(sc: &Scenario, shards: usize, dir: &std::path::Path) -> ServerOutcom
 /// Feeds the first `k` events, syncs, and "crashes" (drops the server
 /// without draining). Returns nothing — the state of interest is on
 /// disk.
-fn run_and_crash(sc: &Scenario, shards: usize, dir: &std::path::Path, k: usize) {
-    let mut server = IngestServer::new(backend(sc, shards), config(dir)).expect("open server");
+fn run_and_crash(sc: &Scenario, cfg: Config, dir: &std::path::Path, k: usize) {
+    let mut server = IngestServer::new(backend(sc, cfg), config(dir)).expect("open server");
     let tx = server.handle();
     for ev in sc.event_stream().into_iter().take(k) {
         tx.send(ev).expect("server alive");
@@ -96,10 +146,10 @@ fn run_and_crash(sc: &Scenario, shards: usize, dir: &std::path::Path, k: usize) 
 /// and returns the completed outcome plus the recovery report.
 fn recover_and_finish(
     sc: &Scenario,
-    shards: usize,
+    cfg: Config,
     dir: &std::path::Path,
 ) -> (ServerOutcome, RecoveryReport) {
-    let (server, report) = recover(backend(sc, shards), config(dir)).expect("recover");
+    let (server, report) = recover(backend(sc, cfg), config(dir)).expect("recover");
     let tx = server.handle();
     for ev in sc
         .event_stream()
@@ -135,33 +185,32 @@ proptest! {
     /// Crash at any event index; recovery completes byte-identically.
     #[test]
     fn crash_at_any_index_recovers_byte_identically(seed in 1u64..4, frac in 0.0f64..1.0) {
-        let sc = scenario(seed);
-        let n = sc.event_stream().len();
-        let k = ((n as f64) * frac) as usize;
-        for shards in [1usize, 4] {
-            let full = baseline(&sc, shards, &wal_dir("base"));
+        for cfg in CONFIGS {
+            let sc = scenario(seed, cfg);
+            let k = ((sc.event_stream().len() as f64) * frac) as usize;
+            let full = baseline(&sc, cfg, &wal_dir("base"));
             let dir = wal_dir("crash");
-            run_and_crash(&sc, shards, &dir, k);
-            let (recovered, report) = recover_and_finish(&sc, shards, &dir);
-            prop_assert_eq!(report.events_replayed, k as u64, "K={}", shards);
+            run_and_crash(&sc, cfg, &dir, k);
+            let (recovered, report) = recover_and_finish(&sc, cfg, &dir);
+            prop_assert_eq!(report.events_replayed, k as u64, "{:?}", cfg);
             prop_assert!(!report.torn_tail, "clean crash has no torn tail");
             prop_assert_eq!(
                 report.snapshot_verified, Some(true),
-                "synced snapshot must verify (K={})", shards
+                "synced snapshot must verify ({:?})", cfg
             );
-            assert_byte_identical(&format!("K={shards} k={k}"), &full, &recovered);
+            assert_byte_identical(&format!("{cfg:?} k={k}"), &full, &recovered);
         }
     }
 }
 
 #[test]
 fn torn_tail_truncation_is_detected_and_recovered() {
-    let sc = scenario(11);
-    let n = sc.event_stream().len();
-    for shards in [1usize, 4] {
-        let full = baseline(&sc, shards, &wal_dir("base"));
+    for cfg in CONFIGS {
+        let sc = scenario(11, cfg);
+        let n = sc.event_stream().len();
+        let full = baseline(&sc, cfg, &wal_dir("base"));
         let dir = wal_dir("torn");
-        run_and_crash(&sc, shards, &dir, n / 2);
+        run_and_crash(&sc, cfg, &dir, n / 2);
 
         // Tear the final record: chop three bytes off the WAL, as if
         // the process died mid-write.
@@ -174,28 +223,28 @@ fn torn_tail_truncation_is_detected_and_recovered() {
         f.set_len(len - 3).expect("truncate");
         drop(f);
 
-        let (recovered, report) = recover_and_finish(&sc, shards, &dir);
-        assert!(report.torn_tail, "K={shards}: torn tail must be flagged");
+        let (recovered, report) = recover_and_finish(&sc, cfg, &dir);
+        assert!(report.torn_tail, "{cfg:?}: torn tail must be flagged");
         assert_eq!(
             report.events_replayed,
             (n / 2 - 1) as u64,
-            "K={shards}: exactly the torn record is lost"
+            "{cfg:?}: exactly the torn record is lost"
         );
         // The snapshot vouched for one event more than the WAL now
         // holds — the mismatch is reported, not papered over.
-        assert_eq!(report.snapshot_verified, Some(false), "K={shards}");
-        assert_byte_identical(&format!("K={shards} torn"), &full, &recovered);
+        assert_eq!(report.snapshot_verified, Some(false), "{cfg:?}");
+        assert_byte_identical(&format!("{cfg:?} torn"), &full, &recovered);
     }
 }
 
 #[test]
 fn bit_flip_in_final_record_is_detected_and_recovered() {
-    let sc = scenario(12);
-    let n = sc.event_stream().len();
-    for shards in [1usize, 4] {
-        let full = baseline(&sc, shards, &wal_dir("base"));
+    for cfg in CONFIGS {
+        let sc = scenario(12, cfg);
+        let n = sc.event_stream().len();
+        let full = baseline(&sc, cfg, &wal_dir("base"));
         let dir = wal_dir("flip");
-        run_and_crash(&sc, shards, &dir, n / 3);
+        run_and_crash(&sc, cfg, &dir, n / 3);
 
         // Flip one bit in the final record's payload: the checksum
         // must catch it and recovery must drop exactly that record.
@@ -205,19 +254,19 @@ fn bit_flip_in_final_record_is_detected_and_recovered() {
         bytes[last] ^= 0x04;
         std::fs::write(&wal, &bytes).expect("rewrite wal");
 
-        let (recovered, report) = recover_and_finish(&sc, shards, &dir);
-        assert!(report.torn_tail, "K={shards}: corruption must be flagged");
-        assert_eq!(report.events_replayed, (n / 3 - 1) as u64, "K={shards}");
-        assert_eq!(report.snapshot_verified, Some(false), "K={shards}");
-        assert_byte_identical(&format!("K={shards} flip"), &full, &recovered);
+        let (recovered, report) = recover_and_finish(&sc, cfg, &dir);
+        assert!(report.torn_tail, "{cfg:?}: corruption must be flagged");
+        assert_eq!(report.events_replayed, (n / 3 - 1) as u64, "{cfg:?}");
+        assert_eq!(report.snapshot_verified, Some(false), "{cfg:?}");
+        assert_byte_identical(&format!("{cfg:?} flip"), &full, &recovered);
     }
 }
 
 #[test]
 fn recovery_without_a_wal_starts_fresh() {
-    let sc = scenario(13);
+    let sc = scenario(13, CONFIGS[0]);
     let dir = wal_dir("fresh");
-    let (server, report) = recover(backend(&sc, 1), config(&dir)).expect("recover");
+    let (server, report) = recover(backend(&sc, CONFIGS[0]), config(&dir)).expect("recover");
     assert_eq!(report.events_replayed, 0);
     assert!(!report.torn_tail);
     assert_eq!(report.snapshot_verified, None);

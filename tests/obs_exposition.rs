@@ -110,6 +110,20 @@ fn exposition_parses_and_covers_the_run() {
         let dump = obs::registry().ring.dump_json();
         assert!(dump.starts_with('[') && dump.ends_with(']'));
         assert!(dump.contains("\"kind\""));
+
+        // A tick's opening record carries the batch it is about to
+        // walk (word `c`), not the already-emptied queue.
+        let busiest_tick = obs::registry()
+            .ring
+            .events()
+            .iter()
+            .filter(|e| e.kind == obs::TraceKind::TickStart)
+            .map(|e| e.c)
+            .max();
+        assert!(
+            busiest_tick.is_some_and(|pending| pending > 0),
+            "every TickStart reported an empty batch: {busiest_tick:?}"
+        );
     }
 
     // Without the feature, zero overhead means zero readings.

@@ -245,24 +245,3 @@ fn borrowing_recovers_quality_where_strict_rejects() {
         );
     }
 }
-
-#[test]
-fn env_default_shard_count_is_audit_clean() {
-    // `urpsm::sharded(_, 0, _)` resolves K from URPSM_SHARDS (CI runs
-    // the suite at K = 4); at any K the run must be audit-clean with
-    // exact economics.
-    let sc = scenario(13, 0.1, (1, 1), 0.3);
-    let mut service = urpsm::sharded(&sc, 0, |_| Box::new(PruneGreedyDp::new()));
-    let k = service.num_shards();
-    assert_eq!(k, shards_from_env());
-    for event in sc.event_stream() {
-        service.submit(event);
-    }
-    let out = service.drain();
-    assert!(out.audit_errors.is_empty(), "K={k}: {:?}", out.audit_errors);
-    assert_eq!(out.metrics.driven_distance, out.total_assigned_distance());
-    assert_eq!(
-        out.metrics.served + out.metrics.rejected + out.metrics.cancelled,
-        out.metrics.requests
-    );
-}

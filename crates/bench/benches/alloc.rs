@@ -11,8 +11,8 @@
 //! `pruneGreedyDP` at `threads = 1` performs **zero** allocations —
 //! free flow *and* under the chengdu-2peak congestion profile (whose
 //! stretched-feasibility re-check runs on the scratch probe route).
-//! The three baselines and the fused-parallel engine are measured and
-//! reported but not gated; the parallel numbers include the scoped
+//! The three baselines and the planner at `threads = 4` are measured
+//! and reported but not gated; the width-4 numbers include the scoped
 //! fan-out's spawn cost by design.
 //!
 //! Without the feature the bench compiles to a no-op so a plain
@@ -346,8 +346,8 @@ mod gated {
             for algo in Algo::ALL {
                 rows.push(run(algo, profile, 1));
             }
-            // The fused-parallel engine, reported for scale: its scoped
-            // spawn set allocates per request by design.
+            // The planning-phase fan-out, reported for scale: its
+            // scoped spawn set allocates per request by design.
             rows.push(run(Algo::PruneGreedyDp, profile, 4));
         }
         // Steady-state TD distance queries (PR 8): gated at zero, like

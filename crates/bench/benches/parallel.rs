@@ -23,8 +23,8 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 fn scaled_cell(fx: &CityFixture) -> Cell {
     let s = &fx.sweep;
     // Largest fleet, 25-minute deadlines: wide per-request shortlists
-    // (hundreds of candidates), so one request carries enough Phase 1
-    // LB math and Phase 2 probes to amortize the per-request spawn.
+    // (hundreds of candidates), so one request carries enough exact
+    // probes to amortize the per-request spawn.
     fx.cell(
         *s.workers.values.last().expect("non-empty axis"),
         s.capacity.default_value(),

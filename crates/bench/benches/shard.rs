@@ -10,8 +10,7 @@
 //! hidden. The wall-clock column is the scaling story: each shard
 //! plans against its own slice of the fleet, so the per-request
 //! candidate shortlists (the planning hot path) shrink roughly by K
-//! even on one core — shard-parallelism on real cores comes on top
-//! (`ShardConfig::threads`).
+//! even on one core.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use urpsm_bench::fixtures::CityFixture;

@@ -18,8 +18,8 @@
 //! and measure deltas with [`allocations`] or [`measure`]. Counters
 //! are process-global: keep measured regions single-threaded (the
 //! zero-allocation gate runs the planners at `threads = 1`, which is
-//! also the configuration the steady-state claim is about — the
-//! fused-parallel engine's barrier merge allocates by design).
+//! also the configuration the steady-state claim is about — a
+//! planning fan-out's spawn set allocates by design).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -89,10 +89,8 @@ pub struct Cell {
     /// Objective weight `α`.
     pub alpha: u64,
     /// Planning fan-out override (`SimConfig::threads` semantics:
-    /// `0` = keep the planner's own configuration). When the cell is
-    /// sharded (`shards ≥ 1`), this instead drives the shard fan-out
-    /// pool (`ShardConfig::threads`, clamped to ≥ 1) and the per-shard
-    /// planners keep their own configuration.
+    /// `0` = keep the planner's own configuration), on the plain and
+    /// the sharded path alike.
     pub threads: usize,
     /// Geo-sharding: `0` (the default) runs the plain single-service
     /// path; `K ≥ 1` runs the cell through a `ShardedService` with `K`
@@ -190,12 +188,11 @@ fn run_cell_sharded(
         |_| algo.planner(cell.alpha, cell.grid_cell_m),
         ShardConfig {
             shards: cell.shards,
-            threads: cell.threads.max(1),
             sim: SimConfig {
                 grid_cell_m: cell.grid_cell_m,
                 alpha: cell.alpha,
                 drain: true,
-                threads: 0,
+                threads: cell.threads,
                 congestion: cell.congestion.clone(),
                 td_oracle: cell.td_oracle,
                 classes: cell.classes.clone(),

@@ -6,9 +6,7 @@
 //! come-online position, cancellations follow their request,
 //! departures follow their worker, ticks are broadcast. Each shard owns
 //! a full platform — its own `PlatformState`, boxed [`Planner`],
-//! worker motion and event
-//! log — so shards never contend on state and a broadcast can fan out
-//! over the PR-3 [`WorkPool`] (shards are `Send` because planners are).
+//! worker motion and event log — so shards never contend on state.
 //!
 //! The seams are governed by a [`BoundaryPolicy`]:
 //!
@@ -38,7 +36,6 @@ use road_network::fxhash::FxHashMap;
 use road_network::oracle::DistanceOracle;
 use road_network::{Cost, VertexId};
 use urpsm_core::event::{EventRouting, PlatformEvent};
-use urpsm_core::exec::WorkPool;
 use urpsm_core::objective::UnifiedCost;
 use urpsm_core::planner::Planner;
 use urpsm_core::platform::CandidateBuf;
@@ -90,11 +87,6 @@ pub struct ShardConfig {
     pub shards: usize,
     /// The boundary policy.
     pub boundary: BoundaryPolicy,
-    /// Width of the shard fan-out pool used for broadcast events
-    /// (`1` = sequential, `0` = one thread per hardware core). Any
-    /// width produces identical outputs — shards are independent and
-    /// the reply merge is deterministic; only wall-clock changes.
-    pub threads: usize,
     /// Per-shard simulation parameters (grid cell, α, drain, planner
     /// fan-out override).
     pub sim: SimConfig,
@@ -102,12 +94,11 @@ pub struct ShardConfig {
 
 impl Default for ShardConfig {
     /// One shard (byte-identical to `MobilityService`), default
-    /// `Borrow` boundary, sequential fan-out.
+    /// `Borrow` boundary.
     fn default() -> Self {
         ShardConfig {
             shards: 1,
             boundary: BoundaryPolicy::default(),
-            threads: 1,
             sim: SimConfig::default(),
         }
     }
@@ -213,7 +204,6 @@ pub struct ShardedService<'p> {
     shards: Vec<Shard<'p>>,
     oracle: Arc<dyn DistanceOracle>,
     policy: BoundaryPolicy,
-    pool: WorkPool,
     /// Global worker id → (owning shard, local id). Ownership moves
     /// only through a handoff.
     owner: Vec<(usize, WorkerId)>,
@@ -229,8 +219,7 @@ impl<'p> ShardedService<'p> {
     /// Opens a sharded service at `start_time`. The initial fleet is
     /// partitioned by worker origin; `planners` is called once per
     /// shard (in shard order) to build that shard's planner — shards
-    /// must not share mutable planner state, which is what lets
-    /// broadcasts fan out over threads.
+    /// must not share mutable planner state.
     ///
     /// # Panics
     /// If `workers` are not densely indexed by id (the same contract as
@@ -291,7 +280,6 @@ impl<'p> ShardedService<'p> {
             shards,
             oracle,
             policy: config.boundary,
-            pool: WorkPool::new(config.threads),
             owner,
             request_home: FxHashMap::default(),
             events: Vec::new(),
@@ -575,26 +563,12 @@ impl<'p> ShardedService<'p> {
 
     // ── internals ────────────────────────────────────────────────────
 
-    /// Delivers `event` to every shard — over the [`WorkPool`] when
-    /// it is parallel — and merges the replies.
+    /// Delivers `event` to every shard and merges the replies.
     fn broadcast(&mut self, event: PlatformEvent) -> Vec<ServiceReply> {
-        let k = self.shards.len();
-        if self.pool.is_parallel() && k > 1 {
-            let width = self.pool.threads().min(k);
-            let chunk_len = k.div_ceil(width);
-            let mut chunks: Vec<&mut [Shard<'p>]> = self.shards.chunks_mut(chunk_len).collect();
-            let pool = WorkPool::new(chunks.len());
-            pool.run_with(&mut chunks, |_, chunk| {
-                for shard in chunk.iter_mut() {
-                    shard.service.submit(event);
-                }
-            });
-        } else {
-            for shard in &mut self.shards {
-                shard.service.submit(event);
-            }
+        for shard in &mut self.shards {
+            shard.service.submit(event);
         }
-        let all: Vec<usize> = (0..k).collect();
+        let all: Vec<usize> = (0..self.shards.len()).collect();
         self.collect(&all)
     }
 
@@ -778,7 +752,6 @@ mod tests {
         origins: &[u32],
         shards: usize,
         boundary: BoundaryPolicy,
-        threads: usize,
     ) -> ShardedService<'static> {
         ShardedService::new(
             line_oracle(50),
@@ -787,7 +760,6 @@ mod tests {
             ShardConfig {
                 shards,
                 boundary,
-                threads,
                 sim: SimConfig::default(),
             },
             0,
@@ -796,7 +768,7 @@ mod tests {
 
     #[test]
     fn fleet_partitions_by_origin_and_ids_stay_global() {
-        let svc = sharded(&[2, 48, 4], 2, BoundaryPolicy::Strict, 1);
+        let svc = sharded(&[2, 48, 4], 2, BoundaryPolicy::Strict);
         assert_eq!(svc.num_shards(), 2);
         assert_eq!(svc.worker_shard(WorkerId(0)), Some(0));
         assert_eq!(svc.worker_shard(WorkerId(1)), Some(1));
@@ -809,7 +781,7 @@ mod tests {
     #[test]
     fn strict_policy_keeps_planning_shard_local() {
         // Shard 0 has no workers; shard 1 idles a worker at vertex 30.
-        let mut svc = sharded(&[45, 30], 2, BoundaryPolicy::Strict, 1);
+        let mut svc = sharded(&[45, 30], 2, BoundaryPolicy::Strict);
         let replies = svc.submit(PlatformEvent::RequestArrived(req(0, 20, 10, 0, 100_000)));
         assert!(
             replies
@@ -829,7 +801,7 @@ mod tests {
         // Same geometry as the strict test, but with borrowing: the
         // idle worker at vertex 30 (shard 1, global id 1) must cross
         // the seam and serve the shard-0 request.
-        let mut svc = sharded(&[45, 30], 2, BoundaryPolicy::Borrow { probe: 3 }, 1);
+        let mut svc = sharded(&[45, 30], 2, BoundaryPolicy::Borrow { probe: 3 });
         let replies = svc.submit(PlatformEvent::RequestArrived(req(0, 20, 10, 0, 100_000)));
         assert!(
             replies
@@ -861,7 +833,7 @@ mod tests {
     fn borrow_ties_and_busy_workers_stay_home() {
         // Shard 0's own worker at vertex 20 is strictly closer than the
         // foreign one at 30: no handoff happens.
-        let mut svc = sharded(&[20, 30], 2, BoundaryPolicy::Borrow { probe: 3 }, 1);
+        let mut svc = sharded(&[20, 30], 2, BoundaryPolicy::Borrow { probe: 3 });
         let replies = svc.submit(PlatformEvent::RequestArrived(req(0, 18, 10, 0, 100_000)));
         assert!(replies
             .iter()
@@ -886,7 +858,7 @@ mod tests {
 
     #[test]
     fn departures_follow_handed_off_workers() {
-        let mut svc = sharded(&[45, 30], 2, BoundaryPolicy::Borrow { probe: 3 }, 1);
+        let mut svc = sharded(&[45, 30], 2, BoundaryPolicy::Borrow { probe: 3 });
         svc.submit(PlatformEvent::RequestArrived(req(0, 20, 10, 0, 100_000)));
         assert_eq!(svc.worker_shard(WorkerId(1)), Some(0));
         // Worker 1 now lives in shard 0; its departure must route there
@@ -907,45 +879,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_broadcast_is_byte_identical_to_sequential() {
-        let run = |threads: usize| {
-            let mut svc = sharded(
-                &[2, 14, 28, 44],
-                4,
-                BoundaryPolicy::Borrow { probe: 3 },
-                threads,
-            );
-            for i in 0..10u32 {
-                let o = (i * 5) % 48;
-                let d = (o + 3) % 50;
-                svc.submit(PlatformEvent::RequestArrived(req(
-                    i,
-                    o,
-                    d,
-                    u64::from(i) * 400,
-                    u64::from(i) * 400 + 60_000,
-                )));
-                svc.submit(PlatformEvent::Tick {
-                    at: u64::from(i) * 400 + 200,
-                });
-            }
-            svc.drain()
-        };
-        let seq = run(1);
-        let par = run(4);
-        assert!(seq.audit_errors.is_empty(), "{:?}", seq.audit_errors);
-        assert_eq!(seq.events, par.events, "fan-out width changed the log");
-        assert_eq!(seq.metrics.served, par.metrics.served);
-        assert_eq!(
-            seq.metrics.unified_cost.value(),
-            par.metrics.unified_cost.value()
-        );
-        assert_eq!(seq.handoffs, par.handoffs);
-    }
-
-    #[test]
     fn malformed_fleet_events_are_dropped_not_fatal() {
-        let mut svc = sharded(&[5], 2, BoundaryPolicy::Strict, 1);
+        let mut svc = sharded(&[5], 2, BoundaryPolicy::Strict);
         // A join that skips a global id and an unknown departure: both
         // dropped (the clock still advances somewhere deterministic).
         assert!(svc
@@ -987,7 +922,7 @@ mod tests {
 
     #[test]
     fn home_shard_mirrors_submit_routing() {
-        let mut svc = sharded(&[5, 45], 2, BoundaryPolicy::Strict, 1);
+        let mut svc = sharded(&[5, 45], 2, BoundaryPolicy::Strict);
         let arrival = PlatformEvent::RequestArrived(req(0, 40, 46, 0, 100_000));
         assert_eq!(svc.home_shard(&arrival), Some(1));
         // Before the arrival is submitted the cancel falls back to
@@ -1029,8 +964,8 @@ mod tests {
             svc.submit(PlatformEvent::RequestArrived(req(1, 44, 40, 100, 100_000)));
             svc.submit(PlatformEvent::Tick { at: 500 });
         };
-        let mut a = sharded(&[5, 45], 2, BoundaryPolicy::Strict, 1);
-        let mut b = sharded(&[5, 45], 2, BoundaryPolicy::Strict, 1);
+        let mut a = sharded(&[5, 45], 2, BoundaryPolicy::Strict);
+        let mut b = sharded(&[5, 45], 2, BoundaryPolicy::Strict);
         feed(&mut a);
         feed(&mut b);
         assert_eq!(a.checkpoint(), b.checkpoint());
@@ -1045,7 +980,7 @@ mod tests {
 
     #[test]
     fn cancellations_follow_their_request_home() {
-        let mut svc = sharded(&[5, 45], 2, BoundaryPolicy::Strict, 1);
+        let mut svc = sharded(&[5, 45], 2, BoundaryPolicy::Strict);
         svc.submit(PlatformEvent::RequestArrived(req(0, 40, 46, 0, 100_000)));
         let replies = svc.submit(PlatformEvent::RequestCancelled {
             at: 100,

@@ -43,7 +43,7 @@ pub struct Registry {
     pub plan_assigned: Counter,
     /// Requests rejected (no feasible/economic insertion).
     pub plan_rejected: Counter,
-    /// Requests planned on the fused-parallel path.
+    /// Requests whose planning phase fanned out (width > 1).
     pub plan_parallel_requests: Counter,
     /// Linear-DP insertion probes executed.
     pub plan_probes: Counter,

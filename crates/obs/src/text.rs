@@ -66,7 +66,7 @@ pub fn render_prometheus(reg: &Registry) -> String {
     counter(
         &mut o,
         "urpsm_plan_parallel_requests_total",
-        "Requests planned on the fused-parallel path",
+        "Requests whose planning phase fanned out (width > 1)",
         reg.plan_parallel_requests.get(),
     );
     counter(

@@ -281,6 +281,19 @@ struct WalState {
     snapshots: u64,
 }
 
+impl WalState {
+    fn new(writer: WalWriter, cfg: &WalConfig) -> Self {
+        WalState {
+            writer,
+            snapshot_path: cfg.dir.join(SNAPSHOT_FILE),
+            // Zero would cut a snapshot on every tick, even an empty one.
+            snapshot_every: cfg.snapshot_every.max(1),
+            last_snapshot_at: 0,
+            snapshots: 0,
+        }
+    }
+}
+
 /// The long-running ingestion service runtime.
 pub struct IngestServer<'p> {
     backend: Backend<'p>,
@@ -312,13 +325,7 @@ impl<'p> IngestServer<'p> {
         let wal = match &config.wal {
             Some(w) => {
                 fs::create_dir_all(&w.dir)?;
-                Some(WalState {
-                    writer: WalWriter::create(&w.dir.join(WAL_FILE))?,
-                    snapshot_path: w.dir.join(SNAPSHOT_FILE),
-                    snapshot_every: w.snapshot_every.max(1),
-                    last_snapshot_at: 0,
-                    snapshots: 0,
-                })
+                Some(WalState::new(WalWriter::create(&w.dir.join(WAL_FILE))?, w))
             }
             None => None,
         };
@@ -381,11 +388,8 @@ impl<'p> IngestServer<'p> {
         self.backend.checkpoint()
     }
 
-    /// Processes one micro-batch tick: drains the channel, sorts, and
-    /// walks every pending event with time ≤ `until` through
-    /// admission → WAL → backend.
-    pub fn tick(&mut self, until: Time) -> io::Result<TickReport> {
-        // Drain whatever the producers have sent so far.
+    /// Moves whatever the producers have sent so far into `pending`.
+    fn drain_channel(&mut self) {
         while let Ok(stamped) = self.rx.try_recv() {
             self.pending.push(Pending {
                 seq: stamped.seq,
@@ -393,6 +397,13 @@ impl<'p> IngestServer<'p> {
                 queued: false,
             });
         }
+    }
+
+    /// Processes one micro-batch tick: drains the channel, sorts, and
+    /// walks every pending event with time ≤ `until` through
+    /// admission → WAL → backend.
+    pub fn tick(&mut self, until: Time) -> io::Result<TickReport> {
+        self.drain_channel();
         // Canonical order: (time, tie_rank, seq) — a total order, so
         // the batch is independent of producer interleaving.
         self.pending
@@ -413,6 +424,7 @@ impl<'p> IngestServer<'p> {
         });
         let mut kept = Vec::new();
         let mut admitted = 0usize;
+        #[cfg(feature = "obs")]
         let mut deferred = 0usize;
         let mut shed = 0usize;
         for p in batch {
@@ -452,7 +464,10 @@ impl<'p> IngestServer<'p> {
                     admitted += 1;
                 }
                 Admission::Defer => {
-                    deferred += 1;
+                    #[cfg(feature = "obs")]
+                    {
+                        deferred += 1;
+                    }
                     kept.push(Pending { queued: true, ..p });
                 }
                 Admission::Shed => {
@@ -473,7 +488,6 @@ impl<'p> IngestServer<'p> {
                 }
             }
         }
-        let _ = deferred;
         self.pending = kept;
         self.sheds += shed;
         self.ticks += 1;
@@ -546,13 +560,7 @@ impl<'p> IngestServer<'p> {
     /// a live clock. Returns `Ok(None)` when channel and queue are
     /// both empty.
     pub fn step(&mut self) -> io::Result<Option<TickReport>> {
-        while let Ok(stamped) = self.rx.try_recv() {
-            self.pending.push(Pending {
-                seq: stamped.seq,
-                event: stamped.event,
-                queued: false,
-            });
-        }
+        self.drain_channel();
         let Some(earliest) = self.pending.iter().map(|p| p.event.time()).min() else {
             return Ok(None);
         };
@@ -659,13 +667,7 @@ pub fn recover<'p>(
         &config,
         scan.events.len() as u64,
         replies,
-        Some(WalState {
-            writer,
-            snapshot_path: wal_cfg.dir.join(SNAPSHOT_FILE),
-            snapshot_every: wal_cfg.snapshot_every.max(1),
-            last_snapshot_at: 0,
-            snapshots: 0,
-        }),
+        Some(WalState::new(writer, &wal_cfg)),
     );
     // Pin the recovered state on disk before accepting new events.
     server.sync()?;

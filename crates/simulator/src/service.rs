@@ -523,10 +523,10 @@ impl<'p> MobilityService<'p> {
     }
 }
 
-// The dispatch plane fans broadcast events out over shards on scoped
-// threads, which requires moving each shard's service (planner
-// included — `Planner: Send` is a supertrait) across a thread spawn.
-// Compile-time proof that the whole service stays sendable.
+// An embedder may build a service (or the `IngestServer` that owns
+// one) on a set-up thread and tick it on another, which moves the
+// whole service — planner included, `Planner: Send` is a supertrait —
+// across a thread spawn. Compile-time proof that it stays sendable.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<MobilityService<'static>>();

@@ -38,12 +38,12 @@ impl DecisionOutcome {
 }
 
 /// The one Algo. 4 inner loop every scan shares: compute `LBΔ*` for
-/// each yielded worker and append survivors to `out`. The sequential
-/// decision phase and the fused planner both call this, so the
+/// each yielded worker and append survivors to `out`. The public
+/// [`decision_phase`] and the DP engine both call this, so the
 /// lower-bound filter can never diverge between them. Generic over
-/// the sink so the planner engines can fill their reusable SoA
+/// the sink so the engine can fill its reusable SoA
 /// [`crate::shortlist::Shortlist`] with the very same loop that builds
-/// the public `Vec`-based [`DecisionOutcome`].
+/// the `Vec`-based [`DecisionOutcome`].
 pub(crate) fn collect_lower_bounds<S: LowerBoundSink>(
     view: FleetView<'_>,
     r: &Request,
@@ -77,13 +77,12 @@ pub fn decision_phase(
     r: &Request,
     direct: Cost,
 ) -> DecisionOutcome {
-    let candidates = candidates.as_ids();
     let mut lower_bounds = Vec::with_capacity(candidates.len());
     collect_lower_bounds(
         state.view(),
         r,
         direct,
-        candidates.iter().copied(),
+        candidates.iter(),
         &mut lower_bounds,
     );
     lower_bounds.sort_unstable();
@@ -95,7 +94,7 @@ pub fn decision_phase(
 }
 
 /// The economic rejection test of Algo. 4, shared by the `Vec`-based
-/// [`decision_phase`] and the planner engines' SoA shortlist path: reject when
+/// [`decision_phase`] and the DP engine's SoA shortlist path: reject when
 /// no worker can serve at all, or when `p_r < α · min LB` — serving
 /// could only ever cost more than rejecting.
 pub(crate) fn economic_reject(alpha: u64, r: &Request, min_lb: Option<Cost>) -> bool {

@@ -1,10 +1,9 @@
 //! Dependency-free scoped-thread fan-out for the planning hot path.
 //!
-//! The paper's Algo. 4/5 pipeline is embarrassingly parallel *per
-//! candidate worker*: Phase 1 computes an independent Euclidean lower
-//! bound per candidate, Phase 2 runs an independent linear-DP probe per
-//! candidate. This module provides the three primitives the parallel
-//! engine is built from, using nothing beyond `std`:
+//! The planning phase of Algo. 5 is embarrassingly parallel *per
+//! candidate worker*: one independent linear-DP probe per candidate.
+//! This module provides the three primitives the parallel engine is
+//! built from, using nothing beyond `std`:
 //!
 //! * [`WorkPool`] — a fixed-width fan-out built on
 //!   [`std::thread::scope`], so workers may borrow the platform state
@@ -67,45 +66,24 @@ impl WorkPool {
         self.threads
     }
 
-    /// Whether fan-out actually happens (`threads > 1`).
-    #[inline]
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
     /// Runs `worker(thread_index)` on every pool thread and returns
-    /// the results in thread-index order. Thread 0 is the caller.
-    ///
-    /// A worker panic is propagated to the caller after every other
-    /// worker has been joined (no detached threads survive the call).
+    /// the results in thread-index order: [`WorkPool::run_with`]
+    /// without per-thread state.
     pub fn run<R, F>(&self, worker: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if self.threads <= 1 {
-            return vec![worker(0)];
-        }
-        std::thread::scope(|scope| {
-            let worker = &worker;
-            let spawned: Vec<_> = (1..self.threads)
-                .map(|i| scope.spawn(move || worker(i)))
-                .collect();
-            let mut out = Vec::with_capacity(self.threads);
-            out.push(worker(0));
-            for handle in spawned {
-                match handle.join() {
-                    Ok(r) => out.push(r),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            out
-        })
+        self.run_with(&mut vec![(); self.threads], |i, ()| worker(i))
     }
 
-    /// Like [`WorkPool::run`], but hands worker `i` exclusive `&mut`
-    /// access to `states[i]` — the per-thread scratch-buffer pattern
-    /// (each planner thread owns an `InsertionScratch`).
+    /// Runs `worker(i, &mut states[i])` on every pool thread — the
+    /// per-thread scratch-buffer pattern (each planner thread owns an
+    /// `InsertionScratch`) — and returns the results in thread-index
+    /// order. Thread 0 is the caller.
+    ///
+    /// A worker panic is propagated to the caller after every other
+    /// worker has been joined (no detached threads survive the call).
     ///
     /// # Panics
     /// If `states.len() < self.threads()`.
@@ -141,13 +119,6 @@ impl WorkPool {
             }
             out
         })
-    }
-}
-
-impl Default for WorkPool {
-    /// The serial pool (`threads = 1`).
-    fn default() -> Self {
-        WorkPool::new(1)
     }
 }
 
@@ -240,7 +211,6 @@ mod tests {
     #[test]
     fn pool_runs_every_worker_once_in_order() {
         let pool = WorkPool::new(4);
-        assert!(pool.is_parallel());
         let out = pool.run(|i| i * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
     }

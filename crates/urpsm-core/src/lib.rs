@@ -26,8 +26,8 @@
 //!   cancellations, fleet churn and clock ticks.
 //! * [`exec`] — dependency-free scoped-thread fan-out
 //!   ([`exec::WorkPool`], [`exec::IndexFeed`], [`exec::AtomicMin`])
-//!   that the parallel planning engine is built from. The parallel
-//!   planner is extensionally identical to the sequential one
+//!   that the planning-phase fan-out is built from. The planner is
+//!   extensionally identical at every width
 //!   (`PlannerConfig::threads`, default 1).
 //! * [`objective`] — the unified cost (Eq. 1) and the three objective
 //!   reductions of §3.2, including the revenue identity Eq. (2)–(4).

@@ -12,17 +12,19 @@
 //!
 //! # The parallel engine (`PlannerConfig::threads`)
 //!
-//! Phase 1 (per-candidate lower bounds) and Phase 2 (per-candidate
-//! exact linear-DP probes) are independent per worker, so with
-//! `threads > 1` both fan out over a scoped-thread pool
-//! ([`crate::exec::WorkPool`]) planning against an immutable
-//! [`FleetView`]. Phase 2 shares one [`AtomicMin`] best-`Δ` bound for
-//! Lemma 8 pruning; because the probe order follows the same
-//! ascending-`LB` feed and a stale (too high) bound only *widens* the
-//! probe set, the reduction `min (Δ, worker_id)` is provably the same
-//! argmin the sequential scan finds — the parallel planner is
-//! extensionally identical at every thread count (DESIGN.md §5,
-//! differential suite in `tests/parallel_equivalence.rs`).
+//! The decision phase (lower bounds, sort, economic test) is
+//! coordinate arithmetic with no `dis` query and always runs on the
+//! calling thread. Only the planning phase — one exact linear-DP probe
+//! per candidate, independent per worker — fans out: with
+//! `threads > 1` and a wide enough shortlist the same [`probe`] loop
+//! runs on every thread of one scoped [`WorkPool`] against an
+//! immutable [`FleetView`], pulling ranks off a shared ascending-`LB`
+//! [`IndexFeed`] and pruning on a shared [`AtomicMin`] best-`Δ`.
+//! Because a stale (too high) bound only *widens* the probe set, the
+//! reduction `min (Δ, worker_id)` is provably the argmin the
+//! width-1 scan finds — the planner is extensionally identical at
+//! every thread count (DESIGN.md §5, differential suite in
+//! `tests/parallel_equivalence.rs`).
 
 use road_network::oracle::DistanceOracle;
 use road_network::{Cost, INF};
@@ -30,7 +32,7 @@ use road_network::{Cost, INF};
 use crate::decision::{collect_lower_bounds, economic_reject};
 use crate::exec::{AtomicMin, IndexFeed, WorkPool};
 use crate::insertion::linear_dp_insertion_with;
-use crate::platform::{CandidateBuf, EligibleCandidates, FleetView, Outcome, PlatformState};
+use crate::platform::{CandidateBuf, FleetView, Outcome, PlatformState};
 use crate::route::InsertionPlan;
 use crate::shortlist::Shortlist;
 use crate::types::{Request, WorkerId};
@@ -41,8 +43,8 @@ use super::{reply_one, Planner, PlannerConfig, PlannerReplies};
 /// Minimum shortlisted candidates per fan-out thread: the effective
 /// width is `min(threads, candidates / MIN_CANDIDATES_PER_THREAD)`, so
 /// a narrow request never pays spawn cost for idle workers and a
-/// sub-`2×` shortlist runs sequentially. A pure wall-clock heuristic:
-/// every width returns the same plan.
+/// sub-`2×` shortlist runs on the calling thread alone. A pure
+/// wall-clock heuristic: every width returns the same plan.
 const MIN_CANDIDATES_PER_THREAD: usize = 16;
 
 /// The best placement found so far: `(Δ*, worker, plan)`.
@@ -51,13 +53,15 @@ type Best = Option<(Cost, WorkerId, InsertionPlan)>;
 /// Shared engine for the two DP planners.
 #[derive(Debug)]
 struct DpEngine {
+    /// `threads` holds the resolved fan-out width (never `0`).
     cfg: PlannerConfig,
-    pool: WorkPool,
-    /// One planning arena per pool thread (index 0 doubles as the
-    /// sequential scratch), grown on demand. Holds the SoA candidate
-    /// shortlist, the DP distance columns, and the congestion probe
-    /// route — everything a steady-state planned insertion needs, so
-    /// the hot path never allocates (gated by `benches/alloc.rs`).
+    /// The request's candidates in ascending `(LBΔ*, worker)` order,
+    /// filled by the decision phase and read by every probing thread.
+    shortlist: Shortlist,
+    /// One probe arena per fan-out thread (index 0 is the calling
+    /// thread's), grown on demand. With the shortlist above this is
+    /// everything a steady-state planned insertion needs, so the hot
+    /// path never allocates (gated by `benches/alloc.rs`).
     scratches: Vec<PlanScratch>,
     candidates: CandidateBuf,
 }
@@ -70,35 +74,58 @@ impl Default for DpEngine {
 
 impl DpEngine {
     fn new(cfg: PlannerConfig) -> Self {
-        DpEngine {
+        let mut engine = DpEngine {
             cfg,
-            pool: WorkPool::new(cfg.threads),
+            shortlist: Shortlist::new(),
             scratches: vec![PlanScratch::default()],
             candidates: CandidateBuf::new(),
-        }
+        };
+        engine.set_threads(cfg.threads);
+        engine
     }
 
     fn set_threads(&mut self, threads: usize) {
-        self.pool = WorkPool::new(threads);
-        self.cfg.threads = self.pool.threads();
+        // `0` = one per core, resolved here rather than per request.
+        self.cfg.threads = WorkPool::new(threads).threads();
     }
 
     fn handle(&mut self, prune: bool, state: &mut PlatformState, r: &Request) -> Outcome {
+        #[cfg(feature = "obs")]
+        let obs_sw = urpsm_obs::Stopwatch::start();
+        let (_shortlisted, best) = self.plan(prune, state, r);
+        let outcome = match best {
+            Some((delta, w, plan))
+                if !(self.cfg.strict_economics
+                    && self.cfg.alpha.saturating_mul(delta) > r.penalty) =>
+            {
+                state.commit(w, r, &plan);
+                Outcome::Assigned { worker: w, delta }
+            }
+            _ => {
+                state.reject(r);
+                Outcome::Rejected
+            }
+        };
+        #[cfg(feature = "obs")]
+        record_plan_obs(&obs_sw, r, _shortlisted, &outcome);
+        outcome
+    }
+
+    /// Algo. 4 + Algo. 5 against the read-only platform: the number of
+    /// eligible candidates and the winning placement. `None` covers
+    /// every rejection — unreachable trip, nobody eligible, the
+    /// economic test, no feasible insertion.
+    fn plan(&mut self, prune: bool, state: &PlatformState, r: &Request) -> (usize, Best) {
         let DpEngine {
             cfg,
-            pool,
+            shortlist,
             scratches,
             candidates,
         } = self;
-        #[cfg(feature = "obs")]
-        let obs_sw = urpsm_obs::Stopwatch::start();
         let oracle = state.oracle_arc();
         let direct = oracle.dis(r.origin, r.destination);
         if direct >= INF {
-            #[cfg(feature = "obs")]
-            record_plan_obs(&obs_sw, r, 0, None);
-            state.reject(r);
-            return Outcome::Rejected;
+            return (0, None);
         }
 
         // Phase 0 (Algo. 5 line 3): the platform's eligibility seam —
@@ -107,81 +134,53 @@ impl DpEngine {
         // which workers may compete; it cannot add its own.
         let eligible = state.candidate_workers(r, direct, candidates);
 
-        // Phases 1–2 (Algo. 4 + Algo. 5 lines 6–10): lower bounds,
-        // economic test, then the exact scan in ascending LB order.
-        // With a wide enough shortlist both phases run fused on one
-        // scoped fan-out (a single spawn set per request), whose width
-        // scales with the shortlist so narrow requests stay serial.
-        let width = pool
-            .threads()
-            .min(eligible.len() / MIN_CANDIDATES_PER_THREAD);
+        // Phase 1 (Algo. 4): lower bounds, the `(LB, worker)` sort and
+        // the economic test — the same loop, order and gate as
+        // `decision_phase`, into `clear()`-reused storage. No `dis`
+        // query, so it stays on the calling thread at every width.
+        let view = state.view();
+        shortlist.clear();
+        collect_lower_bounds(view, r, direct, eligible.iter(), shortlist);
+        shortlist.sort_by_bound();
+        if economic_reject(cfg.alpha, r, shortlist.min_lb()) {
+            return (eligible.len(), None);
+        }
+
+        // Phase 2 (Algo. 5 lines 6–10): the exact scan in ascending LB
+        // order, fanned out when the shortlist is wide enough to pay
+        // for the spawn set.
+        let shortlist = &*shortlist;
+        let feed = IndexFeed::new(shortlist.len());
+        let bound = AtomicMin::new();
+        let width = cfg.threads.min(eligible.len() / MIN_CANDIDATES_PER_THREAD);
         let best = if width > 1 {
             #[cfg(feature = "obs")]
             urpsm_obs::with(|m| m.plan_parallel_requests.inc());
-            // A rejection (economic or no-feasible-placement) comes
-            // back as `None`, exactly like an empty probe result — the
-            // sequential path rejects in both cases too.
-            plan_fused_parallel(
-                &WorkPool::new(width),
-                scratches,
-                cfg.alpha,
+            if scratches.len() < width {
+                scratches.resize_with(width, PlanScratch::default);
+            }
+            // Worker ids are unique, so `(Δ, worker)` has no ties and
+            // the reduction is independent of thread order.
+            WorkPool::new(width)
+                .run_with(&mut scratches[..width], |_, scratch| {
+                    probe(shortlist, &feed, &bound, scratch, prune, view, r, &*oracle)
+                })
+                .into_iter()
+                .flatten()
+                .min_by_key(|(delta, w, _)| (*delta, *w))
+        } else {
+            probe(
+                shortlist,
+                &feed,
+                &bound,
+                &mut scratches[0],
                 prune,
-                state.view(),
+                view,
                 r,
-                eligible,
-                direct,
                 &*oracle,
             )
-        } else {
-            // Narrow shortlist: both phases sequential, on the scratch-
-            // resident SoA shortlist — the same lower-bound loop, sort
-            // order, and economic gate as `decision_phase`, with every
-            // buffer `clear()`-reused instead of freshly allocated.
-            let scratch = &mut scratches[0];
-            scratch.shortlist.clear();
-            collect_lower_bounds(
-                state.view(),
-                r,
-                direct,
-                eligible.iter(),
-                &mut scratch.shortlist,
-            );
-            scratch.shortlist.sort_by_bound();
-            if economic_reject(cfg.alpha, r, scratch.shortlist.min_lb()) {
-                #[cfg(feature = "obs")]
-                record_plan_obs(&obs_sw, r, eligible.len(), None);
-                state.reject(r);
-                return Outcome::Rejected;
-            }
-            probe_sequential(scratch, prune, state.view(), r, &*oracle)
         };
-
-        let outcome = match best {
-            Some((delta, w, plan)) => {
-                if cfg.strict_economics && cfg.alpha.saturating_mul(delta) > r.penalty {
-                    state.reject(r);
-                    Outcome::Rejected
-                } else {
-                    state.commit(w, r, &plan);
-                    Outcome::Assigned { worker: w, delta }
-                }
-            }
-            None => {
-                state.reject(r);
-                Outcome::Rejected
-            }
-        };
-        #[cfg(feature = "obs")]
-        record_plan_obs(
-            &obs_sw,
-            r,
-            eligible.len(),
-            match &outcome {
-                Outcome::Assigned { delta, .. } => Some(*delta),
-                _ => None,
-            },
-        );
-        outcome
+        (eligible.len(), best)
     }
 }
 
@@ -191,7 +190,11 @@ impl DpEngine {
 /// `plan_probes` counter at record time — consumers diff consecutive
 /// records to recover per-request probe counts on serial runs.
 #[cfg(feature = "obs")]
-fn record_plan_obs(sw: &urpsm_obs::Stopwatch, r: &Request, shortlist: usize, delta: Option<Cost>) {
+fn record_plan_obs(sw: &urpsm_obs::Stopwatch, r: &Request, shortlist: usize, outcome: &Outcome) {
+    let delta = match outcome {
+        Outcome::Assigned { delta, .. } => Some(*delta),
+        Outcome::Rejected => None,
+    };
     urpsm_obs::with(|m| {
         if let Some(ns) = sw.elapsed_ns() {
             m.plan_latency_ns.record(ns);
@@ -212,9 +215,30 @@ fn record_plan_obs(sw: &urpsm_obs::Stopwatch, r: &Request, shortlist: usize, del
     });
 }
 
-/// The sequential planning phase — Algo. 5's loop, verbatim, scanning
-/// the scratch-resident shortlist in ascending `(LB, worker)` order.
-fn probe_sequential(
+/// The planning phase — Algo. 5's loop, run by every probing thread
+/// (one, at width 1): claim the next rank of the ascending
+/// `(LB, worker)` shortlist, stop on Lemma 8, probe, keep the
+/// `(Δ, worker)`-smallest feasible plan.
+///
+/// Why the reduction over threads equals the width-1 result: ranks are
+/// claimed in ascending `LB` order, the shared bound is monotone
+/// decreasing and only ever holds exact `Δ` values of probed
+/// candidates, and a thread stops only on a *strict* `bound < LB`. So
+/// for every candidate left unprobed there was a moment when
+/// `final_best ≤ bound < LB ≤ Δ*` — strictly worse than the best
+/// probed candidate, with no possible tie. The probe set may *differ*
+/// from the width-1 scan's in both directions — a stale bound delays
+/// stopping (extra probes), while a fast thread publishing a late
+/// candidate's `Δ` early can prune an early candidate the width-1 scan
+/// would have probed (fewer probes). Either way it always contains
+/// every potential argmin, so the difference costs or saves queries,
+/// never correctness. At width 1 the bound *is* the running best `Δ`,
+/// which is Algo. 5's break verbatim.
+#[allow(clippy::too_many_arguments)]
+fn probe(
+    shortlist: &Shortlist,
+    feed: &IndexFeed,
+    bound: &AtomicMin,
     scratch: &mut PlanScratch,
     prune: bool,
     view: FleetView<'_>,
@@ -222,22 +246,16 @@ fn probe_sequential(
     oracle: &dyn DistanceOracle,
 ) -> Best {
     let PlanScratch {
-        shortlist,
         insertion,
-        probe,
-        ..
+        probe: probe_route,
     } = scratch;
     let mut best: Best = None;
-    for rank in 0..shortlist.len() {
+    while let Some(rank) = feed.next() {
         let (lb, w) = shortlist.get(rank);
-        if prune {
-            // Lemma 8: every remaining worker's exact Δ* is at
-            // least its LB, which already exceeds the best found.
-            if let Some((best_delta, _, _)) = &best {
-                if *best_delta < lb {
-                    break;
-                }
-            }
+        // Lemma 8: every remaining worker's exact Δ* is at least its
+        // LB, which already exceeds the best found.
+        if prune && bound.get() < lb {
+            break;
         }
         let agent = view.agent(w);
         #[cfg(feature = "obs")]
@@ -250,13 +268,23 @@ fn probe_sequential(
             // the candidate compete (DESIGN.md §7). Free-flow and
             // flat-profile runs skip this branch entirely. The probe
             // route is scratch storage — `clone_from` reuses its
-            // buffers instead of cloning afresh.
+            // buffers instead of cloning afresh. Only *feasible*
+            // deltas may enter the shared bound, otherwise an
+            // infeasible candidate could prune the true winner: the
+            // argument above goes through with "Δ" read as
+            // "feasible Δ".
             if agent.route.time_dependent()
-                && !agent
-                    .route
-                    .insertion_feasible_with(probe, &plan, r, agent.worker.capacity)
+                && !agent.route.insertion_feasible_with(
+                    probe_route,
+                    &plan,
+                    r,
+                    agent.worker.capacity,
+                )
             {
                 continue;
+            }
+            if prune {
+                bound.observe(plan.delta);
             }
             let better = match &best {
                 None => true,
@@ -265,199 +293,6 @@ fn probe_sequential(
             if better {
                 best = Some((plan.delta, w, plan));
             }
-        }
-    }
-    best
-}
-
-/// Phases 1 and 2 fused onto **one** scoped fan-out — a single spawn
-/// set per request, which matters when requests arrive every few
-/// hundred microseconds.
-///
-/// Every thread: (a) pulls candidates off an atomic feed and computes
-/// their Euclidean lower bounds; (b) hits a barrier, where one leader
-/// merges, sorts by `(LB, worker)` and applies the economic gate
-/// `p_r < α · min LB` — exactly the sequential decision phase; (c)
-/// probes the sorted list in ascending `LB` order with a shared
-/// [`AtomicMin`] best-`Δ` bound for Lemma 8.
-///
-/// Why the reduction equals the sequential result: indices are claimed
-/// in ascending `LB` order, the shared bound is monotone decreasing and
-/// only ever holds exact `Δ` values of probed candidates, and a thread
-/// stops only on a *strict* `bound < LB`. So for every candidate left
-/// unprobed there was a moment when `final_best ≤ bound < LB ≤ Δ*` —
-/// strictly worse than the best probed candidate, with no possible tie.
-/// The probe set may *differ* from the sequential scan's in both
-/// directions — a stale bound delays stopping (extra probes), while a
-/// fast thread publishing a late candidate's `Δ` early can prune an
-/// early candidate the sequential scan would have probed (fewer
-/// probes). Either way it always contains every potential argmin, so
-/// the difference costs or saves queries, never correctness.
-///
-/// # Panic safety
-///
-/// Everything up to the last barrier is `catch_unwind`-guarded: a
-/// worker that panicked mid-phase would otherwise strand the rest of
-/// the pool at the barrier forever (the scope never joins, the panic
-/// never surfaces). Instead the payload is carried out of the scope
-/// and re-thrown on the calling thread after every worker has joined.
-#[allow(clippy::too_many_arguments)]
-fn plan_fused_parallel(
-    pool: &WorkPool,
-    scratches: &mut Vec<PlanScratch>,
-    alpha: u64,
-    prune: bool,
-    view: FleetView<'_>,
-    r: &Request,
-    candidates: EligibleCandidates<'_>,
-    direct: Cost,
-    oracle: &dyn DistanceOracle,
-) -> Best {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::{Barrier, Mutex, OnceLock};
-
-    // A worker panic payload, smuggled through the scope join.
-    type Panic = Box<dyn std::any::Any + Send + 'static>;
-    // Poison-tolerant lock: a panicking appender poisons the mutex, but
-    // its panic is re-thrown after the join anyway, so the partial data
-    // is never *used* — the survivors only need to get past the lock.
-    fn lock_lbs<'m>(
-        m: &'m Mutex<Vec<(Cost, WorkerId)>>,
-    ) -> std::sync::MutexGuard<'m, Vec<(Cost, WorkerId)>> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    let threads = pool.threads();
-    if scratches.len() < threads {
-        scratches.resize_with(threads, PlanScratch::default);
-    }
-    let lb_feed = IndexFeed::new(candidates.len());
-    let collected: Mutex<Vec<(Cost, WorkerId)>> = Mutex::new(Vec::with_capacity(candidates.len()));
-    let barrier = Barrier::new(threads);
-    // What the barrier leader publishes: the merged SoA shortlist in
-    // ascending `(LBΔ*, worker)` order, the economic-gate verdict, and
-    // the probe feed over the sorted order.
-    type Merged = (Shortlist, bool, IndexFeed);
-    let merged: OnceLock<Merged> = OnceLock::new();
-    let bound = AtomicMin::new();
-
-    let locals: Vec<Result<Best, Panic>> =
-        pool.run_with(&mut scratches[..threads], |_, scratch| {
-            let PlanScratch {
-                lbs: local_lbs,
-                insertion,
-                probe,
-                ..
-            } = scratch;
-            // Phase 1 (Algo. 4): every candidate's lower bound — the same
-            // `collect_lower_bounds` loop as the sequential decision
-            // phase, collected into this thread's reusable scratch list.
-            let phase1 = catch_unwind(AssertUnwindSafe(|| {
-                local_lbs.clear();
-                collect_lower_bounds(
-                    view,
-                    r,
-                    direct,
-                    std::iter::from_fn(|| lb_feed.next().map(|i| candidates.get(i))),
-                    local_lbs,
-                );
-                if !local_lbs.is_empty() {
-                    lock_lbs(&collected).append(local_lbs);
-                }
-            }));
-            // Merge point: one leader sorts and applies the economic gate —
-            // the same `(LB, worker)` total order and `p_r < α · min LB`
-            // test as the sequential `decision_phase`.
-            if barrier.wait().is_leader() {
-                let merge = catch_unwind(AssertUnwindSafe(|| {
-                    let lbs = std::mem::take(&mut *lock_lbs(&collected));
-                    let mut shortlist = Shortlist::new();
-                    shortlist.extend_from_pairs(&lbs);
-                    shortlist.sort_by_bound();
-                    let reject = economic_reject(alpha, r, shortlist.min_lb());
-                    let feed = IndexFeed::new(if reject { 0 } else { shortlist.len() });
-                    if merged.set((shortlist, reject, feed)).is_err() {
-                        unreachable!("exactly one barrier leader");
-                    }
-                }));
-                if let Err(payload) = merge {
-                    barrier.wait(); // release the others before bailing
-                    return Err(payload);
-                }
-            }
-            barrier.wait();
-            phase1?;
-            let Some((shortlist, reject, probe_feed)) = merged.get() else {
-                // The leader died before publishing; its Err carries the
-                // panic, everyone else just goes home empty-handed.
-                return Ok(None);
-            };
-            if *reject {
-                return Ok(None);
-            }
-            // Phase 2 (Algo. 5 lines 6–10): ascending-LB probes under the
-            // shared bound. Past the barriers a plain panic is safe again —
-            // the scope join propagates it.
-            let mut local: Best = None;
-            while let Some(i) = probe_feed.next() {
-                let (lb, w) = shortlist.get(i);
-                if prune && bound.get() < lb {
-                    break;
-                }
-                let agent = view.agent(w);
-                #[cfg(feature = "obs")]
-                urpsm_obs::with(|m| m.plan_probes.inc());
-                if let Some(plan) = linear_dp_insertion_with(
-                    insertion,
-                    &agent.route,
-                    agent.worker.capacity,
-                    r,
-                    oracle,
-                ) {
-                    // Same congestion gate as the sequential probe —
-                    // only *feasible* deltas may enter the shared
-                    // bound, otherwise an infeasible candidate could
-                    // prune the true winner. The §5 width-invariance
-                    // argument goes through verbatim with "Δ" read as
-                    // "feasible Δ" (DESIGN.md §7).
-                    if agent.route.time_dependent()
-                        && !agent.route.insertion_feasible_with(
-                            probe,
-                            &plan,
-                            r,
-                            agent.worker.capacity,
-                        )
-                    {
-                        continue;
-                    }
-                    if prune {
-                        bound.observe(plan.delta);
-                    }
-                    let better = match &local {
-                        None => true,
-                        Some((bd, bw, _)) => (plan.delta, w) < (*bd, *bw),
-                    };
-                    if better {
-                        local = Some((plan.delta, w, plan));
-                    }
-                }
-            }
-            Ok(local)
-        });
-    let mut best: Best = None;
-    for local in locals {
-        match local {
-            Err(payload) => resume_unwind(payload),
-            Ok(Some(b)) => {
-                let better = match &best {
-                    None => true,
-                    Some((bd, bw, _)) => (b.0, b.1) < (*bd, *bw),
-                };
-                if better {
-                    best = Some(b);
-                }
-            }
-            Ok(None) => {}
         }
     }
     best
@@ -576,7 +411,7 @@ mod tests {
         )))
     }
 
-    fn fresh_state(oracle: Arc<CountingOracle<MatrixOracle>>, origins: &[u32]) -> PlatformState {
+    fn fresh_state(oracle: Arc<dyn DistanceOracle>, origins: &[u32]) -> PlatformState {
         let ws: Vec<Worker> = origins
             .iter()
             .enumerate()
@@ -715,26 +550,102 @@ mod tests {
         let mut state = fresh_state(oracle, &[0, 40, 80]);
         let mut planner = PruneGreedyDp::new();
         planner.set_threads(4);
-        assert_eq!(planner.engine.pool.threads(), 4);
+        assert_eq!(planner.engine.cfg.threads, 4);
         let r = request(1, 42, 50, 100_000, 1_000_000);
         let out = planner.on_request(&mut state, &r);
         assert!(matches!(out[0].1, Outcome::Assigned { .. }));
         // `0` = one per core (≥ 1 on every platform).
         planner.set_threads(0);
-        assert!(planner.engine.pool.threads() >= 1);
+        assert!(planner.engine.cfg.threads >= 1);
     }
 
     #[test]
     fn cheap_penalty_rejected_in_decision_phase() {
-        let oracle = line_counting_oracle(100);
-        let mut state = fresh_state(oracle, &[0]);
-        let mut planner = PruneGreedyDp::new();
-        // Service costs ≥ ~50·150 cs; penalty 10 is cheaper → reject.
-        let r = request(1, 50, 55, 1_000_000, 10);
-        let out = planner.on_request(&mut state, &r);
-        assert_eq!(out[0].1, Outcome::Rejected);
-        assert_eq!(state.rejected_count(), 1);
-        assert_eq!(state.served_count(), 0);
+        // 80 candidates: wide enough that width 4 would fan out if the
+        // request ever reached the planning phase. It must not — an
+        // economic reject costs the one `dis(o_r, d_r)` query and no
+        // probe, at every width.
+        let origins: Vec<u32> = (0..80).map(|i| i * 2).collect();
+        let oracle = line_counting_oracle(200);
+        let run = |threads: usize| {
+            oracle.reset();
+            let mut state = fresh_state(oracle.clone(), &origins);
+            let mut planner = PruneGreedyDp::with_threads(threads);
+            let outs: Vec<(RequestId, Outcome)> = (0..20u32)
+                .flat_map(|i| {
+                    // Service costs ≥ 5 units of road; penalty 10 is
+                    // cheaper → reject.
+                    let r = request(i, 20 + i * 7, 25 + i * 7, 1_000_000, 10);
+                    planner.on_request(&mut state, &r)
+                })
+                .collect();
+            assert!(outs.iter().all(|(_, o)| *o == Outcome::Rejected));
+            assert_eq!(state.rejected_count(), 20, "threads={threads}");
+            assert_eq!(state.served_count(), 0, "threads={threads}");
+            assert_eq!(oracle.stats().dis, 20, "threads={threads}");
+            outs
+        };
+        assert_eq!(run(1), run(4));
+    }
+
+    /// Forwards to the line oracle, except that one vertex pair panics.
+    struct PoisonedPair {
+        inner: Arc<CountingOracle<MatrixOracle>>,
+        pair: (VertexId, VertexId),
+    }
+
+    impl DistanceOracle for PoisonedPair {
+        fn num_vertices(&self) -> usize {
+            self.inner.num_vertices()
+        }
+        fn point(&self, v: VertexId) -> Point {
+            self.inner.point(v)
+        }
+        fn top_speed_mps(&self) -> f64 {
+            self.inner.top_speed_mps()
+        }
+        fn dis(&self, u: VertexId, v: VertexId) -> Cost {
+            if (u, v) == self.pair || (v, u) == self.pair {
+                panic!("poisoned pair {u:?}–{v:?}");
+            }
+            self.inner.dis(u, v)
+        }
+        fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
+            self.inner.shortest_path(u, v)
+        }
+    }
+
+    #[test]
+    fn probe_panic_surfaces_after_join_and_the_engine_stays_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // 80 idle candidates → width 4; GreedyDP probes every one of
+        // them, so some thread is certain to ask for worker 75's
+        // approach leg (vertex 150 → pickup 100) and panic mid-scan
+        // while the other three are still probing.
+        let origins: Vec<u32> = (0..80).map(|i| i * 2).collect();
+        let line = line_counting_oracle(200);
+        let poisoned: Arc<dyn DistanceOracle> = Arc::new(PoisonedPair {
+            inner: line.clone(),
+            pair: (VertexId(150), VertexId(100)),
+        });
+        let mut state = fresh_state(poisoned, &origins);
+        let mut planner = GreedyDp::with_threads(4);
+        let r1 = request(1, 100, 110, 1_000_000, u64::MAX / 4);
+        let caught = catch_unwind(AssertUnwindSafe(|| planner.on_request(&mut state, &r1)));
+        let payload = caught.expect_err("the probe panic must reach the caller");
+        assert!(payload
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.contains("poisoned pair")));
+        // Planning is read-only until the commit: nothing was decided.
+        assert_eq!(state.served_count() + state.rejected_count(), 0);
+
+        // Same planner, same state, next request: decided exactly as a
+        // fresh width-1 planner on a fresh platform decides it.
+        let r2 = request(2, 60, 70, 1_000_000, u64::MAX / 4);
+        let after = planner.on_request(&mut state, &r2);
+        let mut clean = fresh_state(line, &origins);
+        assert_eq!(after, GreedyDp::new().on_request(&mut clean, &r2));
+        assert!(matches!(after[0].1, Outcome::Assigned { .. }));
     }
 
     #[test]

@@ -54,12 +54,11 @@ pub struct PlannerConfig {
     /// decision phase.
     pub strict_economics: bool,
     /// Width of the planning fan-out (DESIGN.md §5): `1` (the default)
-    /// is the sequential engine byte for byte; `n > 1` runs the
-    /// decision-phase lower bounds and the exact linear-DP probes on
-    /// `n` scoped threads with a shared atomic best-`Δ` bound for
-    /// Lemma 8 pruning. Any width produces *identical* outputs — only
-    /// wall-clock and the number of pruned probes change. `0` means
-    /// one thread per hardware core.
+    /// is the sequential engine byte for byte; `n > 1` runs the exact
+    /// linear-DP probes on up to `n` scoped threads with a shared
+    /// atomic best-`Δ` bound for Lemma 8 pruning. Any width produces
+    /// *identical* outputs — only wall-clock and the number of pruned
+    /// probes change. `0` means one thread per hardware core.
     pub threads: usize,
 }
 
@@ -76,12 +75,12 @@ impl Default for PlannerConfig {
 
 /// An online route planner for shared mobility.
 ///
-/// `Send` is a supertrait: the geo-sharded dispatch plane
-/// (`urpsm_dispatch`) moves each shard's boxed planner across scoped
-/// threads when it fans a broadcast event out over the shards. Every
-/// planner is plain data plus `Arc` handles, so the bound costs
-/// nothing in practice — it only rules out `Rc`/`RefCell`-style
-/// interior state that could not ride a shard thread anyway.
+/// `Send` is a supertrait: a service owns its boxed planner, and
+/// whoever embeds a service or the ingestion server over it
+/// (`IngestServer` in `urpsm-server`) may build it on one thread and
+/// tick it on another. Every planner is plain data plus `Arc`
+/// handles, so the bound costs nothing in practice — it only rules
+/// out `Rc`/`RefCell`-style interior state.
 pub trait Planner: Send {
     /// Human-readable algorithm name (used in experiment tables).
     fn name(&self) -> &'static str;

@@ -1,38 +1,25 @@
-//! Per-thread planning arena (`PlanScratch`).
+//! Per-thread probe arena (`PlanScratch`).
 //!
-//! One planned insertion needs four kinds of temporary storage: the
-//! candidate shortlist of the decision phase, the per-thread Phase-1
-//! lower-bound collection of the fused-parallel engine, the linear-DP
-//! distance columns, and a probe route for the congestion
-//! re-feasibility check. Allocating any of them per request puts a
-//! `malloc` on the hot path; `PlanScratch` bundles all four into one
-//! arena owned by the planner engine — one instance per exec worker
-//! thread (index 0 doubles as the sequential engine's scratch) — and
-//! every buffer is `clear()`-reused, so a steady-state planned
+//! One exact probe needs two kinds of temporary storage: the linear-DP
+//! distance columns and a probe route for the congestion
+//! re-feasibility check. Allocating either per request puts a `malloc`
+//! on the hot path; `PlanScratch` bundles both into one arena owned by
+//! the planner engine — one instance per fan-out thread (index 0 is
+//! the calling thread's) — and every buffer is `clear()`-reused, so
+//! together with the engine's one `Shortlist` a steady-state planned
 //! insertion touches the allocator zero times (gated by
 //! `benches/alloc.rs` in `urpsm-bench`).
 
-use road_network::Cost;
-
 use crate::insertion::InsertionScratch;
 use crate::route::Route;
-use crate::shortlist::Shortlist;
-use crate::types::WorkerId;
 
-/// The reusable buffers one planning thread needs for one request.
-/// All fields survive across requests with retained capacity; none of
-/// them carry information between requests (the leak-freedom is pinned
-/// by `tests/scratch_reuse.rs`: a long-lived planner and a
+/// The reusable buffers one probing thread needs for one request.
+/// Both fields survive across requests with retained capacity; neither
+/// carries information between requests (the leak-freedom is pinned by
+/// `tests/scratch_reuse.rs`: a long-lived planner and a
 /// fresh-per-request planner produce identical outcome streams).
 #[derive(Debug, Default)]
 pub(crate) struct PlanScratch {
-    /// SoA candidate shortlist: `(LBΔ*, worker)` columns plus the
-    /// ascending sort permutation (sequential engine only — the fused
-    /// engine publishes a merged shortlist through a `OnceLock`).
-    pub shortlist: Shortlist,
-    /// Phase-1 lower-bound collection of the fused-parallel engine,
-    /// drained into the barrier leader's merge per request.
-    pub lbs: Vec<(Cost, WorkerId)>,
     /// Distance columns of the linear-DP insertion (Algo. 3).
     pub insertion: InsertionScratch,
     /// Probe route for the congestion re-feasibility gate:

@@ -202,25 +202,10 @@ impl<'a> EligibleCandidates<'a> {
         self.ids.is_empty()
     }
 
-    /// The `i`-th eligible worker (ascending worker-id order) — the
-    /// random-access form the parallel engine's index feed consumes.
-    #[inline]
-    pub fn get(&self, i: usize) -> WorkerId {
-        self.ids[i]
-    }
-
     /// Iterates the eligible workers in ascending id order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = WorkerId> + 'a {
         self.ids.iter().copied()
-    }
-
-    /// Crate-private escape hatch for the engines inside `urpsm-core`
-    /// (decision phase, fused planner). Deliberately not `pub`:
-    /// external planner crates can only consume the view.
-    #[inline]
-    pub(crate) fn as_ids(self) -> &'a [WorkerId] {
-        self.ids
     }
 
     /// Crate-private constructor for unit tests of the engines.

@@ -8,8 +8,8 @@
 //! permutation over them. The layout serves two masters:
 //!
 //! * **Zero steady-state allocation** — the arrays are owned by the
-//!   planner's per-thread `PlanScratch` and `clear()`-reused across
-//!   requests, so after warm-up a request never grows them.
+//!   planner engine and `clear()`-reused across requests, so after
+//!   warm-up a request never grows them.
 //! * **Cache behaviour** — the permutation sort touches only `u32`
 //!   indices and reads the dense `lbs` column, instead of shuffling
 //!   16-byte tuples.
@@ -18,18 +18,17 @@
 //! `Vec<(Cost, WorkerId)>::sort_unstable()`: the sort key is the pair
 //! `(lbs[i], workers[i])`, and worker ids are unique within one
 //! request's candidate set, so the key is a total order and the
-//! permutation is unique — sequential, fused-parallel, and any thread
-//! width reproduce the exact same scan order.
+//! permutation is unique — push order cannot leak into the scan order.
 
 use road_network::Cost;
 
 use crate::types::WorkerId;
 
 /// Sink for the Algo. 4 lower-bound loop
-/// (`crate::decision::collect_lower_bounds`): the sequential decision
-/// phase appends to a plain `Vec` (its public `DecisionOutcome`
-/// contract), while the planner engines append straight into a
-/// reusable [`Shortlist`]. One trait keeps the survivor filter itself
+/// (`crate::decision::collect_lower_bounds`): the public decision
+/// phase appends to a plain `Vec` (its `DecisionOutcome` contract),
+/// while the DP engine appends straight into its reusable
+/// [`Shortlist`]. One trait keeps the survivor filter itself
 /// shared — it can never diverge between the two representations.
 pub(crate) trait LowerBoundSink {
     /// Append one surviving `(LBΔ*, worker)` pair.
@@ -77,15 +76,6 @@ impl Shortlist {
     /// `true` when no candidate survived the lower-bound filter.
     pub fn is_empty(&self) -> bool {
         self.lbs.is_empty()
-    }
-
-    /// Bulk append from the pairs the fused-parallel engine's threads
-    /// collected. Push order is irrelevant: [`Shortlist::sort_by_bound`]
-    /// erases it (total order, unique keys).
-    pub fn extend_from_pairs(&mut self, pairs: &[(Cost, WorkerId)]) {
-        for &(lb, w) in pairs {
-            self.push_bound(lb, w);
-        }
     }
 
     /// Sorts the permutation ascending by `(lb, worker)` — the exact
@@ -139,6 +129,12 @@ mod tests {
         shortlist.iter_sorted().collect()
     }
 
+    fn extend(shortlist: &mut Shortlist, raw: &[(Cost, WorkerId)]) {
+        for &(lb, w) in raw {
+            shortlist.push_bound(lb, w);
+        }
+    }
+
     #[test]
     fn sorted_order_matches_tuple_sort() {
         let raw = [
@@ -149,7 +145,7 @@ mod tests {
             (100, WorkerId(1)),
         ];
         let mut shortlist = Shortlist::new();
-        shortlist.extend_from_pairs(&raw);
+        extend(&mut shortlist, &raw);
         shortlist.sort_by_bound();
 
         let mut expect = raw.to_vec();
@@ -162,7 +158,7 @@ mod tests {
     #[test]
     fn clear_reuses_capacity() {
         let mut shortlist = Shortlist::new();
-        shortlist.extend_from_pairs(&[(10, WorkerId(0)), (20, WorkerId(1))]);
+        extend(&mut shortlist, &[(10, WorkerId(0)), (20, WorkerId(1))]);
         shortlist.sort_by_bound();
         let caps = (
             shortlist.lbs.capacity(),
@@ -180,7 +176,7 @@ mod tests {
             ),
             caps
         );
-        shortlist.extend_from_pairs(&[(5, WorkerId(3))]);
+        extend(&mut shortlist, &[(5, WorkerId(3))]);
         shortlist.sort_by_bound();
         assert_eq!(pairs(&shortlist), vec![(5, WorkerId(3))]);
     }

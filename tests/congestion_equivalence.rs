@@ -64,7 +64,6 @@ fn run_sharded(
         |_| Box::new(PruneGreedyDp::new()) as Box<dyn Planner>,
         ShardConfig {
             shards,
-            threads: 1,
             sim: SimConfig {
                 grid_cell_m: sc.grid_cell_m,
                 alpha: sc.alpha,

@@ -1,12 +1,11 @@
 //! The parallel planning engine against the sequential one — the
 //! determinism contract of DESIGN.md §5, pinned *byte for byte*.
 //!
-//! `PlannerConfig::threads > 1` fans the decision phase and the exact
-//! probes out over scoped threads with a shared atomic best-`Δ` bound
-//! for Lemma 8. Thread scheduling may change *which candidates get
-//! probed* (more or fewer than sequentially — the set always contains
-//! every potential argmin), but never a decision: same assignments,
-//! same unified cost,
+//! `PlannerConfig::threads > 1` fans the exact probes out over scoped
+//! threads with a shared atomic best-`Δ` bound for Lemma 8. Thread
+//! scheduling may change *which candidates get probed* (more or fewer
+//! than sequentially — the set always contains every potential
+//! argmin), but never a decision: same assignments, same unified cost,
 //! same event log at every width. These tests drive full event
 //! streams — including cancellations and fleet churn — through
 //! `MobilityService` at widths 1/2/4/8 and require identical outputs.

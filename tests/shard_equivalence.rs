@@ -66,7 +66,6 @@ fn run_sharded(sc: &Scenario, shards: usize, boundary: BoundaryPolicy) -> Sharde
         ShardConfig {
             shards,
             boundary,
-            threads: 1,
             sim: SimConfig {
                 grid_cell_m: sc.grid_cell_m,
                 alpha: sc.alpha,

@@ -131,6 +131,11 @@ pub struct Registry {
     pub service_events: Counter,
     /// Replies emitted by `MobilityService`.
     pub service_replies: Counter,
+    /// Workers moved forward by `MobilityService` (one per worker per
+    /// clock advance in which it was due).
+    pub motion_advanced: Counter,
+    /// Idle workers re-timed to the clock by `MobilityService`.
+    pub motion_idle_retimed: Counter,
     /// Kinetic-tree reorderings that beat plain insertion.
     pub kinetic_reorders: Counter,
     /// Batch-planner epoch flushes.
@@ -199,6 +204,8 @@ impl Registry {
             recovery_torn_tail: Counter::new(),
             service_events: Counter::new(),
             service_replies: Counter::new(),
+            motion_advanced: Counter::new(),
+            motion_idle_retimed: Counter::new(),
             kinetic_reorders: Counter::new(),
             batch_epochs: Counter::new(),
             workload_events: Counter::new(),
@@ -264,6 +271,8 @@ impl Registry {
             recovery_torn_tail: self.recovery_torn_tail.get(),
             service_events: self.service_events.get(),
             service_replies: self.service_replies.get(),
+            motion_advanced: self.motion_advanced.get(),
+            motion_idle_retimed: self.motion_idle_retimed.get(),
             kinetic_reorders: self.kinetic_reorders.get(),
             batch_epochs: self.batch_epochs.get(),
             workload_events: self.workload_events.get(),
@@ -337,6 +346,8 @@ pub struct MetricsSnapshot {
     pub recovery_torn_tail: u64,
     pub service_events: u64,
     pub service_replies: u64,
+    pub motion_advanced: u64,
+    pub motion_idle_retimed: u64,
     pub kinetic_reorders: u64,
     pub batch_epochs: u64,
     pub workload_events: u64,
@@ -429,6 +440,8 @@ impl MetricsSnapshot {
             ("recovery_torn_tail", self.recovery_torn_tail),
             ("service_events", self.service_events),
             ("service_replies", self.service_replies),
+            ("motion_advanced", self.motion_advanced),
+            ("motion_idle_retimed", self.motion_idle_retimed),
             ("kinetic_reorders", self.kinetic_reorders),
             ("batch_epochs", self.batch_epochs),
             ("workload_events", self.workload_events),

@@ -317,6 +317,18 @@ pub fn render_prometheus(reg: &Registry) -> String {
     );
     counter(
         &mut o,
+        "urpsm_motion_advanced_total",
+        "Workers moved forward by MobilityService",
+        reg.motion_advanced.get(),
+    );
+    counter(
+        &mut o,
+        "urpsm_motion_idle_retimed_total",
+        "Idle workers re-timed to the clock",
+        reg.motion_idle_retimed.get(),
+    );
+    counter(
+        &mut o,
         "urpsm_kinetic_reorders_total",
         "Kinetic-tree reorderings committed",
         reg.kinetic_reorders.get(),

@@ -17,6 +17,16 @@
 //! vertex lies on), and crediting from the stale expansion would
 //! drift the driven ledger.
 //!
+//! # Who gets advanced
+//!
+//! [`WorkerMotion::advance`] is a no-op for a worker with nothing to
+//! drive, with an undrivable head leg, or already at or ahead of the
+//! clock, and the service does not call it for them: on each clock
+//! move it advances every *due* worker — `PlatformState::due(w) ≤ t`,
+//! the platform's motion index (DESIGN.md §1) — in ascending id, and
+//! re-times the idle ones in bulk. A worker that drains its route
+//! inside `advance` is re-timed there, as before.
+//!
 //! # Distance vs. time
 //!
 //! `driven` is accounted in **free-flow distance** units (the unit of
@@ -67,6 +77,9 @@ pub struct WorkerMotion {
     key: (VertexId, VertexId, Time, Cost),
     /// Total driven free-flow distance so far.
     pub driven: Cost,
+    /// How many times [`WorkerMotion::advance`] was entered.
+    #[cfg(test)]
+    pub(crate) entered: u64,
 }
 
 impl WorkerMotion {
@@ -199,6 +212,10 @@ impl WorkerMotion {
         oracle: &dyn DistanceOracle,
         mut on_stop: impl FnMut(urpsm_core::types::Stop, Time),
     ) {
+        #[cfg(test)]
+        {
+            self.entered += 1;
+        }
         loop {
             let route = &state.agent(w).route;
             if route.is_empty() {

@@ -32,7 +32,7 @@ use road_network::Cost;
 use urpsm_core::event::{PlatformEvent, ReassignPolicy, WorkerChange};
 use urpsm_core::planner::{Planner, PlannerReplies};
 use urpsm_core::platform::{CancelOutcome, HandoffTicket, Outcome, PlatformState};
-use urpsm_core::types::{Request, RequestId, StopKind, Time, Worker, WorkerId};
+use urpsm_core::types::{Request, RequestId, Stop, StopKind, Time, Worker, WorkerId};
 
 use crate::audit::audit_events;
 use crate::engine::{SimConfig, SimOutcome};
@@ -89,6 +89,10 @@ pub struct MobilityService<'p> {
     served: usize,
     rejected: usize,
     cancelled: usize,
+    /// Reference model for the motion index: advance by a sweep over
+    /// every worker instead (see `service_motion_tests.rs`).
+    #[cfg(test)]
+    full_sweep: bool,
 }
 
 impl<'p> MobilityService<'p> {
@@ -150,6 +154,8 @@ impl<'p> MobilityService<'p> {
             served: 0,
             rejected: 0,
             cancelled: 0,
+            #[cfg(test)]
+            full_sweep: false,
         }
     }
 
@@ -404,26 +410,57 @@ impl<'p> MobilityService<'p> {
         }
     }
 
-    /// Moves every worker forward to time `t`, logging passed stops.
+    /// Moves every *due* worker forward to time `t`, logging passed
+    /// stops. The platform's motion index names the workers for whom
+    /// [`WorkerMotion::advance`] would do anything (`due(w) ≤ t`) and
+    /// holds the idle ones on a list that is re-timed with one store
+    /// each, so the cost follows the vehicles that move, not the fleet.
+    /// Due workers are visited in ascending id — the order a sweep over
+    /// every worker would reach them in, hence the same log.
     fn advance_all(&mut self, t: Time) {
+        #[cfg(test)]
+        if self.full_sweep {
+            return self.advance_all_by_sweep(t);
+        }
+        self.state.advance_clock(t);
+        #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+        let retimed = self.state.retime_idle(t);
+        #[cfg(feature = "obs")]
+        let mut advanced = 0u64;
+        let oracle = &*self.oracle;
+        let events = &mut self.events;
+        for (i, m) in self.motions.iter_mut().enumerate() {
+            let w = WorkerId(i as u32);
+            if self.state.due(w) > t {
+                continue;
+            }
+            #[cfg(feature = "obs")]
+            {
+                advanced += 1;
+            }
+            m.advance(&mut self.state, w, t, oracle, |stop, at| {
+                events.push(stop_event(stop, at, w));
+            });
+        }
+        #[cfg(feature = "obs")]
+        urpsm_obs::with(|m| {
+            m.motion_advanced.add(advanced);
+            m.motion_idle_retimed.add(retimed as u64);
+        });
+    }
+
+    /// The reference the motion index is checked against: every worker
+    /// is advanced on every clock move, idle or not, and the index is
+    /// never consulted.
+    #[cfg(test)]
+    fn advance_all_by_sweep(&mut self, t: Time) {
         self.state.advance_clock(t);
         let oracle = &*self.oracle;
         let events = &mut self.events;
         for (i, m) in self.motions.iter_mut().enumerate() {
             let w = WorkerId(i as u32);
             m.advance(&mut self.state, w, t, oracle, |stop, at| {
-                events.push(match stop.kind {
-                    StopKind::Pickup => SimEvent::Pickup {
-                        t: at,
-                        r: stop.request,
-                        w,
-                    },
-                    StopKind::Delivery => SimEvent::Delivery {
-                        t: at,
-                        r: stop.request,
-                        w,
-                    },
-                });
+                events.push(stop_event(stop, at, w));
             });
         }
     }
@@ -523,6 +560,22 @@ impl<'p> MobilityService<'p> {
     }
 }
 
+/// The log entry for worker `w` passing `stop` at time `at`.
+fn stop_event(stop: Stop, at: Time, w: WorkerId) -> SimEvent {
+    match stop.kind {
+        StopKind::Pickup => SimEvent::Pickup {
+            t: at,
+            r: stop.request,
+            w,
+        },
+        StopKind::Delivery => SimEvent::Delivery {
+            t: at,
+            r: stop.request,
+            w,
+        },
+    }
+}
+
 // An embedder may build a service (or the `IngestServer` that owns
 // one) on a set-up thread and tick it on another, which moves the
 // whole service — planner included, `Planner: Send` is a supertrait —
@@ -540,7 +593,7 @@ mod tests {
     use road_network::VertexId;
     use urpsm_core::planner::PruneGreedyDp;
 
-    fn line_oracle(n: usize) -> Arc<dyn DistanceOracle> {
+    pub(super) fn line_oracle(n: usize) -> Arc<dyn DistanceOracle> {
         let mut b = road_network::builder::NetworkBuilder::new();
         for i in 0..n {
             b.add_vertex(Point::new(i as f64, 0.0));
@@ -553,7 +606,7 @@ mod tests {
         Arc::new(MatrixOracle::from_network(&b.finish().unwrap()))
     }
 
-    fn fleet(origins: &[u32]) -> Vec<Worker> {
+    pub(super) fn fleet(origins: &[u32]) -> Vec<Worker> {
         origins
             .iter()
             .enumerate()
@@ -566,7 +619,7 @@ mod tests {
             .collect()
     }
 
-    fn req(id: u32, o: u32, d: u32, release: Time, deadline: Time) -> Request {
+    pub(super) fn req(id: u32, o: u32, d: u32, release: Time, deadline: Time) -> Request {
         Request {
             class: Default::default(),
             id: RequestId(id),
@@ -841,3 +894,7 @@ mod tests {
         assert!(out.audit_errors.is_empty());
     }
 }
+
+#[cfg(test)]
+#[path = "service_motion_tests.rs"]
+mod motion_tests;

@@ -1,0 +1,275 @@
+//! The motion index against its reference model.
+//!
+//! [`MobilityService::advance_all`] moves only the workers the
+//! platform's due index names and re-times the idle list with one store
+//! each. The reference is the sweep it replaced
+//! (`advance_all_by_sweep`): every worker advanced on every clock move,
+//! the index never consulted. Both must leave the same log, the same
+//! driven ledger and the same routes.
+
+use road_network::congestion::{CongestionProfile, HOUR_CS};
+use urpsm_baselines::prelude::{BatchPlanner, KineticPlanner};
+use urpsm_workloads::prelude::{FleetMix, Scenario, ScenarioBuilder, MINUTE_CS};
+
+use super::tests::{fleet, line_oracle, req};
+use super::*;
+use urpsm_core::planner::PruneGreedyDp;
+
+/// The cancellation-and-churn scenario of `tests/config_matrix.rs`.
+fn scenario(mixed_fleet: bool) -> Scenario {
+    let builder = ScenarioBuilder::named("config-matrix")
+        .grid_city(10, 10)
+        .workers(80)
+        .requests(160)
+        .horizon(30 * MINUTE_CS)
+        .deadline_offset(8 * MINUTE_CS)
+        .hotspots(4)
+        .inter_region_trips(0.4)
+        .cancel_rate(0.15)
+        .cancel_delay(3 * MINUTE_CS)
+        .fleet_churn(2, 2)
+        .seed(2018);
+    if mixed_fleet {
+        builder.fleet_mix(FleetMix::mixed()).build()
+    } else {
+        builder.build()
+    }
+}
+
+/// Its stream moved to 07:45, across the two-peak profile's 08:00
+/// bucket boundary (as `config_matrix` does).
+fn peak_hour_stream(sc: &Scenario) -> Vec<PlatformEvent> {
+    const SHIFT: Time = 7 * HOUR_CS + 45 * MINUTE_CS;
+    let mut events = sc.event_stream();
+    for e in &mut events {
+        match e {
+            PlatformEvent::RequestArrived(r) => {
+                r.release += SHIFT;
+                r.deadline += SHIFT;
+            }
+            PlatformEvent::RequestCancelled { at, .. }
+            | PlatformEvent::WorkerJoined { at, .. }
+            | PlatformEvent::WorkerLeft { at, .. }
+            | PlatformEvent::Tick { at } => *at += SHIFT,
+        }
+    }
+    events
+}
+
+#[derive(Debug, Clone, Copy)]
+enum World {
+    FreeFlow,
+    TwoPeakTd,
+    MixedFleet,
+}
+
+fn open(
+    sc: &Scenario,
+    world: World,
+    planner: Box<dyn Planner>,
+    start: Time,
+    full_sweep: bool,
+) -> MobilityService<'static> {
+    let config = SimConfig {
+        grid_cell_m: sc.grid_cell_m,
+        alpha: sc.alpha,
+        classes: sc.classes.clone(),
+        congestion: match world {
+            World::TwoPeakTd => Some(Arc::new(CongestionProfile::chengdu_two_peak())),
+            World::FreeFlow | World::MixedFleet => None,
+        },
+        td_oracle: matches!(world, World::TwoPeakTd),
+        ..SimConfig::default()
+    };
+    let mut service = MobilityService::new(
+        sc.oracle.clone(),
+        sc.workers.clone(),
+        planner,
+        config,
+        start,
+    );
+    service.full_sweep = full_sweep;
+    service
+}
+
+/// Log, ledger and routes of the indexed service equal the sweep's.
+fn assert_same(indexed: &MobilityService<'_>, sweep: &MobilityService<'_>, ctx: &str) {
+    assert_eq!(indexed.events, sweep.events, "{ctx}: event log");
+    assert_eq!(indexed.now(), sweep.now(), "{ctx}: clock");
+    assert_eq!(indexed.motions.len(), sweep.motions.len(), "{ctx}: fleet");
+    for (i, (a, b)) in indexed.motions.iter().zip(&sweep.motions).enumerate() {
+        assert_eq!(a.driven, b.driven, "{ctx}: driven of worker {i}");
+    }
+    for (a, b) in indexed.state.agents().iter().zip(sweep.state.agents()) {
+        assert_eq!(a.route, b.route, "{ctx}: route of {:?}", a.worker.id);
+    }
+}
+
+/// Drives the indexed service and the full sweep over the cancel +
+/// churn stream of `tests/config_matrix.rs` under {free flow,
+/// `chengdu-2peak` through the TD oracle, mixed fleet} ×
+/// {`PruneGreedyDp`, kinetic, batch}. After every event the replies,
+/// the whole log, every worker's `driven` and every `Route` must be
+/// equal — so every idle worker, shortlisted or not, sits at `arr[0] ==
+/// now` exactly when the sweep would have put it there — and
+/// `check_motion_index` must hold on the indexed platform; halfway, an
+/// idle worker is handed off (and a busy one refused) on both.
+///
+/// Which part of the stream keeps which `reindex` honest (dropping it
+/// from that mutator fails this test):
+///
+/// * `commit` — every `PruneGreedyDp` and batch assignment;
+///   `commit_reordered` — every kinetic assignment. A missed one leaves
+///   a newly busy worker on the idle list with `due = MAX`: it never
+///   moves and its pickups vanish from the log.
+/// * `snap_worker_on_leg`, `pop_worker_stop` — the motion between any
+///   two events: a stale `due` after a snap re-enters `advance` early
+///   (caught by `check_motion_index`), after a pop it skips the next
+///   leg or keeps a drained worker off the idle list, whose clock then
+///   stops.
+/// * `cancel_request` — the 15 % cancellations that land before pickup
+///   (asserted below: some free distance); bridging moves `arr[1]`, and
+///   emptying the route must put the worker back on the idle list.
+/// * `strip_unpicked` — a `WorkerLeft { Reassign }` staged a third of
+///   the way in for a worker that still owes a pickup (asserted below:
+///   an `Unassigned` in the log; the scenario's own two departures hit
+///   workers with nothing left to strip).
+/// * `add_worker` — the two `WorkerJoined` arrivals: unlisted, a joiner
+///   is never re-timed and its route diverges from the sweep's on the
+///   next event.
+///
+/// `retime_idle_worker` is not on the list: it takes an empty route to
+/// an empty route, which neither `due` nor the idle list can see, so it
+/// does not reindex (it debug-asserts the worker is listed).
+#[test]
+fn indexed_motion_equals_the_full_sweep() {
+    type MakePlanner = fn() -> Box<dyn Planner>;
+    let planners: [(&str, MakePlanner); 3] = [
+        ("pruneGreedyDP", || Box::new(PruneGreedyDp::new())),
+        ("kinetic", || Box::new(KineticPlanner::new())),
+        ("batch", || Box::new(BatchPlanner::new())),
+    ];
+    for world in [World::FreeFlow, World::TwoPeakTd, World::MixedFleet] {
+        let sc = scenario(matches!(world, World::MixedFleet));
+        let stream = peak_hour_stream(&sc);
+        let start = stream[0].time();
+        for (name, make) in planners {
+            let ctx = format!("{world:?} / {name}");
+            let mut indexed = open(&sc, world, make(), start, false);
+            let mut sweep = open(&sc, world, make(), start, true);
+            for (k, event) in stream.iter().enumerate() {
+                let ctx = format!("{ctx} / event {k}");
+                assert_eq!(indexed.submit(*event), sweep.submit(*event), "{ctx}");
+                assert_eq!(indexed.state.check_motion_index(), Ok(()), "{ctx}");
+                assert_same(&indexed, &sweep, &ctx);
+                if k == stream.len() / 3 {
+                    // The scenario's own departures find nothing left
+                    // to strip, so one is staged: the first active
+                    // worker still owing a pickup leaves with
+                    // `Reassign`.
+                    let owing = indexed.state.agents().iter().find(|a| {
+                        a.active && a.route.stops().iter().any(|s| s.kind == StopKind::Pickup)
+                    });
+                    let leave = PlatformEvent::WorkerLeft {
+                        at: indexed.now(),
+                        worker: owing.expect("someone owes a pickup").worker.id,
+                        reassign: ReassignPolicy::Reassign,
+                    };
+                    assert_eq!(indexed.submit(leave), sweep.submit(leave), "{ctx}");
+                    assert_eq!(indexed.state.check_motion_index(), Ok(()), "{ctx}");
+                    assert_same(&indexed, &sweep, &ctx);
+                }
+                if k == stream.len() / 2 {
+                    let agents = indexed.state.agents();
+                    let idle = agents.iter().find(|a| a.active && a.route.is_empty());
+                    let busy = agents.iter().find(|a| !a.route.is_empty());
+                    let (idle, busy) =
+                        (idle.expect("idle").worker.id, busy.expect("busy").worker.id);
+                    assert!(indexed.handoff_worker(idle).is_some(), "{ctx}");
+                    assert!(sweep.handoff_worker(idle).is_some(), "{ctx}");
+                    assert_eq!(indexed.handoff_worker(busy), None, "{ctx}");
+                    assert_eq!(sweep.handoff_worker(busy), None, "{ctx}");
+                    assert_eq!(indexed.state.check_motion_index(), Ok(()), "{ctx}");
+                }
+            }
+            // The parts of the stream the doc comment leans on are live.
+            let log = indexed.events();
+            let any = |f: fn(&SimEvent) -> bool| log.iter().any(f);
+            assert!(any(
+                |e| matches!(e, SimEvent::Cancelled { freed, .. } if *freed > 0)
+            ));
+            assert!(any(|e| matches!(e, SimEvent::Unassigned { .. })), "{ctx}");
+            assert!(any(|e| matches!(e, SimEvent::WorkerJoined { .. })), "{ctx}");
+            assert!(any(|e| matches!(e, SimEvent::Delivery { .. })), "{ctx}");
+
+            let (indexed, sweep) = (indexed.drain(), sweep.drain());
+            assert_eq!(indexed.audit_errors, Vec::<String>::new(), "{ctx}: audit");
+            assert_eq!(indexed.events, sweep.events, "{ctx}: drained log");
+            assert_eq!(indexed.state.check_motion_index(), Ok(()), "{ctx}: drained");
+            for (a, b) in indexed.state.agents().iter().zip(sweep.state.agents()) {
+                assert_eq!(a.route, b.route, "{ctx}: drained route");
+            }
+        }
+    }
+}
+
+/// The work of a clock move is the number of due workers, shown by a
+/// count: 1 000 idle workers and 3 busy ones over 200 ticks enter
+/// `WorkerMotion::advance` exactly once per (tick, worker whose route
+/// says it is due) — the idle thousand never do.
+#[test]
+fn advance_is_entered_once_per_due_worker() {
+    // Three workers next to three requests; a thousand parked far away.
+    let mut origins = vec![0, 10, 20];
+    origins.resize(1_003, 49);
+    let mut svc = MobilityService::new(
+        line_oracle(50),
+        fleet(&origins),
+        Box::new(PruneGreedyDp::new()),
+        SimConfig::default(),
+        0,
+    );
+    for (id, o) in [(0, 1), (1, 11), (2, 21)] {
+        let replies = svc.submit(PlatformEvent::RequestArrived(req(id, o, o + 7, 0, 100_000)));
+        assert!(
+            matches!(replies[0], SimEvent::Assigned { w, .. } if w == WorkerId(id)),
+            "request {id} goes to the worker beside it"
+        );
+    }
+    let entered = |svc: &MobilityService<'_>| svc.motions.iter().map(|m| m.entered).sum::<u64>();
+    assert_eq!(entered(&svc), 0, "nobody is due at t = 0");
+
+    // Due straight from the routes, not from the index under test.
+    let due_now = |svc: &MobilityService<'_>, t: Time| {
+        svc.state
+            .agents()
+            .iter()
+            .filter(|a| {
+                let r = &a.route;
+                !r.is_empty() && r.arr(1) < road_network::INF && r.arr(1).min(r.arr(0) + 1) <= t
+            })
+            .count() as u64
+    };
+    let mut expected = 0;
+    for k in 1..=200 {
+        let t = 7 * k; // 1 400 cs: the 800 cs routes drain on the way
+        expected += due_now(&svc, t);
+        svc.submit(PlatformEvent::Tick { at: t });
+        assert_eq!(entered(&svc), expected, "tick {k}");
+        assert_eq!(svc.state.check_motion_index(), Ok(()));
+    }
+    // Vertices are 100 cs apart: each busy worker is due once to set
+    // off and once after each of the 8 vertices it reaches, never in
+    // between.
+    assert_eq!(expected, 3 * 9);
+    assert!(svc.motions[3..].iter().all(|m| m.entered == 0));
+    assert!(svc.state.agents().iter().all(|a| a.route.is_empty()));
+    assert!(svc
+        .state
+        .agents()
+        .iter()
+        .all(|a| a.route.start_time() == 1_400));
+    let out = svc.drain();
+    assert_eq!(out.audit_errors, Vec::<String>::new());
+    assert_eq!(out.metrics.served, 3);
+}

@@ -32,7 +32,7 @@ use road_network::congestion::TravelTimeProvider;
 use road_network::fxhash::{FxHashMap, FxHashSet};
 use road_network::grid::{GridIndex, SortedCellGrid};
 use road_network::oracle::DistanceOracle;
-use road_network::{Cost, VertexId};
+use road_network::{Cost, VertexId, INF};
 
 use crate::objective::UnifiedCost;
 use crate::route::{InsertionPlan, Route};
@@ -158,6 +158,31 @@ pub struct PlatformState {
     /// makes every class hook a no-op — the paper's homogeneous
     /// setting, byte-identical to the pre-class platform.
     classes: Arc<ClassTable>,
+    /// The motion index (DESIGN.md §1): `due[w]` is the first time at
+    /// which moving `w` forward changes anything — `min(arr[1],
+    /// arr[0] + 1)` for a drivable route, [`Time::MAX`] for an empty or
+    /// undrivable one. Kept exact by [`PlatformState::reindex`] at the
+    /// end of every method that mutates a route.
+    due: Vec<Time>,
+    /// Workers with an empty route, in no particular order
+    /// (swap-remove); `idle_pos[w]` is `w`'s slot or [`NOT_IDLE`].
+    idle: Vec<u32>,
+    idle_pos: Vec<u32>,
+}
+
+/// `idle_pos` entry of a worker that has stops to drive.
+const NOT_IDLE: u32 = u32::MAX;
+
+/// The first time at which advancing a worker on `route` is not a
+/// no-op: it reaches `l_1` at `arr[1]`, and it can be snapped forward
+/// along the leg as soon as the clock passes `arr[0]`. An empty route
+/// has nothing to drive and a leg with `arr[1] ≥ INF` cannot be driven.
+fn due_time(route: &Route) -> Time {
+    if route.is_empty() || route.arr(1) >= INF {
+        Time::MAX
+    } else {
+        route.arr(1).min(route.arr(0) + 1)
+    }
 }
 
 /// Reusable storage for [`PlatformState::candidate_workers`], owned by
@@ -252,6 +277,7 @@ impl PlatformState {
                 }
             })
             .collect();
+        let n = agents.len() as u32;
         PlatformState {
             now: start_time,
             oracle,
@@ -265,6 +291,10 @@ impl PlatformState {
             cancelled: Vec::new(),
             congestion: None,
             classes: Arc::new(ClassTable::single()),
+            // Every route starts empty: nothing due, everyone idle.
+            due: vec![Time::MAX; n as usize],
+            idle: (0..n).collect(),
+            idle_pos: (0..n).collect(),
         }
     }
 
@@ -285,6 +315,7 @@ impl PlatformState {
                 .set_class_profile(profile.speed_permille, profile.range);
         }
         self.classes = classes;
+        self.reindex_all();
     }
 
     /// The installed vehicle-class table.
@@ -304,6 +335,7 @@ impl PlatformState {
             agent.route.set_congestion(provider.clone());
         }
         self.congestion = provider;
+        self.reindex_all();
     }
 
     /// The installed congestion profile, if any.
@@ -347,6 +379,100 @@ impl PlatformState {
     pub fn advance_clock(&mut self, t: Time) {
         debug_assert!(t >= self.now, "clock must be monotone");
         self.now = t;
+    }
+
+    /// The first time at which moving `w` forward is not a no-op;
+    /// [`Time::MAX`] while `w` has nothing it can drive. A driver that
+    /// advances exactly the workers with `due(w) ≤ t` moves the fleet
+    /// as a sweep over every worker would.
+    #[inline]
+    pub fn due(&self, w: WorkerId) -> Time {
+        self.due[w.idx()]
+    }
+
+    /// Re-times every idle worker still behind `t` to `t` — one store
+    /// each ([`Route::set_start_time`] on an empty route) — and returns
+    /// how many stores were made. Idle workers already at or ahead of
+    /// `t` (snapped forward before their last request was cancelled)
+    /// are left alone.
+    pub fn retime_idle(&mut self, t: Time) -> usize {
+        let mut stores = 0;
+        for &w in &self.idle {
+            let route = &mut self.agents[w as usize].route;
+            if route.start_time() < t {
+                route.set_start_time(t);
+                stores += 1;
+            }
+        }
+        stores
+    }
+
+    /// Recomputes the motion index from the routes and compares: every
+    /// `due[w]` matches its formula, and the idle list holds exactly
+    /// the workers with an empty route, once each, at the slot
+    /// `idle_pos` names. For tests and audits; `O(fleet)`.
+    pub fn check_motion_index(&self) -> Result<(), String> {
+        let n = self.agents.len();
+        if self.due.len() != n || self.idle_pos.len() != n {
+            return Err(format!(
+                "index sized {} / {} for {n} workers",
+                self.due.len(),
+                self.idle_pos.len()
+            ));
+        }
+        let mut empty = 0;
+        for (w, agent) in self.agents.iter().enumerate() {
+            let want = due_time(&agent.route);
+            if self.due[w] != want {
+                return Err(format!("due[{w}] = {}, route says {want}", self.due[w]));
+            }
+            let pos = self.idle_pos[w];
+            if agent.route.is_empty() {
+                empty += 1;
+                if self.idle.get(pos as usize) != Some(&(w as u32)) {
+                    return Err(format!("idle worker {w} not at idle[{pos}]"));
+                }
+            } else if pos != NOT_IDLE {
+                return Err(format!("busy worker {w} listed idle at {pos}"));
+            }
+        }
+        // Every empty route owns a distinct slot, so equal counts rule
+        // out duplicates and strays.
+        if self.idle.len() != empty {
+            return Err(format!(
+                "idle list holds {} entries for {empty} empty routes",
+                self.idle.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Refreshes `w`'s entry of the motion index from its route. Every
+    /// method that mutates a route ends here; routes are reachable for
+    /// writing through no other door (there is no `agent_mut`).
+    fn reindex(&mut self, w: WorkerId) {
+        let i = w.idx();
+        let route = &self.agents[i].route;
+        self.due[i] = due_time(route);
+        let pos = self.idle_pos[i];
+        if route.is_empty() {
+            if pos == NOT_IDLE {
+                self.idle_pos[i] = self.idle.len() as u32;
+                self.idle.push(w.0);
+            }
+        } else if pos != NOT_IDLE {
+            self.idle.swap_remove(pos as usize);
+            if let Some(&moved) = self.idle.get(pos as usize) {
+                self.idle_pos[moved as usize] = pos;
+            }
+            self.idle_pos[i] = NOT_IDLE;
+        }
+    }
+
+    fn reindex_all(&mut self) {
+        for i in 0..self.agents.len() {
+            self.reindex(WorkerId(i as u32));
+        }
     }
 
     /// The distance oracle.
@@ -503,6 +629,7 @@ impl PlatformState {
         agent.assigned_requests.push(r.id);
         self.assignment.insert(r.id, w);
         self.served += 1;
+        self.reindex(w);
     }
 
     /// Commits a *re-ordered* route for `w` that additionally serves
@@ -561,6 +688,7 @@ impl PlatformState {
         agent.assigned_requests.push(r.id);
         self.assignment.insert(r.id, w);
         self.served += 1;
+        self.reindex(w);
     }
 
     /// Records a rejection (irrevocable; the penalty accrues).
@@ -636,6 +764,7 @@ impl PlatformState {
                 sg.grid_mut().upsert(u64::from(w.0), p);
             }
         }
+        self.reindex(w);
     }
 
     /// Snaps a mid-leg worker onto vertex `v` of its current first leg,
@@ -659,11 +788,14 @@ impl PlatformState {
                 sg.grid_mut().upsert(u64::from(w.0), p);
             }
         }
+        self.reindex(w);
     }
 
-    /// Re-times an idle worker to `time` without moving it.
+    /// Re-times an idle worker to `time` without moving it. An empty
+    /// route stays empty, so the motion index has nothing to refresh.
     pub fn retime_idle_worker(&mut self, w: WorkerId, time: Time) {
         debug_assert!(self.agents[w.idx()].route.is_empty());
+        debug_assert_ne!(self.idle_pos[w.idx()], NOT_IDLE);
         self.agents[w.idx()].route.set_start_time(time);
     }
 
@@ -682,6 +814,7 @@ impl PlatformState {
                 sg.grid_mut().upsert(u64::from(w.0), p);
             }
         }
+        self.reindex(w);
         (stop, at)
     }
 
@@ -715,6 +848,7 @@ impl PlatformState {
                 self.assignment.remove(&rid);
                 self.cancelled.push(rid);
                 self.served -= 1;
+                self.reindex(w);
                 CancelOutcome::Cancelled { worker: w, freed }
             }
             // Still assigned but no pending pickup: the request is in
@@ -755,6 +889,9 @@ impl PlatformState {
             assigned_requests: Vec::new(),
             active: true,
         });
+        self.due.push(Time::MAX);
+        self.idle_pos.push(NOT_IDLE);
+        self.reindex(w.id);
     }
 
     /// Retires a worker: it leaves the grid indexes (so it is never
@@ -835,6 +972,7 @@ impl PlatformState {
                 .validate(self.agents[w.idx()].worker.capacity),
             Ok(())
         );
+        self.reindex(w);
         stripped
     }
 
@@ -1304,6 +1442,176 @@ mod tests {
             .candidate_workers(&probe, 200, &mut buf)
             .iter()
             .any(|w| w == WorkerId(0)));
+    }
+
+    /// A road closure: legs whose (class-stretched) base exceeds the
+    /// threshold cannot be driven.
+    struct ClosedAbove(Cost);
+
+    impl TravelTimeProvider for ClosedAbove {
+        fn leg_time(&self, _from: VertexId, base: Cost, _depart: u64) -> Cost {
+            if base > self.0 {
+                INF
+            } else {
+                base
+            }
+        }
+        fn is_flat(&self) -> bool {
+            false
+        }
+        fn name(&self) -> &str {
+            "closed-above"
+        }
+    }
+
+    /// Walks one platform through every route-mutating method and
+    /// checks the motion index after each — including the ones a
+    /// running service never reaches after construction
+    /// (`set_congestion` / `set_classes` over busy routes,
+    /// `set_worker_position`) and `export_worker`, which retires a
+    /// worker without touching its route.
+    #[test]
+    fn motion_index_tracks_every_route_mutation() {
+        use crate::types::VehicleClass;
+        let (w0, w1, w2) = (WorkerId(0), WorkerId(1), WorkerId(2));
+        let oracle = line_oracle(100);
+        let mut state = PlatformState::new(oracle, &workers(3, 0, 4), 10.0, 0);
+        let plan_for = |state: &PlatformState, w: WorkerId, r: &Request| {
+            linear_dp_insertion(&state.agent(w).route, 4, r, state.oracle()).unwrap()
+        };
+        let check = |state: &PlatformState| assert_eq!(state.check_motion_index(), Ok(()));
+        check(&state);
+        assert_eq!(state.due(w0), Time::MAX, "nothing to drive yet");
+
+        // commit: 0 → 5 → 10, pickup at 500. Movable as soon as the
+        // clock passes arr[0] = 0.
+        let r1 = request(1, 5, 10, 1_000_000);
+        let plan = plan_for(&state, w0, &r1);
+        state.commit(w0, &r1, &plan);
+        check(&state);
+        assert_eq!(state.due(w0), 1);
+        // A pickup at the worker's own vertex is due at once: arr[1]
+        // = arr[0] wins the min.
+        let r2 = request(2, 1, 3, 1_000_000);
+        let plan = plan_for(&state, w1, &r2);
+        state.commit(w1, &r2, &plan);
+        check(&state);
+        assert_eq!(state.due(w1), 0);
+
+        state.snap_worker_on_leg(w0, VertexId(2), 200, 300);
+        check(&state);
+        assert_eq!(state.due(w0), 201);
+        state.set_worker_position(w0, VertexId(4), 450, Some(100));
+        check(&state);
+        assert_eq!(state.due(w0), 451);
+
+        // Re-stretching busy schedules can only reach the index by
+        // making a head leg undrivable or drivable again: a provider
+        // that closes every leg longer than its threshold. Worker 0's
+        // head leg is 100 long; a 1.3× class stretches it to 130.
+        let slow = ClassTable::new(vec![VehicleClass {
+            speed_permille: 1_300,
+            ..VehicleClass::standard()
+        }]);
+        state.set_congestion(Some(Arc::new(ClosedAbove(50))));
+        check(&state);
+        assert_eq!(state.due(w0), Time::MAX, "closed road: nothing to drive");
+        state.set_congestion(Some(Arc::new(ClosedAbove(100))));
+        check(&state);
+        assert_eq!(state.due(w0), 451);
+        state.set_classes(Arc::new(slow));
+        check(&state);
+        assert_eq!(state.due(w0), Time::MAX);
+        state.set_classes(Arc::new(ClassTable::single()));
+        check(&state);
+        assert_eq!(state.due(w0), 451);
+        state.set_congestion(None);
+        check(&state);
+
+        // pop: the route shrinks, then empties — back on the idle list.
+        assert_eq!(state.pop_worker_stop(w1).1, 0);
+        check(&state);
+        assert_eq!(state.due(w1), 1, "delivery at 200, start at 0");
+        state.pop_worker_stop(w1);
+        check(&state);
+        assert_eq!(state.due(w1), Time::MAX);
+
+        // commit_reordered over the emptied route, then a cancellation
+        // that empties it again.
+        let r3 = request(3, 6, 9, 1_000_000);
+        let stops: Vec<Stop> = [(StopKind::Pickup, 6u32), (StopKind::Delivery, 9)]
+            .iter()
+            .map(|&(kind, v)| Stop {
+                request: r3.id,
+                vertex: VertexId(v),
+                kind,
+                load: 1,
+                ddl: 1_000_000,
+            })
+            .collect();
+        state.commit_reordered(w1, &r3, &stops, &[300, 300], 600);
+        check(&state);
+        assert_eq!(state.due(w1), 201);
+        assert!(matches!(
+            state.cancel_request(r3.id),
+            CancelOutcome::Cancelled { .. }
+        ));
+        check(&state);
+        assert_eq!(state.due(w1), Time::MAX);
+
+        // strip_unpicked empties worker 0 (nothing is onboard yet).
+        state.retire_worker(w0);
+        assert_eq!(state.strip_unpicked(w0).len(), 1);
+        check(&state);
+
+        // add_worker joins idle; export_worker leaves the route alone.
+        state.advance_clock(900);
+        state.add_worker(Worker {
+            class: Default::default(),
+            id: WorkerId(3),
+            origin: VertexId(50),
+            capacity: 2,
+        });
+        check(&state);
+        assert!(state.export_worker(w2).is_some());
+        check(&state);
+
+        // The idle clock: one store per worker behind `t`, none for a
+        // worker already there, and the index is none the wiser.
+        assert_eq!(state.retime_idle(900), 3, "the joiner is already at 900");
+        assert_eq!(state.retime_idle(900), 0);
+        assert!(state.agents().iter().all(|a| a.route.start_time() == 900));
+        state.retime_idle_worker(w2, 950);
+        check(&state);
+    }
+
+    #[test]
+    fn check_motion_index_reports_each_kind_of_drift() {
+        let oracle = line_oracle(30);
+        let mut state = PlatformState::new(oracle, &workers(3, 0, 4), 10.0, 0);
+        let r = request(1, 5, 10, 1_000_000);
+        let plan =
+            linear_dp_insertion(&state.agent(WorkerId(0)).route, 4, &r, state.oracle()).unwrap();
+        state.commit(WorkerId(0), &r, &plan);
+        assert_eq!(state.check_motion_index(), Ok(()));
+
+        // A stale due time.
+        state.due[0] = 77;
+        assert!(state.check_motion_index().unwrap_err().contains("due[0]"));
+        state.due[0] = 1;
+        // A busy worker left on the idle list.
+        state.idle_pos[0] = 0;
+        assert!(state.check_motion_index().unwrap_err().contains("busy"));
+        state.idle_pos[0] = NOT_IDLE;
+        // An idle worker pointing at someone else's slot.
+        state.idle_pos.swap(1, 2);
+        assert!(state.check_motion_index().unwrap_err().contains("idle"));
+        state.idle_pos.swap(1, 2);
+        // A duplicate entry.
+        state.idle.push(1);
+        assert!(state.check_motion_index().unwrap_err().contains("entries"));
+        state.idle.pop();
+        assert_eq!(state.check_motion_index(), Ok(()));
     }
 
     #[test]

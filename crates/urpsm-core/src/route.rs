@@ -115,11 +115,11 @@ pub struct InsertionPlan {
 /// the new leg start, which is always a vertex at a known time.
 pub struct Route {
     start_vertex: VertexId,
-    /// `arr[0]`: the time the worker is (or will be) at `start_vertex`.
-    start_time: Time,
     /// `picked[0]`: passengers/items currently on board.
     initial_load: u32,
     stops: StopArray,
+    /// Never empty: `arr[0]` is the route's start time — when the
+    /// worker is (or will be) at `start_vertex` — and its only copy.
     arr: SchedArray<Time>,
     slack: SchedArray<Cost>,
     picked: SchedArray<u32>,
@@ -150,7 +150,6 @@ impl Clone for Route {
     fn clone(&self) -> Self {
         Route {
             start_vertex: self.start_vertex,
-            start_time: self.start_time,
             initial_load: self.initial_load,
             stops: self.stops.clone(),
             arr: self.arr.clone(),
@@ -166,7 +165,6 @@ impl Clone for Route {
 
     fn clone_from(&mut self, source: &Self) {
         self.start_vertex = source.start_vertex;
-        self.start_time = source.start_time;
         self.initial_load = source.initial_load;
         self.stops.clone_from(&source.stops);
         self.arr.clone_from(&source.arr);
@@ -186,7 +184,6 @@ impl Clone for Route {
 impl PartialEq for Route {
     fn eq(&self, other: &Self) -> bool {
         self.start_vertex == other.start_vertex
-            && self.start_time == other.start_time
             && self.initial_load == other.initial_load
             && self.stops == other.stops
             && self.arr == other.arr
@@ -203,7 +200,6 @@ impl std::fmt::Debug for Route {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Route")
             .field("start_vertex", &self.start_vertex)
-            .field("start_time", &self.start_time)
             .field("initial_load", &self.initial_load)
             .field("stops", &self.stops)
             .field("arr", &self.arr)
@@ -235,7 +231,6 @@ impl Route {
     pub fn new(start: VertexId, time: Time) -> Self {
         Route {
             start_vertex: start,
-            start_time: time,
             initial_load: 0,
             stops: StopArray::new(),
             arr: SchedArray::from_slice(&[time]),
@@ -416,7 +411,7 @@ impl Route {
     /// The time the worker is/will be at `l_0` (`arr[0]`).
     #[inline]
     pub fn start_time(&self) -> Time {
-        self.start_time
+        self.arr[0]
     }
 
     /// Passengers/items currently on board (`picked[0]`).
@@ -430,14 +425,14 @@ impl Route {
         self.leg.iter().sum()
     }
 
-    /// Rebuilds `arr`, `picked` and `slack` from the stops, legs and
-    /// start state in `O(n)`.
+    /// Rebuilds `arr[1..]`, `picked` and `slack` from the stops, legs
+    /// and start state in `O(n)`. `arr[0]` is the start time itself —
+    /// the arrays never shrink below one entry, so `resize` keeps it.
     fn rebuild(&mut self) {
         let n = self.stops.len();
         self.arr.resize(n + 1, 0);
         self.picked.resize(n + 1, 0);
         self.slack.resize(n + 1, 0);
-        self.arr[0] = self.start_time;
         self.picked[0] = self.initial_load;
         for k in 1..=n {
             self.arr[k] = cost_add(self.arr[k - 1], self.leg_time_at(k, self.arr[k - 1]));
@@ -462,7 +457,7 @@ impl Route {
     /// If the route has stops but no `new_first_leg` is supplied.
     pub fn set_start(&mut self, v: VertexId, time: Time, new_first_leg: Option<Cost>) {
         self.start_vertex = v;
-        self.start_time = time;
+        self.arr[0] = time;
         self.head_time = None;
         if !self.stops.is_empty() {
             self.leg[1] = new_first_leg.expect("non-empty route needs dis(l_0, l_1)");
@@ -486,7 +481,7 @@ impl Route {
         let arr1 = self.arr[1];
         assert!(time <= arr1, "snap time {time} past arr[1] = {arr1}");
         self.start_vertex = v;
-        self.start_time = time;
+        self.arr[0] = time;
         self.leg[1] = remaining_base;
         self.head_time = Some(arr1 - time);
         self.rebuild();
@@ -494,8 +489,26 @@ impl Route {
     }
 
     /// Re-times an idle/parked worker to `time` without moving it.
+    ///
+    /// On an empty route this is one store: `arr[0]` is the only entry
+    /// that depends on the start time (`picked[0]`, `slack[0] = ∞` and
+    /// the cleared head freeze already hold — every path that empties a
+    /// route ends in a rebuild with the freeze dropped). Emptiness is
+    /// read off `arr`'s own length (`n + 1` after every rebuild), which
+    /// the store has already pulled into cache; `stops` lives lines
+    /// away, and the idle clock pays for every line it touches.
     pub fn set_start_time(&mut self, time: Time) {
-        self.start_time = time;
+        self.arr[0] = time;
+        if self.arr.len() == 1 {
+            debug_assert!(
+                self.stops.is_empty()
+                    && self.head_time.is_none()
+                    && self.slack[0] == INF
+                    && self.picked[0] == self.initial_load,
+                "an empty route holds nothing but its start state"
+            );
+            return;
+        }
         self.head_time = None;
         self.rebuild();
     }
@@ -522,7 +535,7 @@ impl Route {
         self.leg.remove(1);
         self.head_time = None;
         self.start_vertex = stop.vertex;
-        self.start_time = reached_at;
+        self.arr[0] = reached_at;
         self.initial_load = match stop.kind {
             StopKind::Pickup => self.initial_load + stop.load,
             StopKind::Delivery => self.initial_load.saturating_sub(stop.load),
@@ -1499,5 +1512,45 @@ mod tests {
         let mut idle = Route::new(VertexId(3), 7);
         idle.set_start_time(99);
         assert_eq!(idle.arr(0), 99);
+    }
+
+    /// The one-store re-time of an empty route leaves every field as
+    /// the full rebuild it replaced would: checked on a fresh route, on
+    /// one drained by pops, and on one emptied by a cancellation after
+    /// a mid-leg snap under a stretching profile and a slow class (the
+    /// path that must have dropped the head freeze by itself).
+    #[test]
+    fn set_start_time_on_an_empty_route_equals_a_full_rebuild() {
+        let dis = |a: VertexId, b: VertexId| u64::from(a.0.abs_diff(b.0)) * 10;
+        let fresh = Route::new(VertexId(3), 7);
+        let mut popped = appended(10_000);
+        popped.pop_front_stop();
+        popped.pop_front_stop();
+        let mut cancelled = appended(10_000);
+        cancelled.set_congestion(Some(x15()));
+        cancelled.set_class_profile(1_300, Some(5_000));
+        cancelled.snap_on_leg(VertexId(9), 10, 15);
+        assert!(cancelled.head_time.is_some());
+        cancelled
+            .remove_request(RequestId(1), dis)
+            .expect("pending");
+
+        for mut route in [fresh, popped, cancelled] {
+            assert!(route.is_empty());
+            let t = route.start_time() + 500;
+            let mut rebuilt = route.clone();
+            rebuilt.arr[0] = t;
+            rebuilt.head_time = None;
+            rebuilt.rebuild();
+
+            route.set_start_time(t);
+            assert_eq!(route.start_time(), t);
+            // `==` skips the context fields; `Debug` prints them all.
+            assert_eq!(route, rebuilt);
+            assert_eq!(format!("{route:?}"), format!("{rebuilt:?}"));
+            assert_eq!(route.arr.len(), 1);
+            assert_eq!(route.head_time, None);
+            assert_eq!((route.slack(0), route.picked(0)), (INF, route.onboard()));
+        }
     }
 }

@@ -82,6 +82,8 @@ fn exposition_parses_and_covers_the_run() {
         "urpsm_ingest_shed_total",
         "urpsm_wal_flush_ns",
         "urpsm_shards_live",
+        "urpsm_motion_advanced_total",
+        "urpsm_motion_idle_retimed_total",
     ] {
         assert!(text.contains(family), "missing family {family}");
     }
@@ -100,6 +102,17 @@ fn exposition_parses_and_covers_the_run() {
         assert!(snap.wal_flushes > 0, "no WAL flushes recorded");
         assert!(snap.shards_live >= 2, "sharded run not reflected");
         assert!(snap.service_events > 0, "no service events recorded");
+        // Motion is counted, and it follows the vehicles that move: at
+        // most the whole fleet per event, in practice far fewer.
+        assert!(snap.motion_advanced > 0, "no worker ever advanced");
+        assert!(snap.motion_idle_retimed > 0, "no idle worker re-timed");
+        let fleet = scenario.workers.len() as u64;
+        assert!(
+            snap.motion_advanced <= snap.service_events * fleet,
+            "{} advances for {} events x {fleet} workers",
+            snap.motion_advanced,
+            snap.service_events
+        );
         assert!(snap.trace_recorded > 0, "flight recorder stayed empty");
         assert!(
             text.contains("urpsm_shard_sheds_total{shard=\"0\"}"),
@@ -132,6 +145,7 @@ fn exposition_parses_and_covers_the_run() {
         let snap = obs::registry().snapshot();
         assert_eq!(snap.plan_requests, 0);
         assert_eq!(snap.ingest_ticks, 0);
+        assert_eq!(snap.motion_advanced + snap.motion_idle_retimed, 0);
         assert_eq!(snap.trace_recorded, 0);
     }
 }

@@ -13,16 +13,21 @@
 //!   insert/remove/pop/snap/replace-tail sequences deep past the
 //!   8-stop inline capacity while checking the stop sequence against a
 //!   plain-`Vec` shadow model and the schedule against a
-//!   first-principles recomputation.
+//!   first-principles recomputation. The same suite pins that `arr[0]`
+//!   is the route's one start time: after every mutator
+//!   `start_time() == arr(0)`, and a route that became empty — by pop or
+//!   by cancellation after a snap — is indistinguishable from a freshly
+//!   built one (no leftover head freeze, one-entry arrays).
 
 use proptest::prelude::*;
 use smallvec::SmallVec;
 use urpsm::core::insertion::linear_dp_insertion;
 use urpsm::core::route::Route;
-use urpsm::core::types::{Request, RequestId, Stop, StopKind, Time};
+use urpsm::core::types::{Request, RequestId, Stop, StopKind, Time, SPEED_BASELINE_PM};
+use urpsm::network::congestion::CongestionProfile;
 use urpsm::network::matrix::MatrixOracle;
 use urpsm::network::oracle::DistanceOracle;
-use urpsm::network::{cost_add, Cost, VertexId};
+use urpsm::network::{cost_add, Cost, VertexId, INF};
 
 // ---------------------------------------------------------------------
 // Differential: SmallVec<u32, 4> vs Vec<u32>.
@@ -179,6 +184,21 @@ fn check_against_shadow(route: &Route, shadow: &[Stop], oracle: &dyn DistanceOra
     assert_eq!(route.len(), shadow.len());
     assert_eq!(route.stops(), shadow);
     assert!(route.validate(8).is_ok());
+    // One start time: the accessor and the schedule array agree.
+    assert_eq!(route.start_time(), route.arr(0));
+    if route.is_empty() {
+        // Nothing but the start state survives: `==` covers the head
+        // freeze and the array lengths, which have no accessor.
+        assert_eq!(route.onboard(), 0, "an empty route carries nobody");
+        assert_eq!(route.slack(0), INF);
+        assert_eq!(route.picked(0), route.onboard());
+        assert_eq!(route.next_arrival(), None);
+        assert_eq!(
+            route,
+            &Route::new(route.start_vertex(), route.start_time()),
+            "an emptied route equals a fresh one"
+        );
+    }
     // `vertices()` (the borrowing iterator) agrees with the stop list.
     let verts: Vec<VertexId> = route.vertices().collect();
     assert_eq!(verts[0], route.start_vertex());
@@ -198,12 +218,15 @@ fn check_against_shadow(route: &Route, shadow: &[Stop], oracle: &dyn DistanceOra
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Insert/remove/pop/snap/replace-tail sequences deep past the
-    /// 8-stop inline capacity keep `Route` exactly equal to its shadow.
+    /// Sequences of every mutator — `apply_insertion`,
+    /// `pop_front_stop`, `remove_request`, `replace_tail`,
+    /// `snap_on_leg`, `set_start`, `set_start_time`, `set_congestion`,
+    /// `set_class_profile`, `clone_from` — deep past the 8-stop inline
+    /// capacity keep `Route` exactly equal to its shadow.
     #[test]
     fn route_matches_shadow_across_spill(
         pairs in proptest::collection::vec((1usize..50, 1usize..50), 1..10),
-        actions in proptest::collection::vec(0u8..4, 10),
+        actions in proptest::collection::vec(0u8..9, 10),
     ) {
         let oracle = line_oracle(50);
         let mut route = Route::new(VertexId(0), 0);
@@ -260,6 +283,45 @@ proptest! {
                     let remaining = oracle.dis(v, shadow[0].vertex);
                     let time = route.arr(1) - remaining;
                     route.snap_on_leg(v, time, remaining);
+                    check_against_shadow(&route, &shadow, &oracle);
+                }
+                // Teleport one vertex over, a little later (drops any
+                // snap freeze and re-times from the new start).
+                4 => {
+                    let v = VertexId((route.start_vertex().0 + 1) % 50);
+                    let first_leg = shadow.first().map(|s| oracle.dis(v, s.vertex));
+                    route.set_start(v, route.start_time() + 7, first_leg);
+                    check_against_shadow(&route, &shadow, &oracle);
+                }
+                // Park-and-wait re-time (the idle clock on an empty
+                // route, a full rebuild on a busy one).
+                5 => {
+                    let t = route.start_time() + 13;
+                    route.set_start_time(t);
+                    assert_eq!(route.arr(0), t);
+                    check_against_shadow(&route, &shadow, &oracle);
+                }
+                // A flat profile, then none: both are the identity on
+                // the schedule and both rebuild it.
+                6 => {
+                    route.set_congestion(Some(std::sync::Arc::new(CongestionProfile::flat())));
+                    check_against_shadow(&route, &shadow, &oracle);
+                    route.set_congestion(None);
+                    check_against_shadow(&route, &shadow, &oracle);
+                }
+                // The baseline class profile: identity, rebuilt.
+                7 => {
+                    route.set_class_profile(SPEED_BASELINE_PM, None);
+                    check_against_shadow(&route, &shadow, &oracle);
+                }
+                // Continue on a `clone_from` copy made over a dirty
+                // destination (the planners' probe-route path).
+                8 => {
+                    let mut copy = Route::new(VertexId(49), 999);
+                    copy.set_start_time(1_234);
+                    copy.clone_from(&route);
+                    assert_eq!(copy, route);
+                    route = copy;
                     check_against_shadow(&route, &shadow, &oracle);
                 }
                 _ => {}

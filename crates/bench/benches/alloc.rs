@@ -157,8 +157,8 @@ mod gated {
             planner.set_threads(threads);
         }
 
-        // Warmup: grow every scratch arena, thread-local grid buffer,
-        // hash-map table and shortlist column to its steady-state size.
+        // Warmup: grow every scratch arena, candidate buffer, hash-map
+        // table and shortlist column to its steady-state size.
         for i in 0..WARMUP {
             let r = request(i, shift);
             planner.on_request(&mut state, &r);

@@ -360,7 +360,7 @@ fn run_axis(axis: &Axis, parallel: bool) -> Vec<Vec<CellResult>> {
     if parallel {
         let width = urpsm_core::exec::available_threads().min(axis.cells.len().max(1));
         let pool = WorkPool::new(width);
-        let feed = IndexFeed::new(axis.cells.len());
+        let feed = IndexFeed::new(0..axis.cells.len());
         let parts = pool.run(|_| {
             let mut done: Vec<(usize, Vec<CellResult>)> = Vec::new();
             while let Some(i) = feed.next() {

@@ -104,6 +104,82 @@ impl Stopwatch {
     }
 }
 
+/// The phases of one DP-planner `plan` call, in journey order: the
+/// grid + class shortlist, the Algo. 4 lower bounds, ordering the
+/// `(LB, worker)` ranks the scan reads, and the exact probes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanPhase {
+    /// `candidate_workers`: grid reachability joined with the class filter.
+    Shortlist,
+    /// `insertion_lower_bound` over every eligible worker.
+    Bounds,
+    /// Ordering shortlist ranks ascending by `(LB, worker)`.
+    Order,
+    /// The Lemma-8 scan of exact linear-DP probes.
+    Probe,
+}
+
+impl PlanPhase {
+    /// Every phase, in slot order.
+    pub const ALL: [PlanPhase; 4] = [
+        PlanPhase::Shortlist,
+        PlanPhase::Bounds,
+        PlanPhase::Order,
+        PlanPhase::Probe,
+    ];
+
+    /// The phase's name in metric keys (`plan_phase_<name>_ns`).
+    pub const fn name(self) -> &'static str {
+        match self {
+            PlanPhase::Shortlist => "shortlist",
+            PlanPhase::Bounds => "bounds",
+            PlanPhase::Order => "order",
+            PlanPhase::Probe => "probe",
+        }
+    }
+}
+
+/// A gate-aware lap timer over the [`PlanPhase`]s of one request: each
+/// [`PhaseClock::lap`] charges the wall-clock since the previous lap to
+/// one phase (a phase entered twice accumulates). Like [`Stopwatch`] it
+/// never touches the clock when the runtime gate was off at
+/// [`PhaseClock::restart`]; the default clock is stopped.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PhaseClock {
+    last: Option<Instant>,
+    ns: [u64; PlanPhase::ALL.len()],
+}
+
+impl PhaseClock {
+    /// Zero every phase and start timing a new request (stays stopped
+    /// when the runtime gate is off).
+    #[inline]
+    pub fn restart(&mut self) {
+        self.last = enabled().then(Instant::now);
+        self.ns = [0; PlanPhase::ALL.len()];
+    }
+
+    /// Charge the time since the previous lap (or the start) to `phase`.
+    #[inline]
+    pub fn lap(&mut self, phase: PlanPhase) {
+        if let Some(last) = self.last {
+            let now = Instant::now();
+            self.ns[phase as usize] += (now - last).as_nanos().min(u64::MAX as u128) as u64;
+            self.last = Some(now);
+        }
+    }
+
+    /// Record one sample per phase (zero for a phase never reached), if
+    /// the clock is running.
+    pub fn record_into(&self, hists: &[ShardedHistogram; PlanPhase::ALL.len()]) {
+        if self.last.is_some() {
+            for (hist, &ns) in hists.iter().zip(&self.ns) {
+                hist.record(ns);
+            }
+        }
+    }
+}
+
 /// Install a panic hook that dumps the flight recorder (JSON, most
 /// recent events) to stderr before delegating to the previous hook.
 /// Idempotent; only dumps when the runtime gate is on at panic time.
@@ -139,11 +215,20 @@ mod tests {
         with(|m| m.workload_events.inc());
         assert_eq!(registry().workload_events.get(), before);
         assert!(Stopwatch::start().elapsed_ns().is_none());
+        let mut clock = PhaseClock::default();
+        clock.restart();
+        clock.lap(PlanPhase::Order);
+        assert!(clock.last.is_none(), "gate off: the clock is never read");
         set_enabled(true);
         assert!(enabled());
         with(|m| m.workload_events.inc());
         assert_eq!(registry().workload_events.get(), before + 1);
         assert!(Stopwatch::start().elapsed_ns().is_some());
+        clock.restart();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        clock.lap(PlanPhase::Order);
+        assert!(clock.ns[PlanPhase::Order as usize] >= 1_000_000);
+        assert_eq!(clock.ns[PlanPhase::Probe as usize], 0);
         set_enabled(false);
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::metrics::{Counter, Gauge, HistSummary, Histogram, ShardedHistogram};
 use crate::ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
+use crate::PlanPhase;
 use std::sync::OnceLock;
 
 /// Upper bound on per-shard labelled series (gauges/counters indexed by
@@ -53,6 +54,12 @@ pub struct Registry {
     pub plan_latency_ns: ShardedHistogram,
     /// Candidate-shortlist length per request.
     pub plan_shortlist_len: ShardedHistogram,
+    /// Shortlist ranks put in `(LB, worker)` order (the lazily ordered
+    /// prefix; at most the sum of `plan_shortlist_len`).
+    pub plan_ordered_ranks: Counter,
+    /// Per-request wall-clock of each planning phase (nanoseconds),
+    /// indexed by [`PlanPhase`].
+    pub plan_phase_ns: [ShardedHistogram; PlanPhase::ALL.len()],
 
     // ── static distance oracle cache ───────────────────────────────────
     /// Static distance-cache hits.
@@ -170,6 +177,8 @@ impl Registry {
             plan_bound_improvements: Counter::new(),
             plan_latency_ns: ShardedHistogram::new(),
             plan_shortlist_len: ShardedHistogram::new(),
+            plan_ordered_ranks: Counter::new(),
+            plan_phase_ns: std::array::from_fn(|_| ShardedHistogram::new()),
             dis_cache_hits: Counter::new(),
             dis_cache_misses: Counter::new(),
             dis_cache_evictions: Counter::new(),
@@ -237,6 +246,8 @@ impl Registry {
             plan_bound_improvements: self.plan_bound_improvements.get(),
             plan_latency_ns: self.plan_latency_ns.summary(),
             plan_shortlist_len: self.plan_shortlist_len.summary(),
+            plan_ordered_ranks: self.plan_ordered_ranks.get(),
+            plan_phase_ns: std::array::from_fn(|p| self.plan_phase_ns[p].summary()),
             dis_cache_hits: self.dis_cache_hits.get(),
             dis_cache_misses: self.dis_cache_misses.get(),
             dis_cache_evictions: self.dis_cache_evictions.get(),
@@ -312,6 +323,8 @@ pub struct MetricsSnapshot {
     pub plan_bound_improvements: u64,
     pub plan_latency_ns: HistSummary,
     pub plan_shortlist_len: HistSummary,
+    pub plan_ordered_ranks: u64,
+    pub plan_phase_ns: [HistSummary; PlanPhase::ALL.len()],
     pub dis_cache_hits: u64,
     pub dis_cache_misses: u64,
     pub dis_cache_evictions: u64,
@@ -377,6 +390,7 @@ impl MetricsSnapshot {
             ("plan_parallel_requests", self.plan_parallel_requests),
             ("plan_probes", self.plan_probes),
             ("plan_bound_improvements", self.plan_bound_improvements),
+            ("plan_ordered_ranks", self.plan_ordered_ranks),
         ] {
             o.push_str(&format!("\"{k}\":{v},"));
         }
@@ -384,6 +398,10 @@ impl MetricsSnapshot {
         o.push(',');
         hist_json(&mut o, "plan_shortlist_len", &self.plan_shortlist_len);
         o.push(',');
+        for (phase, h) in PlanPhase::ALL.iter().zip(&self.plan_phase_ns) {
+            hist_json(&mut o, &format!("plan_phase_{}_ns", phase.name()), h);
+            o.push(',');
+        }
         o.push_str(&format!(
             "\"dis_cache_hit_rate\":{:.6},\"td_dis_hit_rate\":{:.6},",
             self.dis_cache_hit_rate, self.td_dis_hit_rate
@@ -471,6 +489,9 @@ mod tests {
         );
         for key in [
             "plan_latency_ns",
+            "plan_ordered_ranks",
+            "plan_phase_shortlist_ns",
+            "plan_phase_probe_ns",
             "td_dis_hit_rate",
             "wal_flush_ns",
             "shard_events",

@@ -95,6 +95,20 @@ pub fn render_prometheus(reg: &Registry) -> String {
     );
     counter(
         &mut o,
+        "urpsm_plan_ordered_ranks_total",
+        "Shortlist ranks put in (LB, worker) order",
+        reg.plan_ordered_ranks.get(),
+    );
+    for (phase, hist) in crate::PlanPhase::ALL.iter().zip(&reg.plan_phase_ns) {
+        histogram(
+            &mut o,
+            &format!("urpsm_plan_phase_{}_ns", phase.name()),
+            &format!("Per-request {} phase of the DP planners (ns)", phase.name()),
+            &hist.merged(),
+        );
+    }
+    counter(
+        &mut o,
         "urpsm_dis_cache_hits_total",
         "Static distance-cache hits",
         reg.dis_cache_hits.get(),

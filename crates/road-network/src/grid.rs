@@ -5,7 +5,8 @@
 //! * [`GridIndex`] — plain per-cell buckets of item ids. This is what
 //!   `pruneGreedyDP`, `GreedyDP`, `kinetic` and `batch` use: "the grid
 //!   index of the other algorithms only stores the IDs of workers in
-//!   the grid".
+//!   the grid". Each bucket carries its items' points in a parallel
+//!   column, so a range query is a linear scan of dense arrays.
 //! * [`SortedCellGrid`] — additionally precomputes, for every cell, all
 //!   cells sorted by center distance (T-Share's "spatio-temporally
 //!   ordered grid lists"). Candidate search walks that list outward.
@@ -27,8 +28,11 @@ pub struct GridIndex {
     nx: usize,
     ny: usize,
     cells: Vec<Vec<ItemId>>,
-    /// item -> (cell, exact position); positions let queries filter by
-    /// true distance instead of cell membership alone.
+    /// `cell_pts[c][k]` is the exact position of item `cells[c][k]`:
+    /// range queries filter by true distance off this column, without a
+    /// lookup per item. Every bucket edit moves both columns alike.
+    cell_pts: Vec<Vec<Point>>,
+    /// item -> (cell, exact position), the by-id side of the index.
     items: FxHashMap<ItemId, (usize, Point)>,
 }
 
@@ -48,6 +52,7 @@ impl GridIndex {
             nx,
             ny,
             cells: vec![Vec::new(); nx * ny],
+            cell_pts: vec![Vec::new(); nx * ny],
             items: FxHashMap::default(),
         }
     }
@@ -96,18 +101,20 @@ impl GridIndex {
     pub fn upsert(&mut self, id: ItemId, p: Point) {
         let new_cell = self.cell_of(p);
         match self.items.get_mut(&id) {
-            Some((old_cell, old_p)) => {
-                let old_cell = *old_cell;
+            Some((cell, old_p)) => {
+                let old_cell = std::mem::replace(cell, new_cell);
                 *old_p = p;
-                if old_cell != new_cell {
-                    Self::remove_from_cell(&mut self.cells[old_cell], id);
-                    self.cells[new_cell].push(id);
-                    self.items.get_mut(&id).expect("just seen").0 = new_cell;
+                if old_cell == new_cell {
+                    let slot = Self::slot_in(&self.cells[old_cell], id);
+                    self.cell_pts[old_cell][slot] = p;
+                } else {
+                    self.remove_from_cell(old_cell, id);
+                    self.push_to_cell(new_cell, id, p);
                 }
             }
             None => {
-                self.cells[new_cell].push(id);
                 self.items.insert(id, (new_cell, p));
+                self.push_to_cell(new_cell, id, p);
             }
         }
     }
@@ -116,17 +123,29 @@ impl GridIndex {
     pub fn remove(&mut self, id: ItemId) -> bool {
         match self.items.remove(&id) {
             Some((cell, _)) => {
-                Self::remove_from_cell(&mut self.cells[cell], id);
+                self.remove_from_cell(cell, id);
                 true
             }
             None => false,
         }
     }
 
-    fn remove_from_cell(cell: &mut Vec<ItemId>, id: ItemId) {
-        if let Some(pos) = cell.iter().position(|&x| x == id) {
-            cell.swap_remove(pos);
-        }
+    fn slot_in(bucket: &[ItemId], id: ItemId) -> usize {
+        bucket
+            .iter()
+            .position(|&x| x == id)
+            .expect("an indexed item is in its cell's bucket")
+    }
+
+    fn push_to_cell(&mut self, cell: usize, id: ItemId, p: Point) {
+        self.cells[cell].push(id);
+        self.cell_pts[cell].push(p);
+    }
+
+    fn remove_from_cell(&mut self, cell: usize, id: ItemId) {
+        let slot = Self::slot_in(&self.cells[cell], id);
+        self.cells[cell].swap_remove(slot);
+        self.cell_pts[cell].swap_remove(slot);
     }
 
     /// Exact position of an item, if indexed.
@@ -138,6 +157,13 @@ impl GridIndex {
     /// point-distance filter after the coarse cell sweep) into `out`.
     pub fn items_within(&self, p: Point, radius_m: f64, out: &mut Vec<ItemId>) {
         out.clear();
+        self.for_each_within(p, radius_m, |id| out.push(id));
+    }
+
+    /// Calls `visit` with the id of every item within `radius_m` of `p`
+    /// (exact point-distance filter after the coarse cell sweep), cell
+    /// by cell in bucket order.
+    pub fn for_each_within(&self, p: Point, radius_m: f64, mut visit: impl FnMut(ItemId)) {
         if radius_m < 0.0 {
             return;
         }
@@ -157,10 +183,9 @@ impl GridIndex {
         for cy in lo_y..=hi_y {
             for cx in lo_x..=hi_x {
                 let c = cy as usize * self.nx + cx as usize;
-                for &id in &self.cells[c] {
-                    let q = self.items[&id].1;
+                for (&id, q) in self.cells[c].iter().zip(&self.cell_pts[c]) {
                     if q.euclidean_m(&p) <= radius_m {
-                        out.push(id);
+                        visit(id);
                     }
                 }
             }
@@ -175,8 +200,15 @@ impl GridIndex {
     /// Approximate heap usage in bytes.
     pub fn mem_bytes(&self) -> usize {
         let buckets: usize = self.cells.iter().map(|c| c.capacity() * 8).sum();
+        let points: usize = self
+            .cell_pts
+            .iter()
+            .map(|c| c.capacity() * std::mem::size_of::<Point>())
+            .sum();
         self.cells.capacity() * std::mem::size_of::<Vec<ItemId>>()
+            + self.cell_pts.capacity() * std::mem::size_of::<Vec<Point>>()
             + buckets
+            + points
             + self.items.capacity() * (8 + std::mem::size_of::<(usize, Point)>() + 8)
     }
 }
@@ -391,5 +423,112 @@ mod tests {
         let coarse = SortedCellGrid::new(bbox(10_000.0, 10_000.0), 2_000.0);
         let fine = SortedCellGrid::new(bbox(10_000.0, 10_000.0), 500.0);
         assert!(fine.mem_bytes() > coarse.mem_bytes() * 50);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step against the index; ids come from a small pool so
+        /// moves, re-inserts and removals of live items are common.
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Insert, or move anywhere (usually across cells).
+            Upsert(ItemId, Point),
+            /// Move a live item a few metres (usually within its cell).
+            Nudge(ItemId, f64, f64),
+            Remove(ItemId),
+            /// Range query centred on a point…
+            Within(Point, f64),
+            /// …or exactly on a live item, where radius 0 still hits.
+            WithinAt(ItemId, f64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            // The box is 1 000 × 1 000: a fifth of the points fall outside.
+            let point = || (-150.0..1_150.0, -150.0..1_150.0).prop_map(|(x, y)| Point::new(x, y));
+            let id = || 0u64..24;
+            let radius = || prop_oneof![Just(0.0), -50.0..0.0, 0.0..900.0];
+            prop_oneof![
+                (id(), point()).prop_map(|(id, p)| Op::Upsert(id, p)),
+                (id(), -20.0..20.0, -20.0..20.0).prop_map(|(id, dx, dy)| Op::Nudge(id, dx, dy)),
+                id().prop_map(Op::Remove),
+                (point(), radius()).prop_map(|(p, r)| Op::Within(p, r)),
+                (id(), radius()).prop_map(|(id, r)| Op::WithinAt(id, r)),
+            ]
+        }
+
+        /// Both bucket columns agree with the by-id map, item for item.
+        fn check_columns(g: &GridIndex) -> Result<(), TestCaseError> {
+            let mut bucketed = 0;
+            for (c, (ids, pts)) in g.cells.iter().zip(&g.cell_pts).enumerate() {
+                prop_assert_eq!(ids.len(), pts.len());
+                for (id, p) in ids.iter().zip(pts) {
+                    prop_assert_eq!(g.items.get(id), Some(&(c, *p)));
+                    prop_assert_eq!(g.cell_of(*p), c);
+                }
+                bucketed += ids.len();
+            }
+            prop_assert_eq!(bucketed, g.items.len());
+            Ok(())
+        }
+
+        proptest! {
+            /// The grid against a brute-force list, step by step.
+            #[test]
+            fn grid_matches_a_brute_force_list(ops in collection::vec(op(), 1..120)) {
+                let mut g = GridIndex::new(bbox(1_000.0, 1_000.0), 250.0);
+                let mut model: Vec<(ItemId, Point)> = Vec::new();
+                let find = |model: &[(ItemId, Point)], id| model.iter().position(|&(x, _)| x == id);
+                let mut out = Vec::new();
+                for op in ops {
+                    let query = match op {
+                        Op::Upsert(id, p) => {
+                            g.upsert(id, p);
+                            match find(&model, id) {
+                                Some(k) => model[k].1 = p,
+                                None => model.push((id, p)),
+                            }
+                            None
+                        }
+                        Op::Nudge(id, dx, dy) => {
+                            if let Some(k) = find(&model, id) {
+                                let p = Point::new(model[k].1.x + dx, model[k].1.y + dy);
+                                g.upsert(id, p);
+                                model[k].1 = p;
+                            }
+                            None
+                        }
+                        Op::Remove(id) => {
+                            let k = find(&model, id);
+                            prop_assert_eq!(g.remove(id), k.is_some());
+                            if let Some(k) = k {
+                                model.swap_remove(k);
+                            }
+                            None
+                        }
+                        Op::Within(p, r) => Some((p, r)),
+                        Op::WithinAt(id, r) => find(&model, id).map(|k| (model[k].1, r)),
+                    };
+                    if let Some((p, r)) = query {
+                        g.items_within(p, r, &mut out);
+                        out.sort_unstable();
+                        let mut brute: Vec<ItemId> = model
+                            .iter()
+                            .filter(|(_, q)| q.euclidean_m(&p) <= r)
+                            .map(|&(id, _)| id)
+                            .collect();
+                        brute.sort_unstable();
+                        prop_assert_eq!(&out, &brute, "within {:?} of {:?}", r, p);
+                    }
+                    prop_assert_eq!(g.len(), model.len());
+                    for id in 0..24 {
+                        let expect = find(&model, id).map(|k| model[k].1);
+                        prop_assert_eq!(g.position(id), expect);
+                    }
+                    check_columns(&g)?;
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 //!   [`std::thread::scope`], so workers may borrow the platform state
 //!   (no `'static` bound, no `unsafe`). Thread 0 is the *calling*
 //!   thread: a pool of width `t` spawns only `t − 1` OS threads.
-//! * [`IndexFeed`] — an atomic work queue over `0..len`. Feeding
+//! * [`IndexFeed`] — an atomic work queue over an index range. Feeding
 //!   indices in ascending order is what lets Lemma 8's monotone-bound
 //!   argument carry over to the parallel scan (see
 //!   [`AtomicMin`]).
@@ -122,7 +122,7 @@ impl WorkPool {
     }
 }
 
-/// An atomic work queue over the indices `0..len`, handed out in
+/// An atomic work queue over a range of indices, handed out in
 /// ascending order.
 ///
 /// Ascending order matters: the planning phase feeds candidates sorted
@@ -132,15 +132,16 @@ impl WorkPool {
 #[derive(Debug)]
 pub struct IndexFeed {
     next: AtomicUsize,
-    len: usize,
+    end: usize,
 }
 
 impl IndexFeed {
-    /// A feed over `0..len`.
-    pub fn new(len: usize) -> Self {
+    /// A feed over `range` (`0..len` for a whole scan, a rank range
+    /// for one chunk of a scan that is ordered a prefix at a time).
+    pub fn new(range: std::ops::Range<usize>) -> Self {
         IndexFeed {
-            next: AtomicUsize::new(0),
-            len,
+            next: AtomicUsize::new(range.start),
+            end: range.end,
         }
     }
 
@@ -151,7 +152,7 @@ impl IndexFeed {
         // Relaxed is enough: `fetch_add` is already atomic, and no
         // other memory is published through this counter.
         let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.len).then_some(i)
+        (i < self.end).then_some(i)
     }
 }
 
@@ -243,7 +244,7 @@ mod tests {
 
     #[test]
     fn feed_hands_each_index_exactly_once() {
-        let feed = IndexFeed::new(1_000);
+        let feed = IndexFeed::new(0..1_000);
         let pool = WorkPool::new(4);
         let counted = AtomicUsize::new(0);
         let sums = pool.run(|_| {
@@ -257,6 +258,14 @@ mod tests {
         assert_eq!(counted.load(Ordering::Relaxed), 1_000);
         assert_eq!(sums.iter().sum::<usize>(), 999 * 1_000 / 2);
         assert_eq!(feed.next(), None);
+    }
+
+    #[test]
+    fn ranged_feed_starts_and_stops_at_its_bounds() {
+        let feed = IndexFeed::new(32..35);
+        let pulled: Vec<usize> = std::iter::from_fn(|| feed.next()).collect();
+        assert_eq!(pulled, vec![32, 33, 34]);
+        assert_eq!(IndexFeed::new(7..7).next(), None);
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! * the only real query is `L = dis(o_r, d_r)`, shared across all
 //!   candidate workers of the request (Algo. 4 line 1).
 //!
+//! The scan visits route positions left to right and reads each
+//! `euc(l_k, o_r)` / `euc(l_k, d_r)` pair twice — as position `k` and as
+//! the successor of `k − 1` — so the pair is computed once, one slot
+//! ahead, and rolled forward: two `euc` calls per visited position,
+//! pinned by a `CountingOracle` test.
+//!
 //! Every feasibility check is *relaxed* (an `euc` underestimate can only
 //! widen the candidate set) and every candidate value underestimates the
 //! true `Δ_{i,j}`, so the returned value is a valid lower bound of `Δ*`;
@@ -56,22 +62,25 @@ pub fn insertion_lower_bound(
     let mut best: Option<Cost> = None;
     let mut dio: Cost = INF; // Dioeuc (Eq. 16)
 
-    // euc(l_k, o_r) / euc(l_k, d_r), computed on the fly per position;
-    // each is needed at most twice (as position k and as successor of
-    // k−1), so we keep a one-slot lookahead instead of full arrays.
-    let euc_or = |k: usize| oracle.euc(route.vertex(k), r.origin);
-    let euc_dr = |k: usize| oracle.euc(route.vertex(k), r.destination);
+    // euc(l_k, o_r) / euc(l_k, d_r): each pair is read as position k
+    // and as the successor of k−1, so it is computed once, one slot
+    // ahead, and rolled forward — two `euc` calls per visited position.
+    let euc_pair = |k: usize| {
+        let v = route.vertex(k);
+        (oracle.euc(v, r.origin), oracle.euc(v, r.destination))
+    };
+    let (mut e_or_j, mut e_dr_j) = euc_pair(0);
 
     for j in 0..=n {
-        let e_or_j = euc_or(j);
-        let e_dr_j = euc_dr(j);
+        // Read only under `j < n`.
+        let (e_or_next, e_dr_next) = if j < n { euc_pair(j + 1) } else { (0, 0) };
 
         // i = j special cases (Eq. 15 rows 1–2, relaxed).
         if route.picked(j) <= free && cost_add3(route.arr(j), e_or_j, direct) <= r.deadline {
             let lb = if j == n {
                 cost_add(e_or_j, direct)
             } else {
-                cost_add3(e_or_j, direct, euc_dr(j + 1)).saturating_sub(route.leg(j + 1))
+                cost_add3(e_or_j, direct, e_dr_next).saturating_sub(route.leg(j + 1))
             };
             if lb <= route.slack(j) && best.is_none_or(|b| lb < b) {
                 best = Some(lb);
@@ -87,7 +96,7 @@ pub fn insertion_lower_bound(
             let ldet_j = if j == n {
                 e_dr_j
             } else {
-                cost_add(e_dr_j, euc_dr(j + 1)).saturating_sub(route.leg(j + 1))
+                cost_add(e_dr_j, e_dr_next).saturating_sub(route.leg(j + 1))
             };
             let lb = cost_add(dio, ldet_j);
             if lb <= route.slack(j) && best.is_none_or(|b| lb < b) {
@@ -106,12 +115,13 @@ pub fn insertion_lower_bound(
             if route.picked(j) > free {
                 dio = INF;
             } else {
-                let ldet = cost_add(e_or_j, euc_or(j + 1)).saturating_sub(route.leg(j + 1));
+                let ldet = cost_add(e_or_j, e_or_next).saturating_sub(route.leg(j + 1));
                 if ldet <= route.slack(j) && ldet <= dio {
                     dio = ldet;
                 }
             }
         }
+        (e_or_j, e_dr_j) = (e_or_next, e_dr_next);
     }
     best
 }
@@ -215,13 +225,191 @@ mod tests {
     fn lb_uses_single_shared_direct_query() {
         // The function signature takes `direct` by value — this test
         // documents that no additional dis() query is made: we hand it
-        // a CountingOracle and expect zero dis traffic.
+        // a CountingOracle and expect zero dis traffic, and exactly one
+        // `euc` pair for the one position of an idle route.
         use road_network::oracle::CountingOracle;
         let oracle = CountingOracle::new(detour_oracle(20));
         let route = Route::new(VertexId(0), 0);
         let r = request(1, 5, 9, 100_000);
         let _ = insertion_lower_bound(&route, 4, &r, 1_200, &oracle).unwrap();
         assert_eq!(oracle.stats().dis, 0, "LB must not issue dis() queries");
-        assert!(oracle.stats().euc > 0);
+        assert_eq!(oracle.stats().euc, 2);
+    }
+
+    /// HEAD's `insertion_lower_bound` before the rolled-forward `euc`
+    /// pair, kept verbatim as the differential reference: its closures
+    /// re-evaluate `euc` wherever a value is read.
+    fn reference_lower_bound(
+        route: &Route,
+        worker_capacity: u32,
+        r: &Request,
+        direct: Cost,
+        oracle: &dyn DistanceOracle,
+    ) -> Option<Cost> {
+        if r.capacity > worker_capacity || direct >= INF {
+            return None;
+        }
+        let n = route.len();
+        let free = worker_capacity - r.capacity;
+        let mut best: Option<Cost> = None;
+        let mut dio: Cost = INF;
+        let euc_or = |k: usize| oracle.euc(route.vertex(k), r.origin);
+        let euc_dr = |k: usize| oracle.euc(route.vertex(k), r.destination);
+        for j in 0..=n {
+            let e_or_j = euc_or(j);
+            let e_dr_j = euc_dr(j);
+            if route.picked(j) <= free && cost_add3(route.arr(j), e_or_j, direct) <= r.deadline {
+                let lb = if j == n {
+                    cost_add(e_or_j, direct)
+                } else {
+                    cost_add3(e_or_j, direct, euc_dr(j + 1)).saturating_sub(route.leg(j + 1))
+                };
+                if lb <= route.slack(j) && best.is_none_or(|b| lb < b) {
+                    best = Some(lb);
+                }
+            }
+            if j > 0
+                && dio < INF
+                && route.picked(j) <= free
+                && cost_add3(route.arr(j), dio, e_dr_j) <= r.deadline
+            {
+                let ldet_j = if j == n {
+                    e_dr_j
+                } else {
+                    cost_add(e_dr_j, euc_dr(j + 1)).saturating_sub(route.leg(j + 1))
+                };
+                let lb = cost_add(dio, ldet_j);
+                if lb <= route.slack(j) && best.is_none_or(|b| lb < b) {
+                    best = Some(lb);
+                }
+            }
+            if cost_add(route.arr(j), e_dr_j) > r.deadline {
+                break;
+            }
+            if j < n {
+                if route.picked(j) > free {
+                    dio = INF;
+                } else {
+                    let ldet = cost_add(e_or_j, euc_or(j + 1)).saturating_sub(route.leg(j + 1));
+                    if ldet <= route.slack(j) && ldet <= dio {
+                        dio = ldet;
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use road_network::congestion::CongestionProfile;
+        use road_network::oracle::CountingOracle;
+        use std::sync::Arc;
+
+        const VERTICES: u32 = 40;
+
+        /// A route of exactly `stops` stops: riders inserted by the
+        /// exact operator until it is long enough, then driven forward
+        /// (stop counts of either parity, riders on board at `l_0`).
+        fn random_route(
+            rng: &mut StdRng,
+            oracle: &dyn DistanceOracle,
+            stops: usize,
+            congested: bool,
+        ) -> Route {
+            let mut route = Route::new(VertexId(rng.gen_range(0..VERTICES)), 0);
+            if congested {
+                let profile = CongestionProfile::constant("x1.5", 1.5).unwrap();
+                route.set_congestion(Some(Arc::new(profile)));
+            }
+            let mut id = 100;
+            while route.len() < stops {
+                let o = rng.gen_range(0..VERTICES);
+                let d = (o + rng.gen_range(1..VERTICES)) % VERTICES;
+                let rider = request(id, o, d, 10_000_000);
+                id += 1;
+                let plan = linear_dp_insertion(&route, u32::MAX, &rider, oracle)
+                    .expect("an unconstrained rider always fits");
+                route.apply_insertion(&plan, &rider);
+            }
+            while route.len() > stops {
+                route.pop_front_stop();
+            }
+            route
+        }
+
+        /// A request against `route`: deadlines from hopeless to loose,
+        /// and a vehicle anywhere from full to empty.
+        fn random_query(rng: &mut StdRng, route: &Route) -> (Request, u32) {
+            let o = rng.gen_range(0..VERTICES);
+            let d = (o + rng.gen_range(1..VERTICES)) % VERTICES;
+            let horizon = route.arr(route.len()) + 20_000;
+            let deadline = match rng.gen_range(0..3) {
+                0 => rng.gen_range(0..=horizon),
+                1 => route.arr(rng.gen_range(0..=route.len())) + rng.gen_range(0..3_000),
+                _ => 10_000_000,
+            };
+            let peak = (0..=route.len()).map(|k| route.picked(k)).max().unwrap();
+            let capacity = (peak + rng.gen_range(0..3)).max(1);
+            (request(1, o, d, deadline), capacity)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Rolling the `euc` pair forward changes no answer: equal
+            /// `Option<Cost>` to the closure-per-read reference on
+            /// routes across the 8-stop inline boundary.
+            #[test]
+            fn rolled_forward_lb_equals_the_reference(
+                seed in 0u64..1_000_000,
+                stops in 0usize..13,
+                congested in any::<bool>(),
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let oracle = detour_oracle(VERTICES as usize);
+                let route = random_route(&mut rng, &oracle, stops, congested);
+                prop_assert_eq!(route.len(), stops);
+                for _ in 0..16 {
+                    let (r, capacity) = random_query(&mut rng, &route);
+                    let direct = oracle.dis(r.origin, r.destination);
+                    prop_assert_eq!(
+                        insertion_lower_bound(&route, capacity, &r, direct, &oracle),
+                        reference_lower_bound(&route, capacity, &r, direct, &oracle),
+                        "capacity {} request {:?}", capacity, r
+                    );
+                }
+            }
+
+            /// Two `euc` calls per visited position — the positions up
+            /// to the one whose relaxed prune stops the scan, plus its
+            /// one-slot lookahead — and never a `dis` call.
+            #[test]
+            fn lb_costs_two_euc_per_visited_position(
+                seed in 0u64..1_000_000,
+                stops in 0usize..13,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let oracle = CountingOracle::new(detour_oracle(VERTICES as usize));
+                let route = random_route(&mut rng, &oracle, stops, false);
+                for _ in 0..16 {
+                    let (r, capacity) = random_query(&mut rng, &route);
+                    let direct = oracle.dis(r.origin, r.destination);
+                    let stopped_at = (0..=stops).find(|&j| {
+                        let e_dr = oracle.inner().euc(route.vertex(j), r.destination);
+                        cost_add(route.arr(j), e_dr) > r.deadline
+                    });
+                    let visited = stopped_at.map_or(stops + 1, |j| (j + 2).min(stops + 1));
+                    oracle.reset();
+                    let _ = insertion_lower_bound(&route, capacity, &r, direct, &oracle);
+                    let stats = oracle.stats();
+                    prop_assert_eq!(stats.dis, 0);
+                    prop_assert_eq!(stats.euc, 2 * visited as u64);
+                }
+            }
+        }
     }
 }

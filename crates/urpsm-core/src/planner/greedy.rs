@@ -12,11 +12,11 @@
 //!
 //! # The parallel engine (`PlannerConfig::threads`)
 //!
-//! The decision phase (lower bounds, sort, economic test) is
+//! The decision phase (lower bounds, ordering, economic test) is
 //! coordinate arithmetic with no `dis` query and always runs on the
 //! calling thread. Only the planning phase — one exact linear-DP probe
 //! per candidate, independent per worker — fans out: with
-//! `threads > 1` and a wide enough shortlist the same [`probe`] loop
+//! `threads > 1` and a wide enough chunk the same [`probe`] loop
 //! runs on every thread of one scoped [`WorkPool`] against an
 //! immutable [`FleetView`], pulling ranks off a shared ascending-`LB`
 //! [`IndexFeed`] and pruning on a shared [`AtomicMin`] best-`Δ`.
@@ -25,6 +25,19 @@
 //! width-1 scan finds — the planner is extensionally identical at
 //! every thread count (DESIGN.md §5, differential suite in
 //! `tests/parallel_equivalence.rs`).
+//!
+//! # The lazily ordered scan
+//!
+//! Lemma 8 usually stops the scan within a handful of ranks, so
+//! `pruneGreedyDP` orders only the first [`FIRST_CHUNK`] ranks of the
+//! shortlist before probing. The tail is ordered only if that chunk
+//! runs out with `bound ≥ LB(last ordered rank)` — every unordered `LB`
+//! is at least that one, so the opposite (strict) outcome is exactly
+//! "the fully sorted scan would have stopped by now". The bound is
+//! shared across chunks and the per-chunk winners merge by
+//! `min (Δ, worker_id)`, so at width 1 the probe set, the probe order
+//! and every `dis` call are those of a scan over the fully sorted
+//! list; `GreedyDP` probes everything and orders everything at once.
 
 use road_network::oracle::DistanceOracle;
 use road_network::{Cost, INF};
@@ -40,12 +53,26 @@ use crate::types::{Request, WorkerId};
 use super::scratch::PlanScratch;
 use super::{reply_one, Planner, PlannerConfig, PlannerReplies};
 
+#[cfg(feature = "obs")]
+use urpsm_obs::PlanPhase;
+
 /// Minimum shortlisted candidates per fan-out thread: the effective
 /// width is `min(threads, candidates / MIN_CANDIDATES_PER_THREAD)`, so
 /// a narrow request never pays spawn cost for idle workers and a
 /// sub-`2×` shortlist runs on the calling thread alone. A pure
 /// wall-clock heuristic: every width returns the same plan.
 const MIN_CANDIDATES_PER_THREAD: usize = 16;
+
+/// Ranks `pruneGreedyDP` orders before its first probe (the rest only
+/// if Lemma 8 has not fired by the end of them). Like
+/// [`MIN_CANDIDATES_PER_THREAD`] a pure wall-clock heuristic: every
+/// value returns the same plan.
+const FIRST_CHUNK: usize = 32;
+
+// A later chunk exists only behind a full first one, and a full first
+// chunk is wide enough to fan out: a request fans out in its first
+// chunk or not at all (what `plan_parallel_requests` counts).
+const _: () = assert!(FIRST_CHUNK >= 2 * MIN_CANDIDATES_PER_THREAD);
 
 /// The best placement found so far: `(Δ*, worker, plan)`.
 type Best = Option<(Cost, WorkerId, InsertionPlan)>;
@@ -55,8 +82,9 @@ type Best = Option<(Cost, WorkerId, InsertionPlan)>;
 struct DpEngine {
     /// `threads` holds the resolved fan-out width (never `0`).
     cfg: PlannerConfig,
-    /// The request's candidates in ascending `(LBΔ*, worker)` order,
-    /// filled by the decision phase and read by every probing thread.
+    /// The request's candidates, filled by the decision phase, ordered
+    /// ascending by `(LBΔ*, worker)` a prefix at a time and read by
+    /// every probing thread.
     shortlist: Shortlist,
     /// One probe arena per fan-out thread (index 0 is the calling
     /// thread's), grown on demand. With the shortlist above this is
@@ -64,6 +92,9 @@ struct DpEngine {
     /// path never allocates (gated by `benches/alloc.rs`).
     scratches: Vec<PlanScratch>,
     candidates: CandidateBuf,
+    /// Where the latest `plan` call's wall-clock went, by phase.
+    #[cfg(feature = "obs")]
+    clock: urpsm_obs::PhaseClock,
 }
 
 impl Default for DpEngine {
@@ -79,6 +110,8 @@ impl DpEngine {
             shortlist: Shortlist::new(),
             scratches: vec![PlanScratch::default()],
             candidates: CandidateBuf::new(),
+            #[cfg(feature = "obs")]
+            clock: urpsm_obs::PhaseClock::default(),
         };
         engine.set_threads(cfg.threads);
         engine
@@ -107,7 +140,7 @@ impl DpEngine {
             }
         };
         #[cfg(feature = "obs")]
-        record_plan_obs(&obs_sw, r, _shortlisted, &outcome);
+        record_plan_obs(&obs_sw, r, _shortlisted, &outcome, self);
         outcome
     }
 
@@ -121,9 +154,14 @@ impl DpEngine {
             shortlist,
             scratches,
             candidates,
+            #[cfg(feature = "obs")]
+            clock,
         } = self;
+        shortlist.clear();
         let oracle = state.oracle_arc();
         let direct = oracle.dis(r.origin, r.destination);
+        #[cfg(feature = "obs")]
+        clock.restart();
         if direct >= INF {
             return (0, None);
         }
@@ -133,64 +171,101 @@ impl DpEngine {
         // as an opaque view. This is the only place the engine learns
         // which workers may compete; it cannot add its own.
         let eligible = state.candidate_workers(r, direct, candidates);
+        #[cfg(feature = "obs")]
+        clock.lap(PlanPhase::Shortlist);
 
-        // Phase 1 (Algo. 4): lower bounds, the `(LB, worker)` sort and
-        // the economic test — the same loop, order and gate as
-        // `decision_phase`, into `clear()`-reused storage. No `dis`
-        // query, so it stays on the calling thread at every width.
+        // Phase 1 (Algo. 4): lower bounds, the head of the
+        // `(LB, worker)` order and the economic test — the same loop,
+        // order and gate as `decision_phase`, into `clear()`-reused
+        // storage. No `dis` query, so it stays on the calling thread at
+        // every width.
         let view = state.view();
-        shortlist.clear();
         collect_lower_bounds(view, r, direct, eligible.iter(), shortlist);
-        shortlist.sort_by_bound();
+        #[cfg(feature = "obs")]
+        clock.lap(PlanPhase::Bounds);
+        shortlist.order_through(if prune { FIRST_CHUNK } else { usize::MAX });
+        #[cfg(feature = "obs")]
+        clock.lap(PlanPhase::Order);
         if economic_reject(cfg.alpha, r, shortlist.min_lb()) {
             return (eligible.len(), None);
         }
 
         // Phase 2 (Algo. 5 lines 6–10): the exact scan in ascending LB
-        // order, fanned out when the shortlist is wide enough to pay
-        // for the spawn set.
-        let shortlist = &*shortlist;
-        let feed = IndexFeed::new(shortlist.len());
+        // order, one ordered chunk at a time, each fanned out when it
+        // is wide enough to pay for the spawn set.
         let bound = AtomicMin::new();
-        let width = cfg.threads.min(eligible.len() / MIN_CANDIDATES_PER_THREAD);
-        let best = if width > 1 {
-            #[cfg(feature = "obs")]
-            urpsm_obs::with(|m| m.plan_parallel_requests.inc());
-            if scratches.len() < width {
-                scratches.resize_with(width, PlanScratch::default);
-            }
+        let mut best: Best = None;
+        let mut start = 0;
+        loop {
+            let ranked = &*shortlist;
+            let end = ranked.ordered();
+            let feed = IndexFeed::new(start..end);
+            let width = cfg.threads.min((end - start) / MIN_CANDIDATES_PER_THREAD);
+            let chunk_best = if width > 1 {
+                #[cfg(feature = "obs")]
+                if start == 0 {
+                    urpsm_obs::with(|m| m.plan_parallel_requests.inc());
+                }
+                if scratches.len() < width {
+                    scratches.resize_with(width, PlanScratch::default);
+                }
+                WorkPool::new(width)
+                    .run_with(&mut scratches[..width], |_, scratch| {
+                        probe(ranked, &feed, &bound, scratch, prune, view, r, &*oracle)
+                    })
+                    .into_iter()
+                    .flatten()
+                    .min_by_key(|(delta, w, _)| (*delta, *w))
+            } else {
+                probe(
+                    ranked,
+                    &feed,
+                    &bound,
+                    &mut scratches[0],
+                    prune,
+                    view,
+                    r,
+                    &*oracle,
+                )
+            };
             // Worker ids are unique, so `(Δ, worker)` has no ties and
-            // the reduction is independent of thread order.
-            WorkPool::new(width)
-                .run_with(&mut scratches[..width], |_, scratch| {
-                    probe(shortlist, &feed, &bound, scratch, prune, view, r, &*oracle)
-                })
+            // the reduction is independent of thread and chunk order.
+            best = best
                 .into_iter()
-                .flatten()
-                .min_by_key(|(delta, w, _)| (*delta, *w))
-        } else {
-            probe(
-                shortlist,
-                &feed,
-                &bound,
-                &mut scratches[0],
-                prune,
-                view,
-                r,
-                &*oracle,
-            )
-        };
+                .chain(chunk_best)
+                .min_by_key(|(delta, w, _)| (*delta, *w));
+            #[cfg(feature = "obs")]
+            clock.lap(PlanPhase::Probe);
+
+            // Lemma 8 across chunks: every unordered LB is at least the
+            // last ordered one, so a bound strictly below that one has
+            // already stopped the scan.
+            if end == ranked.len() || (prune && bound.get() < ranked.get(end - 1).0) {
+                break;
+            }
+            shortlist.order_through(usize::MAX);
+            #[cfg(feature = "obs")]
+            clock.lap(PlanPhase::Order);
+            start = end;
+        }
         (eligible.len(), best)
     }
 }
 
-/// Record one planner invocation into the registry: latency and
-/// shortlist-size histograms, outcome counters, and a `PlanRequest`
-/// trace record. The trace's probe word carries the *cumulative*
-/// `plan_probes` counter at record time — consumers diff consecutive
-/// records to recover per-request probe counts on serial runs.
+/// Record one planner invocation into the registry: latency,
+/// per-phase and shortlist-size histograms, the ranks it ordered,
+/// outcome counters, and a `PlanRequest` trace record. The trace's
+/// probe word carries the *cumulative* `plan_probes` counter at record
+/// time — consumers diff consecutive records to recover per-request
+/// probe counts on serial runs.
 #[cfg(feature = "obs")]
-fn record_plan_obs(sw: &urpsm_obs::Stopwatch, r: &Request, shortlist: usize, outcome: &Outcome) {
+fn record_plan_obs(
+    sw: &urpsm_obs::Stopwatch,
+    r: &Request,
+    shortlist: usize,
+    outcome: &Outcome,
+    engine: &DpEngine,
+) {
     let delta = match outcome {
         Outcome::Assigned { delta, .. } => Some(*delta),
         Outcome::Rejected => None,
@@ -201,6 +276,8 @@ fn record_plan_obs(sw: &urpsm_obs::Stopwatch, r: &Request, shortlist: usize, out
         }
         m.plan_requests.inc();
         m.plan_shortlist_len.record(shortlist as u64);
+        m.plan_ordered_ranks.add(engine.shortlist.ordered() as u64);
+        engine.clock.record_into(&m.plan_phase_ns);
         match delta {
             Some(_) => m.plan_assigned.inc(),
             None => m.plan_rejected.inc(),
@@ -541,6 +618,165 @@ mod tests {
                     "prune={prune} threads={threads}"
                 );
             }
+        }
+    }
+
+    /// Two river banks joined by one bridge at their `0` ends: bank A
+    /// is vertices `0..BANK` at `(k, 0)`, bank B is `BANK..2·BANK` at
+    /// `(k, 1)`. A worker across the river is one metre away as the
+    /// crow flies (tiny `LB`) and a drive over the bridge away by road
+    /// (huge `Δ`) — the shape that keeps a Lemma-8 scan going.
+    const BANK: u32 = 150;
+
+    fn river_oracle() -> Arc<CountingOracle<MatrixOracle>> {
+        let n = 2 * BANK as usize;
+        // Distance to the bridge end of the vertex's own bank.
+        let off = |v: usize| (v % BANK as usize) as u64;
+        let rows: Vec<Vec<u64>> = (0..n)
+            .map(|u| {
+                (0..n)
+                    .map(|v| {
+                        if u / BANK as usize == v / BANK as usize {
+                            off(u).abs_diff(off(v)) * 150
+                        } else {
+                            (off(u) + 1 + off(v)) * 150
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let points = (0..n)
+            .map(|v| Point::new(off(v) as f64, (v / BANK as usize) as f64))
+            .collect();
+        Arc::new(CountingOracle::new(MatrixOracle::from_matrix(
+            &rows, points, 1.0,
+        )))
+    }
+
+    /// 220 idle workers, all in range of every request: ids `0..80` on
+    /// one bank-A vertex (a plateau of equal bounds), `80..120` on one
+    /// bank-B vertex, `120..220` spread along bank A.
+    fn river_fleet() -> Vec<u32> {
+        let mut origins = vec![50; 80];
+        origins.extend([BANK + 100; 40]);
+        origins.extend((0..100).map(|i| (i * 3) % BANK));
+        origins
+    }
+
+    fn river_stream() -> Vec<Request> {
+        let mut stream = vec![
+            // (a) 80 workers tie at `LB = Δ = L`: the strict break never
+            // fires on the plateau, so the first chunk runs out.
+            request(0, 50, 60, 1_000_000, u64::MAX / 4),
+            // The 40 workers across the river fill the first chunk with
+            // `LB = L + 100`, `Δ = L + 30 150`; the winner, on this
+            // bank one vertex away, sits behind them at rank 40.
+            request(1, 100, 110, 1_000_000, u64::MAX / 4),
+            // (b) cheaper to reject than to serve.
+            request(2, 20, 30, 1_000_000, 10),
+        ];
+        // Then routes fill up: both banks, some deadlines too tight.
+        stream.extend((3..40u32).map(|i| {
+            let o = (i * 67) % (2 * BANK);
+            let d = (o / BANK) * BANK + (o % BANK + 3 + i % 11) % BANK;
+            let deadline = if i % 5 == 0 { 2_500 } else { 1_000_000 };
+            request(i, o, d, deadline, u64::MAX / 4)
+        }));
+        stream
+    }
+
+    /// Algo. 5 written against the public decision phase: a full sort,
+    /// then the ascending scan with the strict Lemma-8 break.
+    fn reference_on_request(state: &mut PlatformState, r: &Request) -> Outcome {
+        use crate::decision::decision_phase;
+        use crate::insertion::linear_dp_insertion;
+        let oracle = state.oracle_arc();
+        let direct = oracle.dis(r.origin, r.destination);
+        let mut buf = CandidateBuf::new();
+        let eligible = state.candidate_workers(r, direct, &mut buf);
+        let decision = decision_phase(1, state, eligible, r, direct);
+        let mut best: Best = None;
+        if !decision.reject {
+            for (lb, w) in decision.lower_bounds {
+                if best.as_ref().is_some_and(|(delta, _, _)| *delta < lb) {
+                    break;
+                }
+                let agent = state.view().agent(w);
+                let plan = linear_dp_insertion(&agent.route, agent.worker.capacity, r, &*oracle);
+                if let Some(plan) = plan {
+                    if best
+                        .as_ref()
+                        .is_none_or(|(delta, bw, _)| (plan.delta, w) < (*delta, *bw))
+                    {
+                        best = Some((plan.delta, w, plan));
+                    }
+                }
+            }
+        }
+        match best {
+            Some((delta, w, plan)) => {
+                state.commit(w, r, &plan);
+                Outcome::Assigned { worker: w, delta }
+            }
+            None => {
+                state.reject(r);
+                Outcome::Rejected
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_scan_equals_the_full_sort_reference_scan() {
+        let oracle = river_oracle();
+        let stream = river_stream();
+        // One decision and its `dis` bill per request.
+        let run = |decide: &mut dyn FnMut(&mut PlatformState, &Request) -> Outcome| {
+            let mut state = fresh_state(oracle.clone(), &river_fleet());
+            stream
+                .iter()
+                .map(|r| {
+                    oracle.reset();
+                    let outcome = decide(&mut state, r);
+                    (outcome, oracle.stats().dis)
+                })
+                .collect::<Vec<_>>()
+        };
+        let engine_at = |threads: usize| {
+            let mut planner = PruneGreedyDp::with_threads(threads);
+            run(&mut |state, r| planner.on_request(state, r)[0].1)
+        };
+
+        let reference = run(&mut reference_on_request);
+        assert_eq!(engine_at(1), reference, "width 1: outcomes and dis counts");
+
+        // The fixture exercises what it claims to.
+        assert_eq!(
+            reference[0].0,
+            Outcome::Assigned {
+                worker: WorkerId(0),
+                delta: 1_500
+            }
+        );
+        assert!(reference[0].1 >= 80, "the whole plateau is probed");
+        let behind_the_river = WorkerId(120 + 33); // bank A, vertex 99
+        assert_eq!(
+            reference[1].0,
+            Outcome::Assigned {
+                worker: behind_the_river,
+                delta: 1_500 + 150
+            }
+        );
+        assert_eq!(reference[2], (Outcome::Rejected, 1), "(b) one query");
+        let served = reference.iter().filter(|(o, _)| *o != Outcome::Rejected);
+        assert!((20..stream.len() - 1).contains(&served.count()));
+
+        // (c) Wider scans may probe a different set — same decisions.
+        let decisions = |run: Vec<(Outcome, u64)>| -> Vec<Outcome> {
+            run.into_iter().map(|(outcome, _)| outcome).collect()
+        };
+        let expect = decisions(reference);
+        for threads in [2, 4] {
+            assert_eq!(decisions(engine_at(threads)), expect, "threads={threads}");
         }
     }
 

@@ -25,7 +25,6 @@
 //! the world to itself. [`FleetView`] is the read plane as a type: a
 //! borrow-checked snapshot the parallel planners fan out over.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use road_network::congestion::TravelTimeProvider;
@@ -238,14 +237,6 @@ impl<'a> EligibleCandidates<'a> {
     pub(crate) fn from_ids(ids: &'a [WorkerId]) -> Self {
         EligibleCandidates { ids }
     }
-}
-
-thread_local! {
-    /// Scratch buffer for grid queries (avoids per-request allocation).
-    /// Thread-local rather than a `PlatformState` field so that
-    /// [`PlatformState::candidate_workers`] can take `&self` — the
-    /// query plane must be callable from many planner threads at once.
-    static GRID_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl PlatformState {
@@ -573,14 +564,11 @@ impl PlatformState {
         // centiseconds → meters at top speed.
         let radius_m = (budget_cs as f64 / 100.0) * self.oracle.top_speed_mps();
         let origin = self.oracle.point(r.origin);
-        GRID_SCRATCH.with_borrow_mut(|scratch| {
-            self.grid.items_within(origin, radius_m, scratch);
-            buf.ids.extend(
-                scratch
-                    .iter()
-                    .map(|&id| WorkerId(id as u32))
-                    .filter(|&w| class_ok(self.agents[w.idx()].worker.class)),
-            );
+        self.grid.for_each_within(origin, radius_m, |id| {
+            let w = WorkerId(id as u32);
+            if class_ok(self.agents[w.idx()].worker.class) {
+                buf.ids.push(w);
+            }
         });
         buf.ids.sort_unstable();
         EligibleCandidates { ids: &buf.ids }

@@ -1,24 +1,29 @@
 //! Cache-conscious candidate shortlist for the planning hot path.
 //!
 //! The decision phase (Algo. 4) produces, per request, a list of
-//! `(LBΔ*, worker)` pairs sorted ascending by bound — the scan order of
+//! `(LBΔ*, worker)` pairs scanned ascending by bound — the order of
 //! the pre-ordered pruning of Lemma 8. [`Shortlist`] stores that list
 //! as a structure-of-arrays: lower bounds and worker ids live in two
-//! parallel arrays and the ascending order is a single sorted
-//! permutation over them. The layout serves two masters:
+//! parallel arrays and the ascending order is a permutation over them.
+//! The layout serves three masters:
 //!
 //! * **Zero steady-state allocation** — the arrays are owned by the
 //!   planner engine and `clear()`-reused across requests, so after
 //!   warm-up a request never grows them.
-//! * **Cache behaviour** — the permutation sort touches only `u32`
-//!   indices and reads the dense `lbs` column, instead of shuffling
-//!   16-byte tuples.
+//! * **Cache behaviour** — ordering touches only `u32` indices and
+//!   reads the dense `lbs` column, instead of shuffling 16-byte tuples.
+//! * **Pay for what the scan reads** — the Lemma-8 scan usually stops
+//!   within a handful of ranks, so the permutation is ordered lazily:
+//!   [`Shortlist::order_through`] extends an ordered *prefix* (a
+//!   selection of the smallest keys off the unordered tail, then a sort
+//!   of just that chunk) and the tail stays unordered until asked for.
 //!
-//! Ordering is byte-compatible with the historical
-//! `Vec<(Cost, WorkerId)>::sort_unstable()`: the sort key is the pair
-//! `(lbs[i], workers[i])`, and worker ids are unique within one
-//! request's candidate set, so the key is a total order and the
-//! permutation is unique — push order cannot leak into the scan order.
+//! The ordered prefix is byte-compatible with the same-length prefix of
+//! the historical `Vec<(Cost, WorkerId)>::sort_unstable()`: the key is
+//! the pair `(lbs[i], workers[i])`, and worker ids are unique within
+//! one request's candidate set, so the key is a total order and the
+//! sorted permutation is unique — neither push order nor the sequence
+//! of prefix extensions can leak into the scan order.
 
 use road_network::Cost;
 
@@ -49,9 +54,12 @@ pub(crate) struct Shortlist {
     lbs: Vec<Cost>,
     /// Worker ids, in push order (`workers[i]` pairs with `lbs[i]`).
     workers: Vec<WorkerId>,
-    /// Ascending `(lb, worker)` order over the two columns; valid
-    /// after [`Shortlist::sort_by_bound`].
+    /// A permutation of `0..len` over the two columns whose first
+    /// `ordered` entries are the ascending `(lb, worker)` order's.
     perm: Vec<u32>,
+    /// Length of the ordered prefix of `perm`; every key in the tail is
+    /// greater than every key before it.
+    ordered: usize,
 }
 
 impl Shortlist {
@@ -66,6 +74,7 @@ impl Shortlist {
         self.lbs.clear();
         self.workers.clear();
         self.perm.clear();
+        self.ordered = 0;
     }
 
     /// Number of entries.
@@ -78,27 +87,43 @@ impl Shortlist {
         self.lbs.is_empty()
     }
 
-    /// Sorts the permutation ascending by `(lb, worker)` — the exact
-    /// total order of the historical tuple sort. `sort_unstable` on the
-    /// index column is in-place: no allocation on the hot path.
-    pub fn sort_by_bound(&mut self) {
-        debug_assert_eq!(self.lbs.len(), self.workers.len());
-        self.perm.clear();
-        self.perm.extend(0..self.lbs.len() as u32);
-        let (lbs, workers) = (&self.lbs, &self.workers);
-        self.perm
-            .sort_unstable_by_key(|&i| (lbs[i as usize], workers[i as usize]));
+    /// Number of leading ranks in final ascending `(lb, worker)` order.
+    pub fn ordered(&self) -> usize {
+        self.ordered
     }
 
-    /// The `rank`-th entry in ascending `(lb, worker)` order. Only
-    /// meaningful after [`Shortlist::sort_by_bound`].
+    /// Extends the ordered prefix to ranks `..end` (clamped to `len`):
+    /// the smallest missing keys are selected off the unordered tail,
+    /// then that chunk alone is sorted — the exact total order of the
+    /// historical tuple sort, in place, no allocation on the hot path.
+    pub fn order_through(&mut self, end: usize) {
+        debug_assert_eq!(self.perm.len(), self.lbs.len());
+        let end = end.min(self.len());
+        if end <= self.ordered {
+            return;
+        }
+        let (lbs, workers) = (&self.lbs, &self.workers);
+        let key = |&i: &u32| (lbs[i as usize], workers[i as usize]);
+        let tail = &mut self.perm[self.ordered..];
+        let chunk = end - self.ordered;
+        if chunk < tail.len() {
+            tail.select_nth_unstable_by_key(chunk, key);
+        }
+        tail[..chunk].sort_unstable_by_key(key);
+        self.ordered = end;
+    }
+
+    /// The `rank`-th entry in ascending `(lb, worker)` order; `rank`
+    /// must lie inside the ordered prefix.
     pub fn get(&self, rank: usize) -> (Cost, WorkerId) {
+        debug_assert!(rank < self.ordered, "rank {rank} not ordered yet");
         let i = self.perm[rank] as usize;
         (self.lbs[i], self.workers[i])
     }
 
-    /// The smallest lower bound (entry 0 of the sorted order), if any
-    /// candidate survived. Feeds the economic gate `p_r < α · min LB`.
+    /// The smallest lower bound (rank 0, so the prefix must be
+    /// non-empty), if any candidate survived. Feeds the economic gate
+    /// `p_r < α · min LB`.
     pub fn min_lb(&self) -> Option<Cost> {
         if self.is_empty() {
             None
@@ -107,15 +132,17 @@ impl Shortlist {
         }
     }
 
-    /// Iterates entries in ascending `(lb, worker)` order.
+    /// Iterates the ordered prefix in ascending `(lb, worker)` order.
     #[cfg(test)]
-    pub fn iter_sorted(&self) -> impl Iterator<Item = (Cost, WorkerId)> + '_ {
-        (0..self.len()).map(move |rank| self.get(rank))
+    pub fn iter_ordered(&self) -> impl Iterator<Item = (Cost, WorkerId)> + '_ {
+        (0..self.ordered).map(move |rank| self.get(rank))
     }
 }
 
 impl LowerBoundSink for Shortlist {
     fn push_bound(&mut self, lb: Cost, w: WorkerId) {
+        debug_assert_eq!(self.ordered, 0, "push after ordering began");
+        self.perm.push(self.lbs.len() as u32);
         self.lbs.push(lb);
         self.workers.push(w);
     }
@@ -126,7 +153,7 @@ mod tests {
     use super::*;
 
     fn pairs(shortlist: &Shortlist) -> Vec<(Cost, WorkerId)> {
-        shortlist.iter_sorted().collect()
+        shortlist.iter_ordered().collect()
     }
 
     fn extend(shortlist: &mut Shortlist, raw: &[(Cost, WorkerId)]) {
@@ -146,7 +173,7 @@ mod tests {
         ];
         let mut shortlist = Shortlist::new();
         extend(&mut shortlist, &raw);
-        shortlist.sort_by_bound();
+        shortlist.order_through(usize::MAX);
 
         let mut expect = raw.to_vec();
         expect.sort_unstable();
@@ -159,7 +186,7 @@ mod tests {
     fn clear_reuses_capacity() {
         let mut shortlist = Shortlist::new();
         extend(&mut shortlist, &[(10, WorkerId(0)), (20, WorkerId(1))]);
-        shortlist.sort_by_bound();
+        shortlist.order_through(usize::MAX);
         let caps = (
             shortlist.lbs.capacity(),
             shortlist.workers.capacity(),
@@ -177,16 +204,77 @@ mod tests {
             caps
         );
         extend(&mut shortlist, &[(5, WorkerId(3))]);
-        shortlist.sort_by_bound();
+        shortlist.order_through(usize::MAX);
         assert_eq!(pairs(&shortlist), vec![(5, WorkerId(3))]);
     }
 
     #[test]
     fn empty_shortlist_is_well_behaved() {
         let mut shortlist = Shortlist::new();
-        shortlist.sort_by_bound();
+        shortlist.order_through(usize::MAX);
         assert!(shortlist.is_empty());
         assert_eq!(shortlist.min_lb(), None);
         assert_eq!(pairs(&shortlist), vec![]);
+    }
+
+    #[test]
+    fn prefix_extends_in_place_and_never_shrinks() {
+        let mut shortlist = Shortlist::new();
+        extend(
+            &mut shortlist,
+            &[
+                (9, WorkerId(0)),
+                (3, WorkerId(1)),
+                (7, WorkerId(2)),
+                (3, WorkerId(3)),
+            ],
+        );
+        assert_eq!(shortlist.ordered(), 0);
+        shortlist.order_through(2);
+        assert_eq!(pairs(&shortlist), vec![(3, WorkerId(1)), (3, WorkerId(3))]);
+        shortlist.order_through(1);
+        assert_eq!(shortlist.ordered(), 2, "a shorter request is a no-op");
+        shortlist.order_through(usize::MAX);
+        assert_eq!(shortlist.ordered(), 4);
+        assert_eq!(shortlist.get(3), (9, WorkerId(0)));
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Whatever the sequence of prefix extensions, the ordered
+            /// prefix is the same-length prefix of the tuple sort —
+            /// on lists dominated by `lb` ties, where only the worker
+            /// id separates neighbours.
+            #[test]
+            fn ordered_prefix_is_the_tuple_sort_prefix(
+                entries in collection::vec((0u64..5, any::<u32>()), 0..160),
+                chunks in collection::vec(1usize..170, 1..10),
+            ) {
+                // Unique worker ids in an order unrelated to push order.
+                let mut by_salt: Vec<usize> = (0..entries.len()).collect();
+                by_salt.sort_by_key(|&i| (entries[i].1, i));
+                let mut raw = vec![(0, WorkerId(0)); entries.len()];
+                for (id, &i) in by_salt.iter().enumerate() {
+                    raw[i] = (entries[i].0, WorkerId(id as u32));
+                }
+                let mut expect = raw.clone();
+                expect.sort_unstable();
+
+                let mut shortlist = Shortlist::new();
+                extend(&mut shortlist, &raw);
+                let mut end = 0;
+                for chunk in chunks {
+                    end = (end + chunk).min(raw.len());
+                    shortlist.order_through(end);
+                    prop_assert_eq!(shortlist.ordered(), end);
+                    prop_assert_eq!(&pairs(&shortlist)[..], &expect[..end]);
+                }
+                shortlist.order_through(usize::MAX);
+                prop_assert_eq!(pairs(&shortlist), expect);
+            }
+        }
     }
 }

@@ -74,6 +74,11 @@ fn exposition_parses_and_covers_the_run() {
     for family in [
         "urpsm_plan_latency_ns",
         "urpsm_plan_requests_total",
+        "urpsm_plan_ordered_ranks_total",
+        "urpsm_plan_phase_shortlist_ns",
+        "urpsm_plan_phase_bounds_ns",
+        "urpsm_plan_phase_order_ns",
+        "urpsm_plan_phase_probe_ns",
         "urpsm_dis_cache_hits_total",
         "urpsm_dis_cache_misses_total",
         "urpsm_td_dis_hits_total",
@@ -93,6 +98,23 @@ fn exposition_parses_and_covers_the_run() {
     {
         let snap = obs::registry().snapshot();
         assert!(snap.plan_requests > 0, "no planner traffic recorded");
+        // The phase split: one sample per phase per planned request,
+        // time in every phase, and the lazy order never ranks more
+        // candidates than the shortlists held.
+        for (phase, hist) in obs::PlanPhase::ALL.iter().zip(&snap.plan_phase_ns) {
+            assert_eq!(hist.count, snap.plan_requests, "{phase:?} samples");
+            assert!(hist.sum > 0, "no time recorded in {phase:?}");
+        }
+        assert!(snap.plan_ordered_ranks > 0, "no rank ever ordered");
+        assert!(
+            snap.plan_ordered_ranks <= snap.plan_shortlist_len.sum,
+            "{} ranks ordered out of {} shortlisted",
+            snap.plan_ordered_ranks,
+            snap.plan_shortlist_len.sum
+        );
+        let json = snap.to_json();
+        assert!(json.contains("\"plan_phase_bounds_ns\":{\"count\":"));
+        assert!(json.contains("\"plan_ordered_ranks\":"));
         assert!(
             snap.dis_cache_hits + snap.dis_cache_misses > 0,
             "no oracle cache traffic recorded"
@@ -144,6 +166,8 @@ fn exposition_parses_and_covers_the_run() {
     {
         let snap = obs::registry().snapshot();
         assert_eq!(snap.plan_requests, 0);
+        assert_eq!(snap.plan_ordered_ranks, 0);
+        assert!(snap.plan_phase_ns.iter().all(|h| h.count == 0));
         assert_eq!(snap.ingest_ticks, 0);
         assert_eq!(snap.motion_advanced + snap.motion_idle_retimed, 0);
         assert_eq!(snap.trace_recorded, 0);

@@ -106,7 +106,6 @@ impl BatchPlanner {
         if batch.is_empty() {
             return PlannerReplies::new();
         }
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| m.batch_epochs.inc());
         batch.sort_by_key(|r| r.id);
         let now = state.now();

@@ -393,7 +393,6 @@ impl Planner for KineticPlanner {
         let outcome = match best {
             Some((delta, w)) => {
                 state.commit_reordered(w, r, &self.best_stops, &self.best_legs, delta);
-                #[cfg(feature = "obs")]
                 urpsm_obs::with(|m| m.kinetic_reorders.inc());
                 Outcome::Assigned { worker: w, delta }
             }

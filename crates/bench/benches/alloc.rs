@@ -317,7 +317,7 @@ mod gated {
             ));
         }
         // Embed the metrics snapshot (all zeros unless built with
-        // --features obs and the URPSM_OBS gate open).
+        // --features urpsm-obs/record and the URPSM_OBS gate open).
         out.push_str(&format!(
             "  ],\n  \"metrics_snapshot\": {}\n}}\n",
             urpsm_bench::obs_snapshot_json()

@@ -64,8 +64,8 @@ fn bench_oracles(c: &mut Criterion) {
 }
 
 fn attach_metrics(c: &mut Criterion) {
-    // Embed the metrics snapshot in the --json artifact (all zeros
-    // unless built with --features obs and the URPSM_OBS gate open).
+    // Embed the metrics snapshot in the --json artifact (all zeros unless
+    // built with --features urpsm-obs/record and the URPSM_OBS gate open).
     c.raw_section("metrics_snapshot", urpsm_bench::obs_snapshot_json());
 }
 

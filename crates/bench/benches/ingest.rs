@@ -177,7 +177,7 @@ fn write_json(path: &str, scale: usize, scenario: &Scenario, rows: &[Row]) {
         ));
     }
     // Embed the metrics snapshot (all zeros unless built with
-    // --features obs and the URPSM_OBS gate open).
+    // --features urpsm-obs/record and the URPSM_OBS gate open).
     out.push_str(&format!(
         "  ],\n  \"metrics_snapshot\": {}\n}}\n",
         urpsm_bench::obs_snapshot_json()

@@ -1,9 +1,9 @@
 //! A counting global allocator for the allocation-gated benches.
 //!
 //! Compiled only with the `alloc-count` feature: a thin shim over the
-//! system allocator that bumps relaxed atomic counters on every
-//! `alloc`/`realloc`/`dealloc`. No external dependencies, and the
-//! counting overhead is two relaxed `fetch_add`s per call — cheap
+//! system allocator that bumps a relaxed atomic counter on every
+//! `alloc`/`realloc`. No external dependencies, and the counting
+//! overhead is one relaxed `fetch_add` per call — cheap
 //! enough to leave on for a whole bench run, precise enough to assert
 //! an exact **zero** over a measured region.
 //!
@@ -25,8 +25,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// The counting allocator. Zero-sized; all state is in module-level
 /// atomics so the counters work from a `static`.
@@ -39,13 +37,11 @@ pub struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
@@ -54,12 +50,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // view: growing a buffer mid-request is exactly what the gate
         // exists to catch.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -68,16 +62,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// start). Subtract two snapshots to count a region.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Total bytes requested so far.
-pub fn bytes_allocated() -> u64 {
-    BYTES.load(Ordering::Relaxed)
-}
-
-/// Total deallocation count so far.
-pub fn deallocations() -> u64 {
-    FREES.load(Ordering::Relaxed)
 }
 
 /// Runs `f` and returns its result plus the number of allocations it

@@ -18,7 +18,7 @@ pub mod table;
 
 /// JSON rendering of the global metrics registry's current snapshot,
 /// for embedding in bench `--json` artifacts (DESIGN.md §11). Always
-/// available: when the `obs` feature is off (or the `URPSM_OBS` gate
+/// available: without `urpsm-obs/record` (or when the `URPSM_OBS` gate
 /// never opened) every counter reads zero, so artifact consumers see a
 /// stable shape regardless of how the bench was built.
 pub fn obs_snapshot_json() -> String {

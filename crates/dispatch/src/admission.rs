@@ -72,8 +72,7 @@ struct ShardGauge {
     /// High-water mark of `backlog` within the current tick (reset by
     /// `begin_tick` to the carried-in backlog).
     tick_peak: usize,
-    /// Lifetime totals, for the per-tick lag report.
-    applied: u64,
+    /// Lifetime arrivals shed.
     shed: u64,
 }
 
@@ -134,7 +133,6 @@ impl AdmissionController {
                 }
                 if !g.blocked && g.applied_this_tick < budget {
                     g.applied_this_tick += 1;
-                    g.applied += 1;
                     Admission::Admit
                 } else {
                     g.blocked = true;
@@ -158,7 +156,6 @@ impl AdmissionController {
                 if clear {
                     for g in &mut self.shards {
                         g.applied_this_tick += 1;
-                        g.applied += 1;
                     }
                     Admission::Admit
                 } else {
@@ -176,11 +173,6 @@ impl AdmissionController {
     /// per-tick report surfaces).
     pub fn backlog(&self) -> usize {
         self.shards.iter().map(|g| g.backlog).sum()
-    }
-
-    /// The deepest per-shard backlog right now.
-    pub fn max_backlog(&self) -> usize {
-        self.shards.iter().map(|g| g.backlog).max().unwrap_or(0)
     }
 
     /// High-water mark of any shard's backlog over the whole run —
@@ -204,16 +196,6 @@ impl AdmissionController {
     /// Current deferred depth of one shard.
     pub fn shard_backlog(&self, shard: usize) -> usize {
         self.shards.get(shard).map_or(0, |g| g.backlog)
-    }
-
-    /// Lifetime arrivals shed at one shard.
-    pub fn shard_shed(&self, shard: usize) -> u64 {
-        self.shards.get(shard).map_or(0, |g| g.shed)
-    }
-
-    /// Lifetime events admitted, summed over shards.
-    pub fn total_applied(&self) -> u64 {
-        self.shards.iter().map(|g| g.applied).sum()
     }
 
     /// Lifetime arrivals shed, summed over shards.

@@ -50,7 +50,6 @@ use crate::shard_map::ShardMap;
 /// Bump the per-shard submitted-event counter (labelled series are
 /// capped at [`urpsm_obs::MAX_SHARDS`]; higher shard ids fold into the
 /// last slot).
-#[cfg(feature = "obs")]
 #[inline]
 fn obs_shard_event(shard: usize) {
     urpsm_obs::with(|m| m.shard_events[urpsm_obs::registry::shard_slot(shard)].inc());
@@ -183,20 +182,6 @@ fn translate(to_global: &[WorkerId], ev: SimEvent) -> SimEvent {
     }
 }
 
-/// Occurrence time of a logged event (the merge key's first field).
-fn event_time(ev: &SimEvent) -> Time {
-    match *ev {
-        SimEvent::Assigned { t, .. }
-        | SimEvent::Rejected { t, .. }
-        | SimEvent::Pickup { t, .. }
-        | SimEvent::Delivery { t, .. }
-        | SimEvent::Cancelled { t, .. }
-        | SimEvent::Unassigned { t, .. }
-        | SimEvent::WorkerJoined { t, .. }
-        | SimEvent::WorkerLeft { t, .. } => t,
-    }
-}
-
 /// The geo-sharded dispatch plane: `K` independent platforms, one
 /// streaming entry point, global worker ids at the boundary.
 pub struct ShardedService<'p> {
@@ -273,7 +258,6 @@ impl<'p> ShardedService<'p> {
             })
             .collect();
 
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| m.shards_live.observe_max(k as u64));
         ShardedService {
             map,
@@ -378,7 +362,6 @@ impl<'p> ShardedService<'p> {
                 // Unknown requests deterministically land on shard 0,
                 // which shrugs them off exactly like `MobilityService`.
                 let home = self.request_home.get(&request).copied().unwrap_or(0);
-                #[cfg(feature = "obs")]
                 obs_shard_event(home);
                 self.shards[home].service.submit(event);
                 self.collect(&[home])
@@ -392,7 +375,6 @@ impl<'p> ShardedService<'p> {
                 let PlatformEvent::WorkerLeft { at, reassign, .. } = event else {
                     unreachable!("only departures route by worker");
                 };
-                #[cfg(feature = "obs")]
                 obs_shard_event(home);
                 self.shards[home].service.submit(PlatformEvent::WorkerLeft {
                     at,
@@ -414,7 +396,6 @@ impl<'p> ShardedService<'p> {
         t: Time,
     ) -> Vec<ServiceReply> {
         let home = self.shard_of_vertex(anchor);
-        #[cfg(feature = "obs")]
         obs_shard_event(home);
         match event {
             PlatformEvent::RequestArrived(r) => {
@@ -482,7 +463,7 @@ impl<'p> ShardedService<'p> {
                 .map(|&ev| translate(&to_global, ev))
                 .collect();
             for (seq, ev) in tail.iter().enumerate() {
-                batch.push((event_time(ev), seq, s));
+                batch.push((ev.time(), seq, s));
             }
             tails.push(tail);
             reports.push(ShardReport {
@@ -584,7 +565,7 @@ impl<'p> ShardedService<'p> {
             let log = shard.service.events();
             for (seq, &ev) in log[shard.seen..].iter().enumerate() {
                 let ev = translate(&shard.to_global, ev);
-                batch.push((event_time(&ev), seq, s, ev));
+                batch.push((ev.time(), seq, s, ev));
             }
             shard.seen = log.len();
         }
@@ -609,7 +590,6 @@ impl<'p> ShardedService<'p> {
         home: usize,
         probe: usize,
     ) -> Vec<ServiceReply> {
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| m.borrow_probes.inc());
         let origin_p = self.oracle.point(r.origin);
         let direct = self.oracle.dis(r.origin, r.destination);
@@ -677,7 +657,6 @@ impl<'p> ShardedService<'p> {
         self.handoffs += 1;
         self.shards[src].handoffs_out += 1;
         self.shards[home].handoffs_in += 1;
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| {
             m.borrow_wins.inc();
             m.shard_handoffs.inc();

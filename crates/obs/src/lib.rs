@@ -11,11 +11,12 @@
 //! - **Flight recorder.** A lock-free overwrite-on-wrap ring of
 //!   fixed-size [`TraceEvent`] records ([`FlightRecorder`]), dumpable as
 //!   JSON on demand or on panic ([`install_panic_hook`]).
-//! - **Two gates.** Instrumented crates compile their call sites behind
-//!   their own `obs` cargo feature (off ⇒ zero code in the hot path);
-//!   with the feature on, every site routes through [`with`], which is a
-//!   single relaxed load + branch when the `URPSM_OBS` runtime gate is
-//!   off.
+//! - **Two gates.** Every instrumentation site routes through [`with`]
+//!   (or a [`Stopwatch`] / [`PhaseClock`]). Without this crate's `record`
+//!   feature [`RECORDING`] is `false`, [`enabled`] is the constant
+//!   `false`, and every site is type-checked and then removed as dead
+//!   code; with it, a site costs a single relaxed load + branch while the
+//!   `URPSM_OBS` runtime gate is off.
 //!
 //! # Runtime gate
 //!
@@ -33,9 +34,11 @@ pub mod ring;
 pub mod text;
 
 pub use metrics::{Counter, Gauge, HistSummary, Histogram, ShardedHistogram};
-pub use registry::{class_slot, registry, MetricsSnapshot, Registry, MAX_CLASSES, MAX_SHARDS};
+pub use registry::{
+    class_slot, registry, render_prometheus, MetricsSnapshot, Registry, MAX_CLASSES, MAX_SHARDS,
+};
 pub use ring::{FlightRecorder, TraceEvent, TraceKind};
-pub use text::{check_exposition, render_prometheus};
+pub use text::check_exposition;
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 use std::time::Instant;
@@ -52,19 +55,28 @@ fn init_enabled_from_env() -> bool {
     on
 }
 
-/// Is recording enabled? First call reads `URPSM_OBS`; later calls are a
-/// single relaxed load.
+/// The compile-time switch: whether this build records at all (cargo
+/// feature `record`, spelled `urpsm/obs` on the facade). The one
+/// condition instrumented crates may branch on, for work that only
+/// feeds a [`with`] site.
+pub const RECORDING: bool = cfg!(feature = "record");
+
+/// Is recording enabled? Constant `false` unless [`RECORDING`]; else the
+/// first call reads `URPSM_OBS` and later calls are a single relaxed
+/// load.
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_enabled_from_env(),
-    }
+    RECORDING
+        && match ENABLED.load(Relaxed) {
+            2 => true,
+            1 => false,
+            _ => init_enabled_from_env(),
+        }
 }
 
 /// Programmatically force the runtime gate on or off (wins over the
-/// environment; used by `urpsm-serve --metrics-file`).
+/// environment; used by `urpsm-serve --metrics-file`). Opens nothing
+/// in a build without [`RECORDING`].
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 2 } else { 1 }, Relaxed);
 }
@@ -207,23 +219,32 @@ mod tests {
 
     #[test]
     fn gate_toggles() {
-        set_enabled(false);
-        assert!(!enabled());
         // workload_events is not touched by any other test in this crate,
         // so parallel test threads cannot perturb the before/after reads.
         let before = registry().workload_events.get();
-        with(|m| m.workload_events.inc());
-        assert_eq!(registry().workload_events.get(), before);
-        assert!(Stopwatch::start().elapsed_ns().is_none());
-        let mut clock = PhaseClock::default();
-        clock.restart();
-        clock.lap(PlanPhase::Order);
-        assert!(clock.last.is_none(), "gate off: the clock is never read");
+        let assert_closed = || {
+            assert!(!enabled());
+            with(|m| m.workload_events.inc());
+            assert_eq!(registry().workload_events.get(), before);
+            assert!(Stopwatch::start().elapsed_ns().is_none());
+            let mut clock = PhaseClock::default();
+            clock.restart();
+            clock.lap(PlanPhase::Order);
+            assert!(clock.last.is_none(), "gate off: the clock is never read");
+        };
+        set_enabled(false);
+        assert_closed();
         set_enabled(true);
+        if !RECORDING {
+            // Compiled out: the runtime gate opens nothing.
+            assert_closed();
+            return;
+        }
         assert!(enabled());
         with(|m| m.workload_events.inc());
         assert_eq!(registry().workload_events.get(), before + 1);
         assert!(Stopwatch::start().elapsed_ns().is_some());
+        let mut clock = PhaseClock::default();
         clock.restart();
         std::thread::sleep(std::time::Duration::from_millis(1));
         clock.lap(PlanPhase::Order);

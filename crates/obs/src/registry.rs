@@ -10,7 +10,8 @@
 
 use crate::metrics::{Counter, Gauge, HistSummary, Histogram, ShardedHistogram};
 use crate::ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
-use crate::PlanPhase;
+use crate::{text, PlanPhase};
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// Upper bound on per-shard labelled series (gauges/counters indexed by
@@ -33,272 +34,307 @@ pub fn class_slot(class: usize) -> usize {
     class.min(MAX_CLASSES - 1)
 }
 
-/// Every metric the system records, by name. See DESIGN.md §11 for the
-/// layout rationale.
-#[derive(Debug)]
-pub struct Registry {
-    // ── planner ────────────────────────────────────────────────────────
-    /// Requests handled by the DP planners (GreedyDP / pruneGreedyDP).
-    pub plan_requests: Counter,
-    /// Requests committed to a worker.
-    pub plan_assigned: Counter,
-    /// Requests rejected (no feasible/economic insertion).
-    pub plan_rejected: Counter,
-    /// Requests whose planning phase fanned out (width > 1).
-    pub plan_parallel_requests: Counter,
-    /// Linear-DP insertion probes executed.
-    pub plan_probes: Counter,
-    /// Times the shared `AtomicMin` pruning bound was lowered.
-    pub plan_bound_improvements: Counter,
-    /// Per-request planning latency (nanoseconds).
-    pub plan_latency_ns: ShardedHistogram,
-    /// Candidate-shortlist length per request.
-    pub plan_shortlist_len: ShardedHistogram,
-    /// Shortlist ranks put in `(LB, worker)` order (the lazily ordered
-    /// prefix; at most the sum of `plan_shortlist_len`).
-    pub plan_ordered_ranks: Counter,
-    /// Per-request wall-clock of each planning phase (nanoseconds),
-    /// indexed by [`PlanPhase`].
-    pub plan_phase_ns: [ShardedHistogram; PlanPhase::ALL.len()],
-
-    // ── static distance oracle cache ───────────────────────────────────
-    /// Static distance-cache hits.
-    pub dis_cache_hits: Counter,
-    /// Static distance-cache misses.
-    pub dis_cache_misses: Counter,
-    /// Static distance-cache evictions.
-    pub dis_cache_evictions: Counter,
-    /// Static path-cache hits.
-    pub path_cache_hits: Counter,
-    /// Static path-cache misses.
-    pub path_cache_misses: Counter,
-
-    // ── time-dependent oracle ──────────────────────────────────────────
-    /// TD distance-cache hits (exact in-bucket reuse).
-    pub td_dis_hits: Counter,
-    /// TD distance-cache misses (including failed in-bucket reuse).
-    pub td_dis_misses: Counter,
-    /// TD path-cache hits.
-    pub td_path_hits: Counter,
-    /// TD path-cache misses.
-    pub td_path_misses: Counter,
-    /// TD cache evictions (distance + path).
-    pub td_evictions: Counter,
-    /// Vertices settled by TD-Dijkstra searches.
-    pub td_settled: Counter,
-    /// TD-Dijkstra searches run.
-    pub td_queries: Counter,
-
-    // ── shard plane ────────────────────────────────────────────────────
-    /// Shards configured in the live `ShardedService` (0 = unsharded).
-    pub shards_live: Gauge,
-    /// Events submitted to each shard.
-    pub shard_events: [Counter; MAX_SHARDS],
-    /// Cross-shard worker handoffs committed.
-    pub shard_handoffs: Counter,
-    /// Borrow probes attempted on rejection.
-    pub borrow_probes: Counter,
-    /// Borrow probes that beat the home-shard outcome.
-    pub borrow_wins: Counter,
-
-    // ── ingest / WAL ───────────────────────────────────────────────────
-    /// Ingest ticks completed.
-    pub ingest_ticks: Counter,
-    /// Events admitted by the admission controller.
-    pub ingest_admitted: Counter,
-    /// Events deferred past the tick budget.
-    pub ingest_deferred: Counter,
-    /// Events shed at the queue limit.
-    pub ingest_shed: Counter,
-    /// Total backlog at the end of the latest tick.
-    pub ingest_backlog: Gauge,
-    /// Run-level backlog high-water mark.
-    pub ingest_peak_backlog: Gauge,
-    /// End-of-tick backlog per shard.
-    pub shard_backlog: [Gauge; MAX_SHARDS],
-    /// Sheds per shard.
-    pub shard_sheds: [Counter; MAX_SHARDS],
-    /// WAL records appended.
-    pub wal_appends: Counter,
-    /// WAL bytes written (framing + payload).
-    pub wal_bytes: Counter,
-    /// WAL flushes.
-    pub wal_flushes: Counter,
-    /// WAL flush latency (nanoseconds).
-    pub wal_flush_ns: Histogram,
-    /// Recovery runs performed.
-    pub recovery_runs: Counter,
-    /// Events replayed from the WAL during recovery.
-    pub recovery_replayed: Counter,
-    /// Recoveries that truncated a torn tail.
-    pub recovery_torn_tail: Counter,
-
-    // ── service / baselines / workloads ────────────────────────────────
-    /// Events submitted to `MobilityService`.
-    pub service_events: Counter,
-    /// Replies emitted by `MobilityService`.
-    pub service_replies: Counter,
-    /// Workers moved forward by `MobilityService` (one per worker per
-    /// clock advance in which it was due).
-    pub motion_advanced: Counter,
-    /// Idle workers re-timed to the clock by `MobilityService`.
-    pub motion_idle_retimed: Counter,
-    /// Kinetic-tree reorderings that beat plain insertion.
-    pub kinetic_reorders: Counter,
-    /// Batch-planner epoch flushes.
-    pub batch_epochs: Counter,
-    /// Platform events generated by workload scenarios.
-    pub workload_events: Counter,
-
-    // ── vehicle classes ────────────────────────────────────────────────
-    /// Vehicle classes in the live fleet (1 = homogeneous default).
-    pub classes_live: Gauge,
-    /// Requests served, per vehicle class.
-    pub class_served: [Counter; MAX_CLASSES],
-    /// Distance driven per vehicle class (free-flow cost units).
-    pub class_driven: [Counter; MAX_CLASSES],
-
-    /// The flight-recorder trace ring.
-    pub ring: FlightRecorder,
+/// How many slots of an `n`-slot labelled array are live.
+fn live_slots(live: &Gauge, n: usize) -> usize {
+    (live.get() as usize).min(n)
 }
 
-impl Registry {
-    fn new() -> Self {
-        let ring_cap = std::env::var("URPSM_OBS_RING")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_RING_CAPACITY);
-        Registry {
-            plan_requests: Counter::new(),
-            plan_assigned: Counter::new(),
-            plan_rejected: Counter::new(),
-            plan_parallel_requests: Counter::new(),
-            plan_probes: Counter::new(),
-            plan_bound_improvements: Counter::new(),
-            plan_latency_ns: ShardedHistogram::new(),
-            plan_shortlist_len: ShardedHistogram::new(),
-            plan_ordered_ranks: Counter::new(),
-            plan_phase_ns: std::array::from_fn(|_| ShardedHistogram::new()),
-            dis_cache_hits: Counter::new(),
-            dis_cache_misses: Counter::new(),
-            dis_cache_evictions: Counter::new(),
-            path_cache_hits: Counter::new(),
-            path_cache_misses: Counter::new(),
-            td_dis_hits: Counter::new(),
-            td_dis_misses: Counter::new(),
-            td_path_hits: Counter::new(),
-            td_path_misses: Counter::new(),
-            td_evictions: Counter::new(),
-            td_settled: Counter::new(),
-            td_queries: Counter::new(),
-            shards_live: Gauge::new(),
-            shard_events: std::array::from_fn(|_| Counter::new()),
-            shard_handoffs: Counter::new(),
-            borrow_probes: Counter::new(),
-            borrow_wins: Counter::new(),
-            ingest_ticks: Counter::new(),
-            ingest_admitted: Counter::new(),
-            ingest_deferred: Counter::new(),
-            ingest_shed: Counter::new(),
-            ingest_backlog: Gauge::new(),
-            ingest_peak_backlog: Gauge::new(),
-            shard_backlog: std::array::from_fn(|_| Gauge::new()),
-            shard_sheds: std::array::from_fn(|_| Counter::new()),
-            wal_appends: Counter::new(),
-            wal_bytes: Counter::new(),
-            wal_flushes: Counter::new(),
-            wal_flush_ns: Histogram::new(),
-            recovery_runs: Counter::new(),
-            recovery_replayed: Counter::new(),
-            recovery_torn_tail: Counter::new(),
-            service_events: Counter::new(),
-            service_replies: Counter::new(),
-            motion_advanced: Counter::new(),
-            motion_idle_retimed: Counter::new(),
-            kinetic_reorders: Counter::new(),
-            batch_epochs: Counter::new(),
-            workload_events: Counter::new(),
-            classes_live: Gauge::new(),
-            class_served: std::array::from_fn(|_| Counter::new()),
-            class_driven: std::array::from_fn(|_| Counter::new()),
-            ring: FlightRecorder::with_capacity(ring_cap),
-        }
+/// `hits / (hits + misses)`, `0` before any traffic.
+fn hit_rate(hits: &Counter, misses: &Counter) -> f64 {
+    let (hits, misses) = (hits.get(), misses.get());
+    match hits + misses {
+        0 => 0.0,
+        total => hits as f64 / total as f64,
     }
+}
 
-    /// Freeze the registry into a plain-data snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let rate = |hits: u64, misses: u64| -> f64 {
-            let total = hits + misses;
-            if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            }
-        };
-        let live = (self.shards_live.get() as usize).min(MAX_SHARDS);
-        MetricsSnapshot {
-            enabled: crate::enabled(),
-            plan_requests: self.plan_requests.get(),
-            plan_assigned: self.plan_assigned.get(),
-            plan_rejected: self.plan_rejected.get(),
-            plan_parallel_requests: self.plan_parallel_requests.get(),
-            plan_probes: self.plan_probes.get(),
-            plan_bound_improvements: self.plan_bound_improvements.get(),
-            plan_latency_ns: self.plan_latency_ns.summary(),
-            plan_shortlist_len: self.plan_shortlist_len.summary(),
-            plan_ordered_ranks: self.plan_ordered_ranks.get(),
-            plan_phase_ns: std::array::from_fn(|p| self.plan_phase_ns[p].summary()),
-            dis_cache_hits: self.dis_cache_hits.get(),
-            dis_cache_misses: self.dis_cache_misses.get(),
-            dis_cache_evictions: self.dis_cache_evictions.get(),
-            dis_cache_hit_rate: rate(self.dis_cache_hits.get(), self.dis_cache_misses.get()),
-            path_cache_hits: self.path_cache_hits.get(),
-            path_cache_misses: self.path_cache_misses.get(),
-            td_dis_hits: self.td_dis_hits.get(),
-            td_dis_misses: self.td_dis_misses.get(),
-            td_dis_hit_rate: rate(self.td_dis_hits.get(), self.td_dis_misses.get()),
-            td_path_hits: self.td_path_hits.get(),
-            td_path_misses: self.td_path_misses.get(),
-            td_evictions: self.td_evictions.get(),
-            td_settled: self.td_settled.get(),
-            td_queries: self.td_queries.get(),
-            shards_live: live as u64,
-            shard_events: (0..live).map(|s| self.shard_events[s].get()).collect(),
-            shard_handoffs: self.shard_handoffs.get(),
-            borrow_probes: self.borrow_probes.get(),
-            borrow_wins: self.borrow_wins.get(),
-            ingest_ticks: self.ingest_ticks.get(),
-            ingest_admitted: self.ingest_admitted.get(),
-            ingest_deferred: self.ingest_deferred.get(),
-            ingest_shed: self.ingest_shed.get(),
-            ingest_backlog: self.ingest_backlog.get(),
-            ingest_peak_backlog: self.ingest_peak_backlog.get(),
-            wal_appends: self.wal_appends.get(),
-            wal_bytes: self.wal_bytes.get(),
-            wal_flushes: self.wal_flushes.get(),
-            wal_flush_ns: self.wal_flush_ns.summary(),
-            recovery_runs: self.recovery_runs.get(),
-            recovery_replayed: self.recovery_replayed.get(),
-            recovery_torn_tail: self.recovery_torn_tail.get(),
-            service_events: self.service_events.get(),
-            service_replies: self.service_replies.get(),
-            motion_advanced: self.motion_advanced.get(),
-            motion_idle_retimed: self.motion_idle_retimed.get(),
-            kinetic_reorders: self.kinetic_reorders.get(),
-            batch_epochs: self.batch_epochs.get(),
-            workload_events: self.workload_events.get(),
-            classes_live: self.classes_live.get(),
-            class_served: {
-                let live = (self.classes_live.get() as usize).min(MAX_CLASSES);
-                (0..live).map(|c| self.class_served[c].get()).collect()
-            },
-            class_driven: {
-                let live = (self.classes_live.get() as usize).min(MAX_CLASSES);
-                (0..live).map(|c| self.class_driven[c].get()).collect()
-            },
-            trace_recorded: self.ring.recorded(),
+/// One phase's series of a per-phase family: the phase goes before the
+/// unit suffix (`x_ns` → `x_bounds_ns`).
+fn phase_series(family: &str, phase: PlanPhase) -> String {
+    let (stem, unit) = family
+        .rsplit_once('_')
+        .expect("per-phase family names end in a unit");
+    format!("{stem}_{}_{unit}", phase.name())
+}
+
+/// How a snapshot value renders under its key in the JSON object
+/// (`"key":value,` — [`MetricsSnapshot::to_json`] drops the last comma).
+trait Json {
+    fn json(&self, out: &mut String, key: &str);
+}
+
+impl Json for u64 {
+    fn json(&self, out: &mut String, key: &str) {
+        let _ = write!(out, "\"{key}\":{self},");
+    }
+}
+
+impl Json for Vec<u64> {
+    fn json(&self, out: &mut String, key: &str) {
+        let values: Vec<String> = self.iter().map(u64::to_string).collect();
+        let _ = write!(out, "\"{key}\":[{}],", values.join(","));
+    }
+}
+
+impl Json for HistSummary {
+    fn json(&self, out: &mut String, key: &str) {
+        let _ = write!(
+            out,
+            "\"{key}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},",
+            self.count, self.sum, self.p50, self.p90, self.p99, self.max
+        );
+    }
+}
+
+impl Json for [HistSummary; PlanPhase::ALL.len()] {
+    fn json(&self, out: &mut String, key: &str) {
+        for (phase, hist) in PlanPhase::ALL.iter().zip(self) {
+            hist.json(out, &phase_series(key, *phase));
         }
     }
+}
+
+/// Generates the whole registry surface from the table at the bottom of
+/// this file: [`Registry`] (one public field per row, the help string
+/// as its doc), its constructor, [`Registry::snapshot`],
+/// [`MetricsSnapshot`], [`MetricsSnapshot::to_json`] and
+/// [`render_prometheus`], all in table order. A row is
+/// `kind name "help";` and is the only place its metric is spelled.
+///
+/// | kind | registry field → snapshot field | Prometheus family |
+/// |---|---|---|
+/// | `counter` | [`Counter`] → `u64` | counter `urpsm_<name>_total` |
+/// | `gauge` | [`Gauge`] → `u64` | gauge `urpsm_<name>` |
+/// | `histogram` | [`Histogram`] → [`HistSummary`] | histogram `urpsm_<name>` |
+/// | `sharded_histogram` | [`ShardedHistogram`] → [`HistSummary`] | histogram `urpsm_<name>` |
+/// | `sharded_histogram[PlanPhase]` | one per phase → `[HistSummary; 4]` | one histogram per phase ([`phase_series`], also its JSON keys) |
+/// | `counter[N; "label"; live = g]`, `gauge[…]` | `[Counter; N]` → `Vec<u64>` of the first `g` slots | `{label="i"}` per live slot; omitted while gauge `g` is zero |
+///
+/// Trailing `#[text_only]` rows are labelled arrays that the registry
+/// and the Prometheus text carry and the snapshot does not.
+macro_rules! metrics {
+    (@cell counter) => { Counter };
+    (@cell gauge) => { Gauge };
+    (@cell histogram) => { Histogram };
+    (@cell sharded_histogram) => { ShardedHistogram };
+    (@cell $kind:ident [PlanPhase]) => { [metrics!(@cell $kind); PlanPhase::ALL.len()] };
+    (@cell $kind:ident [$n:ident; $($rest:tt)+]) => { [metrics!(@cell $kind); $n] };
+
+    (@frozen counter) => { u64 };
+    (@frozen gauge) => { u64 };
+    (@frozen histogram) => { HistSummary };
+    (@frozen sharded_histogram) => { HistSummary };
+    (@frozen $kind:ident [PlanPhase]) => { [metrics!(@frozen $kind); PlanPhase::ALL.len()] };
+    (@frozen $kind:ident [$n:ident; $($rest:tt)+]) => { Vec<metrics!(@frozen $kind)> };
+
+    (@new) => { Default::default() };
+    (@new [$($shape:tt)+]) => { std::array::from_fn(|_| Default::default()) };
+
+    (@freeze $reg:ident, $cell:expr, counter) => { $cell.get() };
+    (@freeze $reg:ident, $cell:expr, gauge) => { $cell.get() };
+    (@freeze $reg:ident, $cell:expr, histogram) => { $cell.summary() };
+    (@freeze $reg:ident, $cell:expr, sharded_histogram) => { $cell.summary() };
+    (@freeze $reg:ident, $cell:expr, $kind:ident [PlanPhase]) => {
+        std::array::from_fn(|phase| metrics!(@freeze $reg, $cell[phase], $kind))
+    };
+    (@freeze $reg:ident, $cell:expr,
+     $kind:ident [$n:ident; $label:literal; live = $live:ident]) => {
+        $cell[..live_slots(&$reg.$live, $n)]
+            .iter()
+            .map(|cell| metrics!(@freeze $reg, cell, $kind))
+            .collect()
+    };
+
+    // `text::counter` and `text::gauge` are named after their kinds.
+    (@text $out:ident, $reg:ident, $name:ident, $help:literal, histogram) => {
+        text::histogram(&mut $out, concat!("urpsm_", stringify!($name)), $help, &$reg.$name)
+    };
+    (@text $out:ident, $reg:ident, $name:ident, $help:literal, sharded_histogram) => {
+        text::histogram(
+            &mut $out,
+            concat!("urpsm_", stringify!($name)),
+            $help,
+            &$reg.$name.merged(),
+        )
+    };
+    (@text $out:ident, $reg:ident, $name:ident, $help:literal, sharded_histogram [PlanPhase]) => {
+        for (phase, hist) in PlanPhase::ALL.iter().zip(&$reg.$name) {
+            let series = phase_series(concat!("urpsm_", stringify!($name)), *phase);
+            let help = format!("{}: {}", $help, phase.name());
+            text::histogram(&mut $out, &series, &help, &hist.merged());
+        }
+    };
+    (@text $out:ident, $reg:ident, $name:ident, $help:literal, $kind:ident) => {
+        text::$kind(
+            &mut $out,
+            concat!("urpsm_", stringify!($name)),
+            $help,
+            None,
+            &[$reg.$name.get()],
+        )
+    };
+    (@text $out:ident, $reg:ident, $name:ident, $help:literal,
+     $kind:ident [$n:ident; $label:literal; live = $live:ident]) => {{
+        let live: Vec<u64> = metrics!(@freeze $reg, $reg.$name, $kind [$n; $label; live = $live]);
+        text::$kind(&mut $out, concat!("urpsm_", stringify!($name)), $help, Some($label), &live);
+    }};
+
+    (
+        $( $kind:ident $([$($shape:tt)+])? $name:ident $help:literal; )*
+        $( #[text_only] $tkind:ident [$($tshape:tt)+] $tname:ident $thelp:literal; )*
+    ) => {
+        /// Every metric the system records, by name. See DESIGN.md §11
+        /// for the layout rationale.
+        #[derive(Debug)]
+        pub struct Registry {
+            $( #[doc = $help] pub $name: metrics!(@cell $kind $([$($shape)+])?), )*
+            $( #[doc = $thelp] pub $tname: metrics!(@cell $tkind [$($tshape)+]), )*
+            /// The flight-recorder trace ring.
+            pub ring: FlightRecorder,
+        }
+
+        impl Registry {
+            fn new() -> Self {
+                let ring_cap = std::env::var("URPSM_OBS_RING")
+                    .ok()
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .unwrap_or(DEFAULT_RING_CAPACITY);
+                Registry {
+                    $( $name: metrics!(@new $([$($shape)+])?), )*
+                    $( $tname: metrics!(@new [$($tshape)+]), )*
+                    ring: FlightRecorder::with_capacity(ring_cap),
+                }
+            }
+
+            /// Freeze the registry into a plain-data snapshot.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $name: metrics!(@freeze self, self.$name, $kind $([$($shape)+])?), )*
+                    enabled: crate::enabled(),
+                    dis_cache_hit_rate: hit_rate(&self.dis_cache_hits, &self.dis_cache_misses),
+                    td_dis_hit_rate: hit_rate(&self.td_dis_hits, &self.td_dis_misses),
+                    trace_recorded: self.ring.recorded(),
+                }
+            }
+        }
+
+        /// Render the whole registry in Prometheus text exposition format.
+        pub fn render_prometheus(reg: &Registry) -> String {
+            let mut out = String::with_capacity(8192);
+            $( metrics!(@text out, reg, $name, $help, $kind $([$($shape)+])?); )*
+            $( metrics!(@text out, reg, $tname, $thelp, $tkind [$($tshape)+]); )*
+            text::counter(
+                &mut out,
+                "urpsm_trace_recorded",
+                "Flight-recorder records written",
+                None,
+                &[reg.ring.recorded()],
+            );
+            out
+        }
+
+        /// A plain-data freeze of the registry, reused by benches,
+        /// experiments, and the `urpsm-serve` shutdown summary.
+        /// Serialize with [`MetricsSnapshot::to_json`].
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct MetricsSnapshot {
+            $( #[doc = $help] pub $name: metrics!(@frozen $kind $([$($shape)+])?), )*
+            /// Whether the runtime gate was open at the freeze.
+            pub enabled: bool,
+            /// Static distance-cache hit rate, `hits / (hits + misses)`.
+            pub dis_cache_hit_rate: f64,
+            /// TD distance-cache hit rate, `hits / (hits + misses)`.
+            pub td_dis_hit_rate: f64,
+            /// Flight-recorder records written.
+            pub trace_recorded: u64,
+        }
+
+        impl MetricsSnapshot {
+            /// Render as a self-contained JSON object (no external serializer).
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(2048);
+                out.push('{');
+                $( self.$name.json(&mut out, stringify!($name)); )*
+                let _ = write!(
+                    out,
+                    "\"enabled\":{},\"dis_cache_hit_rate\":{:.6},\"td_dis_hit_rate\":{:.6},\
+                     \"trace_recorded\":{}}}",
+                    self.enabled, self.dis_cache_hit_rate, self.td_dis_hit_rate, self.trace_recorded
+                );
+                out
+            }
+        }
+    };
+}
+
+metrics! {
+    // ── planner ────────────────────────────────────────────────────────
+    counter plan_requests "Requests handled by the DP planners (GreedyDP / pruneGreedyDP)";
+    counter plan_assigned "Requests committed to a worker";
+    counter plan_rejected "Requests rejected (no feasible/economic insertion)";
+    counter plan_parallel_requests "Requests whose planning phase fanned out (width > 1)";
+    counter plan_probes "Linear-DP insertion probes executed";
+    counter plan_bound_improvements "Times the shared `AtomicMin` pruning bound was lowered";
+    sharded_histogram plan_latency_ns "Per-request planning latency (nanoseconds)";
+    sharded_histogram plan_shortlist_len "Candidate-shortlist length per request";
+    counter plan_ordered_ranks "Shortlist ranks put in `(LB, worker)` order (the lazily ordered prefix of each shortlist)";
+    sharded_histogram[PlanPhase] plan_phase_ns "Per-request wall-clock of one planning phase (nanoseconds)";
+
+    // ── static distance oracle cache ───────────────────────────────────
+    counter dis_cache_hits "Static distance-cache hits";
+    counter dis_cache_misses "Static distance-cache misses";
+    counter dis_cache_evictions "Static distance-cache evictions";
+    counter path_cache_hits "Static path-cache hits";
+    counter path_cache_misses "Static path-cache misses";
+
+    // ── time-dependent oracle ──────────────────────────────────────────
+    counter td_dis_hits "TD distance-cache hits (exact in-bucket reuse)";
+    counter td_dis_misses "TD distance-cache misses (including failed in-bucket reuse)";
+    counter td_path_hits "TD path-cache hits";
+    counter td_path_misses "TD path-cache misses";
+    counter td_evictions "TD cache evictions (distance + path)";
+    counter td_settled "Vertices settled by TD-Dijkstra searches";
+    counter td_queries "TD-Dijkstra searches run";
+
+    // ── shard plane ────────────────────────────────────────────────────
+    gauge shards_live "Shards configured in the live `ShardedService` (0 = unsharded)";
+    counter[MAX_SHARDS; "shard"; live = shards_live] shard_events "Events submitted to each shard";
+    counter shard_handoffs "Cross-shard worker handoffs committed";
+    counter borrow_probes "Borrow probes run: under `Borrow` with more than one shard, one per arriving request, before its home shard plans";
+    counter borrow_wins "Borrow probes that handed a foreign worker to the home shard";
+
+    // ── ingest / WAL ───────────────────────────────────────────────────
+    counter ingest_ticks "Ingest ticks completed";
+    counter ingest_admitted "Events admitted by the admission controller";
+    counter ingest_deferred "Events deferred past the tick budget";
+    counter ingest_shed "Events shed at the queue limit";
+    gauge ingest_backlog "Total backlog at the end of the latest tick";
+    gauge ingest_peak_backlog "Run-level backlog high-water mark";
+    counter wal_appends "WAL records appended";
+    counter wal_bytes "WAL bytes written (framing + payload)";
+    counter wal_flushes "WAL flushes";
+    histogram wal_flush_ns "WAL flush latency (nanoseconds)";
+    counter recovery_runs "Recovery runs performed";
+    counter recovery_replayed "Events replayed from the WAL during recovery";
+    counter recovery_torn_tail "Recoveries that truncated a torn tail";
+
+    // ── service / baselines / workloads ────────────────────────────────
+    counter service_events "Events submitted to `MobilityService`";
+    counter service_replies "Replies emitted by `MobilityService`";
+    counter motion_advanced "Workers moved forward by `MobilityService` (one per worker per clock advance in which it was due)";
+    counter motion_idle_retimed "Idle workers re-timed to the clock by `MobilityService`";
+    counter kinetic_reorders "Kinetic-tree reorderings that beat plain insertion";
+    counter batch_epochs "Batch-planner epoch flushes";
+    counter workload_events "Platform events generated by workload scenarios";
+
+    // ── vehicle classes ────────────────────────────────────────────────
+    gauge classes_live "Vehicle classes in the live fleet (1 = homogeneous default)";
+    counter[MAX_CLASSES; "class"; live = classes_live] class_served "Requests served, per vehicle class";
+    counter[MAX_CLASSES; "class"; live = classes_live] class_driven "Distance driven per vehicle class (free-flow cost units)";
+
+    // ── per-shard ingest series (Prometheus text only) ─────────────────
+    #[text_only] gauge[MAX_SHARDS; "shard"; live = shards_live] shard_backlog "End-of-tick backlog per shard";
+    #[text_only] counter[MAX_SHARDS; "shard"; live = shards_live] shard_sheds "Sheds per shard";
 }
 
 static REGISTRY: OnceLock<Registry> = OnceLock::new();
@@ -306,171 +342,6 @@ static REGISTRY: OnceLock<Registry> = OnceLock::new();
 /// The process-wide registry (constructed on first touch).
 pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
-}
-
-/// A plain-data freeze of the registry, reused by benches, experiments,
-/// and the `urpsm-serve` shutdown summary. Serialize with
-/// [`MetricsSnapshot::to_json`].
-#[derive(Debug, Clone, Default, PartialEq)]
-#[allow(missing_docs)] // field names mirror the documented Registry fields
-pub struct MetricsSnapshot {
-    pub enabled: bool,
-    pub plan_requests: u64,
-    pub plan_assigned: u64,
-    pub plan_rejected: u64,
-    pub plan_parallel_requests: u64,
-    pub plan_probes: u64,
-    pub plan_bound_improvements: u64,
-    pub plan_latency_ns: HistSummary,
-    pub plan_shortlist_len: HistSummary,
-    pub plan_ordered_ranks: u64,
-    pub plan_phase_ns: [HistSummary; PlanPhase::ALL.len()],
-    pub dis_cache_hits: u64,
-    pub dis_cache_misses: u64,
-    pub dis_cache_evictions: u64,
-    pub dis_cache_hit_rate: f64,
-    pub path_cache_hits: u64,
-    pub path_cache_misses: u64,
-    pub td_dis_hits: u64,
-    pub td_dis_misses: u64,
-    pub td_dis_hit_rate: f64,
-    pub td_path_hits: u64,
-    pub td_path_misses: u64,
-    pub td_evictions: u64,
-    pub td_settled: u64,
-    pub td_queries: u64,
-    pub shards_live: u64,
-    pub shard_events: Vec<u64>,
-    pub shard_handoffs: u64,
-    pub borrow_probes: u64,
-    pub borrow_wins: u64,
-    pub ingest_ticks: u64,
-    pub ingest_admitted: u64,
-    pub ingest_deferred: u64,
-    pub ingest_shed: u64,
-    pub ingest_backlog: u64,
-    pub ingest_peak_backlog: u64,
-    pub wal_appends: u64,
-    pub wal_bytes: u64,
-    pub wal_flushes: u64,
-    pub wal_flush_ns: HistSummary,
-    pub recovery_runs: u64,
-    pub recovery_replayed: u64,
-    pub recovery_torn_tail: u64,
-    pub service_events: u64,
-    pub service_replies: u64,
-    pub motion_advanced: u64,
-    pub motion_idle_retimed: u64,
-    pub kinetic_reorders: u64,
-    pub batch_epochs: u64,
-    pub workload_events: u64,
-    pub classes_live: u64,
-    pub class_served: Vec<u64>,
-    pub class_driven: Vec<u64>,
-    pub trace_recorded: u64,
-}
-
-fn hist_json(out: &mut String, key: &str, h: &HistSummary) {
-    out.push_str(&format!(
-        "\"{key}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-        h.count, h.sum, h.p50, h.p90, h.p99, h.max
-    ));
-}
-
-impl MetricsSnapshot {
-    /// Render as a self-contained JSON object (no external serializer).
-    pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(2048);
-        o.push('{');
-        o.push_str(&format!("\"enabled\":{},", self.enabled));
-        for (k, v) in [
-            ("plan_requests", self.plan_requests),
-            ("plan_assigned", self.plan_assigned),
-            ("plan_rejected", self.plan_rejected),
-            ("plan_parallel_requests", self.plan_parallel_requests),
-            ("plan_probes", self.plan_probes),
-            ("plan_bound_improvements", self.plan_bound_improvements),
-            ("plan_ordered_ranks", self.plan_ordered_ranks),
-        ] {
-            o.push_str(&format!("\"{k}\":{v},"));
-        }
-        hist_json(&mut o, "plan_latency_ns", &self.plan_latency_ns);
-        o.push(',');
-        hist_json(&mut o, "plan_shortlist_len", &self.plan_shortlist_len);
-        o.push(',');
-        for (phase, h) in PlanPhase::ALL.iter().zip(&self.plan_phase_ns) {
-            hist_json(&mut o, &format!("plan_phase_{}_ns", phase.name()), h);
-            o.push(',');
-        }
-        o.push_str(&format!(
-            "\"dis_cache_hit_rate\":{:.6},\"td_dis_hit_rate\":{:.6},",
-            self.dis_cache_hit_rate, self.td_dis_hit_rate
-        ));
-        for (k, v) in [
-            ("dis_cache_hits", self.dis_cache_hits),
-            ("dis_cache_misses", self.dis_cache_misses),
-            ("dis_cache_evictions", self.dis_cache_evictions),
-            ("path_cache_hits", self.path_cache_hits),
-            ("path_cache_misses", self.path_cache_misses),
-            ("td_dis_hits", self.td_dis_hits),
-            ("td_dis_misses", self.td_dis_misses),
-            ("td_path_hits", self.td_path_hits),
-            ("td_path_misses", self.td_path_misses),
-            ("td_evictions", self.td_evictions),
-            ("td_settled", self.td_settled),
-            ("td_queries", self.td_queries),
-            ("shards_live", self.shards_live),
-            ("shard_handoffs", self.shard_handoffs),
-            ("borrow_probes", self.borrow_probes),
-            ("borrow_wins", self.borrow_wins),
-            ("ingest_ticks", self.ingest_ticks),
-            ("ingest_admitted", self.ingest_admitted),
-            ("ingest_deferred", self.ingest_deferred),
-            ("ingest_shed", self.ingest_shed),
-            ("ingest_backlog", self.ingest_backlog),
-            ("ingest_peak_backlog", self.ingest_peak_backlog),
-            ("wal_appends", self.wal_appends),
-            ("wal_bytes", self.wal_bytes),
-            ("wal_flushes", self.wal_flushes),
-        ] {
-            o.push_str(&format!("\"{k}\":{v},"));
-        }
-        hist_json(&mut o, "wal_flush_ns", &self.wal_flush_ns);
-        o.push(',');
-        for (key, values) in [
-            ("shard_events", &self.shard_events),
-            ("class_served", &self.class_served),
-            ("class_driven", &self.class_driven),
-        ] {
-            o.push_str(&format!("\"{key}\":["));
-            for (i, v) in values.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                o.push_str(&v.to_string());
-            }
-            o.push_str("],");
-        }
-        o.push_str(&format!("\"classes_live\":{},", self.classes_live));
-        for (k, v) in [
-            ("recovery_runs", self.recovery_runs),
-            ("recovery_replayed", self.recovery_replayed),
-            ("recovery_torn_tail", self.recovery_torn_tail),
-            ("service_events", self.service_events),
-            ("service_replies", self.service_replies),
-            ("motion_advanced", self.motion_advanced),
-            ("motion_idle_retimed", self.motion_idle_retimed),
-            ("kinetic_reorders", self.kinetic_reorders),
-            ("batch_epochs", self.batch_epochs),
-            ("workload_events", self.workload_events),
-            ("trace_recorded", self.trace_recorded),
-        ] {
-            o.push_str(&format!("\"{k}\":{v},"));
-        }
-        o.pop(); // trailing comma
-        o.push('}');
-        o
-    }
 }
 
 #[cfg(test)]

@@ -1,26 +1,62 @@
-//! Prometheus text-format exposition for the registry, plus a tiny
-//! checker that validates the grammar and histogram invariants — used by
-//! the CI `obs-gate` to prove the dump parses without pulling in a real
-//! Prometheus client.
+//! Prometheus text-format exposition: the three family writers
+//! [`render_prometheus`](crate::render_prometheus) is generated over,
+//! plus a tiny checker that validates the grammar and histogram
+//! invariants — used by the CI `obs-gate` to prove the dump parses
+//! without pulling in a real Prometheus client.
 
 use crate::metrics::{bucket_upper_bound, Histogram};
-use crate::registry::Registry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-fn counter(out: &mut String, name: &str, help: &str, v: u64) {
+/// One counter or gauge family: a single bare sample when `label` is
+/// `None`, else one `{label="i"}` sample per value — and nothing at
+/// all for a labelled family with no live slot.
+fn scalars(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    ty: &str,
+    label: Option<&str>,
+    values: &[u64],
+) {
+    if values.is_empty() {
+        return;
+    }
     let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {v}");
+    let _ = writeln!(out, "# TYPE {name} {ty}");
+    for (i, v) in values.iter().enumerate() {
+        let _ = match label {
+            Some(label) => writeln!(out, "{name}{{{label}=\"{i}\"}} {v}"),
+            None => writeln!(out, "{name} {v}"),
+        };
+    }
 }
 
-fn gauge(out: &mut String, name: &str, help: &str, v: u64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {v}");
+/// A counter family; `stem` gains the conventional `_total`.
+pub(crate) fn counter(
+    out: &mut String,
+    stem: &str,
+    help: &str,
+    label: Option<&str>,
+    values: &[u64],
+) {
+    scalars(
+        out,
+        &format!("{stem}_total"),
+        help,
+        "counter",
+        label,
+        values,
+    );
 }
 
-fn histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
+/// A gauge family.
+pub(crate) fn gauge(out: &mut String, name: &str, help: &str, label: Option<&str>, values: &[u64]) {
+    scalars(out, name, help, "gauge", label, values);
+}
+
+/// A histogram family: cumulative occupied buckets, `+Inf`, sum, count.
+pub(crate) fn histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} histogram");
     let buckets = h.bucket_counts();
@@ -40,365 +76,6 @@ fn histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
     let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {total}");
     let _ = writeln!(out, "{name}_sum {}", h.sum());
     let _ = writeln!(out, "{name}_count {total}");
-}
-
-/// Render the whole registry in Prometheus text exposition format.
-pub fn render_prometheus(reg: &Registry) -> String {
-    let mut o = String::with_capacity(8192);
-    counter(
-        &mut o,
-        "urpsm_plan_requests_total",
-        "Requests handled by the DP planners",
-        reg.plan_requests.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_plan_assigned_total",
-        "Requests committed to a worker",
-        reg.plan_assigned.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_plan_rejected_total",
-        "Requests rejected by the planner",
-        reg.plan_rejected.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_plan_parallel_requests_total",
-        "Requests whose planning phase fanned out (width > 1)",
-        reg.plan_parallel_requests.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_plan_probes_total",
-        "Linear-DP insertion probes executed",
-        reg.plan_probes.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_plan_bound_improvements_total",
-        "AtomicMin pruning-bound improvements",
-        reg.plan_bound_improvements.get(),
-    );
-    histogram(
-        &mut o,
-        "urpsm_plan_latency_ns",
-        "Per-request planning latency (ns)",
-        &reg.plan_latency_ns.merged(),
-    );
-    histogram(
-        &mut o,
-        "urpsm_plan_shortlist_len",
-        "Candidate shortlist length per request",
-        &reg.plan_shortlist_len.merged(),
-    );
-    counter(
-        &mut o,
-        "urpsm_plan_ordered_ranks_total",
-        "Shortlist ranks put in (LB, worker) order",
-        reg.plan_ordered_ranks.get(),
-    );
-    for (phase, hist) in crate::PlanPhase::ALL.iter().zip(&reg.plan_phase_ns) {
-        histogram(
-            &mut o,
-            &format!("urpsm_plan_phase_{}_ns", phase.name()),
-            &format!("Per-request {} phase of the DP planners (ns)", phase.name()),
-            &hist.merged(),
-        );
-    }
-    counter(
-        &mut o,
-        "urpsm_dis_cache_hits_total",
-        "Static distance-cache hits",
-        reg.dis_cache_hits.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_dis_cache_misses_total",
-        "Static distance-cache misses",
-        reg.dis_cache_misses.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_dis_cache_evictions_total",
-        "Static distance-cache evictions",
-        reg.dis_cache_evictions.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_path_cache_hits_total",
-        "Static path-cache hits",
-        reg.path_cache_hits.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_path_cache_misses_total",
-        "Static path-cache misses",
-        reg.path_cache_misses.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_td_dis_hits_total",
-        "TD distance-cache hits",
-        reg.td_dis_hits.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_td_dis_misses_total",
-        "TD distance-cache misses",
-        reg.td_dis_misses.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_td_path_hits_total",
-        "TD path-cache hits",
-        reg.td_path_hits.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_td_path_misses_total",
-        "TD path-cache misses",
-        reg.td_path_misses.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_td_evictions_total",
-        "TD cache evictions",
-        reg.td_evictions.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_td_settled_total",
-        "Vertices settled by TD-Dijkstra",
-        reg.td_settled.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_td_queries_total",
-        "TD-Dijkstra searches run",
-        reg.td_queries.get(),
-    );
-    gauge(
-        &mut o,
-        "urpsm_shards_live",
-        "Shards configured in the live service",
-        reg.shards_live.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_shard_handoffs_total",
-        "Cross-shard worker handoffs committed",
-        reg.shard_handoffs.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_borrow_probes_total",
-        "Borrow probes attempted on rejection",
-        reg.borrow_probes.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_borrow_wins_total",
-        "Borrow probes that beat the home shard",
-        reg.borrow_wins.get(),
-    );
-    let live = (reg.shards_live.get() as usize).min(crate::registry::MAX_SHARDS);
-    if live > 0 {
-        let _ = writeln!(
-            o,
-            "# HELP urpsm_shard_events_total Events submitted per shard"
-        );
-        let _ = writeln!(o, "# TYPE urpsm_shard_events_total counter");
-        for s in 0..live {
-            let _ = writeln!(
-                o,
-                "urpsm_shard_events_total{{shard=\"{s}\"}} {}",
-                reg.shard_events[s].get()
-            );
-        }
-        let _ = writeln!(
-            o,
-            "# HELP urpsm_shard_backlog End-of-tick backlog per shard"
-        );
-        let _ = writeln!(o, "# TYPE urpsm_shard_backlog gauge");
-        for s in 0..live {
-            let _ = writeln!(
-                o,
-                "urpsm_shard_backlog{{shard=\"{s}\"}} {}",
-                reg.shard_backlog[s].get()
-            );
-        }
-        let _ = writeln!(o, "# HELP urpsm_shard_sheds_total Sheds per shard");
-        let _ = writeln!(o, "# TYPE urpsm_shard_sheds_total counter");
-        for s in 0..live {
-            let _ = writeln!(
-                o,
-                "urpsm_shard_sheds_total{{shard=\"{s}\"}} {}",
-                reg.shard_sheds[s].get()
-            );
-        }
-    }
-    counter(
-        &mut o,
-        "urpsm_ingest_ticks_total",
-        "Ingest ticks completed",
-        reg.ingest_ticks.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_ingest_admitted_total",
-        "Events admitted",
-        reg.ingest_admitted.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_ingest_deferred_total",
-        "Events deferred past the tick budget",
-        reg.ingest_deferred.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_ingest_shed_total",
-        "Events shed at the queue limit",
-        reg.ingest_shed.get(),
-    );
-    gauge(
-        &mut o,
-        "urpsm_ingest_backlog",
-        "Backlog at the end of the latest tick",
-        reg.ingest_backlog.get(),
-    );
-    gauge(
-        &mut o,
-        "urpsm_ingest_peak_backlog",
-        "Run-level backlog high-water mark",
-        reg.ingest_peak_backlog.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_wal_appends_total",
-        "WAL records appended",
-        reg.wal_appends.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_wal_bytes_total",
-        "WAL bytes written",
-        reg.wal_bytes.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_wal_flushes_total",
-        "WAL flushes",
-        reg.wal_flushes.get(),
-    );
-    histogram(
-        &mut o,
-        "urpsm_wal_flush_ns",
-        "WAL flush latency (ns)",
-        &reg.wal_flush_ns,
-    );
-    counter(
-        &mut o,
-        "urpsm_recovery_runs_total",
-        "Recovery runs performed",
-        reg.recovery_runs.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_recovery_replayed_total",
-        "Events replayed from the WAL",
-        reg.recovery_replayed.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_recovery_torn_tail_total",
-        "Recoveries that truncated a torn tail",
-        reg.recovery_torn_tail.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_service_events_total",
-        "Events submitted to MobilityService",
-        reg.service_events.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_service_replies_total",
-        "Replies emitted by MobilityService",
-        reg.service_replies.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_motion_advanced_total",
-        "Workers moved forward by MobilityService",
-        reg.motion_advanced.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_motion_idle_retimed_total",
-        "Idle workers re-timed to the clock",
-        reg.motion_idle_retimed.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_kinetic_reorders_total",
-        "Kinetic-tree reorderings committed",
-        reg.kinetic_reorders.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_batch_epochs_total",
-        "Batch-planner epoch flushes",
-        reg.batch_epochs.get(),
-    );
-    counter(
-        &mut o,
-        "urpsm_workload_events_total",
-        "Platform events generated by scenarios",
-        reg.workload_events.get(),
-    );
-    gauge(
-        &mut o,
-        "urpsm_classes_live",
-        "Vehicle classes in the live fleet",
-        reg.classes_live.get(),
-    );
-    let live_classes = (reg.classes_live.get() as usize).min(crate::registry::MAX_CLASSES);
-    if live_classes > 0 {
-        let _ = writeln!(
-            o,
-            "# HELP urpsm_class_served_total Requests served per vehicle class"
-        );
-        let _ = writeln!(o, "# TYPE urpsm_class_served_total counter");
-        for c in 0..live_classes {
-            let _ = writeln!(
-                o,
-                "urpsm_class_served_total{{class=\"{c}\"}} {}",
-                reg.class_served[c].get()
-            );
-        }
-        let _ = writeln!(
-            o,
-            "# HELP urpsm_class_driven_total Distance driven per vehicle class (free-flow units)"
-        );
-        let _ = writeln!(o, "# TYPE urpsm_class_driven_total counter");
-        for c in 0..live_classes {
-            let _ = writeln!(
-                o,
-                "urpsm_class_driven_total{{class=\"{c}\"}} {}",
-                reg.class_driven[c].get()
-            );
-        }
-    }
-    counter(
-        &mut o,
-        "urpsm_trace_recorded_total",
-        "Flight-recorder records written",
-        reg.ring.recorded(),
-    );
-    o
 }
 
 fn valid_metric_name(s: &str) -> bool {
@@ -588,7 +265,7 @@ pub fn check_exposition(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::registry;
+    use crate::registry::{registry, render_prometheus};
 
     #[test]
     fn rendered_registry_passes_checker() {

@@ -49,7 +49,6 @@ pub struct LruCache<K, V> {
     misses: u64,
     /// `(hits, misses)` already published to the metrics registry —
     /// see [`take_stats_delta`](LruCache::take_stats_delta).
-    #[cfg(feature = "obs")]
     published: (u64, u64),
 }
 
@@ -78,7 +77,6 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
             capacity,
             hits: 0,
             misses: 0,
-            #[cfg(feature = "obs")]
             published: (0, 0),
         }
     }
@@ -105,7 +103,6 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
     /// subtractions (no atomics, no branches on shared state) is what
     /// lets the hottest structure in the system stay instrumented; the
     /// registry lags the truth by at most one batch per shard.
-    #[cfg(feature = "obs")]
     pub fn take_stats_delta(&mut self, force: bool) -> Option<(u64, u64)> {
         const BATCH: u64 = 4096;
         let dh = self.hits - self.published.0;
@@ -351,13 +348,14 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
                 // fed in batches: the cache already counts under its
                 // own lock, and `take_stats_delta` crosses into the
                 // shared atomic counters once per batch per shard.
-                #[cfg(feature = "obs")]
-                if let Some((hits, misses)) = cache.take_stats_delta(false) {
-                    drop(cache);
-                    urpsm_obs::with(|m| {
-                        m.dis_cache_hits.add(hits);
-                        m.dis_cache_misses.add(misses);
-                    });
+                if urpsm_obs::RECORDING {
+                    if let Some((hits, misses)) = cache.take_stats_delta(false) {
+                        drop(cache);
+                        urpsm_obs::with(|m| {
+                            m.dis_cache_hits.add(hits);
+                            m.dis_cache_misses.add(misses);
+                        });
+                    }
                 }
                 return d;
             }
@@ -366,14 +364,9 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
         // race to fill the same pair, which costs one duplicate inner
         // query, never a wrong answer (both insert the same value).
         let d = self.inner.dis(u, v);
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = lock(shard).insert(key, d);
-        }
-        #[cfg(feature = "obs")]
-        {
-            let mut cache = lock(shard);
-            let evicted = cache.insert(key, d).is_some();
+        let mut cache = lock(shard);
+        let evicted = cache.insert(key, d).is_some();
+        if urpsm_obs::RECORDING {
             // A miss already paid an inner-oracle query, so it always
             // flushes the pending batch — short runs stay visible in
             // the exposition without waiting for a full batch.
@@ -399,19 +392,16 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
         {
             let mut cache = lock(&self.path_cache);
             if let Some(p) = cache.get(&(u.0, v.0)) {
-                #[cfg(feature = "obs")]
                 urpsm_obs::with(|m| m.path_cache_hits.inc());
                 return Some(p.clone());
             }
             if let Some(p) = cache.get(&(v.0, u.0)) {
-                #[cfg(feature = "obs")]
                 urpsm_obs::with(|m| m.path_cache_hits.inc());
                 let mut rev = p.clone();
                 rev.reverse();
                 return Some(rev);
             }
         }
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| m.path_cache_misses.inc());
         let p = self.inner.shortest_path(u, v)?;
         lock(&self.path_cache).insert((u.0, v.0), p.clone());

@@ -291,20 +291,6 @@ impl CongestionProfile {
         self.bucket_len
     }
 
-    /// Number of buckets per period (day).
-    pub fn num_buckets(&self) -> usize {
-        self.multipliers_pm[0].len()
-    }
-
-    /// The largest multiplier anywhere in the profile (per-mille).
-    pub fn max_multiplier_pm(&self) -> u32 {
-        self.multipliers_pm
-            .iter()
-            .flat_map(|t| t.iter().copied())
-            .max()
-            .unwrap_or(1000)
-    }
-
     /// The multiplier in force for `region` at time `t` (per-mille).
     #[inline]
     fn multiplier_pm(&self, region: usize, t: u64) -> u64 {

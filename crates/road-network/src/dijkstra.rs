@@ -19,8 +19,6 @@ pub struct DijkstraEngine {
     epoch: Vec<u32>,
     current_epoch: u32,
     heap: BinaryHeap<Reverse<(Cost, u32)>>,
-    /// Source of the search currently stored in the arrays.
-    source: Option<VertexId>,
 }
 
 const NO_PARENT: u32 = u32::MAX;
@@ -34,7 +32,6 @@ impl DijkstraEngine {
             epoch: vec![0; n],
             current_epoch: 0,
             heap: BinaryHeap::new(),
-            source: None,
         }
     }
 
@@ -55,7 +52,6 @@ impl DijkstraEngine {
         self.touch(s.idx());
         self.dist[s.idx()] = 0;
         self.heap.push(Reverse((0, s.0)));
-        self.source = Some(s);
     }
 
     #[inline]
@@ -156,11 +152,6 @@ impl DijkstraEngine {
     #[inline]
     pub fn dist_to(&self, t: VertexId) -> Cost {
         self.seen_dist(t.idx())
-    }
-
-    /// The source of the last search, if any.
-    pub fn last_source(&self) -> Option<VertexId> {
-        self.source
     }
 
     /// Reconstructs the shortest path `s -> t` (inclusive of both

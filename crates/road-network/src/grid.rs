@@ -192,11 +192,6 @@ impl GridIndex {
         }
     }
 
-    /// All indexed item ids (arbitrary order).
-    pub fn all_items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.items.keys().copied()
-    }
-
     /// Approximate heap usage in bytes.
     pub fn mem_bytes(&self) -> usize {
         let buckets: usize = self.cells.iter().map(|c| c.capacity() * 8).sum();

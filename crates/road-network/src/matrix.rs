@@ -6,8 +6,6 @@
 //! [`RoadNetwork`] via Floyd–Warshall with next-hop reconstruction, which
 //! gives real `shortest_path` answers on small graphs.
 
-use std::sync::Arc;
-
 use crate::geo::Point;
 use crate::graph::RoadNetwork;
 use crate::oracle::DistanceOracle;
@@ -142,11 +140,6 @@ impl MatrixOracle {
             points,
             top_speed_mps: g.top_speed_mps(),
         }
-    }
-
-    /// Convenience: `Arc`-wrapped oracle from a network.
-    pub fn shared_from_network(g: &RoadNetwork) -> Arc<Self> {
-        Arc::new(Self::from_network(g))
     }
 }
 

@@ -345,11 +345,6 @@ impl TdDijkstra {
         &self.profile
     }
 
-    /// Whether searches are goal-directed (hub-label potentials).
-    pub fn is_goal_directed(&self) -> bool {
-        self.labels.is_some()
-    }
-
     /// Cumulative search counters.
     pub fn stats(&self) -> TdSearchStats {
         TdSearchStats {
@@ -357,13 +352,6 @@ impl TdDijkstra {
             settled: self.settled.load(Ordering::Relaxed),
             relaxed: self.relaxed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets the counters to zero.
-    pub fn reset_stats(&self) {
-        self.queries.store(0, Ordering::Relaxed);
-        self.settled.store(0, Ordering::Relaxed);
-        self.relaxed.store(0, Ordering::Relaxed);
     }
 
     fn with_state<R>(&self, f: impl FnOnce(&mut SearchState) -> R) -> R {
@@ -390,7 +378,6 @@ impl TdDijkstra {
                 .fetch_add(state.settled - before.0, Ordering::Relaxed);
             self.relaxed
                 .fetch_add(state.relaxed - before.1, Ordering::Relaxed);
-            #[cfg(feature = "obs")]
             urpsm_obs::with(|m| {
                 m.td_queries.inc();
                 m.td_settled.add(state.settled - before.0);
@@ -567,7 +554,6 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         if let Some(&d) = lock(shard).get(&key) {
             if depart.saturating_add(d) <= bucket_end {
                 self.dis_hits.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "obs")]
                 urpsm_obs::with(|m| {
                     m.td_dis_hits.inc();
                     m.ring.record(
@@ -582,7 +568,6 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
             }
         }
         self.dis_misses.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| {
             m.td_dis_misses.inc();
             m.ring.record(
@@ -597,9 +582,8 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         // fill race as the static cache: equal values, never wrong).
         let d = self.inner.dis_at(u, v, depart);
         if depart.saturating_add(d) <= bucket_end {
-            let _evicted = lock(shard).insert(key, d).is_some();
-            #[cfg(feature = "obs")]
-            if _evicted {
+            let evicted = lock(shard).insert(key, d).is_some();
+            if evicted {
                 urpsm_obs::with(|m| m.td_evictions.inc());
             }
         }
@@ -626,20 +610,17 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
             if let Some((d, p)) = cache.get(&key) {
                 if depart.saturating_add(*d) <= bucket_end {
                     self.path_hits.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(feature = "obs")]
                     urpsm_obs::with(|m| m.td_path_hits.inc());
                     return Some((*d, p.clone()));
                 }
             }
         }
         self.path_misses.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| m.td_path_misses.inc());
         let (d, p) = self.inner.path_and_duration_at(u, v, depart)?;
         if depart.saturating_add(d) <= bucket_end {
-            let _evicted = lock(&self.path_cache).insert(key, (d, p.clone())).is_some();
-            #[cfg(feature = "obs")]
-            if _evicted {
+            let evicted = lock(&self.path_cache).insert(key, (d, p.clone())).is_some();
+            if evicted {
                 urpsm_obs::with(|m| m.td_evictions.inc());
             }
         }

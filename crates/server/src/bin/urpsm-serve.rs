@@ -16,11 +16,11 @@
 //! crash instead of starting fresh.
 //!
 //! `--metrics-file PATH` turns the observability plane on (when the
-//! binary was built with `--features obs`) and rewrites `PATH` with a
-//! Prometheus-text exposition of the full metrics registry at every
-//! tick and once more on shutdown. Without the `obs` feature the flag
-//! is accepted but ignored with a warning — the hot path contains no
-//! instrumentation code at all in that build.
+//! binary was built with `--features urpsm-obs/record`) and rewrites
+//! `PATH` with a Prometheus-text exposition of the full metrics
+//! registry at every tick and once more on shutdown. Without the
+//! feature the flag is accepted but ignored with a warning — nothing
+//! records in that build.
 //!
 //! Exit codes:
 //!
@@ -162,7 +162,6 @@ fn build_backend(scenario: &Scenario, shards: usize, td_oracle: bool) -> Backend
 /// Rewrites the Prometheus-text exposition at `path`. A failed write
 /// warns (once per call) rather than aborting the run — metrics are
 /// best-effort, the run itself is not.
-#[cfg(feature = "obs")]
 fn write_metrics(path: &std::path::Path) {
     let text = urpsm_obs::render_prometheus(urpsm_obs::registry());
     if let Err(e) = std::fs::write(path, text) {
@@ -171,18 +170,18 @@ fn write_metrics(path: &std::path::Path) {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = parse_args();
     if args.metrics_file.is_some() {
-        #[cfg(feature = "obs")]
-        {
+        if urpsm_obs::RECORDING {
             urpsm_obs::set_enabled(true);
             urpsm_obs::install_panic_hook();
+        } else {
+            eprintln!(
+                "urpsm-serve: built without recording; --metrics-file is ignored \
+                 (rebuild with `--features urpsm-obs/record`)"
+            );
+            args.metrics_file = None;
         }
-        #[cfg(not(feature = "obs"))]
-        eprintln!(
-            "urpsm-serve: built without the `obs` feature; --metrics-file is ignored \
-             (rebuild with `--features urpsm-server/obs`)"
-        );
     }
     let built = Instant::now();
     let scenario = build_scenario(&args);
@@ -263,7 +262,6 @@ fn main() {
             );
         }
         last = Some(report);
-        #[cfg(feature = "obs")]
         if let Some(path) = &args.metrics_file {
             write_metrics(path);
         }
@@ -272,7 +270,6 @@ fn main() {
         .finish()
         .unwrap_or_else(|e| die(&format!("drain failed: {e}")));
     let elapsed = ingest_start.elapsed();
-    #[cfg(feature = "obs")]
     if let Some(path) = &args.metrics_file {
         write_metrics(path);
         eprintln!("urpsm-serve: metrics written to {}", path.display());

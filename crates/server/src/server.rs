@@ -411,7 +411,6 @@ impl<'p> IngestServer<'p> {
         let batch = std::mem::take(&mut self.pending);
 
         self.admission.begin_tick();
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| {
             m.ingest_ticks.inc();
             m.ring.record(
@@ -424,7 +423,6 @@ impl<'p> IngestServer<'p> {
         });
         let mut kept = Vec::new();
         let mut admitted = 0usize;
-        #[cfg(feature = "obs")]
         let mut deferred = 0usize;
         let mut shed = 0usize;
         for p in batch {
@@ -435,7 +433,6 @@ impl<'p> IngestServer<'p> {
             let fresh_arrival = matches!(p.event, PlatformEvent::RequestArrived(_)) && !p.queued;
             let shard = self.backend.home_shard(&p.event);
             let verdict = self.admission.classify(shard, fresh_arrival, p.queued);
-            #[cfg(feature = "obs")]
             urpsm_obs::with(|m| {
                 let code = match verdict {
                     Admission::Admit => 0u64,
@@ -464,10 +461,7 @@ impl<'p> IngestServer<'p> {
                     admitted += 1;
                 }
                 Admission::Defer => {
-                    #[cfg(feature = "obs")]
-                    {
-                        deferred += 1;
-                    }
+                    deferred += 1;
                     kept.push(Pending { queued: true, ..p });
                 }
                 Admission::Shed => {
@@ -478,7 +472,6 @@ impl<'p> IngestServer<'p> {
                         at: until,
                         request: r.id,
                     });
-                    #[cfg(feature = "obs")]
                     urpsm_obs::with(|m| {
                         if let Some(s) = shard {
                             m.shard_sheds[urpsm_obs::registry::shard_slot(s)].inc();
@@ -498,7 +491,6 @@ impl<'p> IngestServer<'p> {
                 Self::cut_snapshot(w, &self.backend)?;
             }
         }
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| {
             m.ingest_admitted.add(admitted as u64);
             m.ingest_deferred.add(deferred as u64);
@@ -677,7 +669,6 @@ pub fn recover<'p>(
         torn_tail: scan.torn,
         snapshot_verified,
     };
-    #[cfg(feature = "obs")]
     urpsm_obs::with(|m| {
         m.recovery_runs.inc();
         m.recovery_replayed.add(report.events_replayed);

@@ -100,7 +100,6 @@ impl WalWriter {
         self.out.write_all(&payload)?;
         self.bytes += 8 + u64::from(len);
         self.records += 1;
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| {
             m.wal_appends.inc();
             m.wal_bytes.add(8 + u64::from(len));
@@ -117,10 +116,8 @@ impl WalWriter {
 
     /// Flushes buffered records to the OS.
     pub fn flush(&mut self) -> io::Result<()> {
-        #[cfg(feature = "obs")]
         let sw = urpsm_obs::Stopwatch::start();
         self.out.flush()?;
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| {
             m.wal_flushes.inc();
             let ns = sw.elapsed_ns().unwrap_or(0);

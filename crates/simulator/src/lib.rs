@@ -124,6 +124,22 @@ pub enum SimEvent {
     },
 }
 
+impl SimEvent {
+    /// When the event occurred.
+    pub fn time(&self) -> urpsm_core::types::Time {
+        match *self {
+            SimEvent::Assigned { t, .. }
+            | SimEvent::Rejected { t, .. }
+            | SimEvent::Pickup { t, .. }
+            | SimEvent::Delivery { t, .. }
+            | SimEvent::Cancelled { t, .. }
+            | SimEvent::Unassigned { t, .. }
+            | SimEvent::WorkerJoined { t, .. }
+            | SimEvent::WorkerLeft { t, .. } => t,
+        }
+    }
+}
+
 /// Order-sensitive FNV-1a digest of an event log: every variant tag and
 /// every field of every event feeds the hash, so two logs collide only
 /// if they are byte-for-byte the same sequence (up to hash collisions).
@@ -166,4 +182,37 @@ pub fn event_log_digest(events: &[SimEvent]) -> u64 {
         };
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SimEvent;
+    use urpsm_core::types::{RequestId, WorkerId};
+
+    #[test]
+    fn time_reads_every_variant() {
+        let (r, w) = (RequestId(3), WorkerId(5));
+        let events = [
+            SimEvent::Assigned {
+                t: 10,
+                r,
+                w,
+                delta: 7,
+            },
+            SimEvent::Rejected { t: 11, r },
+            SimEvent::Pickup { t: 12, r, w },
+            SimEvent::Delivery { t: 13, r, w },
+            SimEvent::Cancelled { t: 14, r, freed: 7 },
+            SimEvent::Unassigned {
+                t: 15,
+                r,
+                w,
+                freed: 7,
+            },
+            SimEvent::WorkerJoined { t: 16, w },
+            SimEvent::WorkerLeft { t: 17, w },
+        ];
+        let times: Vec<u64> = events.iter().map(SimEvent::time).collect();
+        assert_eq!(times, [10, 11, 12, 13, 14, 15, 16, 17]);
+    }
 }

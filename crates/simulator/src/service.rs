@@ -171,11 +171,6 @@ impl<'p> MobilityService<'p> {
         &self.state
     }
 
-    /// The planner's algorithm name.
-    pub fn planner_name(&self) -> &'static str {
-        self.planner.name()
-    }
-
     /// The full event log accumulated so far.
     pub fn events(&self) -> &[SimEvent] {
         &self.events
@@ -207,7 +202,6 @@ impl<'p> MobilityService<'p> {
     /// [`PlatformEvent::WorkerJoined`]) produce no replies instead of a
     /// panic.
     pub fn submit(&mut self, event: PlatformEvent) -> Vec<ServiceReply> {
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| m.service_events.inc());
         let mark = self.events.len();
         let t = event.time().max(self.last_time);
@@ -252,7 +246,6 @@ impl<'p> MobilityService<'p> {
             }
         }
         let out = self.events[mark..].to_vec();
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| m.service_replies.add(out.len() as u64));
         out
     }
@@ -329,7 +322,6 @@ impl<'p> MobilityService<'p> {
             c.served += a.assigned_requests.len();
             c.driven_distance += *d;
         }
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| {
             m.classes_live.observe_max(per_class.len() as u64);
             for (i, c) in per_class.iter().enumerate() {
@@ -423,9 +415,7 @@ impl<'p> MobilityService<'p> {
             return self.advance_all_by_sweep(t);
         }
         self.state.advance_clock(t);
-        #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
         let retimed = self.state.retime_idle(t);
-        #[cfg(feature = "obs")]
         let mut advanced = 0u64;
         let oracle = &*self.oracle;
         let events = &mut self.events;
@@ -434,15 +424,11 @@ impl<'p> MobilityService<'p> {
             if self.state.due(w) > t {
                 continue;
             }
-            #[cfg(feature = "obs")]
-            {
-                advanced += 1;
-            }
+            advanced += 1;
             m.advance(&mut self.state, w, t, oracle, |stop, at| {
                 events.push(stop_event(stop, at, w));
             });
         }
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| {
             m.motion_advanced.add(advanced);
             m.motion_idle_retimed.add(retimed as u64);

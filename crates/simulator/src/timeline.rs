@@ -48,16 +48,7 @@ impl Timeline {
         assert!(bucket_cs > 0, "bucket width must be positive");
         let horizon = events
             .iter()
-            .map(|e| match *e {
-                SimEvent::Assigned { t, .. }
-                | SimEvent::Rejected { t, .. }
-                | SimEvent::Pickup { t, .. }
-                | SimEvent::Delivery { t, .. }
-                | SimEvent::Cancelled { t, .. }
-                | SimEvent::Unassigned { t, .. }
-                | SimEvent::WorkerJoined { t, .. }
-                | SimEvent::WorkerLeft { t, .. } => t,
-            })
+            .map(SimEvent::time)
             .chain(requests.iter().map(|r| r.release))
             .max()
             .unwrap_or(0);

@@ -14,7 +14,7 @@
 use road_network::Cost;
 
 use crate::lower_bound::insertion_lower_bound;
-use crate::platform::{EligibleCandidates, FleetView, PlatformState};
+use crate::platform::{EligibleCandidates, PlatformState};
 use crate::shortlist::LowerBoundSink;
 use crate::types::{Request, WorkerId};
 
@@ -45,20 +45,20 @@ impl DecisionOutcome {
 /// [`crate::shortlist::Shortlist`] with the very same loop that builds
 /// the `Vec`-based [`DecisionOutcome`].
 pub(crate) fn collect_lower_bounds<S: LowerBoundSink>(
-    view: FleetView<'_>,
+    state: &PlatformState,
     r: &Request,
     direct: Cost,
     workers: impl Iterator<Item = WorkerId>,
     out: &mut S,
 ) {
     for w in workers {
-        let agent = view.agent(w);
+        let agent = state.agent(w);
         if let Some(lb) = insertion_lower_bound(
             &agent.route,
             agent.worker.capacity,
             r,
             direct,
-            view.oracle(),
+            state.oracle(),
         ) {
             out.push_bound(lb, w);
         }
@@ -78,13 +78,7 @@ pub fn decision_phase(
     direct: Cost,
 ) -> DecisionOutcome {
     let mut lower_bounds = Vec::with_capacity(candidates.len());
-    collect_lower_bounds(
-        state.view(),
-        r,
-        direct,
-        candidates.iter(),
-        &mut lower_bounds,
-    );
+    collect_lower_bounds(state, r, direct, candidates.iter(), &mut lower_bounds);
     lower_bounds.sort_unstable();
     let reject = economic_reject(alpha, r, lower_bounds.first().map(|(lb, _)| *lb));
     DecisionOutcome {

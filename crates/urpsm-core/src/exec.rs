@@ -182,9 +182,8 @@ impl AtomicMin {
     /// Lowers the bound to `v` if `v` is smaller.
     #[inline]
     pub fn observe(&self, v: u64) {
-        let _prev = self.0.fetch_min(v, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
-        if _prev > v {
+        let prev = self.0.fetch_min(v, Ordering::Relaxed);
+        if prev > v {
             urpsm_obs::with(|m| m.plan_bound_improvements.inc());
         }
     }

@@ -59,8 +59,8 @@ pub mod prelude {
     pub use crate::objective::{ObjectivePreset, UnifiedCost};
     pub use crate::planner::{GreedyDp, Planner, PlannerConfig, PruneGreedyDp};
     pub use crate::platform::{
-        CancelOutcome, CandidateBuf, EligibleCandidates, FleetView, HandoffTicket, Outcome,
-        PlatformState, WorkerAgent,
+        CancelOutcome, CandidateBuf, EligibleCandidates, HandoffTicket, Outcome, PlatformState,
+        WorkerAgent,
     };
     pub use crate::route::{InsertionPlan, PlanShape, Route};
     pub use crate::types::{

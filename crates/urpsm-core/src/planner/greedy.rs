@@ -18,7 +18,7 @@
 //! per candidate, independent per worker — fans out: with
 //! `threads > 1` and a wide enough chunk the same [`probe`] loop
 //! runs on every thread of one scoped [`WorkPool`] against an
-//! immutable [`FleetView`], pulling ranks off a shared ascending-`LB`
+//! immutable `&PlatformState`, pulling ranks off a shared ascending-`LB`
 //! [`IndexFeed`] and pruning on a shared [`AtomicMin`] best-`Δ`.
 //! Because a stale (too high) bound only *widens* the probe set, the
 //! reduction `min (Δ, worker_id)` is provably the argmin the
@@ -41,20 +41,18 @@
 
 use road_network::oracle::DistanceOracle;
 use road_network::{Cost, INF};
+use urpsm_obs::PlanPhase;
 
 use crate::decision::{collect_lower_bounds, economic_reject};
 use crate::exec::{AtomicMin, IndexFeed, WorkPool};
 use crate::insertion::linear_dp_insertion_with;
-use crate::platform::{CandidateBuf, FleetView, Outcome, PlatformState};
+use crate::platform::{CandidateBuf, Outcome, PlatformState};
 use crate::route::InsertionPlan;
 use crate::shortlist::Shortlist;
 use crate::types::{Request, WorkerId};
 
 use super::scratch::PlanScratch;
 use super::{reply_one, Planner, PlannerConfig, PlannerReplies};
-
-#[cfg(feature = "obs")]
-use urpsm_obs::PlanPhase;
 
 /// Minimum shortlisted candidates per fan-out thread: the effective
 /// width is `min(threads, candidates / MIN_CANDIDATES_PER_THREAD)`, so
@@ -93,7 +91,6 @@ struct DpEngine {
     scratches: Vec<PlanScratch>,
     candidates: CandidateBuf,
     /// Where the latest `plan` call's wall-clock went, by phase.
-    #[cfg(feature = "obs")]
     clock: urpsm_obs::PhaseClock,
 }
 
@@ -110,7 +107,6 @@ impl DpEngine {
             shortlist: Shortlist::new(),
             scratches: vec![PlanScratch::default()],
             candidates: CandidateBuf::new(),
-            #[cfg(feature = "obs")]
             clock: urpsm_obs::PhaseClock::default(),
         };
         engine.set_threads(cfg.threads);
@@ -123,9 +119,8 @@ impl DpEngine {
     }
 
     fn handle(&mut self, prune: bool, state: &mut PlatformState, r: &Request) -> Outcome {
-        #[cfg(feature = "obs")]
         let obs_sw = urpsm_obs::Stopwatch::start();
-        let (_shortlisted, best) = self.plan(prune, state, r);
+        let (shortlisted, best) = self.plan(prune, state, r);
         let outcome = match best {
             Some((delta, w, plan))
                 if !(self.cfg.strict_economics
@@ -139,8 +134,7 @@ impl DpEngine {
                 Outcome::Rejected
             }
         };
-        #[cfg(feature = "obs")]
-        record_plan_obs(&obs_sw, r, _shortlisted, &outcome, self);
+        record_plan_obs(&obs_sw, r, shortlisted, &outcome, self);
         outcome
     }
 
@@ -154,13 +148,11 @@ impl DpEngine {
             shortlist,
             scratches,
             candidates,
-            #[cfg(feature = "obs")]
             clock,
         } = self;
         shortlist.clear();
         let oracle = state.oracle_arc();
         let direct = oracle.dis(r.origin, r.destination);
-        #[cfg(feature = "obs")]
         clock.restart();
         if direct >= INF {
             return (0, None);
@@ -171,7 +163,6 @@ impl DpEngine {
         // as an opaque view. This is the only place the engine learns
         // which workers may compete; it cannot add its own.
         let eligible = state.candidate_workers(r, direct, candidates);
-        #[cfg(feature = "obs")]
         clock.lap(PlanPhase::Shortlist);
 
         // Phase 1 (Algo. 4): lower bounds, the head of the
@@ -179,12 +170,9 @@ impl DpEngine {
         // order and gate as `decision_phase`, into `clear()`-reused
         // storage. No `dis` query, so it stays on the calling thread at
         // every width.
-        let view = state.view();
-        collect_lower_bounds(view, r, direct, eligible.iter(), shortlist);
-        #[cfg(feature = "obs")]
+        collect_lower_bounds(state, r, direct, eligible.iter(), shortlist);
         clock.lap(PlanPhase::Bounds);
         shortlist.order_through(if prune { FIRST_CHUNK } else { usize::MAX });
-        #[cfg(feature = "obs")]
         clock.lap(PlanPhase::Order);
         if economic_reject(cfg.alpha, r, shortlist.min_lb()) {
             return (eligible.len(), None);
@@ -202,7 +190,6 @@ impl DpEngine {
             let feed = IndexFeed::new(start..end);
             let width = cfg.threads.min((end - start) / MIN_CANDIDATES_PER_THREAD);
             let chunk_best = if width > 1 {
-                #[cfg(feature = "obs")]
                 if start == 0 {
                     urpsm_obs::with(|m| m.plan_parallel_requests.inc());
                 }
@@ -211,7 +198,7 @@ impl DpEngine {
                 }
                 WorkPool::new(width)
                     .run_with(&mut scratches[..width], |_, scratch| {
-                        probe(ranked, &feed, &bound, scratch, prune, view, r, &*oracle)
+                        probe(ranked, &feed, &bound, scratch, prune, state, r, &*oracle)
                     })
                     .into_iter()
                     .flatten()
@@ -223,7 +210,7 @@ impl DpEngine {
                     &bound,
                     &mut scratches[0],
                     prune,
-                    view,
+                    state,
                     r,
                     &*oracle,
                 )
@@ -234,7 +221,6 @@ impl DpEngine {
                 .into_iter()
                 .chain(chunk_best)
                 .min_by_key(|(delta, w, _)| (*delta, *w));
-            #[cfg(feature = "obs")]
             clock.lap(PlanPhase::Probe);
 
             // Lemma 8 across chunks: every unordered LB is at least the
@@ -244,7 +230,6 @@ impl DpEngine {
                 break;
             }
             shortlist.order_through(usize::MAX);
-            #[cfg(feature = "obs")]
             clock.lap(PlanPhase::Order);
             start = end;
         }
@@ -258,7 +243,6 @@ impl DpEngine {
 /// probe word carries the *cumulative* `plan_probes` counter at record
 /// time — consumers diff consecutive records to recover per-request
 /// probe counts on serial runs.
-#[cfg(feature = "obs")]
 fn record_plan_obs(
     sw: &urpsm_obs::Stopwatch,
     r: &Request,
@@ -318,7 +302,7 @@ fn probe(
     bound: &AtomicMin,
     scratch: &mut PlanScratch,
     prune: bool,
-    view: FleetView<'_>,
+    state: &PlatformState,
     r: &Request,
     oracle: &dyn DistanceOracle,
 ) -> Best {
@@ -334,8 +318,7 @@ fn probe(
         if prune && bound.get() < lb {
             break;
         }
-        let agent = view.agent(w);
-        #[cfg(feature = "obs")]
+        let agent = state.agent(w);
         urpsm_obs::with(|m| m.plan_probes.inc());
         if let Some(plan) =
             linear_dp_insertion_with(insertion, &agent.route, agent.worker.capacity, r, oracle)
@@ -701,7 +684,7 @@ mod tests {
                 if best.as_ref().is_some_and(|(delta, _, _)| *delta < lb) {
                     break;
                 }
-                let agent = state.view().agent(w);
+                let agent = state.agent(w);
                 let plan = linear_dp_insertion(&agent.route, agent.worker.capacity, r, &*oracle);
                 if let Some(plan) = plan {
                     if best

@@ -22,8 +22,8 @@
 //! decision phase — takes `&self` and is safe to run from many threads
 //! at once ([`PlatformState`] is `Sync`); every *mutation* — commit,
 //! reject, movement, lifecycle — takes `&mut self` and therefore has
-//! the world to itself. [`FleetView`] is the read plane as a type: a
-//! borrow-checked snapshot the parallel planners fan out over.
+//! the world to itself. A `&PlatformState` is the read plane as a type:
+//! the borrow-checked snapshot the parallel planners fan out over.
 
 use std::sync::Arc;
 
@@ -587,14 +587,6 @@ impl PlatformState {
         });
     }
 
-    /// The read plane as a value: a borrow-checked, `Sync` snapshot of
-    /// the fleet that concurrent planners plan against. While a view is
-    /// alive the borrow checker guarantees no mutation can happen.
-    #[inline]
-    pub fn view(&self) -> FleetView<'_> {
-        FleetView { state: self }
-    }
-
     /// Commits an insertion plan: splices the stops into the worker's
     /// route and updates the cost accounting.
     pub fn commit(&mut self, w: WorkerId, r: &Request, plan: &InsertionPlan) {
@@ -1000,70 +992,12 @@ impl PlatformState {
     }
 }
 
-/// A read-only snapshot of the platform — the *query plane* as a type.
-///
-/// A `FleetView` borrows the [`PlatformState`] immutably, so while any
-/// view is alive the borrow checker rules out commits, movement and
-/// lifecycle mutations; and because `PlatformState` is `Sync`, one view
-/// can be shared across every thread of a planning fan-out
-/// ([`crate::exec::WorkPool`]). It exposes exactly the operations the
-/// decision and planning phases need.
-#[derive(Clone, Copy)]
-pub struct FleetView<'a> {
-    state: &'a PlatformState,
-}
-
-impl<'a> FleetView<'a> {
-    /// Current platform time.
-    #[inline]
-    pub fn now(&self) -> Time {
-        self.state.now()
-    }
-
-    /// The distance oracle.
-    #[inline]
-    pub fn oracle(&self) -> &'a dyn DistanceOracle {
-        self.state.oracle()
-    }
-
-    /// Number of workers.
-    #[inline]
-    pub fn num_workers(&self) -> usize {
-        self.state.num_workers()
-    }
-
-    /// Read access to a worker agent.
-    #[inline]
-    pub fn agent(&self, w: WorkerId) -> &'a WorkerAgent {
-        &self.state.agents[w.idx()]
-    }
-
-    /// All agents.
-    #[inline]
-    pub fn agents(&self) -> &'a [WorkerAgent] {
-        self.state.agents()
-    }
-
-    /// Eligibility shortlist (deadline reachability × class filter) —
-    /// see [`PlatformState::candidate_workers`].
-    #[inline]
-    pub fn candidate_workers<'b>(
-        &self,
-        r: &Request,
-        direct: Cost,
-        buf: &'b mut CandidateBuf,
-    ) -> EligibleCandidates<'b> {
-        self.state.candidate_workers(r, direct, buf)
-    }
-}
-
 // The whole point of the query plane: reads are shareable across
 // threads. Compile-time proof that nothing with interior mutability
 // sneaks back into `PlatformState`.
 const _: fn() = || {
     fn assert_sync<T: Sync>() {}
     assert_sync::<PlatformState>();
-    assert_sync::<FleetView<'_>>();
 };
 
 #[cfg(test)]
@@ -1373,23 +1307,22 @@ mod tests {
         let expect: Vec<WorkerId> = state.candidate_workers(&r, 200, &mut buf).iter().collect();
         assert_eq!(expect, vec![WorkerId(0), WorkerId(1), WorkerId(2)]);
 
-        // The same query through a shared view, from four threads at
-        // once — `&self` reads need no coordination.
-        let view = state.view();
+        // The same query through a shared `&state`, from four threads
+        // at once — `&self` reads need no coordination.
         let pool = crate::exec::WorkPool::new(4);
         let outs = pool.run(|_| {
             let mut buf = CandidateBuf::new();
             let mut out = Vec::new();
             for _ in 0..50 {
-                out = view.candidate_workers(&r, 200, &mut buf).iter().collect();
+                out = state.candidate_workers(&r, 200, &mut buf).iter().collect();
             }
             out
         });
         for out in outs {
             assert_eq!(out, expect);
         }
-        assert_eq!(view.num_workers(), 3);
-        assert_eq!(view.agent(WorkerId(1)).worker.id, WorkerId(1));
+        assert_eq!(state.num_workers(), 3);
+        assert_eq!(state.agent(WorkerId(1)).worker.id, WorkerId(1));
     }
 
     #[test]

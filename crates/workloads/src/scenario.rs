@@ -104,7 +104,6 @@ impl Scenario {
             .chain(self.fleet_events.iter().copied())
             .collect();
         events.sort_by_key(|e| (e.time(), e.tie_rank()));
-        #[cfg(feature = "obs")]
         urpsm_obs::with(|m| m.workload_events.add(events.len() as u64));
         events
     }
@@ -134,7 +133,6 @@ enum NetworkSpec {
         spokes: usize,
         gap_m: f64,
     },
-    Custom(Arc<RoadNetwork>),
 }
 
 /// Fluent builder for [`Scenario`]s.
@@ -217,12 +215,6 @@ impl ScenarioBuilder {
             spokes,
             gap_m: 600.0,
         };
-        self
-    }
-
-    /// Uses a prebuilt network.
-    pub fn custom_network(mut self, g: Arc<RoadNetwork>) -> Self {
-        self.spec = NetworkSpec::Custom(g);
         self
     }
 
@@ -415,9 +407,6 @@ impl ScenarioBuilder {
                     "ring city needs rings >= 1 and spokes >= 3"
                 );
             }
-            NetworkSpec::Custom(ref g) => {
-                assert!(g.num_vertices() > 0, "custom network has no vertices");
-            }
         }
         assert!(
             self.requests == 0 || self.horizon >= 1,
@@ -463,7 +452,6 @@ impl ScenarioBuilder {
                 spokes,
                 gap_m,
             } => Arc::new(ring_radial_city(rings, spokes, gap_m)),
-            NetworkSpec::Custom(g) => g,
         };
 
         let base: Arc<dyn DistanceOracle> = match self.oracle_kind {

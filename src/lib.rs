@@ -39,9 +39,10 @@
 //!   a static metrics registry (counters, gauges, log-scale
 //!   histograms), a lock-free span flight recorder, and a
 //!   Prometheus-text exposition with its own format checker.
-//!   Instrumentation call sites are compiled into the other layers
-//!   only under the `obs` cargo feature and activated at runtime via
-//!   `URPSM_OBS=1` (or [`obs::set_enabled`]); `urpsm-serve
+//!   The call sites in the other layers record only under the `obs`
+//!   cargo feature ([`obs::RECORDING`]; dead code without it) and once
+//!   activated at runtime via `URPSM_OBS=1` (or [`obs::set_enabled`]);
+//!   `urpsm-serve
 //!   --metrics-file` dumps the exposition every tick.
 //!
 //! ## The streaming API

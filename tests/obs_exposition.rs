@@ -5,11 +5,11 @@
 //! checker.
 //!
 //! The test is built in both feature states. Without `--features obs`
-//! the instrumentation is compiled out of every layer, so the
-//! exposition must still render, parse and name every family — with
-//! all-zero values. With the feature on (the CI `obs-gate` job) the
-//! run must actually show up: planner requests, static-cache traffic,
-//! ingest ticks, WAL appends and flight-recorder records all nonzero.
+//! nothing records in any layer, so the exposition must still render,
+//! parse and name every family — with all-zero values. With the feature
+//! on (the CI `obs-gate` job) the run must actually show up: planner
+//! requests, static-cache traffic, ingest ticks, WAL appends and
+//! flight-recorder records all nonzero.
 
 use urpsm::obs;
 use urpsm::prelude::*;
@@ -94,8 +94,7 @@ fn exposition_parses_and_covers_the_run() {
     }
 
     // With the instrumentation compiled in, the run is visible.
-    #[cfg(feature = "obs")]
-    {
+    if obs::RECORDING {
         let snap = obs::registry().snapshot();
         assert!(snap.plan_requests > 0, "no planner traffic recorded");
         // The phase split: one sample per phase per planned request,
@@ -159,11 +158,8 @@ fn exposition_parses_and_covers_the_run() {
             busiest_tick.is_some_and(|pending| pending > 0),
             "every TickStart reported an empty batch: {busiest_tick:?}"
         );
-    }
-
-    // Without the feature, zero overhead means zero readings.
-    #[cfg(not(feature = "obs"))]
-    {
+    } else {
+        // Without the feature, zero overhead means zero readings.
         let snap = obs::registry().snapshot();
         assert_eq!(snap.plan_requests, 0);
         assert_eq!(snap.plan_ordered_ranks, 0);

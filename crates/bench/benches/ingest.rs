@@ -30,27 +30,17 @@ use urpsm_simulator::service::MobilityService;
 use urpsm_workloads::scenario::{metropolis, Scenario};
 
 fn build_backend(scenario: &Scenario, shards: usize) -> Backend<'static> {
-    if shards <= 1 {
-        Backend::single(MobilityService::new(
-            scenario.oracle.clone(),
-            scenario.workers.clone(),
-            Box::new(PruneGreedyDp::new()),
-            sim_config(scenario),
-            scenario.start_time(),
-        ))
-    } else {
-        Backend::Sharded(ShardedService::new(
-            scenario.oracle.clone(),
-            scenario.workers.clone(),
-            |_| Box::new(PruneGreedyDp::new()) as Box<dyn Planner>,
-            ShardConfig {
-                shards,
-                sim: sim_config(scenario),
-                ..ShardConfig::default()
-            },
-            scenario.start_time(),
-        ))
-    }
+    Backend::Sharded(ShardedService::new(
+        scenario.oracle.clone(),
+        scenario.workers.clone(),
+        |_| Box::new(PruneGreedyDp::new()) as Box<dyn Planner>,
+        ShardConfig {
+            shards,
+            sim: sim_config(scenario),
+            ..ShardConfig::default()
+        },
+        scenario.start_time(),
+    ))
 }
 
 struct Row {

@@ -15,6 +15,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use urpsm_bench::fixtures::CityFixture;
 use urpsm_bench::harness::{run_cell, Algo, Cell};
+use urpsm_core::event::PlatformEvent;
+use urpsm_simulator::engine::SimConfig;
+use urpsm_simulator::service::MobilityService;
 use urpsm_workloads::scenario::City;
 
 /// The shard counts of the BENCH_NOTES.md scaling table.
@@ -34,19 +37,41 @@ fn scaled_cell(fx: &CityFixture) -> Cell {
     )
 }
 
+/// The reference of gate 1: the cell's stream fed straight into one
+/// `MobilityService`, no dispatch plane in front. Returns
+/// `(unified cost, served rate)`.
+fn direct_run(cell: &Cell) -> (u64, f64) {
+    let mut service = MobilityService::new(
+        cell.oracle.clone(),
+        cell.workers.clone(),
+        Algo::PruneGreedyDp.planner(cell.alpha, cell.grid_cell_m),
+        SimConfig {
+            grid_cell_m: cell.grid_cell_m,
+            alpha: cell.alpha,
+            ..SimConfig::default()
+        },
+        cell.requests.first().map_or(0, |r| r.release),
+    );
+    for r in &cell.requests {
+        service.submit(PlatformEvent::RequestArrived(*r));
+    }
+    let out = service.drain();
+    assert!(out.audit_errors.is_empty(), "{:?}", out.audit_errors);
+    (out.metrics.unified_cost.value(), out.metrics.served_rate())
+}
+
 fn bench_shard_scaling(c: &mut Criterion) {
     let fx = CityFixture::build(City::ChengduLike, 1, 1);
     let mut cell = scaled_cell(&fx);
 
     // Gate 1: one shard reproduces the direct path exactly (the merged
     // log determines both numbers, so equality means identical runs).
-    let direct = run_cell(&cell, Algo::PruneGreedyDp);
-    assert!(direct.audit_errors.is_empty());
+    let direct = direct_run(&cell);
     cell.shards = 1;
     let one = run_cell(&cell, Algo::PruneGreedyDp);
     assert_eq!(
         (one.unified_cost, one.served_rate),
-        (direct.unified_cost, direct.served_rate),
+        direct,
         "K = 1 diverged from the direct single-service run"
     );
 
@@ -62,9 +87,9 @@ fn bench_shard_scaling(c: &mut Criterion) {
         eprintln!(
             "K={shards}: served {:.1}% (direct {:.1}%), UC {} (direct {})",
             res.served_rate * 100.0,
-            direct.served_rate * 100.0,
+            direct.1 * 100.0,
             res.unified_cost,
-            direct.unified_cost
+            direct.0
         );
     }
 

@@ -51,8 +51,8 @@ struct Opts {
     /// 0 = keep the planner default of 1).
     threads: usize,
     /// Geo-sharding for the figure sweeps (`Cell::shards` semantics:
-    /// 0 = the plain single-service path, K ≥ 1 = a `ShardedService`
-    /// with K shards and `Borrow` seams). Sharding legitimately
+    /// a `ShardedService` with K shards and `Borrow` seams; 0 and 1
+    /// are both the single dispatcher). Sharding legitimately
     /// changes solution quality — the point of sweeping it is to see
     /// by how much.
     shards: usize,

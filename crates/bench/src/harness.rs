@@ -12,7 +12,7 @@ use urpsm_core::event::PlatformEvent;
 use urpsm_core::planner::{GreedyDp, Planner, PlannerConfig, PruneGreedyDp};
 use urpsm_core::types::{Request, Worker};
 use urpsm_dispatch::service::{ShardConfig, ShardedService};
-use urpsm_simulator::engine::{SimConfig, SimOutcome, Simulation};
+use urpsm_simulator::engine::SimConfig;
 
 /// The five algorithms of §6, in the paper's legend order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,12 +89,12 @@ pub struct Cell {
     /// Objective weight `α`.
     pub alpha: u64,
     /// Planning fan-out override (`SimConfig::threads` semantics:
-    /// `0` = keep the planner's own configuration), on the plain and
-    /// the sharded path alike.
+    /// `0` = keep the planner's own configuration).
     pub threads: usize,
-    /// Geo-sharding: `0` (the default) runs the plain single-service
-    /// path; `K ≥ 1` runs the cell through a `ShardedService` with `K`
-    /// shards under the default `Borrow` boundary policy.
+    /// Geo-sharding: the cell runs through a `ShardedService` with
+    /// this many shards under the default `Borrow` boundary policy.
+    /// `0` (what the cell constructors set) and `1` are the same run:
+    /// one shard, the paper's single dispatcher.
     pub shards: usize,
     /// Congestion profile for the cell (`None` = free flow, which is
     /// what the cell constructors set; bench cells opt in explicitly).
@@ -128,59 +128,16 @@ pub struct CellResult {
     pub audit_errors: Vec<String>,
 }
 
-/// Runs one `(cell, algorithm)` pair — through a `ShardedService` when
-/// the cell asks for geo-sharding, through the plain `Simulation`
-/// otherwise.
+/// Runs one `(cell, algorithm)` pair through a `ShardedService` of
+/// `cell.shards.max(1)` shards, each planning with its own instance of
+/// `algo`'s planner under the default `Borrow` seams. One shard is the
+/// paper's single dispatcher, byte for byte
+/// (`tests/shard_equivalence.rs`), and issues no seam probe, so the
+/// §6.2 query counts are those of a directly fed `MobilityService`.
 pub fn run_cell(cell: &Cell, algo: Algo) -> CellResult {
     let counting: Arc<CountingOracle<Arc<dyn DistanceOracle>>> =
         Arc::new(CountingOracle::new(cell.oracle.clone()));
-    if cell.shards >= 1 {
-        return run_cell_sharded(cell, algo, counting);
-    }
     // Streams out of the workload generators are sorted by construction.
-    let sim = Simulation::new_sorted_unchecked(
-        counting.clone(),
-        cell.workers.clone(),
-        cell.requests.clone(),
-        SimConfig {
-            grid_cell_m: cell.grid_cell_m,
-            alpha: cell.alpha,
-            drain: true,
-            threads: cell.threads,
-            congestion: cell.congestion.clone(),
-            td_oracle: cell.td_oracle,
-            classes: cell.classes.clone(),
-        },
-    );
-    let mut planner = algo.planner(cell.alpha, cell.grid_cell_m);
-    let out: SimOutcome = sim.run(&mut planner);
-
-    // Index memory: tshare's sorted grid lives in the platform state;
-    // everyone else pays only the plain bucket grid.
-    let index_mem_bytes = out
-        .state
-        .sorted_grid()
-        .map(|sg| sg.mem_bytes())
-        .unwrap_or_else(|| out.state.grid_mem_bytes());
-
-    CellResult {
-        unified_cost: out.metrics.unified_cost.value(),
-        served_rate: out.metrics.served_rate(),
-        response_time: out.metrics.response_time(),
-        queries: counting.stats(),
-        index_mem_bytes,
-        per_class_served: out.metrics.per_class.iter().map(|c| c.served).collect(),
-        audit_errors: out.audit_errors,
-    }
-}
-
-/// The geo-sharded cell path: K independent shards, each planning with
-/// its own instance of `algo`'s planner, default `Borrow` seams.
-fn run_cell_sharded(
-    cell: &Cell,
-    algo: Algo,
-    counting: Arc<CountingOracle<Arc<dyn DistanceOracle>>>,
-) -> CellResult {
     let start_time = cell.requests.first().map_or(0, |r| r.release);
     let mut service = ShardedService::new(
         counting.clone(),
@@ -205,6 +162,8 @@ fn run_cell_sharded(
         service.submit(PlatformEvent::RequestArrived(*r));
     }
     let out = service.drain();
+    // Index memory: tshare's sorted grid lives in the platform state;
+    // everyone else pays only the plain bucket grid.
     let index_mem_bytes = out
         .shards
         .iter()
@@ -251,14 +210,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cells_match_direct_at_one_shard_and_stay_clean_beyond() {
+    fn zero_and_one_shard_are_the_same_run_and_more_stay_clean() {
         let fx = CityFixture::build(City::ChengduLike, 40, 1);
         let mut cell = fx.cell(8, 4, 60_000, 10, 2_000.0);
-        let direct = run_cell(&cell, Algo::PruneGreedyDp);
+        let zero = run_cell(&cell, Algo::PruneGreedyDp);
         cell.shards = 1;
         let one = run_cell(&cell, Algo::PruneGreedyDp);
-        assert_eq!(one.unified_cost, direct.unified_cost);
-        assert_eq!(one.served_rate, direct.served_rate);
+        assert_eq!(one.unified_cost, zero.unified_cost);
+        assert_eq!(one.queries.dis, zero.queries.dis);
         cell.shards = 4;
         let four = run_cell(&cell, Algo::PruneGreedyDp);
         assert!(four.audit_errors.is_empty(), "{:?}", four.audit_errors);

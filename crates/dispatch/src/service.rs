@@ -36,7 +36,6 @@ use road_network::fxhash::FxHashMap;
 use road_network::oracle::DistanceOracle;
 use road_network::{Cost, VertexId};
 use urpsm_core::event::{EventRouting, PlatformEvent};
-use urpsm_core::objective::UnifiedCost;
 use urpsm_core::planner::Planner;
 use urpsm_core::platform::CandidateBuf;
 use urpsm_core::types::{Request, RequestId, Time, Worker, WorkerId};
@@ -182,6 +181,30 @@ fn translate(to_global: &[WorkerId], ev: SimEvent) -> SimEvent {
     }
 }
 
+/// The plane's one merge: appends shard-local log tails — each given
+/// as `(shard, tail, local → global map)` — to the merged log,
+/// translated to global worker ids. A single tail passes through
+/// verbatim; several are ordered by `(time, position in tail, shard)`,
+/// which is deterministic because each shard's log is deterministic
+/// and the key is total.
+fn merge_tails<'a>(
+    merged: &mut Vec<SimEvent>,
+    tails: impl IntoIterator<Item = (usize, &'a [SimEvent], &'a [WorkerId])>,
+) {
+    let mut batch: Vec<(Time, usize, usize, SimEvent)> = Vec::new();
+    let mut sources = 0;
+    for (s, tail, to_global) in tails {
+        sources += 1;
+        for (seq, &ev) in tail.iter().enumerate() {
+            batch.push((ev.time(), seq, s, translate(to_global, ev)));
+        }
+    }
+    if sources > 1 {
+        batch.sort_unstable_by_key(|&(t, seq, s, _)| (t, seq, s));
+    }
+    merged.extend(batch.into_iter().map(|(.., ev)| ev));
+}
+
 /// The geo-sharded dispatch plane: `K` independent platforms, one
 /// streaming entry point, global worker ids at the boundary.
 pub struct ShardedService<'p> {
@@ -197,7 +220,6 @@ pub struct ShardedService<'p> {
     /// The merged, global-id event log.
     events: Vec<SimEvent>,
     last_time: Time,
-    handoffs: usize,
 }
 
 impl<'p> ShardedService<'p> {
@@ -268,7 +290,6 @@ impl<'p> ShardedService<'p> {
             request_home: FxHashMap::default(),
             events: Vec::new(),
             last_time: start_time,
-            handoffs: 0,
         }
     }
 
@@ -293,7 +314,7 @@ impl<'p> ShardedService<'p> {
     /// Cross-shard worker handoffs performed so far.
     #[inline]
     pub fn handoffs(&self) -> usize {
-        self.handoffs
+        self.shards.iter().map(|s| s.handoffs_in).sum()
     }
 
     /// The merged, global-id event log accumulated so far.
@@ -307,24 +328,27 @@ impl<'p> ShardedService<'p> {
         self.map.shard_of(self.oracle.point(v))
     }
 
-    /// Where [`ShardedService::submit`] would route this event right
-    /// now: `Some(shard)` for single-shard events, `None` for
-    /// broadcasts (ticks). The ingestion plane's admission controller
-    /// keys its per-shard queue depths and tick budgets off this
-    /// (DESIGN.md §9) *before* deciding whether to submit at all.
+    /// The shard that handles this event right now: `Some(shard)` for
+    /// single-shard events, `None` for broadcasts (ticks). This is the
+    /// plane's one routing table — [`ShardedService::submit`] delivers
+    /// to the shard it names, and the ingestion plane's admission
+    /// controller keys its per-shard queue depths and tick budgets off
+    /// it (DESIGN.md §9) *before* deciding whether to submit at all.
     ///
-    /// Mirrors `submit`'s fallbacks exactly: a cancellation for a
-    /// not-yet-seen request and a departure for an unknown worker both
-    /// resolve to shard 0, where `submit` would shrug them off.
+    /// Events that name nothing the plane knows resolve to shard 0,
+    /// which shrugs them off exactly like a plain [`MobilityService`]:
+    /// a cancellation for a not-yet-seen request, a departure for an
+    /// unknown worker, an arrival or join anchored off the network.
     pub fn home_shard(&self, event: &PlatformEvent) -> Option<usize> {
         match event.routing() {
-            EventRouting::Origin(anchor) => Some(self.shard_of_vertex(anchor)),
+            EventRouting::Origin(anchor) if self.on_network(anchor) => {
+                Some(self.shard_of_vertex(anchor))
+            }
+            EventRouting::Origin(_) => Some(0),
             EventRouting::Request(request) => {
                 Some(self.request_home.get(&request).copied().unwrap_or(0))
             }
-            EventRouting::Worker(worker) => {
-                Some(self.owner.get(worker.idx()).map(|&(s, _)| s).unwrap_or(0))
-            }
+            EventRouting::Worker(worker) => Some(self.worker_shard(worker).unwrap_or(0)),
             EventRouting::Broadcast => None,
         }
     }
@@ -349,93 +373,76 @@ impl<'p> ShardedService<'p> {
         self.owner.get(w.idx()).map(|&(s, _)| s)
     }
 
-    /// Feeds one event into the plane, routing it to its home shard
-    /// by [`PlatformEvent::routing`] (broadcasting ticks), and returns
-    /// everything it caused across all shards — translated to global
-    /// worker ids and merged deterministically.
+    /// Feeds one event into the plane, routing it to its
+    /// [`home_shard`](ShardedService::home_shard) (broadcasting ticks),
+    /// and returns everything it caused across all shards — translated
+    /// to global worker ids and merged deterministically.
     pub fn submit(&mut self, event: PlatformEvent) -> Vec<ServiceReply> {
         let t = event.time().max(self.last_time);
         self.last_time = t;
-        match event.routing() {
-            EventRouting::Origin(anchor) => self.submit_by_origin(event, anchor, t),
-            EventRouting::Request(request) => {
-                // Unknown requests deterministically land on shard 0,
-                // which shrugs them off exactly like `MobilityService`.
-                let home = self.request_home.get(&request).copied().unwrap_or(0);
-                obs_shard_event(home);
-                self.shards[home].service.submit(event);
-                self.collect(&[home])
-            }
-            EventRouting::Worker(worker) => {
-                let Some(&(home, local)) = self.owner.get(worker.idx()) else {
-                    // Unknown departure: advance shard 0, drop.
-                    self.shards[0].service.submit(PlatformEvent::Tick { at: t });
-                    return self.collect(&[0]);
-                };
-                let PlatformEvent::WorkerLeft { at, reassign, .. } = event else {
-                    unreachable!("only departures route by worker");
-                };
-                obs_shard_event(home);
-                self.shards[home].service.submit(PlatformEvent::WorkerLeft {
-                    at,
-                    worker: local,
-                    reassign,
-                });
-                self.collect(&[home])
-            }
-            EventRouting::Broadcast => self.broadcast(event),
-        }
-    }
-
-    /// The geographically anchored events: arrivals (by pickup) and
-    /// joins (by come-online position).
-    fn submit_by_origin(
-        &mut self,
-        event: PlatformEvent,
-        anchor: VertexId,
-        t: Time,
-    ) -> Vec<ServiceReply> {
-        let home = self.shard_of_vertex(anchor);
+        let Some(home) = self.home_shard(&event) else {
+            return self.broadcast(event);
+        };
         obs_shard_event(home);
-        match event {
+        let mut out = Vec::new();
+        let fleet = self.shards[home].service.state().num_workers();
+        // The shard plans in its own dense worker-id space: worker ids
+        // are localised on the way in. An id the plane cannot localise
+        // (a join that skips a global id, a departure of an unknown
+        // worker) leaves only the event's clock advance to deliver.
+        let local = match event {
             PlatformEvent::RequestArrived(r) => {
                 self.request_home.insert(r.id, home);
-                let mut out = Vec::new();
-                if self.shards.len() > 1 {
-                    if let BoundaryPolicy::Borrow { probe } = self.policy {
+                if let BoundaryPolicy::Borrow { probe } = self.policy {
+                    if self.shards.len() > 1
+                        && self.on_network(r.origin)
+                        && self.on_network(r.destination)
+                    {
                         // Synchronize every shard to `t` so the probe
                         // reads current positions, then maybe borrow.
                         out = self.broadcast(PlatformEvent::Tick { at: t });
                         out.extend(self.maybe_borrow(&r, t, home, probe));
                     }
                 }
-                self.shards[home].service.submit(event);
-                out.extend(self.collect(&[home]));
-                out
+                event
             }
-            PlatformEvent::WorkerJoined { at, worker } => {
-                if worker.id.idx() != self.owner.len() {
-                    // Malformed join: mirror `MobilityService` (which
-                    // advances the clock, then drops the event).
-                    self.shards[home].service.submit(PlatformEvent::Tick { at });
-                    return self.collect(&[home]);
+            PlatformEvent::WorkerJoined { at, worker } if worker.id.idx() == self.owner.len() => {
+                PlatformEvent::WorkerJoined {
+                    at,
+                    worker: Worker {
+                        id: WorkerId(fleet as u32),
+                        ..worker
+                    },
                 }
-                let local = WorkerId(self.shards[home].service.state().num_workers() as u32);
-                self.owner.push((home, local));
-                self.shards[home].to_global.push(worker.id);
-                self.shards[home]
-                    .service
-                    .submit(PlatformEvent::WorkerJoined {
-                        at,
-                        worker: Worker {
-                            id: local,
-                            ..worker
-                        },
-                    });
-                self.collect(&[home])
             }
-            _ => unreachable!("only arrivals and joins route by origin"),
+            PlatformEvent::WorkerJoined { .. } => PlatformEvent::Tick { at: t },
+            PlatformEvent::WorkerLeft {
+                at,
+                worker,
+                reassign,
+            } => match self.owner.get(worker.idx()) {
+                Some(&(_, local)) => PlatformEvent::WorkerLeft {
+                    at,
+                    worker: local,
+                    reassign,
+                },
+                None => PlatformEvent::Tick { at: t },
+            },
+            PlatformEvent::RequestCancelled { .. } | PlatformEvent::Tick { .. } => event,
+        };
+        let shard = &mut self.shards[home];
+        shard.service.submit(local);
+        // The shard has the last word on a join (its class table, its
+        // network): the plane registers ownership only once the
+        // shard's fleet has actually grown.
+        if let PlatformEvent::WorkerJoined { worker, .. } = event {
+            if shard.service.state().num_workers() > fleet {
+                shard.to_global.push(worker.id);
+                self.owner.push((home, WorkerId(fleet as u32)));
+            }
         }
+        out.extend(self.collect(&[home]));
+        out
     }
 
     /// Convenience: submits a whole pre-merged stream.
@@ -449,81 +456,34 @@ impl<'p> ShardedService<'p> {
     /// Ends the stream: drains every shard (flush, route drain, audit),
     /// merges the tails, and rolls the per-shard metrics up.
     pub fn drain(mut self) -> ShardedOutcome {
-        let single = self.shards.len() == 1;
-        let mut batch: Vec<(Time, usize, usize)> = Vec::new();
-        let mut tails: Vec<Vec<SimEvent>> = Vec::new();
-        let mut reports = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.into_iter().enumerate() {
-            let seen = shard.seen;
-            let (handoffs_in, handoffs_out) = (shard.handoffs_in, shard.handoffs_out);
-            let to_global = shard.to_global;
-            let outcome = shard.service.drain();
-            let tail: Vec<SimEvent> = outcome.events[seen..]
-                .iter()
-                .map(|&ev| translate(&to_global, ev))
-                .collect();
-            for (seq, ev) in tail.iter().enumerate() {
-                batch.push((ev.time(), seq, s));
-            }
-            tails.push(tail);
-            reports.push(ShardReport {
-                shard: s,
-                handoffs_in,
-                handoffs_out,
-                outcome,
-            });
-        }
-        if !single {
-            batch.sort_unstable();
-        }
-        for &(_, seq, s) in &batch {
-            self.events.push(tails[s][seq]);
-        }
-
-        let alpha = reports
-            .first()
-            .map(|r| r.outcome.metrics.unified_cost.alpha)
-            .unwrap_or(1);
-        let metrics = SimMetrics {
-            requests: reports.iter().map(|r| r.outcome.metrics.requests).sum(),
-            served: reports.iter().map(|r| r.outcome.metrics.served).sum(),
-            rejected: reports.iter().map(|r| r.outcome.metrics.rejected).sum(),
-            cancelled: reports.iter().map(|r| r.outcome.metrics.cancelled).sum(),
-            unified_cost: UnifiedCost {
-                alpha,
-                total_distance: reports
-                    .iter()
-                    .map(|r| r.outcome.metrics.unified_cost.total_distance)
-                    .sum(),
-                total_penalty: reports
-                    .iter()
-                    .map(|r| r.outcome.metrics.unified_cost.total_penalty)
-                    .sum(),
-            },
-            planning_time: reports
-                .iter()
-                .map(|r| r.outcome.metrics.planning_time)
-                .sum(),
-            driven_distance: reports
-                .iter()
-                .map(|r| r.outcome.metrics.driven_distance)
-                .sum(),
-            per_class: {
-                // Shards share one class table, so the per-class
-                // vectors line up index for index; merge element-wise.
-                let mut merged: Vec<urpsm_simulator::metrics::ClassMetrics> = Vec::new();
-                for r in &reports {
-                    for (i, c) in r.outcome.metrics.per_class.iter().enumerate() {
-                        if merged.len() <= i {
-                            merged.resize(i + 1, Default::default());
-                        }
-                        merged[i].served += c.served;
-                        merged[i].driven_distance += c.driven_distance;
-                    }
+        let handoffs = self.handoffs();
+        let mut seams = Vec::with_capacity(self.shards.len());
+        let reports: Vec<ShardReport> = self
+            .shards
+            .into_iter()
+            .enumerate()
+            .map(|(s, shard)| {
+                seams.push((shard.seen, shard.to_global));
+                ShardReport {
+                    shard: s,
+                    handoffs_in: shard.handoffs_in,
+                    handoffs_out: shard.handoffs_out,
+                    outcome: shard.service.drain(),
                 }
-                merged
-            },
-        };
+            })
+            .collect();
+        merge_tails(
+            &mut self.events,
+            reports.iter().zip(&seams).map(|(r, (seen, to_global))| {
+                (r.shard, &r.outcome.events[*seen..], &to_global[..])
+            }),
+        );
+
+        let (first, rest) = reports.split_first().expect("K ≥ 1");
+        let mut metrics = first.outcome.metrics.clone();
+        for r in rest {
+            metrics.absorb(&r.outcome.metrics);
+        }
         let audit_errors = reports
             .iter()
             .flat_map(|r| {
@@ -537,12 +497,18 @@ impl<'p> ShardedService<'p> {
             metrics,
             events: self.events,
             audit_errors,
-            handoffs: self.handoffs,
+            handoffs,
             shards: reports,
         }
     }
 
     // ── internals ────────────────────────────────────────────────────
+
+    /// Whether `v` is a vertex of the network — checked before an
+    /// event-supplied vertex is located on the shard map.
+    fn on_network(&self, v: VertexId) -> bool {
+        v.idx() < self.oracle.num_vertices()
+    }
 
     /// Delivers `event` to every shard and merges the replies.
     fn broadcast(&mut self, event: PlatformEvent) -> Vec<ServiceReply> {
@@ -553,28 +519,26 @@ impl<'p> ShardedService<'p> {
         self.collect(&all)
     }
 
-    /// Gathers every untranslated event the touched shards produced,
-    /// translates worker ids to global, and appends to the merged log.
-    /// A single-shard step passes through verbatim; a multi-shard step
-    /// is ordered by `(time, event_seq, shard_id)` — deterministic
-    /// because each shard's log is deterministic and the key is total.
+    /// Moves every event the touched shards produced since their last
+    /// collect into the merged log ([`merge_tails`]) and returns them.
     fn collect(&mut self, touched: &[usize]) -> Vec<ServiceReply> {
-        let mut batch: Vec<(Time, usize, usize, SimEvent)> = Vec::new();
+        let mark = self.events.len();
+        let shards = &self.shards;
+        merge_tails(
+            &mut self.events,
+            touched.iter().map(|&s| {
+                let shard = &shards[s];
+                (
+                    s,
+                    &shard.service.events()[shard.seen..],
+                    &shard.to_global[..],
+                )
+            }),
+        );
         for &s in touched {
-            let shard = &mut self.shards[s];
-            let log = shard.service.events();
-            for (seq, &ev) in log[shard.seen..].iter().enumerate() {
-                let ev = translate(&shard.to_global, ev);
-                batch.push((ev.time(), seq, s, ev));
-            }
-            shard.seen = log.len();
+            self.shards[s].seen = self.shards[s].service.events().len();
         }
-        if touched.len() > 1 {
-            batch.sort_unstable_by_key(|&(t, seq, s, _)| (t, seq, s));
-        }
-        let out: Vec<SimEvent> = batch.into_iter().map(|(_, _, _, ev)| ev).collect();
-        self.events.extend_from_slice(&out);
-        out
+        self.events[mark..].to_vec()
     }
 
     /// The `Borrow` probe for one request: scan the `probe` nearest
@@ -654,7 +618,6 @@ impl<'p> ShardedService<'p> {
                     class: ticket.class,
                 },
             });
-        self.handoffs += 1;
         self.shards[src].handoffs_out += 1;
         self.shards[home].handoffs_in += 1;
         urpsm_obs::with(|m| {
@@ -859,7 +822,7 @@ mod tests {
 
     #[test]
     fn malformed_fleet_events_are_dropped_not_fatal() {
-        let mut svc = sharded(&[5], 2, BoundaryPolicy::Strict);
+        let mut svc = sharded(&[5], 2, BoundaryPolicy::default());
         // A join that skips a global id and an unknown departure: both
         // dropped (the clock still advances somewhere deterministic).
         assert!(svc
@@ -895,8 +858,63 @@ mod tests {
             [SimEvent::WorkerJoined { w: WorkerId(1), .. }]
         ));
         assert_eq!(svc.worker_shard(WorkerId(1)), Some(1));
+        // What the codec can spell and a WAL can therefore replay: a
+        // dense join whose class is not in the shard's table, and a
+        // dense join that comes online off the network. The shard drops
+        // both, so the plane must not register an owner for them.
+        for (class, origin) in [(3, 48), (0, 999)] {
+            let replies = svc.submit(PlatformEvent::WorkerJoined {
+                at: 40,
+                worker: Worker {
+                    class: urpsm_core::types::ClassId(class),
+                    id: WorkerId(2),
+                    origin: VertexId(origin),
+                    capacity: 4,
+                },
+            });
+            assert!(replies.is_empty(), "{replies:?}");
+            assert_eq!(svc.worker_shard(WorkerId(2)), None);
+        }
+        assert_eq!(svc.now(), 40, "a dropped event still advances the clock");
+        // A trip with an endpoint off the network is unreachable:
+        // rejected by its home shard (shard 0 when the pickup is the
+        // stray end), never probed across a seam, never planned.
+        for (id, o, d, home) in [(7, 999, 10, 0), (8, 40, 999, 1)] {
+            let arrival = PlatformEvent::RequestArrived(req(id, o, d, 50, 100_000));
+            assert_eq!(svc.home_shard(&arrival), Some(home));
+            let replies = svc.submit(arrival);
+            assert!(
+                matches!(replies[..], [SimEvent::Rejected { r, .. }] if r == RequestId(id)),
+                "{replies:?}"
+            );
+        }
+        // The plane is intact: the next dense join and a well-formed
+        // trip for it go through, and ownership matches the fleets.
+        svc.submit(PlatformEvent::WorkerJoined {
+            at: 60,
+            worker: Worker {
+                class: Default::default(),
+                id: WorkerId(2),
+                origin: VertexId(30),
+                capacity: 4,
+            },
+        });
+        assert_eq!(svc.worker_shard(WorkerId(2)), Some(1));
+        let replies = svc.submit(PlatformEvent::RequestArrived(req(0, 31, 35, 70, 100_000)));
+        assert!(
+            matches!(replies[..], [SimEvent::Assigned { w: WorkerId(2), .. }]),
+            "{replies:?}"
+        );
         let out = svc.drain();
-        assert!(out.audit_errors.is_empty());
+        assert_eq!(out.audit_errors, Vec::<String>::new());
+        let fleets: Vec<usize> = out
+            .shards
+            .iter()
+            .map(|s| s.outcome.state.num_workers())
+            .collect();
+        assert_eq!(fleets, [1, 2], "owner and to_global grew with the fleets");
+        assert_eq!(out.metrics.served, 1);
+        assert_eq!(out.metrics.rejected, 2);
     }
 
     #[test]

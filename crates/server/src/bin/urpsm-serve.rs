@@ -39,7 +39,6 @@ use urpsm_dispatch::admission::AdmissionConfig;
 use urpsm_dispatch::service::{ShardConfig, ShardedService};
 use urpsm_server::server::{recover, sim_config, Backend, IngestServer, ServerConfig, WalConfig};
 use urpsm_simulator::engine::SimConfig;
-use urpsm_simulator::service::MobilityService;
 use urpsm_workloads::scenario::{chengdu_like, metropolis, nyc_like, Scenario};
 
 struct Args {
@@ -135,28 +134,17 @@ fn build_backend(scenario: &Scenario, shards: usize, td_oracle: bool) -> Backend
         td_oracle,
         ..sim_config(scenario)
     };
-    let t0 = scenario.start_time();
-    if shards <= 1 {
-        Backend::single(MobilityService::new(
-            scenario.oracle.clone(),
-            scenario.workers.clone(),
-            Box::new(PruneGreedyDp::new()),
+    Backend::Sharded(ShardedService::new(
+        scenario.oracle.clone(),
+        scenario.workers.clone(),
+        |_| Box::new(PruneGreedyDp::new()) as Box<dyn Planner>,
+        ShardConfig {
+            shards,
             sim,
-            t0,
-        ))
-    } else {
-        Backend::Sharded(ShardedService::new(
-            scenario.oracle.clone(),
-            scenario.workers.clone(),
-            |_| Box::new(PruneGreedyDp::new()) as Box<dyn Planner>,
-            ShardConfig {
-                shards,
-                sim,
-                ..ShardConfig::default()
-            },
-            t0,
-        ))
-    }
+            ..ShardConfig::default()
+        },
+        scenario.start_time(),
+    ))
 }
 
 /// Rewrites the Prometheus-text exposition at `path`. A failed write

@@ -1,10 +1,9 @@
 //! Metropolis-scale ingestion service with event-sourced durability
 //! and deterministic recovery (DESIGN.md §9).
 //!
-//! The simulator's [`urpsm_simulator::service::MobilityService`] and
-//! the dispatch plane's [`urpsm_dispatch::service::ShardedService`]
-//! are libraries: the caller owns the event loop. This crate is the
-//! *runtime* that owns it for them — a long-running service that
+//! The dispatch plane's [`urpsm_dispatch::service::ShardedService`]
+//! (one shard or many) is a library: the caller owns the event loop.
+//! This crate is the *runtime* that owns it — a long-running service that
 //! accepts [`urpsm_core::event::PlatformEvent`]s from any number of
 //! producer threads and keeps three promises no matter how the input
 //! arrives:

@@ -1,11 +1,10 @@
-//! The ingestion server: micro-batched ticks over a service backend,
+//! The ingestion server: micro-batched ticks over the dispatch plane,
 //! with admission control and event-sourced durability (DESIGN.md §9).
 //!
-//! [`IngestServer`] owns a [`Backend`] — a plain
-//! [`MobilityService`] or a geo-sharded
-//! [`ShardedService`] — plus the mpsc front-end, the
-//! [`AdmissionController`] and (optionally) the WAL. Its life is a
-//! sequence of [`tick`](IngestServer::tick)s; each tick:
+//! [`IngestServer`] owns a geo-sharded [`ShardedService`] (`K ≥ 1`;
+//! one shard is the paper's single dispatcher) plus the mpsc
+//! front-end, the [`AdmissionController`] and (optionally) the WAL.
+//! Its life is a sequence of [`tick`](IngestServer::tick)s; each tick:
 //!
 //! 1. drains the ingestion channel and sorts the pending batch into
 //!    the canonical `(time, tie_rank, seq)` order;
@@ -31,13 +30,13 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::mpsc::Receiver;
 
-use urpsm_core::event::{EventRouting, PlatformEvent};
+use urpsm_core::event::PlatformEvent;
 use urpsm_core::types::{RequestId, Time};
 use urpsm_dispatch::admission::{Admission, AdmissionConfig, AdmissionController};
 use urpsm_dispatch::service::ShardedService;
 use urpsm_simulator::engine::SimConfig;
 use urpsm_simulator::metrics::SimMetrics;
-use urpsm_simulator::service::{MobilityService, ServiceCheckpoint, ServiceReply};
+use urpsm_simulator::service::{ServiceCheckpoint, ServiceReply};
 use urpsm_simulator::SimEvent;
 use urpsm_workloads::scenario::Scenario;
 
@@ -61,79 +60,15 @@ pub fn sim_config(scenario: &Scenario) -> SimConfig {
     }
 }
 
-/// The dispatch layer the server fronts: one platform, or `K` of them.
+/// The dispatch plane the server fronts, as [`IngestServer::new`] and
+/// [`recover`] take it. There is one plane — a [`ShardedService`],
+/// which at `K = 1` is byte-identical to a single dispatcher — so this
+/// is a one-variant shim: it survives only because the repository's
+/// frozen benchmark adapter spells `Backend::Sharded(..)`, and goes
+/// when that adapter can be edited.
 pub enum Backend<'p> {
-    /// A single [`MobilityService`] (the paper's one-dispatcher
-    /// setting). Boxed: the service is much larger than the sharded
-    /// handle, and a `Backend` is moved by value into the server.
-    Single(Box<MobilityService<'p>>),
-    /// A geo-sharded [`ShardedService`] (`K = 1` is byte-identical to
-    /// `Single`).
+    /// The geo-sharded plane, `K ≥ 1`.
     Sharded(ShardedService<'p>),
-}
-
-impl<'p> Backend<'p> {
-    /// Wraps a single service (boxing it for you).
-    pub fn single(service: MobilityService<'p>) -> Self {
-        Backend::Single(Box::new(service))
-    }
-
-    /// Number of admission shards (1 for the single backend).
-    pub fn num_shards(&self) -> usize {
-        match self {
-            Backend::Single(_) => 1,
-            Backend::Sharded(s) => s.num_shards(),
-        }
-    }
-
-    /// Current platform time.
-    pub fn now(&self) -> Time {
-        match self {
-            Backend::Single(s) => s.now(),
-            Backend::Sharded(s) => s.now(),
-        }
-    }
-
-    /// The event's home shard for admission accounting (`None` =
-    /// broadcast, which charges every shard).
-    pub fn home_shard(&self, event: &PlatformEvent) -> Option<usize> {
-        match self {
-            Backend::Single(_) => match event.routing() {
-                EventRouting::Broadcast => None,
-                _ => Some(0),
-            },
-            Backend::Sharded(s) => s.home_shard(event),
-        }
-    }
-
-    /// Feeds one event through the backend.
-    pub fn submit(&mut self, event: PlatformEvent) -> Vec<ServiceReply> {
-        match self {
-            Backend::Single(s) => s.submit(event),
-            Backend::Sharded(s) => s.submit(event),
-        }
-    }
-
-    /// Fingerprint of the backend's progress (DESIGN.md §9).
-    pub fn checkpoint(&self) -> ServiceCheckpoint {
-        match self {
-            Backend::Single(s) => s.checkpoint(),
-            Backend::Sharded(s) => s.checkpoint(),
-        }
-    }
-
-    fn drain(self) -> (SimMetrics, Vec<SimEvent>, Vec<String>) {
-        match self {
-            Backend::Single(s) => {
-                let o = s.drain();
-                (o.metrics, o.events, o.audit_errors)
-            }
-            Backend::Sharded(s) => {
-                let o = s.drain();
-                (o.metrics, o.events, o.audit_errors)
-            }
-        }
-    }
 }
 
 /// Durability knobs: where the run directory lives and how often to
@@ -296,7 +231,7 @@ impl WalState {
 
 /// The long-running ingestion service runtime.
 pub struct IngestServer<'p> {
-    backend: Backend<'p>,
+    backend: ShardedService<'p>,
     admission: AdmissionController,
     tick_len: Time,
     handle: ProducerHandle,
@@ -305,7 +240,6 @@ pub struct IngestServer<'p> {
     replies: Vec<IngestReply>,
     wal: Option<WalState>,
     ticks: u64,
-    sheds: usize,
 }
 
 impl<'p> IngestServer<'p> {
@@ -313,15 +247,7 @@ impl<'p> IngestServer<'p> {
     /// directory is created and a fresh WAL started (an existing WAL
     /// at that path is truncated — use [`recover`] to resume one).
     pub fn new(backend: Backend<'p>, config: ServerConfig) -> io::Result<Self> {
-        Self::with_seq(backend, config, 0, Vec::new())
-    }
-
-    fn with_seq(
-        backend: Backend<'p>,
-        config: ServerConfig,
-        first_seq: u64,
-        replies: Vec<IngestReply>,
-    ) -> io::Result<Self> {
+        let Backend::Sharded(backend) = backend;
         let wal = match &config.wal {
             Some(w) => {
                 fs::create_dir_all(&w.dir)?;
@@ -329,11 +255,11 @@ impl<'p> IngestServer<'p> {
             }
             None => None,
         };
-        Ok(Self::assemble(backend, &config, first_seq, replies, wal))
+        Ok(Self::assemble(backend, &config, 0, Vec::new(), wal))
     }
 
     fn assemble(
-        backend: Backend<'p>,
+        backend: ShardedService<'p>,
         config: &ServerConfig,
         first_seq: u64,
         replies: Vec<IngestReply>,
@@ -359,7 +285,6 @@ impl<'p> IngestServer<'p> {
             replies,
             wal,
             ticks: 0,
-            sheds: 0,
         }
     }
 
@@ -482,7 +407,6 @@ impl<'p> IngestServer<'p> {
             }
         }
         self.pending = kept;
-        self.sheds += shed;
         self.ticks += 1;
 
         if let Some(w) = &mut self.wal {
@@ -522,7 +446,7 @@ impl<'p> IngestServer<'p> {
         })
     }
 
-    fn cut_snapshot(w: &mut WalState, backend: &Backend<'_>) -> io::Result<()> {
+    fn cut_snapshot(w: &mut WalState, backend: &ShardedService<'_>) -> io::Result<()> {
         write_snapshot(
             &w.snapshot_path,
             &Snapshot {
@@ -569,16 +493,15 @@ impl<'p> IngestServer<'p> {
             records: w.writer.records(),
             snapshots: w.snapshots,
         });
-        let peak_backlog = self.admission.peak_backlog();
-        let (metrics, events, audit_errors) = self.backend.drain();
+        let drained = self.backend.drain();
         Ok(ServerOutcome {
-            metrics,
-            events,
-            audit_errors,
+            metrics: drained.metrics,
+            events: drained.events,
+            audit_errors: drained.audit_errors,
             replies: self.replies,
             ticks: self.ticks,
-            sheds: self.sheds,
-            peak_backlog,
+            sheds: self.admission.total_shed() as usize,
+            peak_backlog: self.admission.peak_backlog(),
             wal,
         })
     }
@@ -636,7 +559,7 @@ pub fn recover<'p>(
     };
     let snapshot = read_snapshot(&wal_cfg.dir.join(SNAPSHOT_FILE))?;
 
-    let mut backend = backend;
+    let Backend::Sharded(mut backend) = backend;
     let mut replies = Vec::new();
     let mut snapshot_verified = snapshot.map(|s| {
         // A snapshot beyond the valid prefix means the WAL lost flushed

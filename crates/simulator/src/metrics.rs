@@ -43,6 +43,31 @@ pub struct SimMetrics {
 }
 
 impl SimMetrics {
+    /// Folds `other` — the metrics of a disjoint part of the same run,
+    /// e.g. another shard's platform — into `self`: counts, costs,
+    /// planner wall-clock and driven distance add up, and the per-class
+    /// rows add index for index (the parts share one class table, so
+    /// the rows line up; the shorter side is padded). `α` is a
+    /// parameter of the run, not a quantity, and stays `self`'s.
+    pub fn absorb(&mut self, other: &SimMetrics) {
+        self.requests += other.requests;
+        self.served += other.served;
+        self.rejected += other.rejected;
+        self.cancelled += other.cancelled;
+        self.unified_cost.total_distance += other.unified_cost.total_distance;
+        self.unified_cost.total_penalty += other.unified_cost.total_penalty;
+        self.planning_time += other.planning_time;
+        self.driven_distance += other.driven_distance;
+        if self.per_class.len() < other.per_class.len() {
+            self.per_class
+                .resize(other.per_class.len(), ClassMetrics::default());
+        }
+        for (mine, theirs) in self.per_class.iter_mut().zip(&other.per_class) {
+            mine.served += theirs.served;
+            mine.driven_distance += theirs.driven_distance;
+        }
+    }
+
     /// Served rate `|R⁺| / |R|`.
     pub fn served_rate(&self) -> f64 {
         if self.requests == 0 {
@@ -117,6 +142,42 @@ mod tests {
         assert_eq!(m.response_time(), Duration::from_millis(2));
         assert_eq!(m.unified_cost.value(), 107);
         assert!(m.to_string().contains("75.0%"));
+    }
+
+    #[test]
+    fn absorb_adds_every_quantity_and_pads_the_class_rows() {
+        let part = |served, penalty, classes: &[(usize, Cost)]| SimMetrics {
+            requests: served + 1,
+            served,
+            rejected: 1,
+            cancelled: 2,
+            unified_cost: UnifiedCost {
+                alpha: 3,
+                total_distance: 10,
+                total_penalty: penalty,
+            },
+            planning_time: Duration::from_millis(4),
+            driven_distance: 10,
+            per_class: classes
+                .iter()
+                .map(|&(served, driven_distance)| ClassMetrics {
+                    served,
+                    driven_distance,
+                })
+                .collect(),
+        };
+        let mut total = part(2, 7, &[(2, 10)]);
+        total.absorb(&part(5, 1, &[(1, 4), (4, 6)]));
+        assert_eq!(total, {
+            let mut want = part(7, 8, &[(3, 14), (4, 6)]);
+            want.requests = 9;
+            want.rejected = 2;
+            want.cancelled = 4;
+            want.unified_cost.total_distance = 20;
+            want.planning_time = Duration::from_millis(8);
+            want.driven_distance = 20;
+            want
+        });
     }
 
     #[test]

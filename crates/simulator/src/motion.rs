@@ -104,18 +104,11 @@ impl WorkerMotion {
         let leg_base = route.leg(1);
         let congestion: Option<&dyn TravelTimeProvider> =
             route.congestion().map(|p| p.as_ref() as _);
-        // Mirror of `Route::class_base`: the vehicle-class multiplier
-        // stretches the free-flow base *before* any provider sees it.
-        // Offsets in `path` stay in unscaled free-flow units (the
-        // driven ledger's currency); only timestamps stretch.
-        let pm = route.speed_permille();
-        let stretch = |b: Cost| -> Cost {
-            if pm == urpsm_core::types::SPEED_BASELINE_PM || b >= INF {
-                b
-            } else {
-                b.saturating_mul(Cost::from(pm)) / 1_000
-            }
-        };
+        // The vehicle-class multiplier stretches the free-flow base
+        // *before* any provider sees it. Offsets in `path` stay in
+        // unscaled free-flow units (the driven ledger's currency); only
+        // timestamps stretch.
+        let stretch = |b: Cost| route.class_stretch(b);
         // Vertex time at cumulative free-flow offset `b`, integrated
         // from the leg start — the same composition `Route::rebuild`
         // used for arr[1] (class stretch, then provider), so the

@@ -28,9 +28,9 @@ use std::time::{Duration, Instant};
 
 use road_network::fxhash::FxHashMap;
 use road_network::oracle::DistanceOracle;
-use road_network::Cost;
+use road_network::{Cost, VertexId};
 use urpsm_core::event::{PlatformEvent, ReassignPolicy, WorkerChange};
-use urpsm_core::planner::{Planner, PlannerReplies};
+use urpsm_core::planner::{reply_one, Planner, PlannerReplies};
 use urpsm_core::platform::{CancelOutcome, HandoffTicket, Outcome, PlatformState};
 use urpsm_core::types::{Request, RequestId, Stop, StopKind, Time, Worker, WorkerId};
 
@@ -74,9 +74,6 @@ pub struct MobilityService<'p> {
     planner: Box<dyn Planner + 'p>,
     oracle: Arc<dyn DistanceOracle>,
     motions: Vec<WorkerMotion>,
-    /// Every worker that was ever part of the fleet (initial + joined),
-    /// densely indexed by id — the audit needs the full cast.
-    workers: Vec<Worker>,
     /// Every request ever submitted, by id (reassignment re-offers need
     /// the full request, not just its id).
     registry: FxHashMap<RequestId, Request>,
@@ -86,9 +83,6 @@ pub struct MobilityService<'p> {
     config: SimConfig,
     last_time: Time,
     planning_time: Duration,
-    served: usize,
-    rejected: usize,
-    cancelled: usize,
     /// Reference model for the motion index: advance by a sweep over
     /// every worker instead (see `service_motion_tests.rs`).
     #[cfg(test)]
@@ -144,16 +138,12 @@ impl<'p> MobilityService<'p> {
             planner,
             oracle,
             motions,
-            workers,
             registry: FxHashMap::default(),
             arrived: Vec::new(),
             events: Vec::new(),
             config,
             last_time: start_time,
             planning_time: Duration::ZERO,
-            served: 0,
-            rejected: 0,
-            cancelled: 0,
             #[cfg(test)]
             full_sweep: false,
         }
@@ -196,11 +186,16 @@ impl<'p> MobilityService<'p> {
     /// Event times should be (weakly) monotone; a stale timestamp is
     /// clamped to the current platform time rather than rejected, so a
     /// live caller with slightly out-of-order sources degrades
-    /// gracefully instead of crashing. Malformed fleet events are
-    /// dropped on the same principle: a departure for an unknown worker
-    /// and a join that breaks the dense-id contract (see
-    /// [`PlatformEvent::WorkerJoined`]) produce no replies instead of a
-    /// panic.
+    /// gracefully instead of crashing. Malformed events are contained
+    /// on the same principle — a WAL or a producer can deliver any
+    /// vertex, class or worker id the codec can spell. A departure of
+    /// an unknown worker is dropped, and so is a join that breaks the
+    /// dense-id contract (see [`PlatformEvent::WorkerJoined`]), names
+    /// a class outside the installed table, or comes online off the
+    /// network: the clock advances, the fleet does not change, there
+    /// is no reply. An arrival with an endpoint off the network is an
+    /// unreachable trip and is answered `Rejected` (its penalty
+    /// accrues) without the oracle or the planner ever seeing it.
     pub fn submit(&mut self, event: PlatformEvent) -> Vec<ServiceReply> {
         urpsm_obs::with(|m| m.service_events.inc());
         let mark = self.events.len();
@@ -213,22 +208,29 @@ impl<'p> MobilityService<'p> {
             PlatformEvent::RequestArrived(r) => {
                 self.registry.insert(r.id, r);
                 self.arrived.push(r);
-                let t0 = Instant::now();
-                let outs = self.planner.on_request(&mut self.state, &r);
-                self.planning_time += t0.elapsed();
+                let outs = if self.on_network(r.origin) && self.on_network(r.destination) {
+                    let t0 = Instant::now();
+                    let outs = self.planner.on_request(&mut self.state, &r);
+                    self.planning_time += t0.elapsed();
+                    outs
+                } else {
+                    self.state.reject(&r);
+                    reply_one(r.id, Outcome::Rejected)
+                };
                 self.record(outs, t);
             }
             PlatformEvent::RequestCancelled { request, .. } => {
                 self.handle_cancel(request, t);
             }
-            // A join that breaks the dense-id contract is dropped (the
-            // time advance above still counts).
+            // A malformed join is dropped (the time advance above
+            // still counts).
             PlatformEvent::WorkerJoined { worker, .. }
-                if worker.id.idx() == self.state.num_workers() =>
+                if worker.id.idx() == self.state.num_workers()
+                    && worker.class.idx() < self.state.classes().len()
+                    && self.on_network(worker.origin) =>
             {
                 self.state.add_worker(worker);
                 self.motions.push(WorkerMotion::default());
-                self.workers.push(worker);
                 self.events.push(SimEvent::WorkerJoined { t, w: worker.id });
                 let t0 = Instant::now();
                 self.planner
@@ -296,9 +298,12 @@ impl<'p> MobilityService<'p> {
             .iter()
             .map(|a| a.assigned_distance)
             .collect();
+        // The platform never forgets a worker (retirees keep their
+        // slot), so its agents are the audit's full cast.
+        let cast: Vec<Worker> = self.state.agents().iter().map(|a| a.worker).collect();
         let audit_errors = audit_events(
             &self.arrived,
-            &self.workers,
+            &cast,
             &self.events,
             if self.config.drain {
                 Some((&driven, &planned))
@@ -332,9 +337,9 @@ impl<'p> MobilityService<'p> {
         });
         let metrics = SimMetrics {
             requests: self.arrived.len(),
-            served: self.served,
-            rejected: self.rejected,
-            cancelled: self.cancelled,
+            served: self.state.served_count(),
+            rejected: self.state.rejected_count(),
+            cancelled: self.state.cancelled_count(),
             unified_cost: self.state.unified_cost(self.config.alpha),
             planning_time: self.planning_time,
             driven_distance: driven.iter().sum(),
@@ -381,6 +386,12 @@ impl<'p> MobilityService<'p> {
     }
 
     // ── internals ────────────────────────────────────────────────────
+
+    /// Whether `v` is a vertex of the oracle's network — checked before
+    /// any event-supplied vertex is used as an index.
+    fn on_network(&self, v: VertexId) -> bool {
+        v.idx() < self.oracle.num_vertices()
+    }
 
     /// Fires every planner wake-up due at or before `t` (batch epoch
     /// boundaries), advancing workers to each boundary first.
@@ -451,24 +462,18 @@ impl<'p> MobilityService<'p> {
         }
     }
 
-    /// Logs planner outcomes and updates the served/rejected tallies.
+    /// Logs planner outcomes (the platform state keeps the counts).
     fn record(&mut self, outs: PlannerReplies, t: Time) {
         for (rid, out) in outs {
-            match out {
-                Outcome::Assigned { worker, delta } => {
-                    self.served += 1;
-                    self.events.push(SimEvent::Assigned {
-                        t,
-                        r: rid,
-                        w: worker,
-                        delta,
-                    });
-                }
-                Outcome::Rejected => {
-                    self.rejected += 1;
-                    self.events.push(SimEvent::Rejected { t, r: rid });
-                }
-            }
+            self.events.push(match out {
+                Outcome::Assigned { worker, delta } => SimEvent::Assigned {
+                    t,
+                    r: rid,
+                    w: worker,
+                    delta,
+                },
+                Outcome::Rejected => SimEvent::Rejected { t, r: rid },
+            });
         }
     }
 
@@ -483,7 +488,6 @@ impl<'p> MobilityService<'p> {
         self.planning_time += t0.elapsed();
         if absorbed {
             self.state.note_cancelled(request);
-            self.cancelled += 1;
             // Still buffered: no route ever saw it, nothing was freed.
             self.events.push(SimEvent::Cancelled {
                 t,
@@ -493,9 +497,6 @@ impl<'p> MobilityService<'p> {
             return;
         }
         if let CancelOutcome::Cancelled { freed, .. } = self.state.cancel_request(request) {
-            // The assignment is void: roll the served tally back.
-            self.served -= 1;
-            self.cancelled += 1;
             self.events.push(SimEvent::Cancelled {
                 t,
                 r: request,
@@ -518,7 +519,6 @@ impl<'p> MobilityService<'p> {
             ReassignPolicy::Reassign => self.state.strip_unpicked(worker),
         };
         for &(rid, freed) in &stripped {
-            self.served -= 1;
             self.events.push(SimEvent::Unassigned {
                 t,
                 r: rid,
@@ -576,7 +576,6 @@ mod tests {
     use super::*;
     use road_network::geo::Point;
     use road_network::matrix::MatrixOracle;
-    use road_network::VertexId;
     use urpsm_core::planner::PruneGreedyDp;
 
     pub(super) fn line_oracle(n: usize) -> Arc<dyn DistanceOracle> {
@@ -840,11 +839,39 @@ mod tests {
                 },
             })
             .is_empty());
+        // What the codec can spell and a WAL can therefore replay: a
+        // dense join whose class is not in the installed table, a dense
+        // join that comes online off the network …
+        for (class, origin) in [(3, 3), (0, 999)] {
+            let replies = svc.submit(PlatformEvent::WorkerJoined {
+                at: 25,
+                worker: Worker {
+                    class: urpsm_core::types::ClassId(class),
+                    id: WorkerId(1),
+                    origin: VertexId(origin),
+                    capacity: 2,
+                },
+            });
+            assert!(replies.is_empty(), "{replies:?}");
+        }
         assert_eq!(svc.state().num_workers(), 1);
+        assert_eq!(svc.now(), 25, "a dropped event still advances the clock");
+        // … and a trip with an endpoint off the network, which is
+        // unreachable: rejected, never planned.
+        for (id, o, d) in [(7, 999, 10), (8, 5, 999)] {
+            let replies = svc.submit(PlatformEvent::RequestArrived(req(id, o, d, 28, 100_000)));
+            assert!(
+                matches!(replies[..], [SimEvent::Rejected { r, .. }] if r == RequestId(id)),
+                "{replies:?}"
+            );
+        }
         svc.submit(PlatformEvent::RequestArrived(req(0, 5, 10, 30, 100_000)));
         let out = svc.drain();
-        assert!(out.audit_errors.is_empty());
+        assert_eq!(out.audit_errors, Vec::<String>::new());
+        assert_eq!(out.state.num_workers(), 1);
         assert_eq!(out.metrics.served, 1);
+        assert_eq!(out.metrics.rejected, 2);
+        assert_eq!(out.metrics.unified_cost.total_penalty, 2_000_000);
     }
 
     #[test]

@@ -136,60 +136,139 @@ pub trait Planner: Send {
     fn set_threads(&mut self, _threads: usize) {}
 }
 
-impl<P: Planner + ?Sized> Planner for Box<P> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn on_request(&mut self, state: &mut PlatformState, r: &Request) -> PlannerReplies {
-        (**self).on_request(state, r)
-    }
-    fn on_time(&mut self, state: &mut PlatformState, now: Time) -> PlannerReplies {
-        (**self).on_time(state, now)
-    }
-    fn flush(&mut self, state: &mut PlatformState) -> PlannerReplies {
-        (**self).flush(state)
-    }
-    fn next_wakeup(&self) -> Option<Time> {
-        (**self).next_wakeup()
-    }
-    fn on_cancel(&mut self, state: &mut PlatformState, r: RequestId) -> bool {
-        (**self).on_cancel(state, r)
-    }
-    fn on_worker_change(&mut self, state: &mut PlatformState, change: WorkerChange) {
-        (**self).on_worker_change(state, change)
-    }
-    fn set_threads(&mut self, threads: usize) {
-        (**self).set_threads(threads)
-    }
+// `Box<P>` and `&mut P` are planners too. The borrowing form lets the
+// simulator driver and the benches feed a `&mut P` where a [`Planner`]
+// value is expected instead of giving the planner away (e.g.
+// `MobilityService` boxes `&mut planner` while the caller keeps
+// ownership to read statistics afterwards). Every method is forwarded:
+// all but `name`/`on_request` have defaults, so a missing line here
+// would silently drop a hook (the unit test below drives all eight).
+macro_rules! forward_planner {
+    ($ty:ty) => {
+        impl<P: Planner + ?Sized> Planner for $ty {
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
+            fn on_request(&mut self, state: &mut PlatformState, r: &Request) -> PlannerReplies {
+                (**self).on_request(state, r)
+            }
+            fn on_time(&mut self, state: &mut PlatformState, now: Time) -> PlannerReplies {
+                (**self).on_time(state, now)
+            }
+            fn flush(&mut self, state: &mut PlatformState) -> PlannerReplies {
+                (**self).flush(state)
+            }
+            fn next_wakeup(&self) -> Option<Time> {
+                (**self).next_wakeup()
+            }
+            fn on_cancel(&mut self, state: &mut PlatformState, r: RequestId) -> bool {
+                (**self).on_cancel(state, r)
+            }
+            fn on_worker_change(&mut self, state: &mut PlatformState, change: WorkerChange) {
+                (**self).on_worker_change(state, change)
+            }
+            fn set_threads(&mut self, threads: usize) {
+                (**self).set_threads(threads)
+            }
+        }
+    };
 }
 
-/// Borrowing adapter: the simulator driver and the benches can feed a
-/// `&mut P` where a [`Planner`] value is expected instead of giving the
-/// planner away (e.g. `MobilityService` boxes `&mut planner` while the
-/// caller keeps ownership to read statistics afterwards).
-impl<P: Planner + ?Sized> Planner for &mut P {
-    fn name(&self) -> &'static str {
-        (**self).name()
+forward_planner!(Box<P>);
+forward_planner!(&mut P);
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use road_network::geo::Point;
+    use road_network::matrix::MatrixOracle;
+    use road_network::VertexId;
+
+    use super::*;
+    use crate::types::WorkerId;
+
+    /// Records which hooks were reached; answers each with a value the
+    /// trait's defaults never produce.
+    #[derive(Default)]
+    struct Recorder {
+        calls: Vec<&'static str>,
     }
-    fn on_request(&mut self, state: &mut PlatformState, r: &Request) -> PlannerReplies {
-        (**self).on_request(state, r)
+
+    impl Planner for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn on_request(&mut self, _: &mut PlatformState, r: &Request) -> PlannerReplies {
+            self.calls.push("on_request");
+            reply_one(r.id, Outcome::Rejected)
+        }
+        fn on_time(&mut self, _: &mut PlatformState, _: Time) -> PlannerReplies {
+            self.calls.push("on_time");
+            reply_one(RequestId(1), Outcome::Rejected)
+        }
+        fn flush(&mut self, _: &mut PlatformState) -> PlannerReplies {
+            self.calls.push("flush");
+            reply_one(RequestId(2), Outcome::Rejected)
+        }
+        fn next_wakeup(&self) -> Option<Time> {
+            Some(42)
+        }
+        fn on_cancel(&mut self, _: &mut PlatformState, _: RequestId) -> bool {
+            self.calls.push("on_cancel");
+            true
+        }
+        fn on_worker_change(&mut self, _: &mut PlatformState, _: WorkerChange) {
+            self.calls.push("on_worker_change");
+        }
+        fn set_threads(&mut self, _: usize) {
+            self.calls.push("set_threads");
+        }
     }
-    fn on_time(&mut self, state: &mut PlatformState, now: Time) -> PlannerReplies {
-        (**self).on_time(state, now)
-    }
-    fn flush(&mut self, state: &mut PlatformState) -> PlannerReplies {
-        (**self).flush(state)
-    }
-    fn next_wakeup(&self) -> Option<Time> {
-        (**self).next_wakeup()
-    }
-    fn on_cancel(&mut self, state: &mut PlatformState, r: RequestId) -> bool {
-        (**self).on_cancel(state, r)
-    }
-    fn on_worker_change(&mut self, state: &mut PlatformState, change: WorkerChange) {
-        (**self).on_worker_change(state, change)
-    }
-    fn set_threads(&mut self, threads: usize) {
-        (**self).set_threads(threads)
+
+    #[test]
+    fn box_and_borrow_forward_every_hook() {
+        let mut b = road_network::builder::NetworkBuilder::new();
+        b.add_vertex(Point::new(0.0, 0.0));
+        b.add_vertex(Point::new(1.0, 0.0));
+        b.add_edge_with_cost(VertexId(0), VertexId(1), 100).unwrap();
+        let oracle = Arc::new(MatrixOracle::from_network(&b.finish().unwrap()));
+        let mut state = PlatformState::new(oracle, &[], 100.0, 0);
+        let r = Request {
+            class: Default::default(),
+            id: RequestId(0),
+            origin: VertexId(0),
+            destination: VertexId(1),
+            release: 0,
+            deadline: 1_000,
+            penalty: 1,
+            capacity: 1,
+        };
+
+        let mut inner = Recorder::default();
+        {
+            // Both adapters at once: the shape `MobilityService` holds
+            // when a caller lends its planner.
+            let mut p: Box<&mut Recorder> = Box::new(&mut inner);
+            assert_eq!(Planner::name(&p), "recorder");
+            assert_eq!(p.on_request(&mut state, &r).len(), 1);
+            assert_eq!(p.on_time(&mut state, 5).len(), 1);
+            assert_eq!(p.flush(&mut state).len(), 1);
+            assert_eq!(Planner::next_wakeup(&p), Some(42));
+            assert!(p.on_cancel(&mut state, r.id));
+            p.on_worker_change(&mut state, WorkerChange::Joined(WorkerId(0)));
+            p.set_threads(3);
+        }
+        assert_eq!(
+            inner.calls,
+            [
+                "on_request",
+                "on_time",
+                "flush",
+                "on_cancel",
+                "on_worker_change",
+                "set_threads"
+            ]
+        );
     }
 }

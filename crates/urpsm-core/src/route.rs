@@ -274,12 +274,6 @@ impl Route {
         self.rebuild();
     }
 
-    /// The per-mille class travel-time multiplier (1000 = baseline).
-    #[inline]
-    pub fn speed_permille(&self) -> u32 {
-        self.speed_permille
-    }
-
     /// The per-class range budget, if any.
     #[inline]
     pub fn range(&self) -> Option<Cost> {
@@ -300,18 +294,27 @@ impl Route {
             || self.range.is_some()
     }
 
+    /// A free-flow cost stretched by this worker's class multiplier —
+    /// the one formula behind both the schedule (every leg's base
+    /// passes through it) and the simulator's along-leg integration,
+    /// so the two cannot disagree. `INF` stays `INF`; the baseline
+    /// class is the identity.
+    #[inline]
+    pub fn class_stretch(&self, base: Cost) -> Cost {
+        if self.speed_permille == crate::types::SPEED_BASELINE_PM || base >= INF {
+            base
+        } else {
+            base.saturating_mul(self.speed_permille as Cost) / 1_000
+        }
+    }
+
     /// The free-flow base of leg `k` stretched by the class multiplier.
     /// Scaling the *input* to the provider (not its output) preserves
     /// the provider's FIFO contract: output-side scaling can reorder
     /// arrivals when the inner profile satisfies FIFO with equality.
     #[inline]
     fn class_base(&self, k: usize) -> Cost {
-        let base = self.leg[k];
-        if self.speed_permille == crate::types::SPEED_BASELINE_PM || base >= INF {
-            base
-        } else {
-            base.saturating_mul(self.speed_permille as Cost) / 1_000
-        }
+        self.class_stretch(self.leg[k])
     }
 
     /// Travel time of leg `k` under the installed provider, departing

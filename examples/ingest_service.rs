@@ -27,7 +27,11 @@ fn main() {
         wal: Some(WalConfig::new(wal_dir.clone())),
         ..ServerConfig::default()
     };
-    let backend = || Backend::single(urpsm::service(&scenario, Box::new(PruneGreedyDp::new())));
+    let backend = || {
+        Backend::Sharded(urpsm::sharded(&scenario, 1, |_| {
+            Box::new(PruneGreedyDp::new())
+        }))
+    };
 
     // Phase 1: ingest the first half from four producer threads, with
     // pre-stamped sends so the thread count can't change the run.

@@ -25,7 +25,9 @@
 //!   every event to its home shard, and hands idle border workers
 //!   across seams under the `Borrow` boundary policy. One shard is
 //!   byte-identical to `MobilityService`.
-//! - [`server`] — the long-running ingestion runtime: an mpsc
+//! - [`server`] — the long-running ingestion runtime over the
+//!   dispatch plane (any `K ≥ 1`; there is no separate single-service
+//!   backend, since one shard already is one): an mpsc
 //!   front-end with deterministic sequence-stamped micro-batching,
 //!   per-shard admission control with explicit `Overloaded` shedding,
 //!   and an event-sourced WAL + logical snapshots giving

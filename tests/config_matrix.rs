@@ -115,6 +115,25 @@ fn peak_hour_stream(sc: &Scenario) -> Vec<PlatformEvent> {
     events
 }
 
+/// `(served, rejected, cancelled)` recounted from the event log alone,
+/// independently of any counter the platform keeps: a request's fate
+/// is its last decision — a departure's `Unassigned` strip re-opens
+/// it — unless a `Cancelled` withdrew it.
+fn fates_from_log(events: &[SimEvent]) -> (usize, usize, usize) {
+    let mut fate = BTreeMap::new();
+    for ev in events {
+        match *ev {
+            SimEvent::Assigned { r, .. } => fate.insert(r, "served"),
+            SimEvent::Rejected { r, .. } => fate.insert(r, "rejected"),
+            SimEvent::Cancelled { r, .. } => fate.insert(r, "cancelled"),
+            SimEvent::Unassigned { r, .. } => fate.insert(r, "open"),
+            _ => None,
+        };
+    }
+    let count = |what| fate.values().filter(|&&f| f == what).count();
+    (count("served"), count("rejected"), count("cancelled"))
+}
+
 fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config) -> Observed {
     let planner = || Box::new(PruneGreedyDp::with_threads(cfg.threads)) as Box<dyn Planner>;
     let sim = SimConfig {
@@ -166,6 +185,11 @@ fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config) -> Observed {
         "{cfg:?}: every request has exactly one fate"
     );
     assert_eq!(metrics.requests, sc.requests.len(), "{cfg:?}");
+    assert_eq!(
+        (metrics.served, metrics.rejected, metrics.cancelled),
+        fates_from_log(&events),
+        "{cfg:?}: the reported tallies are the log's"
+    );
     metrics.planning_time = std::time::Duration::ZERO;
     Observed {
         events,

@@ -31,7 +31,7 @@ fn overloaded_config() -> ServerConfig {
 
 fn run_with_producers(sc: &Scenario, producers: usize) -> (ServerOutcome, Vec<TickReport>) {
     let mut server = IngestServer::new(
-        Backend::single(urpsm::service(sc, Box::new(PruneGreedyDp::new()))),
+        Backend::Sharded(urpsm::sharded(sc, 1, |_| Box::new(PruneGreedyDp::new()))),
         overloaded_config(),
     )
     .expect("open server");
@@ -137,7 +137,7 @@ fn overload_is_deterministic_across_producer_counts() {
 fn unbounded_admission_never_sheds() {
     let sc = scenario(23);
     let server = IngestServer::new(
-        Backend::single(urpsm::service(&sc, Box::new(PruneGreedyDp::new()))),
+        Backend::Sharded(urpsm::sharded(&sc, 1, |_| Box::new(PruneGreedyDp::new()))),
         ServerConfig::default(),
     )
     .expect("open server");

@@ -77,8 +77,6 @@ fn backend(sc: &Scenario, cfg: Config) -> Backend<'static> {
             },
             sc.start_time(),
         ))
-    } else if cfg.shards <= 1 {
-        Backend::single(urpsm::service(sc, Box::new(PruneGreedyDp::new())))
     } else {
         Backend::Sharded(urpsm::sharded(sc, cfg.shards, |_| {
             Box::new(PruneGreedyDp::new())
@@ -273,4 +271,87 @@ fn recovery_without_a_wal_starts_fresh() {
     let outcome = server.run(sc.event_stream()).expect("run");
     assert!(outcome.audit_errors.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A WAL holds whatever the codec can spell, and `decode_event` takes
+/// any `u32` vertex and `u16` class: a join with a class outside the
+/// table, a join off the network, arrivals with a stray endpoint.
+/// Replaying them must not take the server down — the joins are
+/// dropped, the arrivals rejected — and the run that follows is the
+/// clean run, two rejections later.
+#[test]
+fn malformed_events_in_a_wal_are_contained_on_recovery() {
+    for cfg in [CONFIGS[0], CONFIGS[1]] {
+        let sc = scenario(14, cfg);
+        let full = baseline(&sc, cfg, &wal_dir("base"));
+        let next_id = WorkerId(sc.workers.len() as u32);
+        let at = sc.start_time();
+        let stray = VertexId(u32::MAX);
+        let malformed = [
+            PlatformEvent::WorkerJoined {
+                at,
+                worker: Worker {
+                    id: next_id,
+                    class: urpsm::core::types::ClassId(9),
+                    ..sc.workers[0]
+                },
+            },
+            PlatformEvent::WorkerJoined {
+                at,
+                worker: Worker {
+                    id: next_id,
+                    origin: stray,
+                    ..sc.workers[0]
+                },
+            },
+            PlatformEvent::RequestArrived(Request {
+                id: RequestId(900_000),
+                origin: stray,
+                ..sc.requests[0]
+            }),
+            PlatformEvent::RequestArrived(Request {
+                id: RequestId(900_001),
+                destination: stray,
+                ..sc.requests[0]
+            }),
+        ];
+        let dir = wal_dir("malformed");
+        std::fs::create_dir_all(&dir).expect("run directory");
+        let mut wal =
+            urpsm::server::wal::WalWriter::create(&dir.join(WAL_FILE)).expect("create wal");
+        for ev in &malformed {
+            wal.append(ev).expect("append");
+        }
+        wal.flush().expect("flush");
+        drop(wal);
+
+        let (server, report) = recover(backend(&sc, cfg), config(&dir)).expect("recover");
+        assert_eq!(report.events_replayed, 4, "{cfg:?}");
+        assert!(!report.torn_tail, "{cfg:?}");
+        let recovered = server.run(sc.event_stream()).expect("run");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            matches!(
+                recovered.events[..2],
+                [
+                    SimEvent::Rejected {
+                        r: RequestId(900_000),
+                        ..
+                    },
+                    SimEvent::Rejected {
+                        r: RequestId(900_001),
+                        ..
+                    }
+                ]
+            ),
+            "{cfg:?}: {:?}",
+            &recovered.events[..2]
+        );
+        // The dropped joins left every id free for the stream's own
+        // churn, so the rest of the run is the clean run.
+        assert_eq!(recovered.events[2..], full.events[..], "{cfg:?}");
+        assert_eq!(recovered.audit_errors, Vec::<String>::new(), "{cfg:?}");
+        assert_eq!(recovered.metrics.rejected, full.metrics.rejected + 2);
+        assert_eq!(recovered.metrics.served, full.metrics.served);
+    }
 }

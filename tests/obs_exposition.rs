@@ -53,7 +53,9 @@ fn exposition_parses_and_covers_the_run() {
     // Ingest + WAL traffic through a durable server.
     let dir = std::env::temp_dir().join(format!("urpsm-obs-expo-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let backend = Backend::single(urpsm::service(&scenario, Box::new(PruneGreedyDp::new())));
+    let backend = Backend::Sharded(urpsm::sharded(&scenario, 1, |_| {
+        Box::new(PruneGreedyDp::new())
+    }));
     let server = IngestServer::new(
         backend,
         ServerConfig {

@@ -57,6 +57,9 @@ pub struct BatchPlanner {
     /// `clone_from`-ed over each candidate's route instead of cloning
     /// a fresh one per worker.
     group_route: Route,
+    /// The spare an idle candidate's route is re-timed into
+    /// (`PlatformState::candidate`).
+    retimed: Route,
     /// Reusable probe for the congestion re-feasibility gate.
     probe: Route,
 }
@@ -150,9 +153,8 @@ impl BatchPlanner {
                 if taken[w.idx()] {
                     continue;
                 }
-                let agent = state.agent(w);
-                self.group_route.clone_from(&agent.route);
-                let capacity = agent.worker.capacity;
+                let (route, capacity) = state.candidate(w, &mut self.retimed);
+                self.group_route.clone_from(route);
                 let mut plans = Vec::with_capacity(group.len());
                 let mut total_delta: Cost = 0;
                 for m in &group {

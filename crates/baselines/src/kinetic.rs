@@ -70,6 +70,9 @@ pub struct KineticPlanner {
     search_best: Vec<usize>,
     /// Warm-start route (insertion seed), `clone_from`-reused.
     seed_route: Route,
+    /// The spare an idle candidate's route is re-timed into
+    /// (`PlatformState::candidate`).
+    retimed: Route,
     /// Reusable probe for the congestion tail-feasibility gate.
     probe: Route,
     /// Re-ordered tail of the current evaluation.
@@ -357,11 +360,10 @@ impl Planner for KineticPlanner {
         }
 
         let mut best: Option<(Cost, WorkerId)> = None;
+        let mut retimed = std::mem::take(&mut self.retimed);
         for &(_, w) in &decision.lower_bounds {
-            let agent = state.agent(w);
-            let route = agent.route.clone();
-            let capacity = agent.worker.capacity;
-            if let Some(delta) = self.evaluate_worker(&route, capacity, r, direct, &*oracle) {
+            let (route, capacity) = state.candidate(w, &mut retimed);
+            if let Some(delta) = self.evaluate_worker(route, capacity, r, direct, &*oracle) {
                 // The branch-and-bound search times stops at free flow;
                 // under a congestion profile the re-ordered tail must
                 // also survive the stretched schedule (DESIGN.md §7).
@@ -389,6 +391,7 @@ impl Planner for KineticPlanner {
             }
         }
         self.candidates = candidates;
+        self.retimed = retimed;
 
         let outcome = match best {
             Some((delta, w)) => {

@@ -66,6 +66,9 @@ pub struct TSharePlanner {
     cfg: TShareConfig,
     candidates: Vec<u64>,
     dual_scratch: Vec<u64>,
+    /// The spare an idle candidate's route is re-timed into
+    /// (`PlatformState::candidate`).
+    retimed: Route,
     /// Reusable probe route for the congestion re-feasibility gate.
     probe: Route,
 }
@@ -139,18 +142,13 @@ impl Planner for TSharePlanner {
         let mut best: Option<(Cost, WorkerId, InsertionPlan)> = None;
         for &cand in &self.candidates {
             let w = WorkerId(cand as u32);
-            let agent = state.agent(w);
-            if let Some(plan) = basic_insertion(&agent.route, agent.worker.capacity, r, &*oracle) {
+            let (route, capacity) = state.candidate(w, &mut self.retimed);
+            if let Some(plan) = basic_insertion(route, capacity, r, &*oracle) {
                 // Free-flow plans are optimistic under a congestion
                 // profile: only stretched-feasible ones may compete
                 // (DESIGN.md §7).
-                if agent.route.time_dependent()
-                    && !agent.route.insertion_feasible_with(
-                        &mut self.probe,
-                        &plan,
-                        r,
-                        agent.worker.capacity,
-                    )
+                if route.time_dependent()
+                    && !route.insertion_feasible_with(&mut self.probe, &plan, r, capacity)
                 {
                     continue;
                 }

@@ -5,7 +5,9 @@
 //! exact number of heap allocations inside `planner.on_request` for
 //! every planner, in steady state: warmed scratch arenas, reserved
 //! bookkeeping containers, routes held at the ≤ 8-stop inline regime
-//! by draining stops *between* (never inside) measured regions.
+//! by draining stops *between* (never inside) measured regions, and the
+//! clock moved past the drained arrivals, so every idle candidate is
+//! probed through its re-timed copy (the lazy idle clock).
 //!
 //! The gate: a steady-state planned insertion under `GreedyDP` and
 //! `pruneGreedyDP` at `threads = 1` performs **zero** allocations —
@@ -106,11 +108,11 @@ mod gated {
             .collect()
     }
 
-    /// The `i`-th steady-state request: a short hop near worker
-    /// `i mod WORKERS`, roomy deadline, penalty high enough that the
-    /// economic gate always admits it — every request is a *planned
-    /// insertion*, which is what the gate is about.
-    fn request(i: usize, shift: Time) -> Request {
+    /// The `i`-th steady-state request, released at `now`: a short hop
+    /// near worker `i mod WORKERS`, roomy deadline, penalty high enough
+    /// that the economic gate always admits it — every request is a
+    /// *planned insertion*, which is what the gate is about.
+    fn request(i: usize, now: Time) -> Request {
         let spacing = VERTICES as u32 / WORKERS;
         let base = (i as u32 % WORKERS) * spacing;
         let origin = base + 1 + (i as u32 / WORKERS) % 3;
@@ -118,25 +120,30 @@ mod gated {
             id: RequestId(i as u32),
             origin: VertexId(origin),
             destination: VertexId(origin + 4),
-            release: shift,
-            deadline: shift + 2_000_000,
+            release: now,
+            deadline: now + 2_000_000,
             penalty: u64::MAX / 4,
             capacity: 1,
             class: ClassConstraint::Any,
         }
     }
 
-    /// Returns every worker's route to empty/idle. Runs *between*
-    /// measured regions, so its allocations (grid upserts, the
-    /// completed-request set) never count — exactly like the motion
+    /// Returns every worker's route to empty/idle, then moves the clock
+    /// past the last arrival it drained — every idle worker is then
+    /// behind the clock, so the next request's probes meet the lazy
+    /// idle clock ([`PlatformState::candidate`]'s re-timed copy). Runs
+    /// *between* measured regions, so its allocations (grid upserts,
+    /// the completed-request set) never count — exactly like the motion
     /// plane draining stops between two request arrivals.
     fn drain_routes(state: &mut PlatformState) {
+        let mut last = state.now();
         for i in 0..WORKERS {
             let w = WorkerId(i);
-            while !state.agent(w).route.is_empty() {
-                state.pop_worker_stop(w);
+            while !state.head(w).idle {
+                last = last.max(state.pop_worker_stop(w).1);
             }
         }
+        state.advance_clock(last + 1);
     }
 
     fn run(algo: Algo, profile: &'static str, threads: usize) -> Row {
@@ -160,7 +167,7 @@ mod gated {
         // Warmup: grow every scratch arena, candidate buffer, hash-map
         // table and shortlist column to its steady-state size.
         for i in 0..WARMUP {
-            let r = request(i, shift);
+            let r = request(i, state.now());
             planner.on_request(&mut state, &r);
             planner.flush(&mut state);
             drain_routes(&mut state);
@@ -170,7 +177,7 @@ mod gated {
         let mut total = 0u64;
         let mut max = 0u64;
         for i in 0..MEASURED {
-            let r = request(WARMUP + i, shift);
+            let r = request(WARMUP + i, state.now());
             let (outs, allocs) = alloc_track::measure(|| planner.on_request(&mut state, &r));
             total += allocs;
             max = max.max(allocs);

@@ -220,6 +220,8 @@ pub struct ShardedService<'p> {
     /// The merged, global-id event log.
     events: Vec<SimEvent>,
     last_time: Time,
+    /// The `Borrow` probe's shortlist buffer, reused across arrivals.
+    cands: CandidateBuf,
 }
 
 impl<'p> ShardedService<'p> {
@@ -290,6 +292,7 @@ impl<'p> ShardedService<'p> {
             request_home: FxHashMap::default(),
             events: Vec::new(),
             last_time: start_time,
+            cands: CandidateBuf::new(),
         }
     }
 
@@ -557,7 +560,8 @@ impl<'p> ShardedService<'p> {
         urpsm_obs::with(|m| m.borrow_probes.inc());
         let origin_p = self.oracle.point(r.origin);
         let direct = self.oracle.dis(r.origin, r.destination);
-        let mut cands = CandidateBuf::new();
+        // Positions come off each shard's head plane: no agent is read.
+        let pickup_m = |v: VertexId| self.oracle.point(v).euclidean_m(&origin_p);
 
         // Best straight-line pickup distance any home candidate offers.
         // `candidate_workers` is the eligibility seam, so a borrow probe
@@ -565,13 +569,9 @@ impl<'p> ShardedService<'p> {
         // shard boundary for free.
         let home_state = self.shards[home].service.state();
         let local_best = home_state
-            .candidate_workers(r, direct, &mut cands)
+            .candidate_workers(r, direct, &mut self.cands)
             .iter()
-            .map(|w| {
-                self.oracle
-                    .point(home_state.agent(w).route.start_vertex())
-                    .euclidean_m(&origin_p)
-            })
+            .map(|w| pickup_m(home_state.head(w).vertex))
             .fold(f64::INFINITY, f64::min);
 
         // Best idle foreign candidate across the probed shards.
@@ -579,15 +579,12 @@ impl<'p> ShardedService<'p> {
         let order = self.map.nearest_order(origin_p);
         for &s in order.iter().filter(|&&s| s != home).take(probe) {
             let state = self.shards[s].service.state();
-            for w in state.candidate_workers(r, direct, &mut cands).iter() {
-                let agent = state.agent(w);
-                if !agent.route.is_empty() {
+            for w in state.candidate_workers(r, direct, &mut self.cands).iter() {
+                let head = state.head(w);
+                if !head.idle {
                     continue; // only idle workers change jurisdiction
                 }
-                let d = self
-                    .oracle
-                    .point(agent.route.start_vertex())
-                    .euclidean_m(&origin_p);
+                let d = pickup_m(head.vertex);
                 if best.is_none_or(|(bd, _, _)| d < bd) {
                     best = Some((d, s, w));
                 }

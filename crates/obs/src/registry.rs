@@ -322,7 +322,6 @@ metrics! {
     counter service_events "Events submitted to `MobilityService`";
     counter service_replies "Replies emitted by `MobilityService`";
     counter motion_advanced "Workers moved forward by `MobilityService` (one per worker per clock advance in which it was due)";
-    counter motion_idle_retimed "Idle workers re-timed to the clock by `MobilityService`";
     counter kinetic_reorders "Kinetic-tree reorderings that beat plain insertion";
     counter batch_epochs "Batch-planner epoch flushes";
     counter workload_events "Platform events generated by workload scenarios";

@@ -25,7 +25,6 @@ const FAMILIES: &[(&str, &str)] = &[
     ("urpsm_ingest_ticks_total", "counter"),
     ("urpsm_kinetic_reorders_total", "counter"),
     ("urpsm_motion_advanced_total", "counter"),
-    ("urpsm_motion_idle_retimed_total", "counter"),
     ("urpsm_path_cache_hits_total", "counter"),
     ("urpsm_path_cache_misses_total", "counter"),
     ("urpsm_plan_assigned_total", "counter"),
@@ -87,7 +86,6 @@ const JSON_KEYS: &[&str] = &[
     "ingest_ticks",
     "kinetic_reorders",
     "motion_advanced",
-    "motion_idle_retimed",
     "path_cache_hits",
     "path_cache_misses",
     "plan_assigned",

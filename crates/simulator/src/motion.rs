@@ -23,9 +23,11 @@
 //! drive, with an undrivable head leg, or already at or ahead of the
 //! clock, and the service does not call it for them: on each clock
 //! move it advances every *due* worker — `PlatformState::due(w) ≤ t`,
-//! the platform's motion index (DESIGN.md §1) — in ascending id, and
-//! re-times the idle ones in bulk. A worker that drains its route
-//! inside `advance` is re-timed there, as before.
+//! the platform's motion index (DESIGN.md §1) — in ascending id. An
+//! idle worker, including one that drains its route inside `advance`,
+//! is not touched at all: it stays at its last stop's arrival time and
+//! the platform's lazy idle clock reads its departure as `max(arr[0],
+//! now)`.
 //!
 //! # Distance vs. time
 //!
@@ -210,13 +212,12 @@ impl WorkerMotion {
             self.entered += 1;
         }
         loop {
-            let route = &state.agent(w).route;
-            if route.is_empty() {
-                if route.start_time() < t {
-                    state.retime_idle_worker(w, t);
-                }
+            // An idle worker has nothing to drive; its clock is lazy
+            // (`WorkerHead::departure`).
+            if state.head(w).idle {
                 return;
             }
+            let route = &state.agent(w).route;
             let arr1 = route.arr(1);
             if arr1 >= INF {
                 // Undrivable leg (disconnected bridge): hold position
@@ -355,9 +356,13 @@ mod tests {
         assert_eq!(stops.len(), 2);
         assert_eq!(stops[1].0.kind, StopKind::Delivery);
         assert_eq!(stops[1].1, 1_000);
-        let route = &state.agent(WorkerId(0)).route;
-        assert!(route.is_empty());
-        assert_eq!(route.start_time(), 2_000);
+        // Idle at the drop vertex since the delivery: nothing re-times
+        // the route, the lazy clock reads its departure.
+        state.advance_clock(2_000);
+        let head = state.head(WorkerId(0));
+        assert!(head.idle);
+        assert_eq!(head.vertex, VertexId(10));
+        assert_eq!((head.start, head.departure(state.now())), (1_000, 2_000));
         // Driven = 0→5→10 = 1000 travel units.
         assert_eq!(motion.driven, 1_000);
     }
@@ -390,13 +395,13 @@ mod tests {
     }
 
     #[test]
-    fn idle_worker_just_retimes() {
+    fn idle_worker_is_left_alone() {
         let (mut state, oracle) = setup();
+        state.advance_clock(777);
         let mut motion = WorkerMotion::default();
         motion.advance(&mut state, WorkerId(0), 777, &*oracle, |_, _| {});
-        let route = &state.agent(WorkerId(0)).route;
-        assert!(route.is_empty());
-        assert_eq!(route.start_time(), 777);
+        let head = state.head(WorkerId(0));
+        assert_eq!((head.start, head.departure(state.now())), (0, 777));
         assert_eq!(motion.driven, 0);
     }
 

@@ -415,18 +415,17 @@ impl<'p> MobilityService<'p> {
 
     /// Moves every *due* worker forward to time `t`, logging passed
     /// stops. The platform's motion index names the workers for whom
-    /// [`WorkerMotion::advance`] would do anything (`due(w) ≤ t`) and
-    /// holds the idle ones on a list that is re-timed with one store
-    /// each, so the cost follows the vehicles that move, not the fleet.
-    /// Due workers are visited in ascending id — the order a sweep over
-    /// every worker would reach them in, hence the same log.
+    /// [`WorkerMotion::advance`] would do anything (`due(w) ≤ t`), and
+    /// idle workers need nothing — the platform's clock is their clock
+    /// (DESIGN.md §1) — so the cost follows the vehicles that move, not
+    /// the fleet. Due workers are visited in ascending id — the order a
+    /// sweep over every worker would reach them in, hence the same log.
     fn advance_all(&mut self, t: Time) {
         #[cfg(test)]
         if self.full_sweep {
             return self.advance_all_by_sweep(t);
         }
         self.state.advance_clock(t);
-        let retimed = self.state.retime_idle(t);
         let mut advanced = 0u64;
         let oracle = &*self.oracle;
         let events = &mut self.events;
@@ -440,15 +439,14 @@ impl<'p> MobilityService<'p> {
                 events.push(stop_event(stop, at, w));
             });
         }
-        urpsm_obs::with(|m| {
-            m.motion_advanced.add(advanced);
-            m.motion_idle_retimed.add(retimed as u64);
-        });
+        urpsm_obs::with(|m| m.motion_advanced.add(advanced));
     }
 
-    /// The reference the motion index is checked against: every worker
-    /// is advanced on every clock move, idle or not, and the index is
-    /// never consulted.
+    /// The reference the motion index and the lazy idle clock are
+    /// checked against: every worker is advanced on every clock move,
+    /// idle or not, the due index is never consulted, and every idle
+    /// worker behind `t` is stored at `t` (the eager clock the lazy one
+    /// replaced).
     #[cfg(test)]
     fn advance_all_by_sweep(&mut self, t: Time) {
         self.state.advance_clock(t);
@@ -459,6 +457,10 @@ impl<'p> MobilityService<'p> {
             m.advance(&mut self.state, w, t, oracle, |stop, at| {
                 events.push(stop_event(stop, at, w));
             });
+            let head = self.state.head(w);
+            if head.idle && head.start < t {
+                self.state.set_worker_position(w, head.vertex, t, None);
+            }
         }
     }
 

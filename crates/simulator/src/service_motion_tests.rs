@@ -1,14 +1,16 @@
-//! The motion index against its reference model.
+//! The motion index and the lazy idle clock against their reference
+//! model.
 //!
 //! [`MobilityService::advance_all`] moves only the workers the
-//! platform's due index names and re-times the idle list with one store
-//! each. The reference is the sweep it replaced
-//! (`advance_all_by_sweep`): every worker advanced on every clock move,
-//! the index never consulted. Both must leave the same log, the same
-//! driven ledger and the same routes.
+//! platform's due index names and stores nothing into idle routes. The
+//! reference is the sweep it replaced (`advance_all_by_sweep`): every
+//! worker advanced on every clock move, the index never consulted, and
+//! every idle worker stored at the clock. Both must leave the same log,
+//! the same driven ledger and the same routes as of the clock.
 
 use road_network::congestion::{CongestionProfile, HOUR_CS};
-use urpsm_baselines::prelude::{BatchPlanner, KineticPlanner};
+use urpsm_baselines::prelude::{BatchPlanner, KineticPlanner, TSharePlanner};
+use urpsm_core::route::Route;
 use urpsm_workloads::prelude::{FleetMix, Scenario, ScenarioBuilder, MINUTE_CS};
 
 use super::tests::{fleet, line_oracle, req};
@@ -92,6 +94,15 @@ fn open(
     service
 }
 
+/// Every route of `state` as of its clock: an idle route behind it
+/// re-timed, as a planner reads it.
+fn routes_at_now(state: &PlatformState) -> Vec<Route> {
+    let mut spare = Route::default();
+    (0..state.num_workers())
+        .map(|i| state.candidate(WorkerId(i as u32), &mut spare).0.clone())
+        .collect()
+}
+
 /// Log, ledger and routes of the indexed service equal the sweep's.
 fn assert_same(indexed: &MobilityService<'_>, sweep: &MobilityService<'_>, ctx: &str) {
     assert_eq!(indexed.events, sweep.events, "{ctx}: event log");
@@ -100,53 +111,51 @@ fn assert_same(indexed: &MobilityService<'_>, sweep: &MobilityService<'_>, ctx: 
     for (i, (a, b)) in indexed.motions.iter().zip(&sweep.motions).enumerate() {
         assert_eq!(a.driven, b.driven, "{ctx}: driven of worker {i}");
     }
-    for (a, b) in indexed.state.agents().iter().zip(sweep.state.agents()) {
-        assert_eq!(a.route, b.route, "{ctx}: route of {:?}", a.worker.id);
+    let (a, b) = (routes_at_now(&indexed.state), routes_at_now(&sweep.state));
+    for (w, (a, b)) in a.iter().zip(&b).enumerate() {
+        assert_eq!(a, b, "{ctx}: route of worker {w}");
     }
 }
 
 /// Drives the indexed service and the full sweep over the cancel +
 /// churn stream of `tests/config_matrix.rs` under {free flow,
 /// `chengdu-2peak` through the TD oracle, mixed fleet} ×
-/// {`PruneGreedyDp`, kinetic, batch}. After every event the replies,
-/// the whole log, every worker's `driven` and every `Route` must be
-/// equal — so every idle worker, shortlisted or not, sits at `arr[0] ==
-/// now` exactly when the sweep would have put it there — and
+/// {`PruneGreedyDp`, kinetic, tshare, batch}. After every event the
+/// replies, the whole log, every worker's `driven` and every `Route` as
+/// of the clock must be equal — so every idle worker, shortlisted or
+/// not, departs at `now` exactly when the sweep stored it there, and
+/// every planner family plans from that departure — and
 /// `check_motion_index` must hold on the indexed platform; halfway, an
 /// idle worker is handed off (and a busy one refused) on both.
 ///
 /// Which part of the stream keeps which `reindex` honest (dropping it
 /// from that mutator fails this test):
 ///
-/// * `commit` — every `PruneGreedyDp` and batch assignment;
+/// * `commit` — every `PruneGreedyDp`, tshare and batch assignment;
 ///   `commit_reordered` — every kinetic assignment. A missed one leaves
-///   a newly busy worker on the idle list with `due = MAX`: it never
-///   moves and its pickups vanish from the log.
+///   a newly busy worker marked idle with `due = MAX`: it never moves
+///   and its pickups vanish from the log.
 /// * `snap_worker_on_leg`, `pop_worker_stop` — the motion between any
 ///   two events: a stale `due` after a snap re-enters `advance` early
 ///   (caught by `check_motion_index`), after a pop it skips the next
-///   leg or keeps a drained worker off the idle list, whose clock then
+///   leg or leaves a drained worker marked busy, whose clock then
 ///   stops.
 /// * `cancel_request` — the 15 % cancellations that land before pickup
 ///   (asserted below: some free distance); bridging moves `arr[1]`, and
-///   emptying the route must put the worker back on the idle list.
+///   emptying the route must mark the worker idle again.
 /// * `strip_unpicked` — a `WorkerLeft { Reassign }` staged a third of
 ///   the way in for a worker that still owes a pickup (asserted below:
 ///   an `Unassigned` in the log; the scenario's own two departures hit
 ///   workers with nothing left to strip).
-/// * `add_worker` — the two `WorkerJoined` arrivals: unlisted, a joiner
-///   is never re-timed and its route diverges from the sweep's on the
-///   next event.
-///
-/// `retime_idle_worker` is not on the list: it takes an empty route to
-/// an empty route, which neither `due` nor the idle list can see, so it
-/// does not reindex (it debug-asserts the worker is listed).
+/// * `add_worker` — the two `WorkerJoined` arrivals: a joiner without
+///   its own `due` and head entry leaves the index missized.
 #[test]
 fn indexed_motion_equals_the_full_sweep() {
     type MakePlanner = fn() -> Box<dyn Planner>;
-    let planners: [(&str, MakePlanner); 3] = [
+    let planners: [(&str, MakePlanner); 4] = [
         ("pruneGreedyDP", || Box::new(PruneGreedyDp::new())),
         ("kinetic", || Box::new(KineticPlanner::new())),
+        ("tshare", || Box::new(TSharePlanner::new())),
         ("batch", || Box::new(BatchPlanner::new())),
     ];
     for world in [World::FreeFlow, World::TwoPeakTd, World::MixedFleet] {
@@ -206,9 +215,11 @@ fn indexed_motion_equals_the_full_sweep() {
             assert_eq!(indexed.audit_errors, Vec::<String>::new(), "{ctx}: audit");
             assert_eq!(indexed.events, sweep.events, "{ctx}: drained log");
             assert_eq!(indexed.state.check_motion_index(), Ok(()), "{ctx}: drained");
-            for (a, b) in indexed.state.agents().iter().zip(sweep.state.agents()) {
-                assert_eq!(a.route, b.route, "{ctx}: drained route");
-            }
+            assert_eq!(
+                routes_at_now(&indexed.state),
+                routes_at_now(&sweep.state),
+                "{ctx}: drained routes"
+            );
         }
     }
 }
@@ -264,11 +275,9 @@ fn advance_is_entered_once_per_due_worker() {
     assert_eq!(expected, 3 * 9);
     assert!(svc.motions[3..].iter().all(|m| m.entered == 0));
     assert!(svc.state.agents().iter().all(|a| a.route.is_empty()));
-    assert!(svc
-        .state
-        .agents()
+    assert!(routes_at_now(&svc.state)
         .iter()
-        .all(|a| a.route.start_time() == 1_400));
+        .all(|route| route.start_time() == 1_400));
     let out = svc.drain();
     assert_eq!(out.audit_errors, Vec::<String>::new());
     assert_eq!(out.metrics.served, 3);

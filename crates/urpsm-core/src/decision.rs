@@ -13,7 +13,7 @@
 
 use road_network::Cost;
 
-use crate::lower_bound::insertion_lower_bound;
+use crate::lower_bound::{idle_lower_bound, insertion_lower_bound};
 use crate::platform::{EligibleCandidates, PlatformState};
 use crate::shortlist::LowerBoundSink;
 use crate::types::{Request, WorkerId};
@@ -43,7 +43,9 @@ impl DecisionOutcome {
 /// lower-bound filter can never diverge between them. Generic over
 /// the sink so the engine can fill its reusable SoA
 /// [`crate::shortlist::Shortlist`] with the very same loop that builds
-/// the `Vec`-based [`DecisionOutcome`].
+/// the `Vec`-based [`DecisionOutcome`]. An idle worker is bounded from
+/// its head-plane entry ([`idle_lower_bound`]); only a busy one's
+/// agent is read.
 pub(crate) fn collect_lower_bounds<S: LowerBoundSink>(
     state: &PlatformState,
     r: &Request,
@@ -51,15 +53,16 @@ pub(crate) fn collect_lower_bounds<S: LowerBoundSink>(
     workers: impl Iterator<Item = WorkerId>,
     out: &mut S,
 ) {
+    let oracle = state.oracle();
     for w in workers {
-        let agent = state.agent(w);
-        if let Some(lb) = insertion_lower_bound(
-            &agent.route,
-            agent.worker.capacity,
-            r,
-            direct,
-            state.oracle(),
-        ) {
+        let head = state.head(w);
+        let lb = if head.idle {
+            idle_lower_bound(&head, state.now(), r, direct, oracle)
+        } else {
+            let agent = state.agent(w);
+            insertion_lower_bound(&agent.route, head.capacity, r, direct, oracle)
+        };
+        if let Some(lb) = lb {
             out.push_bound(lb, w);
         }
     }

@@ -36,8 +36,9 @@
 use road_network::oracle::DistanceOracle;
 use road_network::{cost_add, cost_add3, Cost, INF};
 
+use crate::platform::WorkerHead;
 use crate::route::Route;
-use crate::types::Request;
+use crate::types::{Request, Time};
 
 /// Computes `LBΔ*` for inserting `r` into `route` (Eq. 17).
 ///
@@ -124,6 +125,29 @@ pub fn insertion_lower_bound(
         (e_or_j, e_dr_j) = (e_or_next, e_dr_next);
     }
     best
+}
+
+/// [`insertion_lower_bound`] of an idle worker, from its head-plane
+/// entry alone (DESIGN.md §5). On a route with no stops the scan is
+/// one position, `j = n = 0`, with `picked[0] = 0` and `slack[0] = ∞`,
+/// so what is left is the capacity test, the relaxed pickup-deadline
+/// test from the worker's departure at `now`
+/// ([`WorkerHead::departure`]) and the bound `euc(l_0, o_r) + L` — the
+/// same `euc` call, so the same bits (pinned by a property test
+/// against [`insertion_lower_bound`] on the re-timed route).
+pub fn idle_lower_bound(
+    head: &WorkerHead,
+    now: Time,
+    r: &Request,
+    direct: Cost,
+    oracle: &dyn DistanceOracle,
+) -> Option<Cost> {
+    debug_assert!(head.idle, "only an empty route reduces to its head");
+    if r.capacity > head.capacity || direct >= INF {
+        return None;
+    }
+    let e_or = oracle.euc(head.vertex, r.origin);
+    (cost_add3(head.departure(now), e_or, direct) <= r.deadline).then(|| cost_add(e_or, direct))
 }
 
 #[cfg(test)]
@@ -302,6 +326,8 @@ mod tests {
 
     mod props {
         use super::*;
+        use crate::platform::PlatformState;
+        use crate::types::{Worker, WorkerId};
         use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -381,6 +407,63 @@ mod tests {
                         reference_lower_bound(&route, capacity, &r, direct, &oracle),
                         "capacity {} request {:?}", capacity, r
                     );
+                }
+            }
+
+            /// The head-plane bound is [`insertion_lower_bound`] on the
+            /// zero-stop route re-timed to `now`: equal `Option<Cost>`
+            /// for a stored clock behind, at and ahead of the
+            /// platform's, request capacities below, at and above the
+            /// worker's, an unreachable trip, and deadlines on, just
+            /// inside and just outside the relaxed pickup boundary.
+            #[test]
+            fn idle_bound_equals_the_scan_of_the_retimed_route(
+                seed in 0u64..1_000_000,
+                clock in 0usize..3,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let oracle: Arc<dyn DistanceOracle> = Arc::new(detour_oracle(VERTICES as usize));
+                let v = VertexId(rng.gen_range(0..VERTICES));
+                let worker = Worker { id: WorkerId(0), origin: v, capacity: 2, class: Default::default() };
+                let mut state = PlatformState::new(Arc::clone(&oracle), &[worker], 10.0, 0);
+                let now = rng.gen_range(1_000..50_000);
+                let stored = match clock {
+                    0 => now - rng.gen_range(1..1_000),
+                    1 => now,
+                    _ => now + rng.gen_range(1..1_000),
+                };
+                state.advance_clock(now);
+                state.set_worker_position(WorkerId(0), v, stored, None);
+                let head = state.head(WorkerId(0));
+                let mut spare = Route::default();
+                let (route, capacity) = state.candidate(WorkerId(0), &mut spare);
+                prop_assert_eq!(route.start_time(), stored.max(now));
+                for _ in 0..16 {
+                    let o = rng.gen_range(0..VERTICES);
+                    let d = (o + rng.gen_range(1..VERTICES)) % VERTICES;
+                    let mut r = request(1, o, d, 0);
+                    r.capacity = rng.gen_range(1..=3);
+                    let direct = if rng.gen_range(0..8) == 0 {
+                        INF
+                    } else {
+                        oracle.dis(r.origin, r.destination)
+                    };
+                    let edge = cost_add3(route.start_time(), oracle.euc(v, r.origin), direct);
+                    r.deadline = match rng.gen_range(0..4) {
+                        0 => edge,
+                        1 => edge - 1,
+                        2 => edge + 1,
+                        _ => rng.gen_range(0..100_000),
+                    };
+                    let lb = idle_lower_bound(&head, state.now(), &r, direct, &*oracle);
+                    prop_assert_eq!(
+                        lb,
+                        insertion_lower_bound(route, capacity, &r, direct, &*oracle),
+                        "request {:?} direct {}", r, direct
+                    );
+                    if r.deadline == edge && r.capacity <= capacity && direct < INF {
+                        prop_assert!(lb.is_some(), "the boundary itself is feasible");
+                    }
                 }
             }
 

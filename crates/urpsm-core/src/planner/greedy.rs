@@ -308,6 +308,7 @@ fn probe(
 ) -> Best {
     let PlanScratch {
         insertion,
+        retimed,
         probe: probe_route,
     } = scratch;
     let mut best: Best = None;
@@ -318,11 +319,9 @@ fn probe(
         if prune && bound.get() < lb {
             break;
         }
-        let agent = state.agent(w);
+        let (route, capacity) = state.candidate(w, retimed);
         urpsm_obs::with(|m| m.plan_probes.inc());
-        if let Some(plan) =
-            linear_dp_insertion_with(insertion, &agent.route, agent.worker.capacity, r, oracle)
-        {
+        if let Some(plan) = linear_dp_insertion_with(insertion, route, capacity, r, oracle) {
             // Free-flow plans are optimistic under a congestion
             // profile: re-check the stretched schedule before letting
             // the candidate compete (DESIGN.md §7). Free-flow and
@@ -333,13 +332,8 @@ fn probe(
             // infeasible candidate could prune the true winner: the
             // argument above goes through with "Δ" read as
             // "feasible Δ".
-            if agent.route.time_dependent()
-                && !agent.route.insertion_feasible_with(
-                    probe_route,
-                    &plan,
-                    r,
-                    agent.worker.capacity,
-                )
+            if route.time_dependent()
+                && !route.insertion_feasible_with(probe_route, &plan, r, capacity)
             {
                 continue;
             }
@@ -680,12 +674,13 @@ mod tests {
         let decision = decision_phase(1, state, eligible, r, direct);
         let mut best: Best = None;
         if !decision.reject {
+            let mut spare = crate::route::Route::default();
             for (lb, w) in decision.lower_bounds {
                 if best.as_ref().is_some_and(|(delta, _, _)| *delta < lb) {
                     break;
                 }
-                let agent = state.agent(w);
-                let plan = linear_dp_insertion(&agent.route, agent.worker.capacity, r, &*oracle);
+                let (route, capacity) = state.candidate(w, &mut spare);
+                let plan = linear_dp_insertion(route, capacity, r, &*oracle);
                 if let Some(plan) = plan {
                     if best
                         .as_ref()

@@ -1,9 +1,10 @@
 //! Per-thread probe arena (`PlanScratch`).
 //!
-//! One exact probe needs two kinds of temporary storage: the linear-DP
-//! distance columns and a probe route for the congestion
-//! re-feasibility check. Allocating either per request puts a `malloc`
-//! on the hot path; `PlanScratch` bundles both into one arena owned by
+//! One exact probe needs three kinds of temporary storage: the linear-DP
+//! distance columns, the re-timed copy of an idle candidate's route
+//! and a probe route for the congestion re-feasibility check.
+//! Allocating any per request puts a `malloc` on the hot path;
+//! `PlanScratch` bundles them into one arena owned by
 //! the planner engine — one instance per fan-out thread (index 0 is
 //! the calling thread's) — and every buffer is `clear()`-reused, so
 //! together with the engine's one `Shortlist` a steady-state planned
@@ -14,7 +15,7 @@ use crate::insertion::InsertionScratch;
 use crate::route::Route;
 
 /// The reusable buffers one probing thread needs for one request.
-/// Both fields survive across requests with retained capacity; neither
+/// Every field survives across requests with retained capacity; none
 /// carries information between requests (the leak-freedom is pinned by
 /// `tests/scratch_reuse.rs`: a long-lived planner and a
 /// fresh-per-request planner produce identical outcome streams).
@@ -22,6 +23,9 @@ use crate::route::Route;
 pub(crate) struct PlanScratch {
     /// Distance columns of the linear-DP insertion (Algo. 3).
     pub insertion: InsertionScratch,
+    /// The spare [`crate::platform::PlatformState::candidate`] re-times
+    /// an idle candidate's route into.
+    pub retimed: Route,
     /// Probe route for the congestion re-feasibility gate:
     /// `clone_from`-ed over the candidate's route, so its inline stop
     /// arrays (and any heap capacity from a past spill) are reused.

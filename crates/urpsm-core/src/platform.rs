@@ -18,8 +18,8 @@
 //!   onboard: once picked up, delivery is irrevocable.
 //!
 //! The API is split into two planes (DESIGN.md §5): every *read* —
-//! [`PlatformState::candidate_workers`], [`PlatformState::agent`], the
-//! decision phase — takes `&self` and is safe to run from many threads
+//! [`PlatformState::candidate_workers`], [`PlatformState::candidate`],
+//! the decision phase — takes `&self` and is safe to run from many threads
 //! at once ([`PlatformState`] is `Sync`); every *mutation* — commit,
 //! reject, movement, lifecycle — takes `&mut self` and therefore has
 //! the world to itself. A `&PlatformState` is the read plane as a type:
@@ -163,14 +163,61 @@ pub struct PlatformState {
     /// undrivable one. Kept exact by [`PlatformState::reindex`] at the
     /// end of every method that mutates a route.
     due: Vec<Time>,
-    /// Workers with an empty route, in no particular order
-    /// (swap-remove); `idle_pos[w]` is `w`'s slot or [`NOT_IDLE`].
-    idle: Vec<u32>,
-    idle_pos: Vec<u32>,
+    /// The head plane (DESIGN.md §5): `heads[w]` is [`WorkerHead::of`]
+    /// `w`'s agent, refreshed by the same `reindex`.
+    heads: Vec<WorkerHead>,
 }
 
-/// `idle_pos` entry of a worker that has stops to drive.
-const NOT_IDLE: u32 = u32::MAX;
+/// What the shortlist and the bounds phase read of one worker, one
+/// dense 24-byte entry per worker (the head plane, DESIGN.md §5): a
+/// worker with no stops is bounded from this alone, without touching
+/// its [`WorkerAgent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkerHead {
+    /// The stored `arr[0]` — see [`WorkerHead::departure`].
+    pub start: Time,
+    /// `l_0`, the worker's current location.
+    pub vertex: VertexId,
+    /// The worker's capacity `K_w`.
+    pub capacity: u32,
+    /// The worker's vehicle class.
+    pub class: ClassId,
+    /// Whether the route has no stops.
+    pub idle: bool,
+}
+
+impl WorkerHead {
+    /// The head of `agent` as it is stored.
+    fn of(agent: &WorkerAgent) -> Self {
+        let route = &agent.route;
+        debug_assert!(
+            !route.is_empty() || route.onboard() == 0,
+            "an empty route carries nobody"
+        );
+        WorkerHead {
+            start: route.start_time(),
+            vertex: route.start_vertex(),
+            capacity: agent.worker.capacity,
+            class: agent.worker.class,
+            idle: route.is_empty(),
+        }
+    }
+
+    /// When the worker leaves `l_0` at platform time `now` — the lazy
+    /// idle clock (DESIGN.md §1), and the one place its rule is
+    /// written. An idle worker stands at `l_0` from its stored `arr[0]`
+    /// on, so it departs at `max(arr[0], now)`; nothing stores `now`
+    /// into idle routes until one is read or mutated. A busy worker's
+    /// schedule is its own.
+    #[inline]
+    pub fn departure(&self, now: Time) -> Time {
+        if self.idle {
+            self.start.max(now)
+        } else {
+            self.start
+        }
+    }
+}
 
 /// The first time at which advancing a worker on `route` is not a
 /// no-op: it reaches `l_1` at `arr[1]`, and it can be snapped forward
@@ -268,7 +315,7 @@ impl PlatformState {
                 }
             })
             .collect();
-        let n = agents.len() as u32;
+        let heads = agents.iter().map(WorkerHead::of).collect();
         PlatformState {
             now: start_time,
             oracle,
@@ -282,10 +329,9 @@ impl PlatformState {
             cancelled: Vec::new(),
             congestion: None,
             classes: Arc::new(ClassTable::single()),
-            // Every route starts empty: nothing due, everyone idle.
-            due: vec![Time::MAX; n as usize],
-            idle: (0..n).collect(),
-            idle_pos: (0..n).collect(),
+            // Every route starts empty: nothing due.
+            due: vec![Time::MAX; workers.len()],
+            heads,
         }
     }
 
@@ -381,82 +427,58 @@ impl PlatformState {
         self.due[w.idx()]
     }
 
-    /// Re-times every idle worker still behind `t` to `t` — one store
-    /// each ([`Route::set_start_time`] on an empty route) — and returns
-    /// how many stores were made. Idle workers already at or ahead of
-    /// `t` (snapped forward before their last request was cancelled)
-    /// are left alone.
-    pub fn retime_idle(&mut self, t: Time) -> usize {
-        let mut stores = 0;
-        for &w in &self.idle {
-            let route = &mut self.agents[w as usize].route;
-            if route.start_time() < t {
-                route.set_start_time(t);
-                stores += 1;
-            }
-        }
-        stores
+    /// `w`'s entry of the head plane. Pure read, no agent touched.
+    #[inline]
+    pub fn head(&self, w: WorkerId) -> WorkerHead {
+        self.heads[w.idx()]
     }
 
-    /// Recomputes the motion index from the routes and compares: every
-    /// `due[w]` matches its formula, and the idle list holds exactly
-    /// the workers with an empty route, once each, at the slot
-    /// `idle_pos` names. For tests and audits; `O(fleet)`.
+    /// Recomputes the motion index and the head plane from the agents
+    /// and compares: every `due[w]` matches its formula and every
+    /// `heads[w]` its agent. For tests and audits; `O(fleet)`.
     pub fn check_motion_index(&self) -> Result<(), String> {
         let n = self.agents.len();
-        if self.due.len() != n || self.idle_pos.len() != n {
+        if self.due.len() != n || self.heads.len() != n {
             return Err(format!(
                 "index sized {} / {} for {n} workers",
                 self.due.len(),
-                self.idle_pos.len()
+                self.heads.len()
             ));
         }
-        let mut empty = 0;
         for (w, agent) in self.agents.iter().enumerate() {
             let want = due_time(&agent.route);
             if self.due[w] != want {
                 return Err(format!("due[{w}] = {}, route says {want}", self.due[w]));
             }
-            let pos = self.idle_pos[w];
-            if agent.route.is_empty() {
-                empty += 1;
-                if self.idle.get(pos as usize) != Some(&(w as u32)) {
-                    return Err(format!("idle worker {w} not at idle[{pos}]"));
-                }
-            } else if pos != NOT_IDLE {
-                return Err(format!("busy worker {w} listed idle at {pos}"));
+            let want = WorkerHead::of(agent);
+            if self.heads[w] != want {
+                return Err(format!(
+                    "heads[{w}] = {:?}, agent says {want:?}",
+                    self.heads[w]
+                ));
             }
-        }
-        // Every empty route owns a distinct slot, so equal counts rule
-        // out duplicates and strays.
-        if self.idle.len() != empty {
-            return Err(format!(
-                "idle list holds {} entries for {empty} empty routes",
-                self.idle.len()
-            ));
         }
         Ok(())
     }
 
-    /// Refreshes `w`'s entry of the motion index from its route. Every
-    /// method that mutates a route ends here; routes are reachable for
-    /// writing through no other door (there is no `agent_mut`).
+    /// Refreshes `w`'s entries of the motion index and the head plane.
+    /// Every method that mutates a route ends here; routes are
+    /// reachable for writing through no other door (there is no
+    /// `agent_mut`).
     fn reindex(&mut self, w: WorkerId) {
         let i = w.idx();
-        let route = &self.agents[i].route;
-        self.due[i] = due_time(route);
-        let pos = self.idle_pos[i];
-        if route.is_empty() {
-            if pos == NOT_IDLE {
-                self.idle_pos[i] = self.idle.len() as u32;
-                self.idle.push(w.0);
-            }
-        } else if pos != NOT_IDLE {
-            self.idle.swap_remove(pos as usize);
-            if let Some(&moved) = self.idle.get(pos as usize) {
-                self.idle_pos[moved as usize] = pos;
-            }
-            self.idle_pos[i] = NOT_IDLE;
+        let agent = &self.agents[i];
+        self.due[i] = due_time(&agent.route);
+        self.heads[i] = WorkerHead::of(agent);
+    }
+
+    /// Stores the lazy idle clock into `w`'s route before a commit
+    /// splices into it; a no-op for a busy worker or one not behind.
+    fn retime(&mut self, w: WorkerId) {
+        let t = self.heads[w.idx()].departure(self.now);
+        let route = &mut self.agents[w.idx()].route;
+        if route.start_time() != t {
+            route.set_start_time(t);
         }
     }
 
@@ -484,14 +506,44 @@ impl PlatformState {
     }
 
     /// Read access to a worker agent.
+    ///
+    /// Debug builds refuse an idle worker behind the clock: its stored
+    /// `arr[0]` is not its departure time ([`WorkerHead::departure`]),
+    /// so a planner reading that route would plan from the past.
+    /// Planners read candidates through [`PlatformState::candidate`].
     #[inline]
     pub fn agent(&self, w: WorkerId) -> &WorkerAgent {
+        debug_assert!(
+            self.heads[w.idx()].departure(self.now) == self.heads[w.idx()].start,
+            "stale read of {w}: idle since {}, clock at {}; read it through `candidate`",
+            self.heads[w.idx()].start,
+            self.now
+        );
         &self.agents[w.idx()]
     }
 
-    /// All agents.
+    /// All agents, as stored: an idle route's `arr[0]` may lag the
+    /// clock (see [`WorkerHead::departure`]).
     pub fn agents(&self) -> &[WorkerAgent] {
         &self.agents
+    }
+
+    /// What every planner reads of candidate `w`: its route as of the
+    /// clock, and its capacity `K_w`. That is the stored route, or, for
+    /// an idle worker behind the clock, a copy re-timed to its
+    /// departure in `spare` (`clone_from`-reused: no allocation in
+    /// steady state). Pure read, like the rest of the query plane.
+    #[inline]
+    pub fn candidate<'a>(&'a self, w: WorkerId, spare: &'a mut Route) -> (&'a Route, u32) {
+        let head = self.heads[w.idx()];
+        let route = &self.agents[w.idx()].route;
+        let t = head.departure(self.now);
+        if t == head.start {
+            return (route, head.capacity);
+        }
+        spare.clone_from(route);
+        spare.set_start_time(t);
+        (spare, head.capacity)
     }
 
     /// Grid-index memory estimate (Fig. 5's memory panel).
@@ -566,7 +618,7 @@ impl PlatformState {
         let origin = self.oracle.point(r.origin);
         self.grid.for_each_within(origin, radius_m, |id| {
             let w = WorkerId(id as u32);
-            if class_ok(self.agents[w.idx()].worker.class) {
+            if class_ok(self.heads[w.idx()].class) {
                 buf.ids.push(w);
             }
         });
@@ -581,15 +633,15 @@ impl PlatformState {
     /// cell indexes yield. A no-op for unconstrained requests, so the
     /// homogeneous fleet is untouched byte for byte.
     pub fn retain_class_eligible(&self, r: &Request, ids: &mut Vec<u64>) {
-        ids.retain(|&id| {
-            r.class
-                .allows(self.agents[WorkerId(id as u32).idx()].worker.class)
-        });
+        ids.retain(|&id| r.class.allows(self.heads[id as usize].class));
     }
 
     /// Commits an insertion plan: splices the stops into the worker's
-    /// route and updates the cost accounting.
+    /// route — an idle one first re-timed to its departure, the route
+    /// the plan was made on ([`PlatformState::candidate`]) — and
+    /// updates the cost accounting.
     pub fn commit(&mut self, w: WorkerId, r: &Request, plan: &InsertionPlan) {
+        self.retime(w);
         let agent = &mut self.agents[w.idx()];
         #[cfg(debug_assertions)]
         let old_remaining = agent.route.remaining_distance();
@@ -616,7 +668,8 @@ impl PlatformState {
     /// `r` — the kinetic-tree baseline may permute pending stops, which
     /// plain insertion cannot express. `stops`/`legs` are the new tail
     /// (see [`Route::replace_tail`]); `delta` is the growth of the
-    /// planned distance.
+    /// planned distance. An idle route is re-timed first, as in
+    /// [`PlatformState::commit`].
     ///
     /// Debug builds verify the invariability constraint: every request
     /// previously on the route must still be on it.
@@ -628,6 +681,7 @@ impl PlatformState {
         legs: &[Cost],
         delta: Cost,
     ) {
+        self.retime(w);
         let agent = &mut self.agents[w.idx()];
         #[cfg(debug_assertions)]
         let before: std::collections::BTreeSet<(RequestId, crate::types::StopKind)> = agent
@@ -771,14 +825,6 @@ impl PlatformState {
         self.reindex(w);
     }
 
-    /// Re-times an idle worker to `time` without moving it. An empty
-    /// route stays empty, so the motion index has nothing to refresh.
-    pub fn retime_idle_worker(&mut self, w: WorkerId, time: Time) {
-        debug_assert!(self.agents[w.idx()].route.is_empty());
-        debug_assert_ne!(self.idle_pos[w.idx()], NOT_IDLE);
-        self.agents[w.idx()].route.set_start_time(time);
-    }
-
     /// Pops the first stop of `w`'s route (the worker reached it); the
     /// grid position follows. Returns the stop and its arrival time.
     pub fn pop_worker_stop(&mut self, w: WorkerId) -> (Stop, Time) {
@@ -870,8 +916,8 @@ impl PlatformState {
             active: true,
         });
         self.due.push(Time::MAX);
-        self.idle_pos.push(NOT_IDLE);
-        self.reindex(w.id);
+        self.heads
+            .push(WorkerHead::of(self.agents.last().expect("just pushed")));
     }
 
     /// Retires a worker: it leaves the grid indexes (so it is never
@@ -1398,11 +1444,14 @@ mod tests {
         let oracle = line_oracle(100);
         let mut state = PlatformState::new(oracle, &workers(3, 0, 4), 10.0, 0);
         let plan_for = |state: &PlatformState, w: WorkerId, r: &Request| {
-            linear_dp_insertion(&state.agent(w).route, 4, r, state.oracle()).unwrap()
+            let mut spare = Route::default();
+            let (route, capacity) = state.candidate(w, &mut spare);
+            linear_dp_insertion(route, capacity, r, state.oracle()).unwrap()
         };
         let check = |state: &PlatformState| assert_eq!(state.check_motion_index(), Ok(()));
         check(&state);
         assert_eq!(state.due(w0), Time::MAX, "nothing to drive yet");
+        assert!(state.head(w0).idle);
 
         // commit: 0 → 5 → 10, pickup at 500. Movable as soon as the
         // clock passes arr[0] = 0.
@@ -1411,6 +1460,7 @@ mod tests {
         state.commit(w0, &r1, &plan);
         check(&state);
         assert_eq!(state.due(w0), 1);
+        assert!(!state.head(w0).idle);
         // A pickup at the worker's own vertex is due at once: arr[1]
         // = arr[0] wins the min.
         let r2 = request(2, 1, 3, 1_000_000);
@@ -1425,6 +1475,10 @@ mod tests {
         state.set_worker_position(w0, VertexId(4), 450, Some(100));
         check(&state);
         assert_eq!(state.due(w0), 451);
+        assert_eq!(
+            (state.head(w0).vertex, state.head(w0).start),
+            (VertexId(4), 450)
+        );
 
         // Re-stretching busy schedules can only reach the index by
         // making a head leg undrivable or drivable again: a provider
@@ -1449,13 +1503,14 @@ mod tests {
         state.set_congestion(None);
         check(&state);
 
-        // pop: the route shrinks, then empties — back on the idle list.
+        // pop: the route shrinks, then empties — idle again.
         assert_eq!(state.pop_worker_stop(w1).1, 0);
         check(&state);
         assert_eq!(state.due(w1), 1, "delivery at 200, start at 0");
         state.pop_worker_stop(w1);
         check(&state);
         assert_eq!(state.due(w1), Time::MAX);
+        assert!(state.head(w1).idle);
 
         // commit_reordered over the emptied route, then a cancellation
         // that empties it again.
@@ -1488,22 +1543,64 @@ mod tests {
         // add_worker joins idle; export_worker leaves the route alone.
         state.advance_clock(900);
         state.add_worker(Worker {
-            class: Default::default(),
+            class: ClassId(0),
             id: WorkerId(3),
             origin: VertexId(50),
             capacity: 2,
         });
         check(&state);
+        let joiner = WorkerHead {
+            start: 900,
+            vertex: VertexId(50),
+            capacity: 2,
+            class: ClassId(0),
+            idle: true,
+        };
+        assert_eq!(state.head(WorkerId(3)), joiner);
         assert!(state.export_worker(w2).is_some());
         check(&state);
 
-        // The idle clock: one store per worker behind `t`, none for a
-        // worker already there, and the index is none the wiser.
-        assert_eq!(state.retime_idle(900), 3, "the joiner is already at 900");
-        assert_eq!(state.retime_idle(900), 0);
-        assert!(state.agents().iter().all(|a| a.route.start_time() == 900));
-        state.retime_idle_worker(w2, 950);
+        // The lazy idle clock: moving the clock stored nothing — worker
+        // 1 has stood at vertex 3 since 200 and departs at 900 — until a
+        // commit splices into its route, re-timed first.
+        let head = state.head(w1);
+        assert_eq!((head.start, head.departure(900)), (200, 900));
+        let r4 = request(4, 2, 3, 1_000_000);
+        let plan = plan_for(&state, w1, &r4);
+        state.commit(w1, &r4, &plan);
         check(&state);
+        assert_eq!(state.head(w1).start, 900);
+        assert_eq!(state.due(w1), 901);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale read of w0")]
+    fn agent_refuses_a_stale_idle_read() {
+        let mut state = PlatformState::new(line_oracle(10), &workers(1, 0, 4), 10.0, 0);
+        state.advance_clock(5);
+        let _ = state.agent(WorkerId(0));
+    }
+
+    #[test]
+    fn candidate_reads_an_idle_route_at_its_departure() {
+        let mut state = PlatformState::new(line_oracle(10), &workers(2, 0, 4), 10.0, 0);
+        let r = request(1, 5, 8, 100_000);
+        let plan =
+            linear_dp_insertion(&state.agent(WorkerId(1)).route, 4, &r, state.oracle()).unwrap();
+        state.commit(WorkerId(1), &r, &plan);
+        state.advance_clock(300);
+        let mut spare = Route::default();
+        // Idle and behind: a re-timed copy; the stored route is untouched.
+        let (route, capacity) = state.candidate(WorkerId(0), &mut spare);
+        assert_eq!(
+            (route.start_time(), route.start_vertex(), capacity),
+            (300, VertexId(0), 4)
+        );
+        assert_eq!(state.agents()[0].route.start_time(), 0);
+        // Busy: the stored route itself.
+        let (route, _) = state.candidate(WorkerId(1), &mut spare);
+        assert!(std::ptr::eq(route, &state.agent(WorkerId(1)).route));
     }
 
     #[test]
@@ -1520,18 +1617,27 @@ mod tests {
         state.due[0] = 77;
         assert!(state.check_motion_index().unwrap_err().contains("due[0]"));
         state.due[0] = 1;
-        // A busy worker left on the idle list.
-        state.idle_pos[0] = 0;
-        assert!(state.check_motion_index().unwrap_err().contains("busy"));
-        state.idle_pos[0] = NOT_IDLE;
-        // An idle worker pointing at someone else's slot.
-        state.idle_pos.swap(1, 2);
-        assert!(state.check_motion_index().unwrap_err().contains("idle"));
-        state.idle_pos.swap(1, 2);
-        // A duplicate entry.
-        state.idle.push(1);
-        assert!(state.check_motion_index().unwrap_err().contains("entries"));
-        state.idle.pop();
+        // A stale head-plane entry, one field at a time: a busy worker
+        // listed idle, a moved or re-timed worker, another capacity or
+        // class.
+        let stale: [fn(&mut WorkerHead); 5] = [
+            |h| h.idle = !h.idle,
+            |h| h.vertex = VertexId(h.vertex.0 + 1),
+            |h| h.start += 1,
+            |h| h.capacity += 1,
+            |h| h.class = ClassId(h.class.0 + 1),
+        ];
+        for (w, corrupt) in [0, 1].into_iter().flat_map(|w| stale.map(|c| (w, c))) {
+            let kept = state.heads[w];
+            corrupt(&mut state.heads[w]);
+            let err = state.check_motion_index().unwrap_err();
+            assert!(err.contains(&format!("heads[{w}]")), "{err}");
+            state.heads[w] = kept;
+        }
+        // Sized for another fleet.
+        state.heads.pop();
+        assert!(state.check_motion_index().unwrap_err().contains("sized"));
+        state.heads.push(WorkerHead::of(&state.agents[2]));
         assert_eq!(state.check_motion_index(), Ok(()));
     }
 

@@ -48,7 +48,7 @@ fn main() {
     println!("audit: every deadline, capacity and precedence constraint verified ✓");
 
     // Peek at the first worker's final day.
-    let agent = outcome.state.agent(WorkerId(0));
+    let agent = &outcome.state.agents()[0];
     println!(
         "worker w0 drove {} time-units for {} assigned requests",
         agent.assigned_distance,

@@ -90,7 +90,6 @@ fn exposition_parses_and_covers_the_run() {
         "urpsm_wal_flush_ns",
         "urpsm_shards_live",
         "urpsm_motion_advanced_total",
-        "urpsm_motion_idle_retimed_total",
     ] {
         assert!(text.contains(family), "missing family {family}");
     }
@@ -128,7 +127,6 @@ fn exposition_parses_and_covers_the_run() {
         // Motion is counted, and it follows the vehicles that move: at
         // most the whole fleet per event, in practice far fewer.
         assert!(snap.motion_advanced > 0, "no worker ever advanced");
-        assert!(snap.motion_idle_retimed > 0, "no idle worker re-timed");
         let fleet = scenario.workers.len() as u64;
         assert!(
             snap.motion_advanced <= snap.service_events * fleet,
@@ -167,7 +165,7 @@ fn exposition_parses_and_covers_the_run() {
         assert_eq!(snap.plan_ordered_ranks, 0);
         assert!(snap.plan_phase_ns.iter().all(|h| h.count == 0));
         assert_eq!(snap.ingest_ticks, 0);
-        assert_eq!(snap.motion_advanced + snap.motion_idle_retimed, 0);
+        assert_eq!(snap.motion_advanced, 0);
         assert_eq!(snap.trace_recorded, 0);
     }
 }

@@ -60,8 +60,6 @@ pub struct BatchPlanner {
     /// The spare an idle candidate's route is re-timed into
     /// (`PlatformState::candidate`).
     retimed: Route,
-    /// Reusable probe for the congestion re-feasibility gate.
-    probe: Route,
 }
 
 impl BatchPlanner {
@@ -171,12 +169,7 @@ impl BatchPlanner {
                         // the clone carries the provider, so later
                         // members re-check the earlier ones too.
                         if self.group_route.time_dependent()
-                            && !self.group_route.insertion_feasible_with(
-                                &mut self.probe,
-                                &plan,
-                                m,
-                                capacity,
-                            )
+                            && !self.group_route.insertion_feasible(&plan, m, capacity)
                         {
                             continue;
                         }

@@ -69,8 +69,6 @@ pub struct TSharePlanner {
     /// The spare an idle candidate's route is re-timed into
     /// (`PlatformState::candidate`).
     retimed: Route,
-    /// Reusable probe route for the congestion re-feasibility gate.
-    probe: Route,
 }
 
 impl TSharePlanner {
@@ -91,6 +89,39 @@ impl TSharePlanner {
     pub fn index_mem_bytes(&self, state: &PlatformState) -> usize {
         state.sorted_grid().map_or(0, |sg| sg.mem_bytes())
     }
+
+    /// T-Share's candidate search into `self.candidates`, in id order.
+    /// `direct` is `L = dis(o_r, d_r)`; the sorted grid must be enabled.
+    fn search(&mut self, state: &PlatformState, r: &Request, direct: Cost) {
+        // Single-side search: walk cells outward until the center
+        // distance is no longer reachable within the pickup budget at
+        // the assumed average speed.
+        let oracle = state.oracle();
+        let pickup_budget_cs = r
+            .deadline
+            .saturating_sub(direct)
+            .saturating_sub(state.now());
+        let reach_m = (pickup_budget_cs as f64 / 100.0) * self.cfg.avg_speed_mps;
+        let origin_pt = oracle.point(r.origin);
+        let sg = state.sorted_grid().expect("sorted grid enabled");
+        // Lazy single-side search: only the first non-empty ring of
+        // cells is considered (T-Share's candidate search), so a busy
+        // nearby worker shadows feasible farther ones.
+        sg.items_in_first_hit(origin_pt, reach_m, &mut self.candidates);
+        if self.cfg.search == SearchMode::DualSide {
+            // Dual-side refinement: also consider workers near the
+            // drop-off (they may collect the rider on their way out).
+            let dest_pt = oracle.point(r.destination);
+            sg.items_in_first_hit(dest_pt, reach_m, &mut self.dual_scratch);
+            self.candidates.extend_from_slice(&self.dual_scratch);
+        }
+        self.candidates.sort_unstable();
+        self.candidates.dedup();
+        // T-Share builds its own spatial shortlist, so the class half
+        // of the platform's eligibility seam is applied explicitly —
+        // the same filter `candidate_workers` fuses into its grid scan.
+        state.retain_class_eligible(r, &mut self.candidates);
+    }
 }
 
 impl Planner for TSharePlanner {
@@ -109,57 +140,31 @@ impl Planner for TSharePlanner {
             state.reject(r);
             return reply_one(r.id, Outcome::Rejected);
         }
-
-        // Single-side search: walk cells outward until the center
-        // distance is no longer reachable within the pickup budget at
-        // the assumed average speed.
-        let pickup_budget_cs = r
-            .deadline
-            .saturating_sub(direct)
-            .saturating_sub(state.now());
-        let reach_m = (pickup_budget_cs as f64 / 100.0) * self.cfg.avg_speed_mps;
-        let origin_pt = oracle.point(r.origin);
-        let sg = state.sorted_grid().expect("enabled above");
-        // Lazy single-side search: only the first non-empty ring of
-        // cells is considered (T-Share's candidate search), so a busy
-        // nearby worker shadows feasible farther ones.
-        sg.items_in_first_hit(origin_pt, reach_m, &mut self.candidates);
-        if self.cfg.search == SearchMode::DualSide {
-            // Dual-side refinement: also consider workers near the
-            // drop-off (they may collect the rider on their way out).
-            let dest_pt = oracle.point(r.destination);
-            sg.items_in_first_hit(dest_pt, reach_m, &mut self.dual_scratch);
-            self.candidates.extend_from_slice(&self.dual_scratch);
-        }
-        self.candidates.sort_unstable();
-        self.candidates.dedup();
-        // T-Share builds its own spatial shortlist, so the class half
-        // of the platform's eligibility seam is applied explicitly —
-        // the same filter `candidate_workers` fuses into its grid scan.
-        state.retain_class_eligible(r, &mut self.candidates);
+        self.search(state, r, direct);
 
         // Basic insertion per shortlisted worker, keep the minimum.
         let mut best: Option<(Cost, WorkerId, InsertionPlan)> = None;
         for &cand in &self.candidates {
             let w = WorkerId(cand as u32);
             let (route, capacity) = state.candidate(w, &mut self.retimed);
-            if let Some(plan) = basic_insertion(route, capacity, r, &*oracle) {
-                // Free-flow plans are optimistic under a congestion
-                // profile: only stretched-feasible ones may compete
-                // (DESIGN.md §7).
-                if route.time_dependent()
-                    && !route.insertion_feasible_with(&mut self.probe, &plan, r, capacity)
-                {
-                    continue;
-                }
-                let better = match &best {
-                    None => true,
-                    Some((bd, bw, _)) => (plan.delta, w) < (*bd, *bw),
-                };
-                if better {
-                    best = Some((plan.delta, w, plan));
-                }
+            let Some(plan) = basic_insertion(route, capacity, r, &*oracle) else {
+                continue;
+            };
+            // Only a plan that beats the best so far can change the
+            // decision, so only such a plan pays for the gate below.
+            if best
+                .as_ref()
+                .is_some_and(|(bd, bw, _)| (plan.delta, w) >= (*bd, *bw))
+            {
+                continue;
             }
+            // Free-flow plans are optimistic under a congestion
+            // profile: only stretched-feasible ones may compete
+            // (DESIGN.md §7).
+            if route.time_dependent() && !route.insertion_feasible(&plan, r, capacity) {
+                continue;
+            }
+            best = Some((plan.delta, w, plan));
         }
 
         let outcome = match best {
@@ -179,9 +184,12 @@ impl Planner for TSharePlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use road_network::congestion::{CongestionProfile, TravelTimeProvider};
     use road_network::geo::Point;
     use road_network::matrix::MatrixOracle;
+    use road_network::oracle::CountingOracle;
     use road_network::VertexId;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use urpsm_core::types::RequestId;
     use urpsm_core::types::{Time, Worker};
@@ -306,5 +314,145 @@ mod tests {
         let r = request(1, 5, 6, 1_000_000);
         p.on_request(&mut st, &r);
         assert!(p.index_mem_bytes(&st) > 0);
+    }
+
+    /// Forwards to a profile and counts `leg_time_between` calls.
+    struct CountingProvider {
+        inner: CongestionProfile,
+        calls: AtomicU64,
+    }
+
+    impl TravelTimeProvider for CountingProvider {
+        fn leg_time(&self, from: VertexId, base: Cost, depart: u64) -> Cost {
+            self.inner.leg_time(from, base, depart)
+        }
+        fn is_flat(&self) -> bool {
+            self.inner.is_flat()
+        }
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn leg_time_between(&self, from: VertexId, to: VertexId, base: Cost, depart: u64) -> Cost {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.leg_time_between(from, to, base, depart)
+        }
+    }
+
+    /// T-Share's decision with every plan found gated, winner or not.
+    fn gate_every_plan(p: &mut TSharePlanner, state: &mut PlatformState, r: &Request) -> Outcome {
+        state.enable_sorted_grid(p.cfg.grid_cell_m);
+        let oracle = state.oracle_arc();
+        p.search(state, r, oracle.dis(r.origin, r.destination));
+        let mut best: Option<(Cost, WorkerId, InsertionPlan)> = None;
+        for &cand in &p.candidates {
+            let w = WorkerId(cand as u32);
+            let (route, capacity) = state.candidate(w, &mut p.retimed);
+            let Some(plan) = basic_insertion(route, capacity, r, &*oracle) else {
+                continue;
+            };
+            if route.time_dependent() && !route.insertion_feasible(&plan, r, capacity) {
+                continue;
+            }
+            if best
+                .as_ref()
+                .is_none_or(|(bd, bw, _)| (plan.delta, w) < (*bd, *bw))
+            {
+                best = Some((plan.delta, w, plan));
+            }
+        }
+        match best {
+            Some((delta, w, plan)) => {
+                state.commit(w, r, &plan);
+                Outcome::Assigned { worker: w, delta }
+            }
+            None => {
+                state.reject(r);
+                Outcome::Rejected
+            }
+        }
+    }
+
+    /// Under a 2× profile T-Share gates only a plan that beats its best
+    /// so far: the same decisions and `dis` bills as gating every plan,
+    /// for strictly fewer provider calls.
+    #[test]
+    fn gating_only_plans_that_can_win_is_exact_and_cheaper() {
+        let rows: Vec<Vec<Cost>> = (0..100u64)
+            .map(|u| (0..100u64).map(|v| u.abs_diff(v) * 1_000).collect())
+            .collect();
+        let points = (0..100)
+            .map(|k| Point::new(k as f64 * 100.0, 0.0))
+            .collect();
+        let oracle = Arc::new(CountingOracle::new(MatrixOracle::from_matrix(
+            &rows, points, 10.0,
+        )));
+        let provider = Arc::new(CountingProvider {
+            inner: CongestionProfile::constant("x2", 2.0).expect("valid"),
+            calls: AtomicU64::new(0),
+        });
+        // 30 workers bunched around the pickups: every search returns
+        // many candidates, so most plans found cannot win.
+        let fleet: Vec<Worker> = (0..30u32)
+            .map(|i| Worker {
+                class: Default::default(),
+                id: WorkerId(i),
+                origin: VertexId(40 + i % 10),
+                capacity: 4,
+            })
+            .collect();
+        let stream: Vec<Request> = (0..25u32)
+            .map(|i| {
+                let (o, trip) = (35 + (i * 7) % 20, 3 + i % 5);
+                // Every third deadline holds in free flow only.
+                let deadline = if i % 3 == 0 {
+                    3_000 * Time::from(trip) + 4_000
+                } else {
+                    1_000_000
+                };
+                request(i, o, o + trip, deadline)
+            })
+            .collect();
+        let run =
+            |congested: bool, decide: &mut dyn FnMut(&mut PlatformState, &Request) -> Outcome| {
+                let mut st = PlatformState::new(oracle.clone(), &fleet, 500.0, 0);
+                if congested {
+                    st.set_congestion(Some(provider.clone()));
+                }
+                let before = provider.calls.load(Ordering::Relaxed);
+                let decided: Vec<(Outcome, u64)> = stream
+                    .iter()
+                    .map(|r| {
+                        oracle.reset();
+                        let outcome = decide(&mut st, r);
+                        (outcome, oracle.stats().dis)
+                    })
+                    .collect();
+                (decided, provider.calls.load(Ordering::Relaxed) - before)
+            };
+
+        let fine = || {
+            TSharePlanner::from_config(TShareConfig {
+                grid_cell_m: 500.0,
+                avg_speed_mps: 10.0,
+                search: SearchMode::SingleSide,
+            })
+        };
+        let mut planner = fine();
+        let (engine, engine_calls) = run(true, &mut |st, r| planner.on_request(st, r)[0].1);
+        let mut planner = fine();
+        let (reference, reference_calls) =
+            run(true, &mut |st, r| gate_every_plan(&mut planner, st, r));
+        assert_eq!(engine, reference, "outcomes and dis counts");
+        assert!(
+            engine_calls < reference_calls,
+            "gating only plans that can win must save provider calls: \
+             {engine_calls} vs {reference_calls}"
+        );
+        // The profile bites, and most requests are still served.
+        let mut planner = fine();
+        let (free_flow, _) = run(false, &mut |st, r| planner.on_request(st, r)[0].1);
+        assert_ne!(engine, free_flow, "the 2× profile must reject some plans");
+        let served = engine.iter().filter(|(o, _)| *o != Outcome::Rejected);
+        assert!(served.count() >= 12);
     }
 }

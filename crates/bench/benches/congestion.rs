@@ -13,10 +13,10 @@
 //!   printed rather than hidden (congestion legitimately costs served
 //!   rate under fixed deadlines; schedules stretch, economics don't).
 //!
-//! The timing story is overhead: every schedule rebuild walks the
-//! profile's bucket integration instead of adding a constant, and every
-//! surviving candidate plan pays one `O(n)` stretched-feasibility
-//! re-check at the commit gate.
+//! The timing story is overhead: every re-timed leg walks the profile's
+//! bucket integration instead of adding a constant, and every probed
+//! plan that could win pays one `O(n)` stretched-feasibility walk at
+//! the gate.
 
 use std::sync::Arc;
 

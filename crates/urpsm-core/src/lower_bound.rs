@@ -30,8 +30,8 @@
 //! free-flow detours — with every multiplier `≥ 1` that only
 //! *underestimates* true stretched arrivals, i.e. it relaxes the
 //! filter further and can never drop a feasible candidate. The exact
-//! stretched-schedule test happens once per surviving plan, at the
-//! planner's commit gate (`Route::insertion_feasible`).
+//! stretched-schedule test happens once per probed plan that could
+//! win, at the planner's gate (`Route::insertion_feasible`).
 
 use road_network::oracle::DistanceOracle;
 use road_network::{cost_add, cost_add3, Cost, INF};

@@ -306,11 +306,7 @@ fn probe(
     r: &Request,
     oracle: &dyn DistanceOracle,
 ) -> Best {
-    let PlanScratch {
-        insertion,
-        retimed,
-        probe: probe_route,
-    } = scratch;
+    let PlanScratch { insertion, retimed } = scratch;
     let mut best: Best = None;
     while let Some(rank) = feed.next() {
         let (lb, w) = shortlist.get(rank);
@@ -321,33 +317,34 @@ fn probe(
         }
         let (route, capacity) = state.candidate(w, retimed);
         urpsm_obs::with(|m| m.plan_probes.inc());
-        if let Some(plan) = linear_dp_insertion_with(insertion, route, capacity, r, oracle) {
-            // Free-flow plans are optimistic under a congestion
-            // profile: re-check the stretched schedule before letting
-            // the candidate compete (DESIGN.md §7). Free-flow and
-            // flat-profile runs skip this branch entirely. The probe
-            // route is scratch storage — `clone_from` reuses its
-            // buffers instead of cloning afresh. Only *feasible*
-            // deltas may enter the shared bound, otherwise an
-            // infeasible candidate could prune the true winner: the
-            // argument above goes through with "Δ" read as
-            // "feasible Δ".
-            if route.time_dependent()
-                && !route.insertion_feasible_with(probe_route, &plan, r, capacity)
-            {
-                continue;
-            }
-            if prune {
-                bound.observe(plan.delta);
-            }
-            let better = match &best {
-                None => true,
-                Some((bd, bw, _)) => (plan.delta, w) < (*bd, *bw),
-            };
-            if better {
-                best = Some((plan.delta, w, plan));
-            }
+        let Some(plan) = linear_dp_insertion_with(insertion, route, capacity, r, oracle) else {
+            continue;
+        };
+        // A plan that does not beat this thread's best cannot become
+        // the argmin, and its Δ cannot tighten the shared bound, which
+        // has already observed the (smaller) best Δ: skipping it leaves
+        // the probe set, the probe order and the decision unchanged at
+        // every width, and spares it the gate below.
+        if best
+            .as_ref()
+            .is_some_and(|(bd, bw, _)| (plan.delta, w) >= (*bd, *bw))
+        {
+            continue;
         }
+        // Free-flow plans are optimistic under a congestion profile:
+        // re-check the stretched schedule before letting the candidate
+        // compete (DESIGN.md §7). Free-flow and flat-profile runs skip
+        // this branch entirely. Only *feasible* deltas may enter the
+        // shared bound, otherwise an infeasible candidate could prune
+        // the true winner: the argument above goes through with "Δ"
+        // read as "feasible Δ".
+        if route.time_dependent() && !route.insertion_feasible(&plan, r, capacity) {
+            continue;
+        }
+        if prune {
+            bound.observe(plan.delta);
+        }
+        best = Some((plan.delta, w, plan));
     }
     best
 }
@@ -663,7 +660,9 @@ mod tests {
     }
 
     /// Algo. 5 written against the public decision phase: a full sort,
-    /// then the ascending scan with the strict Lemma-8 break.
+    /// then the ascending scan with the strict Lemma-8 break. Under a
+    /// congestion profile every plan found is gated, winner or not, and
+    /// only a feasible one competes.
     fn reference_on_request(state: &mut PlatformState, r: &Request) -> Outcome {
         use crate::decision::decision_phase;
         use crate::insertion::linear_dp_insertion;
@@ -682,6 +681,9 @@ mod tests {
                 let (route, capacity) = state.candidate(w, &mut spare);
                 let plan = linear_dp_insertion(route, capacity, r, &*oracle);
                 if let Some(plan) = plan {
+                    if route.time_dependent() && !route.insertion_feasible(&plan, r, capacity) {
+                        continue;
+                    }
                     if best
                         .as_ref()
                         .is_none_or(|(delta, bw, _)| (plan.delta, w) < (*delta, *bw))
@@ -756,6 +758,67 @@ mod tests {
         for threads in [2, 4] {
             assert_eq!(decisions(engine_at(threads)), expect, "threads={threads}");
         }
+    }
+
+    /// The congested twin of the test above. Under a 2× profile the
+    /// engine gates only a plan that beats its best so far, while the
+    /// reference gates every plan. Decisions must be the reference's at
+    /// every width, and at width 1 so must the static `dis` bills, while
+    /// the engine asks the provider strictly fewer questions.
+    #[test]
+    fn gating_only_plans_that_can_win_is_exact_and_cheaper() {
+        use crate::route::CountingProvider;
+        use road_network::congestion::CongestionProfile;
+        let oracle = river_oracle();
+        let stream = river_stream();
+        let provider = Arc::new(CountingProvider::new(
+            CongestionProfile::constant("x2", 2.0).expect("valid"),
+        ));
+        // Decisions with their `dis` bills, and the run's provider calls.
+        let run =
+            |congested: bool, decide: &mut dyn FnMut(&mut PlatformState, &Request) -> Outcome| {
+                let mut state = fresh_state(oracle.clone(), &river_fleet());
+                if congested {
+                    state.set_congestion(Some(provider.clone()));
+                }
+                let before = provider.calls();
+                let decided = stream
+                    .iter()
+                    .map(|r| {
+                        oracle.reset();
+                        let outcome = decide(&mut state, r);
+                        (outcome, oracle.stats().dis)
+                    })
+                    .collect::<Vec<_>>();
+                (decided, provider.calls() - before)
+            };
+        let engine_at = |threads: usize| {
+            let mut planner = PruneGreedyDp::with_threads(threads);
+            run(true, &mut |state, r| planner.on_request(state, r)[0].1)
+        };
+
+        let (reference, reference_calls) = run(true, &mut reference_on_request);
+        let (engine, engine_calls) = engine_at(1);
+        assert_eq!(engine, reference, "width 1: outcomes and dis counts");
+        assert!(
+            engine_calls < reference_calls,
+            "gating only plans that can win must save provider calls: \
+             {engine_calls} vs {reference_calls}"
+        );
+        // A wider scan may probe a different set (see above), so only
+        // its decisions are fixed.
+        let decisions = |run: &[(Outcome, u64)]| -> Vec<Outcome> {
+            run.iter().map(|(outcome, _)| *outcome).collect()
+        };
+        assert_eq!(decisions(&engine_at(4).0), decisions(&reference), "width 4");
+
+        // The fixture exercises what it claims to: the gate rejects
+        // plans (the stretched schedule changes decisions), yet most
+        // requests are still served.
+        let (free_flow, _) = run(false, &mut reference_on_request);
+        assert_ne!(reference, free_flow, "the 2× profile must bite");
+        let served = reference.iter().filter(|(o, _)| *o != Outcome::Rejected);
+        assert!(served.count() >= 20);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Per-thread probe arena (`PlanScratch`).
 //!
-//! One exact probe needs three kinds of temporary storage: the linear-DP
-//! distance columns, the re-timed copy of an idle candidate's route
-//! and a probe route for the congestion re-feasibility check.
+//! One exact probe needs two kinds of temporary storage: the linear-DP
+//! distance columns and the re-timed copy of an idle candidate's route.
+//! (The congestion gate walks the splice in place and needs none.)
 //! Allocating any per request puts a `malloc` on the hot path;
 //! `PlanScratch` bundles them into one arena owned by
 //! the planner engine — one instance per fan-out thread (index 0 is
@@ -26,8 +26,4 @@ pub(crate) struct PlanScratch {
     /// The spare [`crate::platform::PlatformState::candidate`] re-times
     /// an idle candidate's route into.
     pub retimed: Route,
-    /// Probe route for the congestion re-feasibility gate:
-    /// `clone_from`-ed over the candidate's route, so its inline stop
-    /// arrays (and any heap capacity from a past spill) are reused.
-    pub probe: Route,
 }

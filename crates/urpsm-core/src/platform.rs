@@ -559,7 +559,7 @@ impl PlatformState {
     /// vehicle-class filter of the request's
     /// [`crate::types::ClassConstraint`]. These are the only two
     /// eligibility decisions made anywhere outside
-    /// [`Route::insertion_feasible_with`]; planners receive the result
+    /// [`Route::insertion_feasible`]; planners receive the result
     /// as an opaque [`EligibleCandidates`] view.
     ///
     /// `direct` is `L = dis(o_r, d_r)`. Results are sorted by worker id

@@ -17,6 +17,12 @@
 //! Speculative insertion *planning* never mutates a route; a chosen
 //! [`InsertionPlan`] is applied with [`Route::apply_insertion`], which
 //! splices the two stops and rebuilds the arrays in `O(n)`.
+//!
+//! Only arrivals that can move are re-timed: a mutation keeps every
+//! `arr[k]` whose leg and departure it leaves alone (an insertion keeps
+//! the prefix up to its splice, a snap or a pop keeps everything), so a
+//! time-dependent provider is asked only about legs whose timing can
+//! change. Debug builds re-time the kept prefix and assert it unchanged.
 
 use std::sync::Arc;
 
@@ -111,8 +117,9 @@ pub struct InsertionPlan {
 /// interior point could drift by rounding, and a snap must never move
 /// `arr[1]`. Any structural change to the head leg (insertion at
 /// position 0, a pop, a cancellation bridging the first stop, a tail
-/// replacement, a teleport) clears the freeze and re-integrates from
-/// the new leg start, which is always a vertex at a known time.
+/// replacement, a teleport) clears the freeze; the new head leg is
+/// integrated from its start, which is always a vertex at a known time
+/// (after a pop it already was, so a pop re-times nothing).
 pub struct Route {
     start_vertex: VertexId,
     /// `picked[0]`: passengers/items currently on board.
@@ -143,9 +150,9 @@ pub struct Route {
 }
 
 // Manual `Clone` so `clone_from` reuses the destination's buffers: a
-// planner's probe route is `clone_from`-ed once per candidate plan,
-// and with inline arrays (or retained heap capacity after a spill)
-// that copy allocates nothing.
+// planner's spare route is `clone_from`-ed once per re-timed idle
+// candidate, and with inline arrays (or retained heap capacity after a
+// spill) that copy allocates nothing.
 impl Clone for Route {
     fn clone(&self) -> Self {
         Route {
@@ -218,8 +225,8 @@ impl std::fmt::Debug for Route {
 }
 
 /// A degenerate empty route (worker at vertex 0, time 0). Exists so
-/// probe scratch buffers can be constructed before any real route is
-/// known; `clone_from` overwrites every field before first use.
+/// scratch routes can be constructed before any real route is known;
+/// `clone_from` overwrites every field before first use.
 impl Default for Route {
     fn default() -> Self {
         Route::new(VertexId(0), 0)
@@ -266,7 +273,7 @@ impl Route {
     /// budget, then rebuilds the schedule. Called by the platform when
     /// a class table is installed or a worker joins — planners never
     /// touch this; the class reaches them only as a stretched schedule
-    /// plus the [`Route::insertion_feasible_with`] gate.
+    /// plus the [`Route::insertion_feasible`] gate.
     pub fn set_class_profile(&mut self, speed_permille: u32, range: Option<Cost>) {
         self.speed_permille = speed_permille;
         self.range = range;
@@ -308,27 +315,34 @@ impl Route {
         }
     }
 
-    /// The free-flow base of leg `k` stretched by the class multiplier.
-    /// Scaling the *input* to the provider (not its output) preserves
-    /// the provider's FIFO contract: output-side scaling can reorder
-    /// arrivals when the inner profile satisfies FIFO with equality.
-    #[inline]
-    fn class_base(&self, k: usize) -> Cost {
-        self.class_stretch(self.leg[k])
-    }
-
-    /// Travel time of leg `k` under the installed provider, departing
-    /// at `depart` (= `arr[k-1]` during a rebuild). Free flow without a
-    /// provider; the frozen head time after a mid-leg snap.
+    /// Travel time of a leg from `from` to `to` with free-flow cost
+    /// `base`, departing at `depart`, under the installed provider (free
+    /// flow without one).
     ///
     /// This is the *only* seam between schedules and providers, and it
-    /// passes both endpoints: a profile overlay ignores the destination
-    /// (byte-identical to PR 5), while a rerouting provider
+    /// passes both endpoints: a profile overlay ignores the destination,
+    /// while a rerouting provider
     /// (`road_network::td`) answers with the path that is shortest *at
-    /// `depart`*. Probes and commits both flow through here, so a plan
-    /// is always scored with the same schedule it will drive. The
-    /// vehicle class composes here too: the base handed to the provider
-    /// is the class-stretched free-flow time ([`Route::class_base`]).
+    /// `depart`*. The stored schedule ([`Route::leg_time_at`]) and the
+    /// insertion gate's splice walk ([`Route::insertion_feasible`]) both
+    /// flow through here, so a plan is always judged by the schedule it
+    /// will drive. The vehicle class composes here too: the base handed
+    /// to the provider is class-stretched first. Scaling the *input* to
+    /// the provider (not its output) preserves the provider's FIFO
+    /// contract: output-side scaling can reorder arrivals when the inner
+    /// profile satisfies FIFO with equality.
+    #[inline]
+    fn leg_time(&self, from: VertexId, to: VertexId, base: Cost, depart: Time) -> Cost {
+        let base = self.class_stretch(base);
+        match &self.congestion {
+            None => base,
+            Some(p) => p.leg_time_between(from, to, base, depart),
+        }
+    }
+
+    /// Travel time of stored leg `k`, departing at `depart` (= `arr[k-1]`
+    /// during a rebuild): [`Route::leg_time`], or the frozen head time
+    /// after a mid-leg snap.
     #[inline]
     fn leg_time_at(&self, k: usize, depart: Time) -> Cost {
         if k == 1 {
@@ -336,11 +350,7 @@ impl Route {
                 return frozen;
             }
         }
-        let base = self.class_base(k);
-        match &self.congestion {
-            None => base,
-            Some(p) => p.leg_time_between(self.vertex(k - 1), self.vertex(k), base, depart),
-        }
+        self.leg_time(self.vertex(k - 1), self.vertex(k), self.leg[k], depart)
     }
 
     /// Number of stops `n` (the paper's route has `n + 1` locations).
@@ -429,16 +439,33 @@ impl Route {
     }
 
     /// Rebuilds `arr[1..]`, `picked` and `slack` from the stops, legs
-    /// and start state in `O(n)`. `arr[0]` is the start time itself —
-    /// the arrays never shrink below one entry, so `resize` keeps it.
+    /// and start state in `O(n)`.
     fn rebuild(&mut self) {
+        self.rebuild_from(1);
+    }
+
+    /// Re-times `arr[first..]` and recomputes `picked` and `slack`,
+    /// keeping `arr[..first]` as stored. `arr[0]` is the start time
+    /// itself — the arrays never shrink below one entry, so `resize`
+    /// keeps it.
+    ///
+    /// Sound exactly when the mutation left the leg, both endpoints and
+    /// the departure of every kept arrival alone (each caller says
+    /// why). Debug builds re-time the kept prefix and assert that it is
+    /// unchanged, so a mutation that moves an arrival it did not re-time
+    /// fails every debug test that reaches it.
+    fn rebuild_from(&mut self, first: usize) {
         let n = self.stops.len();
         self.arr.resize(n + 1, 0);
         self.picked.resize(n + 1, 0);
         self.slack.resize(n + 1, 0);
+        #[cfg(debug_assertions)]
+        self.debug_assert_timed_before(first.min(n + 1));
+        for k in first..=n {
+            self.arr[k] = cost_add(self.arr[k - 1], self.leg_time_at(k, self.arr[k - 1]));
+        }
         self.picked[0] = self.initial_load;
         for k in 1..=n {
-            self.arr[k] = cost_add(self.arr[k - 1], self.leg_time_at(k, self.arr[k - 1]));
             let s = &self.stops[k - 1];
             self.picked[k] = match s.kind {
                 StopKind::Pickup => self.picked[k - 1] + s.load,
@@ -450,6 +477,21 @@ impl Route {
             let headroom = self.ddl(k + 1).saturating_sub(self.arr[k + 1]);
             self.slack[k] = self.slack[k + 1].min(headroom);
         }
+    }
+
+    /// Debug builds: every arrival `arr[1..first]` equals its full
+    /// re-time — the invariant [`Route::rebuild_from`] relies on.
+    #[cfg(debug_assertions)]
+    fn debug_assert_timed_before(&self, first: usize) {
+        cross_check(|| {
+            for k in 1..first {
+                let retimed = cost_add(self.arr[k - 1], self.leg_time_at(k, self.arr[k - 1]));
+                assert_eq!(
+                    self.arr[k], retimed,
+                    "kept arr[{k}] is stale: a mutation moved an arrival it did not re-time"
+                );
+            }
+        });
     }
 
     /// Re-times the route to a new current location (e.g. the worker
@@ -487,7 +529,9 @@ impl Route {
         self.arr[0] = time;
         self.leg[1] = remaining_base;
         self.head_time = Some(arr1 - time);
-        self.rebuild();
+        // The freeze keeps `arr[1]`, and every later leg departs from an
+        // unchanged arrival: nothing is re-timed.
+        self.rebuild_from(self.stops.len() + 1);
         debug_assert_eq!(self.arr[1], arr1, "a snap must never move arr[1]");
     }
 
@@ -536,52 +580,37 @@ impl Route {
         let reached_at = self.arr[1];
         let stop = self.stops.remove(0);
         self.leg.remove(1);
+        // The new `arr[0]` is `reached_at`, and every remaining leg
+        // departs when it did (the new head, never frozen before, from
+        // `reached_at`): the arrivals shift down one slot, none re-timed.
+        self.arr.remove(0);
         self.head_time = None;
         self.start_vertex = stop.vertex;
-        self.arr[0] = reached_at;
         self.initial_load = match stop.kind {
             StopKind::Pickup => self.initial_load + stop.load,
             StopKind::Delivery => self.initial_load.saturating_sub(stop.load),
         };
-        self.rebuild();
+        self.rebuild_from(self.stops.len() + 1);
         (stop, reached_at)
     }
 
     /// Applies a committed insertion plan for request `r`, splicing the
     /// pickup and delivery stops and rebuilding the schedule in `O(n)`
-    /// using only the distances carried by the plan.
+    /// using only the distances carried by the plan. Arrivals up to the
+    /// splice are kept; only legs `i + 1 ..= n + 2` are re-timed.
     pub fn apply_insertion(&mut self, plan: &InsertionPlan, r: &Request) {
         let n = self.stops.len();
-        let (i, j) = (plan.pickup_after, plan.delivery_after);
-        assert!(
-            i <= j && j <= n,
-            "plan positions out of range: ({i},{j}) with n={n}"
-        );
+        let (i, j) = plan_positions(plan, n);
         if i == 0 {
             // The head leg is replaced by dis(l_0, o_r) — a fresh leg
             // departing from the current vertex; any snap freeze on
             // the old head no longer applies.
             self.head_time = None;
         }
-
-        let pickup = Stop {
-            request: r.id,
-            vertex: r.origin,
-            kind: StopKind::Pickup,
-            load: r.capacity,
-            ddl: r.deadline.saturating_sub(plan.direct),
-        };
-        let delivery = Stop {
-            request: r.id,
-            vertex: r.destination,
-            kind: StopKind::Delivery,
-            load: r.capacity,
-            ddl: r.deadline,
-        };
+        let (pickup, delivery) = request_stops(plan, r);
 
         match plan.shape {
             PlanShape::Append { dis_tail_pickup } => {
-                assert!(i == n && j == n, "Append shape requires i = j = n");
                 self.stops.push(pickup);
                 self.stops.push(delivery);
                 self.leg.push(dis_tail_pickup);
@@ -591,7 +620,6 @@ impl Route {
                 dis_prev_pickup,
                 dis_delivery_next,
             } => {
-                assert!(i == j && i < n, "Adjacent shape requires i = j < n");
                 self.stops.insert(i, pickup);
                 self.stops.insert(i + 1, delivery);
                 // Old leg l_i → l_{i+1} becomes three legs.
@@ -605,26 +633,23 @@ impl Route {
                 dis_prev_delivery,
                 dis_delivery_next,
             } => {
-                assert!(i < j, "Split shape requires i < j");
                 self.stops.insert(i, pickup);
                 self.leg[i + 1] = dis_prev_pickup;
                 self.leg.insert(i + 2, dis_pickup_next);
                 // After the pickup splice, old position j sits at stop
                 // index j, i.e. the leg into l_{j+1} is leg[j + 2].
                 self.stops.insert(j + 1, delivery);
-                if j < n {
-                    self.leg[j + 2] = dis_prev_delivery;
-                    if let Some(next) = dis_delivery_next {
+                match dis_delivery_next {
+                    Some(next) if j < n => {
+                        self.leg[j + 2] = dis_prev_delivery;
                         self.leg.insert(j + 3, next);
-                    } else {
-                        panic!("Split with j < n needs dis_delivery_next");
                     }
-                } else {
-                    self.leg.push(dis_prev_delivery);
+                    _ => self.leg.push(dis_prev_delivery),
                 }
             }
         }
-        self.rebuild();
+        // Legs `1..=i` and their departures are untouched.
+        self.rebuild_from(i + 1);
         debug_assert_eq!(self.leg.len(), self.stops.len() + 1);
     }
 
@@ -684,7 +709,8 @@ impl Route {
                 self.head_time = None;
             }
         }
-        self.rebuild();
+        // Everything before the first removed stop is untouched.
+        self.rebuild_from(positions[0]);
         let after = self.remaining_distance();
         debug_assert!(
             after <= before,
@@ -717,36 +743,129 @@ impl Route {
     /// **under the installed travel-time provider** (Def. 4 on the
     /// stretched schedule). The insertion operators plan with free-flow
     /// detours — admissible but optimistic under congestion — so
-    /// planners call this before committing a candidate plan whenever
-    /// [`Route::time_dependent`] holds (DESIGN.md §7). Costs `O(n)` and
-    /// touches no oracle.
+    /// planners call this before a candidate plan may win whenever
+    /// [`Route::time_dependent`] holds (DESIGN.md §7).
+    ///
+    /// The answer is exactly that of `clone + apply_insertion +`
+    /// [`Route::schedule_feasible`], without the copy:
+    ///
+    /// * stops `1..=i` are read off the stored arrays — the splice
+    ///   leaves their legs and departures alone, a frozen head included;
+    /// * the range budget is checked against `Σleg − replaced + added`;
+    /// * the spliced stops are walked from `arr[i]` through the same
+    ///   leg-time formula the schedule uses, stopping at the first
+    ///   violated deadline or load.
+    ///
+    /// That also equals the full [`Route::validate`] for every input
+    /// the planners produce: the base route is a committed — hence valid
+    /// — route and the splice puts a fresh request's pickup strictly
+    /// before its delivery without reordering anything, so precedence
+    /// holds by construction.
+    ///
+    /// `O(n)`, no allocation and no `dis` query, but one provider call
+    /// per walked leg: under the time-dependent oracle each is a TD-A\*
+    /// search or a cache hit, which is why planners gate only a plan
+    /// that could win. Debug builds check the walk against the copy.
+    ///
+    /// # Panics
+    /// If the plan's positions do not fit this route or its shape.
     pub fn insertion_feasible(&self, plan: &InsertionPlan, r: &Request, capacity: u32) -> bool {
-        let mut probe = self.clone();
-        self.insertion_feasible_with(&mut probe, plan, r, capacity)
+        let feasible = self.walk_insertion(plan, r, capacity);
+        #[cfg(debug_assertions)]
+        cross_check(|| {
+            let mut spliced = self.clone();
+            spliced.apply_insertion(plan, r);
+            assert_eq!(
+                feasible,
+                spliced.schedule_feasible(capacity),
+                "the splice walk disagrees with apply_insertion on {plan:?}"
+            );
+        });
+        feasible
     }
 
-    /// [`Route::insertion_feasible`] with a caller-supplied probe route
-    /// (`PlanScratch::probe`): `probe` is overwritten via `clone_from`,
-    /// so a probe reused across candidates reaches a steady state where
-    /// the whole check allocates nothing.
-    ///
-    /// Equivalent to `clone + apply_insertion + validate` for every
-    /// input the planners produce: the base route is a committed —
-    /// hence valid — route and `apply_insertion` inserts a fresh
-    /// request's pickup strictly before its delivery without reordering
-    /// anything, so the precedence half of [`Route::validate`] holds by
-    /// construction and only the schedule half
-    /// ([`Route::schedule_feasible`]) needs re-checking.
-    pub fn insertion_feasible_with(
-        &self,
-        probe: &mut Route,
-        plan: &InsertionPlan,
-        r: &Request,
-        capacity: u32,
-    ) -> bool {
-        probe.clone_from(self);
-        probe.apply_insertion(plan, r);
-        probe.schedule_feasible(capacity)
+    /// The body of [`Route::insertion_feasible`].
+    fn walk_insertion(&self, plan: &InsertionPlan, r: &Request, capacity: u32) -> bool {
+        let n = self.stops.len();
+        let (i, j) = plan_positions(plan, n);
+        if self.initial_load > capacity {
+            return false;
+        }
+        if let Some(range) = self.range {
+            let (replaced, added) = match plan.shape {
+                PlanShape::Append { dis_tail_pickup } => (0, dis_tail_pickup + plan.direct),
+                PlanShape::Adjacent {
+                    dis_prev_pickup,
+                    dis_delivery_next,
+                } => (
+                    self.leg[i + 1],
+                    dis_prev_pickup + plan.direct + dis_delivery_next,
+                ),
+                PlanShape::Split {
+                    dis_prev_pickup,
+                    dis_pickup_next,
+                    dis_prev_delivery,
+                    dis_delivery_next,
+                } => {
+                    let (into_next, out_of_delivery) = match dis_delivery_next {
+                        Some(next) if j < n => (self.leg[j + 1], next),
+                        _ => (0, 0),
+                    };
+                    (
+                        self.leg[i + 1] + into_next,
+                        dis_prev_pickup + dis_pickup_next + dis_prev_delivery + out_of_delivery,
+                    )
+                }
+            };
+            if self.remaining_distance() - replaced + added > range {
+                return false;
+            }
+        }
+        for k in 1..=i {
+            if self.arr[k] > self.stops[k - 1].ddl || self.picked[k] > capacity {
+                return false;
+            }
+        }
+
+        let (pickup, delivery) = request_stops(plan, r);
+        let mut walk = SpliceWalk {
+            route: self,
+            at: self.vertex(i),
+            time: self.arr[i],
+            load: self.picked[i],
+            capacity,
+        };
+        match plan.shape {
+            PlanShape::Append { dis_tail_pickup } => {
+                walk.visit(&pickup, dis_tail_pickup) && walk.visit(&delivery, plan.direct)
+            }
+            PlanShape::Adjacent {
+                dis_prev_pickup,
+                dis_delivery_next,
+            } => {
+                walk.visit(&pickup, dis_prev_pickup)
+                    && walk.visit(&delivery, plan.direct)
+                    && walk.visit(&self.stops[i], dis_delivery_next)
+                    && walk.stored(i + 2..=n)
+            }
+            PlanShape::Split {
+                dis_prev_pickup,
+                dis_pickup_next,
+                dis_prev_delivery,
+                dis_delivery_next,
+            } => {
+                walk.visit(&pickup, dis_prev_pickup)
+                    && walk.visit(&self.stops[i], dis_pickup_next)
+                    && walk.stored(i + 2..=j)
+                    && walk.visit(&delivery, dis_prev_delivery)
+                    && match dis_delivery_next {
+                        Some(next) if j < n => {
+                            walk.visit(&self.stops[j], next) && walk.stored(j + 2..=n)
+                        }
+                        _ => true,
+                    }
+            }
+        }
     }
 
     /// Whether replacing the pending tail with `stops`/`legs` keeps the
@@ -779,7 +898,7 @@ impl Route {
     /// straight off the `arr`/`picked` arrays, no precedence pass, no
     /// allocation. Sound on its own whenever the stop *sequence* is
     /// known valid — which is the case after `apply_insertion` on a
-    /// committed route (see [`Route::insertion_feasible_with`]).
+    /// committed route (see [`Route::insertion_feasible`]).
     pub fn schedule_feasible(&self, worker_capacity: u32) -> bool {
         if self.initial_load > worker_capacity {
             return false;
@@ -865,6 +984,152 @@ impl Route {
             }
         }
         Ok(())
+    }
+}
+
+/// `(i, j)` of `plan` on a route of `n` stops.
+///
+/// # Panics
+/// If the positions are out of range or do not fit the plan's shape.
+fn plan_positions(plan: &InsertionPlan, n: usize) -> (usize, usize) {
+    let (i, j) = (plan.pickup_after, plan.delivery_after);
+    assert!(
+        i <= j && j <= n,
+        "plan positions out of range: ({i},{j}) with n={n}"
+    );
+    match plan.shape {
+        PlanShape::Append { .. } => assert!(i == n && j == n, "Append shape requires i = j = n"),
+        PlanShape::Adjacent { .. } => assert!(i == j && i < n, "Adjacent shape requires i = j < n"),
+        PlanShape::Split {
+            dis_delivery_next, ..
+        } => {
+            assert!(i < j, "Split shape requires i < j");
+            assert!(
+                j == n || dis_delivery_next.is_some(),
+                "Split with j < n needs dis_delivery_next"
+            );
+        }
+    }
+    (i, j)
+}
+
+/// The pickup and delivery stops `plan` splices in for `r`, with the
+/// deadlines of Eq. 6 (the pickup's is `e_r − L`).
+fn request_stops(plan: &InsertionPlan, r: &Request) -> (Stop, Stop) {
+    let pickup = Stop {
+        request: r.id,
+        vertex: r.origin,
+        kind: StopKind::Pickup,
+        load: r.capacity,
+        ddl: r.deadline.saturating_sub(plan.direct),
+    };
+    let delivery = Stop {
+        request: r.id,
+        vertex: r.destination,
+        kind: StopKind::Delivery,
+        load: r.capacity,
+        ddl: r.deadline,
+    };
+    (pickup, delivery)
+}
+
+/// The insertion gate's cursor along a spliced stop sequence: where the
+/// vehicle stands, when, and with what on board.
+struct SpliceWalk<'a> {
+    route: &'a Route,
+    at: VertexId,
+    time: Time,
+    load: u32,
+    capacity: u32,
+}
+
+impl SpliceWalk<'_> {
+    /// Drives on to `stop` over a leg of free-flow cost `base`; `false`
+    /// when the stop is reached past its deadline or leaves the vehicle
+    /// over capacity — the per-stop test of [`Route::schedule_feasible`].
+    fn visit(&mut self, stop: &Stop, base: Cost) -> bool {
+        let leg = self.route.leg_time(self.at, stop.vertex, base, self.time);
+        self.time = cost_add(self.time, leg);
+        self.at = stop.vertex;
+        self.load = match stop.kind {
+            StopKind::Pickup => self.load + stop.load,
+            StopKind::Delivery => self.load.saturating_sub(stop.load),
+        };
+        self.time <= stop.ddl && self.load <= self.capacity
+    }
+
+    /// Visits the route's own stops `l_k`, `k ∈ ks`, over their stored
+    /// legs.
+    fn stored(&mut self, mut ks: std::ops::RangeInclusive<usize>) -> bool {
+        let route = self.route;
+        ks.all(|k| self.visit(&route.stops[k - 1], route.leg[k]))
+    }
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Set while a debug cross-check re-derives what the fast path
+    /// already knows, so tests that count provider calls can tell the
+    /// check's calls from the fast path's.
+    static CROSS_CHECKING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs a debug-build cross-check, marked as such for call counters.
+#[cfg(debug_assertions)]
+fn cross_check(check: impl FnOnce()) {
+    let outer = CROSS_CHECKING.replace(true);
+    check();
+    CROSS_CHECKING.set(outer);
+}
+
+/// A provider that forwards to `inner` and counts the
+/// `leg_time_between` calls a route's fast paths make; the calls of a
+/// debug-build cross-check are not counted.
+#[cfg(test)]
+pub(crate) struct CountingProvider<P> {
+    inner: P,
+    calls: std::sync::atomic::AtomicU64,
+}
+
+#[cfg(test)]
+impl<P> CountingProvider<P> {
+    pub fn new(inner: P) -> Self {
+        CountingProvider {
+            inner,
+            calls: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
+
+    /// Calls counted so far.
+    pub fn calls(&self) -> u64 {
+        self.calls.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+impl<P: TravelTimeProvider> TravelTimeProvider for CountingProvider<P> {
+    fn leg_time(&self, from: VertexId, base: Cost, depart: u64) -> Cost {
+        self.inner.leg_time(from, base, depart)
+    }
+
+    fn is_flat(&self) -> bool {
+        self.inner.is_flat()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn leg_time_between(&self, from: VertexId, to: VertexId, base: Cost, depart: u64) -> Cost {
+        #[cfg(debug_assertions)]
+        let counted = !CROSS_CHECKING.get();
+        #[cfg(not(debug_assertions))]
+        let counted = true;
+        if counted {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        self.inner.leg_time_between(from, to, base, depart)
     }
 }
 
@@ -1447,6 +1712,128 @@ mod tests {
         let r = req(1, 1, 2, 200, 1);
         assert!(route.insertion_feasible(&plan, &r, 4));
         assert!(route.is_empty(), "the gate must not mutate the route");
+    }
+
+    /// Only legs whose timing can change are re-timed. An insertion at
+    /// `i` — applied, or walked by the gate — asks the provider about
+    /// legs `i + 1 ..= n + 2` and nothing else; a snap and a pop ask
+    /// about nothing. Each mutation leaves the route equal to a
+    /// from-scratch rebuild. The profile's 1 s buckets make most legs
+    /// straddle a multiplier change, and the slow class stretches every
+    /// base before the provider sees it.
+    #[test]
+    fn mutations_retime_only_the_legs_that_moved() {
+        let provider = Arc::new(CountingProvider::new(
+            road_network::congestion::CongestionProfile::uniform(
+                "waves",
+                100,
+                &[1.0, 1.5, 2.0, 1.25],
+            )
+            .expect("valid"),
+        ));
+        let dis = |a: VertexId, b: VertexId| u64::from(a.0.abs_diff(b.0)) * 40;
+        let calls = |mutate: &mut dyn FnMut()| {
+            let before = provider.calls();
+            mutate();
+            provider.calls() - before
+        };
+        let rebuilt = |route: &Route| {
+            let mut full = route.clone();
+            full.rebuild();
+            full
+        };
+        let mut route = Route::new(VertexId(0), 0);
+        route.set_congestion(Some(provider.clone()));
+        route.set_class_profile(1_300, None);
+        // 0 → 2 → 5 → 7 → 9 → 11 → 14.
+        for (id, o, d) in [(1u32, 2u32, 5u32), (2, 7, 9), (3, 11, 14)] {
+            let n = route.len();
+            let plan = InsertionPlan {
+                pickup_after: n,
+                delivery_after: n,
+                delta: 0,
+                direct: dis(VertexId(o), VertexId(d)),
+                shape: PlanShape::Append {
+                    dis_tail_pickup: dis(route.vertex(n), VertexId(o)),
+                },
+            };
+            route.apply_insertion(&plan, &req(id, o, d, 1_000_000, 1));
+        }
+
+        // Every plan position of a fresh request on a route of n stops.
+        let r = req(9, 20, 21, 1_000_000, 1);
+        let plans = |route: &Route| {
+            let n = route.len();
+            let mut plans = Vec::new();
+            for i in 0..=n {
+                for j in i..=n {
+                    let shape = if i == n {
+                        PlanShape::Append {
+                            dis_tail_pickup: dis(route.vertex(n), r.origin),
+                        }
+                    } else if i == j {
+                        PlanShape::Adjacent {
+                            dis_prev_pickup: dis(route.vertex(i), r.origin),
+                            dis_delivery_next: dis(r.destination, route.vertex(i + 1)),
+                        }
+                    } else {
+                        PlanShape::Split {
+                            dis_prev_pickup: dis(route.vertex(i), r.origin),
+                            dis_pickup_next: dis(r.origin, route.vertex(i + 1)),
+                            dis_prev_delivery: dis(route.vertex(j), r.destination),
+                            dis_delivery_next: (j < n)
+                                .then(|| dis(r.destination, route.vertex(j + 1))),
+                        }
+                    };
+                    plans.push(InsertionPlan {
+                        pickup_after: i,
+                        delivery_after: j,
+                        delta: 0,
+                        direct: dis(r.origin, r.destination),
+                        shape,
+                    });
+                }
+            }
+            plans
+        };
+        let check_insertions = |route: &Route| {
+            let n = route.len();
+            for plan in plans(route) {
+                let i = plan.pickup_after;
+                let legs = (n + 2 - i) as u64;
+                let mut feasible = false;
+                let walked = calls(&mut || feasible = route.insertion_feasible(&plan, &r, 8));
+                assert!(feasible, "roomy deadlines: {plan:?}");
+                assert_eq!(walked, legs, "the gate walks from the splice: {plan:?}");
+                let mut spliced = route.clone();
+                let applied = calls(&mut || spliced.apply_insertion(&plan, &r));
+                assert_eq!(applied, legs, "apply re-times from the splice: {plan:?}");
+                assert_eq!(spliced, rebuilt(&spliced), "{plan:?}");
+            }
+        };
+        check_insertions(&route);
+
+        // A snap freezes the head: nothing moves, nothing is re-timed,
+        // and an insertion behind the frozen head keeps it.
+        let (arr1, v1) = (route.arr(1), route.vertex(1));
+        assert_eq!(
+            calls(&mut || route.snap_on_leg(VertexId(1), arr1 / 3, 45)),
+            0
+        );
+        assert_eq!(route, rebuilt(&route));
+        assert_eq!((route.arr(1), route.vertex(1)), (arr1, v1));
+        check_insertions(&route);
+
+        // Pops shift the schedule down a slot — the first one clearing
+        // the freeze — and re-time nothing.
+        while !route.is_empty() {
+            let (next, after) = (route.arr(1), route.arr[2..].to_vec());
+            let mut reached = 0;
+            let popped = calls(&mut || reached = route.pop_front_stop().1);
+            assert_eq!(popped, 0, "a pop re-times nothing");
+            assert_eq!((reached, &route.arr[1..]), (next, &after[..]));
+            assert_eq!(route, rebuilt(&route));
+        }
     }
 
     #[test]

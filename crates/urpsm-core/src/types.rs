@@ -160,7 +160,7 @@ impl ClassConstraint {
 /// This is *the* authority on class semantics: eligibility is decided
 /// in exactly two seams — the class filter inside
 /// `PlatformState::candidate_workers` and the capacity/range gate
-/// inside `Route::insertion_feasible_with` — and both read their
+/// inside `Route::insertion_feasible` — and both read their
 /// parameters from here at install time. Planners consume the opaque
 /// `EligibleCandidates` view those seams produce and therefore cannot
 /// observe classes at all.

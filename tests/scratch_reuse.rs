@@ -1,14 +1,15 @@
 //! `PlanScratch` reuse must be invisible: a planner that carries its
-//! arenas (SoA shortlist, DP columns, probe route) across requests has
-//! to produce *exactly* the decisions of a planner built fresh — cold
-//! scratch — for every single request. Any residue leaking out of a
-//! `clear()`-reused buffer (a stale shortlist entry, a probe route
-//! keeping old stops, a DP column with yesterday's distances) shows up
-//! here as a diverging outcome stream.
+//! arenas (SoA shortlist, DP columns, re-timed spare route) across
+//! requests has to produce *exactly* the decisions of a planner built
+//! fresh — cold scratch — for every single request. Any residue leaking
+//! out of a `clear()`-reused buffer (a stale shortlist entry, a spare
+//! route keeping old stops, a DP column with yesterday's distances)
+//! shows up here as a diverging outcome stream.
 //!
 //! The same property is checked under a congestion profile, where the
-//! probe route (`Route::insertion_feasible_with`) is `clone_from`-ed
-//! per candidate and is the most reuse-prone buffer of the lot.
+//! insertion gate (`Route::insertion_feasible`) runs on the candidate's
+//! route — a `clone_from`-ed spare for an idle candidate — and the
+//! kinetic planner's probe route is `clone_from`-ed per candidate.
 
 use std::sync::Arc;
 

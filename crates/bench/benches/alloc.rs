@@ -12,7 +12,11 @@
 //! The gate: a steady-state planned insertion under `GreedyDP` and
 //! `pruneGreedyDP` at `threads = 1` performs **zero** allocations —
 //! free flow *and* under the chengdu-2peak congestion profile (whose
-//! stretched-feasibility re-check runs on the scratch probe route).
+//! stretched-feasibility re-check runs on the scratch probe route), on
+//! the drained fleet above and on an idle-heavy one (one worker in
+//! sixteen holds a standing trip through every request, the rest are
+//! idle), so the DP engine's shortlist both collects busy candidates
+//! and streams idle ones cell by cell.
 //! The three baselines and the planner at `threads = 4` are measured
 //! and reported but not gated; the width-4 numbers include the scoped
 //! fan-out's spawn cost by design.
@@ -49,13 +53,16 @@ mod gated {
     use road_network::{Cost, VertexId};
     use urpsm_bench::alloc_track;
     use urpsm_bench::harness::Algo;
+    use urpsm_core::insertion::linear_dp_insertion;
     use urpsm_core::planner::Planner;
     use urpsm_core::platform::{Outcome, PlatformState};
+    use urpsm_core::route::Route;
     use urpsm_core::types::{ClassConstraint, ClassId, Request, RequestId, Time, Worker, WorkerId};
 
     /// Streets on a line, 150 cs of travel per metre-spaced vertex.
     const VERTICES: usize = 512;
-    const WORKERS: u32 = 64;
+    /// Grid cell size: 26 cells along the line.
+    const CELL_M: f64 = 20.0;
     /// Unmeasured requests that grow every arena to its steady size.
     const WARMUP: usize = 256;
     /// Measured steady-state requests per (planner, profile) run.
@@ -64,10 +71,42 @@ mod gated {
     /// bench and `tests/congestion_equivalence.rs`.
     const RUSH_SHIFT: Time = 7 * HOUR_CS + HOUR_CS / 2;
 
-    /// One (planner, profile, thread-width) row of the report.
+    /// The fleet a run plans against, between two requests.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    pub enum Fleet {
+        /// 64 workers, every route drained.
+        Drained,
+        /// 256 workers; every 16th holds a standing trip, the rest are
+        /// drained — 93.75 % idle.
+        IdleHeavy,
+    }
+
+    impl Fleet {
+        fn name(self) -> &'static str {
+            match self {
+                Fleet::Drained => "drained",
+                Fleet::IdleHeavy => "idle-heavy",
+            }
+        }
+
+        fn workers(self) -> u32 {
+            match self {
+                Fleet::Drained => 64,
+                Fleet::IdleHeavy => 256,
+            }
+        }
+
+        /// Whether `w` keeps a trip through every measured request.
+        fn busy(self, w: WorkerId) -> bool {
+            self == Fleet::IdleHeavy && w.0 % 16 == 0
+        }
+    }
+
+    /// One (planner, profile, fleet, thread-width) row of the report.
     pub struct Row {
         pub planner: &'static str,
         pub profile: &'static str,
+        pub fleet: &'static str,
         pub threads: usize,
         pub requests: usize,
         pub served: usize,
@@ -96,9 +135,9 @@ mod gated {
         Arc::new(MatrixOracle::from_matrix(&rows, points, 1.0))
     }
 
-    fn fleet() -> Vec<Worker> {
-        let spacing = VERTICES as u32 / WORKERS;
-        (0..WORKERS)
+    fn workers(fleet: Fleet) -> Vec<Worker> {
+        let spacing = VERTICES as u32 / fleet.workers();
+        (0..fleet.workers())
             .map(|i| Worker {
                 id: WorkerId(i),
                 origin: VertexId(i * spacing),
@@ -109,13 +148,15 @@ mod gated {
     }
 
     /// The `i`-th steady-state request, released at `now`: a short hop
-    /// near worker `i mod WORKERS`, roomy deadline, penalty high enough
-    /// that the economic gate always admits it — every request is a
-    /// *planned insertion*, which is what the gate is about.
+    /// near one of the first 64 workers' spots, roomy deadline, penalty
+    /// high enough that the economic gate always admits it — every
+    /// request is a *planned insertion*, which is what the gate is
+    /// about.
     fn request(i: usize, now: Time) -> Request {
-        let spacing = VERTICES as u32 / WORKERS;
-        let base = (i as u32 % WORKERS) * spacing;
-        let origin = base + 1 + (i as u32 / WORKERS) % 3;
+        const SPOTS: u32 = 64;
+        let spacing = VERTICES as u32 / SPOTS;
+        let base = (i as u32 % SPOTS) * spacing;
+        let origin = base + 1 + (i as u32 / SPOTS) % 3;
         Request {
             id: RequestId(i as u32),
             origin: VertexId(origin),
@@ -135,26 +176,49 @@ mod gated {
     /// *between* measured regions, so its allocations (grid upserts,
     /// the completed-request set) never count — exactly like the motion
     /// plane draining stops between two request arrivals.
-    fn drain_routes(state: &mut PlatformState) {
+    ///
+    /// Then every worker `fleet` keeps busy takes a standing trip from
+    /// where it stands to the far end of the line.
+    fn drain_routes(state: &mut PlatformState, fleet: Fleet, next_id: &mut u32) {
         let mut last = state.now();
-        for i in 0..WORKERS {
+        for i in 0..fleet.workers() {
             let w = WorkerId(i);
             while !state.head(w).idle {
                 last = last.max(state.pop_worker_stop(w).1);
             }
         }
         state.advance_clock(last + 1);
+        let mut spare = Route::default();
+        for i in 0..fleet.workers() {
+            let w = WorkerId(i);
+            if !fleet.busy(w) {
+                continue;
+            }
+            let (route, capacity) = state.candidate(w, &mut spare);
+            let from = route.start_vertex();
+            let to = VertexId(if from.idx() < VERTICES / 2 {
+                VERTICES as u32 - 1
+            } else {
+                0
+            });
+            let mut trip = request(0, state.now());
+            (trip.id, trip.origin, trip.destination) = (RequestId(*next_id), from, to);
+            *next_id += 1;
+            let plan = linear_dp_insertion(route, capacity, &trip, state.oracle())
+                .expect("a standing trip fits an idle worker");
+            state.commit(w, &trip, &plan);
+        }
     }
 
-    fn run(algo: Algo, profile: &'static str, threads: usize) -> Row {
+    fn run(algo: Algo, profile: &'static str, fleet: Fleet, threads: usize) -> Row {
         let oracle = line_oracle();
-        let workers = fleet();
+        let workers = workers(fleet);
         let shift = if profile == "free-flow" {
             0
         } else {
             RUSH_SHIFT
         };
-        let mut state = PlatformState::new(oracle, &workers, 20.0, shift);
+        let mut state = PlatformState::new(oracle, &workers, CELL_M, shift);
         if profile != "free-flow" {
             state.set_congestion(Some(Arc::new(CongestionProfile::chengdu_two_peak())));
         }
@@ -164,13 +228,17 @@ mod gated {
             planner.set_threads(threads);
         }
 
+        // Standing trips take request ids above every measured one.
+        let mut next_id = (WARMUP + MEASURED) as u32;
+        drain_routes(&mut state, fleet, &mut next_id);
+
         // Warmup: grow every scratch arena, candidate buffer, hash-map
         // table and shortlist column to its steady-state size.
         for i in 0..WARMUP {
             let r = request(i, state.now());
             planner.on_request(&mut state, &r);
             planner.flush(&mut state);
-            drain_routes(&mut state);
+            drain_routes(&mut state, fleet, &mut next_id);
         }
 
         let mut served = 0usize;
@@ -192,13 +260,14 @@ mod gated {
                 .iter()
                 .filter(|(_, o)| matches!(o, Outcome::Assigned { .. }))
                 .count();
-            drain_routes(&mut state);
+            drain_routes(&mut state, fleet, &mut next_id);
         }
 
         let gated = threads == 1 && matches!(algo, Algo::GreedyDp | Algo::PruneGreedyDp);
         Row {
             planner: algo.name(),
             profile,
+            fleet: fleet.name(),
             threads,
             requests: MEASURED,
             served,
@@ -272,6 +341,7 @@ mod gated {
         rows.push(Row {
             planner: "td-astar (search)",
             profile: "chengdu-2peak",
+            fleet: "-",
             threads: 1,
             requests: queries.len(),
             served,
@@ -290,6 +360,7 @@ mod gated {
         rows.push(Row {
             planner: "td-cache (hit)",
             profile: "chengdu-2peak",
+            fleet: "-",
             threads: 1,
             requests: queries.len(),
             served,
@@ -309,11 +380,12 @@ mod gated {
         );
         for (i, row) in rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"planner\": \"{}\", \"profile\": \"{}\", \"threads\": {}, \
+                "    {{\"planner\": \"{}\", \"profile\": \"{}\", \"fleet\": \"{}\", \"threads\": {}, \
                  \"requests\": {}, \"served\": {}, \"allocs_per_request\": {:.4}, \
                  \"max_allocs\": {}, \"gated\": {}}}{}\n",
                 row.planner,
                 row.profile,
+                row.fleet,
                 row.threads,
                 row.requests,
                 row.served,
@@ -351,19 +423,29 @@ mod gated {
         let mut rows = Vec::new();
         for profile in ["free-flow", "chengdu-2peak"] {
             for algo in Algo::ALL {
-                rows.push(run(algo, profile, 1));
+                rows.push(run(algo, profile, Fleet::Drained, 1));
+            }
+            for algo in [Algo::PruneGreedyDp, Algo::GreedyDp] {
+                rows.push(run(algo, profile, Fleet::IdleHeavy, 1));
             }
             // The planning-phase fan-out, reported for scale: its
             // scoped spawn set allocates per request by design.
-            rows.push(run(Algo::PruneGreedyDp, profile, 4));
+            rows.push(run(Algo::PruneGreedyDp, profile, Fleet::Drained, 4));
         }
         // Steady-state TD distance queries (PR 8): gated at zero, like
         // the planners above.
         rows.extend(td_rows());
 
         eprintln!(
-            "{:<14} {:<14} {:>7} {:>8} {:>14} {:>11} {:>6}",
-            "planner", "profile", "threads", "served", "allocs/request", "max/request", "gate"
+            "{:<14} {:<14} {:<10} {:>7} {:>8} {:>14} {:>11} {:>6}",
+            "planner",
+            "profile",
+            "fleet",
+            "threads",
+            "served",
+            "allocs/request",
+            "max/request",
+            "gate"
         );
         let mut failures = Vec::new();
         for row in &rows {
@@ -375,9 +457,10 @@ mod gated {
                 "FAIL"
             };
             eprintln!(
-                "{:<14} {:<14} {:>7} {:>8} {:>14.4} {:>11} {:>6}",
+                "{:<14} {:<14} {:<10} {:>7} {:>8} {:>14.4} {:>11} {:>6}",
                 row.planner,
                 row.profile,
+                row.fleet,
                 row.threads,
                 format!("{}/{}", row.served, row.requests),
                 row.allocs_per_request(),
@@ -389,13 +472,18 @@ mod gated {
                 // really were planned insertions, not rejections.
                 assert_eq!(
                     row.served, row.requests,
-                    "{} ({}) must serve every steady-state request",
-                    row.planner, row.profile
+                    "{} ({}, {}) must serve every steady-state request",
+                    row.planner, row.profile, row.fleet
                 );
                 if row.total_allocs != 0 {
                     failures.push(format!(
-                        "{} ({}): {} allocations over {} planned insertions (max {}/request)",
-                        row.planner, row.profile, row.total_allocs, row.requests, row.max_allocs
+                        "{} ({}, {}): {} allocations over {} planned insertions (max {}/request)",
+                        row.planner,
+                        row.profile,
+                        row.fleet,
+                        row.total_allocs,
+                        row.requests,
+                        row.max_allocs
                     ));
                 }
             }

@@ -29,6 +29,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("urpsm_path_cache_misses_total", "counter"),
     ("urpsm_plan_assigned_total", "counter"),
     ("urpsm_plan_bound_improvements_total", "counter"),
+    ("urpsm_plan_gate_td_misses_total", "counter"),
     ("urpsm_plan_latency_ns", "histogram"),
     ("urpsm_plan_ordered_ranks_total", "counter"),
     ("urpsm_plan_parallel_requests_total", "counter"),
@@ -90,6 +91,7 @@ const JSON_KEYS: &[&str] = &[
     "path_cache_misses",
     "plan_assigned",
     "plan_bound_improvements",
+    "plan_gate_td_misses",
     "plan_latency_ns",
     "plan_ordered_ranks",
     "plan_parallel_requests",

@@ -32,6 +32,11 @@ pub struct GridIndex {
     /// range queries filter by true distance off this column, without a
     /// lookup per item. Every bucket edit moves both columns alike.
     cell_pts: Vec<Vec<Point>>,
+    /// `marked[c]` leading items of cell `c`'s bucket are *marked*, the
+    /// rest are not: a caller-defined two-way split of every cell (the
+    /// platform marks idle workers) that one sweep can read both halves
+    /// of. Items join unmarked; a move keeps the mark.
+    marked: Vec<u32>,
     /// item -> (cell, exact position), the by-id side of the index.
     items: FxHashMap<ItemId, (usize, Point)>,
 }
@@ -53,6 +58,7 @@ impl GridIndex {
             ny,
             cells: vec![Vec::new(); nx * ny],
             cell_pts: vec![Vec::new(); nx * ny],
+            marked: vec![0; nx * ny],
             items: FxHashMap::default(),
         }
     }
@@ -97,7 +103,8 @@ impl GridIndex {
         )
     }
 
-    /// Inserts or moves an item to position `p`.
+    /// Inserts or moves an item to position `p`. A new item is
+    /// unmarked; a moved one keeps its mark.
     pub fn upsert(&mut self, id: ItemId, p: Point) {
         let new_cell = self.cell_of(p);
         match self.items.get_mut(&id) {
@@ -108,13 +115,13 @@ impl GridIndex {
                     let slot = Self::slot_in(&self.cells[old_cell], id);
                     self.cell_pts[old_cell][slot] = p;
                 } else {
-                    self.remove_from_cell(old_cell, id);
-                    self.push_to_cell(new_cell, id, p);
+                    let marked = self.remove_from_cell(old_cell, id);
+                    self.push_to_cell(new_cell, id, p, marked);
                 }
             }
             None => {
                 self.items.insert(id, (new_cell, p));
-                self.push_to_cell(new_cell, id, p);
+                self.push_to_cell(new_cell, id, p, false);
             }
         }
     }
@@ -130,6 +137,30 @@ impl GridIndex {
         }
     }
 
+    /// Marks or unmarks an item, moving it across its cell's split;
+    /// returns whether it was present.
+    pub fn set_marked(&mut self, id: ItemId, marked: bool) -> bool {
+        let Some(&(cell, _)) = self.items.get(&id) else {
+            return false;
+        };
+        let slot = Self::slot_in(&self.cells[cell], id);
+        let split = self.marked[cell] as usize;
+        if (slot < split) != marked {
+            // The item trades places with the split's neighbour on the
+            // other side, and the split moves past it.
+            let edge = if marked { split } else { split - 1 };
+            self.swap_in_cell(cell, slot, edge);
+            self.marked[cell] = if marked { split + 1 } else { split - 1 } as u32;
+        }
+        true
+    }
+
+    /// Whether an item is marked, if indexed.
+    pub fn is_marked(&self, id: ItemId) -> Option<bool> {
+        let &(cell, _) = self.items.get(&id)?;
+        Some(Self::slot_in(&self.cells[cell], id) < self.marked[cell] as usize)
+    }
+
     fn slot_in(bucket: &[ItemId], id: ItemId) -> usize {
         bucket
             .iter()
@@ -137,15 +168,36 @@ impl GridIndex {
             .expect("an indexed item is in its cell's bucket")
     }
 
-    fn push_to_cell(&mut self, cell: usize, id: ItemId, p: Point) {
-        self.cells[cell].push(id);
-        self.cell_pts[cell].push(p);
+    fn swap_in_cell(&mut self, cell: usize, a: usize, b: usize) {
+        self.cells[cell].swap(a, b);
+        self.cell_pts[cell].swap(a, b);
     }
 
-    fn remove_from_cell(&mut self, cell: usize, id: ItemId) {
-        let slot = Self::slot_in(&self.cells[cell], id);
+    fn push_to_cell(&mut self, cell: usize, id: ItemId, p: Point, marked: bool) {
+        self.cells[cell].push(id);
+        self.cell_pts[cell].push(p);
+        if marked {
+            let split = self.marked[cell] as usize;
+            self.swap_in_cell(cell, split, self.cells[cell].len() - 1);
+            self.marked[cell] += 1;
+        }
+    }
+
+    /// Takes `id` out of `cell`'s bucket; returns whether it was marked.
+    fn remove_from_cell(&mut self, cell: usize, id: ItemId) -> bool {
+        let mut slot = Self::slot_in(&self.cells[cell], id);
+        let split = self.marked[cell] as usize;
+        let marked = slot < split;
+        if marked {
+            // Move it to the end of the marked run, then fill that place
+            // from the bucket's end, which is unmarked (or itself).
+            self.swap_in_cell(cell, slot, split - 1);
+            self.marked[cell] -= 1;
+            slot = split - 1;
+        }
         self.cells[cell].swap_remove(slot);
         self.cell_pts[cell].swap_remove(slot);
+        marked
     }
 
     /// Exact position of an item, if indexed.
@@ -164,6 +216,95 @@ impl GridIndex {
     /// (exact point-distance filter after the coarse cell sweep), cell
     /// by cell in bucket order.
     pub fn for_each_within(&self, p: Point, radius_m: f64, mut visit: impl FnMut(ItemId)) {
+        self.for_each_cell_in_sweep(p, radius_m, |c| {
+            for (&id, q) in self.cells[c].iter().zip(&self.cell_pts[c]) {
+                if q.euclidean_m(&p) <= radius_m {
+                    visit(id);
+                }
+            }
+        });
+    }
+
+    /// One sweep of the disc of `radius_m` around `p` that reads the two
+    /// halves of every cell differently: `unmarked(id)` is called for
+    /// every unmarked item within the radius, by the exact filter of
+    /// [`GridIndex::for_each_within`]; `marked_cell(cell, bound)` for
+    /// every cell holding marked items whose
+    /// [`GridIndex::cell_min_distance`] `bound` is within the radius —
+    /// no item of a farther cell can pass the exact filter. The
+    /// nearest-first walks start here and read a cell's marked items
+    /// with [`GridIndex::marked_items`].
+    pub fn sweep_split(
+        &self,
+        p: Point,
+        radius_m: f64,
+        mut unmarked: impl FnMut(ItemId),
+        mut marked_cell: impl FnMut(usize, f64),
+    ) {
+        self.for_each_cell_in_sweep(p, radius_m, |c| {
+            let split = self.marked[c] as usize;
+            for (&id, q) in self.cells[c][split..]
+                .iter()
+                .zip(&self.cell_pts[c][split..])
+            {
+                if q.euclidean_m(&p) <= radius_m {
+                    unmarked(id);
+                }
+            }
+            if split > 0 {
+                let bound = self.cell_min_distance(c, p);
+                if bound <= radius_m {
+                    marked_cell(c, bound);
+                }
+            }
+        });
+    }
+
+    /// The marked items of cell `c` and their exact positions
+    /// (`ids[k]` sits at `points[k]`).
+    pub fn marked_items(&self, c: usize) -> (&[ItemId], &[Point]) {
+        let split = self.marked[c] as usize;
+        (&self.cells[c][..split], &self.cell_pts[c][..split])
+    }
+
+    /// A lower bound on `q.euclidean_m(&p)` over every item position `q`
+    /// that `cell_of` puts in cell `c` — including items outside the
+    /// bounding box, clamped into a border cell: a border cell extends
+    /// to infinity on its outer sides. The cell's rectangle is widened
+    /// by a millimetre so that a point rounded into the cell from just
+    /// outside its computed edge is still covered; every step after
+    /// that is a correctly rounded, hence monotone, operation on the
+    /// same operand order as [`Point::euclidean_m`].
+    pub fn cell_min_distance(&self, c: usize, p: Point) -> f64 {
+        const SLACK_M: f64 = 1e-3;
+        let (cx, cy) = (c % self.nx, c / self.nx);
+        let gap = |v: f64, min: f64, k: usize, n: usize| {
+            let lo = if k == 0 {
+                f64::NEG_INFINITY
+            } else {
+                min + k as f64 * self.cell_m - SLACK_M
+            };
+            let hi = if k + 1 == n {
+                f64::INFINITY
+            } else {
+                min + (k + 1) as f64 * self.cell_m + SLACK_M
+            };
+            if v < lo {
+                lo - v
+            } else if v > hi {
+                v - hi
+            } else {
+                0.0
+            }
+        };
+        let dx = gap(p.x, self.bbox.min.x, cx, self.nx);
+        let dy = gap(p.y, self.bbox.min.y, cy, self.ny);
+        (dx * dx + dy * dy).sqrt()
+    }
+
+    /// Calls `visit` with every cell of the sweep box of the disc of
+    /// `radius_m` around `p`, row by row.
+    fn for_each_cell_in_sweep(&self, p: Point, radius_m: f64, mut visit: impl FnMut(usize)) {
         if radius_m < 0.0 {
             return;
         }
@@ -171,7 +312,7 @@ impl GridIndex {
         // outside the bounding box are clamped into border cells by
         // `cell_of`, so border cells must stay scannable even when the
         // query circle itself lies outside the box. The exact
-        // point-distance filter below keeps the result correct.
+        // point-distance filter of the callers keeps results correct.
         let lo_x = (((p.x - radius_m - self.bbox.min.x) / self.cell_m).floor() as isize)
             .clamp(0, self.nx as isize - 1);
         let hi_x = (((p.x + radius_m - self.bbox.min.x) / self.cell_m).floor() as isize)
@@ -182,12 +323,7 @@ impl GridIndex {
             .clamp(0, self.ny as isize - 1);
         for cy in lo_y..=hi_y {
             for cx in lo_x..=hi_x {
-                let c = cy as usize * self.nx + cx as usize;
-                for (&id, q) in self.cells[c].iter().zip(&self.cell_pts[c]) {
-                    if q.euclidean_m(&p) <= radius_m {
-                        visit(id);
-                    }
-                }
+                visit(cy as usize * self.nx + cx as usize);
             }
         }
     }
@@ -202,6 +338,7 @@ impl GridIndex {
             .sum();
         self.cells.capacity() * std::mem::size_of::<Vec<ItemId>>()
             + self.cell_pts.capacity() * std::mem::size_of::<Vec<Point>>()
+            + self.marked.capacity() * 4
             + buckets
             + points
             + self.items.capacity() * (8 + std::mem::size_of::<(usize, Point)>() + 8)
@@ -433,6 +570,8 @@ mod tests {
             /// Move a live item a few metres (usually within its cell).
             Nudge(ItemId, f64, f64),
             Remove(ItemId),
+            /// Move a live item across its cell's split.
+            Mark(ItemId, bool),
             /// Range query centred on a point…
             Within(Point, f64),
             /// …or exactly on a live item, where radius 0 still hits.
@@ -448,19 +587,27 @@ mod tests {
                 (id(), point()).prop_map(|(id, p)| Op::Upsert(id, p)),
                 (id(), -20.0..20.0, -20.0..20.0).prop_map(|(id, dx, dy)| Op::Nudge(id, dx, dy)),
                 id().prop_map(Op::Remove),
+                (id(), any::<bool>()).prop_map(|(id, m)| Op::Mark(id, m)),
                 (point(), radius()).prop_map(|(p, r)| Op::Within(p, r)),
                 (id(), radius()).prop_map(|(id, r)| Op::WithinAt(id, r)),
             ]
         }
 
-        /// Both bucket columns agree with the by-id map, item for item.
-        fn check_columns(g: &GridIndex) -> Result<(), TestCaseError> {
+        /// Both bucket columns agree with the by-id map, item for item,
+        /// and every cell's marked run is its marked items.
+        fn check_columns(
+            g: &GridIndex,
+            model: &[(ItemId, Point, bool)],
+        ) -> Result<(), TestCaseError> {
             let mut bucketed = 0;
             for (c, (ids, pts)) in g.cells.iter().zip(&g.cell_pts).enumerate() {
                 prop_assert_eq!(ids.len(), pts.len());
-                for (id, p) in ids.iter().zip(pts) {
+                prop_assert!(g.marked[c] as usize <= ids.len());
+                for (k, (id, p)) in ids.iter().zip(pts).enumerate() {
                     prop_assert_eq!(g.items.get(id), Some(&(c, *p)));
                     prop_assert_eq!(g.cell_of(*p), c);
+                    let marked = model.iter().find(|m| m.0 == *id).map(|m| m.2);
+                    prop_assert_eq!(Some(k < g.marked[c] as usize), marked);
                 }
                 bucketed += ids.len();
             }
@@ -473,8 +620,8 @@ mod tests {
             #[test]
             fn grid_matches_a_brute_force_list(ops in collection::vec(op(), 1..120)) {
                 let mut g = GridIndex::new(bbox(1_000.0, 1_000.0), 250.0);
-                let mut model: Vec<(ItemId, Point)> = Vec::new();
-                let find = |model: &[(ItemId, Point)], id| model.iter().position(|&(x, _)| x == id);
+                let mut model: Vec<(ItemId, Point, bool)> = Vec::new();
+                let find = |model: &[(ItemId, Point, bool)], id| model.iter().position(|m| m.0 == id);
                 let mut out = Vec::new();
                 for op in ops {
                     let query = match op {
@@ -482,7 +629,7 @@ mod tests {
                             g.upsert(id, p);
                             match find(&model, id) {
                                 Some(k) => model[k].1 = p,
-                                None => model.push((id, p)),
+                                None => model.push((id, p, false)),
                             }
                             None
                         }
@@ -502,6 +649,14 @@ mod tests {
                             }
                             None
                         }
+                        Op::Mark(id, m) => {
+                            let k = find(&model, id);
+                            prop_assert_eq!(g.set_marked(id, m), k.is_some());
+                            if let Some(k) = k {
+                                model[k].2 = m;
+                            }
+                            None
+                        }
                         Op::Within(p, r) => Some((p, r)),
                         Op::WithinAt(id, r) => find(&model, id).map(|k| (model[k].1, r)),
                     };
@@ -510,19 +665,125 @@ mod tests {
                         out.sort_unstable();
                         let mut brute: Vec<ItemId> = model
                             .iter()
-                            .filter(|(_, q)| q.euclidean_m(&p) <= r)
-                            .map(|&(id, _)| id)
+                            .filter(|m| m.1.euclidean_m(&p) <= r)
+                            .map(|m| m.0)
                             .collect();
                         brute.sort_unstable();
                         prop_assert_eq!(&out, &brute, "within {:?} of {:?}", r, p);
+
+                        // The split sweep: the unmarked half exactly,
+                        // and every cell holding a marked item in reach.
+                        let mut unmarked = Vec::new();
+                        let mut cells = Vec::new();
+                        g.sweep_split(p, r, |id| unmarked.push(id), |c, _| cells.push(c));
+                        unmarked.sort_unstable();
+                        let mut marked_in_reach = Vec::new();
+                        for &c in &cells {
+                            let (ids, pts) = g.marked_items(c);
+                            marked_in_reach.extend(
+                                ids.iter().zip(pts).filter(|(_, q)| q.euclidean_m(&p) <= r).map(|(&id, _)| id),
+                            );
+                        }
+                        marked_in_reach.sort_unstable();
+                        let split = |marked: bool| -> Vec<ItemId> {
+                            let mut ids: Vec<ItemId> = model
+                                .iter()
+                                .filter(|m| m.2 == marked && m.1.euclidean_m(&p) <= r)
+                                .map(|m| m.0)
+                                .collect();
+                            ids.sort_unstable();
+                            ids
+                        };
+                        prop_assert_eq!(unmarked, split(false));
+                        prop_assert_eq!(marked_in_reach, split(true));
                     }
                     prop_assert_eq!(g.len(), model.len());
                     for id in 0..24 {
                         let expect = find(&model, id).map(|k| model[k].1);
                         prop_assert_eq!(g.position(id), expect);
+                        let marked = find(&model, id).map(|k| model[k].2);
+                        prop_assert_eq!(g.is_marked(id), marked);
                     }
-                    check_columns(&g)?;
+                    check_columns(&g, &model)?;
                 }
+            }
+        }
+
+        /// A city-scale box away from the origin, 2 km cells (7 × 5).
+        const ORIGIN: (f64, f64) = (431_250.5, 3_305_017.25);
+        const CELL: f64 = 2_000.0;
+
+        /// A coordinate along one axis: anywhere (a tenth of the time
+        /// outside the box), or on a cell edge give or take a few ulps —
+        /// where `cell_of`'s division rounds.
+        fn coord(min: f64, cells: u32) -> impl Strategy<Value = f64> {
+            let span = f64::from(cells) * CELL;
+            prop_oneof![
+                (min - span / 10.0)..(min + span * 1.1),
+                (0..cells + 1, -3i64..4).prop_map(move |(k, ulps)| {
+                    let edge = min + f64::from(k) * CELL;
+                    f64::from_bits((edge.to_bits() as i64 + ulps) as u64)
+                }),
+            ]
+        }
+
+        fn city_point() -> impl Strategy<Value = Point> {
+            (coord(ORIGIN.0, 7), coord(ORIGIN.1, 5)).prop_map(|(x, y)| Point::new(x, y))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// `cell_min_distance` bounds the computed distance of every
+            /// item a cell holds, border cells' clamped items included,
+            /// so a nearest-first walk may stop at the first cell whose
+            /// bound exceeds what it needs; and `sweep_split` leaves out
+            /// no cell holding a marked item within the radius.
+            #[test]
+            fn no_item_lies_nearer_than_its_cell_bound(
+                items in collection::vec(city_point(), 1..60),
+                queries in collection::vec((city_point(), 0.0..9_000.0), 1..8),
+            ) {
+                let mut b = BoundingBox::empty();
+                b.include(Point::new(ORIGIN.0, ORIGIN.1));
+                b.include(Point::new(ORIGIN.0 + 7.0 * CELL, ORIGIN.1 + 5.0 * CELL));
+                let mut g = GridIndex::new(b, CELL);
+                prop_assert_eq!(g.dims(), (7, 5));
+                for (id, &p) in items.iter().enumerate() {
+                    g.upsert(id as ItemId, p);
+                    g.set_marked(id as ItemId, true);
+                }
+                for (p, r) in queries {
+                    let mut visited = vec![false; g.num_cells()];
+                    g.sweep_split(p, r, |_| unreachable!("every item is marked"), |c, bound| {
+                        assert_eq!(bound, g.cell_min_distance(c, p));
+                        visited[c] = true;
+                    });
+                    for (c, &seen) in visited.iter().enumerate() {
+                        let bound = g.cell_min_distance(c, p);
+                        let (ids, pts) = g.marked_items(c);
+                        prop_assert_eq!(ids.len(), g.cells[c].len());
+                        for (id, q) in ids.iter().zip(pts) {
+                            let d = q.euclidean_m(&p);
+                            prop_assert!(bound <= d, "item {} at {:?}: bound {} > {}", id, q, bound, d);
+                            prop_assert!(seen || d > r, "item {} within {} unvisited", id, r);
+                        }
+                    }
+                }
+            }
+
+            /// `euclidean_cost` is monotone in the distance, so a bound
+            /// on metres is a bound on centiseconds.
+            #[test]
+            fn euclidean_cost_is_monotone_in_the_distance(
+                d in 0.0f64..60_000.0,
+                step in prop_oneof![Just(0.0f64), 0.0..1e-6, 0.0..10.0],
+                ulps in 0u64..4,
+                speed in prop_oneof![Just(1.0), Just(8.33), Just(16.67), 0.5..40.0],
+            ) {
+                use crate::graph::euclidean_cost;
+                let further = f64::from_bits((d + step).to_bits() + ulps);
+                prop_assert!(euclidean_cost(d, speed) <= euclidean_cost(further, speed));
             }
         }
     }

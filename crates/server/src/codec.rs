@@ -546,6 +546,42 @@ mod tests {
         }
     }
 
+    /// Every exact encoding length, so shaped inputs hit each variant's
+    /// full decode path.
+    const EVENT_LENGTHS: [usize; 7] = [9, 13, 14, 21, 23, 41, 44];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Hostile bytes: `decode_event` never panics, and whatever it
+        /// accepts is the canonical encoding of what it returns. Half the
+        /// cases are raw bytes; the other half get a known tag and an
+        /// exact variant length, so the accepting branch is reached.
+        #[test]
+        fn decode_accepts_only_canonical_encodings(
+            raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..97),
+            shaped in proptest::prelude::any::<bool>(),
+            tag in 0u8..8,
+            len in 0..EVENT_LENGTHS.len(),
+        ) {
+            use proptest::prelude::*;
+            let mut bytes = raw;
+            if shaped {
+                bytes.resize(EVENT_LENGTHS[len], 0);
+                bytes[0] = tag;
+                // A v2 arrival's constraint byte: mostly `Only`.
+                if tag == TAG_ARRIVED_V2 && bytes.len() > 41 && bytes[41] > CONSTRAINT_ONLY {
+                    bytes[41] = CONSTRAINT_ONLY;
+                }
+            }
+            if let Some(ev) = decode_event(&bytes) {
+                let mut again = Vec::new();
+                encode_event(&ev, &mut again);
+                prop_assert_eq!(again, bytes);
+            }
+        }
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE test vector.

@@ -380,6 +380,78 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Hostile bytes after the magic: `read_wal` never panics, its
+        /// valid prefix lies within the file, and it keeps every framed
+        /// record up to the first one that is not a valid event. The
+        /// framed records carry correct length and CRC fields around
+        /// real encodings or arbitrary payloads, so the scan gets past
+        /// the checksum to the decoder; the arbitrary tail follows them.
+        #[test]
+        fn read_wal_contains_arbitrary_bytes(
+            payloads in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<u64>(),
+                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..70),
+                ),
+                0..6,
+            ),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            use proptest::prelude::*;
+            let mut bytes = WAL_MAGIC.to_vec();
+            // The events and byte length of the valid prefix, while no
+            // framed record has broken it yet.
+            let mut expect = Vec::new();
+            let mut expect_bytes = bytes.len();
+            let mut intact = true;
+            for (real, at, raw) in payloads {
+                let payload = if real {
+                    let mut out = Vec::new();
+                    encode_event(&PlatformEvent::Tick { at }, &mut out);
+                    out
+                } else {
+                    raw
+                };
+                bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+                bytes.extend_from_slice(&payload);
+                let event = (!payload.is_empty() && payload.len() <= MAX_EVENT_BYTES as usize)
+                    .then(|| decode_event(&payload))
+                    .flatten();
+                match event {
+                    Some(ev) if intact => {
+                        expect.push(ev);
+                        expect_bytes = bytes.len();
+                    }
+                    _ => intact = false,
+                }
+            }
+            bytes.extend_from_slice(&tail);
+
+            let dir = tmp_dir("hostile");
+            let path = dir.join(WAL_FILE);
+            fs::write(&path, &bytes).unwrap();
+            let scan = read_wal(&path).unwrap();
+            fs::remove_dir_all(&dir).unwrap();
+
+            prop_assert!(scan.valid_bytes >= WAL_MAGIC.len() as u64);
+            prop_assert!(scan.valid_bytes <= bytes.len() as u64);
+            prop_assert_eq!(scan.torn, scan.valid_bytes < bytes.len() as u64);
+            // Only the tail can extend the prefix, and only by chance.
+            prop_assert!(scan.valid_bytes >= expect_bytes as u64);
+            prop_assert!(scan.events.len() >= expect.len());
+            prop_assert_eq!(&scan.events[..expect.len()], &expect[..]);
+            if !intact {
+                prop_assert_eq!(scan.valid_bytes, expect_bytes as u64);
+                prop_assert_eq!(scan.events, expect);
+            }
+        }
+    }
+
     #[test]
     fn snapshot_round_trips_and_rejects_corruption() {
         let dir = tmp_dir("snap");

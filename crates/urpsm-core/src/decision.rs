@@ -14,8 +14,8 @@
 use road_network::Cost;
 
 use crate::lower_bound::{idle_lower_bound, insertion_lower_bound};
-use crate::platform::{EligibleCandidates, PlatformState};
-use crate::shortlist::LowerBoundSink;
+use crate::platform::{CandidateStream, EligibleCandidates, PlatformState};
+use crate::shortlist::{LowerBoundSink, Shortlist};
 use crate::types::{Request, WorkerId};
 
 /// Output of the decision phase.
@@ -87,6 +87,101 @@ pub fn decision_phase(
     DecisionOutcome {
         lower_bounds,
         reject,
+    }
+}
+
+/// Algo. 4 as the DP engine runs it: the `(LBΔ*, worker)` list of
+/// [`decision_phase`], grown only as far as the scan reads it
+/// (DESIGN.md §5, "The idle stream"). Busy candidates are bounded whole;
+/// idle ones are pulled a grid cell at a time, nearest cell first, off
+/// the platform's [`CandidateStream`]. Rank `k` is settled once `k + 1`
+/// bounds lie strictly below the next unvisited cell's bound, which no
+/// idle worker left in the grid can undercut — so whatever the sequence
+/// of [`StreamedShortlist::order_through`] calls, the ordered prefix and
+/// [`StreamedShortlist::min_lb`] are those of [`decision_phase`]'s full
+/// sort over [`PlatformState::candidate_workers`]. Buffers are reused
+/// across requests.
+#[derive(Debug, Default)]
+pub struct StreamedShortlist {
+    shortlist: Shortlist,
+    source: CandidateStream,
+    /// Whether the busy candidates have been bounded yet.
+    busy_bounded: bool,
+}
+
+impl StreamedShortlist {
+    /// An empty list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts the list for `r` (`direct` is `L = dis(o_r, d_r)`): the
+    /// platform shortlists the busy candidates and lists the cells
+    /// holding idle ones. Nothing is bounded or ordered yet.
+    pub fn open(&mut self, state: &PlatformState, r: &Request, direct: Cost) {
+        self.shortlist.clear();
+        self.busy_bounded = false;
+        state.open_candidate_stream(r, direct, &mut self.source);
+    }
+
+    /// Bounds the busy candidates, then pulls idle cells until ranks
+    /// `..end` are settled or none is left.
+    pub fn bound_through(&mut self, state: &PlatformState, end: usize) {
+        let StreamedShortlist {
+            shortlist,
+            source,
+            busy_bounded,
+        } = self;
+        if !*busy_bounded {
+            let (r, direct) = source.request();
+            collect_lower_bounds(state, r, direct, source.busy().iter().copied(), shortlist);
+            *busy_bounded = true;
+        }
+        while let Some(bound) = source.next_bound() {
+            // The `end`-th smallest key is below `bound` exactly when
+            // `end` keys are.
+            if shortlist.len() >= end && shortlist.count_below(bound) >= end {
+                break;
+            }
+            state.pull_idle_cell(source, shortlist);
+        }
+    }
+
+    /// Extends the ordered prefix to ranks `..end`, clamped to the
+    /// number of candidates that survive the bounds.
+    pub fn order_through(&mut self, state: &PlatformState, end: usize) {
+        self.bound_through(state, end);
+        self.shortlist.order_through(end);
+    }
+
+    /// Number of leading ranks in final ascending `(LB, worker)` order.
+    pub fn ordered(&self) -> usize {
+        self.shortlist.ordered()
+    }
+
+    /// The `rank`-th `(LB, worker)`; `rank` must lie in the ordered
+    /// prefix.
+    pub fn get(&self, rank: usize) -> (Cost, WorkerId) {
+        self.shortlist.get(rank)
+    }
+
+    /// The smallest lower bound, `None` when no candidate survived.
+    /// Valid once [`StreamedShortlist::order_through`] has run with
+    /// `end ≥ 1`.
+    pub fn min_lb(&self) -> Option<Cost> {
+        self.shortlist.min_lb()
+    }
+
+    /// Whether every candidate is bounded and ordered: nothing is left
+    /// to scan.
+    pub fn is_exhausted(&self) -> bool {
+        self.source.next_bound().is_none() && self.ordered() == self.shortlist.len()
+    }
+
+    /// Candidates bounded so far: the eligible busy workers and the
+    /// eligible idle workers in visited cells.
+    pub fn bounded(&self) -> usize {
+        self.source.busy().len() + self.source.idle_bounded()
     }
 }
 

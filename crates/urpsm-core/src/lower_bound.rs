@@ -142,11 +142,24 @@ pub fn idle_lower_bound(
     direct: Cost,
     oracle: &dyn DistanceOracle,
 ) -> Option<Cost> {
+    idle_bound_at(head, now, r, direct, oracle.euc(head.vertex, r.origin))
+}
+
+/// [`idle_lower_bound`] with `e_or = euc(l_0, o_r)` already in hand —
+/// the platform's idle stream computes it from the distance its radius
+/// test measured (DESIGN.md §5, "The idle stream"). The one place the
+/// idle rule is written.
+pub(crate) fn idle_bound_at(
+    head: &WorkerHead,
+    now: Time,
+    r: &Request,
+    direct: Cost,
+    e_or: Cost,
+) -> Option<Cost> {
     debug_assert!(head.idle, "only an empty route reduces to its head");
     if r.capacity > head.capacity || direct >= INF {
         return None;
     }
-    let e_or = oracle.euc(head.vertex, r.origin);
     (cost_add3(head.departure(now), e_or, direct) <= r.deadline).then(|| cost_add(e_or, direct))
 }
 
@@ -168,8 +181,8 @@ mod tests {
         let rows: Vec<Vec<Cost>> = (0..n)
             .map(|u| (0..n).map(|v| (u.abs_diff(v) as Cost) * 300).collect())
             .collect();
-        // Points 100 m apart; top speed 1 m/s ⇒ euc = 100 cs per hop
-        // wait: euclidean_cost floors meters/speed*100.
+        // Points 1 m apart at top speed 1 m/s ⇒ euc = 100 cs per hop
+        // (`euclidean_cost` floors meters / speed · 100).
         let points = (0..n).map(|k| Point::new(k as f64, 0.0)).collect();
         MatrixOracle::from_matrix(&rows, points, 1.0)
     }

@@ -38,17 +38,22 @@
 //! `min (Δ, worker_id)`, so at width 1 the probe set, the probe order
 //! and every `dis` call are those of a scan over the fully sorted
 //! list; `GreedyDP` probes everything and orders everything at once.
+//!
+//! The shortlist grows the same way: idle candidates are streamed in
+//! nearest grid cell first and bounded only until the ranks asked for
+//! are settled ([`StreamedShortlist`], DESIGN.md §5 "The idle stream"),
+//! so a request bounds the few hundred workers near its pickup, not
+//! every one its deadline can reach.
 
 use road_network::oracle::DistanceOracle;
 use road_network::{Cost, INF};
 use urpsm_obs::PlanPhase;
 
-use crate::decision::{collect_lower_bounds, economic_reject};
+use crate::decision::{economic_reject, StreamedShortlist};
 use crate::exec::{AtomicMin, IndexFeed, WorkPool};
 use crate::insertion::linear_dp_insertion_with;
-use crate::platform::{CandidateBuf, Outcome, PlatformState};
-use crate::route::InsertionPlan;
-use crate::shortlist::Shortlist;
+use crate::platform::{Outcome, PlatformState};
+use crate::route::{InsertionPlan, Route};
 use crate::types::{Request, WorkerId};
 
 use super::scratch::PlanScratch;
@@ -80,16 +85,15 @@ type Best = Option<(Cost, WorkerId, InsertionPlan)>;
 struct DpEngine {
     /// `threads` holds the resolved fan-out width (never `0`).
     cfg: PlannerConfig,
-    /// The request's candidates, filled by the decision phase, ordered
-    /// ascending by `(LBΔ*, worker)` a prefix at a time and read by
-    /// every probing thread.
-    shortlist: Shortlist,
+    /// The request's candidates, bounded and ordered ascending by
+    /// `(LBΔ*, worker)` a prefix at a time — idle ones streamed in
+    /// nearest cell first — and read by every probing thread.
+    shortlist: StreamedShortlist,
     /// One probe arena per fan-out thread (index 0 is the calling
     /// thread's), grown on demand. With the shortlist above this is
     /// everything a steady-state planned insertion needs, so the hot
     /// path never allocates (gated by `benches/alloc.rs`).
     scratches: Vec<PlanScratch>,
-    candidates: CandidateBuf,
     /// Where the latest `plan` call's wall-clock went, by phase.
     clock: urpsm_obs::PhaseClock,
 }
@@ -104,9 +108,8 @@ impl DpEngine {
     fn new(cfg: PlannerConfig) -> Self {
         let mut engine = DpEngine {
             cfg,
-            shortlist: Shortlist::new(),
+            shortlist: StreamedShortlist::new(),
             scratches: vec![PlanScratch::default()],
-            candidates: CandidateBuf::new(),
             clock: urpsm_obs::PhaseClock::default(),
         };
         engine.set_threads(cfg.threads);
@@ -139,7 +142,7 @@ impl DpEngine {
     }
 
     /// Algo. 4 + Algo. 5 against the read-only platform: the number of
-    /// eligible candidates and the winning placement. `None` covers
+    /// candidates bounded and the winning placement. `None` covers
     /// every rejection — unreachable trip, nobody eligible, the
     /// economic test, no feasible insertion.
     fn plan(&mut self, prune: bool, state: &PlatformState, r: &Request) -> (usize, Best) {
@@ -147,35 +150,35 @@ impl DpEngine {
             cfg,
             shortlist,
             scratches,
-            candidates,
             clock,
         } = self;
-        shortlist.clear();
         let oracle = state.oracle_arc();
         let direct = oracle.dis(r.origin, r.destination);
         clock.restart();
+
+        // Phase 0 (Algo. 5 line 3): the platform's eligibility seam —
+        // grid reachability joined with the class filter. Busy
+        // candidates come back whole, idle ones as a nearest-first
+        // stream over the grid; the engine cannot add a worker to
+        // either.
+        shortlist.open(state, r, direct);
+        clock.lap(PlanPhase::Shortlist);
         if direct >= INF {
             return (0, None);
         }
 
-        // Phase 0 (Algo. 5 line 3): the platform's eligibility seam —
-        // grid reachability joined with the class filter — handed back
-        // as an opaque view. This is the only place the engine learns
-        // which workers may compete; it cannot add its own.
-        let eligible = state.candidate_workers(r, direct, candidates);
-        clock.lap(PlanPhase::Shortlist);
-
         // Phase 1 (Algo. 4): lower bounds, the head of the
-        // `(LB, worker)` order and the economic test — the same loop,
-        // order and gate as `decision_phase`, into `clear()`-reused
-        // storage. No `dis` query, so it stays on the calling thread at
-        // every width.
-        collect_lower_bounds(state, r, direct, eligible.iter(), shortlist);
+        // `(LB, worker)` order and the economic test — the bounds and
+        // order of `decision_phase`, into `clear()`-reused storage, for
+        // only as many idle workers as the head needs. No `dis` query,
+        // so it stays on the calling thread at every width.
+        let first = if prune { FIRST_CHUNK } else { usize::MAX };
+        shortlist.bound_through(state, first);
         clock.lap(PlanPhase::Bounds);
-        shortlist.order_through(if prune { FIRST_CHUNK } else { usize::MAX });
+        shortlist.order_through(state, first);
         clock.lap(PlanPhase::Order);
         if economic_reject(cfg.alpha, r, shortlist.min_lb()) {
-            return (eligible.len(), None);
+            return (shortlist.bounded(), None);
         }
 
         // Phase 2 (Algo. 5 lines 6–10): the exact scan in ascending LB
@@ -223,17 +226,20 @@ impl DpEngine {
                 .min_by_key(|(delta, w, _)| (*delta, *w));
             clock.lap(PlanPhase::Probe);
 
-            // Lemma 8 across chunks: every unordered LB is at least the
-            // last ordered one, so a bound strictly below that one has
-            // already stopped the scan.
-            if end == ranked.len() || (prune && bound.get() < ranked.get(end - 1).0) {
+            // Lemma 8 across chunks: every LB not yet ordered — bounded
+            // or still in the stream — is at least the last ordered one,
+            // so a bound strictly below that one has already stopped the
+            // scan.
+            if ranked.is_exhausted() || (prune && bound.get() < ranked.get(end - 1).0) {
                 break;
             }
-            shortlist.order_through(usize::MAX);
+            shortlist.bound_through(state, usize::MAX);
+            clock.lap(PlanPhase::Bounds);
+            shortlist.order_through(state, usize::MAX);
             clock.lap(PlanPhase::Order);
             start = end;
         }
-        (eligible.len(), best)
+        (shortlist.bounded(), best)
     }
 }
 
@@ -297,7 +303,7 @@ fn record_plan_obs(
 /// which is Algo. 5's break verbatim.
 #[allow(clippy::too_many_arguments)]
 fn probe(
-    shortlist: &Shortlist,
+    shortlist: &StreamedShortlist,
     feed: &IndexFeed,
     bound: &AtomicMin,
     scratch: &mut PlanScratch,
@@ -338,7 +344,7 @@ fn probe(
         // shared bound, otherwise an infeasible candidate could prune
         // the true winner: the argument above goes through with "Δ"
         // read as "feasible Δ".
-        if route.time_dependent() && !route.insertion_feasible(&plan, r, capacity) {
+        if route.time_dependent() && !gate(route, &plan, r, capacity) {
             continue;
         }
         if prune {
@@ -347,6 +353,22 @@ fn probe(
         best = Some((plan.delta, w, plan));
     }
     best
+}
+
+/// The congested insertion gate, [`Route::insertion_feasible`]. A
+/// recording build adds the TD distance-cache misses the call caused to
+/// `plan_gate_td_misses`, read as the change in the process-wide
+/// `td_dis_misses` across it: exact at width 1, while a wider fan-out
+/// (or another shard's thread) can lend it misses of concurrent calls.
+fn gate(route: &Route, plan: &InsertionPlan, r: &Request, capacity: u32) -> bool {
+    if !urpsm_obs::RECORDING {
+        return route.insertion_feasible(plan, r, capacity);
+    }
+    let misses = || urpsm_obs::registry().td_dis_misses.get();
+    let before = misses();
+    let feasible = route.insertion_feasible(plan, r, capacity);
+    urpsm_obs::with(|m| m.plan_gate_td_misses.add(misses().saturating_sub(before)));
+    feasible
 }
 
 /// The paper's full solution: `pruneGreedyDP` (Algo. 5).
@@ -668,7 +690,7 @@ mod tests {
         use crate::insertion::linear_dp_insertion;
         let oracle = state.oracle_arc();
         let direct = oracle.dis(r.origin, r.destination);
-        let mut buf = CandidateBuf::new();
+        let mut buf = crate::platform::CandidateBuf::new();
         let eligible = state.candidate_workers(r, direct, &mut buf);
         let decision = decision_phase(1, state, eligible, r, direct);
         let mut best: Best = None;

@@ -25,16 +25,22 @@
 //! the world to itself. A `&PlatformState` is the read plane as a type:
 //! the borrow-checked snapshot the parallel planners fan out over.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use road_network::congestion::TravelTimeProvider;
 use road_network::fxhash::{FxHashMap, FxHashSet};
+use road_network::geo::Point;
+use road_network::graph::euclidean_cost;
 use road_network::grid::{GridIndex, SortedCellGrid};
 use road_network::oracle::DistanceOracle;
-use road_network::{Cost, VertexId, INF};
+use road_network::{cost_add, Cost, VertexId, INF};
 
+use crate::lower_bound::idle_bound_at;
 use crate::objective::UnifiedCost;
 use crate::route::{InsertionPlan, Route};
+use crate::shortlist::LowerBoundSink;
 use crate::types::{
     ClassId, ClassTable, Request, RequestId, Stop, StopKind, Time, Worker, WorkerId,
 };
@@ -137,6 +143,11 @@ pub struct PlatformState {
     now: Time,
     oracle: Arc<dyn DistanceOracle>,
     agents: Vec<WorkerAgent>,
+    /// The grid index (Algo. 5 line 1): every active worker at its
+    /// `l_0`, marked exactly when its head is idle, kept so by
+    /// [`PlatformState::reindex`]. The marks split every cell idle-first,
+    /// so the DP engine can stream idle workers nearest-first
+    /// ([`CandidateStream`]) while still collecting busy ones whole.
     grid: GridIndex,
     /// T-Share's sorted-cell index, built on demand (only the `tshare`
     /// baseline pays its `O(C²)` memory — Fig. 5's memory panel).
@@ -286,6 +297,57 @@ impl<'a> EligibleCandidates<'a> {
     }
 }
 
+/// The DP engine's candidates for one request, split at the idle flag
+/// (DESIGN.md §5, "The idle stream"): the eligible busy workers,
+/// collected whole, and the grid cells holding idle workers, visited
+/// nearest-first on demand by `PlatformState::pull_idle_cell`. Like
+/// [`CandidateBuf`] it is owned by a planner and `clear()`-reused, and
+/// only [`PlatformState::open_candidate_stream`] fills it: the class
+/// filter and the radius test stay on the platform's side of the seam.
+#[derive(Debug, Default)]
+pub struct CandidateStream {
+    /// Eligible busy workers, in grid order.
+    busy: Vec<WorkerId>,
+    /// The unvisited cells as `(bound, cell)`, a min-heap: built in
+    /// linear time, it pays a `log` only for the cells a request pulls.
+    /// No idle worker in a cell bounds below its `bound`:
+    /// `euclidean_cost` is monotone in the distance, and the cell's
+    /// distance never exceeds any of its items'.
+    cells: BinaryHeap<Reverse<(Cost, u32)>>,
+    /// The request, and `L = dis(o_r, d_r)`, the stream was opened for.
+    request: Option<(Request, Cost)>,
+    origin: Point,
+    radius_m: f64,
+    /// Idle workers bounded so far: in a visited cell, within the
+    /// radius and class-eligible.
+    idle_bounded: usize,
+}
+
+impl CandidateStream {
+    /// The eligible busy workers, in grid order: the shortlist orders
+    /// by `(lb, worker)`, so no id sort is needed.
+    pub(crate) fn busy(&self) -> &[WorkerId] {
+        &self.busy
+    }
+
+    /// The least lower bound an idle worker not yet pulled can have;
+    /// `None` once every cell has been visited.
+    pub(crate) fn next_bound(&self) -> Option<Cost> {
+        self.cells.peek().map(|&Reverse((bound, _))| bound)
+    }
+
+    /// Idle workers bounded so far.
+    pub(crate) fn idle_bounded(&self) -> usize {
+        self.idle_bounded
+    }
+
+    /// The request the stream was opened for, with its `L`.
+    pub(crate) fn request(&self) -> (&Request, Cost) {
+        let (r, direct) = self.request.as_ref().expect("stream not opened");
+        (r, *direct)
+    }
+}
+
 impl PlatformState {
     /// Creates a platform at time `start_time` with every worker parked
     /// at its initial location. `grid_cell_m` is the grid size `g` of
@@ -299,6 +361,7 @@ impl PlatformState {
         let bbox = road_network::geo::BoundingBox::around(
             (0..oracle.num_vertices()).map(|i| oracle.point(VertexId(i as u32))),
         );
+        // Every route starts empty: everyone is idle.
         let mut grid = GridIndex::new(bbox, grid_cell_m);
         let agents: Vec<WorkerAgent> = workers
             .iter()
@@ -306,6 +369,7 @@ impl PlatformState {
             .map(|(i, w)| {
                 assert_eq!(w.id.idx(), i, "workers must be densely indexed by id");
                 grid.upsert(u64::from(w.id.0), oracle.point(w.origin));
+                grid.set_marked(u64::from(w.id.0), true);
                 WorkerAgent {
                     worker: *w,
                     route: Route::new(w.origin, start_time),
@@ -457,19 +521,46 @@ impl PlatformState {
                     self.heads[w]
                 ));
             }
+            let id = w as u64;
+            let indexed = (self.grid.position(id), self.grid.is_marked(id));
+            let want = (
+                agent.active.then(|| self.oracle.point(want.vertex)),
+                agent.active.then_some(want.idle),
+            );
+            if indexed != want {
+                return Err(format!(
+                    "w{w} indexed at {indexed:?} (position, idle), head says {want:?}"
+                ));
+            }
         }
         Ok(())
     }
 
-    /// Refreshes `w`'s entries of the motion index and the head plane.
-    /// Every method that mutates a route ends here; routes are
-    /// reachable for writing through no other door (there is no
-    /// `agent_mut`).
+    /// Refreshes `w`'s entries of the motion index and the head plane,
+    /// and moves an active worker's grid entry when its `l_0` or its
+    /// idle flag changed. Every method that mutates a route ends here;
+    /// routes are reachable for writing through no other door (there is
+    /// no `agent_mut`).
     fn reindex(&mut self, w: WorkerId) {
         let i = w.idx();
         let agent = &self.agents[i];
         self.due[i] = due_time(&agent.route);
-        self.heads[i] = WorkerHead::of(agent);
+        let head = WorkerHead::of(agent);
+        let was = std::mem::replace(&mut self.heads[i], head);
+        if !agent.active {
+            return;
+        }
+        let id = u64::from(w.0);
+        if was.vertex != head.vertex {
+            let p = self.oracle.point(head.vertex);
+            self.grid.upsert(id, p);
+            if let Some(sg) = self.sorted_grid.as_mut() {
+                sg.grid_mut().upsert(id, p);
+            }
+        }
+        if was.idle != head.idle {
+            self.grid.set_marked(id, head.idle);
+        }
     }
 
     /// Stores the lazy idle clock into `w`'s route before a commit
@@ -611,11 +702,7 @@ impl PlatformState {
         class_ok: impl Fn(ClassId) -> bool,
     ) -> EligibleCandidates<'b> {
         buf.ids.clear();
-        let pickup_ddl = r.deadline.saturating_sub(direct);
-        let budget_cs = pickup_ddl.saturating_sub(self.now);
-        // centiseconds → meters at top speed.
-        let radius_m = (budget_cs as f64 / 100.0) * self.oracle.top_speed_mps();
-        let origin = self.oracle.point(r.origin);
+        let (origin, radius_m) = self.reach(r, direct);
         self.grid.for_each_within(origin, radius_m, |id| {
             let w = WorkerId(id as u32);
             if class_ok(self.heads[w.idx()].class) {
@@ -624,6 +711,87 @@ impl PlatformState {
         });
         buf.ids.sort_unstable();
         EligibleCandidates { ids: &buf.ids }
+    }
+
+    /// Where a worker must stand to reach `r`'s pickup in time: the
+    /// pickup point, and the radius its straight line at top speed
+    /// covers before the pickup deadline `e_r − L`.
+    fn reach(&self, r: &Request, direct: Cost) -> (Point, f64) {
+        let pickup_ddl = r.deadline.saturating_sub(direct);
+        let budget_cs = pickup_ddl.saturating_sub(self.now);
+        // centiseconds → meters at top speed.
+        let radius_m = (budget_cs as f64 / 100.0) * self.oracle.top_speed_mps();
+        (self.oracle.point(r.origin), radius_m)
+    }
+
+    /// Opens the DP engine's [`CandidateStream`] for `r`: exactly the
+    /// workers [`PlatformState::candidate_workers`] would shortlist,
+    /// the busy ones collected now, the idle ones left in their cells
+    /// for `PlatformState::pull_idle_cell`. `direct` is
+    /// `L = dis(o_r, d_r)`. Pure read.
+    pub fn open_candidate_stream(&self, r: &Request, direct: Cost, stream: &mut CandidateStream) {
+        let (origin, radius_m) = self.reach(r, direct);
+        let speed = self.oracle.top_speed_mps();
+        let busy = &mut stream.busy;
+        busy.clear();
+        // Heapify in place: the buffer moves out and back, never freed.
+        let mut cells = std::mem::take(&mut stream.cells).into_vec();
+        cells.clear();
+        self.grid.sweep_split(
+            origin,
+            radius_m,
+            |id| {
+                let w = WorkerId(id as u32);
+                if r.class.allows(self.heads[w.idx()].class) {
+                    busy.push(w);
+                }
+            },
+            |cell, bound_m| {
+                let bound = cost_add(euclidean_cost(bound_m, speed), direct);
+                cells.push(Reverse((bound, cell as u32)));
+            },
+        );
+        stream.cells = BinaryHeap::from(cells);
+        stream.request = Some((*r, direct));
+        stream.origin = origin;
+        stream.radius_m = radius_m;
+        stream.idle_bounded = 0;
+    }
+
+    /// Visits the nearest unvisited cell of `stream` (a no-op once none
+    /// is left): every idle worker in it that passes
+    /// [`PlatformState::candidate_workers`]' radius test — the same
+    /// comparison on the same distance — and class filter is bounded
+    /// by `lower_bound::idle_lower_bound`'s rule, its `euc(l_0, o_r)`
+    /// taken from that distance, and the survivors go to `out`.
+    pub(crate) fn pull_idle_cell<S: LowerBoundSink>(
+        &self,
+        stream: &mut CandidateStream,
+        out: &mut S,
+    ) {
+        let Some(Reverse((_, cell))) = stream.cells.pop() else {
+            return;
+        };
+        let (r, direct) = stream.request();
+        let speed = self.oracle.top_speed_mps();
+        let (ids, points) = self.grid.marked_items(cell as usize);
+        let mut bounded = 0;
+        for (&id, q) in ids.iter().zip(points) {
+            let d = q.euclidean_m(&stream.origin);
+            if d <= stream.radius_m {
+                let w = WorkerId(id as u32);
+                let head = self.heads[w.idx()];
+                if r.class.allows(head.class) {
+                    bounded += 1;
+                    let e_or = euclidean_cost(d, speed);
+                    debug_assert_eq!(e_or, self.oracle.euc(head.vertex, r.origin), "{w}");
+                    if let Some(lb) = idle_bound_at(&head, self.now, r, direct, e_or) {
+                        out.push_bound(lb, w);
+                    }
+                }
+            }
+        }
+        stream.idle_bounded += bounded;
     }
 
     /// The class half of the eligibility seam, for planners that build
@@ -791,13 +959,6 @@ impl PlatformState {
     ) {
         let agent = &mut self.agents[w.idx()];
         agent.route.set_start(v, time, first_leg);
-        if agent.active {
-            let p = self.oracle.point(v);
-            self.grid.upsert(u64::from(w.0), p);
-            if let Some(sg) = self.sorted_grid.as_mut() {
-                sg.grid_mut().upsert(u64::from(w.0), p);
-            }
-        }
         self.reindex(w);
     }
 
@@ -815,13 +976,6 @@ impl PlatformState {
     ) {
         let agent = &mut self.agents[w.idx()];
         agent.route.snap_on_leg(v, time, remaining_base);
-        if agent.active {
-            let p = self.oracle.point(v);
-            self.grid.upsert(u64::from(w.0), p);
-            if let Some(sg) = self.sorted_grid.as_mut() {
-                sg.grid_mut().upsert(u64::from(w.0), p);
-            }
-        }
         self.reindex(w);
     }
 
@@ -832,13 +986,6 @@ impl PlatformState {
         let (stop, at) = agent.route.pop_front_stop();
         if stop.kind == StopKind::Delivery && self.assignment.remove(&stop.request).is_some() {
             self.completed.insert(stop.request);
-        }
-        if self.agents[w.idx()].active {
-            let p = self.oracle.point(stop.vertex);
-            self.grid.upsert(u64::from(w.0), p);
-            if let Some(sg) = self.sorted_grid.as_mut() {
-                sg.grid_mut().upsert(u64::from(w.0), p);
-            }
         }
         self.reindex(w);
         (stop, at)
@@ -897,6 +1044,7 @@ impl PlatformState {
         );
         let p = self.oracle.point(w.origin);
         self.grid.upsert(u64::from(w.id.0), p);
+        self.grid.set_marked(u64::from(w.id.0), true);
         if let Some(sg) = self.sorted_grid.as_mut() {
             sg.grid_mut().upsert(u64::from(w.id.0), p);
         }

@@ -18,6 +18,10 @@
 //!   selection of the smallest keys off the unordered tail, then a sort
 //!   of just that chunk) and the tail stays unordered until asked for.
 //!
+//! Entries may be pushed after ordering began, as long as every new key
+//! exceeds the ordered prefix — the DP engine's idle stream adds the
+//! workers of farther cells that way ([`crate::decision::StreamedShortlist`]).
+//!
 //! The ordered prefix is byte-compatible with the same-length prefix of
 //! the historical `Vec<(Cost, WorkerId)>::sort_unstable()`: the key is
 //! the pair `(lbs[i], workers[i])`, and worker ids are unique within
@@ -63,12 +67,6 @@ pub(crate) struct Shortlist {
 }
 
 impl Shortlist {
-    /// An empty shortlist (no buffers yet — they grow on first use and
-    /// are retained across [`Shortlist::clear`]).
-    pub fn new() -> Self {
-        Shortlist::default()
-    }
-
     /// Drops all entries but keeps the allocated capacity.
     pub fn clear(&mut self) {
         self.lbs.clear();
@@ -132,6 +130,11 @@ impl Shortlist {
         }
     }
 
+    /// Number of entries whose lower bound is strictly below `bound`.
+    pub fn count_below(&self, bound: Cost) -> usize {
+        self.lbs.iter().filter(|&&lb| lb < bound).count()
+    }
+
     /// Iterates the ordered prefix in ascending `(lb, worker)` order.
     #[cfg(test)]
     pub fn iter_ordered(&self) -> impl Iterator<Item = (Cost, WorkerId)> + '_ {
@@ -140,8 +143,14 @@ impl Shortlist {
 }
 
 impl LowerBoundSink for Shortlist {
+    /// Appends to the unordered tail. Once ordering has begun, only a
+    /// key above the whole ordered prefix may join (what the idle
+    /// stream guarantees, DESIGN.md §5), so the prefix stays final.
     fn push_bound(&mut self, lb: Cost, w: WorkerId) {
-        debug_assert_eq!(self.ordered, 0, "push after ordering began");
+        debug_assert!(
+            self.ordered == 0 || self.get(self.ordered - 1) < (lb, w),
+            "({lb}, {w}) pushed below the ordered prefix"
+        );
         self.perm.push(self.lbs.len() as u32);
         self.lbs.push(lb);
         self.workers.push(w);
@@ -171,7 +180,7 @@ mod tests {
             (50, WorkerId(4)),
             (100, WorkerId(1)),
         ];
-        let mut shortlist = Shortlist::new();
+        let mut shortlist = Shortlist::default();
         extend(&mut shortlist, &raw);
         shortlist.order_through(usize::MAX);
 
@@ -184,7 +193,7 @@ mod tests {
 
     #[test]
     fn clear_reuses_capacity() {
-        let mut shortlist = Shortlist::new();
+        let mut shortlist = Shortlist::default();
         extend(&mut shortlist, &[(10, WorkerId(0)), (20, WorkerId(1))]);
         shortlist.order_through(usize::MAX);
         let caps = (
@@ -210,7 +219,7 @@ mod tests {
 
     #[test]
     fn empty_shortlist_is_well_behaved() {
-        let mut shortlist = Shortlist::new();
+        let mut shortlist = Shortlist::default();
         shortlist.order_through(usize::MAX);
         assert!(shortlist.is_empty());
         assert_eq!(shortlist.min_lb(), None);
@@ -219,7 +228,7 @@ mod tests {
 
     #[test]
     fn prefix_extends_in_place_and_never_shrinks() {
-        let mut shortlist = Shortlist::new();
+        let mut shortlist = Shortlist::default();
         extend(
             &mut shortlist,
             &[
@@ -263,7 +272,7 @@ mod tests {
                 let mut expect = raw.clone();
                 expect.sort_unstable();
 
-                let mut shortlist = Shortlist::new();
+                let mut shortlist = Shortlist::default();
                 extend(&mut shortlist, &raw);
                 let mut end = 0;
                 for chunk in chunks {

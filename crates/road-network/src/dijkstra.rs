@@ -103,6 +103,31 @@ impl DijkstraEngine {
         }
     }
 
+    /// Full single-source search that also writes the settle order into
+    /// `settled` (cleared first): every reached vertex once, each after
+    /// its tree parent ([`Self::parent_of`]).
+    pub fn sssp_settled(&mut self, g: &RoadNetwork, s: VertexId, settled: &mut Vec<VertexId>) {
+        settled.clear();
+        self.begin(s);
+        while let Some(Reverse((d, v))) = self.heap.pop() {
+            if d > self.seen_dist(v as usize) {
+                continue;
+            }
+            settled.push(VertexId(v));
+            self.relax_neighbors(g, v, d);
+        }
+    }
+
+    /// The predecessor of `v` on its shortest path from the last search's
+    /// source; `None` for the source and for unreached vertices.
+    #[inline]
+    pub fn parent_of(&self, v: VertexId) -> Option<VertexId> {
+        if self.epoch[v.idx()] != self.current_epoch || self.parent[v.idx()] == NO_PARENT {
+            return None;
+        }
+        Some(VertexId(self.parent[v.idx()]))
+    }
+
     /// Single-source search that stops expanding past `radius`; vertices
     /// farther than `radius` keep distance [`INF`]. Used by grid-style
     /// candidate filters.

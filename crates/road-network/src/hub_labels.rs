@@ -3,46 +3,79 @@
 //! §6.1 of the paper answers shortest-distance queries with "a hub-based
 //! labeling algorithm implemented for road network [Abraham et al. 2011]".
 //! We implement the equivalent exact scheme of Akiba et al.'s pruned
-//! landmark labeling: vertices are processed in importance order
-//! (degree-descending), each running a *pruned* Dijkstra that appends
-//! `(hub, dist)` entries to the labels of every vertex it settles; a
-//! settle is pruned when the already-built labels certify an equal or
-//! shorter distance. Queries are merge-joins of two sorted label arrays.
+//! landmark labeling: vertices are processed in importance order, each
+//! running a *pruned* Dijkstra that appends `(hub, dist)` entries to the
+//! labels of every vertex it settles; a settle is pruned when the
+//! already-built labels certify an equal or shorter distance. A query
+//! takes the minimum over the hubs two labels share, through a
+//! rank-indexed table ([`HubLabels::distance`]).
+//!
+//! The importance order is the *coverage order*
+//! ([`HubLabels::coverage_order`]): vertices that lie on many sampled
+//! shortest paths first. Degree order, the textbook default, is close to
+//! id order on road-like graphs (almost every vertex has degree 3–4) and
+//! gives labels several times larger (DESIGN.md §10 "The label order").
+//! The labels are exact for *any* order; the order only sets their size.
 //!
 //! The result is exact on undirected graphs and answers queries in
 //! `O(|label|)` — effectively the paper's "O(1) shortest distance query"
 //! assumption at city scale.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::dijkstra::DijkstraEngine;
 use crate::graph::RoadNetwork;
 use crate::{Cost, VertexId, INF};
 
+/// Shortest-path trees [`HubLabels::coverage_order`] samples, from roots
+/// spread evenly over the vertex ids.
+const COVERAGE_ROOTS: usize = 64;
+
+thread_local! {
+    /// [`HubLabels::distance`]'s working table: a distance per hub rank, all
+    /// [`INF`] between queries, grown to the largest index queried on
+    /// this thread.
+    static RANK_TABLE: Cell<Vec<Cost>> = const { Cell::new(Vec::new()) };
+}
+
 /// An exact two-hop distance index over a [`RoadNetwork`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HubLabels {
     /// CSR offsets into `hubs`/`dists`, one slot per vertex.
     offsets: Vec<u32>,
     /// Hub *ranks* (position in the construction order), ascending per
-    /// vertex so queries can merge-join.
+    /// vertex.
     hubs: Vec<u32>,
     /// Distance from the vertex to each hub, aligned with `hubs`.
     dists: Vec<Cost>,
 }
 
 impl HubLabels {
-    /// Builds labels for `g` with a degree-descending vertex order.
+    /// Builds labels for `g` in [`Self::coverage_order`].
     pub fn build(g: &RoadNetwork) -> Self {
-        let order = Self::degree_order(g);
+        let order = Self::coverage_order(g);
         Self::build_with_order(g, &order)
     }
 
     /// Builds labels with an explicit vertex order (highest importance
     /// first). Exposed for tests and order experiments.
+    ///
+    /// # Panics
+    ///
+    /// If `order` is not a permutation of `g`'s vertices: a repeated
+    /// vertex would silently make some distances wrong.
     pub fn build_with_order(g: &RoadNetwork, order: &[VertexId]) -> Self {
         let n = g.num_vertices();
         assert_eq!(order.len(), n, "order must cover every vertex");
+        let mut seen = vec![false; n];
+        for &v in order {
+            assert!(
+                v.idx() < n && !std::mem::replace(&mut seen[v.idx()], true),
+                "order must be a permutation of the vertices: {v} is out of range or repeated"
+            );
+        }
         // Temporary per-vertex label vectors, flattened at the end.
         let mut labels: Vec<Vec<(u32, Cost)>> = vec![Vec::new(); n];
 
@@ -123,7 +156,7 @@ impl HubLabels {
                 hubs.push(h);
                 dists.push(d);
             }
-            offsets.push(hubs.len() as u32);
+            offsets.push(csr_offset(hubs.len()));
         }
         HubLabels {
             offsets,
@@ -132,47 +165,90 @@ impl HubLabels {
         }
     }
 
-    /// Degree-descending construction order (ties by id), a standard
-    /// effective heuristic for road networks.
-    pub fn degree_order(g: &RoadNetwork) -> Vec<VertexId> {
+    /// Coverage construction order: vertices on many shortest paths
+    /// first, ties by id.
+    ///
+    /// Grows a shortest-path tree from each of 64 roots
+    /// spaced evenly over the vertex ids and scores every vertex by the
+    /// sum of its subtree sizes over those trees — the number of sampled
+    /// shortest paths through it, an approximate betweenness. A vertex
+    /// no tree reaches scores 0. The order depends on the graph alone.
+    pub fn coverage_order(g: &RoadNetwork) -> Vec<VertexId> {
+        let n = g.num_vertices();
+        let roots = COVERAGE_ROOTS.min(n);
+        let mut score = vec![0u64; n];
+        let mut subtree = vec![0u64; n];
+        let mut settled = Vec::with_capacity(n);
+        let mut engine = DijkstraEngine::for_network(g);
+        for k in 0..roots {
+            let root = VertexId((k * n / roots) as u32);
+            engine.sssp_settled(g, root, &mut settled);
+            // Children settle after their parent, so a reverse walk
+            // finishes every subtree before it is added to its parent.
+            for &v in settled.iter().rev() {
+                let size = subtree[v.idx()] + 1;
+                subtree[v.idx()] = 0;
+                score[v.idx()] += size;
+                if let Some(p) = engine.parent_of(v) {
+                    subtree[p.idx()] += size;
+                }
+            }
+        }
         let mut order: Vec<VertexId> = g.vertices().collect();
-        order.sort_by_key(|v| (Reverse(g.degree(*v)), v.0));
+        order.sort_by_key(|v| (Reverse(score[v.idx()]), v.0));
         order
     }
 
     /// Exact shortest distance between `u` and `v`; [`INF`] when
     /// disconnected.
+    ///
+    /// The minimum of `d(u, h) + d(h, v)` over the hubs `h` the two
+    /// labels share, found through a rank-indexed table rather than a
+    /// merge-join: the shorter label is written into the calling
+    /// thread's table, the longer one reads it, and the written slots
+    /// are reset. Every step is a plain load or store. A merge-join
+    /// branches on every step, and under the coverage order the two
+    /// labels' ranks interleave too finely for the branch to predict,
+    /// so the join cost 1.4–2.3× as much (DESIGN.md §10 "The label
+    /// order").
     #[inline]
     pub fn distance(&self, u: VertexId, v: VertexId) -> Cost {
         if u == v {
             return 0;
         }
-        let (ul, uh) = (
-            self.offsets[u.idx()] as usize,
-            self.offsets[u.idx() + 1] as usize,
-        );
-        let (vl, vh) = (
-            self.offsets[v.idx()] as usize,
-            self.offsets[v.idx() + 1] as usize,
-        );
-        let mut i = ul;
-        let mut j = vl;
-        let mut best = INF;
-        while i < uh && j < vh {
-            match self.hubs[i].cmp(&self.hubs[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let d = self.dists[i] + self.dists[j];
-                    if d < best {
-                        best = d;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
+        let (mut short, mut long) = (self.label(u), self.label(v));
+        if short.0.len() > long.0.len() {
+            std::mem::swap(&mut short, &mut long);
         }
+        // Taken, not borrowed: a panic while the table is out drops it
+        // rather than leave stale slots for the next query.
+        let mut table = RANK_TABLE.take();
+        let n = self.offsets.len() - 1;
+        if table.len() < n {
+            table.resize(n, INF);
+        }
+        for (&h, &d) in short.0.iter().zip(short.1) {
+            table[h as usize] = d;
+        }
+        // An unset slot holds INF, and INF + d stays above INF, so a hub
+        // only `long` has never beats `best`.
+        let best = long
+            .0
+            .iter()
+            .zip(long.1)
+            .fold(INF, |best, (&h, &d)| best.min(table[h as usize] + d));
+        for &h in short.0 {
+            table[h as usize] = INF;
+        }
+        RANK_TABLE.set(table);
         best
+    }
+
+    /// `v`'s label: hub ranks (ascending) and the distances to them.
+    #[inline]
+    fn label(&self, v: VertexId) -> (&[u32], &[Cost]) {
+        let range = self.offsets[v.idx()] as usize..self.offsets[v.idx() + 1] as usize;
+        (&self.hubs[range.clone()], &self.dists[range])
     }
 
     /// Total number of label entries (index size).
@@ -192,6 +268,12 @@ impl HubLabels {
     pub fn mem_bytes(&self) -> usize {
         self.offsets.len() * 4 + self.hubs.len() * 4 + self.dists.len() * 8
     }
+}
+
+/// A CSR offset: the label entries written so far, which must fit the
+/// `u32` offsets.
+fn csr_offset(entries: usize) -> u32 {
+    u32::try_from(entries).expect("hub label index exceeds u32::MAX entries")
 }
 
 #[cfg(test)]
@@ -304,6 +386,55 @@ mod tests {
         // And still exact.
         assert_eq!(hl.distance(VertexId(0), VertexId(100)), 100);
         assert_eq!(hl.distance(VertexId(10), VertexId(60)), 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn a_repeated_vertex_in_the_order_is_refused() {
+        // On a–b–c the order [a, a, a] never roots a search at b or c,
+        // and used to answer distance(b, c) = 3 (via a) instead of 1.
+        let mut b = NetworkBuilder::new();
+        let a = b.add_vertex(Point::new(0.0, 0.0));
+        let v = b.add_vertex(Point::new(1.0, 0.0));
+        let c = b.add_vertex(Point::new(2.0, 0.0));
+        b.add_edge_with_cost(a, v, 1).unwrap();
+        b.add_edge_with_cost(v, c, 1).unwrap();
+        let g = b.finish().unwrap();
+        HubLabels::build_with_order(&g, &[a, a, a]);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn an_out_of_range_vertex_in_the_order_is_refused() {
+        let g = random_connected_graph(3, 0, 1);
+        HubLabels::build_with_order(&g, &[VertexId(0), VertexId(1), VertexId(3)]);
+    }
+
+    #[test]
+    fn csr_offsets_are_checked() {
+        assert_eq!(csr_offset(u32::MAX as usize), u32::MAX);
+        let past = std::panic::catch_unwind(|| csr_offset(u32::MAX as usize + 1));
+        assert!(past.is_err(), "an offset past u32::MAX must not wrap");
+    }
+
+    #[test]
+    fn coverage_order_ranks_a_path_from_its_middle() {
+        // Every sampled tree on a path passes through its middle, so the
+        // middle vertex covers the most and the ends the least.
+        let n = 101u32;
+        let mut b = NetworkBuilder::new();
+        for i in 0..n {
+            b.add_vertex(Point::new(f64::from(i), 0.0));
+        }
+        for i in 1..n {
+            b.add_edge_with_cost(VertexId(i - 1), VertexId(i), 1)
+                .unwrap();
+        }
+        let g = b.finish().unwrap();
+        let order = HubLabels::coverage_order(&g);
+        assert_eq!(order[0], VertexId(n / 2));
+        assert!(order[n as usize - 2..].contains(&VertexId(0)));
+        assert!(order[n as usize - 2..].contains(&VertexId(n - 1)));
     }
 
     #[test]

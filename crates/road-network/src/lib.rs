@@ -10,8 +10,8 @@
 //!   classes ([`graph::RoadNetwork`], [`builder::NetworkBuilder`]).
 //! * [`dijkstra`] — a reusable Dijkstra engine for distances, paths and
 //!   nearest-vertex queries.
-//! * [`hub_labels`] — pruned landmark labeling (exact hub labels) with
-//!   merge-join `O(|label|)` distance queries.
+//! * [`hub_labels`] — pruned landmark labeling (exact hub labels) in
+//!   coverage order, with `O(|label|)` distance queries.
 //! * [`matrix`] — a dense all-pairs oracle for tests and tiny graphs
 //!   (this is what the paper's worked examples are verified against).
 //! * [`cache`] — an LRU cache decorator shared by all planners, exactly

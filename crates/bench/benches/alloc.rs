@@ -10,16 +10,16 @@
 //! probed through its re-timed copy (the lazy idle clock).
 //!
 //! The gate: a steady-state planned insertion under `GreedyDP` and
-//! `pruneGreedyDP` at `threads = 1` performs **zero** allocations —
+//! `pruneGreedyDP` performs **zero** allocations —
 //! free flow *and* under the chengdu-2peak congestion profile (whose
 //! stretched-feasibility re-check runs on the scratch probe route), on
 //! the drained fleet above and on an idle-heavy one (one worker in
 //! sixteen holds a standing trip through every request, the rest are
 //! idle), so the DP engine's shortlist both collects busy candidates
-//! and streams idle ones cell by cell.
-//! The three baselines and the planner at `threads = 4` are measured
-//! and reported but not gated; the width-4 numbers include the scoped
-//! fan-out's spawn cost by design.
+//! and streams idle ones cell by cell. Every way to build a DP planner
+//! is gated, `PruneGreedyDp::with_threads` (whose width is a no-op)
+//! included. The three baselines are measured and reported but not
+//! gated.
 //!
 //! Without the feature the bench compiles to a no-op so a plain
 //! `cargo bench` never fails; CI runs the gated configuration
@@ -54,7 +54,7 @@ mod gated {
     use urpsm_bench::alloc_track;
     use urpsm_bench::harness::Algo;
     use urpsm_core::insertion::linear_dp_insertion;
-    use urpsm_core::planner::Planner;
+    use urpsm_core::planner::{Planner, PruneGreedyDp};
     use urpsm_core::platform::{Outcome, PlatformState};
     use urpsm_core::route::Route;
     use urpsm_core::types::{ClassConstraint, ClassId, Request, RequestId, Time, Worker, WorkerId};
@@ -102,12 +102,11 @@ mod gated {
         }
     }
 
-    /// One (planner, profile, fleet, thread-width) row of the report.
+    /// One (planner, profile, fleet) row of the report.
     pub struct Row {
         pub planner: &'static str,
         pub profile: &'static str,
         pub fleet: &'static str,
-        pub threads: usize,
         pub requests: usize,
         pub served: usize,
         pub total_allocs: u64,
@@ -210,7 +209,20 @@ mod gated {
         }
     }
 
-    fn run(algo: Algo, profile: &'static str, fleet: Fleet, threads: usize) -> Row {
+    /// The row of `algo`'s planner as the harness builds it; the DP
+    /// planners are gated.
+    fn algo_row(algo: Algo, profile: &'static str, fleet: Fleet) -> Row {
+        let gated = matches!(algo, Algo::GreedyDp | Algo::PruneGreedyDp);
+        run(algo.name(), algo.planner(1, 2_000.0), gated, profile, fleet)
+    }
+
+    fn run(
+        label: &'static str,
+        mut planner: Box<dyn Planner>,
+        gated: bool,
+        profile: &'static str,
+        fleet: Fleet,
+    ) -> Row {
         let oracle = line_oracle();
         let workers = workers(fleet);
         let shift = if profile == "free-flow" {
@@ -223,10 +235,6 @@ mod gated {
             state.set_congestion(Some(Arc::new(CongestionProfile::chengdu_two_peak())));
         }
         state.reserve_request_capacity(WARMUP + MEASURED);
-        let mut planner = algo.planner(1, 2_000.0);
-        if threads > 1 {
-            planner.set_threads(threads);
-        }
 
         // Standing trips take request ids above every measured one.
         let mut next_id = (WARMUP + MEASURED) as u32;
@@ -263,12 +271,10 @@ mod gated {
             drain_routes(&mut state, fleet, &mut next_id);
         }
 
-        let gated = threads == 1 && matches!(algo, Algo::GreedyDp | Algo::PruneGreedyDp);
         Row {
-            planner: algo.name(),
+            planner: label,
             profile,
             fleet: fleet.name(),
-            threads,
             requests: MEASURED,
             served,
             total_allocs: total,
@@ -342,7 +348,6 @@ mod gated {
             planner: "td-astar (search)",
             profile: "chengdu-2peak",
             fleet: "-",
-            threads: 1,
             requests: queries.len(),
             served,
             total_allocs: total,
@@ -361,7 +366,6 @@ mod gated {
             planner: "td-cache (hit)",
             profile: "chengdu-2peak",
             fleet: "-",
-            threads: 1,
             requests: queries.len(),
             served,
             total_allocs: total,
@@ -380,13 +384,12 @@ mod gated {
         );
         for (i, row) in rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"planner\": \"{}\", \"profile\": \"{}\", \"fleet\": \"{}\", \"threads\": {}, \
+                "    {{\"planner\": \"{}\", \"profile\": \"{}\", \"fleet\": \"{}\", \
                  \"requests\": {}, \"served\": {}, \"allocs_per_request\": {:.4}, \
                  \"max_allocs\": {}, \"gated\": {}}}{}\n",
                 row.planner,
                 row.profile,
                 row.fleet,
-                row.threads,
                 row.requests,
                 row.served,
                 row.allocs_per_request(),
@@ -423,29 +426,29 @@ mod gated {
         let mut rows = Vec::new();
         for profile in ["free-flow", "chengdu-2peak"] {
             for algo in Algo::ALL {
-                rows.push(run(algo, profile, Fleet::Drained, 1));
+                rows.push(algo_row(algo, profile, Fleet::Drained));
             }
             for algo in [Algo::PruneGreedyDp, Algo::GreedyDp] {
-                rows.push(run(algo, profile, Fleet::IdleHeavy, 1));
+                rows.push(algo_row(algo, profile, Fleet::IdleHeavy));
             }
-            // The planning-phase fan-out, reported for scale: its
-            // scoped spawn set allocates per request by design.
-            rows.push(run(Algo::PruneGreedyDp, profile, Fleet::Drained, 4));
+            // The no-op width knob builds the same allocation-free
+            // planner.
+            let planner = Box::new(PruneGreedyDp::with_threads(4));
+            rows.push(run(
+                "with_threads(4)",
+                planner,
+                true,
+                profile,
+                Fleet::Drained,
+            ));
         }
         // Steady-state TD distance queries (PR 8): gated at zero, like
         // the planners above.
         rows.extend(td_rows());
 
         eprintln!(
-            "{:<14} {:<14} {:<10} {:>7} {:>8} {:>14} {:>11} {:>6}",
-            "planner",
-            "profile",
-            "fleet",
-            "threads",
-            "served",
-            "allocs/request",
-            "max/request",
-            "gate"
+            "{:<14} {:<14} {:<10} {:>8} {:>14} {:>11} {:>6}",
+            "planner", "profile", "fleet", "served", "allocs/request", "max/request", "gate"
         );
         let mut failures = Vec::new();
         for row in &rows {
@@ -457,11 +460,10 @@ mod gated {
                 "FAIL"
             };
             eprintln!(
-                "{:<14} {:<14} {:<10} {:>7} {:>8} {:>14.4} {:>11} {:>6}",
+                "{:<14} {:<14} {:<10} {:>8} {:>14.4} {:>11} {:>6}",
                 row.planner,
                 row.profile,
                 row.fleet,
-                row.threads,
                 format!("{}/{}", row.served, row.requests),
                 row.allocs_per_request(),
                 row.max_allocs,

@@ -16,10 +16,9 @@
 //! ```
 //!
 //! and measure deltas with [`allocations`] or [`measure`]. Counters
-//! are process-global: keep measured regions single-threaded (the
-//! zero-allocation gate runs the planners at `threads = 1`, which is
-//! also the configuration the steady-state claim is about — a
-//! planning fan-out's spawn set allocates by design).
+//! are process-global: keep measured regions single-threaded (every
+//! planner plans on the calling thread, so the zero-allocation gate's
+//! measured regions are).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -14,28 +14,24 @@
 //! Options: `--city nyc|chengdu|both` (default both), `--scale N`
 //! (divides Table 5's stream/fleet sizes further; default 4),
 //! `--seed S`, `--parallel` (run sweep cells concurrently, capped at
-//! the hardware thread count — distorts response-time panels, fine for
-//! shape checks), `--threads N` (per-request planning fan-out inside
-//! the DP planners, applied to the figure sweeps and the ablation:
-//! decisions, costs and event logs are identical at any width, but
-//! `dis()` query *counts* are not — scheduling changes the probe set
-//! in either direction
-//! — so the §6.2 `queries` experiment always pins threads = 1, and the
-//! single-request `hardness` runs never fan out), `--shards K` (run
-//! the figure sweeps through the geo-sharded dispatch plane with `K`
-//! shards and `Borrow` seams — unlike `--threads`, sharding is allowed
-//! to change quality, and the sweep quantifies by how much; the
-//! `queries` experiment ignores it for the same reason it pins
-//! threads = 1).
+//! the hardware thread count — the one place the experiments use more
+//! than one core; it distorts response-time panels, fine for shape
+//! checks), `--shards K` (run the figure sweeps through the geo-sharded
+//! dispatch plane with `K` shards and `Borrow` seams — sharding is
+//! allowed to change quality, and the sweep quantifies by how much;
+//! the §6.2 `queries` experiment ignores it, so its query counts are
+//! those of the paper's single dispatcher). Each request is planned by
+//! one sequential scan (DESIGN.md §5 "The scan"), so decisions, costs
+//! and `dis()` counts never depend on `--parallel`.
 
 use std::io::Write;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use urpsm_bench::fixtures::CityFixture;
 use urpsm_bench::harness::{run_cell, Algo, Cell, CellResult};
 use urpsm_bench::table::{human, human_bytes, Table};
-use urpsm_core::exec::{IndexFeed, WorkPool};
 use urpsm_workloads::adversary::{AdversaryInstance, Lemma};
 use urpsm_workloads::scenario::City;
 use urpsm_workloads::sweep::table5;
@@ -47,9 +43,6 @@ struct Opts {
     seed: u64,
     parallel: bool,
     repeats: u64,
-    /// Planner-internal fan-out (`PlannerConfig::threads` semantics;
-    /// 0 = keep the planner default of 1).
-    threads: usize,
     /// Geo-sharding for the figure sweeps (`Cell::shards` semantics:
     /// a `ShardedService` with K shards and `Borrow` seams; 0 and 1
     /// are both the single dispatcher). Sharding legitimately
@@ -66,7 +59,6 @@ impl Default for Opts {
             seed: 2018,
             parallel: false,
             repeats: 1,
-            threads: 0,
             shards: 0,
         }
     }
@@ -75,7 +67,7 @@ impl Default for Opts {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("usage: experiments <table4|table5|fig3|fig4|fig5|fig6|fig7|queries|hardness|congestion|fleet|all> [--city nyc|chengdu|both] [--scale N] [--seed S] [--parallel] [--threads N] [--shards K]");
+        eprintln!("usage: experiments <table4|table5|fig3|fig4|fig5|fig6|fig7|queries|hardness|congestion|fleet|all> [--city nyc|chengdu|both] [--scale N] [--seed S] [--parallel] [--shards K]");
         std::process::exit(2);
     };
     let mut opts = Opts::default();
@@ -103,10 +95,6 @@ fn main() {
                 opts.seed = args[i].parse().expect("--seed S");
             }
             "--parallel" => opts.parallel = true,
-            "--threads" => {
-                i += 1;
-                opts.threads = args[i].parse().expect("--threads N");
-            }
             "--shards" => {
                 i += 1;
                 opts.shards = args[i].parse().expect("--shards K");
@@ -139,7 +127,7 @@ fn main() {
         "ablation" => ablation(&opts, &mut out),
         "fleet" => fleet(&opts, &mut out),
         // `--congestion` is accepted as a command spelling so the
-        // knob reads like `--threads` / `--shards` on the CLI.
+        // knob reads like `--shards` on the CLI.
         "congestion" | "--congestion" => congestion(&opts, &mut out),
         "all" => {
             table4(&opts, &mut out);
@@ -339,8 +327,8 @@ fn axis_for(fig: &str, fx: &CityFixture) -> Axis {
 /// With `parallel`, cells run concurrently but the number of in-flight
 /// cells is capped at the hardware thread count (a sweep axis ×
 /// repeats used to spawn one OS thread per cell, oversubscribing small
-/// machines): a `WorkPool` of capped width pulls cell indices from an
-/// atomic feed, and results are re-ordered by index afterwards.
+/// machines): that many scoped threads pull cell indices off one
+/// atomic counter, and results are re-ordered by index afterwards.
 fn run_axis(axis: &Axis, parallel: bool) -> Vec<Vec<CellResult>> {
     let job = |cell: &Cell| -> Vec<CellResult> {
         Algo::ALL
@@ -358,15 +346,26 @@ fn run_axis(axis: &Axis, parallel: bool) -> Vec<Vec<CellResult>> {
             .collect()
     };
     if parallel {
-        let width = urpsm_core::exec::available_threads().min(axis.cells.len().max(1));
-        let pool = WorkPool::new(width);
-        let feed = IndexFeed::new(0..axis.cells.len());
-        let parts = pool.run(|_| {
+        let width = std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .min(axis.cells.len());
+        let next = AtomicUsize::new(0);
+        let worker = || {
             let mut done: Vec<(usize, Vec<CellResult>)> = Vec::new();
-            while let Some(i) = feed.next() {
-                done.push((i, job(&axis.cells[i])));
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = axis.cells.get(i) else {
+                    return done;
+                };
+                done.push((i, job(cell)));
             }
-            done
+        };
+        let parts: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..width).map(|_| scope.spawn(worker)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
         let mut slots: Vec<Option<Vec<CellResult>>> = (0..axis.cells.len()).map(|_| None).collect();
         for (i, res) in parts.into_iter().flatten() {
@@ -408,7 +407,6 @@ fn figures(opts: &Opts, out: &mut impl Write, figs: &[&str]) {
             for fx in &fixtures {
                 let mut axis = axis_for(fig, fx);
                 for cell in &mut axis.cells {
-                    cell.threads = opts.threads;
                     cell.shards = opts.shards;
                 }
                 eprintln!("  {} ({}) on {}…", axis.figure, axis.label, city.name());
@@ -598,13 +596,7 @@ fn queries_experiment(fx: &CityFixture, out: &mut impl Write) {
         ],
     );
     let push_rows = |label: &str, cells: Vec<(String, Cell)>, t: &mut Table| {
-        for (tick, mut cell) in cells {
-            // Query counts are only meaningful sequentially: thread
-            // scheduling changes the probe set in either direction, so
-            // a threaded run would distort pruneGreedyDP's query count
-            // and misstate Lemma 8's savings. Pinned regardless of
-            // --threads.
-            cell.threads = 1;
+        for (tick, cell) in cells {
             let g = run_cell(&cell, Algo::GreedyDp);
             let p = run_cell(&cell, Algo::PruneGreedyDp);
             t.push(vec![
@@ -909,10 +901,7 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
                 grid_cell_m: cell.grid_cell_m,
                 alpha: cell.alpha,
                 drain: true,
-                threads: opts.threads,
-                congestion: None,
-                td_oracle: false,
-                classes: None,
+                ..SimConfig::default()
             },
         );
         let res = sim.run(planner);
@@ -941,7 +930,6 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
         let mut p = PruneGreedyDp::from_config(PlannerConfig {
             alpha: cell.alpha,
             strict_economics: strict,
-            ..PlannerConfig::default()
         });
         let m = run(&mut p, cell.oracle.clone());
         push_metrics(&mut t, label, &m);
@@ -1008,7 +996,6 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
         let mut p = PruneGreedyDp::from_config(PlannerConfig {
             alpha: cell.alpha,
             strict_economics: false,
-            ..PlannerConfig::default()
         });
         let m = run(&mut p, oracle);
         push_metrics(&mut t, label, &m);
@@ -1054,17 +1041,13 @@ fn hardness(out: &mut impl Write) {
                         grid_cell_m: 100_000.0,
                         alpha: inst.alpha,
                         drain: true,
-                        threads: 0,
-                        congestion: None,
-                        td_oracle: false,
-                        classes: None,
+                        ..SimConfig::default()
                     },
                 )
                 .expect("single-request stream is sorted");
                 let mut planner = PruneGreedyDp::from_config(PlannerConfig {
                     alpha: inst.alpha,
                     strict_economics: false,
-                    ..PlannerConfig::default()
                 });
                 let res = sim.run(&mut planner);
                 assert!(res.audit_errors.is_empty());

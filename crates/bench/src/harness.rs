@@ -88,9 +88,6 @@ pub struct Cell {
     pub grid_cell_m: f64,
     /// Objective weight `α`.
     pub alpha: u64,
-    /// Planning fan-out override (`SimConfig::threads` semantics:
-    /// `0` = keep the planner's own configuration).
-    pub threads: usize,
     /// Geo-sharding: the cell runs through a `ShardedService` with
     /// this many shards under the default `Borrow` boundary policy.
     /// `0` (what the cell constructors set) and `1` are the same run:
@@ -149,10 +146,10 @@ pub fn run_cell(cell: &Cell, algo: Algo) -> CellResult {
                 grid_cell_m: cell.grid_cell_m,
                 alpha: cell.alpha,
                 drain: true,
-                threads: cell.threads,
                 congestion: cell.congestion.clone(),
                 td_oracle: cell.td_oracle,
                 classes: cell.classes.clone(),
+                ..SimConfig::default()
             },
             ..ShardConfig::default()
         },

@@ -85,8 +85,8 @@ pub struct ShardConfig {
     pub shards: usize,
     /// The boundary policy.
     pub boundary: BoundaryPolicy,
-    /// Per-shard simulation parameters (grid cell, α, drain, planner
-    /// fan-out override).
+    /// Per-shard simulation parameters (grid cell, α, drain,
+    /// congestion, classes).
     pub sim: SimConfig,
 }
 

@@ -272,13 +272,12 @@ metrics! {
     counter plan_requests "Requests handled by the DP planners (GreedyDP / pruneGreedyDP)";
     counter plan_assigned "Requests committed to a worker";
     counter plan_rejected "Requests rejected (no feasible/economic insertion)";
-    counter plan_parallel_requests "Requests whose planning phase fanned out (width > 1)";
     counter plan_probes "Linear-DP insertion probes executed";
-    counter plan_bound_improvements "Times the shared `AtomicMin` pruning bound was lowered";
+    counter plan_bound_improvements "Times the Lemma-8 best-Δ bound was lowered";
     sharded_histogram plan_latency_ns "Per-request planning latency (nanoseconds)";
     sharded_histogram plan_shortlist_len "Candidates the DP engine bounded per request: eligible busy workers plus eligible idle workers in the grid cells it visited";
     counter plan_ordered_ranks "Shortlist ranks put in `(LB, worker)` order (the lazily ordered prefix of each shortlist)";
-    counter plan_gate_td_misses "TD distance-cache misses incurred inside the probes' insertion gate (exact at width 1)";
+    counter plan_gate_td_misses "TD distance-cache misses incurred inside the probes' insertion gate (only concurrent `experiments --parallel` cells can share the counter)";
     sharded_histogram[PlanPhase] plan_phase_ns "Per-request wall-clock of one planning phase (nanoseconds)";
 
     // ── static distance oracle cache ───────────────────────────────────

@@ -32,7 +32,6 @@ const FAMILIES: &[(&str, &str)] = &[
     ("urpsm_plan_gate_td_misses_total", "counter"),
     ("urpsm_plan_latency_ns", "histogram"),
     ("urpsm_plan_ordered_ranks_total", "counter"),
-    ("urpsm_plan_parallel_requests_total", "counter"),
     ("urpsm_plan_phase_bounds_ns", "histogram"),
     ("urpsm_plan_phase_order_ns", "histogram"),
     ("urpsm_plan_phase_probe_ns", "histogram"),
@@ -94,7 +93,6 @@ const JSON_KEYS: &[&str] = &[
     "plan_gate_td_misses",
     "plan_latency_ns",
     "plan_ordered_ranks",
-    "plan_parallel_requests",
     "plan_phase_bounds_ns",
     "plan_phase_order_ns",
     "plan_phase_probe_ns",

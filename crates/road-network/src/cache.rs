@@ -9,9 +9,10 @@
 //! paths are cached directed and reversed on a mirrored hit.
 //!
 //! The distance cache is **sharded** [`DIS_SHARDS`] ways by a hash of
-//! the symmetric key: the parallel planning engine issues `dis`
-//! queries from many threads at once, and a single mutex in front of
-//! the hottest structure in the system would serialize them all.
+//! the symmetric key: concurrent `experiments --parallel` cells share
+//! one oracle and issue `dis` queries from many threads at once, and a
+//! single mutex in front of the hottest structure in the system would
+//! serialize them all.
 //! Sharding trades exact global recency for per-shard recency (each
 //! shard runs its own LRU over `capacity / DIS_SHARDS` entries), which
 //! leaves single-threaded hit statistics essentially unchanged — the
@@ -238,8 +239,8 @@ fn shard_of(key: (u32, u32)) -> usize {
 
 /// Decorator caching `dis` and `shortest_path` results of an inner
 /// oracle (exactly one cache per platform as in §6.1). The distance
-/// side is sharded [`DIS_SHARDS`] ways so concurrent planner threads
-/// rarely contend on the same lock — see the module docs.
+/// side is sharded [`DIS_SHARDS`] ways so concurrent callers rarely
+/// contend on the same lock — see the module docs.
 pub struct LruCachedOracle<O> {
     inner: O,
     dis_shards: Vec<Mutex<LruCache<(u32, u32), Cost>>>,

@@ -73,7 +73,7 @@ pub fn euclidean_cost(length_m: f64, top_speed_mps: f64) -> Cost {
 ///
 /// Build one with [`crate::builder::NetworkBuilder`]; the struct itself
 /// is immutable after construction, so it can be shared freely across
-/// planner threads.
+/// threads.
 #[derive(Debug, Clone)]
 pub struct RoadNetwork {
     pub(crate) coords: Vec<Point>,

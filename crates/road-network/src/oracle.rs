@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn counting_stays_exact_under_concurrency() {
-        // The parallel planning engine hammers one shared oracle from
+        // Concurrent experiment cells hammer one shared oracle from
         // many threads; the §6.2 query statistics must stay *exact*,
         // not approximately right.
         let g = square();

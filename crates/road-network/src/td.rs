@@ -281,7 +281,8 @@ impl SearchState {
 }
 
 /// How many pooled [`SearchState`] arenas a [`TdDijkstra`] carries.
-/// Concurrent planner threads grab a free one with `try_lock`; beyond
+/// Concurrent callers (experiment cells sharing one oracle) grab a
+/// free one with `try_lock`; beyond
 /// the pool width they serialize on the first slot. Arenas are lazily
 /// sized on first use, so idle slots cost nothing.
 const STATE_POOL: usize = 8;

@@ -31,11 +31,10 @@ pub struct SimConfig {
     /// Whether workers finish their remaining stops after the last
     /// request (needed for exact distance accounting).
     pub drain: bool,
-    /// Planning fan-out override, applied to the planner through
-    /// [`urpsm_core::planner::Planner::set_threads`] when the service
-    /// opens. `0` (the default) keeps whatever the planner was
-    /// configured with. Any value produces identical outputs; only
-    /// wall-clock changes.
+    /// Nothing reads this field. It stays, as a documented no-op, for
+    /// callers written against the retired per-request planning
+    /// fan-out: a request is planned on the calling thread at every
+    /// value (DESIGN.md §5 "The scan").
     pub threads: usize,
     /// Time-dependent travel times: the congestion profile installed
     /// into the platform (DESIGN.md §7). `None` (the default) is free

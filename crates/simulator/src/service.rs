@@ -98,13 +98,10 @@ impl<'p> MobilityService<'p> {
     pub fn new(
         oracle: Arc<dyn DistanceOracle>,
         workers: Vec<Worker>,
-        mut planner: Box<dyn Planner + 'p>,
+        planner: Box<dyn Planner + 'p>,
         config: SimConfig,
         start_time: Time,
     ) -> Self {
-        if config.threads > 0 {
-            planner.set_threads(config.threads);
-        }
         let mut state = PlatformState::new(
             Arc::clone(&oracle),
             &workers,

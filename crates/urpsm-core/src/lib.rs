@@ -19,16 +19,14 @@
 //!   index) that planners operate on, plus commit/reject bookkeeping
 //!   and the cancellation / fleet-churn mutations.
 //! * [`planner`] — the [`planner::Planner`] trait and the paper's two
-//!   solutions `GreedyDP` and `pruneGreedyDP` (Algo. 5).
+//!   solutions `GreedyDP` and `pruneGreedyDP` (Algo. 5). A request is
+//!   planned by one sequential Lemma-8 scan on the calling thread:
+//!   the unit of parallelism is a shard of the fleet
+//!   (`urpsm-dispatch`), never a slice of one request.
 //! * [`event`] — the typed [`event::PlatformEvent`] stream that the
 //!   service layer (`MobilityService` in the simulator crate) consumes,
 //!   making the online setting of §2 a first-class API: arrivals,
 //!   cancellations, fleet churn and clock ticks.
-//! * [`exec`] — dependency-free scoped-thread fan-out
-//!   ([`exec::WorkPool`], [`exec::IndexFeed`], [`exec::AtomicMin`])
-//!   that the planning-phase fan-out is built from. The planner is
-//!   extensionally identical at every width
-//!   (`PlannerConfig::threads`, default 1).
 //! * [`objective`] — the unified cost (Eq. 1) and the three objective
 //!   reductions of §3.2, including the revenue identity Eq. (2)–(4).
 #![forbid(unsafe_code)]
@@ -36,7 +34,6 @@
 
 pub mod decision;
 pub mod event;
-pub mod exec;
 pub mod insertion;
 pub mod lower_bound;
 pub mod objective;
@@ -50,7 +47,6 @@ pub mod types;
 pub mod prelude {
     pub use crate::decision::{decision_phase, DecisionOutcome};
     pub use crate::event::{EventRouting, PlatformEvent, ReassignPolicy, WorkerChange};
-    pub use crate::exec::{AtomicMin, IndexFeed, WorkPool};
     pub use crate::insertion::{
         basic_insertion, linear_dp_insertion, linear_dp_insertion_with, naive_dp_insertion,
         InsertionScratch,

@@ -10,34 +10,19 @@
 //! claim (§6.2: 2.76× average speed-up, tens of billions of queries
 //! saved).
 //!
-//! # The parallel engine (`PlannerConfig::threads`)
-//!
-//! The decision phase (lower bounds, ordering, economic test) is
-//! coordinate arithmetic with no `dis` query and always runs on the
-//! calling thread. Only the planning phase — one exact linear-DP probe
-//! per candidate, independent per worker — fans out: with
-//! `threads > 1` and a wide enough chunk the same [`probe`] loop
-//! runs on every thread of one scoped [`WorkPool`] against an
-//! immutable `&PlatformState`, pulling ranks off a shared ascending-`LB`
-//! [`IndexFeed`] and pruning on a shared [`AtomicMin`] best-`Δ`.
-//! Because a stale (too high) bound only *widens* the probe set, the
-//! reduction `min (Δ, worker_id)` is provably the argmin the
-//! width-1 scan finds — the planner is extensionally identical at
-//! every thread count (DESIGN.md §5, differential suite in
-//! `tests/parallel_equivalence.rs`).
-//!
 //! # The lazily ordered scan
 //!
-//! Lemma 8 usually stops the scan within a handful of ranks, so
-//! `pruneGreedyDP` orders only the first [`FIRST_CHUNK`] ranks of the
-//! shortlist before probing. The tail is ordered only if that chunk
-//! runs out with `bound ≥ LB(last ordered rank)` — every unordered `LB`
-//! is at least that one, so the opposite (strict) outcome is exactly
-//! "the fully sorted scan would have stopped by now". The bound is
-//! shared across chunks and the per-chunk winners merge by
-//! `min (Δ, worker_id)`, so at width 1 the probe set, the probe order
-//! and every `dis` call are those of a scan over the fully sorted
-//! list; `GreedyDP` probes everything and orders everything at once.
+//! A request is planned by one sequential scan on the calling thread
+//! (DESIGN.md §5 "The scan"). Lemma 8 usually stops it within a
+//! handful of ranks, so `pruneGreedyDP` orders only the first
+//! [`FIRST_CHUNK`] ranks of the shortlist before probing. The tail is
+//! ordered only if that chunk runs out with `Δ* ≥ LB(last ordered
+//! rank)` — every unordered `LB` is at least that one, so the opposite
+//! (strict) outcome is exactly "the fully sorted scan would have
+//! stopped by now". One request-wide best carries across chunks, and
+//! its `Δ` is the pruning bound, so the probe set, the probe order and
+//! every `dis` call are those of a scan over the fully sorted list;
+//! `GreedyDP` probes everything and orders everything at once.
 //!
 //! The shortlist grows the same way: idle candidates are streamed in
 //! nearest grid cell first and bounded only until the ranks asked for
@@ -50,7 +35,6 @@ use road_network::{Cost, INF};
 use urpsm_obs::PlanPhase;
 
 use crate::decision::{economic_reject, StreamedShortlist};
-use crate::exec::{AtomicMin, IndexFeed, WorkPool};
 use crate::insertion::linear_dp_insertion_with;
 use crate::platform::{Outcome, PlatformState};
 use crate::route::{InsertionPlan, Route};
@@ -59,66 +43,36 @@ use crate::types::{Request, WorkerId};
 use super::scratch::PlanScratch;
 use super::{reply_one, Planner, PlannerConfig, PlannerReplies};
 
-/// Minimum shortlisted candidates per fan-out thread: the effective
-/// width is `min(threads, candidates / MIN_CANDIDATES_PER_THREAD)`, so
-/// a narrow request never pays spawn cost for idle workers and a
-/// sub-`2×` shortlist runs on the calling thread alone. A pure
-/// wall-clock heuristic: every width returns the same plan.
-const MIN_CANDIDATES_PER_THREAD: usize = 16;
-
 /// Ranks `pruneGreedyDP` orders before its first probe (the rest only
-/// if Lemma 8 has not fired by the end of them). Like
-/// [`MIN_CANDIDATES_PER_THREAD`] a pure wall-clock heuristic: every
-/// value returns the same plan.
+/// if Lemma 8 has not fired by the end of them). A pure wall-clock
+/// heuristic: every value returns the same plan.
 const FIRST_CHUNK: usize = 32;
-
-// A later chunk exists only behind a full first one, and a full first
-// chunk is wide enough to fan out: a request fans out in its first
-// chunk or not at all (what `plan_parallel_requests` counts).
-const _: () = assert!(FIRST_CHUNK >= 2 * MIN_CANDIDATES_PER_THREAD);
 
 /// The best placement found so far: `(Δ*, worker, plan)`.
 type Best = Option<(Cost, WorkerId, InsertionPlan)>;
 
 /// Shared engine for the two DP planners.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DpEngine {
-    /// `threads` holds the resolved fan-out width (never `0`).
     cfg: PlannerConfig,
     /// The request's candidates, bounded and ordered ascending by
     /// `(LBΔ*, worker)` a prefix at a time — idle ones streamed in
-    /// nearest cell first — and read by every probing thread.
+    /// nearest cell first.
     shortlist: StreamedShortlist,
-    /// One probe arena per fan-out thread (index 0 is the calling
-    /// thread's), grown on demand. With the shortlist above this is
-    /// everything a steady-state planned insertion needs, so the hot
-    /// path never allocates (gated by `benches/alloc.rs`).
-    scratches: Vec<PlanScratch>,
+    /// The probe arena. With the shortlist above this is everything a
+    /// steady-state planned insertion needs, so the hot path never
+    /// allocates (gated by `benches/alloc.rs`).
+    scratch: PlanScratch,
     /// Where the latest `plan` call's wall-clock went, by phase.
     clock: urpsm_obs::PhaseClock,
 }
 
-impl Default for DpEngine {
-    fn default() -> Self {
-        DpEngine::new(PlannerConfig::default())
-    }
-}
-
 impl DpEngine {
     fn new(cfg: PlannerConfig) -> Self {
-        let mut engine = DpEngine {
+        DpEngine {
             cfg,
-            shortlist: StreamedShortlist::new(),
-            scratches: vec![PlanScratch::default()],
-            clock: urpsm_obs::PhaseClock::default(),
-        };
-        engine.set_threads(cfg.threads);
-        engine
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        // `0` = one per core, resolved here rather than per request.
-        self.cfg.threads = WorkPool::new(threads).threads();
+            ..DpEngine::default()
+        }
     }
 
     fn handle(&mut self, prune: bool, state: &mut PlatformState, r: &Request) -> Outcome {
@@ -149,7 +103,7 @@ impl DpEngine {
         let DpEngine {
             cfg,
             shortlist,
-            scratches,
+            scratch,
             clock,
         } = self;
         let oracle = state.oracle_arc();
@@ -170,8 +124,7 @@ impl DpEngine {
         // Phase 1 (Algo. 4): lower bounds, the head of the
         // `(LB, worker)` order and the economic test — the bounds and
         // order of `decision_phase`, into `clear()`-reused storage, for
-        // only as many idle workers as the head needs. No `dis` query,
-        // so it stays on the calling thread at every width.
+        // only as many idle workers as the head needs. No `dis` query.
         let first = if prune { FIRST_CHUNK } else { usize::MAX };
         shortlist.bound_through(state, first);
         clock.lap(PlanPhase::Bounds);
@@ -182,55 +135,29 @@ impl DpEngine {
         }
 
         // Phase 2 (Algo. 5 lines 6–10): the exact scan in ascending LB
-        // order, one ordered chunk at a time, each fanned out when it
-        // is wide enough to pay for the spawn set.
-        let bound = AtomicMin::new();
+        // order, one ordered chunk at a time, against one request-wide
+        // best.
         let mut best: Best = None;
         let mut start = 0;
         loop {
-            let ranked = &*shortlist;
-            let end = ranked.ordered();
-            let feed = IndexFeed::new(start..end);
-            let width = cfg.threads.min((end - start) / MIN_CANDIDATES_PER_THREAD);
-            let chunk_best = if width > 1 {
-                if start == 0 {
-                    urpsm_obs::with(|m| m.plan_parallel_requests.inc());
-                }
-                if scratches.len() < width {
-                    scratches.resize_with(width, PlanScratch::default);
-                }
-                WorkPool::new(width)
-                    .run_with(&mut scratches[..width], |_, scratch| {
-                        probe(ranked, &feed, &bound, scratch, prune, state, r, &*oracle)
-                    })
-                    .into_iter()
-                    .flatten()
-                    .min_by_key(|(delta, w, _)| (*delta, *w))
-            } else {
-                probe(
-                    ranked,
-                    &feed,
-                    &bound,
-                    &mut scratches[0],
-                    prune,
-                    state,
-                    r,
-                    &*oracle,
-                )
-            };
-            // Worker ids are unique, so `(Δ, worker)` has no ties and
-            // the reduction is independent of thread and chunk order.
-            best = best
-                .into_iter()
-                .chain(chunk_best)
-                .min_by_key(|(delta, w, _)| (*delta, *w));
+            let end = shortlist.ordered();
+            probe(
+                shortlist,
+                start..end,
+                &mut best,
+                scratch,
+                prune,
+                state,
+                r,
+                &*oracle,
+            );
             clock.lap(PlanPhase::Probe);
 
             // Lemma 8 across chunks: every LB not yet ordered — bounded
             // or still in the stream — is at least the last ordered one,
-            // so a bound strictly below that one has already stopped the
-            // scan.
-            if ranked.is_exhausted() || (prune && bound.get() < ranked.get(end - 1).0) {
+            // so a best Δ strictly below that one has already stopped
+            // the scan.
+            if shortlist.is_exhausted() || (prune && below(&best, shortlist.get(end - 1).0)) {
                 break;
             }
             shortlist.bound_through(state, usize::MAX);
@@ -243,12 +170,18 @@ impl DpEngine {
     }
 }
 
+/// Lemma 8's strict break: the best `Δ*` found lies below `lb`.
+fn below(best: &Best, lb: Cost) -> bool {
+    best.as_ref().is_some_and(|(delta, _, _)| *delta < lb)
+}
+
 /// Record one planner invocation into the registry: latency,
 /// per-phase and shortlist-size histograms, the ranks it ordered,
 /// outcome counters, and a `PlanRequest` trace record. The trace's
 /// probe word carries the *cumulative* `plan_probes` counter at record
 /// time — consumers diff consecutive records to recover per-request
-/// probe counts on serial runs.
+/// probe counts; only concurrent `experiments --parallel` cells can
+/// share the counters and blur that diff.
 fn record_plan_obs(
     sw: &urpsm_obs::Stopwatch,
     r: &Request,
@@ -282,43 +215,28 @@ fn record_plan_obs(
     });
 }
 
-/// The planning phase — Algo. 5's loop, run by every probing thread
-/// (one, at width 1): claim the next rank of the ascending
-/// `(LB, worker)` shortlist, stop on Lemma 8, probe, keep the
-/// `(Δ, worker)`-smallest feasible plan.
-///
-/// Why the reduction over threads equals the width-1 result: ranks are
-/// claimed in ascending `LB` order, the shared bound is monotone
-/// decreasing and only ever holds exact `Δ` values of probed
-/// candidates, and a thread stops only on a *strict* `bound < LB`. So
-/// for every candidate left unprobed there was a moment when
-/// `final_best ≤ bound < LB ≤ Δ*` — strictly worse than the best
-/// probed candidate, with no possible tie. The probe set may *differ*
-/// from the width-1 scan's in both directions — a stale bound delays
-/// stopping (extra probes), while a fast thread publishing a late
-/// candidate's `Δ` early can prune an early candidate the width-1 scan
-/// would have probed (fewer probes). Either way it always contains
-/// every potential argmin, so the difference costs or saves queries,
-/// never correctness. At width 1 the bound *is* the running best `Δ`,
-/// which is Algo. 5's break verbatim.
+/// The planning phase — Algo. 5's loop over the ordered ranks
+/// `ranks`: stop on Lemma 8, probe, keep the `(Δ, worker)`-smallest
+/// feasible plan in `best`, whose `Δ` is the pruning bound. Between
+/// chunks `best` carries over, so the chunked scan probes what one
+/// scan over the fully sorted list probes, in the same order.
 #[allow(clippy::too_many_arguments)]
 fn probe(
     shortlist: &StreamedShortlist,
-    feed: &IndexFeed,
-    bound: &AtomicMin,
+    ranks: std::ops::Range<usize>,
+    best: &mut Best,
     scratch: &mut PlanScratch,
     prune: bool,
     state: &PlatformState,
     r: &Request,
     oracle: &dyn DistanceOracle,
-) -> Best {
+) {
     let PlanScratch { insertion, retimed } = scratch;
-    let mut best: Best = None;
-    while let Some(rank) = feed.next() {
+    for rank in ranks {
         let (lb, w) = shortlist.get(rank);
         // Lemma 8: every remaining worker's exact Δ* is at least its
         // LB, which already exceeds the best found.
-        if prune && bound.get() < lb {
+        if prune && below(best, lb) {
             break;
         }
         let (route, capacity) = state.candidate(w, retimed);
@@ -326,11 +244,10 @@ fn probe(
         let Some(plan) = linear_dp_insertion_with(insertion, route, capacity, r, oracle) else {
             continue;
         };
-        // A plan that does not beat this thread's best cannot become
-        // the argmin, and its Δ cannot tighten the shared bound, which
-        // has already observed the (smaller) best Δ: skipping it leaves
-        // the probe set, the probe order and the decision unchanged at
-        // every width, and spares it the gate below.
+        // A plan that does not beat the best cannot become the argmin
+        // or lower the bound: skipping it leaves the probe set, the
+        // probe order and the decision unchanged, and spares it the
+        // gate below.
         if best
             .as_ref()
             .is_some_and(|(bd, bw, _)| (plan.delta, w) >= (*bd, *bw))
@@ -340,26 +257,25 @@ fn probe(
         // Free-flow plans are optimistic under a congestion profile:
         // re-check the stretched schedule before letting the candidate
         // compete (DESIGN.md §7). Free-flow and flat-profile runs skip
-        // this branch entirely. Only *feasible* deltas may enter the
-        // shared bound, otherwise an infeasible candidate could prune
-        // the true winner: the argument above goes through with "Δ"
-        // read as "feasible Δ".
+        // this branch entirely. Only a *feasible* Δ may become the
+        // bound, otherwise an infeasible candidate could prune the
+        // true winner.
         if route.time_dependent() && !gate(route, &plan, r, capacity) {
             continue;
         }
-        if prune {
-            bound.observe(plan.delta);
+        if prune && best.as_ref().is_none_or(|(bd, _, _)| plan.delta < *bd) {
+            urpsm_obs::with(|m| m.plan_bound_improvements.inc());
         }
-        best = Some((plan.delta, w, plan));
+        *best = Some((plan.delta, w, plan));
     }
-    best
 }
 
 /// The congested insertion gate, [`Route::insertion_feasible`]. A
 /// recording build adds the TD distance-cache misses the call caused to
 /// `plan_gate_td_misses`, read as the change in the process-wide
-/// `td_dis_misses` across it: exact at width 1, while a wider fan-out
-/// (or another shard's thread) can lend it misses of concurrent calls.
+/// `td_dis_misses` across it: only a concurrent `experiments
+/// --parallel` cell, sharing the process-wide counters, can lend it
+/// misses of its own.
 fn gate(route: &Route, plan: &InsertionPlan, r: &Request, capacity: u32) -> bool {
     if !urpsm_obs::RECORDING {
         return route.insertion_feasible(plan, r, capacity);
@@ -390,12 +306,11 @@ impl PruneGreedyDp {
         }
     }
 
-    /// Default configuration with a `threads`-wide planning fan-out.
-    pub fn with_threads(threads: usize) -> Self {
-        Self::from_config(PlannerConfig {
-            threads,
-            ..PlannerConfig::default()
-        })
+    /// [`PruneGreedyDp::new`]: the width is a no-op kept for callers
+    /// written against the retired per-request fan-out. Every width
+    /// runs the one sequential scan.
+    pub fn with_threads(_threads: usize) -> Self {
+        Self::new()
     }
 }
 
@@ -406,10 +321,6 @@ impl Planner for PruneGreedyDp {
 
     fn on_request(&mut self, state: &mut PlatformState, r: &Request) -> PlannerReplies {
         reply_one(r.id, self.engine.handle(true, state, r))
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
     }
 
     // Default `on_cancel`/`on_worker_change` hooks are correct here:
@@ -437,14 +348,6 @@ impl GreedyDp {
             engine: DpEngine::new(cfg),
         }
     }
-
-    /// Default configuration with a `threads`-wide planning fan-out.
-    pub fn with_threads(threads: usize) -> Self {
-        Self::from_config(PlannerConfig {
-            threads,
-            ..PlannerConfig::default()
-        })
-    }
 }
 
 impl Planner for GreedyDp {
@@ -454,10 +357,6 @@ impl Planner for GreedyDp {
 
     fn on_request(&mut self, state: &mut PlatformState, r: &Request) -> PlannerReplies {
         reply_one(r.id, self.engine.handle(false, state, r))
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
     }
 
     // Default lifecycle hooks: immediate decisions, fleet re-read from
@@ -569,52 +468,6 @@ mod tests {
             q_pruned < q_greedy,
             "pruning must save queries: {q_pruned} vs {q_greedy}"
         );
-    }
-
-    #[test]
-    fn parallel_engine_matches_sequential_outcomes() {
-        let oracle = line_counting_oracle(400);
-        let origins: Vec<u32> = (0..80).map(|i| (i * 7) % 400).collect();
-        let stream: Vec<Request> = (0..30)
-            .map(|i| {
-                let o = (i * 37) % 390;
-                request(i, o, (o + 5 + (i % 7)) % 400, 1_000_000, u64::MAX / 4)
-            })
-            .collect();
-
-        let run = |prune: bool, threads: usize| -> Vec<(RequestId, Outcome)> {
-            let mut state = fresh_state(oracle.clone(), &origins);
-            let cfg = PlannerConfig {
-                alpha: 1,
-                strict_economics: false,
-                threads,
-            };
-            let mut planner: Box<dyn Planner> = if prune {
-                Box::new(PruneGreedyDp::from_config(cfg))
-            } else {
-                Box::new(GreedyDp::from_config(cfg))
-            };
-            stream
-                .iter()
-                .flat_map(|r| planner.on_request(&mut state, r))
-                .collect()
-        };
-
-        for prune in [false, true] {
-            let sequential = run(prune, 1);
-            // Every decision must be an assignment for the test to be
-            // meaningful (all candidates compete).
-            assert!(sequential
-                .iter()
-                .any(|(_, o)| matches!(o, Outcome::Assigned { .. })));
-            for threads in [2, 4, 8] {
-                assert_eq!(
-                    sequential,
-                    run(prune, threads),
-                    "prune={prune} threads={threads}"
-                );
-            }
-        }
     }
 
     /// Two river banks joined by one bridge at their `0` ends: bank A
@@ -749,7 +602,15 @@ mod tests {
         };
 
         let reference = run(&mut reference_on_request);
-        assert_eq!(engine_at(1), reference, "width 1: outcomes and dis counts");
+        // The width is a no-op: every width bills the reference's `dis`
+        // calls, request by request.
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                engine_at(threads),
+                reference,
+                "width {threads}: outcomes and dis counts"
+            );
+        }
 
         // The fixture exercises what it claims to.
         assert_eq!(
@@ -771,22 +632,13 @@ mod tests {
         assert_eq!(reference[2], (Outcome::Rejected, 1), "(b) one query");
         let served = reference.iter().filter(|(o, _)| *o != Outcome::Rejected);
         assert!((20..stream.len() - 1).contains(&served.count()));
-
-        // (c) Wider scans may probe a different set — same decisions.
-        let decisions = |run: Vec<(Outcome, u64)>| -> Vec<Outcome> {
-            run.into_iter().map(|(outcome, _)| outcome).collect()
-        };
-        let expect = decisions(reference);
-        for threads in [2, 4] {
-            assert_eq!(decisions(engine_at(threads)), expect, "threads={threads}");
-        }
     }
 
     /// The congested twin of the test above. Under a 2× profile the
     /// engine gates only a plan that beats its best so far, while the
-    /// reference gates every plan. Decisions must be the reference's at
-    /// every width, and at width 1 so must the static `dis` bills, while
-    /// the engine asks the provider strictly fewer questions.
+    /// reference gates every plan. At every width the decisions and the
+    /// static `dis` bills must be the reference's, while the engine asks
+    /// the provider strictly fewer questions.
     #[test]
     fn gating_only_plans_that_can_win_is_exact_and_cheaper() {
         use crate::route::CountingProvider;
@@ -827,12 +679,13 @@ mod tests {
             "gating only plans that can win must save provider calls: \
              {engine_calls} vs {reference_calls}"
         );
-        // A wider scan may probe a different set (see above), so only
-        // its decisions are fixed.
-        let decisions = |run: &[(Outcome, u64)]| -> Vec<Outcome> {
-            run.iter().map(|(outcome, _)| *outcome).collect()
-        };
-        assert_eq!(decisions(&engine_at(4).0), decisions(&reference), "width 4");
+        for threads in [2, 4] {
+            assert_eq!(
+                engine_at(threads),
+                (engine.clone(), engine_calls),
+                "width {threads}: outcomes, dis counts and provider calls"
+            );
+        }
 
         // The fixture exercises what it claims to: the gate rejects
         // plans (the stretched schedule changes decisions), yet most
@@ -844,47 +697,25 @@ mod tests {
     }
 
     #[test]
-    fn set_threads_reshapes_the_engine() {
-        let oracle = line_counting_oracle(100);
-        let mut state = fresh_state(oracle, &[0, 40, 80]);
-        let mut planner = PruneGreedyDp::new();
-        planner.set_threads(4);
-        assert_eq!(planner.engine.cfg.threads, 4);
-        let r = request(1, 42, 50, 100_000, 1_000_000);
-        let out = planner.on_request(&mut state, &r);
-        assert!(matches!(out[0].1, Outcome::Assigned { .. }));
-        // `0` = one per core (≥ 1 on every platform).
-        planner.set_threads(0);
-        assert!(planner.engine.cfg.threads >= 1);
-    }
-
-    #[test]
     fn cheap_penalty_rejected_in_decision_phase() {
-        // 80 candidates: wide enough that width 4 would fan out if the
-        // request ever reached the planning phase. It must not — an
-        // economic reject costs the one `dis(o_r, d_r)` query and no
-        // probe, at every width.
+        // 80 candidates, and not one is probed: an economic reject
+        // costs the one `dis(o_r, d_r)` query and nothing else.
         let origins: Vec<u32> = (0..80).map(|i| i * 2).collect();
         let oracle = line_counting_oracle(200);
-        let run = |threads: usize| {
-            oracle.reset();
-            let mut state = fresh_state(oracle.clone(), &origins);
-            let mut planner = PruneGreedyDp::with_threads(threads);
-            let outs: Vec<(RequestId, Outcome)> = (0..20u32)
-                .flat_map(|i| {
-                    // Service costs ≥ 5 units of road; penalty 10 is
-                    // cheaper → reject.
-                    let r = request(i, 20 + i * 7, 25 + i * 7, 1_000_000, 10);
-                    planner.on_request(&mut state, &r)
-                })
-                .collect();
-            assert!(outs.iter().all(|(_, o)| *o == Outcome::Rejected));
-            assert_eq!(state.rejected_count(), 20, "threads={threads}");
-            assert_eq!(state.served_count(), 0, "threads={threads}");
-            assert_eq!(oracle.stats().dis, 20, "threads={threads}");
-            outs
-        };
-        assert_eq!(run(1), run(4));
+        let mut state = fresh_state(oracle.clone(), &origins);
+        let mut planner = PruneGreedyDp::new();
+        let outs: Vec<(RequestId, Outcome)> = (0..20u32)
+            .flat_map(|i| {
+                // Service costs ≥ 5 units of road; penalty 10 is
+                // cheaper → reject.
+                let r = request(i, 20 + i * 7, 25 + i * 7, 1_000_000, 10);
+                planner.on_request(&mut state, &r)
+            })
+            .collect();
+        assert!(outs.iter().all(|(_, o)| *o == Outcome::Rejected));
+        assert_eq!(state.rejected_count(), 20);
+        assert_eq!(state.served_count(), 0);
+        assert_eq!(oracle.stats().dis, 20);
     }
 
     /// Forwards to the line oracle, except that one vertex pair panics.
@@ -915,12 +746,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_panic_surfaces_after_join_and_the_engine_stays_usable() {
+    fn probe_panic_reaches_the_caller_and_the_engine_stays_usable() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        // 80 idle candidates → width 4; GreedyDP probes every one of
-        // them, so some thread is certain to ask for worker 75's
-        // approach leg (vertex 150 → pickup 100) and panic mid-scan
-        // while the other three are still probing.
+        // GreedyDP probes every one of the 80 idle candidates, so it is
+        // certain to ask for worker 75's approach leg (vertex 150 →
+        // pickup 100) and panic mid-scan.
         let origins: Vec<u32> = (0..80).map(|i| i * 2).collect();
         let line = line_counting_oracle(200);
         let poisoned: Arc<dyn DistanceOracle> = Arc::new(PoisonedPair {
@@ -928,7 +758,7 @@ mod tests {
             pair: (VertexId(150), VertexId(100)),
         });
         let mut state = fresh_state(poisoned, &origins);
-        let mut planner = GreedyDp::with_threads(4);
+        let mut planner = GreedyDp::new();
         let r1 = request(1, 100, 110, 1_000_000, u64::MAX / 4);
         let caught = catch_unwind(AssertUnwindSafe(|| planner.on_request(&mut state, &r1)));
         let payload = caught.expect_err("the probe panic must reach the caller");
@@ -939,7 +769,7 @@ mod tests {
         assert_eq!(state.served_count() + state.rejected_count(), 0);
 
         // Same planner, same state, next request: decided exactly as a
-        // fresh width-1 planner on a fresh platform decides it.
+        // fresh planner on a fresh platform decides it.
         let r2 = request(2, 60, 70, 1_000_000, u64::MAX / 4);
         let after = planner.on_request(&mut state, &r2);
         let mut clean = fresh_state(line, &origins);
@@ -963,7 +793,6 @@ mod tests {
         let mut strict = PruneGreedyDp::from_config(PlannerConfig {
             alpha: 1,
             strict_economics: true,
-            ..PlannerConfig::default()
         });
         let out = strict.on_request(&mut state, &r);
         assert_eq!(out[0].1, Outcome::Rejected);
@@ -973,26 +802,24 @@ mod tests {
     fn congestion_gate_rejects_stretched_infeasible_plans() {
         use road_network::congestion::CongestionProfile;
         let oracle = line_counting_oracle(100);
-        for threads in [1usize, 4] {
-            let mut state = fresh_state(oracle.clone(), &[0]);
-            state.set_congestion(Some(Arc::new(
-                CongestionProfile::constant("x2", 2.0).unwrap(),
-            )));
-            let mut planner = PruneGreedyDp::with_threads(threads);
-            // Free-flow delivery at 10·150 + 10·150 = 3000 ≤ 4000, but
-            // the 2× profile pushes it to 6000: the gate must reject
-            // instead of committing a deadline-violating route.
-            let r = request(1, 10, 20, 4_000, u64::MAX / 4);
-            let out = planner.on_request(&mut state, &r);
-            assert_eq!(out[0].1, Outcome::Rejected, "threads={threads}");
-            // With deadline room the same request is served, and the
-            // reported Δ stays in free-flow units.
-            let r = request(2, 10, 20, 20_000, u64::MAX / 4);
-            let out = planner.on_request(&mut state, &r);
-            match out[0].1 {
-                Outcome::Assigned { delta, .. } => assert_eq!(delta, 3_000, "threads={threads}"),
-                Outcome::Rejected => panic!("feasible congested request rejected"),
-            }
+        let mut state = fresh_state(oracle, &[0]);
+        state.set_congestion(Some(Arc::new(
+            CongestionProfile::constant("x2", 2.0).unwrap(),
+        )));
+        let mut planner = PruneGreedyDp::new();
+        // Free-flow delivery at 10·150 + 10·150 = 3000 ≤ 4000, but the
+        // 2× profile pushes it to 6000: the gate must reject instead of
+        // committing a deadline-violating route.
+        let r = request(1, 10, 20, 4_000, u64::MAX / 4);
+        let out = planner.on_request(&mut state, &r);
+        assert_eq!(out[0].1, Outcome::Rejected);
+        // With deadline room the same request is served, and the
+        // reported Δ stays in free-flow units.
+        let r = request(2, 10, 20, 20_000, u64::MAX / 4);
+        let out = planner.on_request(&mut state, &r);
+        match out[0].1 {
+            Outcome::Assigned { delta, .. } => assert_eq!(delta, 3_000),
+            Outcome::Rejected => panic!("feasible congested request rejected"),
         }
     }
 

@@ -53,22 +53,14 @@ pub struct PlannerConfig {
     /// only applies the economic test to the lower bound in the
     /// decision phase.
     pub strict_economics: bool,
-    /// Width of the planning fan-out (DESIGN.md §5): `1` (the default)
-    /// is the sequential engine byte for byte; `n > 1` runs the exact
-    /// linear-DP probes on up to `n` scoped threads with a shared
-    /// atomic best-`Δ` bound for Lemma 8 pruning. Any width produces
-    /// *identical* outputs — only wall-clock and the number of pruned
-    /// probes change. `0` means one thread per hardware core.
-    pub threads: usize,
 }
 
 impl Default for PlannerConfig {
-    /// `α = 1`, lax economics, one thread (the sequential engine).
+    /// `α = 1`, lax economics.
     fn default() -> Self {
         PlannerConfig {
             alpha: 1,
             strict_economics: false,
-            threads: 1,
         }
     }
 }
@@ -127,12 +119,11 @@ pub trait Planner: Send {
     /// workers up through the grid index on every decision.
     fn on_worker_change(&mut self, _state: &mut PlatformState, _change: WorkerChange) {}
 
-    /// Re-sizes the planner's internal fan-out (`PlannerConfig::
-    /// threads` semantics: `1` sequential, `0` one-per-core). The
-    /// service layer plumbs its `SimConfig::threads` override through
-    /// this hook. Default: no-op — correct for planners without a
-    /// parallel engine; changing the width never changes any planner's
-    /// output, only its wall-clock.
+    /// A planner-internal width hint. No planner in this workspace
+    /// reads it: each plans a request on the calling thread, and the
+    /// unit of parallelism is a shard of the fleet (DESIGN.md §5). Kept
+    /// with a no-op default so callers and wrappers written against the
+    /// retired per-request fan-out still compile; nothing calls it.
     fn set_threads(&mut self, _threads: usize) {}
 }
 
@@ -140,9 +131,10 @@ pub trait Planner: Send {
 // simulator driver and the benches feed a `&mut P` where a [`Planner`]
 // value is expected instead of giving the planner away (e.g.
 // `MobilityService` boxes `&mut planner` while the caller keeps
-// ownership to read statistics afterwards). Every method is forwarded:
+// ownership to read statistics afterwards). Every hook is forwarded:
 // all but `name`/`on_request` have defaults, so a missing line here
-// would silently drop a hook (the unit test below drives all eight).
+// would silently drop one (the unit test below drives all seven). The
+// no-op `set_threads` is the one method left at its default.
 macro_rules! forward_planner {
     ($ty:ty) => {
         impl<P: Planner + ?Sized> Planner for $ty {
@@ -166,9 +158,6 @@ macro_rules! forward_planner {
             }
             fn on_worker_change(&mut self, state: &mut PlatformState, change: WorkerChange) {
                 (**self).on_worker_change(state, change)
-            }
-            fn set_threads(&mut self, threads: usize) {
-                (**self).set_threads(threads)
             }
         }
     };
@@ -221,9 +210,6 @@ mod tests {
         fn on_worker_change(&mut self, _: &mut PlatformState, _: WorkerChange) {
             self.calls.push("on_worker_change");
         }
-        fn set_threads(&mut self, _: usize) {
-            self.calls.push("set_threads");
-        }
     }
 
     #[test]
@@ -257,7 +243,6 @@ mod tests {
             assert_eq!(Planner::next_wakeup(&p), Some(42));
             assert!(p.on_cancel(&mut state, r.id));
             p.on_worker_change(&mut state, WorkerChange::Joined(WorkerId(0)));
-            p.set_threads(3);
         }
         assert_eq!(
             inner.calls,
@@ -266,8 +251,7 @@ mod tests {
                 "on_time",
                 "flush",
                 "on_cancel",
-                "on_worker_change",
-                "set_threads"
+                "on_worker_change"
             ]
         );
     }

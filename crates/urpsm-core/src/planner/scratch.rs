@@ -1,12 +1,11 @@
-//! Per-thread probe arena (`PlanScratch`).
+//! The probe arena (`PlanScratch`).
 //!
 //! One exact probe needs two kinds of temporary storage: the linear-DP
 //! distance columns and the re-timed copy of an idle candidate's route.
 //! (The congestion gate walks the splice in place and needs none.)
 //! Allocating any per request puts a `malloc` on the hot path;
-//! `PlanScratch` bundles them into one arena owned by
-//! the planner engine — one instance per fan-out thread (index 0 is
-//! the calling thread's) — and every buffer is `clear()`-reused, so
+//! `PlanScratch` bundles them into the one arena the
+//! planner engine owns, and every buffer is `clear()`-reused, so
 //! together with the engine's one `Shortlist` a steady-state planned
 //! insertion touches the allocator zero times (gated by
 //! `benches/alloc.rs` in `urpsm-bench`).
@@ -14,7 +13,7 @@
 use crate::insertion::InsertionScratch;
 use crate::route::Route;
 
-/// The reusable buffers one probing thread needs for one request.
+/// The reusable buffers the scan needs for one request.
 /// Every field survives across requests with retained capacity; none
 /// carries information between requests (the leak-freedom is pinned by
 /// `tests/scratch_reuse.rs`: a long-lived planner and a

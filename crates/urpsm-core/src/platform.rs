@@ -23,7 +23,7 @@
 //! at once ([`PlatformState`] is `Sync`); every *mutation* — commit,
 //! reject, movement, lifecycle — takes `&mut self` and therefore has
 //! the world to itself. A `&PlatformState` is the read plane as a type:
-//! the borrow-checked snapshot the parallel planners fan out over.
+//! the borrow-checked snapshot a planner scans.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -1503,18 +1503,23 @@ mod tests {
 
         // The same query through a shared `&state`, from four threads
         // at once — `&self` reads need no coordination.
-        let pool = crate::exec::WorkPool::new(4);
-        let outs = pool.run(|_| {
-            let mut buf = CandidateBuf::new();
-            let mut out = Vec::new();
-            for _ in 0..50 {
-                out = state.candidate_workers(&r, 200, &mut buf).iter().collect();
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut buf = CandidateBuf::new();
+                        let mut out = Vec::new();
+                        for _ in 0..50 {
+                            out = state.candidate_workers(&r, 200, &mut buf).iter().collect();
+                        }
+                        out
+                    })
+                })
+                .collect();
+            for reader in readers {
+                assert_eq!(reader.join().expect("reader panicked"), expect);
             }
-            out
         });
-        for out in outs {
-            assert_eq!(out, expect);
-        }
         assert_eq!(state.num_workers(), 3);
         assert_eq!(state.agent(WorkerId(1)).worker.id, WorkerId(1));
     }

@@ -22,17 +22,13 @@ fn run_draw(inst: &AdversaryInstance) -> (u64, u64) {
             grid_cell_m: 10_000.0,
             alpha: inst.alpha,
             drain: true,
-            threads: 0,
-            congestion: None,
-            td_oracle: false,
-            classes: None,
+            ..SimConfig::default()
         },
     )
     .expect("single-request stream is sorted");
     let mut planner = PruneGreedyDp::from_config(PlannerConfig {
         alpha: inst.alpha,
         strict_economics: false,
-        ..PlannerConfig::default()
     });
     let out = sim.run(&mut planner);
     assert!(out.audit_errors.is_empty());

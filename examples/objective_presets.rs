@@ -31,7 +31,6 @@ fn run_with_preset(preset: ObjectivePreset, label: &str) {
     let mut planner = PruneGreedyDp::from_config(PlannerConfig {
         alpha: preset.alpha(),
         strict_economics: false,
-        ..PlannerConfig::default()
     });
     let outcome = urpsm::simulate(&scenario, &mut planner);
     assert!(outcome.audit_errors.is_empty());

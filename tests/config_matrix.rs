@@ -1,15 +1,17 @@
 //! The configuration matrix: every way to open a service, in one
 //! process, over one cancellation-and-churn stream.
 //!
-//! A run is configured by values and nothing else — planner width,
-//! plain or sharded service, congestion profile, overlay or TD oracle,
-//! fleet mix — so the whole lattice can be enumerated here:
-//! threads {1, 4} × service {plain, K = 1, K = 4} × profile {none,
-//! flat, chengdu-2peak} × TD {off, on} × fleet {single, mixed} = 72
-//! runs. Each must be audit-clean with an exact ledger, and runs that
-//! differ only in a knob the equivalence suites promise is invisible
-//! (planner width; one shard vs the plain service; a flat profile,
-//! with or without the TD oracle) must agree byte for byte.
+//! A run is configured by values and nothing else — plain or sharded
+//! service, congestion profile, overlay or TD oracle, fleet mix — so
+//! the whole lattice can be enumerated here: service {plain, K = 1,
+//! K = 4} × profile {none, flat, chengdu-2peak} × TD {off, on} × fleet
+//! {single, mixed} = 36 runs. Each must be audit-clean with an exact
+//! ledger, and runs that differ only in a knob the equivalence suites
+//! promise is invisible (one shard vs the plain service; a flat
+//! profile, with or without the TD oracle) must agree byte for byte.
+//! The planner width is no axis: `PruneGreedyDp::with_threads` and
+//! `SimConfig::threads` are documented no-ops, and one extra run pins
+//! that they stay so.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -36,13 +38,12 @@ struct Config {
     service: Service,
     profile: Profile,
     td_oracle: bool,
-    threads: usize,
 }
 
 impl Config {
     /// The configuration this one is promised to be indistinguishable
-    /// from: width 1, the plain service in place of one shard, and no
-    /// profile (hence no TD oracle) in place of the flat one.
+    /// from: the plain service in place of one shard, and no profile
+    /// (hence no TD oracle) in place of the flat one.
     fn canonical(self) -> Config {
         let free_flow = self.profile != Profile::TwoPeak;
         Config {
@@ -57,7 +58,6 @@ impl Config {
                 self.profile
             },
             td_oracle: self.td_oracle && !free_flow,
-            threads: 1,
         }
     }
 }
@@ -70,10 +70,8 @@ struct Observed {
     handoffs: usize,
 }
 
-/// 80 workers on a 10 × 10 grid: shortlists long enough that width 4
-/// really fans out (the engine needs 16 candidates per thread), with
-/// cancellations, churn and cross-region trips so K = 4 hands workers
-/// across seams.
+/// 80 workers on a 10 × 10 grid: long shortlists, with cancellations,
+/// churn and cross-region trips so K = 4 hands workers across seams.
 fn scenario(mixed_fleet: bool) -> Scenario {
     let builder = ScenarioBuilder::named("config-matrix")
         .grid_city(10, 10)
@@ -134,9 +132,15 @@ fn fates_from_log(events: &[SimEvent]) -> (usize, usize, usize) {
     (count("served"), count("rejected"), count("cancelled"))
 }
 
-fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config) -> Observed {
-    let planner = || Box::new(PruneGreedyDp::with_threads(cfg.threads)) as Box<dyn Planner>;
+/// Runs `cfg`. A `width` other than 0 is passed to both no-op width
+/// knobs, `PruneGreedyDp::with_threads` and `SimConfig::threads`.
+fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config, width: usize) -> Observed {
+    let planner = || match width {
+        0 => Box::new(PruneGreedyDp::new()) as Box<dyn Planner>,
+        n => Box::new(PruneGreedyDp::with_threads(n)),
+    };
     let sim = SimConfig {
+        threads: width,
         congestion: match cfg.profile {
             Profile::None => None,
             Profile::Flat => Some(Arc::new(CongestionProfile::flat())),
@@ -207,21 +211,18 @@ fn every_configuration_is_clean_and_the_promised_identities_hold() {
         for service in [Service::Plain, Service::Sharded(1), Service::Sharded(4)] {
             for profile in [Profile::None, Profile::Flat, Profile::TwoPeak] {
                 for td_oracle in [false, true] {
-                    for threads in [1usize, 4] {
-                        let cfg = Config {
-                            mixed_fleet,
-                            service,
-                            profile,
-                            td_oracle,
-                            threads,
-                        };
-                        observed.insert(cfg, run(&sc, &stream, cfg));
-                    }
+                    let cfg = Config {
+                        mixed_fleet,
+                        service,
+                        profile,
+                        td_oracle,
+                    };
+                    observed.insert(cfg, run(&sc, &stream, cfg, 0));
                 }
             }
         }
     }
-    assert_eq!(observed.len(), 72);
+    assert_eq!(observed.len(), 36);
 
     for (cfg, got) in &observed {
         assert_eq!(
@@ -241,7 +242,6 @@ fn every_configuration_is_clean_and_the_promised_identities_hold() {
             service,
             profile,
             td_oracle: false,
-            threads: 1,
         }]
     };
     let base = at(false, Service::Plain, Profile::None);
@@ -259,4 +259,21 @@ fn every_configuration_is_clean_and_the_promised_identities_hold() {
             .len(),
         3
     );
+}
+
+/// The width knobs a caller written against the retired per-request
+/// fan-out still sets: `PruneGreedyDp::with_threads(4)` together with
+/// `SimConfig { threads: 4, .. }` is the canonical run byte for byte.
+/// Run on the congested TD configuration, where the scan also gates.
+#[test]
+fn the_width_knobs_are_no_ops() {
+    let sc = scenario(false);
+    let stream = peak_hour_stream(&sc);
+    let cfg = Config {
+        mixed_fleet: false,
+        service: Service::Plain,
+        profile: Profile::TwoPeak,
+        td_oracle: true,
+    };
+    assert_eq!(run(&sc, &stream, cfg, 4), run(&sc, &stream, cfg, 0));
 }

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use urpsm::prelude::*;
 use urpsm_core::event::PlatformEvent;
 
+/// `threads` is the no-op `SimConfig::threads` width knob.
 fn run(
     sc: &Scenario,
     threads: usize,
@@ -25,7 +26,6 @@ fn run(
     let cfg = PlannerConfig {
         alpha: sc.alpha,
         strict_economics: false,
-        threads,
     };
     let planner: Box<dyn Planner> = Box::new(PruneGreedyDp::from_config(cfg));
     let stream = sc.event_stream();
@@ -38,7 +38,7 @@ fn run(
             grid_cell_m: sc.grid_cell_m,
             alpha: sc.alpha,
             drain: true,
-            threads: 0,
+            threads,
             congestion,
             td_oracle,
             classes: sc.classes.clone(),

@@ -7,8 +7,8 @@
 //! `T`; a request at `T` can be met only by a worker that departed
 //! before `T`. Every planner family must decline all forty — and serve
 //! the same request from the first of them once its deadline admits a
-//! departure at `T`. Forty candidates fill `pruneGreedyDP`'s first
-//! chunk, so width 4 really fans out.
+//! departure at `T`. Forty candidates overrun `pruneGreedyDP`'s first
+//! chunk.
 
 use std::sync::Arc;
 
@@ -73,8 +73,8 @@ fn every_planner_plans_an_idle_worker_from_its_departure() {
     type MakePlanner = fn() -> Box<dyn Planner>;
     let planners: [(&str, MakePlanner); 6] = [
         ("GreedyDP", || Box::new(GreedyDp::new())),
-        ("pruneGreedyDP, width 1", || Box::new(PruneGreedyDp::new())),
-        ("pruneGreedyDP, width 4", || {
+        ("pruneGreedyDP", || Box::new(PruneGreedyDp::new())),
+        ("pruneGreedyDP, with_threads(4)", || {
             Box::new(PruneGreedyDp::with_threads(4))
         }),
         ("tshare", || Box::new(TSharePlanner::new())),

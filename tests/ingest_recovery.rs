@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use urpsm::prelude::*;
 
 /// One backend configuration: the shard count, and whether everything
-/// else is switched on too — 4 planner threads, a congested day routed
-/// through the TD oracle, and the mixed fleet.
+/// else is switched on too — the no-op planner width knob at 4, a
+/// congested day routed through the TD oracle, and the mixed fleet.
 #[derive(Debug, Clone, Copy)]
 struct Config {
     shards: usize,

@@ -136,7 +136,6 @@ fn strict_economics_never_increases_unified_cost_much() {
     let mut strict = PruneGreedyDp::from_config(PlannerConfig {
         alpha: 1,
         strict_economics: true,
-        ..PlannerConfig::default()
     });
     let out_lax = urpsm::simulate(&sc, &mut lax);
     let out_strict = urpsm::simulate(&sc, &mut strict);

@@ -163,9 +163,8 @@ fn prune_greedy_scratch_reuse_is_invisible() {
 
 #[test]
 fn prune_greedy_parallel_scratch_reuse_is_invisible() {
-    // The fused-parallel engine keeps one arena per pool thread; the
-    // leader's merged shortlist and every thread's probe route must be
-    // residue-free too.
+    // The width knob is a no-op: the planner it builds keeps the one
+    // shortlist and the one probe arena, residue-free like any other.
     for congested in [false, true] {
         assert_reuse_invisible("pruneGreedyDP(t=4)", congested, || {
             Box::new(PruneGreedyDp::with_threads(4))

@@ -17,9 +17,11 @@ use std::sync::Arc;
 use urpsm::prelude::*;
 use urpsm_core::event::PlatformEvent;
 
+/// `threads` is the no-op `SimConfig::threads` width knob.
 fn run_with(
     sc: &Scenario,
     planner: Box<dyn Planner>,
+    threads: usize,
     congestion: Option<Arc<CongestionProfile>>,
     td_oracle: bool,
 ) -> SimOutcome {
@@ -33,7 +35,7 @@ fn run_with(
             grid_cell_m: sc.grid_cell_m,
             alpha: sc.alpha,
             drain: true,
-            threads: 0,
+            threads,
             congestion,
             td_oracle,
             classes: sc.classes.clone(),
@@ -55,11 +57,11 @@ fn run(
     let cfg = PlannerConfig {
         alpha: sc.alpha,
         strict_economics: false,
-        threads,
     };
     run_with(
         sc,
         Box::new(PruneGreedyDp::from_config(cfg)),
+        threads,
         congestion,
         td_oracle,
     )
@@ -313,7 +315,7 @@ fn regional_td_runs_keep_the_ledger_exact_for_every_operator() {
             CongestionProfile::per_region("core-jam", 24 * HOUR_CS, tables, regions)
                 .expect("well-formed profile"),
         );
-        let out = run_with(&sc, mk(), Some(jam), true);
+        let out = run_with(&sc, mk(), 0, Some(jam), true);
         assert_eq!(
             out.audit_errors,
             Vec::<String>::new(),

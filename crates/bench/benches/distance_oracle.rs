@@ -3,18 +3,23 @@
 //! then the hub-label index itself on the two ring-city presets
 //! (Chengdu 24×48, the metropolis 48×96).
 //!
-//! Two gates run on each ring city before any timing:
+//! Three gates run on each ring city before any timing:
 //!
 //! * **exact** — the labels equal Dijkstra from 32 sampled sources to
 //!   every vertex;
+//! * **paths** — from the same sources, every label path is an edge
+//!   walk whose cost equals Dijkstra's distance;
 //! * **small** — the average label size is under the preset's ceiling
 //!   (100 for Chengdu, 200 for the metropolis; the degree order the
 //!   coverage order replaced gave 189.4 and 708.9).
 //!
 //! Each ring row reports label entries, average label size, index
-//! bytes and the best-of-3 build seconds in the artifact's `meta`, and
-//! times the bare label query (`query/…`) and a warm LRU hit
-//! (`lru_hit/…`) on the same hotspot mix.
+//! bytes (the parent column included) and the best-of-3 build seconds
+//! in the artifact's `meta`, and times the bare label query
+//! (`query/…`) and a warm LRU hit (`lru_hit/…`) on the same hotspot
+//! mix, and a label path between graph neighbours
+//! (`path/neighbours/…`) and between uniformly random vertices
+//! (`path/random/…`).
 //!
 //! Run with `--json BENCH_hub_labels.json` to write the artifact.
 
@@ -26,9 +31,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use road_network::cache::LruCachedOracle;
 use road_network::dijkstra::DijkstraEngine;
+use road_network::graph::RoadNetwork;
 use road_network::hub_labels::HubLabels;
 use road_network::oracle::{DijkstraOracle, DistanceOracle, HubLabelOracle};
-use road_network::VertexId;
+use road_network::{Cost, VertexId};
 use urpsm_workloads::network_gen::{grid_city, ring_radial_city};
 
 /// The ring-city presets: name, rings, spokes and the ceiling on the
@@ -55,6 +61,37 @@ fn hotspot_mix(n: u32, count: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
             (VertexId(pick(&mut rng)), VertexId(pick(&mut rng)))
         })
         .collect()
+}
+
+/// 4 096 path-query pairs: a uniformly random vertex and one of its
+/// graph neighbours, or two uniformly random vertices.
+fn path_pairs(g: &RoadNetwork, neighbours: bool, seed: u64) -> Vec<(VertexId, VertexId)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = g.num_vertices() as u32;
+    (0..4_096)
+        .map(|_| {
+            let u = VertexId(rng.gen_range(0..n));
+            let v = if neighbours {
+                let adjacent: Vec<VertexId> = g.neighbors(u).map(|(v, _)| v).collect();
+                adjacent[rng.gen_range(0..adjacent.len())]
+            } else {
+                VertexId(rng.gen_range(0..n))
+            };
+            (u, v)
+        })
+        .collect()
+}
+
+/// The cost of `path` as a walk over `g`'s edges; `None` if a hop is
+/// not an edge.
+fn walk_cost(g: &RoadNetwork, path: &[VertexId]) -> Option<Cost> {
+    path.windows(2).try_fold(0, |sum, hop| {
+        g.neighbors(hop[0])
+            .filter(|&(v, _)| v == hop[1])
+            .map(|(_, c)| c)
+            .min()
+            .map(|c| sum + c)
+    })
 }
 
 fn bench_oracles(c: &mut Criterion) {
@@ -110,6 +147,12 @@ fn bench_ring_labels(c: &mut Criterion) {
             e.sssp(&g, s);
             for v in g.vertices() {
                 assert_eq!(labels.distance(s, v), e.dist_to(v), "{name}: ({s}, {v})");
+                let path = labels.path(s, v).expect("the ring city is connected");
+                assert_eq!(
+                    walk_cost(&g, &path),
+                    Some(e.dist_to(v)),
+                    "{name}: path ({s}, {v}) is not a shortest edge walk"
+                );
             }
         }
         let avg = labels.avg_label_size();
@@ -118,7 +161,8 @@ fn bench_ring_labels(c: &mut Criterion) {
             "{name}: {avg:.1} entries per vertex, ceiling {ceiling}"
         );
         eprintln!(
-            "gate [{name}]: labels == Dijkstra from 32 sources; {avg:.1} entries per vertex \
+            "gate [{name}]: labels == Dijkstra and label paths are shortest edge walks \
+             from 32 sources; {avg:.1} entries per vertex \
              (ceiling {ceiling}); built in {build_s:.3} s"
         );
         c.metadata(format!("{name}/vertices"), n);
@@ -128,6 +172,8 @@ fn bench_ring_labels(c: &mut Criterion) {
         c.metadata(format!("{name}/build_s"), format!("{build_s:.3}"));
 
         let queries = hotspot_mix(n, 4_096, 7);
+        let neighbours = path_pairs(&g, true, 11);
+        let random = path_pairs(&g, false, 13);
         let cached = LruCachedOracle::new(
             HubLabelOracle::from_labels(Arc::new(g), labels.clone()),
             1 << 18,
@@ -153,6 +199,16 @@ fn bench_ring_labels(c: &mut Criterion) {
                 cached.dis(u, v)
             })
         });
+        for (kind, pairs) in [("neighbours", &neighbours), ("random", &random)] {
+            group.bench_function(format!("path/{kind}/{name}"), |b| {
+                let mut i = 0;
+                b.iter(|| {
+                    let (u, v) = pairs[i % pairs.len()];
+                    i += 1;
+                    labels.path(u, v)
+                })
+            });
+        }
         group.finish();
     }
 }

@@ -280,12 +280,11 @@ metrics! {
     counter plan_gate_td_misses "TD distance-cache misses incurred inside the probes' insertion gate (only concurrent `experiments --parallel` cells can share the counter)";
     sharded_histogram[PlanPhase] plan_phase_ns "Per-request wall-clock of one planning phase (nanoseconds)";
 
-    // ── static distance oracle cache ───────────────────────────────────
+    // ── static distance oracle ─────────────────────────────────────────
     counter dis_cache_hits "Static distance-cache hits";
     counter dis_cache_misses "Static distance-cache misses";
     counter dis_cache_evictions "Static distance-cache evictions";
-    counter path_cache_hits "Static path-cache hits";
-    counter path_cache_misses "Static path-cache misses";
+    counter path_queries "Static shortest-path queries answered from the labels";
 
     // ── time-dependent oracle ──────────────────────────────────────────
     counter td_dis_hits "TD distance-cache hits (exact in-bucket reuse)";

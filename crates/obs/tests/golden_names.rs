@@ -25,8 +25,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("urpsm_ingest_ticks_total", "counter"),
     ("urpsm_kinetic_reorders_total", "counter"),
     ("urpsm_motion_advanced_total", "counter"),
-    ("urpsm_path_cache_hits_total", "counter"),
-    ("urpsm_path_cache_misses_total", "counter"),
+    ("urpsm_path_queries_total", "counter"),
     ("urpsm_plan_assigned_total", "counter"),
     ("urpsm_plan_bound_improvements_total", "counter"),
     ("urpsm_plan_gate_td_misses_total", "counter"),
@@ -86,8 +85,7 @@ const JSON_KEYS: &[&str] = &[
     "ingest_ticks",
     "kinetic_reorders",
     "motion_advanced",
-    "path_cache_hits",
-    "path_cache_misses",
+    "path_queries",
     "plan_assigned",
     "plan_bound_improvements",
     "plan_gate_td_misses",

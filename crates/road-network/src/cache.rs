@@ -1,12 +1,17 @@
-//! LRU caching of shortest-distance and shortest-path queries.
+//! LRU caching of shortest-distance queries.
 //!
 //! §6.1: "An LRU cache (ref 25) is maintained for shortest distance and path
 //! queries, and is used by all the algorithms." [`LruCache`] is a
 //! from-scratch map + intrusive doubly-linked-list implementation (the
 //! classic O(1) design); [`LruCachedOracle`] is the decorator that puts
 //! it in front of any [`DistanceOracle`]. Distances are cached under the
-//! unordered pair (the network is undirected, so `dis` is symmetric);
-//! paths are cached directed and reversed on a mirrored hit.
+//! unordered pair (the network is undirected, so `dis` is symmetric).
+//!
+//! Paths are not cached. The hub labels answer a path query with two
+//! walks up their own search trees ([`HubLabels::path`]), cheaper than
+//! a cache that hit 2–10 % of path queries on the benchmark workloads;
+//! [`LruCachedOracle::shortest_path`] forwards to the inner oracle, and
+//! `path_capacity` in [`LruCachedOracle::new`] is accepted and ignored.
 //!
 //! The distance cache is **sharded** [`DIS_SHARDS`] ways by a hash of
 //! the symmetric key: concurrent `experiments --parallel` cells share
@@ -16,8 +21,7 @@
 //! Sharding trades exact global recency for per-shard recency (each
 //! shard runs its own LRU over `capacity / DIS_SHARDS` entries), which
 //! leaves single-threaded hit statistics essentially unchanged — the
-//! hash spreads hot pairs uniformly. The path cache keeps one mutex:
-//! path queries are 2–4 per *accepted* request (§5.3), never hot.
+//! hash spreads hot pairs uniformly.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -237,26 +241,27 @@ fn shard_of(key: (u32, u32)) -> usize {
     (x.wrapping_mul(0x517c_c1b7_2722_0a95) >> SHIFT) as usize & (DIS_SHARDS - 1)
 }
 
-/// Decorator caching `dis` and `shortest_path` results of an inner
-/// oracle (exactly one cache per platform as in §6.1). The distance
-/// side is sharded [`DIS_SHARDS`] ways so concurrent callers rarely
-/// contend on the same lock — see the module docs.
+/// Decorator caching the `dis` results of an inner oracle (exactly
+/// one cache per platform as in §6.1), sharded [`DIS_SHARDS`] ways so
+/// concurrent callers rarely contend on the same lock — see the module
+/// docs. Path queries pass straight through.
 pub struct LruCachedOracle<O> {
     inner: O,
     dis_shards: Vec<Mutex<LruCache<(u32, u32), Cost>>>,
-    path_cache: Mutex<LruCache<(u32, u32), Vec<VertexId>>>,
 }
 
 impl<O: DistanceOracle> LruCachedOracle<O> {
     /// Wraps `inner` with `dis_capacity` distance entries (split
-    /// evenly across [`DIS_SHARDS`] shards) and `path_capacity` path
-    /// entries.
+    /// evenly across [`DIS_SHARDS`] shards).
+    ///
+    /// `path_capacity` is a no-op, kept so existing callers compile:
+    /// paths are not cached (see the module docs).
     ///
     /// `inner` must be a **symmetric** metric (see `sym_key`): debug
     /// builds probe a few vertex pairs in both directions at
     /// construction and panic on a mismatch. Time-dependent metrics
     /// belong behind [`crate::td::TdCachedOracle`] instead.
-    pub fn new(inner: O, dis_capacity: usize, path_capacity: usize) -> Self {
+    pub fn new(inner: O, dis_capacity: usize, _path_capacity: usize) -> Self {
         #[cfg(debug_assertions)]
         if inner.num_vertices() >= 2 {
             let n = inner.num_vertices();
@@ -281,7 +286,6 @@ impl<O: DistanceOracle> LruCachedOracle<O> {
             dis_shards: (0..DIS_SHARDS)
                 .map(|_| Mutex::new(LruCache::new(per_shard)))
                 .collect(),
-            path_cache: Mutex::new(LruCache::new(path_capacity)),
         }
     }
 
@@ -293,18 +297,9 @@ impl<O: DistanceOracle> LruCachedOracle<O> {
         })
     }
 
-    /// Path-cache `(hits, misses)`.
-    pub fn path_hit_stats(&self) -> (u64, u64) {
-        lock(&self.path_cache).hit_stats()
-    }
-
-    /// Approximate memory used by both caches.
+    /// Approximate memory used by the distance cache.
     pub fn mem_bytes(&self) -> usize {
-        self.dis_shards
-            .iter()
-            .map(|s| lock(s).mem_bytes())
-            .sum::<usize>()
-            + lock(&self.path_cache).mem_bytes()
+        self.dis_shards.iter().map(|s| lock(s).mem_bytes()).sum()
     }
 
     /// The wrapped oracle.
@@ -387,26 +382,7 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
     }
 
     fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
-        if u == v {
-            return Some(vec![u]);
-        }
-        {
-            let mut cache = lock(&self.path_cache);
-            if let Some(p) = cache.get(&(u.0, v.0)) {
-                urpsm_obs::with(|m| m.path_cache_hits.inc());
-                return Some(p.clone());
-            }
-            if let Some(p) = cache.get(&(v.0, u.0)) {
-                urpsm_obs::with(|m| m.path_cache_hits.inc());
-                let mut rev = p.clone();
-                rev.reverse();
-                return Some(rev);
-            }
-        }
-        urpsm_obs::with(|m| m.path_cache_misses.inc());
-        let p = self.inner.shortest_path(u, v)?;
-        lock(&self.path_cache).insert((u.0, v.0), p.clone());
-        Some(p)
+        self.inner.shortest_path(u, v)
     }
 }
 
@@ -516,13 +492,22 @@ mod tests {
         assert_eq!(d1, d3);
         assert_eq!(cached.inner().stats().dis, 1, "only one real query");
         assert_eq!(cached.dis_hit_stats(), (2, 1));
+    }
 
-        let p1 = cached.shortest_path(VertexId(0), VertexId(3)).unwrap();
-        let p2 = cached.shortest_path(VertexId(3), VertexId(0)).unwrap();
-        assert_eq!(cached.inner().stats().path, 1);
-        let mut p2r = p2.clone();
-        p2r.reverse();
-        assert_eq!(p1, p2r);
+    #[test]
+    fn path_queries_pass_through_uncached() {
+        let g = path_network();
+        let cached = LruCachedOracle::new(CountingOracle::new(DijkstraOracle::new(g)), 64, 16);
+        cached.inner().reset(); // drop the debug-build symmetry probes
+        let p = cached.shortest_path(VertexId(0), VertexId(3)).unwrap();
+        assert_eq!(p, (0..4).map(VertexId).collect::<Vec<_>>());
+        assert_eq!(cached.shortest_path(VertexId(0), VertexId(3)), Some(p));
+        assert_eq!(
+            cached.shortest_path(VertexId(2), VertexId(2)),
+            Some(vec![VertexId(2)])
+        );
+        assert_eq!(cached.inner().stats().path, 3, "every path query forwarded");
+        assert_eq!(cached.inner().stats().dis, 0);
     }
 
     #[test]
@@ -578,17 +563,13 @@ mod tests {
     }
 
     #[test]
-    fn cached_oracle_identity_queries_bypass() {
+    fn cached_oracle_identity_distance_bypasses() {
         let g = path_network();
         let counting = CountingOracle::new(DijkstraOracle::new(g));
         let cached = LruCachedOracle::new(counting, 4, 4);
         cached.inner().reset(); // drop the debug-build symmetry probes
         assert_eq!(cached.dis(VertexId(2), VertexId(2)), 0);
-        assert_eq!(
-            cached.shortest_path(VertexId(2), VertexId(2)),
-            Some(vec![VertexId(2)])
-        );
         assert_eq!(cached.inner().stats().dis, 0);
-        assert_eq!(cached.inner().stats().path, 0);
+        assert_eq!(cached.dis_hit_stats(), (0, 0));
     }
 }

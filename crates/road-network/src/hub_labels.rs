@@ -20,6 +20,11 @@
 //! The result is exact on undirected graphs and answers queries in
 //! `O(|label|)` — effectively the paper's "O(1) shortest distance query"
 //! assumption at city scale.
+//!
+//! Each entry also records the vertex's parent in its hub's pruned
+//! shortest-path tree, so the same index answers path queries
+//! ([`HubLabels::path`]): two walks up those trees to the hub that
+//! attains the distance (DESIGN.md §10 "Paths from the labels").
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -40,16 +45,20 @@ thread_local! {
     static RANK_TABLE: Cell<Vec<Cost>> = const { Cell::new(Vec::new()) };
 }
 
-/// An exact two-hop distance index over a [`RoadNetwork`].
+/// An exact two-hop distance and path index over a [`RoadNetwork`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HubLabels {
-    /// CSR offsets into `hubs`/`dists`, one slot per vertex.
+    /// CSR offsets into `hubs`/`dists`/`parents`, one slot per vertex.
     offsets: Vec<u32>,
     /// Hub *ranks* (position in the construction order), ascending per
     /// vertex.
     hubs: Vec<u32>,
     /// Distance from the vertex to each hub, aligned with `hubs`.
     dists: Vec<Cost>,
+    /// The vertex's parent in each hub's pruned Dijkstra tree, aligned
+    /// with `hubs`: the vertex whose relaxation first set the final
+    /// distance. The hub itself is its own parent.
+    parents: Vec<u32>,
 }
 
 impl HubLabels {
@@ -76,11 +85,13 @@ impl HubLabels {
                 "order must be a permutation of the vertices: {v} is out of range or repeated"
             );
         }
-        // Temporary per-vertex label vectors, flattened at the end.
-        let mut labels: Vec<Vec<(u32, Cost)>> = vec![Vec::new(); n];
+        // Temporary per-vertex `(rank, dist, parent)` labels, flattened
+        // at the end.
+        let mut labels: Vec<Vec<(u32, Cost, u32)>> = vec![Vec::new(); n];
 
         // Workhorse arrays for the pruned Dijkstra.
         let mut dist = vec![INF; n];
+        let mut parent = vec![0u32; n];
         let mut epoch = vec![0u32; n];
         let mut cur_epoch = 0u32;
         let mut heap: BinaryHeap<Reverse<(Cost, u32)>> = BinaryHeap::new();
@@ -95,11 +106,12 @@ impl HubLabels {
 
             // Load the root's current label into the rank-indexed table
             // so prune checks are O(|label(root)|) total, not per-settle.
-            for &(h, d) in &labels[root.idx()] {
+            for &(h, d, _) in &labels[root.idx()] {
                 hub_dist[h as usize] = d;
             }
 
             dist[root.idx()] = 0;
+            parent[root.idx()] = root.0;
             epoch[root.idx()] = cur_epoch;
             heap.push(Reverse((0, root.0)));
 
@@ -110,7 +122,7 @@ impl HubLabels {
                 }
                 // Prune: can existing labels already certify dist(root, v) <= d?
                 let mut certified = INF;
-                for &(h, dv) in &labels[vi] {
+                for &(h, dv, _) in &labels[vi] {
                     let via = hub_dist[h as usize];
                     if via < INF {
                         certified = certified.min(via + dv);
@@ -119,7 +131,7 @@ impl HubLabels {
                 if certified <= d {
                     continue;
                 }
-                labels[vi].push((rank, d));
+                labels[vi].push((rank, d, parent[vi]));
 
                 let lo = g.offsets[vi] as usize;
                 let hi = g.offsets[vi + 1] as usize;
@@ -132,13 +144,14 @@ impl HubLabels {
                     }
                     if nd < dist[t] {
                         dist[t] = nd;
+                        parent[t] = v;
                         heap.push(Reverse((nd, t as u32)));
                     }
                 }
             }
 
             // Unload the rank table.
-            for &(h, _) in &labels[root.idx()] {
+            for &(h, _, _) in &labels[root.idx()] {
                 hub_dist[h as usize] = INF;
             }
         }
@@ -149,12 +162,14 @@ impl HubLabels {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut hubs = Vec::with_capacity(total);
         let mut dists = Vec::with_capacity(total);
+        let mut parents = Vec::with_capacity(total);
         offsets.push(0u32);
         for l in &labels {
             debug_assert!(l.windows(2).all(|w| w[0].0 < w[1].0));
-            for &(h, d) in l {
+            for &(h, d, p) in l {
                 hubs.push(h);
                 dists.push(d);
+                parents.push(p);
             }
             offsets.push(csr_offset(hubs.len()));
         }
@@ -162,6 +177,7 @@ impl HubLabels {
             offsets,
             hubs,
             dists,
+            parents,
         }
     }
 
@@ -216,6 +232,93 @@ impl HubLabels {
         if u == v {
             return 0;
         }
+        // An unset slot holds INF, and INF + d stays above INF, so a hub
+        // only the longer label has never beats `best`.
+        self.with_rank_table(u, v, |long, table| {
+            long.0
+                .iter()
+                .zip(long.1)
+                .fold(INF, |best, (&h, &d)| best.min(table[h as usize] + d))
+        })
+    }
+
+    /// A shortest path from `s` to `t`, inclusive of both endpoints;
+    /// `None` when the two share no hub (disconnected).
+    ///
+    /// Picks the lowest-rank hub `h` attaining `dis(s, t)` through the
+    /// same rank table as [`Self::distance`], then walks parents from
+    /// `s` up to `h` and from `t` up to `h`, and joins the two walks.
+    /// Each step is one binary search of a rank-sorted label. The walk
+    /// is exact because `L(s,h) + L(h,t) = dis(s,t)` forces both entries
+    /// to be true distances, and every ancestor in `h`'s pruned tree was
+    /// expanded, so it carries `h` in its label with a true distance
+    /// too. The hub choice and both walks ignore the direction, so
+    /// `path(t, s)` is `path(s, t)` reversed (DESIGN.md §10 "Paths from
+    /// the labels").
+    pub fn path(&self, s: VertexId, t: VertexId) -> Option<Vec<VertexId>> {
+        if s == t {
+            return Some(vec![s]);
+        }
+        // Ranks ascend along the label and only a strictly smaller sum
+        // replaces the best, so ties go to the lowest rank.
+        let (best, hub) = self.with_rank_table(s, t, |long, table| {
+            long.0
+                .iter()
+                .zip(long.1)
+                .fold((INF, 0), |(best, hub), (&h, &d)| {
+                    let sum = table[h as usize] + d;
+                    if sum < best {
+                        (sum, h)
+                    } else {
+                        (best, hub)
+                    }
+                })
+        });
+        if best >= INF {
+            return None;
+        }
+        let mut path = Vec::new();
+        self.walk_to_hub(s, hub, &mut path);
+        let up_from_s = path.len();
+        self.walk_to_hub(t, hub, &mut path);
+        // `path` is s … h t … h: drop the second copy of the hub and
+        // turn t's walk around.
+        path.pop();
+        path[up_from_s..].reverse();
+        Some(path)
+    }
+
+    /// Pushes `v`, its parent in `hub`'s tree, and so on up to `hub`
+    /// itself.
+    fn walk_to_hub(&self, mut v: VertexId, hub: u32, out: &mut Vec<VertexId>) {
+        loop {
+            out.push(v);
+            let k = self
+                .label(v)
+                .0
+                .binary_search(&hub)
+                .expect("every vertex on a walk to a hub carries it in its label");
+            let parent = self.parents[self.offsets[v.idx()] as usize + k];
+            if parent == v.0 {
+                return;
+            }
+            v = VertexId(parent);
+        }
+    }
+
+    /// Writes the shorter of `u`'s and `v`'s labels into the calling
+    /// thread's rank table, hands `read` the longer label and the
+    /// table, and resets the written slots.
+    ///
+    /// Forced inline: left as a call, it made [`Self::distance`] 4–8 %
+    /// slower on the ring cities.
+    #[inline(always)]
+    fn with_rank_table<R>(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        read: impl FnOnce((&[u32], &[Cost]), &[Cost]) -> R,
+    ) -> R {
         let (mut short, mut long) = (self.label(u), self.label(v));
         if short.0.len() > long.0.len() {
             std::mem::swap(&mut short, &mut long);
@@ -230,18 +333,12 @@ impl HubLabels {
         for (&h, &d) in short.0.iter().zip(short.1) {
             table[h as usize] = d;
         }
-        // An unset slot holds INF, and INF + d stays above INF, so a hub
-        // only `long` has never beats `best`.
-        let best = long
-            .0
-            .iter()
-            .zip(long.1)
-            .fold(INF, |best, (&h, &d)| best.min(table[h as usize] + d));
+        let result = read(long, &table);
         for &h in short.0 {
             table[h as usize] = INF;
         }
         RANK_TABLE.set(table);
-        best
+        result
     }
 
     /// `v`'s label: hub ranks (ascending) and the distances to them.
@@ -264,9 +361,9 @@ impl HubLabels {
         self.num_entries() as f64 / (self.offsets.len() - 1) as f64
     }
 
-    /// Rough heap footprint in bytes.
+    /// Rough heap footprint in bytes, the parent column included.
     pub fn mem_bytes(&self) -> usize {
-        self.offsets.len() * 4 + self.hubs.len() * 4 + self.dists.len() * 8
+        self.offsets.len() * 4 + self.hubs.len() * 4 + self.dists.len() * 8 + self.parents.len() * 4
     }
 }
 
@@ -443,6 +540,6 @@ mod tests {
         let hl = HubLabels::build(&g);
         assert!(hl.num_entries() >= 30); // at least the self entries
         assert!(hl.avg_label_size() >= 1.0);
-        assert!(hl.mem_bytes() >= hl.num_entries() * 12);
+        assert!(hl.mem_bytes() >= hl.num_entries() * 16);
     }
 }

@@ -11,11 +11,12 @@
 //! * [`dijkstra`] — a reusable Dijkstra engine for distances, paths and
 //!   nearest-vertex queries.
 //! * [`hub_labels`] — pruned landmark labeling (exact hub labels) in
-//!   coverage order, with `O(|label|)` distance queries.
+//!   coverage order, with `O(|label|)` distance queries and shortest
+//!   paths walked up the labels' own search trees.
 //! * [`matrix`] — a dense all-pairs oracle for tests and tiny graphs
 //!   (this is what the paper's worked examples are verified against).
-//! * [`cache`] — an LRU cache decorator shared by all planners, exactly
-//!   as in §6.1 of the paper.
+//! * [`cache`] — an LRU distance cache shared by all planners, as in
+//!   §6.1 of the paper.
 //! * [`oracle`] — the [`oracle::DistanceOracle`] trait plus counting
 //!   decorators used to reproduce the paper's saved-query statistics.
 //! * [`grid`] — the uniform grid index used to shortlist candidate
@@ -28,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bidirectional;
 pub mod builder;
 pub mod cache;
 pub mod congestion;
@@ -91,7 +91,6 @@ impl std::fmt::Display for VertexId {
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::bidirectional::BidirDijkstra;
     pub use crate::builder::NetworkBuilder;
     pub use crate::cache::LruCachedOracle;
     pub use crate::congestion::{CongestionProfile, TravelTimeProvider};

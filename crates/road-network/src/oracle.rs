@@ -10,6 +10,11 @@
 //!   route is committed or simulated (§5.3 notes 2–4 path queries per
 //!   accepted request).
 //!
+//! [`HubLabelOracle`] answers both `dis` and `shortest_path` from one
+//! hub-label index ([`HubLabels::distance`], [`HubLabels::path`]). It
+//! holds no search state and takes no lock, so any number of threads
+//! query it at once.
+//!
 //! [`CountingOracle`] wraps any oracle with atomic query counters; this
 //! is how we reproduce the paper's "tens of billions of saved shortest
 //! distance queries" statistics (§6.2).
@@ -17,7 +22,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::bidirectional::BidirDijkstra;
 use crate::cache::lock;
 use crate::dijkstra::DijkstraEngine;
 use crate::geo::Point;
@@ -116,12 +120,11 @@ impl DistanceOracle for DijkstraOracle {
     }
 }
 
-/// Oracle backed by hub labels for distances (§6.1 of the paper) and
-/// bidirectional Dijkstra for the rare path reconstructions.
+/// Oracle backed by hub labels for distances and paths alike (§6.1 of
+/// the paper).
 pub struct HubLabelOracle {
     g: Arc<RoadNetwork>,
     labels: Arc<HubLabels>,
-    engine: Mutex<BidirDijkstra>,
 }
 
 impl HubLabelOracle {
@@ -129,17 +132,14 @@ impl HubLabelOracle {
     /// response-time measurements, as in the paper).
     pub fn build(g: Arc<RoadNetwork>) -> Self {
         let labels = Arc::new(HubLabels::build(&g));
-        let engine = Mutex::new(BidirDijkstra::for_network(&g));
-        HubLabelOracle { g, labels, engine }
+        HubLabelOracle { g, labels }
     }
 
     /// Wraps prebuilt labels.
     pub fn from_labels(g: Arc<RoadNetwork>, labels: HubLabels) -> Self {
-        let engine = Mutex::new(BidirDijkstra::for_network(&g));
         HubLabelOracle {
             g,
             labels: Arc::new(labels),
-            engine,
         }
     }
 
@@ -172,7 +172,8 @@ impl DistanceOracle for HubLabelOracle {
     }
 
     fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
-        lock(&self.engine).shortest_path(&self.g, u, v)
+        urpsm_obs::with(|m| m.path_queries.inc());
+        self.labels.path(u, v)
     }
 
     fn backing_network(&self) -> Option<&Arc<RoadNetwork>> {

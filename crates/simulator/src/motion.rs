@@ -7,6 +7,11 @@
 //! Example 2, worker `w1`'s `l_0` is `v1`, an intermediate vertex of
 //! its path, at the moment a new request arrives.
 //!
+//! A static leg is expanded from the oracle's `shortest_path` — on the
+//! hub-label oracle, two walks up the labels' search trees — and costed
+//! with one `dis` per edge; a time-dependent provider expands its own
+//! legs ([`TravelTimeProvider::td_expand`]) and bypasses both.
+//!
 //! Each worker caches its expanded current leg; the cache is keyed on
 //! `(l_0, l_1, arr[1], leg base)` so any committed insertion,
 //! reorder, or cancellation bridge that changes the first leg
@@ -154,10 +159,15 @@ impl WorkerMotion {
                     // Scaling keeps the invariant "last offset equals
                     // the leg base", which is what the driven ledger
                     // telescopes over.
-                    let total: Cost = verts
-                        .windows(2)
-                        .map(|pair| oracle.dis(pair[0], pair[1]))
-                        .fold(0, cost_add);
+                    // One `dis` per edge: the edge costs wait in the
+                    // offset slots until the total is known.
+                    let first = self.path.len();
+                    let mut total: Cost = 0;
+                    for pair in verts.windows(2) {
+                        let c = oracle.dis(pair[0], pair[1]);
+                        total = cost_add(total, c);
+                        self.path.push((pair[1], 0, c));
+                    }
                     let scale = |b: Cost| -> Cost {
                         if total == 0 {
                             leg_base
@@ -166,10 +176,11 @@ impl WorkerMotion {
                         }
                     };
                     let mut b: Cost = 0;
-                    for pair in verts.windows(2) {
-                        b = cost_add(b, oracle.dis(pair[0], pair[1]));
+                    for entry in &mut self.path[first..] {
+                        b = cost_add(b, entry.2);
                         let s = scale(b);
-                        self.path.push((pair[1], at_offset(s), s));
+                        entry.1 = at_offset(s);
+                        entry.2 = s;
                     }
                 }
                 _ => {

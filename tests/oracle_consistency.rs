@@ -1,6 +1,7 @@
 //! Cross-oracle consistency on generated cities: hub labels, Dijkstra
 //! and the dense matrix must agree exactly; the LRU decorator must be
-//! transparent; Euclidean bounds must hold everywhere.
+//! transparent, its paths symmetric; Euclidean bounds must hold
+//! everywhere.
 
 use std::sync::Arc;
 
@@ -95,17 +96,17 @@ fn lru_decorator_is_transparent_and_reduces_backend_traffic() {
         "hits {hits} misses {misses}"
     );
 
-    // Paths: cached result equals a fresh one, forwards and reversed.
+    // Paths pass through to the labels: the reverse query is the exact
+    // reverse path, and its length is `dis`.
+    let cached = LruCachedOracle::new(HubLabelOracle::build(g.clone()), 4_096, 256);
     let p1 = cached.shortest_path(VertexId(0), VertexId(48)).unwrap();
-    let p2 = cached.shortest_path(VertexId(48), VertexId(0)).unwrap();
-    let mut p2r = p2;
+    let mut p2r = cached.shortest_path(VertexId(48), VertexId(0)).unwrap();
     p2r.reverse();
-    assert_eq!(p1.first(), p2r.first());
-    assert_eq!(p1.last(), p2r.last());
+    assert_eq!(p1, p2r, "path(t, s) must be path(s, t) reversed");
     let d: u64 = p1.windows(2).map(|w| cached.dis(w[0], w[1])).sum();
     assert_eq!(
         d,
-        cached.dis(VertexId(0), VertexId(48)),
+        reference.dis(VertexId(0), VertexId(48)),
         "path length = dis"
     );
 }

@@ -1,4 +1,4 @@
-//! A reusable Dijkstra engine for distances, paths and bounded searches.
+//! A reusable Dijkstra engine for distances, paths and full searches.
 //!
 //! The engine owns its working arrays and resets them in `O(1)` between
 //! searches with an epoch counter, so repeated queries (the common case
@@ -128,35 +128,6 @@ impl DijkstraEngine {
         Some(VertexId(self.parent[v.idx()]))
     }
 
-    /// Single-source search that stops expanding past `radius`; vertices
-    /// farther than `radius` keep distance [`INF`]. Used by grid-style
-    /// candidate filters.
-    pub fn bounded_sssp(&mut self, g: &RoadNetwork, s: VertexId, radius: Cost) {
-        self.begin(s);
-        while let Some(Reverse((d, v))) = self.heap.pop() {
-            if d > self.seen_dist(v as usize) {
-                continue;
-            }
-            if d > radius {
-                // The heap is ordered: every remaining tentative label
-                // also exceeds the radius. Clamp them all to INF so
-                // callers see a clean "within radius or INF" contract.
-                let i = v as usize;
-                if self.dist[i] > radius {
-                    self.dist[i] = INF;
-                }
-                while let Some(Reverse((_, w))) = self.heap.pop() {
-                    let i = w as usize;
-                    if self.epoch[i] == self.current_epoch && self.dist[i] > radius {
-                        self.dist[i] = INF;
-                    }
-                }
-                break;
-            }
-            self.relax_neighbors(g, v, d);
-        }
-    }
-
     #[inline]
     fn relax_neighbors(&mut self, g: &RoadNetwork, v: u32, d: Cost) {
         let lo = g.offsets[v as usize] as usize;
@@ -173,7 +144,7 @@ impl DijkstraEngine {
         }
     }
 
-    /// Distance to `t` after [`Self::sssp`] / [`Self::bounded_sssp`].
+    /// Distance to `t` after [`Self::sssp`].
     #[inline]
     pub fn dist_to(&self, t: VertexId) -> Cost {
         self.seen_dist(t.idx())
@@ -305,18 +276,6 @@ mod tests {
         let mut e2 = DijkstraEngine::for_network(&g2);
         assert_eq!(e2.distance(&g2, a, VertexId(2)), INF);
         assert_eq!(e2.shortest_path(&g2, a, VertexId(2)), None);
-    }
-
-    #[test]
-    fn bounded_search_clamps_to_radius() {
-        let g = sample();
-        let mut e = DijkstraEngine::for_network(&g);
-        e.bounded_sssp(&g, VertexId(0), 4);
-        assert_eq!(e.dist_to(VertexId(0)), 0);
-        assert_eq!(e.dist_to(VertexId(1)), 2);
-        assert_eq!(e.dist_to(VertexId(2)), 4);
-        assert_eq!(e.dist_to(VertexId(3)), INF); // true dist 7 > 4
-        assert_eq!(e.dist_to(VertexId(4)), INF); // true dist 5 > 4
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!    h(y)` by the triangle inequality of the static metric. Consistent
 //!    potentials keep the search label-setting — every vertex settles
 //!    once, and the first pop of the target is optimal.
-//! 2. **A time-bucketed sharded LRU** ([`TdCachedOracle`]). The profile
+//! 2. **A time-bucketed LRU** ([`TdCachedOracle`]). The profile
 //!    is piecewise-constant per bucket, so trips that start *and
 //!    finish* inside one bucket see a constant-cost graph; caching
 //!    those durations under `(u, v, bucket(depart))` makes within-bucket
@@ -33,11 +33,17 @@
 //!    `dis_at(u, v, t)` and `dis_at(v, u, t)` differ under per-region
 //!    profiles, so the static cache's `sym_key` trick would be unsound
 //!    here.
-//! 3. **Reusable search state.** The engine carries a small pool of
-//!    generation-stamped arenas (dist / parent / potential columns plus
+//! 3. **One reusable search arena.** The engine owns one
+//!    generation-stamped arena (dist / parent / potential columns plus
 //!    a reusable heap), so steady-state queries allocate nothing once
-//!    the pool is warm — the same discipline `bench alloc` enforces for
+//!    it is warm — the same discipline `bench alloc` enforces for
 //!    planned insertions.
+//!
+//! **One owner.** A provider is built per service, so per shard
+//! (DESIGN.md §10), and nothing hands it to a second thread. The engine
+//! keeps its arena and counters behind one `Mutex`, the cache keeps
+//! both maps and its hit/miss counters behind another: the types stay
+//! `Sync`, and a second thread would queue, not race.
 //!
 //! [`TdTravelTimeProvider`] packages the oracle as a
 //! [`TravelTimeProvider`], overriding `leg_time_between` / `td_expand`
@@ -49,10 +55,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::cache::{lock, LruCache, DIS_SHARDS};
+use crate::cache::{lock, LruCache};
 use crate::congestion::{CongestionProfile, TravelTimeProvider};
 use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabels;
@@ -89,36 +94,6 @@ pub trait TimeDependentOracle: Send + Sync {
     }
 }
 
-macro_rules! forward_td_oracle {
-    ($ty:ty) => {
-        impl<O: TimeDependentOracle + ?Sized> TimeDependentOracle for $ty {
-            fn dis_at(&self, u: VertexId, v: VertexId, depart: u64) -> Cost {
-                (**self).dis_at(u, v, depart)
-            }
-            fn shortest_path_at(
-                &self,
-                u: VertexId,
-                v: VertexId,
-                depart: u64,
-            ) -> Option<Vec<VertexId>> {
-                (**self).shortest_path_at(u, v, depart)
-            }
-            fn path_and_duration_at(
-                &self,
-                u: VertexId,
-                v: VertexId,
-                depart: u64,
-            ) -> Option<(Cost, Vec<VertexId>)> {
-                (**self).path_and_duration_at(u, v, depart)
-            }
-        }
-    };
-}
-
-forward_td_oracle!(&O);
-forward_td_oracle!(Box<O>);
-forward_td_oracle!(Arc<O>);
-
 /// Cumulative search counters of a [`TdDijkstra`] (the oracle-td bench
 /// reports these; the ≥5× node-expansion claim is `settled` ratios).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -145,9 +120,10 @@ impl TdSearchStats {
 
 const NO_PARENT: u32 = u32::MAX;
 
-/// Generation-stamped search arenas: dist / parent / potential columns
-/// cleared in O(1) via an epoch counter, plus a reusable binary heap.
-/// One of these per concurrent search; [`TdDijkstra`] pools them.
+/// The generation-stamped search arena: dist / parent / potential
+/// columns cleared in O(1) via an epoch counter, a reusable binary
+/// heap, and the counters of every search run in it. A [`TdDijkstra`]
+/// owns exactly one.
 #[derive(Debug, Default)]
 struct SearchState {
     /// Duration label: earliest arrival minus departure.
@@ -166,8 +142,7 @@ struct SearchState {
     /// optimal labels under a consistent potential), expansion counts
     /// drop sharply.
     heap: BinaryHeap<Reverse<(Cost, Cost, u32)>>,
-    settled: u64,
-    relaxed: u64,
+    stats: TdSearchStats,
 }
 
 impl SearchState {
@@ -216,6 +191,7 @@ impl SearchState {
         t: VertexId,
         depart: u64,
     ) -> Cost {
+        self.stats.queries += 1;
         self.ensure(g.num_vertices());
         self.current_epoch = self.current_epoch.wrapping_add(1);
         if self.current_epoch == 0 {
@@ -241,7 +217,7 @@ impl SearchState {
             if f > cost_add(d, pot_v) {
                 continue;
             }
-            self.settled += 1;
+            self.stats.settled += 1;
             if v == t.0 {
                 return d;
             }
@@ -257,7 +233,7 @@ impl SearchState {
                     self.parent[n] = v;
                     let h = self.potential(labels, n, t);
                     self.heap.push(Reverse((cost_add(nd, h), !nd, n as u32)));
-                    self.relaxed += 1;
+                    self.stats.relaxed += 1;
                 }
             }
         }
@@ -280,13 +256,6 @@ impl SearchState {
     }
 }
 
-/// How many pooled [`SearchState`] arenas a [`TdDijkstra`] carries.
-/// Concurrent callers (experiment cells sharing one oracle) grab a
-/// free one with `try_lock`; beyond
-/// the pool width they serialize on the first slot. Arenas are lazily
-/// sized on first use, so idle slots cost nothing.
-const STATE_POOL: usize = 8;
-
 /// Time-dependent point-to-point engine over a [`RoadNetwork`] and a
 /// [`CongestionProfile`], optionally goal-directed via static hub-label
 /// potentials (see the module docs for why those are admissible *and*
@@ -295,10 +264,7 @@ pub struct TdDijkstra {
     g: Arc<RoadNetwork>,
     profile: Arc<CongestionProfile>,
     labels: Option<Arc<HubLabels>>,
-    pool: Vec<Mutex<SearchState>>,
-    queries: AtomicU64,
-    settled: AtomicU64,
-    relaxed: AtomicU64,
+    state: Mutex<SearchState>,
 }
 
 impl TdDijkstra {
@@ -327,12 +293,7 @@ impl TdDijkstra {
             g,
             profile,
             labels,
-            pool: (0..STATE_POOL)
-                .map(|_| Mutex::new(SearchState::default()))
-                .collect(),
-            queries: AtomicU64::new(0),
-            settled: AtomicU64::new(0),
-            relaxed: AtomicU64::new(0),
+            state: Mutex::default(),
         }
     }
 
@@ -348,20 +309,7 @@ impl TdDijkstra {
 
     /// Cumulative search counters.
     pub fn stats(&self) -> TdSearchStats {
-        TdSearchStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            settled: self.settled.load(Ordering::Relaxed),
-            relaxed: self.relaxed.load(Ordering::Relaxed),
-        }
-    }
-
-    fn with_state<R>(&self, f: impl FnOnce(&mut SearchState) -> R) -> R {
-        for slot in &self.pool {
-            if let Ok(mut state) = slot.try_lock() {
-                return f(&mut state);
-            }
-        }
-        f(&mut lock(&self.pool[0]))
+        lock(&self.state).stats
     }
 
     fn search<R>(
@@ -371,20 +319,14 @@ impl TdDijkstra {
         depart: u64,
         extract: impl FnOnce(Cost, &SearchState) -> R,
     ) -> R {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.with_state(|state| {
-            let before = (state.settled, state.relaxed);
-            let d = state.run(&self.g, &self.profile, self.labels.as_deref(), u, v, depart);
-            self.settled
-                .fetch_add(state.settled - before.0, Ordering::Relaxed);
-            self.relaxed
-                .fetch_add(state.relaxed - before.1, Ordering::Relaxed);
-            urpsm_obs::with(|m| {
-                m.td_queries.inc();
-                m.td_settled.add(state.settled - before.0);
-            });
-            extract(d, state)
-        })
+        let mut state = lock(&self.state);
+        let settled_before = state.stats.settled;
+        let d = state.run(&self.g, &self.profile, self.labels.as_deref(), u, v, depart);
+        urpsm_obs::with(|m| {
+            m.td_queries.inc();
+            m.td_settled.add(state.stats.settled - settled_before);
+        });
+        extract(d, &state)
     }
 }
 
@@ -434,15 +376,14 @@ impl TimeDependentOracle for TdDijkstra {
 /// asymmetric source/target pair plus the absolute bucket index.
 type TdCacheKey = (u32, u32, u64);
 
-/// Shard index for the asymmetric, time-keyed cache key — the same
-/// multiply-high-bits scheme as the static cache's `shard_of`, with the
-/// bucket index mixed in so consecutive buckets of a hot pair spread.
-#[inline]
-fn td_shard_of(key: TdCacheKey) -> usize {
-    const SHIFT: u32 = 64 - DIS_SHARDS.trailing_zeros();
-    let x =
-        ((u64::from(key.0) << 32) | u64::from(key.1)) ^ key.2.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (x.wrapping_mul(0x517c_c1b7_2722_0a95) >> SHIFT) as usize & (DIS_SHARDS - 1)
+/// Everything a [`TdCachedOracle`] mutates, under its one lock.
+struct TdCache {
+    dis: LruCache<TdCacheKey, Cost>,
+    paths: LruCache<TdCacheKey, (Cost, Vec<VertexId>)>,
+    /// Semantic duration-cache counters (see
+    /// [`TdCachedOracle::dis_hit_stats`]).
+    dis_hits: u64,
+    dis_misses: u64,
 }
 
 /// Time-bucketed caching decorator for a [`TimeDependentOracle`].
@@ -450,8 +391,9 @@ fn td_shard_of(key: TdCacheKey) -> usize {
 /// Distances are cached under the **asymmetric** key `(u, v,
 /// depart / bucket_len)` (absolute bucket index — day wraps map to
 /// fresh keys, trading a sliver of hit rate for a trivially correct
-/// key), sharded [`DIS_SHARDS`] ways like the static
-/// [`crate::cache::LruCachedOracle`].
+/// key). Both maps and the hit/miss counters sit behind one `Mutex`,
+/// held for the whole query, inner search included: the oracle has
+/// one owner (see the module docs), so the lock is never contended.
 ///
 /// **Exactness.** The profile is piecewise-constant per bucket and
 /// every region switches buckets at the same boundaries, so a trip that
@@ -471,36 +413,28 @@ fn td_shard_of(key: TdCacheKey) -> usize {
 pub struct TdCachedOracle<O> {
     inner: O,
     bucket_len: u64,
-    dis_shards: Vec<Mutex<LruCache<TdCacheKey, Cost>>>,
-    path_cache: Mutex<LruCache<TdCacheKey, (Cost, Vec<VertexId>)>>,
-    dis_hits: AtomicU64,
-    dis_misses: AtomicU64,
-    path_hits: AtomicU64,
-    path_misses: AtomicU64,
+    cache: Mutex<TdCache>,
 }
 
 impl<O: TimeDependentOracle> TdCachedOracle<O> {
-    /// Wraps `inner` with `dis_capacity` duration entries (split across
-    /// [`DIS_SHARDS`] shards) and `path_capacity` path entries, bucketed
-    /// by `profile`'s piecewise-constant grid.
+    /// Wraps `inner` with `dis_capacity` duration entries and
+    /// `path_capacity` path entries, bucketed by `profile`'s
+    /// piecewise-constant grid.
     pub fn new(
         inner: O,
         profile: &CongestionProfile,
         dis_capacity: usize,
         path_capacity: usize,
     ) -> Self {
-        let per_shard = dis_capacity.div_ceil(DIS_SHARDS).max(1);
         TdCachedOracle {
             inner,
             bucket_len: profile.bucket_len(),
-            dis_shards: (0..DIS_SHARDS)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
-                .collect(),
-            path_cache: Mutex::new(LruCache::new(path_capacity.max(1))),
-            dis_hits: AtomicU64::new(0),
-            dis_misses: AtomicU64::new(0),
-            path_hits: AtomicU64::new(0),
-            path_misses: AtomicU64::new(0),
+            cache: Mutex::new(TdCache {
+                dis: LruCache::new(dis_capacity.max(1)),
+                paths: LruCache::new(path_capacity.max(1)),
+                dis_hits: 0,
+                dis_misses: 0,
+            }),
         }
     }
 
@@ -513,27 +447,14 @@ impl<O: TimeDependentOracle> TdCachedOracle<O> {
     /// in-bucket reuse check counts as a miss — these are *semantic*
     /// stats (exact answers served from cache), not raw map probes.
     pub fn dis_hit_stats(&self) -> (u64, u64) {
-        (
-            self.dis_hits.load(Ordering::Relaxed),
-            self.dis_misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Path-cache `(hits, misses)` under the same semantics.
-    pub fn path_hit_stats(&self) -> (u64, u64) {
-        (
-            self.path_hits.load(Ordering::Relaxed),
-            self.path_misses.load(Ordering::Relaxed),
-        )
+        let cache = lock(&self.cache);
+        (cache.dis_hits, cache.dis_misses)
     }
 
     /// Approximate memory used by both caches.
     pub fn mem_bytes(&self) -> usize {
-        self.dis_shards
-            .iter()
-            .map(|s| lock(s).mem_bytes())
-            .sum::<usize>()
-            + lock(&self.path_cache).mem_bytes()
+        let cache = lock(&self.cache);
+        cache.dis.mem_bytes() + cache.paths.mem_bytes()
     }
 
     #[inline]
@@ -551,10 +472,10 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         }
         let (bucket, bucket_end) = self.bucket_of(depart);
         let key = (u.0, v.0, bucket);
-        let shard = &self.dis_shards[td_shard_of(key)];
-        if let Some(&d) = lock(shard).get(&key) {
+        let mut cache = lock(&self.cache);
+        if let Some(&d) = cache.dis.get(&key) {
             if depart.saturating_add(d) <= bucket_end {
-                self.dis_hits.fetch_add(1, Ordering::Relaxed);
+                cache.dis_hits += 1;
                 urpsm_obs::with(|m| {
                     m.td_dis_hits.inc();
                     m.ring.record(
@@ -568,7 +489,7 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
                 return d;
             }
         }
-        self.dis_misses.fetch_add(1, Ordering::Relaxed);
+        cache.dis_misses += 1;
         urpsm_obs::with(|m| {
             m.td_dis_misses.inc();
             m.ring.record(
@@ -579,11 +500,9 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
                 bucket,
             );
         });
-        // Lock dropped across the inner query (same benign duplicate-
-        // fill race as the static cache: equal values, never wrong).
         let d = self.inner.dis_at(u, v, depart);
         if depart.saturating_add(d) <= bucket_end {
-            let evicted = lock(shard).insert(key, d).is_some();
+            let evicted = cache.dis.insert(key, d).is_some();
             if evicted {
                 urpsm_obs::with(|m| m.td_evictions.inc());
             }
@@ -606,21 +525,17 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         }
         let (bucket, bucket_end) = self.bucket_of(depart);
         let key = (u.0, v.0, bucket);
-        {
-            let mut cache = lock(&self.path_cache);
-            if let Some((d, p)) = cache.get(&key) {
-                if depart.saturating_add(*d) <= bucket_end {
-                    self.path_hits.fetch_add(1, Ordering::Relaxed);
-                    urpsm_obs::with(|m| m.td_path_hits.inc());
-                    return Some((*d, p.clone()));
-                }
+        let mut cache = lock(&self.cache);
+        if let Some((d, p)) = cache.paths.get(&key) {
+            if depart.saturating_add(*d) <= bucket_end {
+                urpsm_obs::with(|m| m.td_path_hits.inc());
+                return Some((*d, p.clone()));
             }
         }
-        self.path_misses.fetch_add(1, Ordering::Relaxed);
         urpsm_obs::with(|m| m.td_path_misses.inc());
         let (d, p) = self.inner.path_and_duration_at(u, v, depart)?;
         if depart.saturating_add(d) <= bucket_end {
-            let evicted = lock(&self.path_cache).insert(key, (d, p.clone())).is_some();
+            let evicted = cache.paths.insert(key, (d, p.clone())).is_some();
             if evicted {
                 urpsm_obs::with(|m| m.td_evictions.inc());
             }
@@ -1105,6 +1020,64 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 10, "test must exercise real legs");
+    }
+
+    /// The oracle has one owner, but the types stay `Sync`: two threads
+    /// sharing one cached engine queue on its locks and get exactly the
+    /// single-threaded answers, with every duration query counted once.
+    /// A barrier before each query makes both threads issue the same
+    /// query at once, so they contend for the same key every time.
+    #[test]
+    fn two_threads_sharing_one_cached_oracle_get_the_reference_answers() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let n = 40;
+        let g = random_network(&mut rng, n, n);
+        let profile = random_profile(&mut rng, n);
+        // Few endpoints and clustered departures, so the cache really
+        // hits.
+        let hot: Vec<u32> = (0..5).map(|_| rng.gen_range(0..n as u32)).collect();
+        let queries: Vec<(VertexId, VertexId, u64)> = (0..150)
+            .map(|_| {
+                let u = VertexId(hot[rng.gen_range(0..hot.len())]);
+                let v = VertexId(hot[rng.gen_range(0..hot.len())]);
+                (u, v, rng.gen_range(0..profile.period() / 4))
+            })
+            .collect();
+        let reference = TdDijkstra::new(g.clone(), profile.clone());
+        let want: Vec<Cost> = queries
+            .iter()
+            .map(|&(u, v, t)| reference.dis_at(u, v, t))
+            .collect();
+        let shared = TdCachedOracle::new(
+            TdDijkstra::new(g.clone(), profile.clone()),
+            &profile,
+            1 << 10,
+            64,
+        );
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for (&(u, v, t), &d) in queries.iter().zip(&want) {
+                        barrier.wait();
+                        assert_eq!(shared.dis_at(u, v, t), d, "dis_at({u},{v},{t})");
+                        let (pd, path) = shared.path_and_duration_at(u, v, t).expect("connected");
+                        assert_eq!(pd, d, "path duration ({u},{v},{t})");
+                        assert_eq!((path[0], *path.last().unwrap()), (u, v));
+                        let mut at = t;
+                        for pair in path.windows(2) {
+                            let c = min_edge_cost(&g, pair[0], pair[1]).expect("path edge");
+                            at += profile.leg_time(pair[0], c, at);
+                        }
+                        assert_eq!(at - t, d, "path walk ({u},{v},{t})");
+                    }
+                });
+            }
+        });
+        let non_trivial = queries.iter().filter(|&&(u, v, _)| u != v).count() as u64;
+        let (hits, misses) = shared.dis_hit_stats();
+        assert_eq!(hits + misses, 2 * non_trivial, "one count per query");
+        assert!(hits > 0 && misses > 0, "({hits}, {misses})");
     }
 
     #[test]

@@ -227,15 +227,18 @@ fn main() {
         let tx = server.handle();
         let feed = Arc::clone(&feed);
         threads.push(std::thread::spawn(move || {
-            for (i, ev) in feed.iter().enumerate() {
-                if i % producers == t {
-                    tx.send_stamped(i as u64, *ev).expect("server alive");
-                }
-            }
+            feed.iter()
+                .enumerate()
+                .filter(|(i, _)| i % producers == t)
+                .try_for_each(|(i, ev)| tx.send_stamped(i as u64, *ev))
         }));
     }
     for t in threads {
-        t.join().expect("producer thread");
+        match t.join() {
+            Ok(Ok(())) => {}
+            Ok(Err(_)) => die("the server closed its ingest channel"),
+            Err(_) => die("a producer thread panicked"),
+        }
     }
 
     let mut last = None;

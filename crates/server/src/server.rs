@@ -514,7 +514,8 @@ impl<'p> IngestServer<'p> {
     {
         let tx = self.handle();
         for ev in events {
-            tx.send(ev).expect("server owns the receiver");
+            tx.send(ev)
+                .expect("`self` holds the receiver until `finish`, so the channel is open");
         }
         drop(tx);
         self.finish()

@@ -176,9 +176,7 @@ pub fn read_wal(path: &Path) -> io::Result<WalScan> {
     let mut events = Vec::new();
     let mut pos = WAL_MAGIC.len();
     // A short header is a torn tail, just like the later breaks.
-    while let Some(header) = bytes.get(pos..pos + 8) {
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    while let (Some(len), Some(crc)) = (le_u32(&bytes, pos), le_u32(&bytes, pos + 4)) {
         if len == 0 || len > MAX_EVENT_BYTES {
             break; // corrupted length field
         }
@@ -257,24 +255,40 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
+    Ok(decode_snapshot(&bytes))
+}
+
+/// The snapshot `bytes` hold, or `None` unless they are exactly the
+/// 52 bytes [`write_snapshot`] writes, magic and checksum intact.
+fn decode_snapshot(bytes: &[u8]) -> Option<Snapshot> {
     if bytes.len() != 52 || &bytes[..8] != SNAP_MAGIC {
-        return Ok(None);
+        return None;
     }
     let payload = &bytes[8..48];
-    let crc = u32::from_le_bytes(bytes[48..52].try_into().unwrap());
-    if crc32(payload) != crc {
-        return Ok(None);
+    if le_u32(bytes, 48)? != crc32(payload) {
+        return None;
     }
-    let u64_at = |i: usize| u64::from_le_bytes(payload[i..i + 8].try_into().unwrap());
-    Ok(Some(Snapshot {
-        events_applied: u64_at(0),
-        wal_bytes: u64_at(8),
+    Some(Snapshot {
+        events_applied: le_u64(payload, 0)?,
+        wal_bytes: le_u64(payload, 8)?,
         checkpoint: ServiceCheckpoint {
-            events: u64_at(16),
-            last_time: u64_at(24),
-            digest: u64_at(32),
+            events: le_u64(payload, 16)?,
+            last_time: le_u64(payload, 24)?,
+            digest: le_u64(payload, 32)?,
         },
-    }))
+    })
+}
+
+/// The little-endian `u32` at `bytes[at..]`; `None` when fewer than
+/// four bytes remain.
+fn le_u32(bytes: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
+}
+
+/// The little-endian `u64` at `bytes[at..]`; `None` when fewer than
+/// eight bytes remain.
+fn le_u64(bytes: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
 }
 
 #[cfg(test)]
@@ -449,6 +463,45 @@ mod tests {
                 prop_assert_eq!(scan.valid_bytes, expect_bytes as u64);
                 prop_assert_eq!(scan.events, expect);
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Hostile snapshot bytes: `read_snapshot` never panics, and it
+        /// accepts only what `write_snapshot` would write — arbitrary
+        /// lengths, with or without the magic, with or without a
+        /// checksum that matches the payload.
+        #[test]
+        fn read_snapshot_accepts_only_written_snapshots(
+            magic in proptest::prelude::any::<bool>(),
+            sealed in proptest::prelude::any::<bool>(),
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..60),
+        ) {
+            use proptest::prelude::*;
+            let mut bytes = if magic { SNAP_MAGIC.to_vec() } else { Vec::new() };
+            bytes.extend_from_slice(&body);
+            if sealed && bytes.len() >= 48 {
+                bytes.truncate(48);
+                let crc = crc32(&bytes[8..48]);
+                bytes.extend_from_slice(&crc.to_le_bytes());
+            }
+            let dir = tmp_dir("hostile-snap");
+            let path = dir.join(SNAPSHOT_FILE);
+            fs::write(&path, &bytes).unwrap();
+            let read = read_snapshot(&path).unwrap();
+            if let Some(snap) = read {
+                write_snapshot(&path, &snap).unwrap();
+                prop_assert_eq!(fs::read(&path).unwrap(), bytes);
+            } else {
+                prop_assert!(
+                    bytes.len() != 52
+                        || &bytes[..8] != SNAP_MAGIC
+                        || crc32(&bytes[8..48]).to_le_bytes() != bytes[48..52]
+                );
+            }
+            fs::remove_dir_all(&dir).unwrap();
         }
     }
 

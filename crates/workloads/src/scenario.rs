@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use road_network::cache::LruCachedOracle;
 use road_network::congestion::CongestionProfile;
 use road_network::graph::RoadNetwork;
-use road_network::oracle::{DijkstraOracle, DistanceOracle, HubLabelOracle};
+use road_network::oracle::{DistanceOracle, HubLabelOracle};
 use road_network::VertexId;
 use urpsm_core::event::{PlatformEvent, ReassignPolicy};
 use urpsm_core::types::{
@@ -109,18 +109,9 @@ impl Scenario {
     }
 }
 
-/// Which shortest-path engine backs the scenario oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OracleKind {
-    /// Hub labels for small/medium networks, Dijkstra above 50k
-    /// vertices (labels get expensive to build).
-    #[default]
-    Auto,
-    /// Force hub labels (the paper's configuration).
-    HubLabels,
-    /// Force plain Dijkstra (reference/testing).
-    Dijkstra,
-}
+/// Distance-cache capacity of every scenario oracle: the
+/// [`LruCachedOracle`] in front of the [`HubLabelOracle`].
+const LRU_CAPACITY: usize = 1 << 20;
 
 enum NetworkSpec {
     Grid {
@@ -151,8 +142,6 @@ pub struct ScenarioBuilder {
     rush_skew: f64,
     grid_cell_m: f64,
     alpha: u64,
-    oracle_kind: OracleKind,
-    lru_capacity: usize,
     cancel_rate: f64,
     cancel_delay: Time,
     departures: usize,
@@ -185,8 +174,6 @@ impl ScenarioBuilder {
             rush_skew: 1.0,
             grid_cell_m: 2_000.0,
             alpha: 1,
-            oracle_kind: OracleKind::Auto,
-            lru_capacity: 1 << 20,
             cancel_rate: 0.0,
             cancel_delay: 2 * MINUTE_CS,
             departures: 0,
@@ -295,12 +282,6 @@ impl ScenarioBuilder {
     /// RNG seed (workers, stream, network perturbations).
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
-        self
-    }
-
-    /// Oracle engine selection.
-    pub fn oracle_kind(mut self, k: OracleKind) -> Self {
-        self.oracle_kind = k;
         self
     }
 
@@ -454,21 +435,10 @@ impl ScenarioBuilder {
             } => Arc::new(ring_radial_city(rings, spokes, gap_m)),
         };
 
-        let base: Arc<dyn DistanceOracle> = match self.oracle_kind {
-            OracleKind::HubLabels => Arc::new(HubLabelOracle::build(network.clone())),
-            OracleKind::Dijkstra => Arc::new(DijkstraOracle::new(network.clone())),
-            OracleKind::Auto => {
-                if network.num_vertices() <= 50_000 {
-                    Arc::new(HubLabelOracle::build(network.clone()))
-                } else {
-                    Arc::new(DijkstraOracle::new(network.clone()))
-                }
-            }
-        };
         let oracle: Arc<dyn DistanceOracle> = Arc::new(LruCachedOracle::new(
-            base,
-            self.lru_capacity,
-            (self.lru_capacity / 64).max(1),
+            Arc::new(HubLabelOracle::build(network.clone())),
+            LRU_CAPACITY,
+            LRU_CAPACITY / 64,
         ));
 
         // Fleet: uniform initial vertices, Gaussian capacities (§6.1).

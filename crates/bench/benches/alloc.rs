@@ -293,9 +293,7 @@ mod gated {
         use road_network::builder::NetworkBuilder;
         use road_network::geo::Point;
         use road_network::hub_labels::HubLabels;
-        use road_network::td::{
-            TdCachedOracle, TdDijkstra, TimeDependentOracle, TD_DIS_CACHE, TD_PATH_CACHE,
-        };
+        use road_network::td::{TdCachedOracle, TdDijkstra, TimeDependentOracle, TD_DIS_CACHE};
 
         let mut b = NetworkBuilder::new();
         for k in 0..VERTICES {
@@ -314,7 +312,6 @@ mod gated {
             TdDijkstra::goal_directed(g, profile.clone(), labels),
             &profile,
             TD_DIS_CACHE,
-            TD_PATH_CACHE,
         );
 
         // Short hops inside the 07–08h bucket: durations (≤ 31 edges,

@@ -1,5 +1,5 @@
 //! Shortest-distance engines (§6.1's infrastructure): plain Dijkstra
-//! vs hub labels vs hub labels behind the LRU cache, on a grid city;
+//! vs hub labels vs hub labels behind the distance cache, on a grid city;
 //! then the hub-label index itself on the two ring-city presets
 //! (Chengdu 24×48, the metropolis 48×96).
 //!
@@ -98,7 +98,7 @@ fn bench_oracles(c: &mut Criterion) {
     let g = Arc::new(grid_city(40, 40, 400.0, 1));
     let dij = DijkstraOracle::new(g.clone());
     let hub = HubLabelOracle::build(g.clone());
-    let cached = LruCachedOracle::new(HubLabelOracle::build(g.clone()), 1 << 18, 1 << 10);
+    let cached = LruCachedOracle::new(HubLabelOracle::build(g.clone()), 1 << 18, 0);
     let queries = hotspot_mix(g.num_vertices() as u32, 4_096, 7);
 
     let mut group = c.benchmark_group("distance_oracle");
@@ -177,7 +177,7 @@ fn bench_ring_labels(c: &mut Criterion) {
         let cached = LruCachedOracle::new(
             HubLabelOracle::from_labels(Arc::new(g), labels.clone()),
             1 << 18,
-            1 << 10,
+            0,
         );
         for &(u, v) in &queries {
             cached.dis(u, v);

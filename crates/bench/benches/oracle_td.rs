@@ -29,9 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use road_network::congestion::{CongestionProfile, HOUR_CS};
 use road_network::hub_labels::HubLabels;
-use road_network::td::{
-    TdCachedOracle, TdDijkstra, TimeDependentOracle, TD_DIS_CACHE, TD_PATH_CACHE,
-};
+use road_network::td::{TdCachedOracle, TdDijkstra, TimeDependentOracle, TD_DIS_CACHE};
 use road_network::VertexId;
 
 /// Rush-hour query mix: hotspot-heavy endpoints (like the demand
@@ -90,7 +88,6 @@ fn bench_oracle_td(c: &mut Criterion) {
             TdDijkstra::goal_directed(g.clone(), flat.clone(), labels.clone()),
             &flat,
             TD_DIS_CACHE,
-            TD_PATH_CACHE,
         );
         for &(u, v, depart) in &queries[..512] {
             let want = labels.distance(u, v);
@@ -152,7 +149,6 @@ fn bench_oracle_td(c: &mut Criterion) {
         TdDijkstra::goal_directed(g.clone(), core.clone(), labels.clone()),
         &core,
         TD_DIS_CACHE,
-        TD_PATH_CACHE,
     );
 
     // Warm the cache with one pass so the timed cached runs measure

@@ -972,11 +972,11 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
     // 4. Oracle backend under pruneGreedyDP.
     let backends: Vec<(&str, Arc<dyn DistanceOracle>)> = vec![
         (
-            "oracle: hub labels + LRU (paper)",
+            "oracle: hub labels + distance cache (paper)",
             Arc::new(LruCachedOracle::new(
                 HubLabelOracle::build(fx.network.clone()),
                 1 << 20,
-                1 << 14,
+                0,
             )),
         ),
         (
@@ -984,11 +984,11 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
             Arc::new(HubLabelOracle::build(fx.network.clone())),
         ),
         (
-            "oracle: dijkstra + LRU",
+            "oracle: dijkstra + distance cache",
             Arc::new(LruCachedOracle::new(
                 DijkstraOracle::new(fx.network.clone()),
                 1 << 20,
-                1 << 14,
+                0,
             )),
         ),
     ];

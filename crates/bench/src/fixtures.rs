@@ -22,7 +22,7 @@ pub struct CityFixture {
     pub city: City,
     /// The road network.
     pub network: Arc<RoadNetwork>,
-    /// LRU-fronted hub-label oracle shared by every cell.
+    /// Cache-fronted hub-label oracle shared by every cell.
     pub oracle: Arc<dyn DistanceOracle>,
     /// The (scaled) Table 5 grid for this city.
     pub sweep: SweepParams,

@@ -283,15 +283,14 @@ metrics! {
     // ── static distance oracle ─────────────────────────────────────────
     counter dis_cache_hits "Static distance-cache hits";
     counter dis_cache_misses "Static distance-cache misses";
-    counter dis_cache_evictions "Static distance-cache evictions";
+    counter dis_cache_evictions "Static distance-cache evictions (entries cleared from a full shard)";
     counter path_queries "Static shortest-path queries answered from the labels";
 
     // ── time-dependent oracle ──────────────────────────────────────────
     counter td_dis_hits "TD distance-cache hits (exact in-bucket reuse)";
     counter td_dis_misses "TD distance-cache misses (including failed in-bucket reuse)";
-    counter td_path_hits "TD path-cache hits";
-    counter td_path_misses "TD path-cache misses";
-    counter td_evictions "TD cache evictions (distance + path)";
+    counter td_path_queries "TD path queries, each a TD-Dijkstra search (paths are not cached)";
+    counter td_evictions "TD distance-cache evictions (entries cleared from a full map)";
     counter td_settled "Vertices settled by TD-Dijkstra searches";
     counter td_queries "TD-Dijkstra searches run";
 

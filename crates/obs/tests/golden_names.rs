@@ -52,8 +52,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("urpsm_td_dis_hits_total", "counter"),
     ("urpsm_td_dis_misses_total", "counter"),
     ("urpsm_td_evictions_total", "counter"),
-    ("urpsm_td_path_hits_total", "counter"),
-    ("urpsm_td_path_misses_total", "counter"),
+    ("urpsm_td_path_queries_total", "counter"),
     ("urpsm_td_queries_total", "counter"),
     ("urpsm_td_settled_total", "counter"),
     ("urpsm_trace_recorded_total", "counter"),
@@ -111,8 +110,7 @@ const JSON_KEYS: &[&str] = &[
     "td_dis_hits",
     "td_dis_misses",
     "td_evictions",
-    "td_path_hits",
-    "td_path_misses",
+    "td_path_queries",
     "td_queries",
     "td_settled",
     "trace_recorded",

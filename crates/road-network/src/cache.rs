@@ -1,11 +1,18 @@
-//! LRU caching of shortest-distance queries.
+//! Caching of shortest-distance queries.
 //!
 //! §6.1: "An LRU cache (ref 25) is maintained for shortest distance and path
-//! queries, and is used by all the algorithms." [`LruCache`] is a
-//! from-scratch map + intrusive doubly-linked-list implementation (the
-//! classic O(1) design); [`LruCachedOracle`] is the decorator that puts
-//! it in front of any [`DistanceOracle`]. Distances are cached under the
-//! unordered pair (the network is undirected, so `dis` is symmetric).
+//! queries, and is used by all the algorithms." [`LruCachedOracle`] is
+//! the decorator that puts a distance cache in front of any
+//! [`DistanceOracle`]. Distances are cached under the unordered pair
+//! (the network is undirected, so `dis` is symmetric).
+//!
+//! **No eviction order.** On every benchmark workload the cache never
+//! fills: each miss is a first touch, and no entry was ever evicted
+//! (DESIGN.md §10, "The caches keep what the traffic asks for"). So the
+//! cache is a plain map bounded at its capacity, and a full map is
+//! cleared before its next insert (`insert_bounded`), which keeps
+//! memory bounded on a long-running server without an LRU list that
+//! every hit would relink. The decorator keeps the name §6.1 suggests.
 //!
 //! Paths are not cached. The hub labels answer a path query with two
 //! walks up their own search trees ([`HubLabels::path`]), cheaper than
@@ -17,12 +24,9 @@
 //! the symmetric key: concurrent `experiments --parallel` cells share
 //! one oracle and issue `dis` queries from many threads at once, and a
 //! single mutex in front of the hottest structure in the system would
-//! serialize them all.
-//! Sharding trades exact global recency for per-shard recency (each
-//! shard runs its own LRU over `capacity / DIS_SHARDS` entries), which
-//! leaves single-threaded hit statistics essentially unchanged — the
-//! hash spreads hot pairs uniformly.
+//! serialize them all. Each shard holds `capacity / DIS_SHARDS` entries.
 
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::fxhash::FxHashMap;
@@ -40,67 +44,37 @@ pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A fixed-capacity least-recently-used cache with O(1) operations.
-#[derive(Debug)]
-pub struct LruCache<K, V> {
-    map: FxHashMap<K, usize>,
-    slots: Vec<Slot<K, V>>,
-    /// Most recently used slot, `NIL` when empty.
-    head: usize,
-    /// Least recently used slot, `NIL` when empty.
-    tail: usize,
+/// Inserts `key → value` into a memo map bounded at `capacity` entries
+/// (`capacity ≥ 1`). A new key arriving at a full map clears it first.
+/// Returns the number of entries cleared, for the eviction counters.
+pub(crate) fn insert_bounded<K: Hash + Eq, V>(
+    map: &mut FxHashMap<K, V>,
     capacity: usize,
+    key: K,
+    value: V,
+) -> u64 {
+    let mut cleared = 0;
+    if map.len() >= capacity && !map.contains_key(&key) {
+        cleared = map.len() as u64;
+        map.clear();
+    }
+    map.insert(key, value);
+    cleared
+}
+
+/// One lock's worth of the distance cache: the memo map and its
+/// `(hits, misses)` counters.
+#[derive(Default)]
+struct DisShard {
+    map: FxHashMap<(u32, u32), Cost>,
     hits: u64,
     misses: u64,
     /// `(hits, misses)` already published to the metrics registry —
-    /// see [`take_stats_delta`](LruCache::take_stats_delta).
+    /// see [`take_stats_delta`](DisShard::take_stats_delta).
     published: (u64, u64),
 }
 
-#[derive(Debug)]
-struct Slot<K, V> {
-    key: K,
-    value: V,
-    prev: usize,
-    next: usize,
-}
-
-const NIL: usize = usize::MAX;
-
-impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries.
-    ///
-    /// # Panics
-    /// If `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "LRU capacity must be positive");
-        LruCache {
-            map: FxHashMap::default(),
-            slots: Vec::with_capacity(capacity.min(1 << 20)),
-            head: NIL,
-            tail: NIL,
-            capacity,
-            hits: 0,
-            misses: 0,
-            published: (0, 0),
-        }
-    }
-
-    /// Current number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// `(hits, misses)` since construction (gets only).
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
+impl DisShard {
     /// `(hits, misses)` accumulated since the last take, for batched
     /// publication to the global metrics registry. Returns `None` — no
     /// publication due — unless `force`d or the unpublished delta has
@@ -108,7 +82,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
     /// subtractions (no atomics, no branches on shared state) is what
     /// lets the hottest structure in the system stay instrumented; the
     /// registry lags the truth by at most one batch per shard.
-    pub fn take_stats_delta(&mut self, force: bool) -> Option<(u64, u64)> {
+    fn take_stats_delta(&mut self, force: bool) -> Option<(u64, u64)> {
         const BATCH: u64 = 4096;
         let dh = self.hits - self.published.0;
         let dm = self.misses - self.published.1;
@@ -117,91 +91,6 @@ impl<K: std::hash::Hash + Eq + Clone, V> LruCache<K, V> {
         }
         self.published = (self.hits, self.misses);
         Some((dh, dm))
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
-        if prev != NIL {
-            self.slots[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.slots[i].prev = NIL;
-        self.slots[i].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    /// Looks up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.map.get(key).copied() {
-            Some(i) => {
-                self.hits += 1;
-                if self.head != i {
-                    self.unlink(i);
-                    self.push_front(i);
-                }
-                Some(&self.slots[i].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts (or overwrites) `key`, evicting the least recently used
-    /// entry when full. Returns the evicted `(key, value)`, if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        if let Some(&i) = self.map.get(&key) {
-            self.slots[i].value = value;
-            if self.head != i {
-                self.unlink(i);
-                self.push_front(i);
-            }
-            return None;
-        }
-        if self.map.len() < self.capacity {
-            let i = self.slots.len();
-            self.slots.push(Slot {
-                key: key.clone(),
-                value,
-                prev: NIL,
-                next: NIL,
-            });
-            self.map.insert(key, i);
-            self.push_front(i);
-            None
-        } else {
-            // Reuse the tail slot.
-            let i = self.tail;
-            self.unlink(i);
-            let old_key = std::mem::replace(&mut self.slots[i].key, key.clone());
-            let old_val = std::mem::replace(&mut self.slots[i].value, value);
-            self.map.remove(&old_key);
-            self.map.insert(key, i);
-            self.push_front(i);
-            Some((old_key, old_val))
-        }
-    }
-
-    /// Rough heap footprint in bytes (slots + map buckets).
-    pub fn mem_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<K, V>>()
-            + self.map.capacity() * (std::mem::size_of::<K>() + std::mem::size_of::<usize>() + 8)
     }
 }
 
@@ -247,12 +136,14 @@ fn shard_of(key: (u32, u32)) -> usize {
 /// docs. Path queries pass straight through.
 pub struct LruCachedOracle<O> {
     inner: O,
-    dis_shards: Vec<Mutex<LruCache<(u32, u32), Cost>>>,
+    dis_shards: Vec<Mutex<DisShard>>,
+    /// Entries one shard holds before it is cleared.
+    shard_capacity: usize,
 }
 
 impl<O: DistanceOracle> LruCachedOracle<O> {
     /// Wraps `inner` with `dis_capacity` distance entries (split
-    /// evenly across [`DIS_SHARDS`] shards).
+    /// evenly across [`DIS_SHARDS`] shards, at least one each).
     ///
     /// `path_capacity` is a no-op, kept so existing callers compile:
     /// paths are not cached (see the module docs).
@@ -280,26 +171,19 @@ impl<O: DistanceOracle> LruCachedOracle<O> {
                 v = v.saturating_sub(step);
             }
         }
-        let per_shard = dis_capacity.div_ceil(DIS_SHARDS).max(1);
         LruCachedOracle {
             inner,
-            dis_shards: (0..DIS_SHARDS)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
-                .collect(),
+            dis_shards: (0..DIS_SHARDS).map(|_| Mutex::default()).collect(),
+            shard_capacity: dis_capacity.div_ceil(DIS_SHARDS).max(1),
         }
     }
 
     /// Distance-cache `(hits, misses)`, summed over all shards.
     pub fn dis_hit_stats(&self) -> (u64, u64) {
         self.dis_shards.iter().fold((0, 0), |(h, m), shard| {
-            let (sh, sm) = lock(shard).hit_stats();
-            (h + sh, m + sm)
+            let shard = lock(shard);
+            (h + shard.hits, m + shard.misses)
         })
-    }
-
-    /// Approximate memory used by the distance cache.
-    pub fn mem_bytes(&self) -> usize {
-        self.dis_shards.iter().map(|s| lock(s).mem_bytes()).sum()
     }
 
     /// The wrapped oracle.
@@ -337,16 +221,17 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
         let key = sym_key(u, v);
         let shard = &self.dis_shards[shard_of(key)];
         {
-            let mut cache = lock(shard);
-            if let Some(&d) = cache.get(&key) {
+            let mut shard = lock(shard);
+            if let Some(&d) = shard.map.get(&key) {
+                shard.hits += 1;
                 // Cache hits are the hottest event in the system
                 // (thousands per planning request), so the registry is
-                // fed in batches: the cache already counts under its
-                // own lock, and `take_stats_delta` crosses into the
-                // shared atomic counters once per batch per shard.
+                // fed in batches: the shard counts under its own lock,
+                // and `take_stats_delta` crosses into the shared atomic
+                // counters once per batch per shard.
                 if urpsm_obs::RECORDING {
-                    if let Some((hits, misses)) = cache.take_stats_delta(false) {
-                        drop(cache);
+                    if let Some((hits, misses)) = shard.take_stats_delta(false) {
+                        drop(shard);
                         urpsm_obs::with(|m| {
                             m.dis_cache_hits.add(hits);
                             m.dis_cache_misses.add(misses);
@@ -355,22 +240,23 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
                 }
                 return d;
             }
+            shard.misses += 1;
         }
         // The lock is dropped across the inner query: two threads may
         // race to fill the same pair, which costs one duplicate inner
         // query, never a wrong answer (both insert the same value).
         let d = self.inner.dis(u, v);
-        let mut cache = lock(shard);
-        let evicted = cache.insert(key, d).is_some();
+        let mut shard = lock(shard);
+        let cleared = insert_bounded(&mut shard.map, self.shard_capacity, key, d);
         if urpsm_obs::RECORDING {
             // A miss already paid an inner-oracle query, so it always
             // flushes the pending batch — short runs stay visible in
             // the exposition without waiting for a full batch.
-            let delta = cache.take_stats_delta(true);
-            drop(cache);
+            let delta = shard.take_stats_delta(true);
+            drop(shard);
             urpsm_obs::with(|m| {
-                if evicted {
-                    m.dis_cache_evictions.inc();
+                if cleared > 0 {
+                    m.dis_cache_evictions.add(cleared);
                 }
                 if let Some((hits, misses)) = delta {
                     m.dis_cache_hits.add(hits);
@@ -394,75 +280,40 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn lru_basic_eviction_order() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        assert_eq!(c.get(&1), Some(&10)); // 1 now MRU
-        let evicted = c.insert(3, 30); // evicts 2 (LRU)
-        assert_eq!(evicted, Some((2, 20)));
-        assert_eq!(c.get(&2), None);
-        assert_eq!(c.get(&1), Some(&10));
-        assert_eq!(c.get(&3), Some(&30));
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn lru_overwrite_does_not_grow() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(1, 11);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&1), Some(&11));
-    }
-
-    #[test]
-    fn lru_hit_miss_accounting() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
-        c.insert(1, 1);
-        c.get(&1);
-        c.get(&2);
-        c.get(&1);
-        assert_eq!(c.hit_stats(), (2, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn lru_zero_capacity_rejected() {
-        let _ = LruCache::<u32, u32>::new(0);
-    }
-
-    #[test]
     fn lru_stress_against_reference_model() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // Reference model: Vec kept in recency order.
+        // Reference model: a Vec of the live entries, emptied when a
+        // new key meets a full cache.
+        const CAPACITY: usize = 8;
         let mut rng = StdRng::seed_from_u64(99);
-        let mut c: LruCache<u8, u8> = LruCache::new(8);
+        let mut map: FxHashMap<u8, u8> = FxHashMap::default();
         let mut model: Vec<(u8, u8)> = Vec::new();
+        let (mut evicted, mut model_evicted) = (0u64, 0u64);
         for _ in 0..5_000 {
             let k = rng.gen_range(0..32u8);
             if rng.gen_bool(0.5) {
                 let v = rng.gen();
-                c.insert(k, v);
-                if let Some(pos) = model.iter().position(|(mk, _)| *mk == k) {
-                    model.remove(pos);
-                }
-                model.insert(0, (k, v));
-                if model.len() > 8 {
-                    model.pop();
+                evicted += insert_bounded(&mut map, CAPACITY, k, v);
+                match model.iter().position(|(mk, _)| *mk == k) {
+                    Some(pos) => model[pos].1 = v,
+                    None => {
+                        if model.len() == CAPACITY {
+                            model_evicted += model.len() as u64;
+                            model.clear();
+                        }
+                        model.push((k, v));
+                    }
                 }
             } else {
-                let got = c.get(&k).copied();
-                let expect = model.iter().position(|(mk, _)| *mk == k).map(|pos| {
-                    let e = model.remove(pos);
-                    model.insert(0, e);
-                    e.1
-                });
-                assert_eq!(got, expect);
+                let expect = model.iter().find(|(mk, _)| *mk == k).map(|e| e.1);
+                assert_eq!(map.get(&k).copied(), expect);
             }
-            assert_eq!(c.len(), model.len());
+            assert!(map.len() <= CAPACITY);
+            assert_eq!(map.len(), model.len());
+            assert_eq!(evicted, model_evicted, "evicted = entries cleared");
         }
+        assert!(evicted > 0, "the stress must fill the map");
     }
 
     fn path_network() -> Arc<crate::graph::RoadNetwork> {
@@ -481,7 +332,7 @@ mod tests {
     fn cached_oracle_is_transparent_and_saves_queries() {
         let g = path_network();
         let counting = CountingOracle::new(DijkstraOracle::new(g));
-        let cached = LruCachedOracle::new(counting, 64, 16);
+        let cached = LruCachedOracle::new(counting, 64, 0);
         cached.inner().reset(); // drop the debug-build symmetry probes
 
         let d1 = cached.dis(VertexId(0), VertexId(5));
@@ -497,7 +348,7 @@ mod tests {
     #[test]
     fn path_queries_pass_through_uncached() {
         let g = path_network();
-        let cached = LruCachedOracle::new(CountingOracle::new(DijkstraOracle::new(g)), 64, 16);
+        let cached = LruCachedOracle::new(CountingOracle::new(DijkstraOracle::new(g)), 64, 0);
         cached.inner().reset(); // drop the debug-build symmetry probes
         let p = cached.shortest_path(VertexId(0), VertexId(3)).unwrap();
         assert_eq!(p, (0..4).map(VertexId).collect::<Vec<_>>());
@@ -531,7 +382,7 @@ mod tests {
     #[test]
     fn concurrent_dis_queries_agree_and_account_exactly() {
         let g = path_network();
-        let cached = LruCachedOracle::new(CountingOracle::new(DijkstraOracle::new(g)), 256, 16);
+        let cached = LruCachedOracle::new(CountingOracle::new(DijkstraOracle::new(g)), 256, 0);
         cached.inner().reset(); // drop the debug-build symmetry probes
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 500;
@@ -566,10 +417,38 @@ mod tests {
     fn cached_oracle_identity_distance_bypasses() {
         let g = path_network();
         let counting = CountingOracle::new(DijkstraOracle::new(g));
-        let cached = LruCachedOracle::new(counting, 4, 4);
+        let cached = LruCachedOracle::new(counting, 4, 0);
         cached.inner().reset(); // drop the debug-build symmetry probes
         assert_eq!(cached.dis(VertexId(2), VertexId(2)), 0);
         assert_eq!(cached.inner().stats().dis, 0);
         assert_eq!(cached.dis_hit_stats(), (0, 0));
+    }
+
+    /// One slot per shard: almost every query clears its shard, and
+    /// the answers and the accounting stay exact.
+    #[test]
+    fn a_cache_cleared_on_every_insert_stays_exact() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let g = path_network();
+        let reference = DijkstraOracle::new(g.clone());
+        // A zero capacity rounds up to one slot per shard.
+        let cached = LruCachedOracle::new(CountingOracle::new(DijkstraOracle::new(g)), 0, 0);
+        cached.inner().reset(); // drop the debug-build symmetry probes
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut non_identity = 0;
+        for _ in 0..200 {
+            let u = VertexId(rng.gen_range(0..6));
+            let v = VertexId(rng.gen_range(0..6));
+            non_identity += u64::from(u != v);
+            assert_eq!(cached.dis(u, v), reference.dis(u, v), "dis({u}, {v})");
+        }
+        let (hits, misses) = cached.dis_hit_stats();
+        assert_eq!(hits + misses, non_identity);
+        assert_eq!(cached.inner().stats().dis, misses);
+        assert!(
+            cached.dis_shards.iter().all(|s| lock(s).map.len() <= 1),
+            "one slot per shard"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! A tiny Fx-style multiplicative hasher for integer keys.
 //!
 //! The standard library's SipHash is needlessly slow for the `(u32, u32)`
-//! vertex-pair keys that dominate this workspace (LRU cache, grid cells).
+//! vertex-pair keys that dominate this workspace (distance cache, grid cells).
 //! Dedicated hashing crates are outside the allowed dependency set, so we
 //! implement the well-known `FxHash` mixing step (as used by rustc)
 //! locally: multiply-rotate with a 64-bit odd constant. HashDoS is not a

@@ -15,8 +15,9 @@
 //!   paths walked up the labels' own search trees.
 //! * [`matrix`] — a dense all-pairs oracle for tests and tiny graphs
 //!   (this is what the paper's worked examples are verified against).
-//! * [`cache`] — an LRU distance cache shared by all planners, as in
-//!   §6.1 of the paper.
+//! * [`cache`] — the distance cache shared by all planners (§6.1 of
+//!   the paper keeps an LRU cache; this one is a map cleared when full,
+//!   because no measured workload ever fills it).
 //! * [`oracle`] — the [`oracle::DistanceOracle`] trait plus counting
 //!   decorators used to reproduce the paper's saved-query statistics.
 //! * [`grid`] — the uniform grid index used to shortlist candidate

@@ -24,15 +24,16 @@
 //!    h(y)` by the triangle inequality of the static metric. Consistent
 //!    potentials keep the search label-setting — every vertex settles
 //!    once, and the first pop of the target is optimal.
-//! 2. **A time-bucketed LRU** ([`TdCachedOracle`]). The profile
-//!    is piecewise-constant per bucket, so trips that start *and
-//!    finish* inside one bucket see a constant-cost graph; caching
+//! 2. **A time-bucketed duration cache** ([`TdCachedOracle`]). The
+//!    profile is piecewise-constant per bucket, so trips that start
+//!    *and finish* inside one bucket see a constant-cost graph; caching
 //!    those durations under `(u, v, bucket(depart))` makes within-bucket
 //!    reuse **exact**, not approximate (see the cache docs for the
 //!    argument). The key is deliberately *asymmetric* and time-keyed —
 //!    `dis_at(u, v, t)` and `dis_at(v, u, t)` differ under per-region
 //!    profiles, so the static cache's `sym_key` trick would be unsound
-//!    here.
+//!    here. Paths are not cached: a path cache served 5 % of path
+//!    queries on the benchmark, so every path query searches.
 //! 3. **One reusable search arena.** The engine owns one
 //!    generation-stamped arena (dist / parent / potential columns plus
 //!    a reusable heap), so steady-state queries allocate nothing once
@@ -42,8 +43,8 @@
 //! **One owner.** A provider is built per service, so per shard
 //! (DESIGN.md §10), and nothing hands it to a second thread. The engine
 //! keeps its arena and counters behind one `Mutex`, the cache keeps
-//! both maps and its hit/miss counters behind another: the types stay
-//! `Sync`, and a second thread would queue, not race.
+//! its duration map and hit/miss counters behind another: the types
+//! stay `Sync`, and a second thread would queue, not race.
 //!
 //! [`TdTravelTimeProvider`] packages the oracle as a
 //! [`TravelTimeProvider`], overriding `leg_time_between` / `td_expand`
@@ -57,8 +58,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-use crate::cache::{lock, LruCache};
+use crate::cache::{insert_bounded, lock};
 use crate::congestion::{CongestionProfile, TravelTimeProvider};
+use crate::fxhash::FxHashMap;
 use crate::graph::RoadNetwork;
 use crate::hub_labels::HubLabels;
 use crate::{cost_add, Cost, VertexId, INF};
@@ -377,9 +379,9 @@ impl TimeDependentOracle for TdDijkstra {
 type TdCacheKey = (u32, u32, u64);
 
 /// Everything a [`TdCachedOracle`] mutates, under its one lock.
+#[derive(Default)]
 struct TdCache {
-    dis: LruCache<TdCacheKey, Cost>,
-    paths: LruCache<TdCacheKey, (Cost, Vec<VertexId>)>,
+    dis: FxHashMap<TdCacheKey, Cost>,
     /// Semantic duration-cache counters (see
     /// [`TdCachedOracle::dis_hit_stats`]).
     dis_hits: u64,
@@ -391,9 +393,12 @@ struct TdCache {
 /// Distances are cached under the **asymmetric** key `(u, v,
 /// depart / bucket_len)` (absolute bucket index — day wraps map to
 /// fresh keys, trading a sliver of hit rate for a trivially correct
-/// key). Both maps and the hit/miss counters sit behind one `Mutex`,
-/// held for the whole query, inner search included: the oracle has
-/// one owner (see the module docs), so the lock is never contended.
+/// key). The map is bounded at its capacity and cleared when a new key
+/// finds it full, as the static cache is (`cache.rs`). The map and the
+/// hit/miss counters sit behind one `Mutex`, held for the whole query,
+/// inner search included: the oracle has one owner (see the module
+/// docs), so the lock is never contended. Path queries are forwarded
+/// to the inner oracle uncached.
 ///
 /// **Exactness.** The profile is piecewise-constant per bucket and
 /// every region switches buckets at the same boundaries, so a trip that
@@ -413,28 +418,20 @@ struct TdCache {
 pub struct TdCachedOracle<O> {
     inner: O,
     bucket_len: u64,
+    /// Entries the duration map holds before it is cleared.
+    dis_capacity: usize,
     cache: Mutex<TdCache>,
 }
 
 impl<O: TimeDependentOracle> TdCachedOracle<O> {
-    /// Wraps `inner` with `dis_capacity` duration entries and
-    /// `path_capacity` path entries, bucketed by `profile`'s
-    /// piecewise-constant grid.
-    pub fn new(
-        inner: O,
-        profile: &CongestionProfile,
-        dis_capacity: usize,
-        path_capacity: usize,
-    ) -> Self {
+    /// Wraps `inner` with `dis_capacity` duration entries (at least
+    /// one), bucketed by `profile`'s piecewise-constant grid.
+    pub fn new(inner: O, profile: &CongestionProfile, dis_capacity: usize) -> Self {
         TdCachedOracle {
             inner,
             bucket_len: profile.bucket_len(),
-            cache: Mutex::new(TdCache {
-                dis: LruCache::new(dis_capacity.max(1)),
-                paths: LruCache::new(path_capacity.max(1)),
-                dis_hits: 0,
-                dis_misses: 0,
-            }),
+            dis_capacity: dis_capacity.max(1),
+            cache: Mutex::default(),
         }
     }
 
@@ -449,12 +446,6 @@ impl<O: TimeDependentOracle> TdCachedOracle<O> {
     pub fn dis_hit_stats(&self) -> (u64, u64) {
         let cache = lock(&self.cache);
         (cache.dis_hits, cache.dis_misses)
-    }
-
-    /// Approximate memory used by both caches.
-    pub fn mem_bytes(&self) -> usize {
-        let cache = lock(&self.cache);
-        cache.dis.mem_bytes() + cache.paths.mem_bytes()
     }
 
     #[inline]
@@ -502,9 +493,9 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         });
         let d = self.inner.dis_at(u, v, depart);
         if depart.saturating_add(d) <= bucket_end {
-            let evicted = cache.dis.insert(key, d).is_some();
-            if evicted {
-                urpsm_obs::with(|m| m.td_evictions.inc());
+            let cleared = insert_bounded(&mut cache.dis, self.dis_capacity, key, d);
+            if cleared > 0 {
+                urpsm_obs::with(|m| m.td_evictions.add(cleared));
             }
         }
         d
@@ -520,27 +511,10 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         v: VertexId,
         depart: u64,
     ) -> Option<(Cost, Vec<VertexId>)> {
-        if u == v {
-            return Some((0, vec![u]));
+        if u != v {
+            urpsm_obs::with(|m| m.td_path_queries.inc());
         }
-        let (bucket, bucket_end) = self.bucket_of(depart);
-        let key = (u.0, v.0, bucket);
-        let mut cache = lock(&self.cache);
-        if let Some((d, p)) = cache.paths.get(&key) {
-            if depart.saturating_add(*d) <= bucket_end {
-                urpsm_obs::with(|m| m.td_path_hits.inc());
-                return Some((*d, p.clone()));
-            }
-        }
-        urpsm_obs::with(|m| m.td_path_misses.inc());
-        let (d, p) = self.inner.path_and_duration_at(u, v, depart)?;
-        if depart.saturating_add(d) <= bucket_end {
-            let evicted = cache.paths.insert(key, (d, p.clone())).is_some();
-            if evicted {
-                urpsm_obs::with(|m| m.td_evictions.inc());
-            }
-        }
-        Some((d, p))
+        self.inner.path_and_duration_at(u, v, depart)
     }
 }
 
@@ -587,8 +561,6 @@ pub struct TdTravelTimeProvider {
 
 /// Default capacity of the time-keyed duration cache.
 pub const TD_DIS_CACHE: usize = 1 << 18;
-/// Default capacity of the time-keyed path cache.
-pub const TD_PATH_CACHE: usize = 1 << 12;
 
 impl TdTravelTimeProvider {
     /// Builds the provider over `g` and `profile`; pass the oracle's
@@ -603,7 +575,7 @@ impl TdTravelTimeProvider {
             Some(l) => TdDijkstra::goal_directed(g.clone(), profile.clone(), l),
             None => TdDijkstra::new(g.clone(), profile.clone()),
         };
-        let oracle = TdCachedOracle::new(engine, &profile, TD_DIS_CACHE, TD_PATH_CACHE);
+        let oracle = TdCachedOracle::new(engine, &profile, TD_DIS_CACHE);
         let name = format!("td:{}", TravelTimeProvider::name(profile.as_ref()));
         TdTravelTimeProvider {
             g,
@@ -881,7 +853,6 @@ mod tests {
             TdDijkstra::goal_directed(g.clone(), flat.clone(), labels.clone()),
             &flat,
             1 << 10,
-            64,
         );
         let static_oracle = HubLabelOracle::build(g.clone());
         for u in 0..n as u32 {
@@ -915,12 +886,8 @@ mod tests {
             )
             .unwrap(),
         );
-        let cached = TdCachedOracle::new(
-            TdDijkstra::new(g.clone(), profile.clone()),
-            &profile,
-            256,
-            16,
-        );
+        let cached =
+            TdCachedOracle::new(TdDijkstra::new(g.clone(), profile.clone()), &profile, 256);
         let h = crate::congestion::HOUR_CS;
         // Second bucket: a→c stretches by region 0 (2×), c→a by region 1 (4×).
         assert_eq!(cached.dis_at(a, c, h), 20_000);
@@ -940,6 +907,40 @@ mod tests {
         // Different bucket: different key, fresh computation.
         assert_eq!(cached.dis_at(a, c, 0), 10_000);
         assert_eq!(cached.dis_hit_stats(), (2, 4));
+    }
+
+    /// Paths are not cached: every non-trivial path query runs one
+    /// search of the inner engine, and its duration is `dis_at`'s.
+    #[test]
+    fn every_path_query_reaches_the_engine() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let n = 30;
+        let g = random_network(&mut rng, n, n / 2);
+        let profile = random_profile(&mut rng, n);
+        let cached = TdCachedOracle::new(TdDijkstra::new(g, profile.clone()), &profile, 1 << 10);
+        let hot: Vec<u32> = (0..4).map(|_| rng.gen_range(0..n as u32)).collect();
+        let mut searched = 0;
+        for _ in 0..60 {
+            let u = VertexId(hot[rng.gen_range(0..hot.len())]);
+            let v = VertexId(hot[rng.gen_range(0..hot.len())]);
+            let depart = rng.gen_range(0..profile.period() / 4);
+            let before = cached.inner().stats().queries;
+            let (d, path) = cached
+                .path_and_duration_at(u, v, depart)
+                .expect("connected");
+            let ran = cached.inner().stats().queries - before;
+            assert_eq!(ran, u64::from(u != v), "path({u},{v},{depart})");
+            searched += ran;
+            assert_eq!((path[0], *path.last().unwrap()), (u, v));
+            assert_eq!(d, cached.dis_at(u, v, depart), "dis_at({u},{v},{depart})");
+            assert_eq!(
+                d,
+                cached.dis_at(u, v, depart),
+                "cached dis_at({u},{v},{depart})"
+            );
+        }
+        assert!(searched > 30, "test must exercise real paths");
+        assert!(cached.dis_hit_stats().0 > 0, "the repeats must hit");
     }
 
     #[test]
@@ -1052,7 +1053,6 @@ mod tests {
             TdDijkstra::new(g.clone(), profile.clone()),
             &profile,
             1 << 10,
-            64,
         );
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
@@ -1145,7 +1145,6 @@ mod tests {
                     TdDijkstra::new(g.clone(), profile.clone()),
                     &profile,
                     64,
-                    16,
                 );
                 // Few distinct endpoints + clustered departures force
                 // plenty of genuine cache reuse.

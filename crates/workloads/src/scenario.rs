@@ -44,7 +44,7 @@ pub struct Scenario {
     pub name: String,
     /// The road network.
     pub network: Arc<RoadNetwork>,
-    /// Shared distance oracle (hub labels or Dijkstra, LRU-fronted).
+    /// Shared distance oracle (hub labels or Dijkstra, cache-fronted).
     pub oracle: Arc<dyn DistanceOracle>,
     /// The fleet.
     pub workers: Vec<Worker>,
@@ -438,7 +438,7 @@ impl ScenarioBuilder {
         let oracle: Arc<dyn DistanceOracle> = Arc::new(LruCachedOracle::new(
             Arc::new(HubLabelOracle::build(network.clone())),
             LRU_CAPACITY,
-            LRU_CAPACITY / 64,
+            0,
         ));
 
         // Fleet: uniform initial vertices, Gaussian capacities (§6.1).

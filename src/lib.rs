@@ -7,7 +7,7 @@
 //! This facade crate re-exports the full workspace:
 //!
 //! - [`network`] — road-network substrate: graphs, shortest-path oracles
-//!   (Dijkstra, hub labeling), LRU distance cache, grid indexes.
+//!   (Dijkstra, hub labeling), a distance cache, grid indexes.
 //! - [`core`] — the paper's contribution: the URPSM problem model, the
 //!   three insertion operators (basic `O(n³)`, naive DP `O(n²)`,
 //!   linear DP `O(n)`), the Euclidean decision phase, the

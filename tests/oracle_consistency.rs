@@ -73,7 +73,7 @@ fn triangle_inequality_on_sampled_triples() {
 fn lru_decorator_is_transparent_and_reduces_backend_traffic() {
     let g = Arc::new(grid_city(7, 7, 300.0, 3));
     let counting = Arc::new(CountingOracle::new(DijkstraOracle::new(g.clone())));
-    let cached = LruCachedOracle::new(counting.clone(), 4_096, 256);
+    let cached = LruCachedOracle::new(counting.clone(), 4_096, 0);
     counting.reset(); // drop the debug-build symmetry probes
     let reference = DijkstraOracle::new(g.clone());
 
@@ -98,7 +98,7 @@ fn lru_decorator_is_transparent_and_reduces_backend_traffic() {
 
     // Paths pass through to the labels: the reverse query is the exact
     // reverse path, and its length is `dis`.
-    let cached = LruCachedOracle::new(HubLabelOracle::build(g.clone()), 4_096, 256);
+    let cached = LruCachedOracle::new(HubLabelOracle::build(g.clone()), 4_096, 0);
     let p1 = cached.shortest_path(VertexId(0), VertexId(48)).unwrap();
     let mut p2r = cached.shortest_path(VertexId(48), VertexId(0)).unwrap();
     p2r.reverse();

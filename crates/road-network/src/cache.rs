@@ -17,8 +17,10 @@
 //! Paths are not cached. The hub labels answer a path query with two
 //! walks up their own search trees ([`HubLabels::path`]), cheaper than
 //! a cache that hit 2–10 % of path queries on the benchmark workloads;
-//! [`LruCachedOracle::shortest_path`] forwards to the inner oracle, and
-//! `path_capacity` in [`LruCachedOracle::new`] is accepted and ignored.
+//! [`LruCachedOracle::shortest_path`] and
+//! [`LruCachedOracle::shortest_path_offsets`] forward to the inner
+//! oracle, and `path_capacity` in [`LruCachedOracle::new`] is accepted
+//! and ignored.
 //!
 //! The distance cache is **sharded** [`DIS_SHARDS`] ways by a hash of
 //! the symmetric key: concurrent `experiments --parallel` cells share
@@ -269,6 +271,10 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
 
     fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
         self.inner.shortest_path(u, v)
+    }
+
+    fn shortest_path_offsets(&self, u: VertexId, v: VertexId) -> Option<Vec<(VertexId, Cost)>> {
+        self.inner.shortest_path_offsets(u, v)
     }
 }
 

@@ -24,7 +24,10 @@
 //! Each entry also records the vertex's parent in its hub's pruned
 //! shortest-path tree, so the same index answers path queries
 //! ([`HubLabels::path`]): two walks up those trees to the hub that
-//! attains the distance (DESIGN.md §10 "Paths from the labels").
+//! attains the distance. The label distances those walks read are each
+//! vertex's offset along the path ([`HubLabels::path_with_offsets`]),
+//! so a path comes with its costs (DESIGN.md §10 "Paths from the
+//! labels").
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -256,8 +259,40 @@ impl HubLabels {
     /// `path(t, s)` is `path(s, t)` reversed (DESIGN.md §10 "Paths from
     /// the labels").
     pub fn path(&self, s: VertexId, t: VertexId) -> Option<Vec<VertexId>> {
+        let mut path = Vec::new();
+        self.walk(s, t, &mut path, |v, _| v).then_some(path)
+    }
+
+    /// [`Self::path`] with each vertex's distance from `s` along it: the
+    /// last offset is `dis(s, t)`.
+    ///
+    /// The offsets are the label distances the walks already read. On
+    /// `s`'s walk to the hub `h`, vertex `x` sits at `L(s,h) − L(x,h)`;
+    /// on `t`'s walk, at `L(s,h) + L(x,h)`. Both are exact: every entry
+    /// on either walk is a true distance to `h`, so each tree edge costs
+    /// the difference of two consecutive entries, which is also its
+    /// `dis` (DESIGN.md §10 "Paths from the labels").
+    pub fn path_with_offsets(&self, s: VertexId, t: VertexId) -> Option<Vec<(VertexId, Cost)>> {
+        let mut path = Vec::new();
+        self.walk(s, t, &mut path, |v, offset| (v, offset))
+            .then_some(path)
+    }
+
+    /// The one path engine behind [`Self::path`] and
+    /// [`Self::path_with_offsets`]: pushes `item(x, offset)` for every
+    /// vertex `x` from `s` to `t`, where `offset` is `x`'s distance from
+    /// `s` along the path. Returns `false`, pushing nothing, when the
+    /// two share no hub.
+    fn walk<T>(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        out: &mut Vec<T>,
+        item: impl Fn(VertexId, Cost) -> T,
+    ) -> bool {
         if s == t {
-            return Some(vec![s]);
+            out.push(item(s, 0));
+            return true;
         }
         // Ranks ascend along the label and only a strictly smaller sum
         // replaces the best, so ties go to the lowest rank.
@@ -275,30 +310,36 @@ impl HubLabels {
                 })
         });
         if best >= INF {
-            return None;
+            return false;
         }
-        let mut path = Vec::new();
-        self.walk_to_hub(s, hub, &mut path);
-        let up_from_s = path.len();
-        self.walk_to_hub(t, hub, &mut path);
-        // `path` is s … h t … h: drop the second copy of the hub and
+        // The first vertex of s's walk is s itself, with L(s, h).
+        let mut to_hub = None;
+        self.walk_to_hub(s, hub, |x, d| {
+            let from_s = *to_hub.get_or_insert(d);
+            out.push(item(x, from_s - d));
+        });
+        let from_s = to_hub.expect("a walk visits its start");
+        let up_from_s = out.len();
+        self.walk_to_hub(t, hub, |x, d| out.push(item(x, from_s + d)));
+        // `out` is s … h t … h: drop the second copy of the hub and
         // turn t's walk around.
-        path.pop();
-        path[up_from_s..].reverse();
-        Some(path)
+        out.pop();
+        out[up_from_s..].reverse();
+        true
     }
 
-    /// Pushes `v`, its parent in `hub`'s tree, and so on up to `hub`
-    /// itself.
-    fn walk_to_hub(&self, mut v: VertexId, hub: u32, out: &mut Vec<VertexId>) {
+    /// Visits `v`, its parent in `hub`'s tree, and so on up to `hub`
+    /// itself, each with its label distance to `hub`.
+    fn walk_to_hub(&self, mut v: VertexId, hub: u32, mut visit: impl FnMut(VertexId, Cost)) {
         loop {
-            out.push(v);
             let k = self
                 .label(v)
                 .0
                 .binary_search(&hub)
                 .expect("every vertex on a walk to a hub carries it in its label");
-            let parent = self.parents[self.offsets[v.idx()] as usize + k];
+            let entry = self.offsets[v.idx()] as usize + k;
+            visit(v, self.dists[entry]);
+            let parent = self.parents[entry];
             if parent == v.0 {
                 return;
             }

@@ -8,12 +8,14 @@
 //!   (coordinate arithmetic only, **not** counted as a distance query),
 //! * `shortest_path(u, v)` — concrete vertex path, used only when a
 //!   route is committed or simulated (§5.3 notes 2–4 path queries per
-//!   accepted request).
+//!   accepted request); `shortest_path_offsets(u, v)` is the same path
+//!   with each vertex's travel time from `u`, the form worker motion
+//!   expands a leg from.
 //!
-//! [`HubLabelOracle`] answers both `dis` and `shortest_path` from one
-//! hub-label index ([`HubLabels::distance`], [`HubLabels::path`]). It
-//! holds no search state and takes no lock, so any number of threads
-//! query it at once.
+//! [`HubLabelOracle`] answers `dis` and both path queries from one
+//! hub-label index ([`HubLabels::distance`], [`HubLabels::path`],
+//! [`HubLabels::path_with_offsets`]). It holds no search state and
+//! takes no lock, so any number of threads query it at once.
 //!
 //! [`CountingOracle`] wraps any oracle with atomic query counters; this
 //! is how we reproduce the paper's "tens of billions of saved shortest
@@ -27,7 +29,7 @@ use crate::dijkstra::DijkstraEngine;
 use crate::geo::Point;
 use crate::graph::{euclidean_cost, RoadNetwork};
 use crate::hub_labels::HubLabels;
-use crate::{Cost, VertexId};
+use crate::{cost_add, Cost, VertexId};
 
 /// Shortest-distance / shortest-path oracle over a road network.
 ///
@@ -49,6 +51,27 @@ pub trait DistanceOracle: Send + Sync {
 
     /// The concrete shortest path, inclusive of both endpoints.
     fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>>;
+
+    /// [`Self::shortest_path`] with each vertex's travel time from `u`
+    /// along it; the last offset is the path's cost. Worker motion
+    /// expands a leg from this one call.
+    ///
+    /// The default costs the path with one [`Self::dis`] per edge.
+    /// [`HubLabelOracle`] reads the offsets off the label walk that
+    /// finds the path ([`HubLabels::path_with_offsets`]) and issues no
+    /// `dis`; the caching decorators forward to their inner oracle.
+    fn shortest_path_offsets(&self, u: VertexId, v: VertexId) -> Option<Vec<(VertexId, Cost)>> {
+        let path = self.shortest_path(u, v)?;
+        let mut offsets = Vec::with_capacity(path.len());
+        let mut offset: Cost = 0;
+        for (i, &x) in path.iter().enumerate() {
+            if i > 0 {
+                offset = cost_add(offset, self.dis(path[i - 1], x));
+            }
+            offsets.push((x, offset));
+        }
+        Some(offsets)
+    }
 
     /// Euclidean travel-time lower bound: straight-line meters at the
     /// network's top speed, rounded down. Guaranteed `<= dis(u, v)`.
@@ -174,6 +197,11 @@ impl DistanceOracle for HubLabelOracle {
     fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
         urpsm_obs::with(|m| m.path_queries.inc());
         self.labels.path(u, v)
+    }
+
+    fn shortest_path_offsets(&self, u: VertexId, v: VertexId) -> Option<Vec<(VertexId, Cost)>> {
+        urpsm_obs::with(|m| m.path_queries.inc());
+        self.labels.path_with_offsets(u, v)
     }
 
     fn backing_network(&self) -> Option<&Arc<RoadNetwork>> {
@@ -307,6 +335,13 @@ macro_rules! forward_oracle {
             fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
                 (**self).shortest_path(u, v)
             }
+            fn shortest_path_offsets(
+                &self,
+                u: VertexId,
+                v: VertexId,
+            ) -> Option<Vec<(VertexId, Cost)>> {
+                (**self).shortest_path_offsets(u, v)
+            }
             fn euc(&self, u: VertexId, v: VertexId) -> Cost {
                 (**self).euc(u, v)
             }
@@ -432,6 +467,51 @@ mod tests {
         assert_eq!(arced.dis(VertexId(0), VertexId(2)), 200);
         let by_ref: &dyn DistanceOracle = &*arced;
         assert_eq!(by_ref.num_vertices(), 4);
+    }
+
+    /// The trait default (`shortest_path` plus one `dis` per edge, kept
+    /// by the Dijkstra and matrix oracles) and the label walk's override
+    /// agree on a graph whose shortest paths are unique: every edge
+    /// cost is a distinct power of two, so no two paths cost the same.
+    #[test]
+    fn default_offsets_agree_with_the_label_walk() {
+        use crate::matrix::MatrixOracle;
+        let n = 12u32;
+        let mut b = NetworkBuilder::new();
+        for i in 0..n {
+            b.add_vertex(Point::new(f64::from(i), f64::from(i * i % 7)));
+        }
+        let mut cost = 1;
+        let mut edge = |b: &mut NetworkBuilder, u: u32, v: u32| {
+            b.add_edge_with_cost(VertexId(u), VertexId(v), cost)
+                .unwrap();
+            cost *= 2;
+        };
+        for i in 1..n {
+            edge(&mut b, i - 1, i);
+        }
+        for (u, v) in [(0, 5), (2, 9), (3, 11), (4, 7), (1, 10), (6, 11)] {
+            edge(&mut b, u, v);
+        }
+        let g = Arc::new(b.finish().unwrap());
+        let labels = HubLabelOracle::build(g.clone());
+        let defaults: [&dyn DistanceOracle; 2] = [
+            &DijkstraOracle::new(g.clone()),
+            &MatrixOracle::from_network(&g),
+        ];
+        for u in g.vertices() {
+            for v in g.vertices() {
+                let walk = labels.shortest_path_offsets(u, v).unwrap();
+                assert_eq!(walk.last().unwrap().1, labels.dis(u, v), "({u},{v})");
+                for oracle in defaults {
+                    assert_eq!(
+                        oracle.shortest_path_offsets(u, v).unwrap(),
+                        walk,
+                        "({u},{v})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

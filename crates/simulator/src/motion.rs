@@ -7,10 +7,13 @@
 //! Example 2, worker `w1`'s `l_0` is `v1`, an intermediate vertex of
 //! its path, at the moment a new request arrives.
 //!
-//! A static leg is expanded from the oracle's `shortest_path` — on the
-//! hub-label oracle, two walks up the labels' search trees — and costed
-//! with one `dis` per edge; a time-dependent provider expands its own
-//! legs ([`TravelTimeProvider::td_expand`]) and bypasses both.
+//! A static leg is expanded from one oracle call,
+//! [`DistanceOracle::shortest_path_offsets`]: the path with each
+//! vertex's free-flow offset along it. On the hub-label oracle that is
+//! two walks up the labels' search trees, whose label distances are the
+//! offsets, so motion issues no `dis` (DESIGN.md §10 "Paths from the
+//! labels"). A time-dependent provider expands its own legs
+//! ([`TravelTimeProvider::td_expand`]) and bypasses it.
 //!
 //! Each worker caches its expanded current leg; the cache is keyed on
 //! `(l_0, l_1, arr[1], leg base)` so any committed insertion,
@@ -28,7 +31,8 @@
 //! drive, with an undrivable head leg, or already at or ahead of the
 //! clock, and the service does not call it for them: on each clock
 //! move it advances every *due* worker — `PlatformState::due(w) ≤ t`,
-//! the platform's motion index (DESIGN.md §1) — in ascending id. An
+//! the platform's motion index (DESIGN.md §1) — in ascending id,
+//! reading only the blocks of 64 workers whose minimum `due` is. An
 //! idle worker, including one that drains its route inside `advance`,
 //! is not touched at all: it stays at its last stop's arrival time and
 //! the platform's lazy idle clock reads its departure as `max(arr[0],
@@ -45,11 +49,11 @@
 //!
 //! # Disconnected legs
 //!
-//! When the oracle has no path for a leg (`shortest_path` → `None` —
-//! possible for bridge legs spliced by a cancellation on a directed or
-//! partitioned graph), the leg is synthesized as a single hop timed by
-//! the route's own schedule — never by re-querying `dis`, whose `INF`
-//! answer used to fabricate an expansion that violated the
+//! When the oracle has no path for a leg (`shortest_path_offsets` →
+//! `None` — possible for bridge legs spliced by a cancellation on a
+//! directed or partitioned graph), the leg is synthesized as a single
+//! hop timed by the route's own schedule — never by re-querying `dis`,
+//! whose `INF` answer used to fabricate an expansion that violated the
 //! "expanded path time equals leg travel time" invariant and corrupted
 //! the driven ledger. A leg whose scheduled arrival is `INF` is
 //! undrivable: the worker holds its position (and its clean ledger)
@@ -147,9 +151,8 @@ impl WorkerMotion {
             None => false,
         };
         if !td_expanded {
-            match oracle.shortest_path(from, to) {
-                Some(verts) if verts.len() >= 2 && verts[0] == from => {
-                    self.path.reserve(verts.len() - 1);
+            match oracle.shortest_path_offsets(from, to) {
+                Some(walk) if walk.len() >= 2 && walk[0].0 == from => {
                     // Offsets are normalized to the leg's stored base:
                     // for an ordinary leg `leg_base` equals the path
                     // total and the scaling is exact identity, but a
@@ -159,15 +162,7 @@ impl WorkerMotion {
                     // Scaling keeps the invariant "last offset equals
                     // the leg base", which is what the driven ledger
                     // telescopes over.
-                    // One `dis` per edge: the edge costs wait in the
-                    // offset slots until the total is known.
-                    let first = self.path.len();
-                    let mut total: Cost = 0;
-                    for pair in verts.windows(2) {
-                        let c = oracle.dis(pair[0], pair[1]);
-                        total = cost_add(total, c);
-                        self.path.push((pair[1], 0, c));
-                    }
+                    let total = walk[walk.len() - 1].1;
                     let scale = |b: Cost| -> Cost {
                         if total == 0 {
                             leg_base
@@ -175,13 +170,10 @@ impl WorkerMotion {
                             ((u128::from(leg_base) * u128::from(b)) / u128::from(total)) as Cost
                         }
                     };
-                    let mut b: Cost = 0;
-                    for entry in &mut self.path[first..] {
-                        b = cost_add(b, entry.2);
+                    self.path.extend(walk[1..].iter().map(|&(v, b)| {
                         let s = scale(b);
-                        entry.1 = at_offset(s);
-                        entry.2 = s;
-                    }
+                        (v, at_offset(s), s)
+                    }));
                 }
                 _ => {
                     // No concrete path: synthesize the leg as one hop
@@ -287,6 +279,7 @@ mod tests {
     use super::*;
     use road_network::geo::Point;
     use road_network::matrix::MatrixOracle;
+    use road_network::oracle::{CountingOracle, HubLabelOracle};
     use std::sync::Arc;
     use urpsm_core::insertion::linear_dp_insertion;
     use urpsm_core::types::{Request, RequestId, StopKind, Worker};
@@ -471,6 +464,105 @@ mod tests {
         assert_eq!(stops[1].1, 1_000);
         assert_eq!(motion.driven, 1_000, "driven ledger stays exact");
         assert_eq!(state.total_assigned_distance(), 1_000);
+    }
+
+    /// The label walk's offsets, and no `dis`: a static leg is costed
+    /// from its path walk alone.
+    struct NoDis(HubLabelOracle);
+
+    impl DistanceOracle for NoDis {
+        fn num_vertices(&self) -> usize {
+            self.0.num_vertices()
+        }
+        fn point(&self, v: VertexId) -> road_network::geo::Point {
+            self.0.point(v)
+        }
+        fn top_speed_mps(&self) -> f64 {
+            self.0.top_speed_mps()
+        }
+        fn dis(&self, u: VertexId, v: VertexId) -> Cost {
+            panic!("motion asked for dis({u}, {v})")
+        }
+        fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
+            self.0.shortest_path(u, v)
+        }
+        fn shortest_path_offsets(&self, u: VertexId, v: VertexId) -> Option<Vec<(VertexId, Cost)>> {
+            self.0.shortest_path_offsets(u, v)
+        }
+    }
+
+    /// Every leg of a worker's day on a 6 × 6 grid of equal blocks
+    /// (many equal-cost paths), free flow and stretched 1.5×, expands
+    /// from the label walk's offsets into exactly the `(vertex, time,
+    /// offset)` triples the per-edge `dis` loop produced — the trait
+    /// default a [`CountingOracle`] keeps, counted to be sure it ran.
+    #[test]
+    fn label_offsets_expand_legs_as_the_per_edge_loop_did() {
+        use road_network::congestion::CongestionProfile;
+        let mut b = road_network::builder::NetworkBuilder::new();
+        for i in 0..36u32 {
+            b.add_vertex(Point::new(f64::from(i % 6), f64::from(i / 6)));
+        }
+        for i in 0..36u32 {
+            if i % 6 < 5 {
+                b.add_edge_with_cost(VertexId(i), VertexId(i + 1), 100)
+                    .unwrap();
+            }
+            if i < 30 {
+                b.add_edge_with_cost(VertexId(i), VertexId(i + 6), 100)
+                    .unwrap();
+            }
+        }
+        b.set_top_speed_mps(1.0);
+        let g = Arc::new(b.finish().unwrap());
+        let walk = NoDis(HubLabelOracle::build(g.clone()));
+        let per_edge = CountingOracle::new(HubLabelOracle::build(g.clone()));
+        for stretch in [None, Some(1.5)] {
+            let ws = [Worker {
+                class: Default::default(),
+                id: WorkerId(0),
+                origin: VertexId(0),
+                capacity: 4,
+            }];
+            let mut state =
+                PlatformState::new(Arc::new(HubLabelOracle::build(g.clone())), &ws, 5.0, 0);
+            state.set_congestion(
+                stretch.map(|x| Arc::new(CongestionProfile::constant("stretch", x).unwrap()) as _),
+            );
+            per_edge.reset();
+            let (mut motion, mut legs, mut edges) = (WorkerMotion::default(), 0, 0);
+            for (id, (o, d)) in [(14, 35), (30, 5), (21, 8), (35, 0)]
+                .into_iter()
+                .enumerate()
+            {
+                assign(&mut state, id as u32, o, d);
+                while !state.head(WorkerId(0)).idle {
+                    let mut reference = WorkerMotion::default();
+                    motion.ensure_expanded(&state, WorkerId(0), &walk);
+                    reference.ensure_expanded(&state, WorkerId(0), &per_edge);
+                    assert_eq!(
+                        motion.path[..],
+                        reference.path[..],
+                        "{stretch:?}, request {id}"
+                    );
+                    legs += 1;
+                    edges += motion.path.len() as u64 - 1;
+                    // Half way along the leg, then onto its stop.
+                    let route = &state.agent(WorkerId(0)).route;
+                    let (t0, t1) = (route.start_time(), route.arr(1));
+                    motion.advance(&mut state, WorkerId(0), (t0 + t1) / 2, &walk, |_, _| {});
+                    motion.advance(&mut state, WorkerId(0), t1, &walk, |_, _| {});
+                }
+            }
+            assert!(legs >= 8, "{stretch:?}: every request drives two legs");
+            assert_eq!(per_edge.stats().path, legs);
+            assert_eq!(
+                per_edge.stats().dis,
+                edges,
+                "one dis per edge in the default"
+            );
+            assert_eq!(motion.driven, state.total_assigned_distance());
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use road_network::oracle::DistanceOracle;
 use road_network::{Cost, VertexId};
 use urpsm_core::event::{PlatformEvent, ReassignPolicy, WorkerChange};
 use urpsm_core::planner::{reply_one, Planner, PlannerReplies};
-use urpsm_core::platform::{CancelOutcome, HandoffTicket, Outcome, PlatformState};
+use urpsm_core::platform::{CancelOutcome, HandoffTicket, Outcome, PlatformState, DUE_BLOCK};
 use urpsm_core::types::{Request, RequestId, Stop, StopKind, Time, Worker, WorkerId};
 
 use crate::audit::audit_events;
@@ -87,6 +87,9 @@ pub struct MobilityService<'p> {
     /// every worker instead (see `service_motion_tests.rs`).
     #[cfg(test)]
     full_sweep: bool,
+    /// Blocks of the due index whose entries `advance_all` read.
+    #[cfg(test)]
+    due_blocks_read: u64,
 }
 
 impl<'p> MobilityService<'p> {
@@ -143,6 +146,8 @@ impl<'p> MobilityService<'p> {
             planning_time: Duration::ZERO,
             #[cfg(test)]
             full_sweep: false,
+            #[cfg(test)]
+            due_blocks_read: 0,
         }
     }
 
@@ -415,8 +420,12 @@ impl<'p> MobilityService<'p> {
     /// [`WorkerMotion::advance`] would do anything (`due(w) ≤ t`), and
     /// idle workers need nothing — the platform's clock is their clock
     /// (DESIGN.md §1) — so the cost follows the vehicles that move, not
-    /// the fleet. Due workers are visited in ascending id — the order a
-    /// sweep over every worker would reach them in, hence the same log.
+    /// the fleet. The index's block summary skips every block of
+    /// [`DUE_BLOCK`] workers whose minimum is above `t`, so only the
+    /// blocks holding a due worker are read. Due workers are visited in
+    /// ascending id — the order a sweep over every worker would reach
+    /// them in, hence the same log; advancing one touches only its own
+    /// entries, so a block's minimum is read before its workers move.
     fn advance_all(&mut self, t: Time) {
         #[cfg(test)]
         if self.full_sweep {
@@ -426,15 +435,25 @@ impl<'p> MobilityService<'p> {
         let mut advanced = 0u64;
         let oracle = &*self.oracle;
         let events = &mut self.events;
-        for (i, m) in self.motions.iter_mut().enumerate() {
-            let w = WorkerId(i as u32);
-            if self.state.due(w) > t {
+        let n = self.motions.len();
+        for b in 0..n.div_ceil(DUE_BLOCK) {
+            if self.state.due_block(b) > t {
                 continue;
             }
-            advanced += 1;
-            m.advance(&mut self.state, w, t, oracle, |stop, at| {
-                events.push(stop_event(stop, at, w));
-            });
+            #[cfg(test)]
+            {
+                self.due_blocks_read += 1;
+            }
+            for i in b * DUE_BLOCK..n.min((b + 1) * DUE_BLOCK) {
+                let w = WorkerId(i as u32);
+                if self.state.due(w) > t {
+                    continue;
+                }
+                advanced += 1;
+                self.motions[i].advance(&mut self.state, w, t, oracle, |stop, at| {
+                    events.push(stop_event(stop, at, w));
+                });
+            }
         }
         urpsm_obs::with(|m| m.motion_advanced.add(advanced));
     }

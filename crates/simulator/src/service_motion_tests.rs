@@ -282,3 +282,139 @@ fn advance_is_entered_once_per_due_worker() {
     assert_eq!(out.audit_errors, Vec::<String>::new());
     assert_eq!(out.metrics.served, 3);
 }
+
+/// The block summary over the due index against random churn: on
+/// fleets of 200 workers that joins carry past a block boundary,
+/// commits, clock moves (each event, plus ticks between events),
+/// cancellations, joins and handoffs arrive in a seeded random mix, and
+/// after every step `check_motion_index` recomputes `due` and every
+/// block minimum, and the indexed service still equals the sweep.
+#[test]
+fn the_due_summary_survives_random_churn() {
+    for seed in [3u64, 29] {
+        let sc = ScenarioBuilder::named("due-blocks")
+            .grid_city(12, 12)
+            .workers(200)
+            .requests(240)
+            .horizon(20 * MINUTE_CS)
+            .deadline_offset(8 * MINUTE_CS)
+            .hotspots(3)
+            .cancel_rate(0.2)
+            .cancel_delay(3 * MINUTE_CS)
+            .fleet_churn(3, 60)
+            .seed(seed)
+            .build();
+        let stream = sc.event_stream();
+        let start = stream[0].time();
+        let make = || Box::new(PruneGreedyDp::new()) as Box<dyn Planner>;
+        let mut indexed = open(&sc, World::FreeFlow, make(), start, false);
+        let mut sweep = open(&sc, World::FreeFlow, make(), start, true);
+        // xorshift64: the draws are part of the test's input.
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut draw = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut handoffs = 0;
+        for (k, &event) in stream.iter().enumerate() {
+            let ctx = format!("seed {seed} / event {k}");
+            let mut steps = Vec::new();
+            if draw(3) == 0 {
+                let now = indexed.now();
+                let at = now + event.time().saturating_sub(now) * draw(4) / 4;
+                steps.push(PlatformEvent::Tick { at });
+            }
+            steps.push(event);
+            for step in steps {
+                assert_eq!(indexed.submit(step), sweep.submit(step), "{ctx}");
+                assert_eq!(indexed.state.check_motion_index(), Ok(()), "{ctx}");
+            }
+            if draw(6) == 0 {
+                let w = WorkerId(draw(indexed.state.num_workers() as u64) as u32);
+                let out = indexed.handoff_worker(w);
+                assert_eq!(out, sweep.handoff_worker(w), "{ctx}: handoff of {w}");
+                handoffs += usize::from(out.is_some());
+                assert_eq!(indexed.state.check_motion_index(), Ok(()), "{ctx}");
+            }
+            assert_same(&indexed, &sweep, &ctx);
+        }
+        let log = indexed.events();
+        assert!(handoffs > 0, "seed {seed}: some handoff went through");
+        assert!(log.iter().any(|e| matches!(e, SimEvent::Cancelled { .. })));
+        assert!(
+            indexed.state.num_workers() > 4 * DUE_BLOCK,
+            "seed {seed}: the joins open a fifth block"
+        );
+        let (indexed, sweep) = (indexed.drain(), sweep.drain());
+        assert_eq!(indexed.audit_errors, Vec::<String>::new(), "seed {seed}");
+        assert_eq!(indexed.events, sweep.events, "seed {seed}: drained log");
+        assert_eq!(indexed.state.check_motion_index(), Ok(()), "seed {seed}");
+    }
+}
+
+/// The work of finding the due workers is the blocks that hold one,
+/// shown by a count: 10 000 workers, three busy ones in distinct
+/// blocks, 200 ticks. Each tick reads exactly the blocks of the due
+/// index that hold a worker due by its time — never an idle block —
+/// and enters `WorkerMotion::advance` once per due worker, as in
+/// `advance_is_entered_once_per_due_worker`.
+#[test]
+fn a_clock_move_reads_only_the_blocks_where_a_worker_is_due() {
+    let busy = [3, 70 * DUE_BLOCK + 5, 150 * DUE_BLOCK + 63];
+    let mut origins = vec![49; 10_000];
+    for (&w, o) in busy.iter().zip([0, 10, 20]) {
+        origins[w] = o;
+    }
+    let mut svc = MobilityService::new(
+        line_oracle(50),
+        fleet(&origins),
+        Box::new(PruneGreedyDp::new()),
+        SimConfig::default(),
+        0,
+    );
+    for (id, (&w, o)) in busy.iter().zip([1, 11, 21]).enumerate() {
+        let replies = svc.submit(PlatformEvent::RequestArrived(req(
+            id as u32,
+            o,
+            o + 7,
+            0,
+            100_000,
+        )));
+        assert!(
+            matches!(replies[0], SimEvent::Assigned { w: got, .. } if got.idx() == w),
+            "request {id} goes to the worker beside it"
+        );
+    }
+    // Due straight from the routes, not from the index under test.
+    let due_by_route = |svc: &MobilityService<'_>, t: Time| {
+        let due: Vec<usize> = (svc.state.agents().iter().enumerate())
+            .filter(|(_, a)| {
+                let r = &a.route;
+                !r.is_empty() && r.arr(1) < road_network::INF && r.arr(1).min(r.arr(0) + 1) <= t
+            })
+            .map(|(w, _)| w)
+            .collect();
+        let mut blocks: Vec<usize> = due.iter().map(|w| w / DUE_BLOCK).collect();
+        blocks.dedup();
+        (due.len() as u64, blocks.len() as u64)
+    };
+    let entered = |svc: &MobilityService<'_>| svc.motions.iter().map(|m| m.entered).sum::<u64>();
+    let (mut expected, mut read) = (0, 0);
+    for k in 1..=200 {
+        let t = 7 * k;
+        let (due, blocks) = due_by_route(&svc, t);
+        let before = svc.due_blocks_read;
+        svc.submit(PlatformEvent::Tick { at: t });
+        assert_eq!(svc.due_blocks_read - before, blocks, "tick {k}");
+        expected += due;
+        read += blocks;
+        assert_eq!(entered(&svc), expected, "tick {k}");
+    }
+    assert_eq!(svc.state.check_motion_index(), Ok(()));
+    // Each busy worker is due 9 times (see the test above), always
+    // alone in its block.
+    assert_eq!((expected, read), (3 * 9, 3 * 9));
+    assert!(svc.state.agents().iter().all(|a| a.route.is_empty()));
+}

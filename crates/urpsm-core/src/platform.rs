@@ -174,6 +174,11 @@ pub struct PlatformState {
     /// undrivable one. Kept exact by [`PlatformState::reindex`] at the
     /// end of every method that mutates a route.
     due: Vec<Time>,
+    /// The block summary over `due` (DESIGN.md §1): `due_min[b]` is
+    /// the minimum of `due` over workers `b·DUE_BLOCK ..
+    /// (b+1)·DUE_BLOCK`, one entry per started block. Kept exact by the
+    /// same `reindex`.
+    due_min: Vec<Time>,
     /// The head plane (DESIGN.md §5): `heads[w]` is [`WorkerHead::of`]
     /// `w`'s agent, refreshed by the same `reindex`.
     heads: Vec<WorkerHead>,
@@ -229,6 +234,10 @@ impl WorkerHead {
         }
     }
 }
+
+/// Workers per entry of the block summary over the motion index
+/// ([`PlatformState::due_block`]).
+pub const DUE_BLOCK: usize = 64;
 
 /// The first time at which advancing a worker on `route` is not a
 /// no-op: it reaches `l_1` at `arr[1]`, and it can be snapped forward
@@ -395,6 +404,7 @@ impl PlatformState {
             classes: Arc::new(ClassTable::single()),
             // Every route starts empty: nothing due.
             due: vec![Time::MAX; workers.len()],
+            due_min: vec![Time::MAX; workers.len().div_ceil(DUE_BLOCK)],
             heads,
         }
     }
@@ -491,22 +501,36 @@ impl PlatformState {
         self.due[w.idx()]
     }
 
+    /// The earliest [`PlatformState::due`] among workers `b·DUE_BLOCK ..
+    /// (b+1)·DUE_BLOCK`: a block whose minimum is above `t` holds no
+    /// worker due by `t`. There are `num_workers().div_ceil(DUE_BLOCK)`
+    /// blocks.
+    #[inline]
+    pub fn due_block(&self, b: usize) -> Time {
+        self.due_min[b]
+    }
+
     /// `w`'s entry of the head plane. Pure read, no agent touched.
     #[inline]
     pub fn head(&self, w: WorkerId) -> WorkerHead {
         self.heads[w.idx()]
     }
 
-    /// Recomputes the motion index and the head plane from the agents
-    /// and compares: every `due[w]` matches its formula and every
-    /// `heads[w]` its agent. For tests and audits; `O(fleet)`.
+    /// Recomputes the motion index, its block summary and the head
+    /// plane from the agents and compares: every `due[w]` matches its
+    /// formula, every `due_min[b]` its block and every `heads[w]` its
+    /// agent. For tests and audits; `O(fleet)`.
     pub fn check_motion_index(&self) -> Result<(), String> {
         let n = self.agents.len();
-        if self.due.len() != n || self.heads.len() != n {
+        if self.due.len() != n
+            || self.heads.len() != n
+            || self.due_min.len() != n.div_ceil(DUE_BLOCK)
+        {
             return Err(format!(
-                "index sized {} / {} for {n} workers",
+                "index sized {} / {} / {} blocks for {n} workers",
                 self.due.len(),
-                self.heads.len()
+                self.heads.len(),
+                self.due_min.len()
             ));
         }
         for (w, agent) in self.agents.iter().enumerate() {
@@ -533,6 +557,15 @@ impl PlatformState {
                 ));
             }
         }
+        for (b, block) in self.agents.chunks(DUE_BLOCK).enumerate() {
+            let want = block.iter().map(|a| due_time(&a.route)).min();
+            if Some(self.due_min[b]) != want {
+                return Err(format!(
+                    "due_min[{b}] = {}, block says {want:?}",
+                    self.due_min[b]
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -544,7 +577,16 @@ impl PlatformState {
     fn reindex(&mut self, w: WorkerId) {
         let i = w.idx();
         let agent = &self.agents[i];
-        self.due[i] = due_time(&agent.route);
+        let (was, due) = (self.due[i], due_time(&agent.route));
+        self.due[i] = due;
+        let b = i / DUE_BLOCK;
+        if due < self.due_min[b] {
+            self.due_min[b] = due;
+        } else if due > was && was == self.due_min[b] {
+            // The minimum's holder rose: rescan its block.
+            let block = self.due[b * DUE_BLOCK..].iter().take(DUE_BLOCK);
+            self.due_min[b] = block.copied().min().expect("w is in its block");
+        }
         let head = WorkerHead::of(agent);
         let was = std::mem::replace(&mut self.heads[i], head);
         if !agent.active {
@@ -1064,6 +1106,9 @@ impl PlatformState {
             active: true,
         });
         self.due.push(Time::MAX);
+        if self.due.len() > self.due_min.len() * DUE_BLOCK {
+            self.due_min.push(Time::MAX);
+        }
         self.heads
             .push(WorkerHead::of(self.agents.last().expect("just pushed")));
     }
@@ -1726,6 +1771,99 @@ mod tests {
         assert_eq!(state.due(w1), 901);
     }
 
+    /// Commits `r` to `w` as the DP plans it from `w`'s departure.
+    fn commit_planned(state: &mut PlatformState, w: WorkerId, r: &Request) {
+        let mut spare = Route::default();
+        let (route, capacity) = state.candidate(w, &mut spare);
+        let plan = linear_dp_insertion(route, capacity, r, state.oracle()).unwrap();
+        state.commit(w, r, &plan);
+    }
+
+    #[test]
+    fn the_65th_worker_opens_a_due_block() {
+        let mut state = PlatformState::new(line_oracle(100), &workers(64, 0, 4), 10.0, 0);
+        assert_eq!((state.due_min.len(), state.due_block(0)), (1, Time::MAX));
+        let join = |state: &mut PlatformState, id: u32| {
+            state.add_worker(Worker {
+                class: ClassId(0),
+                id: WorkerId(id),
+                origin: VertexId(80),
+                capacity: 4,
+            });
+            assert_eq!(state.check_motion_index(), Ok(()));
+        };
+        join(&mut state, 64);
+        assert_eq!(state.due_min, vec![Time::MAX; 2], "a new block, idle");
+        // The joiner's first commit lowers its own block only.
+        commit_planned(&mut state, WorkerId(64), &request(1, 81, 83, 1_000_000));
+        assert_eq!(state.check_motion_index(), Ok(()));
+        assert_eq!(
+            (state.due_block(0), state.due_block(1)),
+            (Time::MAX, state.due(WorkerId(64)))
+        );
+        assert_eq!(state.due_block(1), 1);
+        // The 128th worker still fits the second block.
+        for id in 65..128 {
+            join(&mut state, id);
+        }
+        assert_eq!(state.due_min.len(), 2);
+        join(&mut state, 128);
+        assert_eq!(state.due_min.len(), 3);
+    }
+
+    #[test]
+    fn a_rising_minimum_rescans_its_block() {
+        let (w0, w1) = (WorkerId(0), WorkerId(1));
+        let mut state = PlatformState::new(line_oracle(100), &workers(3, 0, 4), 10.0, 0);
+        let check = |state: &PlatformState| assert_eq!(state.check_motion_index(), Ok(()));
+        // w1 picks up at its own vertex (due 0), w0 drives to 5 (due 1).
+        commit_planned(&mut state, w1, &request(1, 1, 3, 1_000_000));
+        commit_planned(&mut state, w0, &request(2, 5, 10, 1_000_000));
+        check(&state);
+        assert_eq!(
+            (state.due(w1), state.due(w0), state.due_block(0)),
+            (0, 1, 0)
+        );
+        // w0 rises past the minimum w1 holds: no rescan needed.
+        state.snap_worker_on_leg(w0, VertexId(2), 200, 300);
+        check(&state);
+        assert_eq!((state.due(w0), state.due_block(0)), (201, 0));
+        // The holder rises: the rescan finds its own new due time.
+        state.pop_worker_stop(w1);
+        check(&state);
+        assert_eq!((state.due(w1), state.due_block(0)), (1, 1));
+        // The holder empties: the rescan finds w0.
+        state.pop_worker_stop(w1);
+        check(&state);
+        assert_eq!((state.due(w1), state.due_block(0)), (Time::MAX, 201));
+    }
+
+    /// Retiring a busy worker leaves its block due (the driver keeps
+    /// moving it); its last stop raises the block to [`Time::MAX`], and
+    /// an export, which only takes idle workers, keeps it there.
+    #[test]
+    fn a_drained_block_rises_to_max() {
+        let w = WorkerId(66);
+        let mut state = PlatformState::new(line_oracle(100), &workers(70, 0, 4), 10.0, 0);
+        let check = |state: &PlatformState| assert_eq!(state.check_motion_index(), Ok(()));
+        commit_planned(&mut state, w, &request(1, 67, 69, 1_000_000));
+        check(&state);
+        assert_eq!((state.due_block(0), state.due_block(1)), (Time::MAX, 1));
+        state.retire_worker(w);
+        check(&state);
+        assert_eq!(state.due_block(1), 1, "a retired worker still drives");
+        state.pop_worker_stop(w);
+        check(&state);
+        assert_eq!(state.due_block(1), state.due(w));
+        state.pop_worker_stop(w);
+        check(&state);
+        assert_eq!(state.due_block(1), Time::MAX);
+        assert!(state.export_worker(w).is_none(), "already retired");
+        assert!(state.export_worker(WorkerId(65)).is_some());
+        check(&state);
+        assert_eq!(state.due_min, vec![Time::MAX; 2]);
+    }
+
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "stale read of w0")]
@@ -1770,6 +1908,16 @@ mod tests {
         state.due[0] = 77;
         assert!(state.check_motion_index().unwrap_err().contains("due[0]"));
         state.due[0] = 1;
+        // A stale block minimum, and a summary sized for another fleet.
+        state.due_min[0] = 0;
+        assert!(state
+            .check_motion_index()
+            .unwrap_err()
+            .contains("due_min[0]"));
+        state.due_min[0] = 1;
+        state.due_min.push(Time::MAX);
+        assert!(state.check_motion_index().unwrap_err().contains("sized"));
+        state.due_min.pop();
         // A stale head-plane entry, one field at a time: a busy worker
         // listed idle, a moved or re-timed worker, another capacity or
         // class.

@@ -11,6 +11,11 @@
 //! * the path is `None` exactly when the distance is `INF`;
 //! * `path(s, s)` is `[s]`.
 //!
+//! `HubLabels::path_with_offsets` is checked on the same graphs, for
+//! every ordered pair, so in both directions: its vertices are
+//! `path`'s, each offset is the sum of the per-edge distances up to its
+//! vertex, and the last offset is `dis(s, t)`.
+//!
 //! The tie-break between equal-cost paths is pinned on a 4-cycle, and
 //! the ring city of the Chengdu preset is checked from 32 sources.
 
@@ -98,8 +103,46 @@ fn check_paths(g: &RoadNetwork, hl: &HubLabels) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Every pair's label offsets against `path` costed with one
+/// `distance` per edge, the loop the offsets replace in worker motion.
+fn check_offsets(g: &RoadNetwork, hl: &HubLabels) -> Result<(), TestCaseError> {
+    for s in g.vertices() {
+        for t in g.vertices() {
+            let walk = hl.path_with_offsets(s, t);
+            let Some(path) = hl.path(s, t) else {
+                prop_assert_eq!(
+                    walk,
+                    None,
+                    "offsets for the disconnected pair ({}, {})",
+                    s,
+                    t
+                );
+                continue;
+            };
+            let mut offset = 0;
+            let mut want = vec![(s, 0)];
+            for hop in path.windows(2) {
+                offset += hl.distance(hop[0], hop[1]);
+                want.push((hop[1], offset));
+            }
+            prop_assert_eq!(offset, hl.distance(s, t), "({}, {})", s, t);
+            prop_assert_eq!(walk, Some(want), "({}, {})", s, t);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Offsets under both orders; `graph` keeps the cheapest of the
+    /// parallel edges the strategy draws, and costs 1–3 tie often.
+    #[test]
+    fn label_offsets_are_the_per_edge_distances(case in graph_and_order()) {
+        let (g, order) = case;
+        check_offsets(&g, &HubLabels::build(&g))?;
+        check_offsets(&g, &HubLabels::build_with_order(&g, &order))?;
+    }
 
     /// The coverage order every oracle builds with, and an arbitrary
     /// order: the walk's exactness does not lean on the coverage order.

@@ -13,18 +13,26 @@
 //! two-peak profile), `all`.
 //! Options: `--city nyc|chengdu|both` (default both), `--scale N`
 //! (divides Table 5's stream/fleet sizes further; default 4),
-//! `--seed S`, `--parallel` (run sweep cells concurrently, capped at
-//! the hardware thread count — the one place the experiments use more
-//! than one core; it distorts response-time panels, fine for shape
-//! checks), `--shards K` (run the figure sweeps through the geo-sharded
-//! dispatch plane with `K` shards and `Borrow` seams — sharding is
-//! allowed to change quality, and the sweep quantifies by how much;
-//! the §6.2 `queries` experiment ignores it, so its query counts are
-//! those of the paper's single dispatcher). Each request is planned by
-//! one sequential scan (DESIGN.md §5 "The scan"), so decisions, costs
-//! and `dis()` counts never depend on `--parallel`.
+//! `--seed S`, `--repeats R` (fixtures per figure, averaged; default
+//! 1), `--parallel` (run sweep cells concurrently, capped at the
+//! hardware thread count — the one place the experiments use more than
+//! one core; cells share the fixture's hub labels but each has its own
+//! distance cache, so no two threads share a cache and every cell
+//! starts cold whatever the order; it distorts response-time panels,
+//! fine for shape checks), `--shards K` (run the figure sweeps through
+//! the geo-sharded dispatch plane with `K` shards and `Borrow` seams —
+//! sharding is allowed to change quality, and the sweep quantifies by
+//! how much; the §6.2 `queries` experiment ignores it, so its query
+//! counts are those of the paper's single dispatcher). Each request is
+//! planned by one sequential scan (DESIGN.md §5 "The scan"), so
+//! decisions, costs and `dis()` counts never depend on `--parallel`. A
+//! missing or unparsable option value, a zero `--scale` or `--repeats`,
+//! or an unknown command, option or city prints the usage line and
+//! exits 2.
 
 use std::io::Write;
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,7 +41,7 @@ use urpsm_bench::fixtures::CityFixture;
 use urpsm_bench::harness::{run_cell, Algo, Cell, CellResult};
 use urpsm_bench::table::{human, human_bytes, Table};
 use urpsm_workloads::adversary::{AdversaryInstance, Lemma};
-use urpsm_workloads::scenario::City;
+use urpsm_workloads::scenario::{City, LRU_CAPACITY};
 use urpsm_workloads::sweep::table5;
 
 #[derive(Clone)]
@@ -64,11 +72,30 @@ impl Default for Opts {
     }
 }
 
+const USAGE: &str = "usage: experiments <table4|table5|fig3|fig4|fig5|fig6|fig7|queries|hardness|ablation|congestion|fleet|all> [--city nyc|chengdu|both] [--scale N] [--seed S] [--parallel] [--shards K] [--repeats R]";
+
+/// Prints `why` and the usage line, and exits 2.
+fn usage_error(why: &str) -> ! {
+    eprintln!("{why}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value of the option at `args[i - 1]`, parsed as `T`. A missing
+/// or unparsable value is a usage error (`NonZero*` types reject 0).
+fn option_value<T: FromStr>(args: &[String], i: usize) -> T {
+    let flag = &args[i - 1];
+    match args.get(i) {
+        None => usage_error(&format!("{flag} needs a value")),
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("bad value {v:?} for {flag}"))),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("usage: experiments <table4|table5|fig3|fig4|fig5|fig6|fig7|queries|hardness|congestion|fleet|all> [--city nyc|chengdu|both] [--scale N] [--seed S] [--parallel] [--shards K]");
-        std::process::exit(2);
+        usage_error("no command given");
     };
     let mut opts = Opts::default();
     let mut i = 1;
@@ -80,34 +107,27 @@ fn main() {
                     Some("nyc") => vec![City::NycLike],
                     Some("chengdu") => vec![City::ChengduLike],
                     Some("both") => vec![City::ChengduLike, City::NycLike],
-                    other => {
-                        eprintln!("unknown city {other:?}");
-                        std::process::exit(2);
-                    }
+                    other => usage_error(&format!("unknown city {other:?}")),
                 };
             }
             "--scale" => {
                 i += 1;
-                opts.scale = args[i].parse().expect("--scale N");
+                opts.scale = option_value::<NonZeroUsize>(&args, i).get();
             }
             "--seed" => {
                 i += 1;
-                opts.seed = args[i].parse().expect("--seed S");
+                opts.seed = option_value(&args, i);
             }
             "--parallel" => opts.parallel = true,
             "--shards" => {
                 i += 1;
-                opts.shards = args[i].parse().expect("--shards K");
+                opts.shards = option_value(&args, i);
             }
             "--repeats" => {
                 i += 1;
-                opts.repeats = args[i].parse().expect("--repeats R");
-                assert!(opts.repeats >= 1, "--repeats must be at least 1");
+                opts.repeats = option_value::<NonZeroU64>(&args, i).get();
             }
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown option {other}")),
         }
         i += 1;
     }
@@ -142,10 +162,7 @@ fn main() {
             fleet(&opts, &mut out);
             hardness(&mut out);
         }
-        other => {
-            eprintln!("unknown command {other}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown command {other}")),
     }
     out.flush().expect("stdout");
 }
@@ -881,7 +898,7 @@ fn fleet(opts: &Opts, out: &mut impl Write) {
 /// node budget, and the oracle backend behind the same planner.
 fn ablation(opts: &Opts, out: &mut impl Write) {
     use road_network::cache::LruCachedOracle;
-    use road_network::oracle::{DijkstraOracle, DistanceOracle, HubLabelOracle};
+    use road_network::oracle::{DijkstraOracle, DistanceOracle};
     use urpsm_baselines::kinetic::{KineticConfig, KineticPlanner};
     use urpsm_baselines::tshare::{SearchMode, TShareConfig, TSharePlanner};
     use urpsm_core::planner::{Planner, PlannerConfig, PruneGreedyDp};
@@ -973,21 +990,14 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
     let backends: Vec<(&str, Arc<dyn DistanceOracle>)> = vec![
         (
             "oracle: hub labels + distance cache (paper)",
-            Arc::new(LruCachedOracle::new(
-                HubLabelOracle::build(fx.network.clone()),
-                1 << 20,
-                0,
-            )),
+            Arc::new(LruCachedOracle::new(fx.hub_labels.clone(), LRU_CAPACITY, 0)),
         ),
-        (
-            "oracle: hub labels, no cache",
-            Arc::new(HubLabelOracle::build(fx.network.clone())),
-        ),
+        ("oracle: hub labels, no cache", fx.hub_labels.clone()),
         (
             "oracle: dijkstra + distance cache",
             Arc::new(LruCachedOracle::new(
                 DijkstraOracle::new(fx.network.clone()),
-                1 << 20,
+                LRU_CAPACITY,
                 0,
             )),
         ),

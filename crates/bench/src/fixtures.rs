@@ -1,17 +1,21 @@
 //! Cached city fixtures: the expensive parts of a scenario (network,
 //! hub labels, request stream skeleton) are built once per city; the
 //! swept parameters (fleet size, capacity, deadline, penalty, grid
-//! size) are applied per cell in `O(|W| + |R|)`.
+//! size) are applied per cell in `O(|W| + |R|)`. Cells share the
+//! labels, never a distance cache: each cell gets its own cache front
+//! (DESIGN.md §10, "One owner").
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use road_network::cache::LruCachedOracle;
 use road_network::graph::RoadNetwork;
-use road_network::oracle::DistanceOracle;
+use road_network::hub_labels::HubLabels;
+use road_network::oracle::{DistanceOracle, HubLabelOracle};
 use road_network::{Cost, VertexId};
 use urpsm_core::types::{Request, Worker, WorkerId};
-use urpsm_workloads::scenario::{City, ScenarioBuilder};
+use urpsm_workloads::scenario::{City, ScenarioBuilder, LRU_CAPACITY};
 use urpsm_workloads::sweep::{table5, SweepParams};
 
 use crate::harness::Cell;
@@ -22,8 +26,10 @@ pub struct CityFixture {
     pub city: City,
     /// The road network.
     pub network: Arc<RoadNetwork>,
-    /// Cache-fronted hub-label oracle shared by every cell.
-    pub oracle: Arc<dyn DistanceOracle>,
+    /// The scenario's hub labels, shared by every cell. Each cell puts
+    /// its own distance cache in front ([`CityFixture::cell`]), so no
+    /// two cells — or threads — share a cache.
+    pub hub_labels: Arc<HubLabelOracle>,
     /// The (scaled) Table 5 grid for this city.
     pub sweep: SweepParams,
     /// Request skeletons: deadline/penalty are rewritten per cell.
@@ -46,11 +52,18 @@ impl CityFixture {
         };
         let scenario = apply_counts(builder, &sweep).build();
 
-        let oracle = scenario.oracle.clone();
+        let labels = scenario
+            .oracle
+            .backing_labels()
+            .expect("both preset cities are small enough for hub labels");
+        let hub_labels = Arc::new(HubLabelOracle::from_labels(
+            scenario.network.clone(),
+            HubLabels::clone(labels),
+        ));
         let directs: Vec<Cost> = scenario
             .requests
             .iter()
-            .map(|r| oracle.dis(r.origin, r.destination))
+            .map(|r| hub_labels.dis(r.origin, r.destination))
             .collect();
 
         let max_fleet = *sweep.workers.values.iter().max().expect("non-empty axis");
@@ -63,7 +76,7 @@ impl CityFixture {
         CityFixture {
             city,
             network: scenario.network,
-            oracle,
+            hub_labels,
             sweep,
             base_requests: scenario.requests,
             directs,
@@ -72,7 +85,8 @@ impl CityFixture {
         }
     }
 
-    /// Derives one experiment cell.
+    /// Derives one experiment cell, with a fresh distance cache over
+    /// the shared labels.
     ///
     /// * `workers` — fleet size (truncates the cached origin list),
     /// * `capacity_mu` — Gaussian mean of `K_w`,
@@ -122,7 +136,11 @@ impl CityFixture {
             .collect();
 
         Cell {
-            oracle: self.oracle.clone(),
+            oracle: Arc::new(LruCachedOracle::new(
+                self.hub_labels.clone(),
+                LRU_CAPACITY,
+                0,
+            )),
             workers: fleet,
             requests,
             grid_cell_m,
@@ -219,5 +237,19 @@ mod tests {
             assert_eq!(r_t.deadline - r_t.release, 30_000);
             assert_eq!(r_a.penalty, 2 * r_t.penalty);
         }
+    }
+
+    #[test]
+    fn cells_share_labels_but_not_a_cache() {
+        let fx = CityFixture::build(City::ChengduLike, 50, 9);
+        let a = fx.cell(4, 4, 60_000, 10, 2_000.0);
+        let b = fx.cell(4, 4, 60_000, 10, 2_000.0);
+        let labels = |c: &Cell| c.oracle.backing_labels().expect("hub labels").clone();
+        assert!(Arc::ptr_eq(&labels(&a), &labels(&b)));
+        assert!(Arc::ptr_eq(
+            &labels(&a),
+            fx.hub_labels.backing_labels().expect("hub labels")
+        ));
+        assert!(!Arc::ptr_eq(&a.oracle, &b.oracle));
     }
 }

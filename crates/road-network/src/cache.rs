@@ -22,11 +22,12 @@
 //! oracle, and `path_capacity` in [`LruCachedOracle::new`] is accepted
 //! and ignored.
 //!
-//! The distance cache is **sharded** [`DIS_SHARDS`] ways by a hash of
-//! the symmetric key: concurrent `experiments --parallel` cells share
-//! one oracle and issue `dis` queries from many threads at once, and a
-//! single mutex in front of the hottest structure in the system would
-//! serialize them all. Each shard holds `capacity / DIS_SHARDS` entries.
+//! **One owner.** The map and its counters sit behind one `Mutex`, as
+//! the TD cache's do (`td.rs`). Every platform that owns a cache uses
+//! it from one thread — each service, each shard, the benchmark — and
+//! `experiments --parallel` gives each cell its own cache front over
+//! the fixture's shared labels, so the lock is never contended
+//! (DESIGN.md §10, "One owner").
 
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -64,26 +65,26 @@ pub(crate) fn insert_bounded<K: Hash + Eq, V>(
     cleared
 }
 
-/// One lock's worth of the distance cache: the memo map and its
-/// `(hits, misses)` counters.
+/// Everything a [`LruCachedOracle`] mutates, under its one lock: the
+/// memo map and its `(hits, misses)` counters.
 #[derive(Default)]
-struct DisShard {
+struct DisCache {
     map: FxHashMap<(u32, u32), Cost>,
     hits: u64,
     misses: u64,
     /// `(hits, misses)` already published to the metrics registry —
-    /// see [`take_stats_delta`](DisShard::take_stats_delta).
+    /// see [`take_stats_delta`](DisCache::take_stats_delta).
     published: (u64, u64),
 }
 
-impl DisShard {
+impl DisCache {
     /// `(hits, misses)` accumulated since the last take, for batched
     /// publication to the global metrics registry. Returns `None` — no
     /// publication due — unless `force`d or the unpublished delta has
     /// reached the batch threshold. Keeping the per-query cost to two
     /// subtractions (no atomics, no branches on shared state) is what
     /// lets the hottest structure in the system stay instrumented; the
-    /// registry lags the truth by at most one batch per shard.
+    /// registry lags the truth by at most one batch.
     fn take_stats_delta(&mut self, force: bool) -> Option<(u64, u64)> {
         const BATCH: u64 = 4096;
         let dh = self.hits - self.published.0;
@@ -117,35 +118,20 @@ fn sym_key(u: VertexId, v: VertexId) -> (u32, u32) {
     }
 }
 
-/// Number of independently locked distance-cache shards (power of two).
-pub const DIS_SHARDS: usize = 16;
-
-/// Shard index for a symmetric key: one Fx-style multiply, taking the
-/// *high* bits (the low bits of a multiplicative hash are the weak
-/// ones). Same key → same shard, so hit/miss accounting per pair is
-/// unchanged by sharding. The shift is derived from [`DIS_SHARDS`] so
-/// retuning the constant keeps every shard reachable.
-#[inline]
-fn shard_of(key: (u32, u32)) -> usize {
-    const SHIFT: u32 = 64 - DIS_SHARDS.trailing_zeros();
-    let x = (u64::from(key.0) << 32) | u64::from(key.1);
-    (x.wrapping_mul(0x517c_c1b7_2722_0a95) >> SHIFT) as usize & (DIS_SHARDS - 1)
-}
-
 /// Decorator caching the `dis` results of an inner oracle (exactly
-/// one cache per platform as in §6.1), sharded [`DIS_SHARDS`] ways so
-/// concurrent callers rarely contend on the same lock — see the module
-/// docs. Path queries pass straight through.
+/// one cache per platform as in §6.1): one map and its counters behind
+/// one lock, held by one owner — see the module docs. Path queries
+/// pass straight through.
 pub struct LruCachedOracle<O> {
     inner: O,
-    dis_shards: Vec<Mutex<DisShard>>,
-    /// Entries one shard holds before it is cleared.
-    shard_capacity: usize,
+    cache: Mutex<DisCache>,
+    /// Entries the map holds before it is cleared.
+    capacity: usize,
 }
 
 impl<O: DistanceOracle> LruCachedOracle<O> {
-    /// Wraps `inner` with `dis_capacity` distance entries (split
-    /// evenly across [`DIS_SHARDS`] shards, at least one each).
+    /// Wraps `inner` with `dis_capacity` distance entries (at least
+    /// one).
     ///
     /// `path_capacity` is a no-op, kept so existing callers compile:
     /// paths are not cached (see the module docs).
@@ -175,17 +161,15 @@ impl<O: DistanceOracle> LruCachedOracle<O> {
         }
         LruCachedOracle {
             inner,
-            dis_shards: (0..DIS_SHARDS).map(|_| Mutex::default()).collect(),
-            shard_capacity: dis_capacity.div_ceil(DIS_SHARDS).max(1),
+            cache: Mutex::default(),
+            capacity: dis_capacity.max(1),
         }
     }
 
-    /// Distance-cache `(hits, misses)`, summed over all shards.
+    /// Distance-cache `(hits, misses)`.
     pub fn dis_hit_stats(&self) -> (u64, u64) {
-        self.dis_shards.iter().fold((0, 0), |(h, m), shard| {
-            let shard = lock(shard);
-            (h + shard.hits, m + shard.misses)
-        })
+        let cache = lock(&self.cache);
+        (cache.hits, cache.misses)
     }
 
     /// The wrapped oracle.
@@ -221,41 +205,36 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
             return 0;
         }
         let key = sym_key(u, v);
-        let shard = &self.dis_shards[shard_of(key)];
-        {
-            let mut shard = lock(shard);
-            if let Some(&d) = shard.map.get(&key) {
-                shard.hits += 1;
-                // Cache hits are the hottest event in the system
-                // (thousands per planning request), so the registry is
-                // fed in batches: the shard counts under its own lock,
-                // and `take_stats_delta` crosses into the shared atomic
-                // counters once per batch per shard.
-                if urpsm_obs::RECORDING {
-                    if let Some((hits, misses)) = shard.take_stats_delta(false) {
-                        drop(shard);
-                        urpsm_obs::with(|m| {
-                            m.dis_cache_hits.add(hits);
-                            m.dis_cache_misses.add(misses);
-                        });
-                    }
+        // One owner (module docs): the lock is held for the whole
+        // query, inner query included, and is never contended.
+        let mut cache = lock(&self.cache);
+        if let Some(&d) = cache.map.get(&key) {
+            cache.hits += 1;
+            // Cache hits are the hottest event in the system (thousands
+            // per planning request), so the registry is fed in batches:
+            // the cache counts under its own lock, and
+            // `take_stats_delta` crosses into the shared atomic
+            // counters once per batch.
+            if urpsm_obs::RECORDING {
+                if let Some((hits, misses)) = cache.take_stats_delta(false) {
+                    drop(cache);
+                    urpsm_obs::with(|m| {
+                        m.dis_cache_hits.add(hits);
+                        m.dis_cache_misses.add(misses);
+                    });
                 }
-                return d;
             }
-            shard.misses += 1;
+            return d;
         }
-        // The lock is dropped across the inner query: two threads may
-        // race to fill the same pair, which costs one duplicate inner
-        // query, never a wrong answer (both insert the same value).
+        cache.misses += 1;
         let d = self.inner.dis(u, v);
-        let mut shard = lock(shard);
-        let cleared = insert_bounded(&mut shard.map, self.shard_capacity, key, d);
+        let cleared = insert_bounded(&mut cache.map, self.capacity, key, d);
         if urpsm_obs::RECORDING {
             // A miss already paid an inner-oracle query, so it always
             // flushes the pending batch — short runs stay visible in
             // the exposition without waiting for a full batch.
-            let delta = shard.take_stats_delta(true);
-            drop(shard);
+            let delta = cache.take_stats_delta(true);
+            drop(cache);
             urpsm_obs::with(|m| {
                 if cleared > 0 {
                     m.dis_cache_evictions.add(cleared);
@@ -368,24 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn sharding_spreads_keys_and_keeps_them_stable() {
-        // Same key always lands on the same shard (hit accounting), and
-        // the hash actually uses more than one shard over a realistic
-        // key population.
-        let mut seen = std::collections::HashSet::new();
-        for u in 0..64u32 {
-            for v in u..64u32 {
-                let k = (u, v);
-                let s = shard_of(k);
-                assert!(s < DIS_SHARDS);
-                assert_eq!(s, shard_of(k));
-                seen.insert(s);
-            }
-        }
-        assert!(seen.len() > DIS_SHARDS / 2, "keys bunched: {seen:?}");
-    }
-
-    #[test]
     fn concurrent_dis_queries_agree_and_account_exactly() {
         let g = path_network();
         let cached = LruCachedOracle::new(CountingOracle::new(DijkstraOracle::new(g)), 256, 0);
@@ -430,7 +391,7 @@ mod tests {
         assert_eq!(cached.dis_hit_stats(), (0, 0));
     }
 
-    /// One slot per shard: almost every query clears its shard, and
+    /// One slot for the whole cache: almost every query clears it, and
     /// the answers and the accounting stay exact.
     #[test]
     fn a_cache_cleared_on_every_insert_stays_exact() {
@@ -438,7 +399,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let g = path_network();
         let reference = DijkstraOracle::new(g.clone());
-        // A zero capacity rounds up to one slot per shard.
+        // A zero capacity rounds up to one slot.
         let cached = LruCachedOracle::new(CountingOracle::new(DijkstraOracle::new(g)), 0, 0);
         cached.inner().reset(); // drop the debug-build symmetry probes
         let mut rng = StdRng::seed_from_u64(5);
@@ -452,9 +413,6 @@ mod tests {
         let (hits, misses) = cached.dis_hit_stats();
         assert_eq!(hits + misses, non_identity);
         assert_eq!(cached.inner().stats().dis, misses);
-        assert!(
-            cached.dis_shards.iter().all(|s| lock(s).map.len() <= 1),
-            "one slot per shard"
-        );
+        assert!(lock(&cached.cache).map.len() <= 1, "one slot");
     }
 }

@@ -111,7 +111,7 @@ impl Scenario {
 
 /// Distance-cache capacity of every scenario oracle: the
 /// [`LruCachedOracle`] in front of the [`HubLabelOracle`].
-const LRU_CAPACITY: usize = 1 << 20;
+pub const LRU_CAPACITY: usize = 1 << 20;
 
 enum NetworkSpec {
     Grid {

@@ -37,7 +37,6 @@ fn build_backend(scenario: &Scenario, shards: usize) -> Backend<'static> {
         ShardConfig {
             shards,
             sim: sim_config(scenario),
-            ..ShardConfig::default()
         },
         scenario.start_time(),
     ))

@@ -89,7 +89,7 @@ pub struct Cell {
     /// Objective weight `α`.
     pub alpha: u64,
     /// Geo-sharding: the cell runs through a `ShardedService` with
-    /// this many shards under the default `Borrow` boundary policy.
+    /// this many shards, the Borrow probe handing workers across seams.
     /// `0` (what the cell constructors set) and `1` are the same run:
     /// one shard, the paper's single dispatcher.
     pub shards: usize,
@@ -151,7 +151,6 @@ pub fn run_cell(cell: &Cell, algo: Algo) -> CellResult {
                 classes: cell.classes.clone(),
                 ..SimConfig::default()
             },
-            ..ShardConfig::default()
         },
         start_time,
     );

@@ -8,9 +8,9 @@
 //! motion, event log — and routes every
 //! [`urpsm_core::event::PlatformEvent`] to its home shard
 //! ([`urpsm_core::event::PlatformEvent::routing`]). Dispatch is local;
-//! coordination happens only at the seams, where the
-//! [`service::BoundaryPolicy`] decides whether idle border workers may
-//! be handed off between shards (with exact driven/planned accounting
+//! coordination happens only at the seams, where the Borrow probe
+//! hands an idle border worker off to a request's home shard when it
+//! beats every home candidate (with exact driven/planned accounting
 //! through the platform's export/add surface).
 //!
 //! Two invariants carry the whole design (DESIGN.md §6):
@@ -34,8 +34,6 @@ pub mod shard_map;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::admission::{Admission, AdmissionConfig, AdmissionController};
-    pub use crate::service::{
-        BoundaryPolicy, ShardConfig, ShardReport, ShardedOutcome, ShardedService,
-    };
+    pub use crate::service::{ShardConfig, ShardReport, ShardedOutcome, ShardedService};
     pub use crate::shard_map::ShardMap;
 }

@@ -8,19 +8,15 @@
 //! a full platform — its own `PlatformState`, boxed [`Planner`],
 //! worker motion and event log — so shards never contend on state.
 //!
-//! The seams are governed by a [`BoundaryPolicy`]:
-//!
-//! * [`BoundaryPolicy::Strict`] — planning is shard-local. A request on
-//!   the border of an empty shard is rejected even if a foreign worker
-//!   idles across the street. Cheapest, loosest quality.
-//! * [`BoundaryPolicy::Borrow`] — before planning, the dispatcher
-//!   probes the `probe` nearest foreign shards' snapshots for idle
-//!   workers that beat every home candidate on straight-line pickup
-//!   distance; on a win the worker is *handed off*: exported from its
-//!   shard through the exact-accounting surface
-//!   ([`MobilityService::handoff_worker`] →
-//!   [`urpsm_core::platform::PlatformState::export_worker`]) and
-//!   re-hired by the home shard under its next dense local id.
+//! One boundary rule governs the seams (the Borrow probe, DESIGN.md §6):
+//! before planning, the dispatcher probes the [`BORROW_PROBE`] nearest
+//! foreign shards' snapshots for idle workers that beat every home
+//! candidate on straight-line pickup distance; on a win the worker is
+//! *handed off*: exported from its shard through the exact-accounting
+//! surface ([`MobilityService::handoff_worker`] →
+//! [`urpsm_core::platform::PlatformState::export_worker`]) and re-hired
+//! by the home shard under its next dense local id. With K = 1 there is
+//! no foreign shard and nothing is probed.
 //!
 //! Global worker ids are preserved at the boundary: each shard plans in
 //! its own dense local id space, and every reply is translated back to
@@ -54,49 +50,26 @@ fn obs_shard_event(shard: usize) {
     urpsm_obs::with(|m| m.shard_events[urpsm_obs::registry::shard_slot(shard)].inc());
 }
 
-/// What happens at shard boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundaryPolicy {
-    /// Shard-local planning: no cross-shard traffic at all. Requests a
-    /// shard cannot serve are rejected locally (their penalties
-    /// accrue), exactly as if each shard were its own city.
-    Strict,
-    /// Probe the `probe` nearest foreign shards for idle border workers
-    /// before planning each request; hand the best one off to the home
-    /// shard when it strictly beats every home candidate on
-    /// straight-line pickup distance (ties stay home).
-    Borrow {
-        /// How many foreign shards to probe (clamped to `K − 1`).
-        probe: usize,
-    },
-}
-
-impl Default for BoundaryPolicy {
-    /// `Borrow` over the 3 nearest foreign shards.
-    fn default() -> Self {
-        BoundaryPolicy::Borrow { probe: 3 }
-    }
-}
+/// How many of the nearest foreign shards the Borrow probe reads for
+/// idle border workers before each arrival is planned (fewer when
+/// K − 1 is smaller).
+pub const BORROW_PROBE: usize = 3;
 
 /// Configuration of the sharded dispatch plane.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of geo-shards `K` (clamped to ≥ 1).
     pub shards: usize,
-    /// The boundary policy.
-    pub boundary: BoundaryPolicy,
     /// Per-shard simulation parameters (grid cell, α, drain,
     /// congestion, classes).
     pub sim: SimConfig,
 }
 
 impl Default for ShardConfig {
-    /// One shard (byte-identical to `MobilityService`), default
-    /// `Borrow` boundary.
+    /// One shard (byte-identical to `MobilityService`).
     fn default() -> Self {
         ShardConfig {
             shards: 1,
-            boundary: BoundaryPolicy::default(),
             sim: SimConfig::default(),
         }
     }
@@ -106,9 +79,9 @@ impl Default for ShardConfig {
 pub struct ShardReport {
     /// The shard id (index into the [`ShardMap`] lattice).
     pub shard: usize,
-    /// Workers handed *into* this shard by the `Borrow` policy.
+    /// Workers handed *into* this shard by the Borrow probe.
     pub handoffs_in: usize,
-    /// Workers handed *out of* this shard by the `Borrow` policy.
+    /// Workers handed *out of* this shard by the Borrow probe.
     pub handoffs_out: usize,
     /// The shard's own full outcome (local worker ids): per-shard
     /// metrics, final platform state, local event log, audit verdict.
@@ -211,7 +184,6 @@ pub struct ShardedService<'p> {
     map: ShardMap,
     shards: Vec<Shard<'p>>,
     oracle: Arc<dyn DistanceOracle>,
-    policy: BoundaryPolicy,
     /// Global worker id → (owning shard, local id). Ownership moves
     /// only through a handoff.
     owner: Vec<(usize, WorkerId)>,
@@ -220,7 +192,7 @@ pub struct ShardedService<'p> {
     /// The merged, global-id event log.
     events: Vec<SimEvent>,
     last_time: Time,
-    /// The `Borrow` probe's shortlist buffer, reused across arrivals.
+    /// The Borrow probe's shortlist buffer, reused across arrivals.
     cands: CandidateBuf,
 }
 
@@ -287,7 +259,6 @@ impl<'p> ShardedService<'p> {
             map,
             shards,
             oracle,
-            policy: config.boundary,
             owner,
             request_home: FxHashMap::default(),
             events: Vec::new(),
@@ -396,16 +367,14 @@ impl<'p> ShardedService<'p> {
         let local = match event {
             PlatformEvent::RequestArrived(r) => {
                 self.request_home.insert(r.id, home);
-                if let BoundaryPolicy::Borrow { probe } = self.policy {
-                    if self.shards.len() > 1
-                        && self.on_network(r.origin)
-                        && self.on_network(r.destination)
-                    {
-                        // Synchronize every shard to `t` so the probe
-                        // reads current positions, then maybe borrow.
-                        out = self.broadcast(PlatformEvent::Tick { at: t });
-                        out.extend(self.maybe_borrow(&r, t, home, probe));
-                    }
+                if self.shards.len() > 1
+                    && self.on_network(r.origin)
+                    && self.on_network(r.destination)
+                {
+                    // Synchronize every shard to `t` so the probe reads
+                    // current positions, then maybe borrow.
+                    out = self.broadcast(PlatformEvent::Tick { at: t });
+                    out.extend(self.maybe_borrow(&r, t, home));
                 }
                 event
             }
@@ -544,19 +513,13 @@ impl<'p> ShardedService<'p> {
         self.events[mark..].to_vec()
     }
 
-    /// The `Borrow` probe for one request: scan the `probe` nearest
+    /// The Borrow probe for one request: scan the [`BORROW_PROBE`] nearest
     /// foreign shards' read planes for an idle worker that strictly
     /// beats every home candidate on straight-line pickup distance, and
     /// hand the winner off to the home shard. All reads are against
     /// shard snapshots at the request's arrival time (every shard was
     /// just ticked to `t`), so the probe is deterministic.
-    fn maybe_borrow(
-        &mut self,
-        r: &Request,
-        t: Time,
-        home: usize,
-        probe: usize,
-    ) -> Vec<ServiceReply> {
+    fn maybe_borrow(&mut self, r: &Request, t: Time, home: usize) -> Vec<ServiceReply> {
         urpsm_obs::with(|m| m.borrow_probes.inc());
         let origin_p = self.oracle.point(r.origin);
         let direct = self.oracle.dis(r.origin, r.destination);
@@ -577,7 +540,7 @@ impl<'p> ShardedService<'p> {
         // Best idle foreign candidate across the probed shards.
         let mut best: Option<(f64, usize, WorkerId)> = None;
         let order = self.map.nearest_order(origin_p);
-        for &s in order.iter().filter(|&&s| s != home).take(probe) {
+        for &s in order.iter().filter(|&&s| s != home).take(BORROW_PROBE) {
             let state = self.shards[s].service.state();
             for w in state.candidate_workers(r, direct, &mut self.cands).iter() {
                 let head = state.head(w);
@@ -687,18 +650,13 @@ mod tests {
         }
     }
 
-    fn sharded(
-        origins: &[u32],
-        shards: usize,
-        boundary: BoundaryPolicy,
-    ) -> ShardedService<'static> {
+    fn sharded(origins: &[u32], shards: usize) -> ShardedService<'static> {
         ShardedService::new(
             line_oracle(50),
             fleet(origins),
             |_| Box::new(PruneGreedyDp::new()),
             ShardConfig {
                 shards,
-                boundary,
                 sim: SimConfig::default(),
             },
             0,
@@ -707,7 +665,7 @@ mod tests {
 
     #[test]
     fn fleet_partitions_by_origin_and_ids_stay_global() {
-        let svc = sharded(&[2, 48, 4], 2, BoundaryPolicy::Strict);
+        let svc = sharded(&[2, 48, 4], 2);
         assert_eq!(svc.num_shards(), 2);
         assert_eq!(svc.worker_shard(WorkerId(0)), Some(0));
         assert_eq!(svc.worker_shard(WorkerId(1)), Some(1));
@@ -718,29 +676,11 @@ mod tests {
     }
 
     #[test]
-    fn strict_policy_keeps_planning_shard_local() {
-        // Shard 0 has no workers; shard 1 idles a worker at vertex 30.
-        let mut svc = sharded(&[45, 30], 2, BoundaryPolicy::Strict);
-        let replies = svc.submit(PlatformEvent::RequestArrived(req(0, 20, 10, 0, 100_000)));
-        assert!(
-            replies
-                .iter()
-                .any(|e| matches!(e, SimEvent::Rejected { r, .. } if *r == RequestId(0))),
-            "strict sharding must reject a locally unservable request: {replies:?}"
-        );
-        assert_eq!(svc.handoffs(), 0);
-        let out = svc.drain();
-        assert!(out.audit_errors.is_empty());
-        assert_eq!(out.metrics.rejected, 1);
-        assert_eq!(out.metrics.requests, 1);
-    }
-
-    #[test]
     fn borrow_policy_hands_an_idle_border_worker_off() {
-        // Same geometry as the strict test, but with borrowing: the
-        // idle worker at vertex 30 (shard 1, global id 1) must cross
-        // the seam and serve the shard-0 request.
-        let mut svc = sharded(&[45, 30], 2, BoundaryPolicy::Borrow { probe: 3 });
+        // Shard 0 has no workers; shard 1 idles a worker at vertex 30
+        // (global id 1), which must cross the seam and serve the
+        // shard-0 request.
+        let mut svc = sharded(&[45, 30], 2);
         let replies = svc.submit(PlatformEvent::RequestArrived(req(0, 20, 10, 0, 100_000)));
         assert!(
             replies
@@ -772,7 +712,7 @@ mod tests {
     fn borrow_ties_and_busy_workers_stay_home() {
         // Shard 0's own worker at vertex 20 is strictly closer than the
         // foreign one at 30: no handoff happens.
-        let mut svc = sharded(&[20, 30], 2, BoundaryPolicy::Borrow { probe: 3 });
+        let mut svc = sharded(&[20, 30], 2);
         let replies = svc.submit(PlatformEvent::RequestArrived(req(0, 18, 10, 0, 100_000)));
         assert!(replies
             .iter()
@@ -797,7 +737,7 @@ mod tests {
 
     #[test]
     fn departures_follow_handed_off_workers() {
-        let mut svc = sharded(&[45, 30], 2, BoundaryPolicy::Borrow { probe: 3 });
+        let mut svc = sharded(&[45, 30], 2);
         svc.submit(PlatformEvent::RequestArrived(req(0, 20, 10, 0, 100_000)));
         assert_eq!(svc.worker_shard(WorkerId(1)), Some(0));
         // Worker 1 now lives in shard 0; its departure must route there
@@ -819,7 +759,7 @@ mod tests {
 
     #[test]
     fn malformed_fleet_events_are_dropped_not_fatal() {
-        let mut svc = sharded(&[5], 2, BoundaryPolicy::default());
+        let mut svc = sharded(&[5], 2);
         // A join that skips a global id and an unknown departure: both
         // dropped (the clock still advances somewhere deterministic).
         assert!(svc
@@ -916,7 +856,7 @@ mod tests {
 
     #[test]
     fn home_shard_mirrors_submit_routing() {
-        let mut svc = sharded(&[5, 45], 2, BoundaryPolicy::Strict);
+        let mut svc = sharded(&[5, 45], 2);
         let arrival = PlatformEvent::RequestArrived(req(0, 40, 46, 0, 100_000));
         assert_eq!(svc.home_shard(&arrival), Some(1));
         // Before the arrival is submitted the cancel falls back to
@@ -958,8 +898,8 @@ mod tests {
             svc.submit(PlatformEvent::RequestArrived(req(1, 44, 40, 100, 100_000)));
             svc.submit(PlatformEvent::Tick { at: 500 });
         };
-        let mut a = sharded(&[5, 45], 2, BoundaryPolicy::Strict);
-        let mut b = sharded(&[5, 45], 2, BoundaryPolicy::Strict);
+        let mut a = sharded(&[5, 45], 2);
+        let mut b = sharded(&[5, 45], 2);
         feed(&mut a);
         feed(&mut b);
         assert_eq!(a.checkpoint(), b.checkpoint());
@@ -974,7 +914,7 @@ mod tests {
 
     #[test]
     fn cancellations_follow_their_request_home() {
-        let mut svc = sharded(&[5, 45], 2, BoundaryPolicy::Strict);
+        let mut svc = sharded(&[5, 45], 2);
         svc.submit(PlatformEvent::RequestArrived(req(0, 40, 46, 0, 100_000)));
         let replies = svc.submit(PlatformEvent::RequestCancelled {
             at: 100,

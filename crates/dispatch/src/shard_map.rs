@@ -75,8 +75,8 @@ impl ShardMap {
     }
 
     /// Every shard id, ordered by territory-center distance from `p`
-    /// (ties break on shard id) — the probe order of the `Borrow`
-    /// boundary policy, deterministic by construction.
+    /// (ties break on shard id) — the Borrow probe's order,
+    /// deterministic by construction.
     pub fn nearest_order(&self, p: Point) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.shards()).collect();
         order.sort_by(|&a, &b| {

@@ -33,7 +33,7 @@ pub mod registry;
 pub mod ring;
 pub mod text;
 
-pub use metrics::{Counter, Gauge, HistSummary, Histogram, ShardedHistogram};
+pub use metrics::{Counter, Gauge, HistSummary, Histogram};
 pub use registry::{
     class_slot, registry, render_prometheus, MetricsSnapshot, Registry, MAX_CLASSES, MAX_SHARDS,
 };
@@ -183,7 +183,7 @@ impl PhaseClock {
 
     /// Record one sample per phase (zero for a phase never reached), if
     /// the clock is running.
-    pub fn record_into(&self, hists: &[ShardedHistogram; PlanPhase::ALL.len()]) {
+    pub fn record_into(&self, hists: &[Histogram; PlanPhase::ALL.len()]) {
         if self.last.is_some() {
             for (hist, &ns) in hists.iter().zip(&self.ns) {
                 hist.record(ns);

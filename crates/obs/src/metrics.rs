@@ -1,12 +1,12 @@
 //! Metric primitives: relaxed-atomic counters, gauges, and fixed-bucket
-//! log-scale histograms (plus a per-thread sharded histogram variant).
+//! log-scale histograms.
 //!
 //! Everything here is lock-free, allocation-free after construction, and
 //! safe to hammer from any number of threads. All updates use `Relaxed`
 //! ordering: metrics are monotone tallies, not synchronization edges, and
 //! readers (exposition / snapshots) tolerate being a few updates behind.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// A monotone event counter.
 #[derive(Debug, Default)]
@@ -156,100 +156,9 @@ impl Histogram {
         self.sum.load(Relaxed)
     }
 
-    /// Fold another histogram's counts into this one.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Relaxed);
-            if n != 0 {
-                dst.fetch_add(n, Relaxed);
-            }
-        }
-        self.sum.fetch_add(other.sum.load(Relaxed), Relaxed);
-    }
-
     /// Compact summary (count, sum, approximate quantiles).
     pub fn summary(&self) -> HistSummary {
         HistSummary::from_buckets(&self.bucket_counts(), self.sum())
-    }
-}
-
-/// Number of write shards in a [`ShardedHistogram`].
-pub const HIST_SHARDS: usize = 8;
-
-thread_local! {
-    /// Per-thread shard slot, assigned once per thread round-robin.
-    static THREAD_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-}
-
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-#[inline]
-fn thread_shard() -> usize {
-    THREAD_SHARD.with(|s| {
-        let cur = s.get();
-        if cur != usize::MAX {
-            return cur;
-        }
-        let assigned = NEXT_THREAD.fetch_add(1, Relaxed) % HIST_SHARDS;
-        s.set(assigned);
-        assigned
-    })
-}
-
-/// A histogram sharded across [`HIST_SHARDS`] write lanes so concurrent
-/// recorders on different threads do not contend on the same cache lines.
-///
-/// Merging all shards is exactly equivalent to having recorded every
-/// sample into a single [`Histogram`], for any interleaving: each sample
-/// lands in exactly one shard bucket and bucket addition is commutative.
-#[derive(Debug)]
-pub struct ShardedHistogram {
-    shards: [Histogram; HIST_SHARDS],
-}
-
-impl Default for ShardedHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardedHistogram {
-    /// A fresh zeroed sharded histogram.
-    pub fn new() -> Self {
-        ShardedHistogram {
-            shards: std::array::from_fn(|_| Histogram::new()),
-        }
-    }
-
-    /// Record one sample into the calling thread's shard.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.shards[thread_shard()].record(v);
-    }
-
-    /// Record into an explicit shard (tests / deterministic replay).
-    #[inline]
-    pub fn record_in_shard(&self, shard: usize, v: u64) {
-        self.shards[shard % HIST_SHARDS].record(v);
-    }
-
-    /// Merge all shards into one [`Histogram`].
-    pub fn merged(&self) -> Histogram {
-        let out = Histogram::new();
-        for s in &self.shards {
-            out.merge_from(s);
-        }
-        out
-    }
-
-    /// Total number of recorded samples across all shards.
-    pub fn count(&self) -> u64 {
-        self.shards.iter().map(|s| s.count()).sum()
-    }
-
-    /// Compact summary over the merged shards.
-    pub fn summary(&self) -> HistSummary {
-        self.merged().summary()
     }
 }
 
@@ -343,17 +252,5 @@ mod tests {
         assert_eq!(s.count, 8);
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max);
         assert_eq!(bucket_index(s.max), bucket_index(5000));
-    }
-
-    #[test]
-    fn sharded_merge_matches_direct() {
-        let sh = ShardedHistogram::new();
-        let direct = Histogram::new();
-        for (i, v) in [3u64, 9, 81, 6561, 1, 0, 43046721].iter().enumerate() {
-            sh.record_in_shard(i, *v);
-            direct.record(*v);
-        }
-        assert_eq!(sh.merged().bucket_counts(), direct.bucket_counts());
-        assert_eq!(sh.merged().sum(), direct.sum());
     }
 }

@@ -8,7 +8,7 @@
 //! reach them through [`crate::with`], which short-circuits to nothing
 //! when the `URPSM_OBS` runtime gate is off.
 
-use crate::metrics::{Counter, Gauge, HistSummary, Histogram, ShardedHistogram};
+use crate::metrics::{Counter, Gauge, HistSummary, Histogram};
 use crate::ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
 use crate::{text, PlanPhase};
 use std::fmt::Write as _;
@@ -106,8 +106,7 @@ impl Json for [HistSummary; PlanPhase::ALL.len()] {
 /// | `counter` | [`Counter`] → `u64` | counter `urpsm_<name>_total` |
 /// | `gauge` | [`Gauge`] → `u64` | gauge `urpsm_<name>` |
 /// | `histogram` | [`Histogram`] → [`HistSummary`] | histogram `urpsm_<name>` |
-/// | `sharded_histogram` | [`ShardedHistogram`] → [`HistSummary`] | histogram `urpsm_<name>` |
-/// | `sharded_histogram[PlanPhase]` | one per phase → `[HistSummary; 4]` | one histogram per phase ([`phase_series`], also its JSON keys) |
+/// | `histogram[PlanPhase]` | one per phase → `[HistSummary; 4]` | one histogram per phase ([`phase_series`], also its JSON keys) |
 /// | `counter[N; "label"; live = g]`, `gauge[…]` | `[Counter; N]` → `Vec<u64>` of the first `g` slots | `{label="i"}` per live slot; omitted while gauge `g` is zero |
 ///
 /// Trailing `#[text_only]` rows are labelled arrays that the registry
@@ -116,14 +115,12 @@ macro_rules! metrics {
     (@cell counter) => { Counter };
     (@cell gauge) => { Gauge };
     (@cell histogram) => { Histogram };
-    (@cell sharded_histogram) => { ShardedHistogram };
     (@cell $kind:ident [PlanPhase]) => { [metrics!(@cell $kind); PlanPhase::ALL.len()] };
     (@cell $kind:ident [$n:ident; $($rest:tt)+]) => { [metrics!(@cell $kind); $n] };
 
     (@frozen counter) => { u64 };
     (@frozen gauge) => { u64 };
     (@frozen histogram) => { HistSummary };
-    (@frozen sharded_histogram) => { HistSummary };
     (@frozen $kind:ident [PlanPhase]) => { [metrics!(@frozen $kind); PlanPhase::ALL.len()] };
     (@frozen $kind:ident [$n:ident; $($rest:tt)+]) => { Vec<metrics!(@frozen $kind)> };
 
@@ -133,7 +130,6 @@ macro_rules! metrics {
     (@freeze $reg:ident, $cell:expr, counter) => { $cell.get() };
     (@freeze $reg:ident, $cell:expr, gauge) => { $cell.get() };
     (@freeze $reg:ident, $cell:expr, histogram) => { $cell.summary() };
-    (@freeze $reg:ident, $cell:expr, sharded_histogram) => { $cell.summary() };
     (@freeze $reg:ident, $cell:expr, $kind:ident [PlanPhase]) => {
         std::array::from_fn(|phase| metrics!(@freeze $reg, $cell[phase], $kind))
     };
@@ -149,19 +145,11 @@ macro_rules! metrics {
     (@text $out:ident, $reg:ident, $name:ident, $help:literal, histogram) => {
         text::histogram(&mut $out, concat!("urpsm_", stringify!($name)), $help, &$reg.$name)
     };
-    (@text $out:ident, $reg:ident, $name:ident, $help:literal, sharded_histogram) => {
-        text::histogram(
-            &mut $out,
-            concat!("urpsm_", stringify!($name)),
-            $help,
-            &$reg.$name.merged(),
-        )
-    };
-    (@text $out:ident, $reg:ident, $name:ident, $help:literal, sharded_histogram [PlanPhase]) => {
+    (@text $out:ident, $reg:ident, $name:ident, $help:literal, histogram [PlanPhase]) => {
         for (phase, hist) in PlanPhase::ALL.iter().zip(&$reg.$name) {
             let series = phase_series(concat!("urpsm_", stringify!($name)), *phase);
             let help = format!("{}: {}", $help, phase.name());
-            text::histogram(&mut $out, &series, &help, &hist.merged());
+            text::histogram(&mut $out, &series, &help, hist);
         }
     };
     (@text $out:ident, $reg:ident, $name:ident, $help:literal, $kind:ident) => {
@@ -274,11 +262,11 @@ metrics! {
     counter plan_rejected "Requests rejected (no feasible/economic insertion)";
     counter plan_probes "Linear-DP insertion probes executed";
     counter plan_bound_improvements "Times the Lemma-8 best-Δ bound was lowered";
-    sharded_histogram plan_latency_ns "Per-request planning latency (nanoseconds)";
-    sharded_histogram plan_shortlist_len "Candidates the DP engine bounded per request: eligible busy workers plus eligible idle workers in the grid cells it visited";
+    histogram plan_latency_ns "Per-request planning latency (nanoseconds)";
+    histogram plan_shortlist_len "Candidates the DP engine bounded per request: eligible busy workers plus eligible idle workers in the grid cells it visited";
     counter plan_ordered_ranks "Shortlist ranks put in `(LB, worker)` order (the lazily ordered prefix of each shortlist)";
     counter plan_gate_td_misses "TD distance-cache misses incurred inside the probes' insertion gate (only concurrent `experiments --parallel` cells can share the counter)";
-    sharded_histogram[PlanPhase] plan_phase_ns "Per-request wall-clock of one planning phase (nanoseconds)";
+    histogram[PlanPhase] plan_phase_ns "Per-request wall-clock of one planning phase (nanoseconds)";
 
     // ── static distance oracle ─────────────────────────────────────────
     counter dis_cache_hits "Static distance-cache hits";

@@ -1,6 +1,6 @@
 //! Property suite for the log-scale histogram (DESIGN.md §11).
 //!
-//! Three laws, for arbitrary value streams:
+//! Two laws, for arbitrary value streams:
 //!
 //! * **Monotone bucketing** — `bucket_index` is non-decreasing in the
 //!   value, every value lands inside its bucket's `[lower, upper]`
@@ -8,16 +8,10 @@
 //! * **Exact totals** — a histogram's `count` equals the number of
 //!   recorded values and `sum` their exact (wrapping-free) total, no
 //!   matter the order of recording.
-//! * **Shard-merge exactness** — spraying the same multiset of values
-//!   across the shards of a `ShardedHistogram` in *any* interleaving
-//!   yields a merged histogram bucket-identical to a single-shard
-//!   recording of the same values.
 
 use proptest::prelude::*;
-use urpsm_obs::metrics::{
-    bucket_index, bucket_lower_bound, bucket_upper_bound, HIST_SHARDS, NUM_BUCKETS,
-};
-use urpsm_obs::{Histogram, ShardedHistogram};
+use urpsm_obs::metrics::{bucket_index, bucket_lower_bound, bucket_upper_bound, NUM_BUCKETS};
+use urpsm_obs::Histogram;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -54,25 +48,5 @@ proptest! {
         prop_assert_eq!(h.sum(), values.iter().map(|&v| u64::from(v)).sum::<u64>());
         let buckets = h.bucket_counts();
         prop_assert_eq!(buckets.iter().sum::<u64>(), values.len() as u64);
-    }
-
-    /// Merging shards is exact: any interleaving of the same values
-    /// across shards merges to the single-shard histogram, bucket for
-    /// bucket.
-    #[test]
-    fn shard_merge_equals_single_shard(
-        values in proptest::collection::vec((any::<u32>(), 0usize..HIST_SHARDS), 0..200)
-    ) {
-        let sharded = ShardedHistogram::new();
-        let single = Histogram::new();
-        for &(v, shard) in &values {
-            sharded.record_in_shard(shard, u64::from(v));
-            single.record(u64::from(v));
-        }
-        let merged = sharded.merged();
-        prop_assert_eq!(merged.count(), single.count());
-        prop_assert_eq!(merged.sum(), single.sum());
-        prop_assert_eq!(merged.bucket_counts().to_vec(), single.bucket_counts().to_vec());
-        prop_assert_eq!(sharded.count(), single.count());
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::VertexId;
 
-/// Errors raised while building or loading a road network.
+/// Errors raised while building a road network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetworkError {
     /// An edge referenced a vertex that was never added.
@@ -20,8 +20,6 @@ pub enum NetworkError {
     Empty,
     /// The vertex count exceeds `u32::MAX`.
     TooManyVertices(usize),
-    /// A serialized network failed validation on load.
-    Corrupt(String),
 }
 
 impl std::fmt::Display for NetworkError {
@@ -36,7 +34,6 @@ impl std::fmt::Display for NetworkError {
             NetworkError::TooManyVertices(n) => {
                 write!(f, "{n} vertices exceed the u32 index space")
             }
-            NetworkError::Corrupt(msg) => write!(f, "corrupt network data: {msg}"),
         }
     }
 }

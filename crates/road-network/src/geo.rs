@@ -29,18 +29,6 @@ impl Point {
         let dy = self.y - other.y;
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Projects WGS84 latitude/longitude (degrees) onto local planar
-    /// meters using an equirectangular approximation around `lat0`.
-    ///
-    /// Good to <0.5% error at city scale, which is all the workloads
-    /// need; real OSM extracts can be imported through this.
-    pub fn from_lat_lng(lat: f64, lng: f64, lat0: f64) -> Self {
-        const EARTH_RADIUS_M: f64 = 6_371_000.0;
-        let x = EARTH_RADIUS_M * lng.to_radians() * lat0.to_radians().cos();
-        let y = EARTH_RADIUS_M * lat.to_radians();
-        Point { x, y }
-    }
 }
 
 /// An axis-aligned bounding box over [`Point`]s.
@@ -105,15 +93,6 @@ mod tests {
         assert_eq!(a.euclidean_m(&b), 5.0);
         assert_eq!(b.euclidean_m(&a), 5.0);
         assert_eq!(a.euclidean_m(&a), 0.0);
-    }
-
-    #[test]
-    fn lat_lng_projection_scale() {
-        // One degree of latitude is ~111.2 km regardless of longitude.
-        let a = Point::from_lat_lng(40.0, -74.0, 40.0);
-        let b = Point::from_lat_lng(41.0, -74.0, 40.0);
-        let d = a.euclidean_m(&b);
-        assert!((d - 111_195.0).abs() < 500.0, "got {d}");
     }
 
     #[test]

@@ -205,13 +205,6 @@ impl GridIndex {
         self.items.get(&id).map(|(_, p)| *p)
     }
 
-    /// Collects ids of all items within `radius_m` of `p` (exact
-    /// point-distance filter after the coarse cell sweep) into `out`.
-    pub fn items_within(&self, p: Point, radius_m: f64, out: &mut Vec<ItemId>) {
-        out.clear();
-        self.for_each_within(p, radius_m, |id| out.push(id));
-    }
-
     /// Calls `visit` with the id of every item within `radius_m` of `p`
     /// (exact point-distance filter after the coarse cell sweep), cell
     /// by cell in bucket order.
@@ -384,22 +377,6 @@ impl SortedCellGrid {
         &mut self.base
     }
 
-    /// Walks cells outward from the cell containing `p`, collecting
-    /// items until cell-center distance exceeds `radius_m`; items are
-    /// *not* point-filtered (T-Share prunes by cell reachability only,
-    /// which is why it can wrongly discard workers — §6.2 notes its
-    /// "searching process mistakenly removes many possible workers").
-    pub fn items_in_reach(&self, p: Point, radius_m: f64, out: &mut Vec<ItemId>) {
-        out.clear();
-        let origin = self.base.cell_of(p);
-        for &(d, cell) in &self.sorted[origin] {
-            if f64::from(d) > radius_m {
-                break;
-            }
-            out.extend_from_slice(&self.base.cells[cell as usize]);
-        }
-    }
-
     /// T-Share's *lazy single-side search*: walk cells outward and stop
     /// at the first ring of cells that yields any item at all (or when
     /// `radius_m` is exceeded). Nearer-but-busy workers shadow farther
@@ -447,6 +424,13 @@ mod tests {
         b
     }
 
+    /// The ids [`GridIndex::for_each_within`] visits, in visit order.
+    fn within(g: &GridIndex, p: Point, radius_m: f64) -> Vec<ItemId> {
+        let mut out = Vec::new();
+        g.for_each_within(p, radius_m, |id| out.push(id));
+        out
+    }
+
     #[test]
     fn dims_and_cells() {
         let g = GridIndex::new(bbox(10_000.0, 5_000.0), 1_000.0);
@@ -464,11 +448,8 @@ mod tests {
         // Move to another cell.
         g.upsert(7, Point::new(9_500.0, 9_500.0));
         assert_eq!(g.len(), 1);
-        let mut out = Vec::new();
-        g.items_within(Point::new(100.0, 100.0), 500.0, &mut out);
-        assert!(out.is_empty());
-        g.items_within(Point::new(9_400.0, 9_400.0), 500.0, &mut out);
-        assert_eq!(out, vec![7]);
+        assert!(within(&g, Point::new(100.0, 100.0), 500.0).is_empty());
+        assert_eq!(within(&g, Point::new(9_400.0, 9_400.0), 500.0), vec![7]);
 
         assert!(g.remove(7));
         assert!(!g.remove(7));
@@ -481,14 +462,11 @@ mod tests {
         g.upsert(1, Point::new(500.0, 500.0));
         g.upsert(2, Point::new(1_400.0, 500.0)); // 900 m away
         g.upsert(3, Point::new(3_000.0, 500.0)); // 2500 m away
-        let mut out = Vec::new();
-        g.items_within(Point::new(500.0, 500.0), 1_000.0, &mut out);
+        let mut out = within(&g, Point::new(500.0, 500.0), 1_000.0);
         out.sort_unstable();
         assert_eq!(out, vec![1, 2]);
-        g.items_within(Point::new(500.0, 500.0), 100.0, &mut out);
-        assert_eq!(out, vec![1]);
-        g.items_within(Point::new(500.0, 500.0), -1.0, &mut out);
-        assert!(out.is_empty());
+        assert_eq!(within(&g, Point::new(500.0, 500.0), 100.0), vec![1]);
+        assert!(within(&g, Point::new(500.0, 500.0), -1.0).is_empty());
     }
 
     #[test]
@@ -503,11 +481,10 @@ mod tests {
             g.upsert(id, p);
             pts.push(p);
         }
-        let mut out = Vec::new();
         for _ in 0..50 {
             let q = Point::new(rng.gen_range(0.0..5_000.0), rng.gen_range(0.0..5_000.0));
             let r = rng.gen_range(0.0..2_000.0);
-            g.items_within(q, r, &mut out);
+            let mut out = within(&g, q, r);
             out.sort_unstable();
             let brute: Vec<ItemId> = (0..200u64)
                 .filter(|&id| pts[id as usize].euclidean_m(&q) <= r)
@@ -521,9 +498,7 @@ mod tests {
         let mut g = GridIndex::new(bbox(1_000.0, 1_000.0), 500.0);
         g.upsert(1, Point::new(-400.0, 2_000.0)); // outside: clamps to a corner cell
         assert_eq!(g.len(), 1);
-        let mut out = Vec::new();
-        g.items_within(Point::new(-400.0, 2_000.0), 1.0, &mut out);
-        assert_eq!(out, vec![1]);
+        assert_eq!(within(&g, Point::new(-400.0, 2_000.0), 1.0), vec![1]);
     }
 
     #[test]
@@ -533,12 +508,16 @@ mod tests {
         s.grid_mut().upsert(2, Point::new(3_500.0, 3_500.0));
         let mut out = Vec::new();
         // Small reach: only the local cell cluster.
-        s.items_in_reach(Point::new(500.0, 500.0), 600.0, &mut out);
+        s.items_in_first_hit(Point::new(500.0, 500.0), 600.0, &mut out);
         assert_eq!(out, vec![1]);
-        // Reach across the whole box.
-        s.items_in_reach(Point::new(500.0, 500.0), 10_000.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2]);
+        // Reach across the whole box: the nearer item shadows the other.
+        s.items_in_first_hit(Point::new(500.0, 500.0), 10_000.0, &mut out);
+        assert_eq!(out, vec![1]);
+        s.items_in_first_hit(Point::new(3_500.0, 3_500.0), 10_000.0, &mut out);
+        assert_eq!(out, vec![2]);
+        // No cell with an item within reach of an empty one.
+        s.items_in_first_hit(Point::new(2_500.0, 500.0), 100.0, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -622,7 +601,6 @@ mod tests {
                 let mut g = GridIndex::new(bbox(1_000.0, 1_000.0), 250.0);
                 let mut model: Vec<(ItemId, Point, bool)> = Vec::new();
                 let find = |model: &[(ItemId, Point, bool)], id| model.iter().position(|m| m.0 == id);
-                let mut out = Vec::new();
                 for op in ops {
                     let query = match op {
                         Op::Upsert(id, p) => {
@@ -661,7 +639,7 @@ mod tests {
                         Op::WithinAt(id, r) => find(&model, id).map(|k| (model[k].1, r)),
                     };
                     if let Some((p, r)) = query {
-                        g.items_within(p, r, &mut out);
+                        let mut out = within(&g, p, r);
                         out.sort_unstable();
                         let mut brute: Vec<ItemId> = model
                             .iter()

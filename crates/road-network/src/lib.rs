@@ -40,7 +40,6 @@ pub mod geo;
 pub mod graph;
 pub mod grid;
 pub mod hub_labels;
-pub mod io;
 pub mod matrix;
 pub mod oracle;
 pub mod td;

@@ -138,11 +138,7 @@ fn build_backend(scenario: &Scenario, shards: usize, td_oracle: bool) -> Backend
         scenario.oracle.clone(),
         scenario.workers.clone(),
         |_| Box::new(PruneGreedyDp::new()) as Box<dyn Planner>,
-        ShardConfig {
-            shards,
-            sim,
-            ..ShardConfig::default()
-        },
+        ShardConfig { shards, sim },
         scenario.start_time(),
     ))
 }

@@ -5,11 +5,11 @@
 //! cloned [`ProducerHandle`]s. Each send stamps the event with the next
 //! value of a shared atomic counter *at enqueue time*; the server
 //! drains the channel per tick and sorts the batch by
-//! `(time, tie_rank, seq)`. Because every stamp is unique, that key is
-//! a total order — the drained batch is *identical* no matter how many
-//! threads produced it or how their sends interleaved, which is what
-//! makes a threaded-producer run byte-identical to a single-producer
-//! run.
+//! [`StampedEvent::order_key`], `(time, tie_rank, seq)`. Because every
+//! stamp is unique, that key is a total order — the drained batch is
+//! *identical* no matter how many threads produced it or how their
+//! sends interleaved, which is what makes a threaded-producer run
+//! byte-identical to a single-producer run.
 //!
 //! The channel itself is unbounded on purpose: blocking a producer on a
 //! full channel would make admission depend on thread timing.
@@ -22,6 +22,7 @@ use std::sync::mpsc::{self, Receiver, SendError, Sender};
 use std::sync::Arc;
 
 use urpsm_core::event::PlatformEvent;
+use urpsm_core::types::Time;
 
 /// An event plus its ingestion sequence stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +31,17 @@ pub struct StampedEvent {
     pub seq: u64,
     /// The event itself.
     pub event: PlatformEvent,
+}
+
+impl StampedEvent {
+    /// The canonical ingestion order, `(time, tie_rank, seq)`: the one
+    /// key the server sorts every drained batch by. Unique stamps make
+    /// it a total order, so a sorted batch is independent of producer
+    /// interleaving.
+    #[inline]
+    pub fn order_key(&self) -> (Time, u8, u64) {
+        (self.event.time(), self.event.tie_rank(), self.seq)
+    }
 }
 
 /// A clonable producer endpoint. Dropping every handle closes the
@@ -79,13 +91,6 @@ pub fn channel(first_seq: u64) -> (ProducerHandle, Receiver<StampedEvent>) {
     )
 }
 
-/// Sorts a drained batch into the canonical ingestion order:
-/// `(time, tie_rank, seq)`. Unique stamps make this a total order, so
-/// the result is independent of producer interleaving.
-pub fn sort_batch(batch: &mut [StampedEvent]) {
-    batch.sort_unstable_by_key(|s| (s.event.time(), s.event.tie_rank(), s.seq));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +113,7 @@ mod tests {
         }
         drop(tx);
         let mut single: Vec<StampedEvent> = rx.iter().collect();
-        sort_batch(&mut single);
+        single.sort_unstable_by_key(StampedEvent::order_key);
 
         // …and four threads send interleaved partitions of the same
         // pre-stamped stream.
@@ -130,7 +135,7 @@ mod tests {
             h.join().unwrap();
         }
         let mut threaded: Vec<StampedEvent> = rx.iter().collect();
-        sort_batch(&mut threaded);
+        threaded.sort_unstable_by_key(StampedEvent::order_key);
 
         assert_eq!(single, threaded);
     }
@@ -157,7 +162,7 @@ mod tests {
                 capacity: 4,
             },
         };
-        let mut batch = vec![
+        let mut batch = [
             StampedEvent {
                 seq: 9,
                 event: cancel(5, 1),
@@ -175,7 +180,7 @@ mod tests {
                 event: cancel(6, 2),
             },
         ];
-        sort_batch(&mut batch);
+        batch.sort_unstable_by_key(StampedEvent::order_key);
         // Joined (rank 0) before cancels (rank 2), seq breaks the tie
         // among cancels at t=5, and t=6 sorts last despite seq 0.
         assert_eq!(

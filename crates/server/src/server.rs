@@ -7,7 +7,7 @@
 //! Its life is a sequence of [`tick`](IngestServer::tick)s; each tick:
 //!
 //! 1. drains the ingestion channel and sorts the pending batch into
-//!    the canonical `(time, tie_rank, seq)` order;
+//!    the canonical order, [`StampedEvent::order_key`];
 //! 2. walks the events due by the tick boundary, asking the admission
 //!    controller for a verdict: **admitted** events are appended to
 //!    the WAL and then submitted to the backend (write-ahead order),
@@ -201,8 +201,7 @@ pub struct RecoveryReport {
 }
 
 struct Pending {
-    seq: u64,
-    event: PlatformEvent,
+    stamped: StampedEvent,
     /// Deferred by a previous tick (already counted in the backlog
     /// gauge; never shed).
     queued: bool,
@@ -317,8 +316,7 @@ impl<'p> IngestServer<'p> {
     fn drain_channel(&mut self) {
         while let Ok(stamped) = self.rx.try_recv() {
             self.pending.push(Pending {
-                seq: stamped.seq,
-                event: stamped.event,
+                stamped,
                 queued: false,
             });
         }
@@ -329,10 +327,7 @@ impl<'p> IngestServer<'p> {
     /// admission → WAL → backend.
     pub fn tick(&mut self, until: Time) -> io::Result<TickReport> {
         self.drain_channel();
-        // Canonical order: (time, tie_rank, seq) — a total order, so
-        // the batch is independent of producer interleaving.
-        self.pending
-            .sort_unstable_by_key(|p| (p.event.time(), p.event.tie_rank(), p.seq));
+        self.pending.sort_unstable_by_key(|p| p.stamped.order_key());
         let batch = std::mem::take(&mut self.pending);
 
         self.admission.begin_tick();
@@ -351,12 +346,13 @@ impl<'p> IngestServer<'p> {
         let mut deferred = 0usize;
         let mut shed = 0usize;
         for p in batch {
-            if p.event.time() > until {
+            let event = p.stamped.event;
+            if event.time() > until {
                 kept.push(p);
                 continue;
             }
-            let fresh_arrival = matches!(p.event, PlatformEvent::RequestArrived(_)) && !p.queued;
-            let shard = self.backend.home_shard(&p.event);
+            let fresh_arrival = matches!(event, PlatformEvent::RequestArrived(_)) && !p.queued;
+            let shard = self.backend.home_shard(&event);
             let verdict = self.admission.classify(shard, fresh_arrival, p.queued);
             urpsm_obs::with(|m| {
                 let code = match verdict {
@@ -368,18 +364,18 @@ impl<'p> IngestServer<'p> {
                     urpsm_obs::TraceKind::Admission,
                     code,
                     shard.map_or(u64::MAX, |s| s as u64),
-                    p.event.time(),
+                    event.time(),
                     u64::from(p.queued),
                 );
             });
             match verdict {
                 Admission::Admit => {
                     if let Some(w) = &mut self.wal {
-                        w.writer.append(&p.event)?;
+                        w.writer.append(&event)?;
                     }
                     self.replies.extend(
                         self.backend
-                            .submit(p.event)
+                            .submit(event)
                             .into_iter()
                             .map(IngestReply::Service),
                     );
@@ -390,7 +386,7 @@ impl<'p> IngestServer<'p> {
                     kept.push(Pending { queued: true, ..p });
                 }
                 Admission::Shed => {
-                    let PlatformEvent::RequestArrived(r) = p.event else {
+                    let PlatformEvent::RequestArrived(r) = event else {
                         unreachable!("only request arrivals are shed");
                     };
                     self.replies.push(IngestReply::Overloaded {
@@ -477,7 +473,7 @@ impl<'p> IngestServer<'p> {
     /// both empty.
     pub fn step(&mut self) -> io::Result<Option<TickReport>> {
         self.drain_channel();
-        let Some(earliest) = self.pending.iter().map(|p| p.event.time()).min() else {
+        let Some(earliest) = self.pending.iter().map(|p| p.stamped.event.time()).min() else {
             return Ok(None);
         };
         let until = (earliest.max(self.backend.now()) / self.tick_len + 1) * self.tick_len;
@@ -608,4 +604,122 @@ pub fn recover<'p>(
         );
     });
     Ok((server, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use road_network::geo::Point;
+    use road_network::matrix::MatrixOracle;
+    use road_network::VertexId;
+    use urpsm_core::planner::PruneGreedyDp;
+    use urpsm_core::types::{Request, Worker, WorkerId};
+    use urpsm_dispatch::service::ShardConfig;
+
+    /// A server over two shards of a 1 m-spaced line of 50 vertices
+    /// (100 cs per edge), with no initial fleet.
+    fn line_server() -> IngestServer<'static> {
+        let mut b = road_network::builder::NetworkBuilder::new();
+        for i in 0..50 {
+            b.add_vertex(Point::new(f64::from(i), 0.0));
+        }
+        for i in 1..50 {
+            b.add_edge_with_cost(VertexId(i - 1), VertexId(i), 100)
+                .unwrap();
+        }
+        b.set_top_speed_mps(1.0);
+        let oracle = std::sync::Arc::new(MatrixOracle::from_network(&b.finish().unwrap()));
+        let backend = ShardedService::new(
+            oracle,
+            Vec::new(),
+            |_| Box::new(PruneGreedyDp::new()),
+            ShardConfig {
+                shards: 2,
+                sim: SimConfig::default(),
+            },
+            0,
+        );
+        IngestServer::new(Backend::Sharded(backend), ServerConfig::default()).unwrap()
+    }
+
+    fn arrival(id: u32, o: u32, d: u32, release: Time) -> PlatformEvent {
+        PlatformEvent::RequestArrived(Request {
+            class: Default::default(),
+            id: RequestId(id),
+            origin: VertexId(o),
+            destination: VertexId(d),
+            release,
+            deadline: release + 100_000,
+            penalty: 1_000_000,
+            capacity: 1,
+        })
+    }
+
+    /// Sends `events` through the producer channel in the given order
+    /// (so their stamps follow it) and runs the one tick window that
+    /// covers them all.
+    fn run_one_tick(events: &[PlatformEvent]) -> (Vec<IngestReply>, ServiceCheckpoint) {
+        let mut server = line_server();
+        let tx = server.handle();
+        for &event in events {
+            tx.send(event).unwrap();
+        }
+        server.tick(1_000).unwrap();
+        (server.replies().to_vec(), server.checkpoint())
+    }
+
+    #[test]
+    fn tick_sorts_a_reversed_window_into_the_canonical_order() {
+        // In canonical order: a worker joins at t = 100 where a request
+        // is released at the same instant (a join ranks first, so the
+        // worker can serve it); at t = 200 a request arrives and is
+        // cancelled (an arrival ranks before its cancellation); at
+        // t = 300 two requests tie on (time, rank) and only their
+        // stamps order them.
+        let in_order = [
+            PlatformEvent::WorkerJoined {
+                at: 100,
+                worker: Worker {
+                    class: Default::default(),
+                    id: WorkerId(0),
+                    origin: VertexId(20),
+                    capacity: 4,
+                },
+            },
+            arrival(0, 21, 30, 100),
+            arrival(1, 10, 5, 200),
+            PlatformEvent::RequestCancelled {
+                at: 200,
+                request: RequestId(1),
+            },
+            arrival(2, 40, 45, 300),
+            arrival(3, 44, 48, 300),
+        ];
+        let (replies, checkpoint) = run_one_tick(&in_order);
+        assert!(
+            matches!(
+                replies[1],
+                IngestReply::Service(SimEvent::Assigned {
+                    r: RequestId(0),
+                    w: WorkerId(0),
+                    ..
+                })
+            ),
+            "the joined worker serves request 0: {replies:?}"
+        );
+        assert!(replies.contains(&IngestReply::Service(SimEvent::Cancelled {
+            t: 200,
+            r: RequestId(1),
+            freed: 2_500,
+        })));
+
+        // The same window sent in reverse, except that the two tied
+        // arrivals keep their relative order (their stamps are the only
+        // thing that orders them): every other pair of events now has
+        // its stamps against the canonical order, and the server's sort
+        // must restore it.
+        let e = in_order;
+        let reversed = [e[4], e[5], e[3], e[2], e[1], e[0]];
+        assert_eq!(run_one_tick(&reversed), (replies, checkpoint));
+    }
 }

@@ -871,17 +871,11 @@ impl Route {
     /// Whether replacing the pending tail with `stops`/`legs` keeps the
     /// route feasible under the installed travel-time provider — the
     /// [`Route::insertion_feasible`] gate for re-ordering planners
-    /// (kinetic tree).
-    pub fn tail_feasible(&self, stops: &[Stop], legs: &[Cost], capacity: u32) -> bool {
-        let mut probe = self.clone();
-        self.tail_feasible_with(&mut probe, stops, legs, capacity)
-    }
-
-    /// [`Route::tail_feasible`] with a caller-supplied probe route —
-    /// the kinetic planner's scratch-reuse variant. Re-ordering *can*
-    /// permute stops, so this one keeps the full [`Route::validate`]
-    /// (its precedence pass allocates a small map; the kinetic search
-    /// allocates far more per call, so the gate is not the bottleneck).
+    /// (kinetic tree), checked on the caller's scratch `probe` route.
+    /// Re-ordering *can* permute stops, so this one keeps the full
+    /// [`Route::validate`] (its precedence pass allocates a small map;
+    /// the kinetic search allocates far more per call, so the gate is
+    /// not the bottleneck).
     pub fn tail_feasible_with(
         &self,
         probe: &mut Route,

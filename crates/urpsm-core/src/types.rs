@@ -130,7 +130,7 @@ pub enum ClassConstraint {
     /// Any class (the paper's setting; the default).
     #[default]
     Any,
-    /// Exactly one class — e.g. the legs of a mode-transfer trip.
+    /// Exactly one class: only workers of that class may serve it.
     Only(ClassId),
 }
 
@@ -235,15 +235,6 @@ impl ClassTable {
             .iter()
             .enumerate()
             .map(|(i, c)| (ClassId(i as u16), c))
-    }
-
-    /// Whether every class in the table has the standard profile (unit
-    /// speed, no range). When true, the class machinery is pure
-    /// metadata and every schedule is byte-identical to the
-    /// homogeneous fleet's.
-    #[inline]
-    pub fn all_standard_profile(&self) -> bool {
-        self.classes.iter().all(VehicleClass::is_standard_profile)
     }
 }
 
@@ -368,7 +359,7 @@ mod tests {
     fn class_table_default_is_single_standard() {
         let table = ClassTable::default();
         assert_eq!(table.len(), 1);
-        assert!(table.all_standard_profile());
+        assert!(table.get(ClassId::STANDARD).is_standard_profile());
         assert_eq!(table.get(ClassId::STANDARD).name, "standard");
     }
 

@@ -20,6 +20,10 @@
 //!   empirically.
 //! * [`sweep`] — the Table 5 parameter grid (defaults bold in the
 //!   paper), scaled to laptop-size cities.
+//!
+//! Every workload is generated in memory from a seed; there is no
+//! trip-record file format. A loader for real trips belongs with such
+//! data, written against its actual format.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -29,7 +33,6 @@ pub mod network_gen;
 pub mod requests;
 pub mod scenario;
 pub mod sweep;
-pub mod trace;
 
 /// Centiseconds per minute — Table 5 quotes deadlines in minutes.
 pub const MINUTE_CS: u64 = 6_000;
@@ -42,6 +45,5 @@ pub mod prelude {
     pub use crate::requests::{RequestStreamConfig, RequestStreamGenerator};
     pub use crate::scenario::{City, Scenario, ScenarioBuilder};
     pub use crate::sweep::{SweepAxis, SweepParams};
-    pub use crate::trace::{load_trace, save_trace};
     pub use crate::MINUTE_CS;
 }

@@ -10,9 +10,7 @@ use road_network::graph::RoadNetwork;
 use road_network::oracle::{DistanceOracle, HubLabelOracle};
 use road_network::VertexId;
 use urpsm_core::event::{PlatformEvent, ReassignPolicy};
-use urpsm_core::types::{
-    ClassConstraint, ClassId, ClassTable, Request, RequestId, Time, Worker, WorkerId,
-};
+use urpsm_core::types::{ClassTable, Request, RequestId, Time, Worker, WorkerId};
 
 use crate::fleet::FleetMix;
 use crate::network_gen::{grid_city, ring_radial_city};
@@ -149,7 +147,6 @@ pub struct ScenarioBuilder {
     departure_policy: ReassignPolicy,
     congestion: Option<Arc<CongestionProfile>>,
     fleet: Option<FleetMix>,
-    transfer_fraction: f64,
 }
 
 impl ScenarioBuilder {
@@ -181,7 +178,6 @@ impl ScenarioBuilder {
             departure_policy: ReassignPolicy::Reassign,
             congestion: None,
             fleet: None,
-            transfer_fraction: 0.0,
         }
     }
 
@@ -339,23 +335,12 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Fraction of trips split into a two-leg mode transfer (clamped
-    /// to `[0, 1]`): a feeder leg (origin → central hub) that only the
-    /// mix's *last* class may serve, then a trunk leg (hub →
-    /// destination) reserved for the second-to-last class. Needs a
-    /// fleet mix with at least two classes.
-    pub fn mode_transfer_fraction(mut self, f: f64) -> Self {
-        self.transfer_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
     /// Panics on scale knobs that cannot describe a real workload —
     /// the same construction-time contract as
     /// [`crate::requests::WeightedCdf`]: fail loudly where the knob
     /// was set, not deep inside generation with an opaque overflow.
     fn validate(&self) {
-        let mix = self.fleet.as_ref();
-        if let Some(mix) = mix {
+        if let Some(mix) = &self.fleet {
             let sum: f64 = mix.entries().iter().map(|(_, f)| f).sum();
             assert!(
                 (sum - 1.0).abs() <= 1e-6,
@@ -374,10 +359,6 @@ impl ScenarioBuilder {
                 );
             }
         }
-        assert!(
-            self.transfer_fraction == 0.0 || mix.is_some_and(|m| m.entries().len() >= 2),
-            "mode-transfer legs need a fleet mix with at least two classes"
-        );
         match self.spec {
             NetworkSpec::Grid { nx, ny, .. } => {
                 assert!(nx >= 1 && ny >= 1, "grid city needs nx, ny >= 1");
@@ -464,48 +445,8 @@ impl ScenarioBuilder {
             ..Default::default()
         };
         let mut gen = RequestStreamGenerator::new(&network, cfg, self.seed.wrapping_add(0xcafe));
-        let mut requests = gen.generate(&*oracle);
-
-        // Two-leg mode transfers: a selected trip becomes a feeder leg
-        // (origin → hub, last class only) plus a trunk leg (hub →
-        // destination, second-to-last class only), sharing the trip's
-        // time budget. Independent RNG stream, so a zero fraction is
-        // byte-identical to no knob at all.
+        let requests = gen.generate(&*oracle);
         let heterogeneous = mix.is_some_and(|m| !m.is_single_standard());
-        if self.transfer_fraction > 0.0 {
-            let n_classes = mix.map_or(1, |m| m.entries().len());
-            let feeder = ClassConstraint::Only(ClassId((n_classes - 1) as u16));
-            let trunk = ClassConstraint::Only(ClassId((n_classes - 2) as u16));
-            let hub = central_hub(&network);
-            let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x1e95));
-            let mut split = Vec::with_capacity(requests.len());
-            for r in requests {
-                if r.origin != hub && r.destination != hub && rng.gen_bool(self.transfer_fraction) {
-                    let handover = r.release + (r.deadline - r.release) / 2;
-                    split.push(Request {
-                        destination: hub,
-                        deadline: handover,
-                        penalty: self.penalty_factor * oracle.dis(r.origin, hub),
-                        class: feeder,
-                        ..r
-                    });
-                    split.push(Request {
-                        origin: hub,
-                        release: handover,
-                        penalty: self.penalty_factor * oracle.dis(hub, r.destination),
-                        class: trunk,
-                        ..r
-                    });
-                } else {
-                    split.push(r);
-                }
-            }
-            split.sort_by_key(|r| r.release);
-            for (i, r) in split.iter_mut().enumerate() {
-                r.id = RequestId(i as u32);
-            }
-            requests = split;
-        }
 
         // Lifecycle extras, seeded independently so enabling them never
         // perturbs the base fleet/stream draws.
@@ -590,28 +531,6 @@ impl ScenarioBuilder {
     }
 }
 
-/// The deterministic transfer hub: the vertex nearest the network's
-/// point centroid (a ring city's center, a grid city's middle).
-fn central_hub(network: &RoadNetwork) -> VertexId {
-    let n = network.num_vertices();
-    let (mut cx, mut cy) = (0.0, 0.0);
-    for v in 0..n {
-        let p = network.point(VertexId(v as u32));
-        cx += p.x;
-        cy += p.y;
-    }
-    let (cx, cy) = (cx / n as f64, cy / n as f64);
-    let mut best = (f64::INFINITY, VertexId(0));
-    for v in 0..n {
-        let p = network.point(VertexId(v as u32));
-        let d2 = (p.x - cx).powi(2) + (p.y - cy).powi(2);
-        if d2 < best.0 {
-            best = (d2, VertexId(v as u32));
-        }
-    }
-    best.1
-}
-
 /// Gaussian worker capacity `K_w ~ N(μ, ~2)` via the Irwin–Hall(4)
 /// approximation (§6.1's capacity distribution), clamped to ≥ 1 — one
 /// draw function so the initial fleet and mid-horizon joiners share
@@ -645,24 +564,6 @@ pub fn chengdu_like(seed: u64) -> ScenarioBuilder {
         .horizon(120 * MINUTE_CS)
         .hotspots(4)
         .penalty_factor(10)
-        .seed(seed)
-}
-
-/// The mode-transfer preset: the Chengdu-like city under the mixed
-/// three-class fleet ([`FleetMix::mixed`]), with 30 % of trips split
-/// into a feeder leg (e-bikes only, origin → central hub) and a trunk
-/// leg (vans only, hub → destination) — the two-leg multi-modal
-/// workload of DESIGN.md §12.
-pub fn mode_transfer(seed: u64) -> ScenarioBuilder {
-    ScenarioBuilder::named("mode-transfer")
-        .ring_city(24, 48)
-        .workers(200)
-        .requests(3_000)
-        .horizon(120 * MINUTE_CS)
-        .hotspots(4)
-        .penalty_factor(10)
-        .fleet_mix(FleetMix::mixed())
-        .mode_transfer_fraction(0.3)
         .seed(seed)
 }
 
@@ -942,34 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_transfer_splits_trips_into_constrained_legs() {
-        let s = mode_transfer(5)
-            .ring_city(6, 12)
-            .workers(10)
-            .requests(60)
-            .build();
-        assert_eq!(s.name, "mode-transfer");
-        assert!(s.requests.len() > 60, "some trips must have split");
-        assert!(s.requests.windows(2).all(|w| w[0].release <= w[1].release));
-        // Ids re-issued densely after the split.
-        for (i, r) in s.requests.iter().enumerate() {
-            assert_eq!(r.id, RequestId(i as u32));
-        }
-        let feeder = s
-            .requests
-            .iter()
-            .filter(|r| r.class == ClassConstraint::Only(ClassId(2)))
-            .count();
-        let trunk = s
-            .requests
-            .iter()
-            .filter(|r| r.class == ClassConstraint::Only(ClassId(1)))
-            .count();
-        assert_eq!(feeder, trunk, "legs come in pairs");
-        assert!(feeder > 0, "a 30% fraction over 60 trips must split some");
-    }
-
-    #[test]
     #[should_panic(expected = "fractions must sum to 1")]
     fn fleet_mix_fractions_must_sum_to_one() {
         use urpsm_core::types::VehicleClass;
@@ -1003,15 +876,6 @@ mod tests {
                 },
                 1.0,
             )]))
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two classes")]
-    fn mode_transfer_needs_a_multi_class_mix() {
-        let _ = ScenarioBuilder::named("bad")
-            .mode_transfer_fraction(0.5)
-            .fleet_mix(FleetMix::single())
             .build();
     }
 

@@ -1,7 +1,7 @@
 //! Drive a four-shard city through the geo-sharded dispatch plane:
 //! the city is cut into a 2 × 2 lattice of territories, each with its
 //! own platform and planner; cross-region demand pulls idle border
-//! workers across the seams (`Borrow` boundary policy), and riders
+//! workers across the seams (the Borrow probe), and riders
 //! cancel while the fleet churns — all through one `submit()` loop.
 //!
 //! ```sh

@@ -23,8 +23,8 @@
 //!   [`dispatch::service::ShardedService`] partitions the city into
 //!   `K` territories, each owning its own platform + planner, routes
 //!   every event to its home shard, and hands idle border workers
-//!   across seams under the `Borrow` boundary policy. One shard is
-//!   byte-identical to `MobilityService`.
+//!   across seams through the Borrow probe (the one boundary rule).
+//!   One shard is byte-identical to `MobilityService`.
 //! - [`server`] — the long-running ingestion runtime over the
 //!   dispatch plane (any `K ≥ 1`; there is no separate single-service
 //!   backend, since one shard already is one): an mpsc
@@ -133,8 +133,7 @@ pub fn service<'p>(scenario: &Scenario, planner: Box<dyn Planner + 'p>) -> Mobil
 /// Opens a geo-sharded [`ShardedService`] over a [`Scenario`]: the city
 /// is partitioned into `shards` territories (clamped to ≥ 1), each
 /// owning its own platform and a planner built by `planners(shard_id)`,
-/// with the default `Borrow` boundary policy handing idle border
-/// workers across seams. At one shard this is byte-identical to
+/// with the Borrow probe handing idle border workers across seams. At one shard this is byte-identical to
 /// [`service`]'s plain `MobilityService` (pinned by
 /// `tests/shard_equivalence.rs`).
 pub fn sharded<'p, F>(scenario: &Scenario, shards: usize, planners: F) -> ShardedService<'p>
@@ -148,7 +147,6 @@ where
         ShardConfig {
             shards,
             sim: sim_config(scenario),
-            ..ShardConfig::default()
         },
         scenario.start_time(),
     )

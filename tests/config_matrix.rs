@@ -160,11 +160,7 @@ fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config, width: usize) -> Ob
             (out.metrics, out.events, out.audit_errors, assigned, 0)
         }
         Service::Sharded(shards) => {
-            let shard_cfg = ShardConfig {
-                shards,
-                sim,
-                ..ShardConfig::default()
-            };
+            let shard_cfg = ShardConfig { shards, sim };
             let mut service = ShardedService::new(oracle, workers, |_| planner(), shard_cfg, start);
             service.submit_all(stream.iter().copied());
             let out = service.drain();

@@ -69,7 +69,6 @@ fn run_sharded(
                 classes: sc.classes.clone(),
                 ..SimConfig::default()
             },
-            ..ShardConfig::default()
         },
         start,
     );

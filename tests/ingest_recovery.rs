@@ -73,7 +73,6 @@ fn backend(sc: &Scenario, cfg: Config) -> Backend<'static> {
                     td_oracle: true,
                     ..sim_config(sc)
                 },
-                ..ShardConfig::default()
             },
             sc.start_time(),
         ))

@@ -91,7 +91,6 @@ fn run_sharded(
                 td_oracle,
                 classes: sc.classes.clone(),
             },
-            ..ShardConfig::default()
         },
         start,
     );

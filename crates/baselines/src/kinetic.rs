@@ -235,7 +235,7 @@ impl KineticPlanner {
                 vertex: r.origin,
                 kind: StopKind::Pickup,
                 load: r.capacity,
-                ddl: r.deadline.saturating_sub(direct),
+                ddl: r.pickup_deadline(direct),
             },
             pred: None,
         });

@@ -53,7 +53,7 @@ fn bench_congestion(c: &mut Criterion) {
     // Gate 1: the flat profile is the identity.
     let free = run_cell(&cell, Algo::PruneGreedyDp);
     assert!(free.audit_errors.is_empty(), "{:?}", free.audit_errors);
-    cell.congestion = Some(Arc::new(CongestionProfile::flat()));
+    cell.sim.congestion = Some(Arc::new(CongestionProfile::flat()));
     let flat = run_cell(&cell, Algo::PruneGreedyDp);
     assert_eq!(
         (flat.unified_cost, flat.served_rate),
@@ -62,7 +62,7 @@ fn bench_congestion(c: &mut Criterion) {
     );
 
     // Gate 2: the congested run is audit-clean; deltas are printed.
-    cell.congestion = Some(Arc::new(CongestionProfile::chengdu_two_peak()));
+    cell.sim.congestion = Some(Arc::new(CongestionProfile::chengdu_two_peak()));
     let peak = run_cell(&cell, Algo::PruneGreedyDp);
     assert!(peak.audit_errors.is_empty(), "{:?}", peak.audit_errors);
     eprintln!(
@@ -90,7 +90,7 @@ fn bench_congestion(c: &mut Criterion) {
             Some(Arc::new(CongestionProfile::chengdu_two_peak())),
         ),
     ] {
-        cell.congestion = profile;
+        cell.sim.congestion = profile;
         let cell_ref = &cell;
         group.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
             b.iter(|| run_cell(cell_ref, Algo::PruneGreedyDp))

@@ -16,7 +16,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use urpsm_bench::fixtures::CityFixture;
 use urpsm_bench::harness::{run_cell, Algo, Cell};
 use urpsm_core::event::PlatformEvent;
-use urpsm_simulator::engine::SimConfig;
 use urpsm_simulator::service::MobilityService;
 use urpsm_workloads::scenario::City;
 
@@ -44,12 +43,8 @@ fn direct_run(cell: &Cell) -> (u64, f64) {
     let mut service = MobilityService::new(
         cell.oracle.clone(),
         cell.workers.clone(),
-        Algo::PruneGreedyDp.planner(cell.alpha, cell.grid_cell_m),
-        SimConfig {
-            grid_cell_m: cell.grid_cell_m,
-            alpha: cell.alpha,
-            ..SimConfig::default()
-        },
+        Algo::PruneGreedyDp.planner(cell.sim.alpha, cell.sim.grid_cell_m),
+        cell.sim.clone(),
         cell.requests.first().map_or(0, |r| r.release),
     );
     for r in &cell.requests {

@@ -676,7 +676,7 @@ fn congestion(opts: &Opts, out: &mut impl Write) {
     let mut gate_free = Some(run_cell(&cell, Algo::PruneGreedyDp));
     let free = gate_free.as_ref().expect("just computed");
     assert!(free.audit_errors.is_empty(), "{:?}", free.audit_errors);
-    cell.congestion = Some(Arc::new(CongestionProfile::flat()));
+    cell.sim.congestion = Some(Arc::new(CongestionProfile::flat()));
     let flat = run_cell(&cell, Algo::PruneGreedyDp);
     assert_eq!(
         (flat.unified_cost, flat.served_rate),
@@ -686,14 +686,14 @@ fn congestion(opts: &Opts, out: &mut impl Write) {
     // Same gate through the TD oracle: a flat profile must be the
     // identity even when committed routes re-path through TD searches
     // (the experiment-scale twin of `tests/td_equivalence.rs`).
-    cell.td_oracle = true;
+    cell.sim.td_oracle = true;
     let flat_td = run_cell(&cell, Algo::PruneGreedyDp);
     assert_eq!(
         (flat_td.unified_cost, flat_td.served_rate),
         (free.unified_cost, free.served_rate),
         "flat TD oracle diverged from the free-flow run"
     );
-    cell.td_oracle = false;
+    cell.sim.td_oracle = false;
 
     let mut t = Table::new(
         format!(
@@ -734,19 +734,19 @@ fn congestion(opts: &Opts, out: &mut impl Write) {
         let free = if algo == Algo::PruneGreedyDp {
             gate_free.take().expect("gate run consumed once")
         } else {
-            cell.congestion = None;
+            cell.sim.congestion = None;
             run_cell(&cell, algo)
         };
-        cell.congestion = Some(Arc::new(CongestionProfile::chengdu_two_peak()));
+        cell.sim.congestion = Some(Arc::new(CongestionProfile::chengdu_two_peak()));
         let peak = run_cell(&cell, algo);
         // Core-jam profile, overlay vs rerouting: committed legs
         // either stretch the free-flow path wholesale or re-path
         // through the TD oracle.
-        cell.congestion = Some(core.clone());
+        cell.sim.congestion = Some(core.clone());
         let core_overlay = run_cell(&cell, algo);
-        cell.td_oracle = true;
+        cell.sim.td_oracle = true;
         let core_td = run_cell(&cell, algo);
-        cell.td_oracle = false;
+        cell.sim.td_oracle = false;
         assert!(
             free.audit_errors.is_empty()
                 && peak.audit_errors.is_empty()
@@ -827,7 +827,7 @@ fn fleet(opts: &Opts, out: &mut impl Write) {
         let sum4: f64 = (0..4).map(|_| rng.gen::<f64>()).sum::<f64>() / 4.0;
         w.capacity = ((f64::from(mu) + (sum4 - 0.5) * 6.93).round()).max(1.0) as u32;
     }
-    mixed.classes = Some(Arc::new(mix.class_table()));
+    mixed.sim.classes = Some(Arc::new(mix.class_table()));
 
     let class_names: Vec<&str> = mix.entries().iter().map(|(c, _)| c.name).collect();
     let mut t = Table::new(
@@ -901,8 +901,9 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
     use road_network::oracle::{DijkstraOracle, DistanceOracle};
     use urpsm_baselines::kinetic::{KineticConfig, KineticPlanner};
     use urpsm_baselines::tshare::{SearchMode, TShareConfig, TSharePlanner};
+    use urpsm_core::event::PlatformEvent;
     use urpsm_core::planner::{Planner, PlannerConfig, PruneGreedyDp};
-    use urpsm_simulator::engine::{SimConfig, Simulation};
+    use urpsm_simulator::service::MobilityService;
 
     let city = *opts.cities.first().expect("at least one city");
     eprintln!("ablation study on {} (scale ÷{})…", city.name(), opts.scale);
@@ -910,18 +911,18 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
     let cell = fx.default_cell();
 
     let run = |planner: &mut dyn Planner, oracle: Arc<dyn DistanceOracle>| {
-        let sim = Simulation::new_sorted_unchecked(
+        // Streams out of the workload generators are sorted by construction.
+        let mut service = MobilityService::new(
             oracle,
             cell.workers.clone(),
-            cell.requests.clone(),
-            SimConfig {
-                grid_cell_m: cell.grid_cell_m,
-                alpha: cell.alpha,
-                drain: true,
-                ..SimConfig::default()
-            },
+            Box::new(planner),
+            cell.sim.clone(),
+            cell.requests.first().map_or(0, |r| r.release),
         );
-        let res = sim.run(planner);
+        for r in &cell.requests {
+            service.submit(PlatformEvent::RequestArrived(*r));
+        }
+        let res = service.drain();
         assert!(res.audit_errors.is_empty(), "{:?}", res.audit_errors);
         res.metrics
     };
@@ -945,7 +946,7 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
         ("pruneGreedyDP + strict α·Δ* > p_r gate", true),
     ] {
         let mut p = PruneGreedyDp::from_config(PlannerConfig {
-            alpha: cell.alpha,
+            alpha: cell.sim.alpha,
             strict_economics: strict,
         });
         let m = run(&mut p, cell.oracle.clone());
@@ -958,7 +959,7 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
         ("tshare dual-side", SearchMode::DualSide),
     ] {
         let mut p = TSharePlanner::from_config(TShareConfig {
-            grid_cell_m: cell.grid_cell_m,
+            grid_cell_m: cell.sim.grid_cell_m,
             avg_speed_mps: 8.0,
             search: mode,
         });
@@ -969,7 +970,7 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
     // 3. Kinetic node budget (the (2K_w)! blow-up knob).
     for budget in [2_000u64, 50_000, 500_000] {
         let mut p = KineticPlanner::from_config(KineticConfig {
-            alpha: cell.alpha,
+            alpha: cell.sim.alpha,
             node_budget: budget,
         });
         let m = run(&mut p, cell.oracle.clone());
@@ -1004,7 +1005,7 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
     ];
     for (label, oracle) in backends {
         let mut p = PruneGreedyDp::from_config(PlannerConfig {
-            alpha: cell.alpha,
+            alpha: cell.sim.alpha,
             strict_economics: false,
         });
         let m = run(&mut p, oracle);
@@ -1018,8 +1019,10 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
 
 fn hardness(out: &mut impl Write) {
     use road_network::matrix::MatrixOracle;
+    use urpsm_core::event::PlatformEvent;
     use urpsm_core::planner::{PlannerConfig, PruneGreedyDp};
-    use urpsm_simulator::engine::{SimConfig, Simulation};
+    use urpsm_simulator::engine::SimConfig;
+    use urpsm_simulator::service::MobilityService;
 
     eprintln!("hardness experiment (§3.3)…");
     const DRAWS: u64 = 300;
@@ -1043,23 +1046,22 @@ fn hardness(out: &mut impl Write) {
                 let inst = AdversaryInstance::sample(lemma, n, 100, 150, seed);
                 let oracle: Arc<dyn road_network::oracle::DistanceOracle> =
                     Arc::new(MatrixOracle::from_network(&inst.network));
-                let sim = Simulation::new(
+                let mut service = MobilityService::new(
                     oracle,
                     vec![inst.worker],
-                    vec![inst.request],
+                    Box::new(PruneGreedyDp::from_config(PlannerConfig {
+                        alpha: inst.alpha,
+                        strict_economics: false,
+                    })),
                     SimConfig {
                         grid_cell_m: 100_000.0,
                         alpha: inst.alpha,
-                        drain: true,
                         ..SimConfig::default()
                     },
-                )
-                .expect("single-request stream is sorted");
-                let mut planner = PruneGreedyDp::from_config(PlannerConfig {
-                    alpha: inst.alpha,
-                    strict_economics: false,
-                });
-                let res = sim.run(&mut planner);
+                    inst.request.release,
+                );
+                service.submit(PlatformEvent::RequestArrived(inst.request));
+                let res = service.drain();
                 assert!(res.audit_errors.is_empty());
                 // Cap "∞" penalties to keep Lemma 3 sums readable.
                 let alg = res.metrics.unified_cost.value().min(1 << 40);

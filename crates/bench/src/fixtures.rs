@@ -15,6 +15,7 @@ use road_network::hub_labels::HubLabels;
 use road_network::oracle::{DistanceOracle, HubLabelOracle};
 use road_network::{Cost, VertexId};
 use urpsm_core::types::{Request, Worker, WorkerId};
+use urpsm_simulator::engine::SimConfig;
 use urpsm_workloads::scenario::{City, ScenarioBuilder, LRU_CAPACITY};
 use urpsm_workloads::sweep::{table5, SweepParams};
 
@@ -143,12 +144,12 @@ impl CityFixture {
             )),
             workers: fleet,
             requests,
-            grid_cell_m,
-            alpha: self.sweep.alpha,
+            sim: SimConfig {
+                grid_cell_m,
+                alpha: self.sweep.alpha,
+                ..SimConfig::default()
+            },
             shards: 0,
-            congestion: None,
-            td_oracle: false,
-            classes: None,
         }
     }
 

@@ -84,26 +84,16 @@ pub struct Cell {
     pub workers: Vec<Worker>,
     /// The stream for this cell.
     pub requests: Vec<Request>,
-    /// Platform grid size `g` (meters).
-    pub grid_cell_m: f64,
-    /// Objective weight `α`.
-    pub alpha: u64,
+    /// The platform parameters of the run: grid size `g`, objective
+    /// weight `α`, and the congestion profile, TD oracle and class
+    /// table, which the cell constructors leave at their free-flow,
+    /// homogeneous defaults and the congestion and fleet tables set.
+    pub sim: SimConfig,
     /// Geo-sharding: the cell runs through a `ShardedService` with
     /// this many shards, the Borrow probe handing workers across seams.
     /// `0` (what the cell constructors set) and `1` are the same run:
     /// one shard, the paper's single dispatcher.
     pub shards: usize,
-    /// Congestion profile for the cell (`None` = free flow, which is
-    /// what the cell constructors set; bench cells opt in explicitly).
-    pub congestion: Option<Arc<road_network::congestion::CongestionProfile>>,
-    /// Route committed legs through the time-dependent oracle
-    /// (`SimConfig::td_oracle` semantics; `false` from the cell
-    /// constructors).
-    pub td_oracle: bool,
-    /// Vehicle-class table of the cell's fleet (`SimConfig::classes`
-    /// semantics; `None` from the cell constructors — the
-    /// `experiments fleet` table opts in).
-    pub classes: Option<Arc<urpsm_core::types::ClassTable>>,
 }
 
 /// One cell's measured outputs.
@@ -139,18 +129,10 @@ pub fn run_cell(cell: &Cell, algo: Algo) -> CellResult {
     let mut service = ShardedService::new(
         counting.clone(),
         cell.workers.clone(),
-        |_| algo.planner(cell.alpha, cell.grid_cell_m),
+        |_| algo.planner(cell.sim.alpha, cell.sim.grid_cell_m),
         ShardConfig {
             shards: cell.shards,
-            sim: SimConfig {
-                grid_cell_m: cell.grid_cell_m,
-                alpha: cell.alpha,
-                drain: true,
-                congestion: cell.congestion.clone(),
-                td_oracle: cell.td_oracle,
-                classes: cell.classes.clone(),
-                ..SimConfig::default()
-            },
+            sim: cell.sim.clone(),
         },
         start_time,
     );

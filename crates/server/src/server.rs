@@ -47,8 +47,8 @@ use crate::wal::{
 
 /// The [`SimConfig`] a [`Scenario`] describes: its grid cell, `α`,
 /// congestion profile and class table, with the remaining fields at
-/// their library defaults (drain on, the planner's own width, overlay
-/// legs). The one scenario → config mapping: the facade constructors,
+/// their library defaults (overlay legs, and the no-op `drain` and
+/// `threads`). The one scenario → config mapping: the facade constructors,
 /// `urpsm-serve` and `bench ingest` all open their services with it.
 pub fn sim_config(scenario: &Scenario) -> SimConfig {
     SimConfig {

@@ -5,8 +5,16 @@
 //! routes at road speeds, and the planner is consulted online. This
 //! crate is that harness:
 //!
-//! * [`engine`] — the event loop: advance workers, wake batch planners
-//!   at epoch boundaries, hand over each request, drain at the end.
+//! * [`service`] — [`service::MobilityService`], the event loop and the
+//!   only way a run is opened: feed it
+//!   [`urpsm_core::event::PlatformEvent`]s one at a time (from a
+//!   recorded stream, a test, or a live socket) and it advances
+//!   workers, wakes batch planners at epoch boundaries, hands over each
+//!   request, and drains at the end. A replay of a recorded stream is
+//!   its arrivals submitted in order, then [`service::MobilityService::drain`].
+//! * [`engine`] — [`engine::SimConfig`], the one place a run's platform
+//!   settings live, and [`engine::SimOutcome`], what a drained run
+//!   reports.
 //! * [`motion`] — vertex-granular worker movement along expanded
 //!   shortest paths (the paper's workers are mid-route when new
 //!   requests arrive — Example 2's `l_0 = v1`).
@@ -15,11 +23,6 @@
 //! * [`audit`] — a post-hoc replay verifying that every constraint of
 //!   Def. 4 (precedence, deadline, capacity) and the URPSM invariable
 //!   constraint actually held, plus exact distance accounting.
-//! * [`service`] — [`service::MobilityService`], the streaming facade:
-//!   feed it [`urpsm_core::event::PlatformEvent`]s one at a time (from
-//!   a simulator, a trace file, or a live socket) and it drives the
-//!   platform, the planner, and worker motion. [`engine::Simulation`]
-//!   is now a thin batch driver over it.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -33,7 +36,7 @@ pub mod timeline;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::audit::audit_events;
-    pub use crate::engine::{SimConfig, SimError, SimOutcome, Simulation};
+    pub use crate::engine::{SimConfig, SimOutcome};
     pub use crate::metrics::{ClassMetrics, SimMetrics};
     pub use crate::service::{MobilityService, ServiceCheckpoint, ServiceReply};
     pub use crate::timeline::{Timeline, TimelineBucket};

@@ -13,9 +13,9 @@
 //! planner decisions, pickups/deliveries passed while moving workers
 //! forward, cancellation acknowledgements, fleet changes. When the
 //! stream ends, [`MobilityService::drain`] flushes planner buffers,
-//! lets workers finish their routes, and produces the same
-//! [`SimOutcome`] report as the batch engine ([`crate::engine`] is a
-//! thin driver over this type).
+//! lets workers finish their routes, and produces the run's
+//! [`SimOutcome`] report. This is the only way a run is opened: a
+//! recorded stream is replayed by submitting its arrivals and draining.
 //!
 //! The two URPSM constraints survive every event: a cancellation frees
 //! only un-picked stops (an onboard rider is delivered regardless), and
@@ -264,8 +264,8 @@ impl<'p> MobilityService<'p> {
 
     /// Ends the stream: fires still-pending planner wake-ups (an open
     /// batch epoch ends at its boundary, not at stream end), flushes
-    /// planner buffers, optionally lets every worker finish its route
-    /// (`SimConfig::drain`), audits the full event log, and reports.
+    /// planner buffers, lets every worker finish its route, audits the
+    /// full event log against the exact distance ledgers, and reports.
     pub fn drain(mut self) -> SimOutcome {
         self.fire_wakeups_due(Time::MAX);
 
@@ -274,24 +274,22 @@ impl<'p> MobilityService<'p> {
         self.planning_time += t0.elapsed();
         self.record(outs, self.last_time);
 
-        if self.config.drain {
-            let horizon = self
-                .state
-                .agents()
-                .iter()
-                .map(|a| {
-                    if a.route.is_empty() {
-                        a.route.start_time()
-                    } else {
-                        a.route.arr(a.route.len())
-                    }
-                })
-                .max()
-                .unwrap_or(self.last_time)
-                .max(self.last_time);
-            self.advance_all(horizon);
-            self.last_time = horizon;
-        }
+        let horizon = self
+            .state
+            .agents()
+            .iter()
+            .map(|a| {
+                if a.route.is_empty() {
+                    a.route.start_time()
+                } else {
+                    a.route.arr(a.route.len())
+                }
+            })
+            .max()
+            .unwrap_or(self.last_time)
+            .max(self.last_time);
+        self.advance_all(horizon);
+        self.last_time = horizon;
 
         let driven: Vec<Cost> = self.motions.iter().map(|m| m.driven).collect();
         let planned: Vec<Cost> = self
@@ -307,11 +305,7 @@ impl<'p> MobilityService<'p> {
             &self.arrived,
             &cast,
             &self.events,
-            if self.config.drain {
-                Some((&driven, &planned))
-            } else {
-                None
-            },
+            Some((&driven, &planned)),
         );
         // Per-class breakdown: each request is attributed to the class
         // of the worker that holds it at the end of the run (cancels
@@ -594,7 +588,7 @@ mod tests {
     use super::*;
     use road_network::geo::Point;
     use road_network::matrix::MatrixOracle;
-    use urpsm_core::planner::PruneGreedyDp;
+    use urpsm_core::planner::{GreedyDp, PruneGreedyDp};
 
     pub(super) fn line_oracle(n: usize) -> Arc<dyn DistanceOracle> {
         let mut b = road_network::builder::NetworkBuilder::new();
@@ -643,6 +637,158 @@ mod tests {
             SimConfig::default(),
             0,
         )
+    }
+
+    /// Replays an arrival-only stream the way `urpsm::simulate` does:
+    /// the service opens at the first release, takes every arrival,
+    /// and drains.
+    fn replay(
+        oracle: Arc<dyn DistanceOracle>,
+        workers: Vec<Worker>,
+        requests: &[Request],
+        planner: &mut dyn Planner,
+    ) -> SimOutcome {
+        let mut svc = MobilityService::new(
+            oracle,
+            workers,
+            Box::new(planner),
+            SimConfig::default(),
+            requests.first().map_or(0, |r| r.release),
+        );
+        for r in requests {
+            svc.submit(PlatformEvent::RequestArrived(*r));
+        }
+        svc.drain()
+    }
+
+    #[test]
+    fn simple_run_is_clean_and_exact() {
+        let out = replay(
+            line_oracle(50),
+            fleet(&[0, 40]),
+            &[
+                req(0, 5, 10, 0, 100_000),
+                req(1, 38, 30, 1_000, 100_000),
+                req(2, 7, 12, 2_000, 100_000),
+            ],
+            &mut PruneGreedyDp::new(),
+        );
+        assert_eq!(out.audit_errors, Vec::<String>::new());
+        assert_eq!(out.metrics.served, 3);
+        assert_eq!(out.metrics.rejected, 0);
+        assert_eq!(out.metrics.served_rate(), 1.0);
+        // Drained: driven == planned exactly.
+        assert_eq!(
+            out.metrics.driven_distance,
+            out.state.total_assigned_distance()
+        );
+    }
+
+    #[test]
+    fn impossible_requests_get_rejected_and_audited() {
+        let out = replay(
+            line_oracle(50),
+            fleet(&[0]),
+            &[req(0, 40, 45, 0, 500)], // unreachable in time
+            &mut PruneGreedyDp::new(),
+        );
+        assert!(out.audit_errors.is_empty());
+        assert_eq!(out.metrics.rejected, 1);
+        assert_eq!(out.metrics.unified_cost.total_penalty, 1_000_000);
+    }
+
+    #[test]
+    fn greedy_and_prune_greedy_identical_end_to_end() {
+        let requests: Vec<Request> = (0..20)
+            .map(|i| {
+                let o = (i * 7) % 45;
+                let d = (o + 3 + (i % 5)) % 50;
+                req(i, o, d, u64::from(i) * 500, u64::from(i) * 500 + 50_000)
+            })
+            .collect();
+        let run = |planner: &mut dyn Planner| {
+            replay(
+                line_oracle(50),
+                fleet(&[0, 10, 20, 30, 40]),
+                &requests,
+                planner,
+            )
+        };
+        let out_g = run(&mut GreedyDp::new());
+        let out_p = run(&mut PruneGreedyDp::new());
+        assert!(out_g.audit_errors.is_empty());
+        assert!(out_p.audit_errors.is_empty());
+        // Lemma 8 must not change any outcome, only query counts.
+        assert_eq!(out_g.events, out_p.events);
+        assert_eq!(
+            out_g.metrics.unified_cost.value(),
+            out_p.metrics.unified_cost.value()
+        );
+    }
+
+    /// A planner that rejects everything but records exactly when the
+    /// service wakes it, to pin the epoch contract batch planners rely on.
+    struct WakeupRecorder {
+        epoch: Time,
+        next: Option<Time>,
+        wakeups: Vec<Time>,
+        flushed: bool,
+    }
+
+    impl urpsm_core::planner::Planner for WakeupRecorder {
+        fn name(&self) -> &'static str {
+            "wakeup-recorder"
+        }
+        fn on_request(
+            &mut self,
+            state: &mut PlatformState,
+            r: &Request,
+        ) -> urpsm_core::planner::PlannerReplies {
+            if self.next.is_none() {
+                self.next = Some(r.release + self.epoch);
+            }
+            state.reject(r);
+            urpsm_core::planner::reply_one(r.id, Outcome::Rejected)
+        }
+        fn on_time(
+            &mut self,
+            _state: &mut PlatformState,
+            now: Time,
+        ) -> urpsm_core::planner::PlannerReplies {
+            self.wakeups.push(now);
+            self.next = None;
+            urpsm_core::planner::PlannerReplies::new()
+        }
+        fn flush(&mut self, _state: &mut PlatformState) -> urpsm_core::planner::PlannerReplies {
+            self.flushed = true;
+            urpsm_core::planner::PlannerReplies::new()
+        }
+        fn next_wakeup(&self) -> Option<Time> {
+            self.next
+        }
+    }
+
+    #[test]
+    fn service_honors_planner_wakeups() {
+        let requests = vec![
+            req(0, 1, 2, 0, 100_000),
+            req(1, 2, 3, 100, 100_000),
+            req(2, 3, 4, 5_000, 100_000), // well past the first epoch
+        ];
+        let mut planner = WakeupRecorder {
+            epoch: 600,
+            next: None,
+            wakeups: Vec::new(),
+            flushed: false,
+        };
+        let out = replay(line_oracle(10), fleet(&[0]), &requests, &mut planner);
+        // The first epoch (opened at t=0) must fire at exactly t=600 —
+        // before request 2's release at t=5000 — then a second epoch
+        // opens at 5000+600 and is woken before the stream drains.
+        assert_eq!(planner.wakeups, vec![600, 5_600]);
+        assert!(planner.flushed, "flush must be called at end of stream");
+        assert_eq!(out.metrics.rejected, 3);
+        assert!(out.audit_errors.is_empty());
     }
 
     #[test]

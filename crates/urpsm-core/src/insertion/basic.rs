@@ -77,7 +77,7 @@ fn simulate_candidate(
     oracle: &dyn DistanceOracle,
 ) -> Option<Cost> {
     let n = route.len();
-    let pickup_ddl: Time = r.deadline.saturating_sub(direct);
+    let pickup_ddl: Time = r.pickup_deadline(direct);
 
     if route.picked(0) > worker_capacity {
         return None;

@@ -43,7 +43,7 @@ pub fn naive_dp_insertion(
     }
     let n = route.len();
     let free = worker_capacity - r.capacity; // K_w − K_r
-    let pickup_ddl = r.deadline.saturating_sub(direct);
+    let pickup_ddl = r.pickup_deadline(direct);
 
     let mut best: Option<(PlanKey, usize, usize, Cost)> = None;
     let consider =

@@ -560,15 +560,6 @@ impl Route {
         self.rebuild();
     }
 
-    /// Arrival time at the first stop, if any.
-    pub fn next_arrival(&self) -> Option<Time> {
-        if self.stops.is_empty() {
-            None
-        } else {
-            Some(self.arr[1])
-        }
-    }
-
     /// Pops the first stop (the worker has reached it), advancing `l_0`
     /// to the stop's vertex at its arrival time and updating the
     /// on-board load. Returns the stop and its arrival time.
@@ -1015,7 +1006,7 @@ fn request_stops(plan: &InsertionPlan, r: &Request) -> (Stop, Stop) {
         vertex: r.origin,
         kind: StopKind::Pickup,
         load: r.capacity,
-        ddl: r.deadline.saturating_sub(plan.direct),
+        ddl: r.pickup_deadline(plan.direct),
     };
     let delivery = Stop {
         request: r.id,
@@ -1372,7 +1363,7 @@ mod tests {
             },
             &r,
         );
-        assert_eq!(route.next_arrival(), Some(25));
+        assert_eq!(route.arr(1), 25);
         let (s, t) = route.pop_front_stop();
         assert_eq!(s.kind, StopKind::Pickup);
         assert_eq!(t, 25);

@@ -284,7 +284,8 @@ pub struct Request {
 
 impl Request {
     /// The latest pickup time that can still meet the delivery deadline,
-    /// given the shortest pickup→drop-off travel time `l = dis(o_r, d_r)`.
+    /// given the shortest pickup→drop-off travel time `l = dis(o_r, d_r)`:
+    /// Eq. 6's pickup `ddl`, `e_r − L`, saturating at 0.
     #[inline]
     pub fn pickup_deadline(&self, l: Cost) -> Time {
         self.deadline.saturating_sub(l)

@@ -14,23 +14,22 @@ use urpsm::workloads::adversary::{AdversaryInstance, Lemma};
 fn run_draw(inst: &AdversaryInstance) -> (u64, u64) {
     let oracle: std::sync::Arc<dyn DistanceOracle> =
         std::sync::Arc::new(MatrixOracle::from_network(&inst.network));
-    let sim = Simulation::new(
+    let mut service = MobilityService::new(
         oracle,
         vec![inst.worker],
-        vec![inst.request],
+        Box::new(PruneGreedyDp::from_config(PlannerConfig {
+            alpha: inst.alpha,
+            strict_economics: false,
+        })),
         SimConfig {
             grid_cell_m: 10_000.0,
             alpha: inst.alpha,
-            drain: true,
             ..SimConfig::default()
         },
-    )
-    .expect("single-request stream is sorted");
-    let mut planner = PruneGreedyDp::from_config(PlannerConfig {
-        alpha: inst.alpha,
-        strict_economics: false,
-    });
-    let out = sim.run(&mut planner);
+        inst.request.release,
+    );
+    service.submit(PlatformEvent::RequestArrived(inst.request));
+    let out = service.drain();
     assert!(out.audit_errors.is_empty());
     (
         out.metrics.unified_cost.value(),

@@ -16,9 +16,10 @@
 //!   `kinetic` (VLDB'14) and `batch` (PNAS'17), behind the same
 //!   [`core::planner::Planner`] trait.
 //! - [`simulator`] — [`simulator::service::MobilityService`], the
-//!   event-driven platform facade, plus worker motion, metrics, and a
-//!   post-hoc feasibility auditor. The batch
-//!   [`simulator::engine::Simulation`] is a thin driver over it.
+//!   event-driven platform and the only way a run is opened, plus
+//!   worker motion, metrics, and a post-hoc feasibility auditor.
+//!   [`simulator::engine::SimConfig`] is the one place a run's
+//!   platform settings live.
 //! - [`dispatch`] — the geo-sharded dispatch plane:
 //!   [`dispatch::service::ShardedService`] partitions the city into
 //!   `K` territories, each owning its own platform + planner, routes
@@ -51,10 +52,9 @@
 //!
 //! The paper's setting is online: requests arrive dynamically and must
 //! be decided immediately and irrevocably (§2). `MobilityService` is
-//! that setting as an API — feed it one
-//! [`PlatformEvent`](core::event::PlatformEvent) at a time (request
-//! arrivals, cancellations, workers joining or leaving, clock ticks)
-//! and read back the decisions and stops it caused:
+//! that setting as an API — feed it one [`PlatformEvent`] at a time
+//! (request arrivals, cancellations, workers joining or leaving, clock
+//! ticks) and read back the decisions and stops it caused:
 //!
 //! ```
 //! use urpsm::prelude::*;
@@ -80,8 +80,9 @@
 //!
 //! ## One-shot quickstart
 //!
-//! For pre-recorded, arrival-only streams, [`simulate`] wraps the same
-//! machinery in a single call:
+//! For pre-recorded, arrival-only streams, [`simulate`] is the same
+//! loop in a single call: it submits each arrival to the service, then
+//! drains.
 //!
 //! ```
 //! use urpsm::prelude::*;
@@ -109,10 +110,12 @@ pub use urpsm_server as server;
 pub use urpsm_simulator as simulator;
 pub use urpsm_workloads as workloads;
 
+use urpsm_core::event::PlatformEvent;
 use urpsm_core::planner::Planner;
+use urpsm_core::types::Time;
 use urpsm_dispatch::service::{ShardConfig, ShardedService};
 use urpsm_server::server::sim_config;
-use urpsm_simulator::engine::{SimOutcome, Simulation};
+use urpsm_simulator::engine::SimOutcome;
 use urpsm_simulator::service::MobilityService;
 use urpsm_workloads::scenario::Scenario;
 
@@ -121,12 +124,20 @@ use urpsm_workloads::scenario::Scenario;
 /// [`Scenario::event_stream`] (or any other event feed). The service
 /// clock starts at the first event's time.
 pub fn service<'p>(scenario: &Scenario, planner: Box<dyn Planner + 'p>) -> MobilityService<'p> {
+    open(scenario, planner, scenario.start_time())
+}
+
+fn open<'p>(
+    scenario: &Scenario,
+    planner: Box<dyn Planner + 'p>,
+    start_time: Time,
+) -> MobilityService<'p> {
     MobilityService::new(
         scenario.oracle.clone(),
         scenario.workers.clone(),
         planner,
         sim_config(scenario),
-        scenario.start_time(),
+        start_time,
     )
 }
 
@@ -153,19 +164,19 @@ where
 }
 
 /// Runs `planner` over a [`Scenario`]'s arrival-only request stream in
-/// one shot — the convenience wrapper over [`MobilityService`] for
-/// pre-recorded workloads. Cancellation / churn extras on the scenario
-/// are ignored here; feed [`Scenario::event_stream`] through
-/// [`service`] to replay those.
+/// one shot: a [`MobilityService`] opened at the first request's
+/// release takes each request as a
+/// [`PlatformEvent::RequestArrived`], in order, then drains.
+/// Cancellation / churn extras on the scenario are ignored here, and
+/// so are their times for the clock's start; feed
+/// [`Scenario::event_stream`] through [`service`] to replay those.
 pub fn simulate(scenario: &Scenario, planner: &mut dyn Planner) -> SimOutcome {
-    Simulation::new(
-        scenario.oracle.clone(),
-        scenario.workers.clone(),
-        scenario.requests.clone(),
-        sim_config(scenario),
-    )
-    .expect("scenario request streams are sorted by construction")
-    .run(planner)
+    let start_time = scenario.requests.first().map_or(0, |r| r.release);
+    let mut service = open(scenario, Box::new(planner), start_time);
+    for r in &scenario.requests {
+        service.submit(PlatformEvent::RequestArrived(*r));
+    }
+    service.drain()
 }
 
 /// Commonly used items, for glob import in examples and tests.

@@ -9,8 +9,9 @@
 //! ledger, and runs that differ only in a knob the equivalence suites
 //! promise is invisible (one shard vs the plain service; a flat
 //! profile, with or without the TD oracle) must agree byte for byte.
-//! The planner width is no axis: `PruneGreedyDp::with_threads` and
-//! `SimConfig::threads` are documented no-ops, and one extra run pins
+//! The planner width and the end-of-stream drain are no axes:
+//! `PruneGreedyDp::with_threads`, `SimConfig::threads` and
+//! `SimConfig::drain` are documented no-ops, and one extra run pins
 //! that they stay so.
 
 use std::collections::BTreeMap;
@@ -132,15 +133,20 @@ fn fates_from_log(events: &[SimEvent]) -> (usize, usize, usize) {
     (count("served"), count("rejected"), count("cancelled"))
 }
 
-/// Runs `cfg`. A `width` other than 0 is passed to both no-op width
-/// knobs, `PruneGreedyDp::with_threads` and `SimConfig::threads`.
-fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config, width: usize) -> Observed {
-    let planner = || match width {
-        0 => Box::new(PruneGreedyDp::new()) as Box<dyn Planner>,
-        n => Box::new(PruneGreedyDp::with_threads(n)),
+/// Runs `cfg`. With `no_op_knobs`, every no-op knob is set away from
+/// its default: `PruneGreedyDp::with_threads(4)`,
+/// `SimConfig::threads = 4` and `SimConfig::drain = false`.
+fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config, no_op_knobs: bool) -> Observed {
+    let planner = || -> Box<dyn Planner> {
+        if no_op_knobs {
+            Box::new(PruneGreedyDp::with_threads(4))
+        } else {
+            Box::new(PruneGreedyDp::new())
+        }
     };
     let sim = SimConfig {
-        threads: width,
+        threads: if no_op_knobs { 4 } else { 0 },
+        drain: !no_op_knobs,
         congestion: match cfg.profile {
             Profile::None => None,
             Profile::Flat => Some(Arc::new(CongestionProfile::flat())),
@@ -213,7 +219,7 @@ fn every_configuration_is_clean_and_the_promised_identities_hold() {
                         profile,
                         td_oracle,
                     };
-                    observed.insert(cfg, run(&sc, &stream, cfg, 0));
+                    observed.insert(cfg, run(&sc, &stream, cfg, false));
                 }
             }
         }
@@ -257,12 +263,15 @@ fn every_configuration_is_clean_and_the_promised_identities_hold() {
     );
 }
 
-/// The width knobs a caller written against the retired per-request
-/// fan-out still sets: `PruneGreedyDp::with_threads(4)` together with
-/// `SimConfig { threads: 4, .. }` is the canonical run byte for byte.
-/// Run on the congested TD configuration, where the scan also gates.
+/// The knobs nothing reads any more, each set away from its default:
+/// the width a caller written against the retired per-request fan-out
+/// still sets (`PruneGreedyDp::with_threads(4)` together with
+/// `SimConfig { threads: 4, .. }`) and `SimConfig { drain: false, .. }`
+/// (every run drains and audits its exact ledgers). The run is the
+/// canonical one byte for byte. Run on the congested TD configuration,
+/// where the scan also gates.
 #[test]
-fn the_width_knobs_are_no_ops() {
+fn the_no_op_knobs_change_nothing() {
     let sc = scenario(false);
     let stream = peak_hour_stream(&sc);
     let cfg = Config {
@@ -271,5 +280,5 @@ fn the_width_knobs_are_no_ops() {
         profile: Profile::TwoPeak,
         td_oracle: true,
     };
-    assert_eq!(run(&sc, &stream, cfg, 4), run(&sc, &stream, cfg, 0));
+    assert_eq!(run(&sc, &stream, cfg, true), run(&sc, &stream, cfg, false));
 }

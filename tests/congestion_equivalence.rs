@@ -100,7 +100,7 @@ fn flat() -> Option<Arc<CongestionProfile>> {
 
 /// The flat overlay at width 4 equals the no-profile run at width 1,
 /// once per seed. (The width knob is a no-op, pinned by
-/// `tests/config_matrix.rs::the_width_knobs_are_no_ops`.)
+/// `tests/config_matrix.rs::the_no_op_knobs_change_nothing`.)
 #[test]
 fn flat_profile_is_byte_identical_across_threads() {
     for seed in [3u64, 2018] {
@@ -190,22 +190,23 @@ fn peak_profile_strictly_increases_planned_arrivals() {
         .collect();
 
     let outcome = |congestion: Option<Arc<CongestionProfile>>| {
-        let sim = Simulation::new(
+        let mut service = MobilityService::new(
             oracle.clone(),
             fleet.clone(),
-            requests.clone(),
+            Box::new(PruneGreedyDp::new()),
             SimConfig {
                 grid_cell_m: 2_000.0,
                 alpha: 1,
-                drain: true,
                 threads: 0,
                 congestion,
                 ..SimConfig::default()
             },
-        )
-        .unwrap();
-        let mut planner = PruneGreedyDp::new();
-        sim.run(&mut planner)
+            t0,
+        );
+        for r in &requests {
+            service.submit(PlatformEvent::RequestArrived(*r));
+        }
+        service.drain()
     };
 
     let free = outcome(None);

@@ -29,21 +29,23 @@ fn run_counted(
 ) -> (urpsm::simulator::prelude::SimOutcome, u64) {
     let counting: Arc<CountingOracle<Arc<dyn DistanceOracle>>> =
         Arc::new(CountingOracle::new(scenario.oracle.clone()));
-    let sim = Simulation::new(
+    let mut service = MobilityService::new(
         counting.clone(),
         scenario.workers.clone(),
-        scenario.requests.clone(),
+        Box::new(planner),
         SimConfig {
             grid_cell_m: scenario.grid_cell_m,
             alpha: scenario.alpha,
-            drain: true,
             threads: 0,
             classes: scenario.classes.clone(),
             ..SimConfig::default()
         },
-    )
-    .expect("scenario streams are sorted");
-    let out = sim.run(planner);
+        scenario.requests.first().map_or(0, |r| r.release),
+    );
+    for r in &scenario.requests {
+        service.submit(PlatformEvent::RequestArrived(*r));
+    }
+    let out = service.drain();
     let queries = counting.stats().dis;
     (out, queries)
 }

@@ -128,14 +128,17 @@ fn more_workers_weakly_helps() {
     small_workers.truncate(4);
 
     let run = |workers: Vec<Worker>| {
-        let sim = Simulation::new(
+        let mut service = MobilityService::new(
             big.oracle.clone(),
             workers,
-            big.requests.clone(),
+            Box::new(PruneGreedyDp::new()),
             SimConfig::default(),
-        )
-        .expect("scenario streams are sorted");
-        sim.run(&mut PruneGreedyDp::new()).metrics
+            big.requests.first().map_or(0, |r| r.release),
+        );
+        for r in &big.requests {
+            service.submit(PlatformEvent::RequestArrived(*r));
+        }
+        service.drain().metrics
     };
     let m_small = run(small_workers);
     let m_big = run(big.workers.clone());

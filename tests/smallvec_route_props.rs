@@ -192,7 +192,6 @@ fn check_against_shadow(route: &Route, shadow: &[Stop], oracle: &dyn DistanceOra
         assert_eq!(route.onboard(), 0, "an empty route carries nobody");
         assert_eq!(route.slack(0), INF);
         assert_eq!(route.picked(0), route.onboard());
-        assert_eq!(route.next_arrival(), None);
         assert_eq!(
             route,
             &Route::new(route.start_vertex(), route.start_time()),

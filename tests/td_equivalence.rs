@@ -386,23 +386,24 @@ fn td_oracle_routes_around_a_jam_the_overlay_cannot() {
     }];
 
     let outcome = |td_oracle: bool| {
-        let sim = Simulation::new(
+        let mut service = MobilityService::new(
             oracle.clone(),
             fleet.clone(),
-            requests.clone(),
+            Box::new(PruneGreedyDp::new()),
             SimConfig {
                 grid_cell_m: 10_000.0,
                 alpha: 1,
-                drain: true,
                 threads: 0,
                 congestion: Some(profile.clone()),
                 td_oracle,
-                classes: None,
+                ..SimConfig::default()
             },
-        )
-        .unwrap();
-        let mut planner = PruneGreedyDp::new();
-        sim.run(&mut planner)
+            t0,
+        );
+        for r in &requests {
+            service.submit(PlatformEvent::RequestArrived(*r));
+        }
+        service.drain()
     };
 
     let overlay = outcome(false);

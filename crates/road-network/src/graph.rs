@@ -6,6 +6,7 @@
 //! Euclidean lower bound of §5.1 can be computed.
 
 use crate::geo::{BoundingBox, Point};
+use crate::grid::{GridIndex, ItemId};
 use crate::{Cost, VertexId};
 
 /// Functional road classes with their assumed driving speeds.
@@ -169,19 +170,23 @@ impl RoadNetwork {
         count == self.num_vertices()
     }
 
-    /// The vertex whose coordinates are closest to `p` (linear scan;
-    /// workloads map request origins/destinations onto vertices once at
-    /// generation time, exactly as the paper pre-maps pickup points).
-    pub fn nearest_vertex(&self, p: Point) -> Option<VertexId> {
-        self.coords
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.euclidean_m(&p)
-                    .partial_cmp(&b.euclidean_m(&p))
-                    .expect("coordinates are finite")
-            })
-            .map(|(i, _)| VertexId(i as u32))
+    /// A [`GridIndex`] over the vertices (items are vertex ids), with
+    /// square cells of about one vertex each: `sqrt(area / V)`, floored
+    /// for a degenerate box (one vertex, or all on one line) at the
+    /// longer side over `V`, and at a metre. [`GridIndex::nearest`] on
+    /// it is the vertex nearest a point, ties to the lowest id: how
+    /// workloads map trip endpoints onto vertices once at generation
+    /// time, exactly as the paper pre-maps pickup points.
+    pub fn vertex_grid(&self) -> GridIndex {
+        let bbox = self.bounding_box();
+        let (w, h) = (bbox.width(), bbox.height());
+        let n = self.coords.len().max(1) as f64;
+        let cell_m = (w * h / n).sqrt().max(w.max(h) / n).max(1.0);
+        let mut grid = GridIndex::new(bbox, cell_m);
+        for (i, &p) in self.coords.iter().enumerate() {
+            grid.upsert(i as ItemId, p);
+        }
+        grid
     }
 
     /// Rough heap footprint in bytes (coords + CSR arrays).
@@ -246,13 +251,6 @@ mod tests {
                 assert!(g.euc(v, n) <= c, "euc({v},{n}) > cost");
             }
         }
-    }
-
-    #[test]
-    fn nearest_vertex_picks_closest() {
-        let g = triangle();
-        assert_eq!(g.nearest_vertex(Point::new(1.0, 1.0)), Some(VertexId(0)));
-        assert_eq!(g.nearest_vertex(Point::new(9.9, 0.5)), Some(VertexId(1)));
     }
 
     #[test]

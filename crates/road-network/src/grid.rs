@@ -6,7 +6,10 @@
 //!   `pruneGreedyDP`, `GreedyDP`, `kinetic` and `batch` use: "the grid
 //!   index of the other algorithms only stores the IDs of workers in
 //!   the grid". Each bucket carries its items' points in a parallel
-//!   column, so a range query is a linear scan of dense arrays.
+//!   column, so a range query is a linear scan of dense arrays. It has
+//!   one static user too: the request generator snaps trip endpoints
+//!   to road vertices with [`GridIndex::nearest`] over a grid of the
+//!   network's vertices.
 //! * [`SortedCellGrid`] — additionally precomputes, for every cell, all
 //!   cells sorted by center distance (T-Share's "spatio-temporally
 //!   ordered grid lists"). Candidate search walks that list outward.
@@ -19,6 +22,11 @@ use crate::geo::{BoundingBox, Point};
 
 /// Opaque item identifier (worker id in the planners).
 pub type ItemId = u64;
+
+/// How far a cell bound is widened past its computed edge: a
+/// millimetre, far above the rounding of any city coordinate, far
+/// below any distance a query tells apart.
+const SLACK_M: f64 = 1e-3;
 
 /// A plain uniform grid of item buckets.
 #[derive(Debug, Clone)]
@@ -218,6 +226,43 @@ impl GridIndex {
         });
     }
 
+    /// The item nearest to `p`: the lexicographic minimum of
+    /// `(q.euclidean_m(&p), id)` over every item position `q`, so ties
+    /// go to the lowest id. `None` when the grid is empty, or when every
+    /// distance is NaN (a query point with a NaN coordinate).
+    ///
+    /// A doubling-radius sweep: starting at one cell, it reads every
+    /// cell of the sweep box of the disc of radius `r` (widened by
+    /// a millimetre, so that no item the exact filter passes is left out
+    /// by the rounding of a cell bound) and keeps the minimum over the
+    /// items within `r`. Every item within `r` is read, so a non-empty
+    /// result is the global minimum; an empty one doubles `r`. Points
+    /// outside the bounding box need nothing special: the sweep clamps
+    /// into the border cells, which hold every item `cell_of` clamped.
+    pub fn nearest(&self, p: Point) -> Option<ItemId> {
+        if self.items.is_empty() {
+            return None;
+        }
+        let mut r = self.cell_m;
+        loop {
+            let mut best: Option<(f64, ItemId)> = None;
+            self.for_each_cell_in_sweep(p, r + SLACK_M, |c| {
+                for (&id, q) in self.cells[c].iter().zip(&self.cell_pts[c]) {
+                    let d = q.euclidean_m(&p);
+                    if d <= r && best.is_none_or(|b| (d, id) < b) {
+                        best = Some((d, id));
+                    }
+                }
+            });
+            // An infinite radius has read every cell: what it did not
+            // pass has a NaN distance.
+            if best.is_some() || r == f64::INFINITY {
+                return best.map(|(_, id)| id);
+            }
+            r *= 2.0;
+        }
+    }
+
     /// One sweep of the disc of `radius_m` around `p` that reads the two
     /// halves of every cell differently: `unmarked(id)` is called for
     /// every unmarked item within the radius, by the exact filter of
@@ -269,7 +314,6 @@ impl GridIndex {
     /// that is a correctly rounded, hence monotone, operation on the
     /// same operand order as [`Point::euclidean_m`].
     pub fn cell_min_distance(&self, c: usize, p: Point) -> f64 {
-        const SLACK_M: f64 = 1e-3;
         let (cx, cy) = (c % self.nx, c / self.nx);
         let gap = |v: f64, min: f64, k: usize, n: usize| {
             let lo = if k == 0 {
@@ -709,6 +753,82 @@ mod tests {
             (coord(ORIGIN.0, 7), coord(ORIGIN.1, 5)).prop_map(|(x, y)| Point::new(x, y))
         }
 
+        /// The vertex nearest to `p` by a scan of every vertex, ties to
+        /// the first: the reference `GridIndex::nearest` must equal.
+        fn scan(pts: &[Point], p: Point) -> Option<ItemId> {
+            pts.iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| {
+                    a.euclidean_m(&p)
+                        .partial_cmp(&b.euclidean_m(&p))
+                        .expect("coordinates are finite")
+                })
+                .map(|(i, _)| i as ItemId)
+        }
+
+        /// A network of bare vertices at `pts`, vertex `i` at `pts[i]`.
+        fn network(pts: &[Point]) -> crate::graph::RoadNetwork {
+            let mut b = crate::builder::NetworkBuilder::new();
+            for &p in pts {
+                b.add_vertex(p);
+            }
+            b.finish().expect("at least one vertex")
+        }
+
+        #[test]
+        fn nearest_on_degenerate_grids() {
+            let p = Point::new(ORIGIN.0, ORIGIN.1);
+            assert_eq!(
+                GridIndex::new(bbox(1_000.0, 1_000.0), 250.0).nearest(p),
+                None
+            );
+
+            // One item, queried anywhere.
+            let mut g = GridIndex::new(bbox(1_000.0, 1_000.0), 250.0);
+            g.upsert(9, Point::new(10.0, 990.0));
+            for q in [
+                Point::new(10.0, 990.0),
+                Point::new(-5e4, 7e4),
+                Point::new(500.0, 0.0),
+            ] {
+                assert_eq!(g.nearest(q), Some(9));
+            }
+
+            // A one-vertex network: a zero-area box, the cell floor.
+            let one = network(&[p]).vertex_grid();
+            assert_eq!(one.dims(), (1, 1));
+            assert_eq!(one.nearest(Point::new(-1e5, 3.0)), Some(0));
+
+            // A collinear network: a zero-height box, cells along it.
+            let line: Vec<Point> = (0..50)
+                .map(|i| Point::new(ORIGIN.0 + f64::from(i) * 97.5, ORIGIN.1))
+                .collect();
+            let g = network(&line).vertex_grid();
+            assert_eq!(g.dims().1, 1);
+            assert!(g.dims().0 > 1);
+            for q in [
+                Point::new(ORIGIN.0 + 146.25, ORIGIN.1 + 800.0),
+                Point::new(ORIGIN.0 - 9_000.0, ORIGIN.1 - 5.0),
+                Point::new(ORIGIN.0 + 48.75, ORIGIN.1),
+                Point::new(ORIGIN.0 + 9_000.0, ORIGIN.1 + 1e4),
+            ] {
+                assert_eq!(g.nearest(q), scan(&line, q), "nearest to {q:?}");
+            }
+
+            // The small triangle: a point near each of two vertices.
+            let tri = [
+                Point::new(0.0, 0.0),
+                Point::new(10.0, 0.0),
+                Point::new(0.0, 10.0),
+            ];
+            let g = network(&tri).vertex_grid();
+            assert_eq!(g.nearest(Point::new(1.0, 1.0)), Some(0));
+            assert_eq!(g.nearest(Point::new(9.9, 0.5)), Some(1));
+
+            // A NaN coordinate is nearest to nothing.
+            assert_eq!(g.nearest(Point::new(f64::NAN, 0.0)), None);
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -747,6 +867,113 @@ mod tests {
                             prop_assert!(seen || d > r, "item {} within {} unvisited", id, r);
                         }
                     }
+                }
+            }
+
+            /// `nearest` on a network's vertex grid is the linear scan
+            /// it replaced, on random cities of any shape — a flat line
+            /// (zero-height box) and a single vertex among them, with
+            /// repeated coordinates — and on query points anywhere: in
+            /// the box, several box-widths outside it, on a vertex, or
+            /// on a cell edge give or take a few ulps.
+            #[test]
+            fn nearest_is_the_scan_on_random_networks(
+                (pts, queries) in (1.0..20_000.0f64, prop_oneof![Just(0.0f64), 1.0..20_000.0], 1usize..80)
+                    .prop_flat_map(|(w, h, n)| {
+                        let at = move |x: f64, y: f64| Point::new(ORIGIN.0 + x * w, ORIGIN.1 + y * h);
+                        // A tenth of the cities have every vertex on a
+                        // few distinct points, so most distances tie.
+                        let pool = prop_oneof![
+                            (0.0..1.0, 0.0..1.0).prop_map(move |(x, y)| at(x, y)),
+                            (0u32..3, 0u32..3).prop_map(move |(i, j)| at(f64::from(i) / 2.0, f64::from(j) / 2.0)),
+                        ];
+                        let query = prop_oneof![
+                            (-3.0..4.0, -3.0..4.0).prop_map(move |(x, y)| at(x, y)),
+                            (-0.1..1.1, -0.1..1.1).prop_map(move |(x, y)| at(x, y)),
+                            (-50_000.0..50_000.0, -50_000.0..50_000.0)
+                                .prop_map(|(x, y)| Point::new(ORIGIN.0 + x, ORIGIN.1 + y)),
+                        ];
+                        (collection::vec(pool, n..n + 1), collection::vec(query, 1..24))
+                    })
+            ) {
+                let net = network(&pts);
+                let g = net.vertex_grid();
+                prop_assert_eq!(g.len(), pts.len());
+                let mut queries = queries;
+                queries.extend(pts.iter().copied());
+                // Cell edges, nudged by a few ulps either way.
+                for k in 0..=g.nx.max(g.ny) {
+                    for ulps in [-2i64, 0, 2] {
+                        let nudge = |v: f64| f64::from_bits((v.to_bits() as i64 + ulps) as u64);
+                        let e = k as f64 * g.cell_m;
+                        queries.push(Point::new(nudge(g.bbox.min.x + e), pts[k % pts.len()].y));
+                        queries.push(Point::new(pts[k % pts.len()].x, nudge(g.bbox.min.y + e)));
+                    }
+                }
+                // The first sweep's radius away from a vertex along an
+                // axis, give or take an ulp: the vertex sits on the edge
+                // of the sweep box.
+                for q in &pts {
+                    for ulps in [-1i64, 0, 1] {
+                        let nudge = |v: f64| f64::from_bits((v.to_bits() as i64 + ulps) as u64);
+                        let r = g.cell_m;
+                        queries.push(Point::new(nudge(q.x - r), q.y));
+                        queries.push(Point::new(nudge(q.x + r), q.y));
+                        queries.push(Point::new(q.x, nudge(q.y - r)));
+                        queries.push(Point::new(q.x, nudge(q.y + r)));
+                    }
+                }
+                for p in queries {
+                    prop_assert_eq!(g.nearest(p), scan(&pts, p), "nearest to {:?}", p);
+                }
+            }
+
+            /// Exact ties on a lattice city: queried on every vertex,
+            /// every street midpoint (two vertices tie), every block
+            /// centre (four tie), every grid cell corner, and beside the
+            /// box level with a vertex or between two — the lowest id
+            /// wins, whatever order the ids were handed out in.
+            #[test]
+            fn nearest_breaks_lattice_ties_to_the_lowest_id(
+                nx in 1usize..7,
+                ny in 1usize..7,
+                block in prop_oneof![Just(400.0f64), Just(250.0), Just(1.0), Just(1_000.0)],
+                shuffle in any::<u64>(),
+            ) {
+                use rand::rngs::StdRng;
+                use rand::{Rng, SeedableRng};
+                let mut order: Vec<usize> = (0..nx * ny).collect();
+                let mut rng = StdRng::seed_from_u64(shuffle);
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                let node = |i: usize, j: usize| {
+                    Point::new(ORIGIN.0 + i as f64 * block, ORIGIN.1 + j as f64 * block)
+                };
+                let pts: Vec<Point> = order.iter().map(|&k| node(k % nx, k / nx)).collect();
+                let net = network(&pts);
+                let g = net.vertex_grid();
+                let mut queries = Vec::new();
+                // Lattice points at half-block steps, two blocks past
+                // every side of the box.
+                for hi in -4..=2 * nx as i64 + 2 {
+                    for hj in -4..=2 * ny as i64 + 2 {
+                        queries.push(Point::new(
+                            ORIGIN.0 + hi as f64 * block / 2.0,
+                            ORIGIN.1 + hj as f64 * block / 2.0,
+                        ));
+                    }
+                }
+                for ci in 0..=g.nx {
+                    for cj in 0..=g.ny {
+                        queries.push(Point::new(
+                            g.bbox.min.x + ci as f64 * g.cell_m,
+                            g.bbox.min.y + cj as f64 * g.cell_m,
+                        ));
+                    }
+                }
+                for p in queries {
+                    prop_assert_eq!(g.nearest(p), scan(&pts, p), "nearest to {:?}", p);
                 }
             }
 

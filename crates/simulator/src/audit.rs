@@ -29,8 +29,10 @@ struct RequestTrace {
 /// Checks: assignment/rejection exclusivity and completeness, pickup
 /// after release, delivery by deadline, pickup before delivery by the
 /// assigned worker, per-worker capacity over the event timeline, and
-/// (if `driven`/`planned` are provided) exact distance accounting —
-/// both `driven == planned` per worker and the replayed ledger
+/// exact distance accounting over the per-worker ledgers `driven` and
+/// `planned` (indexed by worker id; a worker past either ledger's end
+/// is not checked, so empty ledgers check none) — both
+/// `driven == planned` per worker and the replayed ledger
 /// `planned == Σ assignment deltas − Σ freed` from the `Assigned` /
 /// `Cancelled` / `Unassigned` events. All three quantities are
 /// free-flow distances, so the ledger must balance exactly whether or
@@ -47,7 +49,8 @@ pub fn audit_events(
     requests: &[Request],
     workers: &[Worker],
     events: &[SimEvent],
-    driven_planned: Option<(&[Cost], &[Cost])>,
+    driven: &[Cost],
+    planned: &[Cost],
 ) -> Vec<String> {
     let mut errors = Vec::new();
     let mut traces: FxHashMap<RequestId, RequestTrace> = FxHashMap::default();
@@ -202,18 +205,16 @@ pub fn audit_events(
         }
     }
 
-    if let Some((driven, planned)) = driven_planned {
-        for (i, (d, p)) in driven.iter().zip(planned).enumerate() {
-            if d != p {
-                errors.push(format!("w{i}: driven distance {d} != planned distance {p}"));
-            }
-            let (deltas, freed) = ledger[i];
-            let expected = deltas.saturating_sub(freed);
-            if *p != expected {
-                errors.push(format!(
-                    "w{i}: ledger mismatch: planned {p} != Σ deltas {deltas} − Σ freed {freed}"
-                ));
-            }
+    for (i, (d, p)) in driven.iter().zip(planned).enumerate() {
+        if d != p {
+            errors.push(format!("w{i}: driven distance {d} != planned distance {p}"));
+        }
+        let (deltas, freed) = ledger[i];
+        let expected = deltas.saturating_sub(freed);
+        if *p != expected {
+            errors.push(format!(
+                "w{i}: ledger mismatch: planned {p} != Σ deltas {deltas} − Σ freed {freed}"
+            ));
         }
     }
     errors
@@ -268,7 +269,7 @@ mod tests {
                 w: WorkerId(0),
             },
         ];
-        assert!(audit_events(&rs, &ws, &evs, None).is_empty());
+        assert!(audit_events(&rs, &ws, &evs, &[], &[]).is_empty());
     }
 
     #[test]
@@ -293,7 +294,7 @@ mod tests {
                 w: WorkerId(0),
             },
         ];
-        let errs = audit_events(&rs, &ws, &evs, None);
+        let errs = audit_events(&rs, &ws, &evs, &[], &[]);
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("after deadline"));
     }
@@ -336,7 +337,7 @@ mod tests {
                 w: WorkerId(0),
             },
         ];
-        let errs = audit_events(&rs, &ws, &evs, None);
+        let errs = audit_events(&rs, &ws, &evs, &[], &[]);
         assert!(errs.iter().any(|e| e.contains("capacity exceeded")));
     }
 
@@ -350,7 +351,7 @@ mod tests {
             w: WorkerId(0),
             delta: 1,
         }];
-        let errs = audit_events(&rs, &ws, &evs, None);
+        let errs = audit_events(&rs, &ws, &evs, &[], &[]);
         assert!(errs.iter().any(|e| e.contains("not completed")));
         assert!(errs.iter().any(|e| e.contains("no decision")));
     }
@@ -359,7 +360,7 @@ mod tests {
     fn catches_distance_mismatch() {
         let rs: [Request; 0] = [];
         let ws = [worker(4)];
-        let errs = audit_events(&rs, &ws, &[], Some((&[100], &[90])));
+        let errs = audit_events(&rs, &ws, &[], &[100], &[90]);
         assert!(errs[0].contains("driven distance"));
     }
 
@@ -398,11 +399,11 @@ mod tests {
                 w: WorkerId(0),
             },
         ];
-        assert!(audit_events(&rs, &ws, &evs, Some((&[15], &[15]))).is_empty());
+        assert!(audit_events(&rs, &ws, &evs, &[15], &[15]).is_empty());
         // A freed amount the routes never returned breaks the ledger —
         // this is what pins the cancel path under congestion: freed is
         // a free-flow distance, never a stretched time.
-        let errs = audit_events(&rs, &ws, &evs, Some((&[20], &[20])));
+        let errs = audit_events(&rs, &ws, &evs, &[20], &[20]);
         assert!(
             errs.iter().any(|e| e.contains("ledger mismatch")),
             "{errs:?}"
@@ -413,7 +414,7 @@ mod tests {
             r: RequestId(1),
             freed: 7,
         }];
-        let errs = audit_events(&rs, &ws, &evs, None);
+        let errs = audit_events(&rs, &ws, &evs, &[], &[]);
         assert!(errs.iter().any(|e| e.contains("without assignment")));
     }
 
@@ -434,7 +435,7 @@ mod tests {
                 freed: 10,
             },
         ];
-        assert!(audit_events(&rs, &ws, &evs, None).is_empty());
+        assert!(audit_events(&rs, &ws, &evs, &[], &[]).is_empty());
     }
 
     #[test]
@@ -464,7 +465,7 @@ mod tests {
                 w: WorkerId(0),
             },
         ];
-        let errs = audit_events(&rs, &ws, &evs, None);
+        let errs = audit_events(&rs, &ws, &evs, &[], &[]);
         assert!(errs.iter().any(|e| e.contains("after pickup")));
         assert!(errs.iter().any(|e| e.contains("cancelled but delivered")));
     }
@@ -515,7 +516,7 @@ mod tests {
                 w: WorkerId(1),
             },
         ];
-        assert!(audit_events(&rs, &ws, &evs, None).is_empty());
+        assert!(audit_events(&rs, &ws, &evs, &[], &[]).is_empty());
 
         // Without the Unassigned strip, the re-decision is illegal.
         let evs_bad = [
@@ -532,7 +533,7 @@ mod tests {
                 delta: 12,
             },
         ];
-        let errs = audit_events(&rs, &ws, &evs_bad, None);
+        let errs = audit_events(&rs, &ws, &evs_bad, &[], &[]);
         assert!(errs.iter().any(|e| e.contains("double decision")));
     }
 
@@ -546,7 +547,7 @@ mod tests {
             w: WorkerId(0),
             freed: 0,
         }];
-        let errs = audit_events(&rs, &ws, &evs, None);
+        let errs = audit_events(&rs, &ws, &evs, &[], &[]);
         assert!(errs.iter().any(|e| e.contains("without assignment")));
     }
 
@@ -565,7 +566,7 @@ mod tests {
                 w: WorkerId(0),
             },
         ];
-        let errs = audit_events(&rs, &ws, &evs, None);
+        let errs = audit_events(&rs, &ws, &evs, &[], &[]);
         assert!(errs.iter().any(|e| e.contains("rejected but has stops")));
     }
 }

@@ -301,12 +301,7 @@ impl<'p> MobilityService<'p> {
         // The platform never forgets a worker (retirees keep their
         // slot), so its agents are the audit's full cast.
         let cast: Vec<Worker> = self.state.agents().iter().map(|a| a.worker).collect();
-        let audit_errors = audit_events(
-            &self.arrived,
-            &cast,
-            &self.events,
-            Some((&driven, &planned)),
-        );
+        let audit_errors = audit_events(&self.arrived, &cast, &self.events, &driven, &planned);
         // Per-class breakdown: each request is attributed to the class
         // of the worker that holds it at the end of the run (cancels
         // and strips already removed theirs), driven distance to the

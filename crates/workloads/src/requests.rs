@@ -1,8 +1,11 @@
 //! Request-stream generation (§6.1's dataset features, synthesized).
 //!
-//! Spatial model: origins and destinations are drawn from a Gaussian
-//! hotspot mixture over the network's vertices (downtown-heavy, like
-//! taxi demand), via a precomputed alias-free cumulative table.
+//! Spatial model: origins are drawn from a Gaussian hotspot mixture
+//! over the network's vertices (downtown-heavy, like taxi demand), via
+//! a precomputed alias-free cumulative table. Destinations are points
+//! drawn around the origin (or around another hotspot), snapped to
+//! their nearest vertex on a grid of the vertices built once per
+//! generator.
 //! Temporal model: arrival times follow a double-peak "rush hour"
 //! profile over the simulated day. `K_r` follows the public NYC TLC
 //! passenger-count distribution (the paper generates Chengdu's `K_r`
@@ -13,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use road_network::geo::Point;
 use road_network::graph::RoadNetwork;
+use road_network::grid::GridIndex;
 use road_network::oracle::DistanceOracle;
 use road_network::{Cost, VertexId, INF};
 use urpsm_core::types::{Request, RequestId, Time};
@@ -144,10 +148,14 @@ pub struct RequestStreamGenerator<'a> {
     /// Hotspot centers (index 0 is the city center) — kept for the
     /// inter-region destination model.
     centers: Vec<Point>,
+    /// The network's vertices on a grid: where a drawn trip endpoint
+    /// is snapped to its nearest vertex.
+    vertices: GridIndex,
 }
 
 impl<'a> RequestStreamGenerator<'a> {
-    /// Builds the spatial sampling table for `network`.
+    /// Builds the spatial sampling table for `network`, and the vertex
+    /// grid that destinations are snapped on.
     pub fn new(network: &'a RoadNetwork, mut cfg: RequestStreamConfig, seed: u64) -> Self {
         assert!(cfg.hotspots >= 1, "need at least one hotspot");
         cfg.inter_hotspot = cfg.inter_hotspot.clamp(0.0, 1.0);
@@ -188,6 +196,7 @@ impl<'a> RequestStreamGenerator<'a> {
             rng,
             cdf,
             centers,
+            vertices: network.vertex_grid(),
         }
     }
 
@@ -239,6 +248,13 @@ impl<'a> RequestStreamGenerator<'a> {
         best.1
     }
 
+    /// The vertex nearest to `p` (ties to the lowest id), off the
+    /// vertex grid. `p` may lie outside the city's bounding box.
+    fn snap(&self, p: Point) -> VertexId {
+        let v = self.vertices.nearest(p).expect("network is non-empty");
+        VertexId(v as u32)
+    }
+
     /// Samples a destination for a trip starting at `origin`: a
     /// uniformly random direction with a lognormal trip length
     /// (median ≈ 2.4 km, like urban taxi trips), snapped to the
@@ -249,7 +265,12 @@ impl<'a> RequestStreamGenerator<'a> {
     /// With a non-zero `inter_hotspot` fraction, that share of trips
     /// instead targets a *different* hotspot than the origin's own —
     /// commuter-style cross-region demand that a geo-sharded dispatcher
-    /// must carry over its seams.
+    /// must carry over its seams — at a Gaussian point around it,
+    /// snapped the same way.
+    ///
+    /// Either target point can fall outside the bounding box (a long
+    /// trip from near the edge, or a hotspot's tail); the snap takes
+    /// the nearest vertex all the same, reading a few grid cells.
     fn sample_destination(&mut self, origin: VertexId) -> VertexId {
         let o = self.network.point(origin);
         if self.cfg.inter_hotspot > 0.0
@@ -267,19 +288,14 @@ impl<'a> RequestStreamGenerator<'a> {
                 c.x + self.sample_gauss(0.0, sigma),
                 c.y + self.sample_gauss(0.0, sigma),
             );
-            return self
-                .network
-                .nearest_vertex(target)
-                .expect("network is non-empty");
+            return self.snap(target);
         }
         let dir = self.rng.gen_range(0.0..std::f64::consts::TAU);
         // Lognormal via the sum-of-uniforms normal approximation.
         let z = self.sample_gauss(0.0, 1.0);
         let len_m = (2_400.0 * (0.55 * z).exp()).clamp(400.0, 9_000.0);
         let target = Point::new(o.x + len_m * dir.cos(), o.y + len_m * dir.sin());
-        self.network
-            .nearest_vertex(target)
-            .expect("network is non-empty")
+        self.snap(target)
     }
 
     /// Samples `K_r` from the NYC passenger-count distribution.

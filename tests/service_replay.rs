@@ -1,12 +1,14 @@
-//! The event-driven `MobilityService` against the legacy batch path,
-//! plus lifecycle invariants under cancellations and fleet churn.
+//! The event-driven `MobilityService` fed a scenario's whole event
+//! stream against `urpsm::simulate`, its arrival-only loop, plus
+//! lifecycle invariants under cancellations and fleet churn.
 //!
-//! * **Replay equivalence** — for cancellation-free streams, feeding a
-//!   scenario's requests one `PlatformEvent` at a time must reproduce
-//!   the batch `Simulation` run *byte for byte*: same event log, same
-//!   served/rejected counts, same unified cost, same driven distance
-//!   (wall-clock planning time is the one legitimately nondeterministic
-//!   field).
+//! * **Replay equivalence** — for cancellation-free streams, a service
+//!   opened with `urpsm::service` and fed every `PlatformEvent` of
+//!   `Scenario::event_stream` one at a time must reproduce the
+//!   `urpsm::simulate` run, which submits the arrivals only, *byte for
+//!   byte*: same event log, same served/rejected counts, same unified
+//!   cost, same driven distance (wall-clock planning time is the one
+//!   legitimately nondeterministic field).
 //! * **Lifecycle invariants** (property-tested) — a cancelled request
 //!   is never delivered, every arrival gets exactly one terminal fate,
 //!   the independent audit stays clean under worker churn, and the
@@ -46,32 +48,32 @@ fn run_streamed(sc: &Scenario, planner: Box<dyn Planner + '_>) -> SimOutcome {
 }
 
 #[test]
-fn event_stream_replay_matches_legacy_engine() {
+fn event_stream_replay_matches_the_arrival_loop() {
     for seed in [3u64, 17, 2018] {
         let sc = scenario(seed, 0.0, 0, 0);
 
         // The paper's planner and the batch baseline (which exercises
         // the wake-up/epoch machinery) must both replay identically.
-        let mut legacy_dp = PruneGreedyDp::new();
-        let legacy = urpsm::simulate(&sc, &mut legacy_dp);
+        let mut dp = PruneGreedyDp::new();
+        let looped = urpsm::simulate(&sc, &mut dp);
         let streamed = run_streamed(&sc, Box::new(PruneGreedyDp::new()));
-        assert_eq!(legacy.events, streamed.events, "seed {seed}: event log");
+        assert_eq!(looped.events, streamed.events, "seed {seed}: event log");
         assert_eq!(
-            normalized(legacy.metrics),
+            normalized(looped.metrics),
             normalized(streamed.metrics),
             "seed {seed}: metrics"
         );
         assert!(streamed.audit_errors.is_empty(), "seed {seed}");
 
-        let mut legacy_batch = BatchPlanner::new();
-        let legacy = urpsm::simulate(&sc, &mut legacy_batch);
+        let mut batch = BatchPlanner::new();
+        let looped = urpsm::simulate(&sc, &mut batch);
         let streamed = run_streamed(&sc, Box::new(BatchPlanner::new()));
         assert_eq!(
-            legacy.events, streamed.events,
+            looped.events, streamed.events,
             "seed {seed}: batch event log"
         );
         assert_eq!(
-            normalized(legacy.metrics),
+            normalized(looped.metrics),
             normalized(streamed.metrics),
             "seed {seed}: batch metrics"
         );

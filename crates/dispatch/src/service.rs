@@ -9,9 +9,13 @@
 //! worker motion and event log — so shards never contend on state.
 //!
 //! One boundary rule governs the seams (the Borrow probe, DESIGN.md §6):
-//! before planning, the dispatcher probes the [`BORROW_PROBE`] nearest
-//! foreign shards' snapshots for idle workers that beat every home
-//! candidate on straight-line pickup distance; on a win the worker is
+//! before planning, the dispatcher asks the home shard for its nearest
+//! eligible worker and each of the [`BORROW_PROBE`] nearest foreign
+//! shards for its nearest eligible *idle* worker, on straight-line
+//! pickup distance ([`borrow_probe`]). Each read streams the shard's
+//! grid nearest cell first and stops once no unread cell can beat the
+//! best so far, so no shortlist is collected on either side of the
+//! seam. A foreign worker that strictly beats every home candidate is
 //! *handed off*: exported from its shard through the exact-accounting
 //! surface ([`MobilityService::handoff_worker`] →
 //! [`urpsm_core::platform::PlatformState::export_worker`]) and re-hired
@@ -26,6 +30,7 @@
 //! verbatim, which is why a 1-shard service is *byte-identical* to a
 //! plain [`MobilityService`] (pinned by `tests/shard_equivalence.rs`).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use road_network::fxhash::FxHashMap;
@@ -33,7 +38,7 @@ use road_network::oracle::DistanceOracle;
 use road_network::{Cost, VertexId};
 use urpsm_core::event::{EventRouting, PlatformEvent};
 use urpsm_core::planner::Planner;
-use urpsm_core::platform::CandidateBuf;
+use urpsm_core::platform::PlatformState;
 use urpsm_core::types::{Request, RequestId, Time, Worker, WorkerId};
 use urpsm_simulator::engine::{SimConfig, SimOutcome};
 use urpsm_simulator::metrics::SimMetrics;
@@ -54,6 +59,52 @@ fn obs_shard_event(shard: usize) {
 /// idle border workers before each arrival is planned (fewer when
 /// K − 1 is smaller).
 pub const BORROW_PROBE: usize = 3;
+
+/// What the Borrow probe reads for one request ([`borrow_probe`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BorrowPick {
+    /// The straight-line pickup distance (metres) of the home shard's
+    /// nearest eligible worker, busy or idle; `∞` when it has none.
+    pub local_best: f64,
+    /// The idle foreign worker that strictly beats `local_best`, as
+    /// `(distance, shard, local id)`: the lexicographic minimum of
+    /// `(distance, position in the probe order, local id)`. `None`
+    /// when no probed worker beats the home shard: ties stay home.
+    pub winner: Option<(f64, usize, WorkerId)>,
+}
+
+/// The Borrow probe's selection for `r` (`direct` is `L = dis(o_r,
+/// d_r)`): one nearest-candidate read on the `home` platform, busy or
+/// idle, then one per `foreign` platform, in probe order, for the
+/// nearest idle worker within the best distance so far — `local_best`
+/// first, then each new winner's. A shard wins only by being strictly
+/// nearer, so ties go home, then to the earlier shard; within a shard
+/// they go to the lower local id. Every read is
+/// [`PlatformState::nearest_candidate`], the eligibility seam's reach
+/// radius and class filter, so a borrowed worker is one the shortlist
+/// would have offered.
+pub fn borrow_probe<'a>(
+    home: &PlatformState,
+    foreign: impl IntoIterator<Item = (usize, &'a PlatformState)>,
+    r: &Request,
+    direct: Cost,
+) -> BorrowPick {
+    let local_best = home
+        .nearest_candidate(r, direct, false, f64::INFINITY)
+        .map_or(f64::INFINITY, |(d, _)| d);
+    let mut winner = None;
+    let mut cap = local_best;
+    for (s, state) in foreign {
+        // Only idle workers change jurisdiction.
+        if let Some((d, w)) = state.nearest_candidate(r, direct, true, cap) {
+            if d < cap {
+                winner = Some((d, s, w));
+                cap = d;
+            }
+        }
+    }
+    BorrowPick { local_best, winner }
+}
 
 /// Configuration of the sharded dispatch plane.
 #[derive(Debug, Clone)]
@@ -192,8 +243,6 @@ pub struct ShardedService<'p> {
     /// The merged, global-id event log.
     events: Vec<SimEvent>,
     last_time: Time,
-    /// The Borrow probe's shortlist buffer, reused across arrivals.
-    cands: CandidateBuf,
 }
 
 impl<'p> ShardedService<'p> {
@@ -263,7 +312,6 @@ impl<'p> ShardedService<'p> {
             request_home: FxHashMap::default(),
             events: Vec::new(),
             last_time: start_time,
-            cands: CandidateBuf::new(),
         }
     }
 
@@ -413,7 +461,7 @@ impl<'p> ShardedService<'p> {
                 self.owner.push((home, WorkerId(fleet as u32)));
             }
         }
-        out.extend(self.collect(&[home]));
+        out.extend(self.collect(home..home + 1));
         out
     }
 
@@ -487,18 +535,17 @@ impl<'p> ShardedService<'p> {
         for shard in &mut self.shards {
             shard.service.submit(event);
         }
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        self.collect(&all)
+        self.collect(0..self.shards.len())
     }
 
     /// Moves every event the touched shards produced since their last
     /// collect into the merged log ([`merge_tails`]) and returns them.
-    fn collect(&mut self, touched: &[usize]) -> Vec<ServiceReply> {
+    fn collect(&mut self, touched: Range<usize>) -> Vec<ServiceReply> {
         let mark = self.events.len();
         let shards = &self.shards;
         merge_tails(
             &mut self.events,
-            touched.iter().map(|&s| {
+            touched.clone().map(|s| {
                 let shard = &shards[s];
                 (
                     s,
@@ -507,59 +554,35 @@ impl<'p> ShardedService<'p> {
                 )
             }),
         );
-        for &s in touched {
+        for s in touched {
             self.shards[s].seen = self.shards[s].service.events().len();
         }
         self.events[mark..].to_vec()
     }
 
-    /// The Borrow probe for one request: scan the [`BORROW_PROBE`] nearest
-    /// foreign shards' read planes for an idle worker that strictly
-    /// beats every home candidate on straight-line pickup distance, and
-    /// hand the winner off to the home shard. All reads are against
-    /// shard snapshots at the request's arrival time (every shard was
-    /// just ticked to `t`), so the probe is deterministic.
+    /// The Borrow probe for one request: read the home shard's nearest
+    /// eligible worker and the nearest eligible idle worker of each of
+    /// the [`BORROW_PROBE`] nearest foreign shards ([`borrow_probe`]),
+    /// and hand a foreign worker that is strictly nearer to the pickup
+    /// than every home candidate off to the home shard. Each read walks
+    /// its shard's grid nearest cell first and stops at the best
+    /// distance so far, so the probe collects no shortlist. All reads
+    /// are against shard snapshots at the request's arrival time (every
+    /// shard was just ticked to `t`), so the probe is deterministic.
     fn maybe_borrow(&mut self, r: &Request, t: Time, home: usize) -> Vec<ServiceReply> {
         urpsm_obs::with(|m| m.borrow_probes.inc());
-        let origin_p = self.oracle.point(r.origin);
         let direct = self.oracle.dis(r.origin, r.destination);
-        // Positions come off each shard's head plane: no agent is read.
-        let pickup_m = |v: VertexId| self.oracle.point(v).euclidean_m(&origin_p);
-
-        // Best straight-line pickup distance any home candidate offers.
-        // `candidate_workers` is the eligibility seam, so a borrow probe
-        // respects the request's class constraint on both sides of the
-        // shard boundary for free.
-        let home_state = self.shards[home].service.state();
-        let local_best = home_state
-            .candidate_workers(r, direct, &mut self.cands)
-            .iter()
-            .map(|w| pickup_m(home_state.head(w).vertex))
-            .fold(f64::INFINITY, f64::min);
-
-        // Best idle foreign candidate across the probed shards.
-        let mut best: Option<(f64, usize, WorkerId)> = None;
-        let order = self.map.nearest_order(origin_p);
-        for &s in order.iter().filter(|&&s| s != home).take(BORROW_PROBE) {
-            let state = self.shards[s].service.state();
-            for w in state.candidate_workers(r, direct, &mut self.cands).iter() {
-                let head = state.head(w);
-                if !head.idle {
-                    continue; // only idle workers change jurisdiction
-                }
-                let d = pickup_m(head.vertex);
-                if best.is_none_or(|(bd, _, _)| d < bd) {
-                    best = Some((d, s, w));
-                }
-            }
-        }
-
-        let Some((d, src, local)) = best else {
+        let order = self.map.nearest_order(self.oracle.point(r.origin));
+        let foreign = order.iter().filter(|&&s| s != home).take(BORROW_PROBE);
+        let pick = borrow_probe(
+            self.shards[home].service.state(),
+            foreign.map(|&s| (s, self.shards[s].service.state())),
+            r,
+            direct,
+        );
+        let Some((_, src, local)) = pick.winner else {
             return Vec::new();
         };
-        if d >= local_best {
-            return Vec::new(); // ties stay home
-        }
         let Some(ticket) = self.shards[src].service.handoff_worker(local) else {
             return Vec::new(); // raced into busyness: impossible today, safe anyway
         };
@@ -594,8 +617,8 @@ impl<'p> ShardedService<'p> {
         // Two single-shard (verbatim) collects, source first, so the
         // merged log always reads departure-then-rejoin — a sorted
         // two-shard merge would flip them whenever `home < src`.
-        let mut out = self.collect(&[src]);
-        out.extend(self.collect(&[home]));
+        let mut out = self.collect(src..src + 1);
+        out.extend(self.collect(home..home + 1));
         out
     }
 }

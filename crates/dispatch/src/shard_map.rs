@@ -9,6 +9,7 @@
 //! computes it independently and identically.
 
 use road_network::geo::{BoundingBox, Point};
+use smallvec::SmallVec;
 
 /// A `K`-way rectangular partition of a bounding box.
 #[derive(Debug, Clone)]
@@ -76,10 +77,11 @@ impl ShardMap {
 
     /// Every shard id, ordered by territory-center distance from `p`
     /// (ties break on shard id) — the Borrow probe's order,
-    /// deterministic by construction.
-    pub fn nearest_order(&self, p: Point) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.shards()).collect();
-        order.sort_by(|&a, &b| {
+    /// deterministic by construction. Up to 16 shards the order is
+    /// built inline: no allocation per arrival.
+    pub fn nearest_order(&self, p: Point) -> SmallVec<usize, 16> {
+        let mut order: SmallVec<usize, 16> = (0..self.shards()).collect();
+        order.sort_unstable_by(|&a, &b| {
             let da = self.center(a).euclidean_m(&p);
             let db = self.center(b).euclidean_m(&p);
             da.partial_cmp(&db)

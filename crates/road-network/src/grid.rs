@@ -226,41 +226,102 @@ impl GridIndex {
         });
     }
 
-    /// The item nearest to `p`: the lexicographic minimum of
-    /// `(q.euclidean_m(&p), id)` over every item position `q`, so ties
-    /// go to the lowest id. `None` when the grid is empty, or when every
-    /// distance is NaN (a query point with a NaN coordinate).
-    ///
-    /// A doubling-radius sweep: starting at one cell, it reads every
-    /// cell of the sweep box of the disc of radius `r` (widened by
-    /// a millimetre, so that no item the exact filter passes is left out
-    /// by the rounding of a cell bound) and keeps the minimum over the
-    /// items within `r`. Every item within `r` is read, so a non-empty
-    /// result is the global minimum; an empty one doubles `r`. Points
-    /// outside the bounding box need nothing special: the sweep clamps
-    /// into the border cells, which hold every item `cell_of` clamped.
+    /// The item nearest to `p`: [`GridIndex::nearest_where`] with no
+    /// radius and no filter, so ties go to the lowest id. `None` when
+    /// the grid is empty, or when every distance is NaN (a query point
+    /// with a NaN coordinate).
     pub fn nearest(&self, p: Point) -> Option<ItemId> {
-        if self.items.is_empty() {
+        self.nearest_where(p, f64::INFINITY, false, |_| true)
+            .map(|(_, id)| id)
+    }
+
+    /// The nearest item to `p` that a query admits, with its distance:
+    /// the lexicographic minimum of `(q.euclidean_m(&p), id)` over the
+    /// items within `radius_m` of `p` (the exact filter of
+    /// [`GridIndex::for_each_within`]), marked if `marked_only`, and
+    /// passed by `accept`. Ties go to the lowest id.
+    ///
+    /// Nearest cell first, and nothing is collected: it reads the rings
+    /// of cells around `p`'s cell outward, scans a non-empty cell only
+    /// when its [`GridIndex::cell_min_distance`] is within the best
+    /// distance so far (and the radius), and stops at the first ring
+    /// whose every cell bounds beyond it. Along each axis a cell's gap
+    /// to `p` grows with its offset from `p`'s own cell, whose gap is
+    /// zero (`p` lies in it, or in a border cell that extends to
+    /// infinity). So a ring's least bound is that of one of its four
+    /// cells on `p`'s row and column, and every cell of a later ring
+    /// bounds at least as far as some cell of this one. Points outside
+    /// the bounding box need nothing special: `cell_of` clamps them into
+    /// the border cells, as it clamps items.
+    pub fn nearest_where(
+        &self,
+        p: Point,
+        radius_m: f64,
+        marked_only: bool,
+        mut accept: impl FnMut(ItemId) -> bool,
+    ) -> Option<(f64, ItemId)> {
+        if self.items.is_empty() || radius_m.is_nan() || radius_m < 0.0 {
             return None;
         }
-        let mut r = self.cell_m;
-        loop {
-            let mut best: Option<(f64, ItemId)> = None;
-            self.for_each_cell_in_sweep(p, r + SLACK_M, |c| {
-                for (&id, q) in self.cells[c].iter().zip(&self.cell_pts[c]) {
+        let c0 = self.cell_of(p);
+        let (cx, cy) = ((c0 % self.nx) as isize, (c0 / self.nx) as isize);
+        let (nx, ny) = (self.nx as isize, self.ny as isize);
+        let mut best: Option<(f64, ItemId)> = None;
+        // The distance an item must not exceed to be admitted or to win.
+        let mut limit = radius_m;
+        for k in 0.. {
+            let (x0, x1, y0, y1) = (cx - k, cx + k, cy - k, cy + k);
+            if x0 < 0 && y0 < 0 && x1 >= nx && y1 >= ny {
+                break; // the rings so far covered the grid
+            }
+            // The ring's nearest cells are the four on `p`'s row and
+            // column: every other cell of a side gaps at least as far
+            // along the side and as far across it.
+            let axis = [(x0, cy), (x1, cy), (cx, y0), (cx, y1)];
+            let ring_min = axis
+                .into_iter()
+                .filter(|&(x, y)| (0..nx).contains(&x) && (0..ny).contains(&y))
+                .map(|(x, y)| self.cell_min_distance(y as usize * self.nx + x as usize, p))
+                .fold(f64::INFINITY, f64::min);
+            if ring_min > limit {
+                break;
+            }
+            let mut scan = |c: usize| {
+                let end = if marked_only {
+                    self.marked[c] as usize
+                } else {
+                    self.cells[c].len()
+                };
+                if end == 0 || self.cell_min_distance(c, p) > limit {
+                    return;
+                }
+                for (&id, q) in self.cells[c][..end].iter().zip(&self.cell_pts[c]) {
                     let d = q.euclidean_m(&p);
-                    if d <= r && best.is_none_or(|b| (d, id) < b) {
+                    if d <= limit && best.is_none_or(|b| (d, id) < b) && accept(id) {
                         best = Some((d, id));
+                        limit = d;
                     }
                 }
-            });
-            // An infinite radius has read every cell: what it did not
-            // pass has a NaN distance.
-            if best.is_some() || r == f64::INFINITY {
-                return best.map(|(_, id)| id);
+            };
+            // Ring `k`, clipped to the grid: whole top and bottom rows,
+            // the two side cells of every row between.
+            for y in y0.max(0)..=y1.min(ny - 1) {
+                let row = y as usize * self.nx;
+                if y == y0 || y == y1 {
+                    for x in x0.max(0)..=x1.min(nx - 1) {
+                        scan(row + x as usize);
+                    }
+                } else {
+                    if x0 >= 0 {
+                        scan(row + x0 as usize);
+                    }
+                    if x1 < nx {
+                        scan(row + x1 as usize);
+                    }
+                }
             }
-            r *= 2.0;
         }
+        best
     }
 
     /// One sweep of the disc of `radius_m` around `p` that reads the two
@@ -974,6 +1035,65 @@ mod tests {
                 }
                 for p in queries {
                     prop_assert_eq!(g.nearest(p), scan(&pts, p), "nearest to {:?}", p);
+                }
+            }
+
+            /// `nearest_where` is the filtered scan: items stacked on a
+            /// few points (so distances tie) or anywhere, half of them
+            /// marked; queries for marked items only or for all, with a
+            /// predicate that turns a residue class of ids away, and a
+            /// radius anywhere or on some item's distance give or take
+            /// an ulp.
+            #[test]
+            fn nearest_where_is_the_filtered_scan(
+                items in collection::vec((prop_oneof![
+                    city_point(),
+                    (0u32..3, 0u32..3).prop_map(|(i, j)| Point::new(
+                        ORIGIN.0 + f64::from(i) * 1_500.0,
+                        ORIGIN.1 + f64::from(j) * 1_500.0,
+                    )),
+                ], any::<bool>()), 1..60),
+                queries in collection::vec(
+                    (city_point(), any::<bool>(), 0u64..5, prop_oneof![
+                        (0.0..12_000.0).prop_map(|r| (r, None)),
+                        (0usize..60, -1i64..2).prop_map(|(k, ulps)| (0.0, Some((k, ulps)))),
+                    ]),
+                    1..12,
+                ),
+            ) {
+                let mut b = BoundingBox::empty();
+                b.include(Point::new(ORIGIN.0, ORIGIN.1));
+                b.include(Point::new(ORIGIN.0 + 7.0 * CELL, ORIGIN.1 + 5.0 * CELL));
+                let mut g = GridIndex::new(b, CELL);
+                for (id, &(p, marked)) in items.iter().enumerate() {
+                    g.upsert(id as ItemId, p);
+                    g.set_marked(id as ItemId, marked);
+                }
+                for (p, marked_only, turned_away, (r, on_item)) in queries {
+                    let r = match on_item {
+                        Some((k, ulps)) => {
+                            let d = items[k % items.len()].0.euclidean_m(&p);
+                            f64::from_bits((d.to_bits() as i64 + ulps) as u64)
+                        }
+                        None => r,
+                    };
+                    // Residue 4 of 4 turns nobody away.
+                    let accept = |id: ItemId| id % 4 != turned_away;
+                    let scan = items
+                        .iter()
+                        .enumerate()
+                        .map(|(id, &(q, marked))| (q.euclidean_m(&p), id as ItemId, marked))
+                        .filter(|&(d, id, marked)| d <= r && (marked || !marked_only) && accept(id))
+                        .map(|(d, id, _)| (d, id))
+                        .min_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+                    prop_assert_eq!(
+                        g.nearest_where(p, r, marked_only, accept),
+                        scan,
+                        "nearest to {:?} within {:?}, marked only: {}",
+                        p,
+                        r,
+                        marked_only
+                    );
                 }
             }
 

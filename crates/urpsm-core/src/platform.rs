@@ -755,6 +755,31 @@ impl PlatformState {
         EligibleCandidates { ids: &buf.ids }
     }
 
+    /// The nearest worker [`PlatformState::candidate_workers`] would
+    /// shortlist for `r` — an idle one if `idle_only` — among those at
+    /// most `cap_m` metres from the pickup, with its straight-line
+    /// distance: the lexicographic minimum of `(distance from l_0 to
+    /// o_r, worker id)`. The same reach radius, the same radius test on
+    /// the same distance and the same class filter as the shortlist;
+    /// the grid reads the cells nearest the pickup first and stops at
+    /// the first ring that cannot hold a nearer worker
+    /// ([`GridIndex::nearest_where`]), so nothing is collected. `direct`
+    /// is `L = dis(o_r, d_r)`. Pure read.
+    pub fn nearest_candidate(
+        &self,
+        r: &Request,
+        direct: Cost,
+        idle_only: bool,
+        cap_m: f64,
+    ) -> Option<(f64, WorkerId)> {
+        let (origin, radius_m) = self.reach(r, direct);
+        self.grid
+            .nearest_where(origin, radius_m.min(cap_m), idle_only, |id| {
+                r.class.allows(self.heads[id as usize].class)
+            })
+            .map(|(d, id)| (d, WorkerId(id as u32)))
+    }
+
     /// Where a worker must stand to reach `r`'s pickup in time: the
     /// pickup point, and the radius its straight line at top speed
     /// covers before the pickup deadline `e_r − L`.

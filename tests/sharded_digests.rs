@@ -1,0 +1,43 @@
+//! Golden digests of sharded runs: a reduced `metropolis` stream, with
+//! cancellations and fleet churn, replayed through a 4-shard plane must
+//! keep making the same Borrow-probe handoffs and the same merged event
+//! log for a given seed.
+//!
+//! The probe decides every cross-seam handoff, and a handoff changes
+//! which worker serves which request from then on; `handoffs()` counts
+//! the decisions and the checkpoint digest fingerprints everything they
+//! caused. A faster probe must reproduce these values unedited. If a
+//! deliberate change to the dispatch policy moves them, re-record them
+//! in the same commit and say why.
+
+use urpsm::core::planner::PruneGreedyDp;
+use urpsm::workloads::scenario::metropolis;
+
+/// `(handoffs, checkpoint digest)` of one seed's 4-shard replay.
+fn replay(seed: u64) -> (usize, u64) {
+    let scenario = metropolis(seed)
+        .requests(1_500)
+        .workers(150)
+        .cancel_rate(0.1)
+        .fleet_churn(15, 15)
+        .build();
+    let mut service = urpsm::sharded(&scenario, 4, |_| Box::new(PruneGreedyDp::new()));
+    for event in scenario.event_stream() {
+        service.submit(event);
+    }
+    (service.handoffs(), service.checkpoint().digest)
+}
+
+#[test]
+fn sharded_metropolis_replays_are_pinned() {
+    let golden: [(u64, (usize, u64)); 3] = [
+        (1, (308, 4792937758432658734)),
+        (7, (281, 14159206516794004361)),
+        (42, (268, 6331899275193179629)),
+    ];
+    let got: Vec<(u64, (usize, u64))> = golden
+        .iter()
+        .map(|&(seed, _)| (seed, replay(seed)))
+        .collect();
+    assert_eq!(got, golden.to_vec(), "(seed, (handoffs, digest)) moved");
+}

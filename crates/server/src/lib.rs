@@ -26,9 +26,9 @@
 //!    log, replies, audit, unified cost) to one that never crashed,
 //!    torn tails included.
 //!
-//! The `urpsm-serve` binary wraps all of this in a CLI for live runs;
-//! `bench ingest` (crates/bench) measures the throughput cost of the
-//! WAL on the metropolis workload.
+//! The `urpsm-serve` binary wraps all of this in a CLI for live runs
+//! and prints their events/sec; `--city metropolis --wal DIR` against
+//! the same run without `--wal` reads off the WAL's throughput cost.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

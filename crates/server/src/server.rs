@@ -48,8 +48,8 @@ use crate::wal::{
 /// The [`SimConfig`] a [`Scenario`] describes: its grid cell, `α`,
 /// congestion profile and class table, with the remaining fields at
 /// their library defaults (overlay legs, and the no-op `drain` and
-/// `threads`). The one scenario → config mapping: the facade constructors,
-/// `urpsm-serve` and `bench ingest` all open their services with it.
+/// `threads`). The one scenario → config mapping: the facade constructors
+/// and `urpsm-serve` open their services with it.
 pub fn sim_config(scenario: &Scenario) -> SimConfig {
     SimConfig {
         grid_cell_m: scenario.grid_cell_m,

@@ -571,9 +571,9 @@ pub fn chengdu_like(seed: u64) -> ScenarioBuilder {
 /// day of city-wide load — a 48-ring × 96-spoke radial city (4.6k
 /// vertices, ≈29 km across), 100k workers and 1M requests over 24
 /// hours, spread over 8 hotspots. This is the ingestion service's
-/// stress workload (`bench ingest`); smoke-scale runs divide
-/// `requests`/`workers` down rather than changing the city, so the
-/// demand geometry stays the same at every scale.
+/// stress workload (`urpsm-serve --city metropolis`); smoke-scale
+/// runs divide `requests`/`workers` down rather than changing the
+/// city, so the demand geometry stays the same at every scale.
 pub fn metropolis(seed: u64) -> ScenarioBuilder {
     ScenarioBuilder::named("metropolis")
         .ring_city(48, 96)
@@ -791,7 +791,7 @@ mod tests {
     fn metropolis_smoke_scale_keeps_the_city_and_horizon() {
         // Build the metropolis preset at ÷10_000 demand scale: the
         // city and day-long horizon are the real thing; only the
-        // stream/fleet are scaled down (as `bench ingest` does).
+        // stream/fleet are scaled down (as `urpsm-serve --scale` does).
         let s = metropolis(7).workers(10).requests(100).build();
         assert_eq!(s.name, "metropolis");
         assert_eq!(s.network.num_vertices(), 48 * 96 + 1);

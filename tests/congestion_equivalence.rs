@@ -33,11 +33,10 @@ fn run(sc: &Scenario, threads: usize, congestion: Option<Arc<CongestionProfile>>
         SimConfig {
             grid_cell_m: sc.grid_cell_m,
             alpha: sc.alpha,
-            drain: true,
             threads,
             congestion,
-            td_oracle: false,
             classes: sc.classes.clone(),
+            ..SimConfig::default()
         },
         start,
     );
@@ -63,8 +62,6 @@ fn run_sharded(
             sim: SimConfig {
                 grid_cell_m: sc.grid_cell_m,
                 alpha: sc.alpha,
-                drain: true,
-                threads: 0,
                 congestion,
                 classes: sc.classes.clone(),
                 ..SimConfig::default()
@@ -197,7 +194,6 @@ fn peak_profile_strictly_increases_planned_arrivals() {
             SimConfig {
                 grid_cell_m: 2_000.0,
                 alpha: 1,
-                threads: 0,
                 congestion,
                 ..SimConfig::default()
             },

@@ -71,12 +71,9 @@ fn request(deadline: Time) -> Request {
 #[test]
 fn every_planner_plans_an_idle_worker_from_its_departure() {
     type MakePlanner = fn() -> Box<dyn Planner>;
-    let planners: [(&str, MakePlanner); 6] = [
+    let planners: [(&str, MakePlanner); 5] = [
         ("GreedyDP", || Box::new(GreedyDp::new())),
         ("pruneGreedyDP", || Box::new(PruneGreedyDp::new())),
-        ("pruneGreedyDP, with_threads(4)", || {
-            Box::new(PruneGreedyDp::with_threads(4))
-        }),
         ("tshare", || Box::new(TSharePlanner::new())),
         ("kinetic", || Box::new(KineticPlanner::new())),
         ("batch", || Box::new(BatchPlanner::new())),

@@ -3,6 +3,7 @@
 //! arrivals are rejected with an explicit `Overloaded` reply — and the
 //! whole overload episode is deterministic: the same event sequence
 //! sheds the same requests no matter how many producer threads fed it.
+//! Unbounded, the server sheds nothing and equals the plain service.
 
 use urpsm::prelude::*;
 
@@ -133,16 +134,49 @@ fn overload_is_deterministic_across_producer_counts() {
     );
 }
 
+/// Until its bounds are set the server is a transport, not a policy:
+/// an unbounded `K = 1` server is byte-identical to feeding the same
+/// stream straight into the plain service — event log, replies,
+/// checkpoint and unified cost.
 #[test]
 fn unbounded_admission_never_sheds() {
     let sc = scenario(23);
-    let server = IngestServer::new(
+    let events = sc.event_stream();
+
+    let mut plain = urpsm::service(&sc, Box::new(PruneGreedyDp::new()));
+    let plain_replies = plain.submit_all(events.iter().copied());
+    let plain_checkpoint = plain.checkpoint();
+    let plain_outcome = plain.drain();
+
+    let mut server = IngestServer::new(
         Backend::Sharded(urpsm::sharded(&sc, 1, |_| Box::new(PruneGreedyDp::new()))),
         ServerConfig::default(),
     )
     .expect("open server");
-    let outcome = server.run(sc.event_stream()).expect("run");
+    let tx = server.handle();
+    for ev in &events {
+        tx.send(*ev).expect("server alive");
+    }
+    drop(tx);
+    while server.step().expect("tick").is_some() {}
+    assert_eq!(server.checkpoint(), plain_checkpoint, "checkpoint");
+    let outcome = server.finish().expect("finish");
+
     assert_eq!(outcome.sheds, 0);
     assert_eq!(outcome.peak_backlog, 0);
     assert!(outcome.audit_errors.is_empty());
+    assert_eq!(outcome.events, plain_outcome.events, "event log");
+    let replies: Vec<ServiceReply> = outcome
+        .replies
+        .iter()
+        .map(|r| match r {
+            IngestReply::Service(s) => *s,
+            IngestReply::Overloaded { .. } => panic!("an unbounded server shed {r:?}"),
+        })
+        .collect();
+    assert_eq!(replies, plain_replies, "replies");
+    assert_eq!(
+        outcome.metrics.unified_cost, plain_outcome.metrics.unified_cost,
+        "unified cost"
+    );
 }

@@ -5,6 +5,7 @@
 //! that never crashed. Pinned at `K = 1` and `K = 4` on the library
 //! defaults and at the far corner of the configuration lattice (see
 //! [`CONFIGS`]), with torn-tail and bit-flipped WAL corruption on top.
+//! At each of them a run without a WAL equals the logged run.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -256,6 +257,22 @@ fn bit_flip_in_final_record_is_detected_and_recovered() {
         assert_eq!(report.events_replayed, (n / 3 - 1) as u64, "{cfg:?}");
         assert_eq!(report.snapshot_verified, Some(false), "{cfg:?}");
         assert_byte_identical(&format!("{cfg:?} flip"), &full, &recovered);
+    }
+}
+
+/// The WAL is logging, not policy: a run without one is byte-identical
+/// to the logged run at every configuration.
+#[test]
+fn the_wal_does_not_change_the_outcome() {
+    for cfg in CONFIGS {
+        let sc = scenario(5, cfg);
+        let logged = baseline(&sc, cfg, &wal_dir("logged"));
+        let unlogged = IngestServer::new(backend(&sc, cfg), ServerConfig::default())
+            .expect("open server")
+            .run(sc.event_stream())
+            .expect("run");
+        assert!(unlogged.wal.is_none(), "{cfg:?}: no WAL was configured");
+        assert_byte_identical(&format!("{cfg:?} no WAL"), &logged, &unlogged);
     }
 }
 

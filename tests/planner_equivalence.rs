@@ -36,7 +36,6 @@ fn run_counted(
         SimConfig {
             grid_cell_m: scenario.grid_cell_m,
             alpha: scenario.alpha,
-            threads: 0,
             classes: scenario.classes.clone(),
             ..SimConfig::default()
         },

@@ -68,8 +68,6 @@ fn open_sharded(sc: &Scenario, shards: usize) -> ShardedService<'static> {
             sim: SimConfig {
                 grid_cell_m: sc.grid_cell_m,
                 alpha: sc.alpha,
-                drain: true,
-                threads: 0,
                 classes: sc.classes.clone(),
                 ..SimConfig::default()
             },
@@ -122,8 +120,6 @@ fn one_shard_matches_the_batch_planner_epochs_too() {
             sim: SimConfig {
                 grid_cell_m: sc.grid_cell_m,
                 alpha: sc.alpha,
-                drain: true,
-                threads: 0,
                 classes: sc.classes.clone(),
                 ..SimConfig::default()
             },

@@ -35,11 +35,11 @@ fn run_with(
         SimConfig {
             grid_cell_m: sc.grid_cell_m,
             alpha: sc.alpha,
-            drain: true,
             threads,
             congestion,
             td_oracle,
             classes: sc.classes.clone(),
+            ..SimConfig::default()
         },
         start,
     );
@@ -85,11 +85,10 @@ fn run_sharded(
             sim: SimConfig {
                 grid_cell_m: sc.grid_cell_m,
                 alpha: sc.alpha,
-                drain: true,
-                threads: 0,
                 congestion,
                 td_oracle,
                 classes: sc.classes.clone(),
+                ..SimConfig::default()
             },
         },
         start,
@@ -393,7 +392,6 @@ fn td_oracle_routes_around_a_jam_the_overlay_cannot() {
             SimConfig {
                 grid_cell_m: 10_000.0,
                 alpha: 1,
-                threads: 0,
                 congestion: Some(profile.clone()),
                 td_oracle,
                 ..SimConfig::default()

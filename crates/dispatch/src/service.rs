@@ -686,6 +686,59 @@ mod tests {
         )
     }
 
+    fn pickup(t: Time, r: u32, w: u32) -> SimEvent {
+        SimEvent::Pickup {
+            t,
+            r: RequestId(r),
+            w: WorkerId(w),
+        }
+    }
+
+    #[test]
+    fn merge_tails_passes_one_tail_through_and_orders_several() {
+        let old = pickup(0, 99, 0);
+        // One tail, out of time order: appended verbatim, ids
+        // translated.
+        let mut merged = vec![old];
+        let tail = [pickup(30, 0, 0), pickup(10, 1, 1), pickup(20, 2, 0)];
+        let to_global = [WorkerId(7), WorkerId(3)];
+        merge_tails(&mut merged, [(2, &tail[..], &to_global[..])]);
+        assert_eq!(
+            merged,
+            [old, pickup(30, 0, 7), pickup(10, 1, 3), pickup(20, 2, 7)]
+        );
+
+        // Three tails tied at t = 10 across shards. Shard 1 holds two
+        // events at that time, so its second (position 1) must follow
+        // shard 2's first (position 0): `(time, position, shard)`.
+        let s0 = [pickup(10, 0, 0), pickup(20, 1, 0)];
+        let s1 = [pickup(10, 2, 0), pickup(10, 3, 0)];
+        let s2 = [pickup(10, 4, 0), pickup(15, 5, 0), pickup(5, 6, 0)];
+        let maps = [[WorkerId(100)], [WorkerId(101)], [WorkerId(102)]];
+        let mut merged = vec![old];
+        merge_tails(
+            &mut merged,
+            [&s0[..], &s1[..], &s2[..]]
+                .into_iter()
+                .zip(&maps)
+                .enumerate()
+                .map(|(s, (tail, map))| (s, tail, &map[..])),
+        );
+        assert_eq!(
+            merged,
+            [
+                old,
+                pickup(5, 6, 102),
+                pickup(10, 0, 100),
+                pickup(10, 2, 101),
+                pickup(10, 4, 102),
+                pickup(10, 3, 101),
+                pickup(15, 5, 102),
+                pickup(20, 1, 100),
+            ]
+        );
+    }
+
     #[test]
     fn fleet_partitions_by_origin_and_ids_stay_global() {
         let svc = sharded(&[2, 48, 4], 2);

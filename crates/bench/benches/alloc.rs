@@ -21,6 +21,14 @@
 //! included. The three baselines are measured and reported but not
 //! gated.
 //!
+//! Two more ungated rows count what one event costs end to end: the
+//! allocations per submitted event over the second half of a stream,
+//! through `MobilityService::submit` on a `chengdu_like` stream and
+//! through `ShardedService::submit` at K = 4 on the reduced
+//! `metropolis` stream of `tests/sharded_digests.rs`. In those rows a
+//! "request" is one submitted event and "served" counts the
+//! `Assigned` replies.
+//!
 //! Without the feature the bench compiles to a no-op so a plain
 //! `cargo bench` never fails; CI runs the gated configuration
 //! explicitly. `--json <path>` writes a `BENCH_alloc.json`-style
@@ -53,11 +61,17 @@ mod gated {
     use road_network::{Cost, VertexId};
     use urpsm_bench::alloc_track;
     use urpsm_bench::harness::Algo;
+    use urpsm_core::event::PlatformEvent;
     use urpsm_core::insertion::linear_dp_insertion;
     use urpsm_core::planner::{Planner, PruneGreedyDp};
     use urpsm_core::platform::{Outcome, PlatformState};
     use urpsm_core::route::Route;
     use urpsm_core::types::{ClassConstraint, ClassId, Request, RequestId, Time, Worker, WorkerId};
+    use urpsm_dispatch::service::{ShardConfig, ShardedService};
+    use urpsm_simulator::engine::SimConfig;
+    use urpsm_simulator::service::MobilityService;
+    use urpsm_simulator::SimEvent;
+    use urpsm_workloads::scenario::{chengdu_like, metropolis, Scenario};
 
     /// Streets on a line, 150 cs of travel per metre-spaced vertex.
     const VERTICES: usize = 512;
@@ -372,6 +386,89 @@ mod gated {
         rows
     }
 
+    /// The allocations of `submit` per event over the second half of
+    /// `scenario`'s event stream (the first half warms every buffer),
+    /// as one ungated row.
+    fn submit_row(
+        label: &'static str,
+        profile: &'static str,
+        scenario: &Scenario,
+        mut submit: impl FnMut(PlatformEvent) -> usize,
+    ) -> Row {
+        let stream = scenario.event_stream();
+        let (warmup, measured) = stream.split_at(stream.len() / 2);
+        for &event in warmup {
+            submit(event);
+        }
+        let (mut served, mut total, mut max) = (0usize, 0u64, 0u64);
+        for &event in measured {
+            let (assigned, allocs) = alloc_track::measure(|| submit(event));
+            total += allocs;
+            max = max.max(allocs);
+            served += assigned;
+        }
+        Row {
+            planner: label,
+            profile,
+            fleet: "-",
+            requests: measured.len(),
+            served,
+            total_allocs: total,
+            max_allocs: max,
+            gated: false,
+        }
+    }
+
+    fn assigned(replies: &[SimEvent]) -> usize {
+        replies
+            .iter()
+            .filter(|e| matches!(e, SimEvent::Assigned { .. }))
+            .count()
+    }
+
+    /// The two end-to-end `submit` rows: a plain service on a
+    /// `chengdu_like` stream, and a K = 4 plane on the reduced
+    /// `metropolis` stream of `tests/sharded_digests.rs`.
+    fn submit_rows() -> Vec<Row> {
+        let sim = |sc: &Scenario| SimConfig {
+            grid_cell_m: sc.grid_cell_m,
+            alpha: sc.alpha,
+            ..SimConfig::default()
+        };
+        let sc = chengdu_like(7).build();
+        let mut service = MobilityService::new(
+            sc.oracle.clone(),
+            sc.workers.clone(),
+            Box::new(PruneGreedyDp::new()),
+            sim(&sc),
+            sc.start_time(),
+        );
+        let plain = submit_row("submit (plain)", "chengdu-like", &sc, |e| {
+            assigned(service.submit(e))
+        });
+
+        let sc = metropolis(7)
+            .requests(1_500)
+            .workers(150)
+            .cancel_rate(0.1)
+            .fleet_churn(15, 15)
+            .build();
+        let mut service = ShardedService::new(
+            sc.oracle.clone(),
+            sc.workers.clone(),
+            |_| Box::new(PruneGreedyDp::new()),
+            ShardConfig {
+                shards: 4,
+                sim: sim(&sc),
+            },
+            sc.start_time(),
+        );
+        let sharded = submit_row("submit (K=4)", "metropolis", &sc, |e| {
+            assigned(service.submit(e))
+        });
+        vec![plain, sharded]
+    }
+
     fn write_json(path: &str, rows: &[Row]) {
         let cpus = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -442,6 +539,7 @@ mod gated {
         // Steady-state TD distance queries (PR 8): gated at zero, like
         // the planners above.
         rows.extend(td_rows());
+        rows.extend(submit_rows());
 
         eprintln!(
             "{:<14} {:<14} {:<10} {:>8} {:>14} {:>11} {:>6}",

@@ -24,11 +24,12 @@
 //!
 //! Global worker ids are preserved at the boundary: each shard plans in
 //! its own dense local id space, and every reply is translated back to
-//! the global id before it reaches the caller. Replies from
-//! multi-shard steps are merged deterministically by
-//! `(time, event_seq, shard_id)` — single-shard steps pass through
-//! verbatim, which is why a 1-shard service is *byte-identical* to a
-//! plain [`MobilityService`] (pinned by `tests/shard_equivalence.rs`).
+//! the global id before it enters the merged log; each `submit` returns
+//! the tail of that log it appended. Replies from multi-shard steps are
+//! merged deterministically by `(time, event_seq, shard_id)` —
+//! single-shard steps pass through verbatim, which is why a 1-shard
+//! service is *byte-identical* to a plain [`MobilityService`] (pinned by
+//! `tests/shard_equivalence.rs`).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -42,7 +43,7 @@ use urpsm_core::platform::PlatformState;
 use urpsm_core::types::{Request, RequestId, Time, Worker, WorkerId};
 use urpsm_simulator::engine::{SimConfig, SimOutcome};
 use urpsm_simulator::metrics::SimMetrics;
-use urpsm_simulator::service::{MobilityService, ServiceCheckpoint, ServiceReply};
+use urpsm_simulator::service::{MobilityService, ServiceCheckpoint};
 use urpsm_simulator::SimEvent;
 
 use crate::shard_map::ShardMap;
@@ -206,27 +207,31 @@ fn translate(to_global: &[WorkerId], ev: SimEvent) -> SimEvent {
 }
 
 /// The plane's one merge: appends shard-local log tails — each given
-/// as `(shard, tail, local → global map)` — to the merged log,
-/// translated to global worker ids. A single tail passes through
-/// verbatim; several are ordered by `(time, position in tail, shard)`,
-/// which is deterministic because each shard's log is deterministic
-/// and the key is total.
-fn merge_tails<'a>(
-    merged: &mut Vec<SimEvent>,
-    tails: impl IntoIterator<Item = (usize, &'a [SimEvent], &'a [WorkerId])>,
-) {
-    let mut batch: Vec<(Time, usize, usize, SimEvent)> = Vec::new();
-    let mut sources = 0;
-    for (s, tail, to_global) in tails {
-        sources += 1;
-        for (seq, &ev) in tail.iter().enumerate() {
-            batch.push((ev.time(), seq, s, translate(to_global, ev)));
+/// as `(shard, tail, local → global map)`, in shard order — to the
+/// merged log, translated to global worker ids. The tails are
+/// interleaved position-major; a single tail so passes through
+/// verbatim, and several are then stably sorted by time, which orders
+/// them by `(time, position in tail, shard)` — deterministic because
+/// each shard's log is deterministic and the key is total.
+fn merge_tails<'a, I>(merged: &mut Vec<SimEvent>, tails: I)
+where
+    I: IntoIterator<Item = (usize, &'a [SimEvent], &'a [WorkerId])>,
+    I::IntoIter: Clone,
+{
+    let tails = tails.into_iter();
+    debug_assert!(tails.clone().map(|(s, ..)| s).is_sorted());
+    let mark = merged.len();
+    let longest = tails.clone().map(|(_, tail, _)| tail.len()).max();
+    for seq in 0..longest.unwrap_or(0) {
+        for (_, tail, to_global) in tails.clone() {
+            if let Some(&ev) = tail.get(seq) {
+                merged.push(translate(to_global, ev));
+            }
         }
     }
-    if sources > 1 {
-        batch.sort_unstable_by_key(|&(t, seq, s, _)| (t, seq, s));
+    if tails.count() > 1 {
+        merged[mark..].sort_by_key(SimEvent::time);
     }
-    merged.extend(batch.into_iter().map(|(.., ev)| ev));
 }
 
 /// The geo-sharded dispatch plane: `K` independent platforms, one
@@ -398,15 +403,18 @@ impl<'p> ShardedService<'p> {
     /// Feeds one event into the plane, routing it to its
     /// [`home_shard`](ShardedService::home_shard) (broadcasting ticks),
     /// and returns everything it caused across all shards — translated
-    /// to global worker ids and merged deterministically.
-    pub fn submit(&mut self, event: PlatformEvent) -> Vec<ServiceReply> {
+    /// to global worker ids and merged deterministically. The reply is
+    /// the tail of the merged log this call appended, borrowed until
+    /// the next call.
+    pub fn submit(&mut self, event: PlatformEvent) -> &[SimEvent] {
+        let mark = self.events.len();
         let t = event.time().max(self.last_time);
         self.last_time = t;
         let Some(home) = self.home_shard(&event) else {
-            return self.broadcast(event);
+            self.broadcast(event);
+            return &self.events[mark..];
         };
         obs_shard_event(home);
-        let mut out = Vec::new();
         let fleet = self.shards[home].service.state().num_workers();
         // The shard plans in its own dense worker-id space: worker ids
         // are localised on the way in. An id the plane cannot localise
@@ -421,8 +429,8 @@ impl<'p> ShardedService<'p> {
                 {
                     // Synchronize every shard to `t` so the probe reads
                     // current positions, then maybe borrow.
-                    out = self.broadcast(PlatformEvent::Tick { at: t });
-                    out.extend(self.maybe_borrow(&r, t, home));
+                    self.broadcast(PlatformEvent::Tick { at: t });
+                    self.maybe_borrow(&r, t, home);
                 }
                 event
             }
@@ -461,16 +469,8 @@ impl<'p> ShardedService<'p> {
                 self.owner.push((home, WorkerId(fleet as u32)));
             }
         }
-        out.extend(self.collect(home..home + 1));
-        out
-    }
-
-    /// Convenience: submits a whole pre-merged stream.
-    pub fn submit_all<I>(&mut self, events: I) -> Vec<ServiceReply>
-    where
-        I: IntoIterator<Item = PlatformEvent>,
-    {
-        events.into_iter().flat_map(|e| self.submit(e)).collect()
+        self.collect(home..home + 1);
+        &self.events[mark..]
     }
 
     /// Ends the stream: drains every shard (flush, route drain, audit),
@@ -531,7 +531,7 @@ impl<'p> ShardedService<'p> {
     }
 
     /// Delivers `event` to every shard and merges the replies.
-    fn broadcast(&mut self, event: PlatformEvent) -> Vec<ServiceReply> {
+    fn broadcast(&mut self, event: PlatformEvent) {
         for shard in &mut self.shards {
             shard.service.submit(event);
         }
@@ -539,9 +539,8 @@ impl<'p> ShardedService<'p> {
     }
 
     /// Moves every event the touched shards produced since their last
-    /// collect into the merged log ([`merge_tails`]) and returns them.
-    fn collect(&mut self, touched: Range<usize>) -> Vec<ServiceReply> {
-        let mark = self.events.len();
+    /// collect into the merged log ([`merge_tails`]).
+    fn collect(&mut self, touched: Range<usize>) {
         let shards = &self.shards;
         merge_tails(
             &mut self.events,
@@ -557,7 +556,6 @@ impl<'p> ShardedService<'p> {
         for s in touched {
             self.shards[s].seen = self.shards[s].service.events().len();
         }
-        self.events[mark..].to_vec()
     }
 
     /// The Borrow probe for one request: read the home shard's nearest
@@ -569,7 +567,7 @@ impl<'p> ShardedService<'p> {
     /// distance so far, so the probe collects no shortlist. All reads
     /// are against shard snapshots at the request's arrival time (every
     /// shard was just ticked to `t`), so the probe is deterministic.
-    fn maybe_borrow(&mut self, r: &Request, t: Time, home: usize) -> Vec<ServiceReply> {
+    fn maybe_borrow(&mut self, r: &Request, t: Time, home: usize) {
         urpsm_obs::with(|m| m.borrow_probes.inc());
         let direct = self.oracle.dis(r.origin, r.destination);
         let order = self.map.nearest_order(self.oracle.point(r.origin));
@@ -581,10 +579,10 @@ impl<'p> ShardedService<'p> {
             direct,
         );
         let Some((_, src, local)) = pick.winner else {
-            return Vec::new();
+            return;
         };
         let Some(ticket) = self.shards[src].service.handoff_worker(local) else {
-            return Vec::new(); // raced into busyness: impossible today, safe anyway
+            return; // raced into busyness: impossible today, safe anyway
         };
         let global = self.shards[src].to_global[local.idx()];
         let new_local = WorkerId(self.shards[home].service.state().num_workers() as u32);
@@ -617,9 +615,8 @@ impl<'p> ShardedService<'p> {
         // Two single-shard (verbatim) collects, source first, so the
         // merged log always reads departure-then-rejoin — a sorted
         // two-shard merge would flip them whenever `home < src`.
-        let mut out = self.collect(src..src + 1);
-        out.extend(self.collect(home..home + 1));
-        out
+        self.collect(src..src + 1);
+        self.collect(home..home + 1);
     }
 }
 
@@ -799,7 +796,6 @@ mod tests {
         // occupy worker 1 with an eastbound trip, then ask from shard 0.
         svc.submit(PlatformEvent::RequestArrived(req(1, 30, 45, 100, 100_000)));
         let replies = svc.submit(PlatformEvent::RequestArrived(req(2, 24, 10, 200, 10_000)));
-        assert_eq!(svc.handoffs(), 0);
         assert!(
             replies
                 .iter()
@@ -807,6 +803,7 @@ mod tests {
                     if *r == RequestId(2) && *w == WorkerId(0))),
             "{replies:?}"
         );
+        assert_eq!(svc.handoffs(), 0);
         let out = svc.drain();
         assert!(out.audit_errors.is_empty());
     }

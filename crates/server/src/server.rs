@@ -36,7 +36,7 @@ use urpsm_dispatch::admission::{Admission, AdmissionConfig, AdmissionController}
 use urpsm_dispatch::service::ShardedService;
 use urpsm_simulator::engine::SimConfig;
 use urpsm_simulator::metrics::SimMetrics;
-use urpsm_simulator::service::{ServiceCheckpoint, ServiceReply};
+use urpsm_simulator::service::ServiceCheckpoint;
 use urpsm_simulator::SimEvent;
 use urpsm_workloads::scenario::Scenario;
 
@@ -124,7 +124,7 @@ impl Default for ServerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestReply {
     /// A platform decision or stop notification.
-    Service(ServiceReply),
+    Service(SimEvent),
     /// The request's home shard was at its queue-depth bound: shed.
     Overloaded {
         /// The tick boundary at which the verdict was made.
@@ -373,12 +373,8 @@ impl<'p> IngestServer<'p> {
                     if let Some(w) = &mut self.wal {
                         w.writer.append(&event)?;
                     }
-                    self.replies.extend(
-                        self.backend
-                            .submit(event)
-                            .into_iter()
-                            .map(IngestReply::Service),
-                    );
+                    let out = self.backend.submit(event).iter().copied();
+                    self.replies.extend(out.map(IngestReply::Service));
                     admitted += 1;
                 }
                 Admission::Defer => {
@@ -564,7 +560,8 @@ pub fn recover<'p>(
         s.events_applied == 0 && backend.checkpoint() == s.checkpoint
     });
     for (i, event) in scan.events.iter().enumerate() {
-        replies.extend(backend.submit(*event).into_iter().map(IngestReply::Service));
+        let out = backend.submit(*event).iter().copied();
+        replies.extend(out.map(IngestReply::Service));
         if let Some(s) = snapshot {
             if s.events_applied == i as u64 + 1 {
                 snapshot_verified = Some(backend.checkpoint() == s.checkpoint);

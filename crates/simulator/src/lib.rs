@@ -38,7 +38,7 @@ pub mod prelude {
     pub use crate::audit::audit_events;
     pub use crate::engine::{SimConfig, SimOutcome};
     pub use crate::metrics::{ClassMetrics, SimMetrics};
-    pub use crate::service::{MobilityService, ServiceCheckpoint, ServiceReply};
+    pub use crate::service::{MobilityService, ServiceCheckpoint};
     pub use crate::timeline::{Timeline, TimelineBucket};
     pub use crate::{event_log_digest, SimEvent};
 }

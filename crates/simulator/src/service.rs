@@ -9,7 +9,7 @@
 //! reading a socket. No complete-future-knowledge is required: the
 //! service never looks past the event it was just handed.
 //!
-//! Each `submit` returns the [`ServiceReply`] events it caused —
+//! Each `submit` returns the tail of the event log it appended —
 //! planner decisions, pickups/deliveries passed while moving workers
 //! forward, cancellation acknowledgements, fleet changes. When the
 //! stream ends, [`MobilityService::drain`] flushes planner buffers,
@@ -39,12 +39,6 @@ use crate::engine::{SimConfig, SimOutcome};
 use crate::metrics::SimMetrics;
 use crate::motion::WorkerMotion;
 use crate::SimEvent;
-
-/// What [`MobilityService::submit`] hands back: the timestamped events
-/// caused by one input event. The same type as the simulator's event
-/// log entries, so a live caller and a post-hoc auditor read one
-/// vocabulary.
-pub type ServiceReply = SimEvent;
 
 /// A logical snapshot of a service's progress, cheap enough to cut
 /// after every micro-batch: the event-log length, the platform clock,
@@ -183,7 +177,8 @@ impl<'p> MobilityService<'p> {
     /// Feeds one event into the service and returns everything it
     /// caused, in occurrence order: planner wake-ups that became due,
     /// stops passed while moving workers up to the event time, and the
-    /// consequences of the event itself.
+    /// consequences of the event itself. The reply is the tail of the
+    /// event log this call appended, borrowed until the next call.
     ///
     /// Event times should be (weakly) monotone; a stale timestamp is
     /// clamped to the current platform time rather than rejected, so a
@@ -198,7 +193,7 @@ impl<'p> MobilityService<'p> {
     /// is no reply. An arrival with an endpoint off the network is an
     /// unreachable trip and is answered `Rejected` (its penalty
     /// accrues) without the oracle or the planner ever seeing it.
-    pub fn submit(&mut self, event: PlatformEvent) -> Vec<ServiceReply> {
+    pub fn submit(&mut self, event: PlatformEvent) -> &[SimEvent] {
         urpsm_obs::with(|m| m.service_events.inc());
         let mark = self.events.len();
         let t = event.time().max(self.last_time);
@@ -249,17 +244,9 @@ impl<'p> MobilityService<'p> {
                 // Time advance + due wake-ups already happened above.
             }
         }
-        let out = self.events[mark..].to_vec();
+        let out = &self.events[mark..];
         urpsm_obs::with(|m| m.service_replies.add(out.len() as u64));
         out
-    }
-
-    /// Convenience: submits a whole pre-merged stream.
-    pub fn submit_all<I>(&mut self, events: I) -> Vec<ServiceReply>
-    where
-        I: IntoIterator<Item = PlatformEvent>,
-    {
-        events.into_iter().flat_map(|e| self.submit(e)).collect()
     }
 
     /// Ends the stream: fires still-pending planner wake-ups (an open

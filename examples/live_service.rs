@@ -71,7 +71,7 @@ fn main() {
                     | SimEvent::WorkerLeft { .. }
             );
             if lifecycle && shown < 40 {
-                println!("{}", describe(&reply));
+                println!("{}", describe(reply));
                 shown += 1;
             }
         }

@@ -49,14 +49,15 @@ fn main() {
 
     // The live loop: every event is routed to its home shard; handoffs
     // show up in the merged log as a departure + a rejoin of the same
-    // global worker at the same instant.
+    // global worker at the same instant, into the arrival's home shard.
     let mut last_left: Option<(Time, WorkerId)> = None;
     for event in stream {
+        let home = service.home_shard(&event);
         for reply in service.submit(event) {
-            match reply {
+            match *reply {
                 SimEvent::WorkerLeft { t, w } => last_left = Some((t, w)),
                 SimEvent::WorkerJoined { t, w } if last_left == Some((t, w)) => {
-                    let home = service.worker_shard(w).expect("alive");
+                    let home = home.expect("a handoff follows an arrival");
                     println!("t={t:>7}  {w} handed off across a seam into shard {home}");
                 }
                 _ => {}

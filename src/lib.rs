@@ -54,7 +54,8 @@
 //! be decided immediately and irrevocably (§2). `MobilityService` is
 //! that setting as an API — feed it one [`PlatformEvent`] at a time
 //! (request arrivals, cancellations, workers joining or leaving, clock
-//! ticks) and read back the decisions and stops it caused:
+//! ticks) and read back the decisions and stops it caused — the tail of
+//! the service's event log, borrowed until the next `submit`:
 //!
 //! ```
 //! use urpsm::prelude::*;

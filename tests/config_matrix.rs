@@ -160,7 +160,9 @@ fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config, no_op_knobs: bool) 
     let (mut metrics, events, audit_errors, assigned, handoffs) = match cfg.service {
         Service::Plain => {
             let mut service = MobilityService::new(oracle, workers, planner(), sim, start);
-            service.submit_all(stream.iter().copied());
+            for &event in stream {
+                service.submit(event);
+            }
             let out = service.drain();
             let assigned = out.state.total_assigned_distance();
             (out.metrics, out.events, out.audit_errors, assigned, 0)
@@ -168,7 +170,9 @@ fn run(sc: &Scenario, stream: &[PlatformEvent], cfg: Config, no_op_knobs: bool) 
         Service::Sharded(shards) => {
             let shard_cfg = ShardConfig { shards, sim };
             let mut service = ShardedService::new(oracle, workers, |_| planner(), shard_cfg, start);
-            service.submit_all(stream.iter().copied());
+            for &event in stream {
+                service.submit(event);
+            }
             let out = service.drain();
             let assigned = out.total_assigned_distance();
             (

@@ -144,9 +144,9 @@ fn unbounded_admission_never_sheds() {
     let events = sc.event_stream();
 
     let mut plain = urpsm::service(&sc, Box::new(PruneGreedyDp::new()));
-    let plain_replies = plain.submit_all(events.iter().copied());
-    let plain_checkpoint = plain.checkpoint();
-    let plain_outcome = plain.drain();
+    for &event in &events {
+        plain.submit(event);
+    }
 
     let mut server = IngestServer::new(
         Backend::Sharded(urpsm::sharded(&sc, 1, |_| Box::new(PruneGreedyDp::new()))),
@@ -159,14 +159,13 @@ fn unbounded_admission_never_sheds() {
     }
     drop(tx);
     while server.step().expect("tick").is_some() {}
-    assert_eq!(server.checkpoint(), plain_checkpoint, "checkpoint");
+    assert_eq!(server.checkpoint(), plain.checkpoint(), "checkpoint");
     let outcome = server.finish().expect("finish");
 
     assert_eq!(outcome.sheds, 0);
     assert_eq!(outcome.peak_backlog, 0);
     assert!(outcome.audit_errors.is_empty());
-    assert_eq!(outcome.events, plain_outcome.events, "event log");
-    let replies: Vec<ServiceReply> = outcome
+    let replies: Vec<SimEvent> = outcome
         .replies
         .iter()
         .map(|r| match r {
@@ -174,7 +173,10 @@ fn unbounded_admission_never_sheds() {
             IngestReply::Overloaded { .. } => panic!("an unbounded server shed {r:?}"),
         })
         .collect();
-    assert_eq!(replies, plain_replies, "replies");
+    // A plain service's concatenated replies are its event log.
+    assert_eq!(replies, plain.events(), "replies");
+    let plain_outcome = plain.drain();
+    assert_eq!(outcome.events, plain_outcome.events, "event log");
     assert_eq!(
         outcome.metrics.unified_cost, plain_outcome.metrics.unified_cost,
         "unified cost"

@@ -4,13 +4,18 @@
 //! ```sh
 //! cargo run --release -p urpsm-bench --bin experiments -- all
 //! cargo run --release -p urpsm-bench --bin experiments -- fig3 --city nyc --scale 8
+//! cargo run --release -p urpsm-bench --bin experiments -- oracle > BENCH_hub_labels.json
 //! ```
 //!
 //! Subcommands: `table4`, `table5`, `fig3` (workers), `fig4` (capacity),
 //! `fig5` (grid size + memory), `fig6` (deadline + saved queries),
 //! `fig7` (penalty), `queries`, `hardness`, `congestion` (also
 //! spelled `--congestion`: rush-hour travel-time deltas under the
-//! two-peak profile), `all`.
+//! two-peak profile), `all`. Three micro-benchmark commands are not
+//! part of `all`: `oracle` and `oracle-td` print the JSON documents
+//! committed as `BENCH_hub_labels.json` and `BENCH_oracle_td.json`, and
+//! `complexity` the §4 insertion-operator sweep; each checks its gates
+//! first and ignores the options.
 //! Options: `--city nyc|chengdu|both` (default both), `--scale N`
 //! (divides Table 5's stream/fleet sizes further; default 4),
 //! `--seed S`, `--repeats R` (fixtures per figure, averaged; default
@@ -39,6 +44,7 @@ use std::time::Duration;
 
 use urpsm_bench::fixtures::CityFixture;
 use urpsm_bench::harness::{run_cell, Algo, Cell, CellResult};
+use urpsm_bench::micro;
 use urpsm_bench::table::{human, human_bytes, Table};
 use urpsm_workloads::adversary::{AdversaryInstance, Lemma};
 use urpsm_workloads::scenario::{City, LRU_CAPACITY};
@@ -72,7 +78,7 @@ impl Default for Opts {
     }
 }
 
-const USAGE: &str = "usage: experiments <table4|table5|fig3|fig4|fig5|fig6|fig7|queries|hardness|ablation|congestion|fleet|all> [--city nyc|chengdu|both] [--scale N] [--seed S] [--parallel] [--shards K] [--repeats R]";
+const USAGE: &str = "usage: experiments <table4|table5|fig3|fig4|fig5|fig6|fig7|queries|hardness|ablation|congestion|fleet|all|oracle|oracle-td|complexity> [--city nyc|chengdu|both] [--scale N] [--seed S] [--parallel] [--shards K] [--repeats R]";
 
 /// Prints `why` and the usage line, and exits 2.
 fn usage_error(why: &str) -> ! {
@@ -162,6 +168,11 @@ fn main() {
             fleet(&opts, &mut out);
             hardness(&mut out);
         }
+        "oracle" => out.write_all(micro::oracle().as_bytes()).expect("stdout"),
+        "oracle-td" => out
+            .write_all(micro::oracle_td().as_bytes())
+            .expect("stdout"),
+        "complexity" => micro::complexity(&mut out),
         other => usage_error(&format!("unknown command {other}")),
     }
     out.flush().expect("stdout");

@@ -1,8 +1,10 @@
 //! Cell execution: run one (city, parameter, algorithm) cell and
-//! collect the three paper panels plus query/memory statistics.
+//! collect the three paper panels plus query/memory statistics; and
+//! the one min-of-N timer every micro-benchmark command uses.
 
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use road_network::oracle::{CountingOracle, DistanceOracle, QueryStats};
 use urpsm_baselines::batch::BatchPlanner;
@@ -164,6 +166,36 @@ pub fn run_cell(cell: &Cell, algo: Algo) -> CellResult {
     }
 }
 
+/// Rounds [`min_ns_per_call`] times; it reports the fastest.
+pub const TIMING_ROUNDS: usize = 5;
+
+/// The shortest a timed round may be: a round of fewer calls is
+/// doubled until it lasts this long.
+const MIN_ROUND: Duration = Duration::from_millis(50);
+
+/// Times `f(0), f(1), …, f(calls − 1)` in [`TIMING_ROUNDS`] rounds and
+/// returns the fastest round's nanoseconds per call. `calls` starts at
+/// `min_calls` and doubles until one round lasts 50 ms, which
+/// also warms `f` up; the minimum is the round least disturbed by the
+/// rest of the machine. `f` gets the call's index, so a caller cycles
+/// through its inputs with `i % len`.
+pub fn min_ns_per_call<O>(min_calls: usize, mut f: impl FnMut(usize) -> O) -> f64 {
+    let mut round = |calls: usize| {
+        let t = Instant::now();
+        for i in 0..calls {
+            black_box(f(i));
+        }
+        t.elapsed()
+    };
+    let mut calls = min_calls.max(1);
+    while round(calls) < MIN_ROUND {
+        calls *= 2;
+    }
+    (0..TIMING_ROUNDS)
+        .map(|_| round(calls).as_nanos() as f64 / calls as f64)
+        .fold(f64::INFINITY, f64::min)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +217,19 @@ mod tests {
             assert!(res.served_rate >= 0.0 && res.served_rate <= 1.0);
             assert!(res.queries.dis > 0, "{} issued no queries", algo.name());
         }
+    }
+
+    #[test]
+    fn min_ns_per_call_cycles_from_index_zero_and_reports_a_time() {
+        let (mut first, mut calls) = ([usize::MAX; 4], 0);
+        let ns = min_ns_per_call(3, |i| {
+            if calls < first.len() {
+                first[calls] = i;
+            }
+            calls += 1;
+        });
+        assert_eq!(first, [0, 1, 2, 0]);
+        assert!(ns > 0.0 && ns.is_finite());
     }
 
     #[test]

@@ -221,8 +221,8 @@ macro_rules! metrics {
             out
         }
 
-        /// A plain-data freeze of the registry, reused by benches,
-        /// experiments, and the `urpsm-serve` shutdown summary.
+        /// A plain-data freeze of the registry, reused by the
+        /// `experiments` artifacts and the `urpsm-serve` shutdown summary.
         /// Serialize with [`MetricsSnapshot::to_json`].
         #[derive(Debug, Clone, Default, PartialEq)]
         pub struct MetricsSnapshot {

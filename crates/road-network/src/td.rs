@@ -37,8 +37,8 @@
 //! 3. **One reusable search arena.** The engine owns one
 //!    generation-stamped arena (dist / parent / potential columns plus
 //!    a reusable heap), so steady-state queries allocate nothing once
-//!    it is warm — the same discipline `bench alloc` enforces for
-//!    planned insertions.
+//!    it is warm — the zero-allocation gate (`tests/alloc_gate.rs`)
+//!    holds these queries to it, as it does planned insertions.
 //!
 //! **One owner.** A provider is built per service, so per shard
 //! (DESIGN.md §10), and nothing hands it to a second thread. The engine
@@ -96,8 +96,8 @@ pub trait TimeDependentOracle: Send + Sync {
     }
 }
 
-/// Cumulative search counters of a [`TdDijkstra`] (the oracle-td bench
-/// reports these; the ≥5× node-expansion claim is `settled` ratios).
+/// Cumulative search counters of a [`TdDijkstra`] (`experiments
+/// oracle-td` reports these; the ≥5× node-expansion claim is `settled` ratios).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TdSearchStats {
     /// Point-to-point searches run (identity queries excluded).
@@ -271,7 +271,7 @@ pub struct TdDijkstra {
 
 impl TdDijkstra {
     /// An undirected (no-potential) TD-Dijkstra — the baseline the
-    /// oracle-td bench compares goal-directed search against.
+    /// `experiments oracle-td` compares goal-directed search against.
     pub fn new(g: Arc<RoadNetwork>, profile: Arc<CongestionProfile>) -> Self {
         Self::build(g, profile, None)
     }

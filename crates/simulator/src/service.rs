@@ -289,10 +289,8 @@ impl<'p> MobilityService<'p> {
         // slot), so its agents are the audit's full cast.
         let cast: Vec<Worker> = self.state.agents().iter().map(|a| a.worker).collect();
         let audit_errors = audit_events(&self.arrived, &cast, &self.events, &driven, &planned);
-        // Per-class breakdown: each request is attributed to the class
-        // of the worker that holds it at the end of the run (cancels
-        // and strips already removed theirs), driven distance to the
-        // motion ledger of each worker.
+        // Per-class breakdown: served from the platform's class tally,
+        // driven distance from the motion ledger of each worker.
         let mut per_class =
             vec![crate::metrics::ClassMetrics::default(); self.state.classes().len()];
         for (a, d) in self.state.agents().iter().zip(&driven) {
@@ -301,9 +299,10 @@ impl<'p> MobilityService<'p> {
             if a.worker.class.idx() >= per_class.len() {
                 per_class.resize(a.worker.class.idx() + 1, Default::default());
             }
-            let c = &mut per_class[a.worker.class.idx()];
-            c.served += a.assigned_requests.len();
-            c.driven_distance += *d;
+            per_class[a.worker.class.idx()].driven_distance += *d;
+        }
+        for (c, &served) in per_class.iter_mut().zip(self.state.served_by_class()) {
+            c.served = served;
         }
         urpsm_obs::with(|m| {
             m.classes_live.observe_max(per_class.len() as u64);

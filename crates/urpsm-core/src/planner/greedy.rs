@@ -61,7 +61,7 @@ struct DpEngine {
     shortlist: StreamedShortlist,
     /// The probe arena. With the shortlist above this is everything a
     /// steady-state planned insertion needs, so the hot path never
-    /// allocates (gated by `benches/alloc.rs`).
+    /// allocates (gated by `tests/alloc_gate.rs`).
     scratch: PlanScratch,
     /// Where the latest `plan` call's wall-clock went, by phase.
     clock: urpsm_obs::PhaseClock,

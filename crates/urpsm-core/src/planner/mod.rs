@@ -32,7 +32,7 @@ use crate::types::{Request, RequestId, Time};
 /// planners usually with zero (buffering) or a small epoch burst, so
 /// the list is inline up to two entries — the common cases never touch
 /// the heap, which keeps the planned-insertion hot path
-/// allocation-free (see `benches/alloc.rs` in `urpsm-bench`). Larger
+/// allocation-free (gated by the root package's `tests/alloc_gate.rs`). Larger
 /// bursts (epoch flushes) spill to the heap transparently.
 pub type PlannerReplies = SmallVec<(RequestId, Outcome), 2>;
 
@@ -128,7 +128,7 @@ pub trait Planner: Send {
 }
 
 // `Box<P>` and `&mut P` are planners too. The borrowing form lets the
-// simulator driver and the benches feed a `&mut P` where a [`Planner`]
+// simulator driver and the experiments feed a `&mut P` where a [`Planner`]
 // value is expected instead of giving the planner away (e.g.
 // `MobilityService` boxes `&mut planner` while the caller keeps
 // ownership to read statistics afterwards). Every hook is forwarded:

@@ -7,8 +7,8 @@
 //! `PlanScratch` bundles them into the one arena the
 //! planner engine owns, and every buffer is `clear()`-reused, so
 //! together with the engine's one `Shortlist` a steady-state planned
-//! insertion touches the allocator zero times (gated by
-//! `benches/alloc.rs` in `urpsm-bench`).
+//! insertion touches the allocator zero times (gated by the root
+//! package's `tests/alloc_gate.rs`).
 
 use crate::insertion::InsertionScratch;
 use crate::route::Route;

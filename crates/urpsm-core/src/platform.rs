@@ -58,9 +58,6 @@ pub struct WorkerAgent {
     /// by exactly its `Δ` and every removal shrinks it by the freed
     /// amount.
     pub assigned_distance: Cost,
-    /// Requests assigned to this worker, in commit order (history —
-    /// entries stay even if later cancelled or reassigned away).
-    pub assigned_requests: Vec<RequestId>,
     /// Whether the worker still accepts new requests. Retired workers
     /// leave the grid indexes (never shortlisted again) but keep
     /// driving their committed stops.
@@ -153,7 +150,9 @@ pub struct PlatformState {
     /// baseline pays its `O(C²)` memory — Fig. 5's memory panel).
     sorted_grid: Option<SortedCellGrid>,
     rejected: Vec<(RequestId, Cost)>,
-    served: usize,
+    /// Served requests, counted by the class of the worker holding
+    /// each, indexed by `ClassId`; grown on a class's first commit.
+    served: Vec<usize>,
     /// Live request → worker map (entries removed on delivery,
     /// cancellation, or reassignment strip).
     assignment: FxHashMap<RequestId, WorkerId>,
@@ -383,7 +382,6 @@ impl PlatformState {
                     worker: *w,
                     route: Route::new(w.origin, start_time),
                     assigned_distance: 0,
-                    assigned_requests: Vec::new(),
                     active: true,
                 }
             })
@@ -396,7 +394,7 @@ impl PlatformState {
             grid,
             sorted_grid: None,
             rejected: Vec::new(),
-            served: 0,
+            served: Vec::new(),
             assignment: FxHashMap::default(),
             completed: FxHashSet::default(),
             cancelled: Vec::new(),
@@ -893,9 +891,8 @@ impl PlatformState {
             "commit must preserve feasibility"
         );
         agent.assigned_distance += plan.delta;
-        agent.assigned_requests.push(r.id);
         self.assignment.insert(r.id, w);
-        self.served += 1;
+        *self.served_slot(w) += 1;
         self.reindex(w);
     }
 
@@ -954,9 +951,8 @@ impl PlatformState {
             assert_eq!(agent.route.validate(agent.worker.capacity), Ok(()));
         }
         agent.assigned_distance += delta;
-        agent.assigned_requests.push(r.id);
         self.assignment.insert(r.id, w);
-        self.served += 1;
+        *self.served_slot(w) += 1;
         self.reindex(w);
     }
 
@@ -967,25 +963,38 @@ impl PlatformState {
 
     /// Pre-reserves every container that grows when requests are
     /// decided or completed (assignment map, completion set, rejection
-    /// and cancellation logs, per-worker assignment histories) for `n`
-    /// further requests. Decision-making itself is allocation-free in
-    /// steady state; this moves the *bookkeeping* growth up front too,
-    /// which is what lets the allocation-gated bench pin a planned
+    /// and cancellation logs) for `n` further requests.
+    /// Decision-making itself is allocation-free in steady state; this
+    /// moves the *bookkeeping* growth up front too, which is what lets
+    /// the zero-allocation gate (`tests/alloc_gate.rs`) pin a planned
     /// insertion at zero allocations end to end.
     pub fn reserve_request_capacity(&mut self, n: usize) {
         self.assignment.reserve(n);
         self.completed.reserve(n);
         self.rejected.reserve(n);
         self.cancelled.reserve(n);
-        for agent in &mut self.agents {
-            agent.assigned_requests.reserve(n);
+    }
+
+    /// The served count of `w`'s class: a commit adds one, a
+    /// cancellation or a strip that takes a request back removes one.
+    fn served_slot(&mut self, w: WorkerId) -> &mut usize {
+        let c = self.agents[w.idx()].worker.class.idx();
+        if c >= self.served.len() {
+            self.served.resize(c + 1, 0);
         }
+        &mut self.served[c]
     }
 
     /// Number of served (assigned) requests so far.
-    #[inline]
     pub fn served_count(&self) -> usize {
-        self.served
+        self.served.iter().sum()
+    }
+
+    /// [`PlatformState::served_count`] split by the class of the worker
+    /// holding each request, indexed by `ClassId`. A class whose
+    /// workers never committed a request may be missing from the end.
+    pub fn served_by_class(&self) -> &[usize] {
+        &self.served
     }
 
     /// Number of rejected requests so far.
@@ -1087,7 +1096,7 @@ impl PlatformState {
                 debug_assert_eq!(agent.route.validate(agent.worker.capacity), Ok(()));
                 self.assignment.remove(&rid);
                 self.cancelled.push(rid);
-                self.served -= 1;
+                *self.served_slot(w) -= 1;
                 self.reindex(w);
                 CancelOutcome::Cancelled { worker: w, freed }
             }
@@ -1127,7 +1136,6 @@ impl PlatformState {
             worker: w,
             route,
             assigned_distance: 0,
-            assigned_requests: Vec::new(),
             active: true,
         });
         self.due.push(Time::MAX);
@@ -1207,7 +1215,7 @@ impl PlatformState {
                 .expect("pickup pending by construction");
             agent.assigned_distance = agent.assigned_distance.saturating_sub(freed);
             self.assignment.remove(rid);
-            self.served -= 1;
+            *self.served_slot(w) -= 1;
             *freed_out = freed;
         }
         debug_assert_eq!(
@@ -1327,10 +1335,7 @@ mod tests {
         assert_eq!(state.served_count(), 1);
         assert_eq!(state.total_assigned_distance(), 1_000); // 0→5→10
         assert_eq!(state.agent(WorkerId(0)).route.len(), 2);
-        assert_eq!(
-            state.agent(WorkerId(0)).assigned_requests,
-            vec![RequestId(1)]
-        );
+        assert_eq!(state.served_by_class(), [1]);
 
         state.reject(&request(2, 1, 2, 10));
         let uc = state.unified_cost(1);

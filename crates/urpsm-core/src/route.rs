@@ -864,9 +864,9 @@ impl Route {
     /// [`Route::insertion_feasible`] gate for re-ordering planners
     /// (kinetic tree), checked on the caller's scratch `probe` route.
     /// Re-ordering *can* permute stops, so this one keeps the full
-    /// [`Route::validate`] (its precedence pass allocates a small map;
-    /// the kinetic search allocates far more per call, so the gate is
-    /// not the bottleneck).
+    /// [`Route::validate`] (its precedence pass is an O(n²) scan over
+    /// the stops; the kinetic search does far more per call, so the
+    /// gate is not the bottleneck).
     pub fn tail_feasible_with(
         &self,
         probe: &mut Route,
@@ -928,28 +928,29 @@ impl Route {
                 ));
             }
         }
-        // Precedence bookkeeping.
-        let mut open: std::collections::HashMap<RequestId, StopKind> =
-            std::collections::HashMap::new();
+        // Precedence: an O(n²) scan over the stops, so the check
+        // allocates nothing. A pickup must be the request's first stop,
+        // a delivery its only one, and every pickup needs a later
+        // delivery. A delivery with no pickup is an onboard rider.
         for (k, s) in self.stops.iter().enumerate() {
+            let mut earlier = self.stops[..k].iter().filter(|e| e.request == s.request);
             match s.kind {
-                StopKind::Pickup => {
-                    if open.insert(s.request, StopKind::Pickup).is_some() {
-                        return Err(format!("duplicate stop for {} at {k}", s.request));
-                    }
+                StopKind::Pickup if earlier.next().is_some() => {
+                    return Err(format!("duplicate stop for {} at {k}", s.request));
                 }
-                StopKind::Delivery => match open.insert(s.request, StopKind::Delivery) {
-                    None => {} // onboard rider: delivery without pickup stop is fine
-                    Some(StopKind::Pickup) => {}
-                    Some(StopKind::Delivery) => {
-                        return Err(format!("double delivery for {}", s.request))
-                    }
-                },
+                StopKind::Delivery if earlier.any(|e| e.kind == StopKind::Delivery) => {
+                    return Err(format!("double delivery for {}", s.request));
+                }
+                _ => {}
             }
         }
-        for (r, k) in &open {
-            if *k == StopKind::Pickup {
-                return Err(format!("pickup without delivery for {r}"));
+        for (k, s) in self.stops.iter().enumerate() {
+            if s.kind == StopKind::Pickup
+                && !self.stops[k + 1..]
+                    .iter()
+                    .any(|e| e.request == s.request && e.kind == StopKind::Delivery)
+            {
+                return Err(format!("pickup without delivery for {}", s.request));
             }
         }
         // Deadlines and capacity from the schedule arrays.
@@ -1426,6 +1427,44 @@ mod tests {
             .validate(4)
             .unwrap_err()
             .contains("pickup without delivery"));
+    }
+
+    #[test]
+    fn validate_catches_a_duplicate_or_out_of_order_pickup() {
+        let mut route = Route::new(VertexId(0), 0);
+        for kind in [StopKind::Pickup, StopKind::Pickup, StopKind::Delivery] {
+            route.stops.push(stop(1, 1, kind, 1, 1_000));
+            route.leg.push(10);
+        }
+        route.rebuild();
+        assert_eq!(
+            route.validate(4),
+            Err("duplicate stop for r1 at 1".to_string())
+        );
+
+        // A pickup after its own delivery is out of order.
+        let mut route = Route::new(VertexId(0), 0);
+        route.initial_load = 1;
+        for kind in [StopKind::Delivery, StopKind::Pickup, StopKind::Delivery] {
+            route.stops.push(stop(1, 1, kind, 1, 1_000));
+            route.leg.push(10);
+        }
+        route.rebuild();
+        assert_eq!(
+            route.validate(4),
+            Err("duplicate stop for r1 at 1".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_catches_a_double_delivery() {
+        let mut route = Route::new(VertexId(0), 0);
+        for kind in [StopKind::Pickup, StopKind::Delivery, StopKind::Delivery] {
+            route.stops.push(stop(1, 1, kind, 1, 1_000));
+            route.leg.push(10);
+        }
+        route.rebuild();
+        assert_eq!(route.validate(4), Err("double delivery for r1".to_string()));
     }
 
     #[test]

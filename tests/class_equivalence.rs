@@ -294,3 +294,40 @@ fn standard_profile_mix_is_byte_identical_to_single_class() {
         mixed.metrics.driven_distance
     );
 }
+
+/// Each class's `served` counts the requests its workers hold at the
+/// end of the run, so the breakdown partitions the aggregate on every
+/// stream: cancellations and fleet churn take requests back, and a
+/// geo-sharded plane sums its shards' breakdowns.
+#[test]
+fn per_class_served_sums_to_served_on_every_stream() {
+    let base = || {
+        ScenarioBuilder::named("per-class")
+            .grid_city(8, 8)
+            .workers(6)
+            .requests(200)
+            .seed(42)
+            .fleet_mix(FleetMix::mixed())
+    };
+    for (name, sc) in [
+        ("plain", base().build()),
+        ("cancel_rate(0.3)", base().cancel_rate(0.3).build()),
+        ("fleet_churn(4, 4)", base().fleet_churn(4, 4).build()),
+    ] {
+        let plain = replay(&sc, Box::new(PruneGreedyDp::new()));
+        let mut sharded = urpsm::sharded(&sc, 4, |_| Box::new(PruneGreedyDp::new()));
+        for event in sc.event_stream() {
+            sharded.submit(event);
+        }
+        let sharded = sharded.drain();
+        assert!(
+            sharded.audit_errors.is_empty(),
+            "{:?}",
+            sharded.audit_errors
+        );
+        for (run, metrics) in [("K = 1", &plain.metrics), ("K = 4", &sharded.metrics)] {
+            let per_class: usize = metrics.per_class.iter().map(|c| c.served).sum();
+            assert_eq!(per_class, metrics.served, "{name}, {run}");
+        }
+    }
+}

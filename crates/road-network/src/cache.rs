@@ -252,8 +252,13 @@ impl<O: DistanceOracle> DistanceOracle for LruCachedOracle<O> {
         self.inner.shortest_path(u, v)
     }
 
-    fn shortest_path_offsets(&self, u: VertexId, v: VertexId) -> Option<Vec<(VertexId, Cost)>> {
-        self.inner.shortest_path_offsets(u, v)
+    fn shortest_path_offsets(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        out: &mut Vec<(VertexId, Cost)>,
+    ) -> bool {
+        self.inner.shortest_path_offsets(u, v, out)
     }
 }
 

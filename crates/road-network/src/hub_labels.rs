@@ -263,8 +263,10 @@ impl HubLabels {
         self.walk(s, t, &mut path, |v, _| v).then_some(path)
     }
 
-    /// [`Self::path`] with each vertex's distance from `s` along it: the
-    /// last offset is `dis(s, t)`.
+    /// Clears `out` and writes [`Self::path`] into it, each vertex with
+    /// its distance from `s` along the path: the last offset is
+    /// `dis(s, t)`. Returns `false`, leaving `out` empty, when the two
+    /// share no hub.
     ///
     /// The offsets are the label distances the walks already read. On
     /// `s`'s walk to the hub `h`, vertex `x` sits at `L(s,h) − L(x,h)`;
@@ -272,17 +274,20 @@ impl HubLabels {
     /// on either walk is a true distance to `h`, so each tree edge costs
     /// the difference of two consecutive entries, which is also its
     /// `dis` (DESIGN.md §10 "Paths from the labels").
-    pub fn path_with_offsets(&self, s: VertexId, t: VertexId) -> Option<Vec<(VertexId, Cost)>> {
-        let mut path = Vec::new();
-        self.walk(s, t, &mut path, |v, offset| (v, offset))
-            .then_some(path)
+    pub fn path_with_offsets(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        out: &mut Vec<(VertexId, Cost)>,
+    ) -> bool {
+        self.walk(s, t, out, |v, offset| (v, offset))
     }
 
     /// The one path engine behind [`Self::path`] and
-    /// [`Self::path_with_offsets`]: pushes `item(x, offset)` for every
-    /// vertex `x` from `s` to `t`, where `offset` is `x`'s distance from
-    /// `s` along the path. Returns `false`, pushing nothing, when the
-    /// two share no hub.
+    /// [`Self::path_with_offsets`]: clears `out`, then pushes
+    /// `item(x, offset)` for every vertex `x` from `s` to `t`, where
+    /// `offset` is `x`'s distance from `s` along the path. Returns
+    /// `false`, leaving `out` empty, when the two share no hub.
     fn walk<T>(
         &self,
         s: VertexId,
@@ -290,6 +295,7 @@ impl HubLabels {
         out: &mut Vec<T>,
         item: impl Fn(VertexId, Cost) -> T,
     ) -> bool {
+        out.clear();
         if s == t {
             out.push(item(s, 0));
             return true;

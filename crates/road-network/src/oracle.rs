@@ -8,9 +8,10 @@
 //!   (coordinate arithmetic only, **not** counted as a distance query),
 //! * `shortest_path(u, v)` — concrete vertex path, used only when a
 //!   route is committed or simulated (§5.3 notes 2–4 path queries per
-//!   accepted request); `shortest_path_offsets(u, v)` is the same path
-//!   with each vertex's travel time from `u`, the form worker motion
-//!   expands a leg from.
+//!   accepted request); `shortest_path_offsets(u, v, out)` writes the
+//!   same path, with each vertex's travel time from `u`, into a buffer
+//!   the caller owns: the form worker motion expands a leg from, into
+//!   one buffer it keeps (DESIGN.md §8).
 //!
 //! [`HubLabelOracle`] answers `dis` and both path queries from one
 //! hub-label index ([`HubLabels::distance`], [`HubLabels::path`],
@@ -52,25 +53,34 @@ pub trait DistanceOracle: Send + Sync {
     /// The concrete shortest path, inclusive of both endpoints.
     fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>>;
 
-    /// [`Self::shortest_path`] with each vertex's travel time from `u`
-    /// along it; the last offset is the path's cost. Worker motion
-    /// expands a leg from this one call.
+    /// Clears `out` and writes [`Self::shortest_path`] into it, each
+    /// vertex with its travel time from `u` along the path; the last
+    /// offset is the path's cost. Returns `false`, leaving `out` empty,
+    /// when there is no path. Worker motion expands a leg from this one
+    /// call, into a buffer it keeps.
     ///
     /// The default costs the path with one [`Self::dis`] per edge.
     /// [`HubLabelOracle`] reads the offsets off the label walk that
     /// finds the path ([`HubLabels::path_with_offsets`]) and issues no
     /// `dis`; the caching decorators forward to their inner oracle.
-    fn shortest_path_offsets(&self, u: VertexId, v: VertexId) -> Option<Vec<(VertexId, Cost)>> {
-        let path = self.shortest_path(u, v)?;
-        let mut offsets = Vec::with_capacity(path.len());
+    fn shortest_path_offsets(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        out: &mut Vec<(VertexId, Cost)>,
+    ) -> bool {
+        out.clear();
+        let Some(path) = self.shortest_path(u, v) else {
+            return false;
+        };
         let mut offset: Cost = 0;
         for (i, &x) in path.iter().enumerate() {
             if i > 0 {
                 offset = cost_add(offset, self.dis(path[i - 1], x));
             }
-            offsets.push((x, offset));
+            out.push((x, offset));
         }
-        Some(offsets)
+        true
     }
 
     /// Euclidean travel-time lower bound: straight-line meters at the
@@ -109,11 +119,6 @@ impl DijkstraOracle {
     pub fn new(g: Arc<RoadNetwork>) -> Self {
         let engine = Mutex::new(DijkstraEngine::for_network(&g));
         DijkstraOracle { g, engine }
-    }
-
-    /// The underlying network.
-    pub fn network(&self) -> &Arc<RoadNetwork> {
-        &self.g
     }
 }
 
@@ -165,16 +170,6 @@ impl HubLabelOracle {
             labels: Arc::new(labels),
         }
     }
-
-    /// The hub-label index (for size statistics).
-    pub fn labels(&self) -> &HubLabels {
-        &self.labels
-    }
-
-    /// The underlying network.
-    pub fn network(&self) -> &Arc<RoadNetwork> {
-        &self.g
-    }
 }
 
 impl DistanceOracle for HubLabelOracle {
@@ -199,9 +194,14 @@ impl DistanceOracle for HubLabelOracle {
         self.labels.path(u, v)
     }
 
-    fn shortest_path_offsets(&self, u: VertexId, v: VertexId) -> Option<Vec<(VertexId, Cost)>> {
+    fn shortest_path_offsets(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        out: &mut Vec<(VertexId, Cost)>,
+    ) -> bool {
         urpsm_obs::with(|m| m.path_queries.inc());
-        self.labels.path_with_offsets(u, v)
+        self.labels.path_with_offsets(u, v, out)
     }
 
     fn backing_network(&self) -> Option<&Arc<RoadNetwork>> {
@@ -223,17 +223,6 @@ pub struct QueryStats {
     /// Euclidean bound evaluations (coordinate math; tracked for
     /// completeness, the paper does not count these as queries).
     pub euc: u64,
-}
-
-impl QueryStats {
-    /// Difference `self − earlier`, useful for per-phase accounting.
-    pub fn since(&self, earlier: &QueryStats) -> QueryStats {
-        QueryStats {
-            dis: self.dis - earlier.dis,
-            path: self.path - earlier.path,
-            euc: self.euc - earlier.euc,
-        }
-    }
 }
 
 /// Decorator that counts queries flowing into an inner oracle.
@@ -339,8 +328,9 @@ macro_rules! forward_oracle {
                 &self,
                 u: VertexId,
                 v: VertexId,
-            ) -> Option<Vec<(VertexId, Cost)>> {
-                (**self).shortest_path_offsets(u, v)
+                out: &mut Vec<(VertexId, Cost)>,
+            ) -> bool {
+                (**self).shortest_path_offsets(u, v, out)
             }
             fn euc(&self, u: VertexId, v: VertexId) -> Cost {
                 (**self).euc(u, v)
@@ -420,12 +410,6 @@ mod tests {
         assert_eq!(s.dis, 2);
         assert_eq!(s.euc, 1);
         assert_eq!(s.path, 1);
-        let later = QueryStats {
-            dis: 5,
-            path: 1,
-            euc: 2,
-        };
-        assert_eq!(later.since(&s).dis, 3);
         c.reset();
         assert_eq!(c.stats(), QueryStats::default());
     }
@@ -473,6 +457,8 @@ mod tests {
     /// by the Dijkstra and matrix oracles) and the label walk's override
     /// agree on a graph whose shortest paths are unique: every edge
     /// cost is a distinct power of two, so no two paths cost the same.
+    /// One buffer, junk to start with, serves every query of every
+    /// oracle: nothing a query leaves behind leaks into the next.
     #[test]
     fn default_offsets_agree_with_the_label_walk() {
         use crate::matrix::MatrixOracle;
@@ -499,18 +485,43 @@ mod tests {
             &DijkstraOracle::new(g.clone()),
             &MatrixOracle::from_network(&g),
         ];
+        let mut out = vec![(VertexId(7), 99); 40];
         for u in g.vertices() {
             for v in g.vertices() {
-                let walk = labels.shortest_path_offsets(u, v).unwrap();
+                assert!(labels.shortest_path_offsets(u, v, &mut out));
+                let walk = out.clone();
                 assert_eq!(walk.last().unwrap().1, labels.dis(u, v), "({u},{v})");
                 for oracle in defaults {
-                    assert_eq!(
-                        oracle.shortest_path_offsets(u, v).unwrap(),
-                        walk,
-                        "({u},{v})"
-                    );
+                    assert!(oracle.shortest_path_offsets(u, v, &mut out));
+                    assert_eq!(out, walk, "({u},{v})");
                 }
             }
+        }
+    }
+
+    /// A pair with no path answers `false` and leaves the buffer empty,
+    /// on the label walk and on the trait default alike.
+    #[test]
+    fn an_unreachable_pair_leaves_the_buffer_empty() {
+        use crate::matrix::MatrixOracle;
+        let mut b = NetworkBuilder::new();
+        let v: Vec<VertexId> = (0..4)
+            .map(|i| b.add_vertex(Point::new(f64::from(i), 0.0)))
+            .collect();
+        b.add_edge_with_cost(v[0], v[1], 3).unwrap();
+        b.add_edge_with_cost(v[2], v[3], 4).unwrap();
+        let g = Arc::new(b.finish().unwrap());
+        let oracles: [&dyn DistanceOracle; 3] = [
+            &HubLabelOracle::build(g.clone()),
+            &DijkstraOracle::new(g.clone()),
+            &MatrixOracle::from_network(&g),
+        ];
+        let mut out = vec![(v[3], 5)];
+        for oracle in oracles {
+            assert!(!oracle.shortest_path_offsets(v[0], v[3], &mut out));
+            assert!(out.is_empty());
+            assert!(oracle.shortest_path_offsets(v[0], v[1], &mut out));
+            assert_eq!(out, [(v[0], 0), (v[1], 3)]);
         }
     }
 

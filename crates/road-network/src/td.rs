@@ -38,13 +38,17 @@
 //!    generation-stamped arena (dist / parent / potential columns plus
 //!    a reusable heap), so steady-state queries allocate nothing once
 //!    it is warm — the zero-allocation gate (`tests/alloc_gate.rs`)
-//!    holds these queries to it, as it does planned insertions.
+//!    holds these queries to it, as it does planned insertions. A path
+//!    query writes its path into a buffer the caller owns
+//!    ([`TimeDependentOracle::path_and_duration_at`]); the provider
+//!    keeps one, so a warm path query allocates nothing either.
 //!
 //! **One owner.** A provider is built per service, so per shard
 //! (DESIGN.md §10), and nothing hands it to a second thread. The engine
 //! keeps its arena and counters behind one `Mutex`, the cache keeps
-//! its duration map and hit/miss counters behind another: the types
-//! stay `Sync`, and a second thread would queue, not race.
+//! its duration map and hit/miss counters behind another, the provider
+//! its path buffer behind a third: the types stay `Sync`, and a second
+//! thread would queue, not race.
 //!
 //! [`TdTravelTimeProvider`] packages the oracle as a
 //! [`TravelTimeProvider`], overriding `leg_time_between` / `td_expand`
@@ -69,8 +73,8 @@ use crate::{cost_add, Cost, VertexId, INF};
 ///
 /// `dis_at(u, v, t)` is the minimum travel *duration* of any `u → v`
 /// path departing at absolute time `t`, under the installed congestion
-/// profile; `shortest_path_at` is a path achieving it. Unlike the
-/// static [`crate::oracle::DistanceOracle`], the answers here are
+/// profile; `path_and_duration_at` writes a path achieving it. Unlike
+/// the static [`crate::oracle::DistanceOracle`], the answers here are
 /// **asymmetric** (per-region profiles stretch the two directions
 /// differently) and depend on `t` — callers must never cache them under
 /// a symmetric or time-free key.
@@ -79,21 +83,17 @@ pub trait TimeDependentOracle: Send + Sync {
     /// (absolute centiseconds). [`INF`] when unreachable.
     fn dis_at(&self, u: VertexId, v: VertexId, depart: u64) -> Cost;
 
-    /// A concrete duration-minimal path (inclusive of both endpoints)
-    /// when departing at `depart`; `None` when unreachable.
-    fn shortest_path_at(&self, u: VertexId, v: VertexId, depart: u64) -> Option<Vec<VertexId>>;
-
-    /// Path and its duration in one query. The default issues two
-    /// queries; engines that compute both in one search override it.
+    /// Clears `out` and writes a concrete duration-minimal path into it
+    /// (inclusive of both endpoints) when departing at `depart`, and
+    /// returns its duration, from one search. `None`, with `out` left
+    /// empty, when unreachable.
     fn path_and_duration_at(
         &self,
         u: VertexId,
         v: VertexId,
         depart: u64,
-    ) -> Option<(Cost, Vec<VertexId>)> {
-        let p = self.shortest_path_at(u, v, depart)?;
-        Some((self.dis_at(u, v, depart), p))
-    }
+        out: &mut Vec<VertexId>,
+    ) -> Option<Cost>;
 }
 
 /// Cumulative search counters of a [`TdDijkstra`] (`experiments
@@ -107,17 +107,6 @@ pub struct TdSearchStats {
     pub settled: u64,
     /// Edge relaxations that improved a label.
     pub relaxed: u64,
-}
-
-impl TdSearchStats {
-    /// Difference `self − earlier`, for per-phase accounting.
-    pub fn since(&self, earlier: &TdSearchStats) -> TdSearchStats {
-        TdSearchStats {
-            queries: self.queries - earlier.queries,
-            settled: self.settled - earlier.settled,
-            relaxed: self.relaxed - earlier.relaxed,
-        }
-    }
 }
 
 const NO_PARENT: u32 = u32::MAX;
@@ -242,19 +231,16 @@ impl SearchState {
         INF
     }
 
-    /// Reconstructs the path to `t` after [`SearchState::run`].
-    fn path_to(&self, t: VertexId) -> Option<Vec<VertexId>> {
-        if self.epoch[t.idx()] != self.current_epoch || self.dist[t.idx()] >= INF {
-            return None;
-        }
-        let mut path = vec![t];
+    /// Writes the path to `t` into the empty `out`, after a
+    /// [`SearchState::run`] that reached `t`.
+    fn path_to(&self, t: VertexId, out: &mut Vec<VertexId>) {
         let mut cur = t.0;
+        out.push(t);
         while self.parent[cur as usize] != NO_PARENT {
             cur = self.parent[cur as usize];
-            path.push(VertexId(cur));
+            out.push(VertexId(cur));
         }
-        path.reverse();
-        Some(path)
+        out.reverse();
     }
 }
 
@@ -299,16 +285,6 @@ impl TdDijkstra {
         }
     }
 
-    /// The underlying road network.
-    pub fn network(&self) -> &Arc<RoadNetwork> {
-        &self.g
-    }
-
-    /// The installed congestion profile.
-    pub fn profile(&self) -> &Arc<CongestionProfile> {
-        &self.profile
-    }
-
     /// Cumulative search counters.
     pub fn stats(&self) -> TdSearchStats {
         lock(&self.state).stats
@@ -348,28 +324,23 @@ impl TimeDependentOracle for TdDijkstra {
         self.search(u, v, depart, |d, _| d)
     }
 
-    fn shortest_path_at(&self, u: VertexId, v: VertexId, depart: u64) -> Option<Vec<VertexId>> {
-        if u == v {
-            return Some(vec![u]);
-        }
-        self.search(u, v, depart, |_, state| state.path_to(v))
-    }
-
     fn path_and_duration_at(
         &self,
         u: VertexId,
         v: VertexId,
         depart: u64,
-    ) -> Option<(Cost, Vec<VertexId>)> {
+        out: &mut Vec<VertexId>,
+    ) -> Option<Cost> {
+        out.clear();
         if u == v {
-            return Some((0, vec![u]));
+            out.push(u);
+            return Some(0);
         }
         self.search(u, v, depart, |d, state| {
-            if d >= INF {
-                None
-            } else {
-                state.path_to(v).map(|p| (d, p))
-            }
+            (d < INF).then(|| {
+                state.path_to(v, out);
+                d
+            })
         })
     }
 }
@@ -501,20 +472,17 @@ impl<O: TimeDependentOracle> TimeDependentOracle for TdCachedOracle<O> {
         d
     }
 
-    fn shortest_path_at(&self, u: VertexId, v: VertexId, depart: u64) -> Option<Vec<VertexId>> {
-        self.path_and_duration_at(u, v, depart).map(|(_, p)| p)
-    }
-
     fn path_and_duration_at(
         &self,
         u: VertexId,
         v: VertexId,
         depart: u64,
-    ) -> Option<(Cost, Vec<VertexId>)> {
+        out: &mut Vec<VertexId>,
+    ) -> Option<Cost> {
         if u != v {
             urpsm_obs::with(|m| m.td_path_queries.inc());
         }
-        self.inner.path_and_duration_at(u, v, depart)
+        self.inner.path_and_duration_at(u, v, depart, out)
     }
 }
 
@@ -556,6 +524,8 @@ pub struct TdTravelTimeProvider {
     g: Arc<RoadNetwork>,
     profile: Arc<CongestionProfile>,
     oracle: TdCachedOracle<TdDijkstra>,
+    /// The buffer every `td_expand` writes its path query into.
+    path: Mutex<Vec<VertexId>>,
     name: String,
 }
 
@@ -581,6 +551,7 @@ impl TdTravelTimeProvider {
             g,
             profile,
             oracle,
+            path: Mutex::default(),
             name,
         }
     }
@@ -588,11 +559,6 @@ impl TdTravelTimeProvider {
     /// The cached TD oracle (hit rates, search stats).
     pub fn oracle(&self) -> &TdCachedOracle<TdDijkstra> {
         &self.oracle
-    }
-
-    /// The wrapped congestion profile.
-    pub fn profile(&self) -> &Arc<CongestionProfile> {
-        &self.profile
     }
 
     #[inline]
@@ -636,7 +602,11 @@ impl TravelTimeProvider for TdTravelTimeProvider {
         if self.static_case(base, depart) || from == to {
             return false; // static expansion is exact here
         }
-        let Some((dur, path)) = self.oracle.path_and_duration_at(from, to, depart) else {
+        let mut path = lock(&self.path);
+        let Some(dur) = self
+            .oracle
+            .path_and_duration_at(from, to, depart, &mut path)
+        else {
             return false;
         };
         if path.len() < 2 || path[0] != from || *path.last().expect("non-empty") != to {
@@ -821,11 +791,12 @@ mod tests {
         let g = random_network(&mut rng, n, n);
         let profile = random_profile(&mut rng, n);
         let engine = TdDijkstra::new(g.clone(), profile.clone());
+        let mut path = Vec::new();
         for _ in 0..60 {
             let u = VertexId(rng.gen_range(0..n as u32));
             let v = VertexId(rng.gen_range(0..n as u32));
             let depart = rng.gen_range(0..2 * profile.period());
-            let Some((d, path)) = engine.path_and_duration_at(u, v, depart) else {
+            let Some(d) = engine.path_and_duration_at(u, v, depart, &mut path) else {
                 continue;
             };
             assert_eq!(*path.first().unwrap(), u);
@@ -919,14 +890,14 @@ mod tests {
         let profile = random_profile(&mut rng, n);
         let cached = TdCachedOracle::new(TdDijkstra::new(g, profile.clone()), &profile, 1 << 10);
         let hot: Vec<u32> = (0..4).map(|_| rng.gen_range(0..n as u32)).collect();
-        let mut searched = 0;
+        let (mut searched, mut path) = (0, Vec::new());
         for _ in 0..60 {
             let u = VertexId(hot[rng.gen_range(0..hot.len())]);
             let v = VertexId(hot[rng.gen_range(0..hot.len())]);
             let depart = rng.gen_range(0..profile.period() / 4);
             let before = cached.inner().stats().queries;
-            let (d, path) = cached
-                .path_and_duration_at(u, v, depart)
+            let d = cached
+                .path_and_duration_at(u, v, depart, &mut path)
                 .expect("connected");
             let ran = cached.inner().stats().queries - before;
             assert_eq!(ran, u64::from(u != v), "path({u},{v},{depart})");
@@ -941,6 +912,35 @@ mod tests {
         }
         assert!(searched > 30, "test must exercise real paths");
         assert!(cached.dis_hit_stats().0 > 0, "the repeats must hit");
+    }
+
+    /// An unreachable pair answers `None` and leaves the buffer empty,
+    /// searched or cached; the buffer's old contents never leak into a
+    /// reachable answer either.
+    #[test]
+    fn an_unreachable_pair_leaves_the_path_buffer_empty() {
+        let mut b = NetworkBuilder::new();
+        let v: Vec<VertexId> = (0..4)
+            .map(|i| b.add_vertex(Point::new(f64::from(i), 0.0)))
+            .collect();
+        b.add_edge_with_cost(v[0], v[1], 300).unwrap();
+        b.add_edge_with_cost(v[2], v[3], 400).unwrap();
+        let g = Arc::new(b.finish().unwrap());
+        let profile = Arc::new(CongestionProfile::constant("x1.5", 1.5).unwrap());
+        let labels = Arc::new(HubLabels::build(&g));
+        let engine = TdDijkstra::goal_directed(g.clone(), profile.clone(), labels);
+        let cached = TdCachedOracle::new(TdDijkstra::new(g, profile.clone()), &profile, 64);
+        let oracles: [&dyn TimeDependentOracle; 2] = [&engine, &cached];
+        let mut path = vec![v[2]; 3];
+        for oracle in oracles {
+            assert_eq!(oracle.path_and_duration_at(v[0], v[3], 0, &mut path), None);
+            assert!(path.is_empty());
+            assert_eq!(
+                oracle.path_and_duration_at(v[1], v[0], 0, &mut path),
+                Some(450)
+            );
+            assert_eq!(path, [v[1], v[0]]);
+        }
     }
 
     #[test]
@@ -1058,10 +1058,13 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
+                    let mut path = Vec::new();
                     for (&(u, v, t), &d) in queries.iter().zip(&want) {
                         barrier.wait();
                         assert_eq!(shared.dis_at(u, v, t), d, "dis_at({u},{v},{t})");
-                        let (pd, path) = shared.path_and_duration_at(u, v, t).expect("connected");
+                        let pd = shared
+                            .path_and_duration_at(u, v, t, &mut path)
+                            .expect("connected");
                         assert_eq!(pd, d, "path duration ({u},{v},{t})");
                         assert_eq!((path[0], *path.last().unwrap()), (u, v));
                         let mut at = t;

@@ -235,7 +235,11 @@ pub struct IngestServer<'p> {
     tick_len: Time,
     handle: ProducerHandle,
     rx: Receiver<StampedEvent>,
+    /// Events drained from the channel and not yet admitted.
     pending: Vec<Pending>,
+    /// The tick's batch, swapped with `pending` as a tick starts; what
+    /// the tick keeps goes back into `pending`. Empty between ticks.
+    batch: Vec<Pending>,
     replies: Vec<IngestReply>,
     wal: Option<WalState>,
     ticks: u64,
@@ -281,6 +285,7 @@ impl<'p> IngestServer<'p> {
             handle,
             rx,
             pending: Vec::new(),
+            batch: Vec::new(),
             replies,
             wal,
             ticks: 0,
@@ -295,11 +300,6 @@ impl<'p> IngestServer<'p> {
     /// Current platform time.
     pub fn now(&self) -> Time {
         self.backend.now()
-    }
-
-    /// Events drained from the channel but not yet admitted.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
     }
 
     /// Replies emitted so far, in emission order.
@@ -328,7 +328,7 @@ impl<'p> IngestServer<'p> {
     pub fn tick(&mut self, until: Time) -> io::Result<TickReport> {
         self.drain_channel();
         self.pending.sort_unstable_by_key(|p| p.stamped.order_key());
-        let batch = std::mem::take(&mut self.pending);
+        std::mem::swap(&mut self.pending, &mut self.batch);
 
         self.admission.begin_tick();
         urpsm_obs::with(|m| {
@@ -337,18 +337,17 @@ impl<'p> IngestServer<'p> {
                 urpsm_obs::TraceKind::TickStart,
                 self.ticks + 1,
                 until,
-                batch.len() as u64,
+                self.batch.len() as u64,
                 0,
             );
         });
-        let mut kept = Vec::new();
         let mut admitted = 0usize;
         let mut deferred = 0usize;
         let mut shed = 0usize;
-        for p in batch {
+        for p in self.batch.drain(..) {
             let event = p.stamped.event;
             if event.time() > until {
-                kept.push(p);
+                self.pending.push(p);
                 continue;
             }
             let fresh_arrival = matches!(event, PlatformEvent::RequestArrived(_)) && !p.queued;
@@ -379,7 +378,7 @@ impl<'p> IngestServer<'p> {
                 }
                 Admission::Defer => {
                     deferred += 1;
-                    kept.push(Pending { queued: true, ..p });
+                    self.pending.push(Pending { queued: true, ..p });
                 }
                 Admission::Shed => {
                     let PlatformEvent::RequestArrived(r) = event else {
@@ -398,7 +397,6 @@ impl<'p> IngestServer<'p> {
                 }
             }
         }
-        self.pending = kept;
         self.ticks += 1;
 
         if let Some(w) = &mut self.wal {

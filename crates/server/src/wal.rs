@@ -55,6 +55,8 @@ const SNAP_MAGIC: &[u8; 8] = b"URPSSNP1";
 #[derive(Debug)]
 pub struct WalWriter {
     out: BufWriter<File>,
+    /// The record being encoded: one buffer for every append.
+    payload: Vec<u8>,
     bytes: u64,
     records: u64,
 }
@@ -67,6 +69,7 @@ impl WalWriter {
         file.write_all(WAL_MAGIC)?;
         Ok(WalWriter {
             out: BufWriter::new(file),
+            payload: Vec::with_capacity(MAX_EVENT_BYTES as usize),
             bytes: WAL_MAGIC.len() as u64,
             records: 0,
         })
@@ -84,6 +87,7 @@ impl WalWriter {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(WalWriter {
             out: BufWriter::new(file),
+            payload: Vec::with_capacity(MAX_EVENT_BYTES as usize),
             bytes: valid_bytes,
             records,
         })
@@ -91,13 +95,13 @@ impl WalWriter {
 
     /// Appends one event record (length + CRC + payload).
     pub fn append(&mut self, event: &PlatformEvent) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(MAX_EVENT_BYTES as usize);
-        encode_event(event, &mut payload);
-        debug_assert!(payload.len() <= MAX_EVENT_BYTES as usize);
-        let len = payload.len() as u32;
+        self.payload.clear();
+        encode_event(event, &mut self.payload);
+        debug_assert!(self.payload.len() <= MAX_EVENT_BYTES as usize);
+        let len = self.payload.len() as u32;
         self.out.write_all(&len.to_le_bytes())?;
-        self.out.write_all(&crc32(&payload).to_le_bytes())?;
-        self.out.write_all(&payload)?;
+        self.out.write_all(&crc32(&self.payload).to_le_bytes())?;
+        self.out.write_all(&self.payload)?;
         self.bytes += 8 + u64::from(len);
         self.records += 1;
         urpsm_obs::with(|m| {

@@ -12,8 +12,11 @@
 //! vertex's free-flow offset along it. On the hub-label oracle that is
 //! two walks up the labels' search trees, whose label distances are the
 //! offsets, so motion issues no `dis` (DESIGN.md §10 "Paths from the
-//! labels"). A time-dependent provider expands its own legs
-//! ([`TravelTimeProvider::td_expand`]) and bypasses it.
+//! labels"). The walk lands in a buffer the caller lends
+//! [`WorkerMotion::advance`] — the service keeps one for its whole
+//! fleet — so an expansion allocates nothing once that buffer has grown
+//! to the longest leg (DESIGN.md §8). A time-dependent provider expands
+//! its own legs ([`TravelTimeProvider::td_expand`]) and bypasses it.
 //!
 //! Each worker caches its expanded current leg; the cache is keyed on
 //! `(l_0, l_1, arr[1], leg base)` so any committed insertion,
@@ -50,7 +53,7 @@
 //! # Disconnected legs
 //!
 //! When the oracle has no path for a leg (`shortest_path_offsets` →
-//! `None` — possible for bridge legs spliced by a cancellation on a
+//! `false` — possible for bridge legs spliced by a cancellation on a
 //! directed or partitioned graph), the leg is synthesized as a single
 //! hop timed by the route's own schedule — never by re-querying `dis`,
 //! whose `INF` answer used to fabricate an expansion that violated the
@@ -100,8 +103,15 @@ impl WorkerMotion {
         self.cursor = 0;
     }
 
-    /// Expands the current leg of `w` if the cache is stale.
-    fn ensure_expanded(&mut self, state: &PlatformState, w: WorkerId, oracle: &dyn DistanceOracle) {
+    /// Expands the current leg of `w` if the cache is stale; a static
+    /// leg is walked into `walk` first.
+    fn ensure_expanded(
+        &mut self,
+        state: &PlatformState,
+        w: WorkerId,
+        oracle: &dyn DistanceOracle,
+        walk: &mut Vec<(VertexId, Cost)>,
+    ) {
         let route = &state.agent(w).route;
         let key = (route.vertex(0), route.vertex(1), route.arr(1), route.leg(1));
         if !self.path.is_empty() && self.key == key {
@@ -151,35 +161,32 @@ impl WorkerMotion {
             None => false,
         };
         if !td_expanded {
-            match oracle.shortest_path_offsets(from, to) {
-                Some(walk) if walk.len() >= 2 && walk[0].0 == from => {
-                    // Offsets are normalized to the leg's stored base:
-                    // for an ordinary leg `leg_base` equals the path
-                    // total and the scaling is exact identity, but a
-                    // cancellation-bridge leg is *capped* at the
-                    // coverage it replaced (`Route::remove_request`),
-                    // so its base may undershoot the concrete path.
-                    // Scaling keeps the invariant "last offset equals
-                    // the leg base", which is what the driven ledger
-                    // telescopes over.
-                    let total = walk[walk.len() - 1].1;
-                    let scale = |b: Cost| -> Cost {
-                        if total == 0 {
-                            leg_base
-                        } else {
-                            ((u128::from(leg_base) * u128::from(b)) / u128::from(total)) as Cost
-                        }
-                    };
-                    self.path.extend(walk[1..].iter().map(|&(v, b)| {
-                        let s = scale(b);
-                        (v, at_offset(s), s)
-                    }));
-                }
-                _ => {
-                    // No concrete path: synthesize the leg as one hop
-                    // using the schedule's own base cost and arrival.
-                    self.path.push((to, route.arr(1), leg_base));
-                }
+            if oracle.shortest_path_offsets(from, to, walk) && walk.len() >= 2 && walk[0].0 == from
+            {
+                // Offsets are normalized to the leg's stored base: for
+                // an ordinary leg `leg_base` equals the path total and
+                // the scaling is exact identity, but a cancellation-
+                // bridge leg is *capped* at the coverage it replaced
+                // (`Route::remove_request`), so its base may undershoot
+                // the concrete path. Scaling keeps the invariant "last
+                // offset equals the leg base", which is what the driven
+                // ledger telescopes over.
+                let total = walk[walk.len() - 1].1;
+                let scale = |b: Cost| -> Cost {
+                    if total == 0 {
+                        leg_base
+                    } else {
+                        ((u128::from(leg_base) * u128::from(b)) / u128::from(total)) as Cost
+                    }
+                };
+                self.path.extend(walk[1..].iter().map(|&(v, b)| {
+                    let s = scale(b);
+                    (v, at_offset(s), s)
+                }));
+            } else {
+                // No concrete path: synthesize the leg as one hop using
+                // the schedule's own base cost and arrival.
+                self.path.push((to, route.arr(1), leg_base));
             }
         }
         // Path timing must agree with the schedule's leg (both are the
@@ -202,12 +209,14 @@ impl WorkerMotion {
     ///
     /// Pops every stop reached by `t` (returning them via `on_stop`),
     /// then snaps the worker onto the next vertex of its current leg.
+    /// `walk` is scratch: a static leg's path query writes into it.
     pub fn advance(
         &mut self,
         state: &mut PlatformState,
         w: WorkerId,
         t: Time,
         oracle: &dyn DistanceOracle,
+        walk: &mut Vec<(VertexId, Cost)>,
         mut on_stop: impl FnMut(urpsm_core::types::Stop, Time),
     ) {
         #[cfg(test)]
@@ -244,7 +253,7 @@ impl WorkerMotion {
             if route.start_time() >= t {
                 return; // already ahead of the clock
             }
-            self.ensure_expanded(state, w, oracle);
+            self.ensure_expanded(state, w, oracle, walk);
             let mut k = self.cursor;
             while self.path[k].1 < t {
                 k += 1;
@@ -329,12 +338,12 @@ mod tests {
     fn advances_through_stops_and_mid_leg() {
         let (mut state, oracle) = setup();
         assign(&mut state, 1, 5, 10);
-        let mut motion = WorkerMotion::default();
+        let (mut motion, mut buf) = (WorkerMotion::default(), Vec::new());
         let mut stops = Vec::new();
 
         // t=250: mid-way to the pickup at vertex 5 (arr 500). The
         // worker snaps to vertex 3 (reached at t=300).
-        motion.advance(&mut state, WorkerId(0), 250, &*oracle, |s, t| {
+        motion.advance(&mut state, WorkerId(0), 250, &*oracle, &mut buf, |s, t| {
             stops.push((s, t));
         });
         assert!(stops.is_empty());
@@ -344,7 +353,7 @@ mod tests {
         assert_eq!(route.arr(1), 500, "pickup arrival unchanged");
 
         // t=700: past the pickup (500), mid-way to the drop (1000).
-        motion.advance(&mut state, WorkerId(0), 700, &*oracle, |s, t| {
+        motion.advance(&mut state, WorkerId(0), 700, &*oracle, &mut buf, |s, t| {
             stops.push((s, t));
         });
         assert_eq!(stops.len(), 1);
@@ -354,9 +363,16 @@ mod tests {
         assert_eq!(route.vertex(0), VertexId(7)); // reached at 700
 
         // t=2000: everything done; worker idles at the drop vertex.
-        motion.advance(&mut state, WorkerId(0), 2_000, &*oracle, |s, t| {
-            stops.push((s, t));
-        });
+        motion.advance(
+            &mut state,
+            WorkerId(0),
+            2_000,
+            &*oracle,
+            &mut buf,
+            |s, t| {
+                stops.push((s, t));
+            },
+        );
         assert_eq!(stops.len(), 2);
         assert_eq!(stops[1].0.kind, StopKind::Delivery);
         assert_eq!(stops[1].1, 1_000);
@@ -375,17 +391,24 @@ mod tests {
     fn insertion_mid_leg_replans_from_snapped_vertex() {
         let (mut state, oracle) = setup();
         assign(&mut state, 1, 10, 20);
-        let mut motion = WorkerMotion::default();
-        motion.advance(&mut state, WorkerId(0), 450, &*oracle, |_, _| {});
+        let (mut motion, mut buf) = (WorkerMotion::default(), Vec::new());
+        motion.advance(&mut state, WorkerId(0), 450, &*oracle, &mut buf, |_, _| {});
         // Snapped to vertex 5 at t=500.
         assert_eq!(state.agent(WorkerId(0)).route.vertex(0), VertexId(5));
 
         // New request picked up on the way (vertex 7).
         assign(&mut state, 2, 7, 15);
         let mut stops = Vec::new();
-        motion.advance(&mut state, WorkerId(0), 10_000, &*oracle, |s, t| {
-            stops.push((s, t));
-        });
+        motion.advance(
+            &mut state,
+            WorkerId(0),
+            10_000,
+            &*oracle,
+            &mut buf,
+            |s, t| {
+                stops.push((s, t));
+            },
+        );
         assert_eq!(stops.len(), 4);
         // Pickup r2 at 7 (t=700), pickup r1 at 10 (t=1000),
         // deliver r2 at 15 (t=1500), deliver r1 at 20 (t=2000).
@@ -402,8 +425,8 @@ mod tests {
     fn idle_worker_is_left_alone() {
         let (mut state, oracle) = setup();
         state.advance_clock(777);
-        let mut motion = WorkerMotion::default();
-        motion.advance(&mut state, WorkerId(0), 777, &*oracle, |_, _| {});
+        let (mut motion, mut buf) = (WorkerMotion::default(), Vec::new());
+        motion.advance(&mut state, WorkerId(0), 777, &*oracle, &mut buf, |_, _| {});
         let head = state.head(WorkerId(0));
         assert_eq!((head.start, head.departure(state.now())), (0, 777));
         assert_eq!(motion.driven, 0);
@@ -446,20 +469,27 @@ mod tests {
         }];
         let mut state = PlatformState::new(line_oracle(30), &ws, 5.0, 0);
         assign(&mut state, 1, 5, 10);
-        let mut motion = WorkerMotion::default();
+        let (mut motion, mut buf) = (WorkerMotion::default(), Vec::new());
         let mut stops = Vec::new();
         // Mid-leg with no path: the only known position ahead is the
         // stop itself, reached at its scheduled arrival.
-        motion.advance(&mut state, WorkerId(0), 250, &oracle, |s, t| {
+        motion.advance(&mut state, WorkerId(0), 250, &oracle, &mut buf, |s, t| {
             stops.push((s, t));
         });
         let route = &state.agent(WorkerId(0)).route;
         assert_eq!(route.vertex(0), VertexId(5));
         assert_eq!(route.start_time(), 500);
         assert_eq!(route.arr(1), 500, "pickup arrival unchanged");
-        motion.advance(&mut state, WorkerId(0), 10_000, &oracle, |s, t| {
-            stops.push((s, t));
-        });
+        motion.advance(
+            &mut state,
+            WorkerId(0),
+            10_000,
+            &oracle,
+            &mut buf,
+            |s, t| {
+                stops.push((s, t));
+            },
+        );
         assert_eq!(stops.len(), 2);
         assert_eq!(stops[1].1, 1_000);
         assert_eq!(motion.driven, 1_000, "driven ledger stays exact");
@@ -486,8 +516,13 @@ mod tests {
         fn shortest_path(&self, u: VertexId, v: VertexId) -> Option<Vec<VertexId>> {
             self.0.shortest_path(u, v)
         }
-        fn shortest_path_offsets(&self, u: VertexId, v: VertexId) -> Option<Vec<(VertexId, Cost)>> {
-            self.0.shortest_path_offsets(u, v)
+        fn shortest_path_offsets(
+            &self,
+            u: VertexId,
+            v: VertexId,
+            out: &mut Vec<(VertexId, Cost)>,
+        ) -> bool {
+            self.0.shortest_path_offsets(u, v, out)
         }
     }
 
@@ -515,7 +550,8 @@ mod tests {
         }
         b.set_top_speed_mps(1.0);
         let g = Arc::new(b.finish().unwrap());
-        let walk = NoDis(HubLabelOracle::build(g.clone()));
+        let labels = NoDis(HubLabelOracle::build(g.clone()));
+        let mut walk = Vec::new();
         let per_edge = CountingOracle::new(HubLabelOracle::build(g.clone()));
         for stretch in [None, Some(1.5)] {
             let ws = [Worker {
@@ -538,8 +574,8 @@ mod tests {
                 assign(&mut state, id as u32, o, d);
                 while !state.head(WorkerId(0)).idle {
                     let mut reference = WorkerMotion::default();
-                    motion.ensure_expanded(&state, WorkerId(0), &walk);
-                    reference.ensure_expanded(&state, WorkerId(0), &per_edge);
+                    motion.ensure_expanded(&state, WorkerId(0), &labels, &mut walk);
+                    reference.ensure_expanded(&state, WorkerId(0), &per_edge, &mut walk);
                     assert_eq!(
                         motion.path[..],
                         reference.path[..],
@@ -550,8 +586,9 @@ mod tests {
                     // Half way along the leg, then onto its stop.
                     let route = &state.agent(WorkerId(0)).route;
                     let (t0, t1) = (route.start_time(), route.arr(1));
-                    motion.advance(&mut state, WorkerId(0), (t0 + t1) / 2, &walk, |_, _| {});
-                    motion.advance(&mut state, WorkerId(0), t1, &walk, |_, _| {});
+                    let half = (t0 + t1) / 2;
+                    motion.advance(&mut state, WorkerId(0), half, &labels, &mut walk, |_, _| {});
+                    motion.advance(&mut state, WorkerId(0), t1, &labels, &mut walk, |_, _| {});
                 }
             }
             assert!(legs >= 8, "{stretch:?}: every request drives two legs");
@@ -606,10 +643,17 @@ mod tests {
             road_network::INF + 200,
         );
         assert!(state.agent(WorkerId(0)).route.arr(1) >= road_network::INF);
-        let mut motion = WorkerMotion::default();
-        motion.advance(&mut state, WorkerId(0), 5_000, &*oracle, |_, _| {
-            panic!("no stop is reachable");
-        });
+        let (mut motion, mut buf) = (WorkerMotion::default(), Vec::new());
+        motion.advance(
+            &mut state,
+            WorkerId(0),
+            5_000,
+            &*oracle,
+            &mut buf,
+            |_, _| {
+                panic!("no stop is reachable");
+            },
+        );
         let route = &state.agent(WorkerId(0)).route;
         assert_eq!(route.vertex(0), VertexId(0), "worker must hold position");
         assert_eq!(route.start_time(), 0);
@@ -625,19 +669,26 @@ mod tests {
         )));
         assign(&mut state, 1, 5, 10);
         assert_eq!(state.agent(WorkerId(0)).route.arr(1), 750);
-        let mut motion = WorkerMotion::default();
+        let (mut motion, mut buf) = (WorkerMotion::default(), Vec::new());
         let mut stops = Vec::new();
         // t=400: vertex k is reached at 150·k — snap to vertex 3 (450).
-        motion.advance(&mut state, WorkerId(0), 400, &*oracle, |_, _| {});
+        motion.advance(&mut state, WorkerId(0), 400, &*oracle, &mut buf, |_, _| {});
         let route = &state.agent(WorkerId(0)).route;
         assert_eq!(route.vertex(0), VertexId(3));
         assert_eq!(route.start_time(), 450);
         assert_eq!(route.arr(1), 750, "snap must not move the schedule");
         assert_eq!(motion.driven, 300, "driven is base distance, not time");
 
-        motion.advance(&mut state, WorkerId(0), 10_000, &*oracle, |s, t| {
-            stops.push((s, t));
-        });
+        motion.advance(
+            &mut state,
+            WorkerId(0),
+            10_000,
+            &*oracle,
+            &mut buf,
+            |s, t| {
+                stops.push((s, t));
+            },
+        );
         assert_eq!(stops.len(), 2);
         assert_eq!(stops[0].1, 750); // pickup, stretched
         assert_eq!(stops[1].1, 1_500); // delivery, stretched

@@ -68,6 +68,9 @@ pub struct MobilityService<'p> {
     planner: Box<dyn Planner + 'p>,
     oracle: Arc<dyn DistanceOracle>,
     motions: Vec<WorkerMotion>,
+    /// The one buffer every motion walks a static leg into, lent to
+    /// [`WorkerMotion::advance`] (DESIGN.md §8).
+    walk: Vec<(VertexId, Cost)>,
     /// Every request ever submitted, by id (reassignment re-offers need
     /// the full request, not just its id).
     registry: FxHashMap<RequestId, Request>,
@@ -132,6 +135,7 @@ impl<'p> MobilityService<'p> {
             planner,
             oracle,
             motions,
+            walk: Vec::new(),
             registry: FxHashMap::default(),
             arrived: Vec::new(),
             events: Vec::new(),
@@ -409,6 +413,7 @@ impl<'p> MobilityService<'p> {
         self.state.advance_clock(t);
         let mut advanced = 0u64;
         let oracle = &*self.oracle;
+        let walk = &mut self.walk;
         let events = &mut self.events;
         let n = self.motions.len();
         for b in 0..n.div_ceil(DUE_BLOCK) {
@@ -425,7 +430,7 @@ impl<'p> MobilityService<'p> {
                     continue;
                 }
                 advanced += 1;
-                self.motions[i].advance(&mut self.state, w, t, oracle, |stop, at| {
+                self.motions[i].advance(&mut self.state, w, t, oracle, walk, |stop, at| {
                     events.push(stop_event(stop, at, w));
                 });
             }
@@ -445,7 +450,7 @@ impl<'p> MobilityService<'p> {
         let events = &mut self.events;
         for (i, m) in self.motions.iter_mut().enumerate() {
             let w = WorkerId(i as u32);
-            m.advance(&mut self.state, w, t, oracle, |stop, at| {
+            m.advance(&mut self.state, w, t, oracle, &mut self.walk, |stop, at| {
                 events.push(stop_event(stop, at, w));
             });
             let head = self.state.head(w);

@@ -343,11 +343,6 @@ impl<'a> RequestStreamGenerator<'a> {
         }
         out
     }
-
-    /// The underlying network.
-    pub fn network(&self) -> &RoadNetwork {
-        self.network
-    }
 }
 
 /// `p_r = β · dis(o_r, d_r)` (Table 5).

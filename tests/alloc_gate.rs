@@ -18,15 +18,17 @@
 //! standing trip through every request, the rest are idle), so the DP
 //! engine's shortlist both collects busy candidates and streams idle
 //! ones cell by cell. `PruneGreedyDp::with_threads` (whose width is a
-//! no-op) is gated too, and so are warm TD-A\* searches and TD-cache
-//! hits.
+//! no-op) is gated too, and so are warm TD-A\* searches, TD-cache
+//! hits and TD path queries into a buffer the caller keeps.
 //!
-//! Two more rows count what one event costs end to end: the
-//! allocations per submitted event over the second half of a stream,
-//! through `MobilityService::submit` and `ShardedService::submit`
-//! (K = 4). They are not zero yet, so each is held under a fixed bound:
-//! the count it read when the bound was set, in debug and release
-//! builds alike.
+//! Four more rows count what one event costs end to end: the
+//! allocations per event over the second half of a stream, through
+//! `MobilityService::submit` free flow and with the time-dependent
+//! oracle on, through `ShardedService::submit` (K = 4), and inside
+//! `IngestServer::tick` over that K = 4 backend with the WAL on. They
+//! are not zero: what is left are high-water marks (a route, a leg or a
+//! grid cell growing past its largest size so far) and run-long logs
+//! doubling. Each row is held to the exact count it reads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -41,11 +43,14 @@ use urpsm::core::types::{ClassConstraint, ClassId, Request, RequestId, Time, Wor
 use urpsm::dispatch::service::{ShardConfig, ShardedService};
 use urpsm::network::congestion::{CongestionProfile, HOUR_CS};
 use urpsm::network::matrix::MatrixOracle;
-use urpsm::network::{Cost, VertexId};
+use urpsm::network::{Cost, VertexId, INF};
+use urpsm::server::server::{Backend, IngestServer, ServerConfig, WalConfig};
 use urpsm::simulator::engine::SimConfig;
 use urpsm::simulator::service::MobilityService;
 use urpsm::simulator::SimEvent;
 use urpsm::workloads::scenario::{chengdu_like, metropolis, Scenario};
+use urpsm::workloads::MINUTE_CS;
+use urpsm_bench::fixtures::core_jam_profile;
 
 thread_local! {
     /// Allocations (allocs + reallocs) made by this thread so far.
@@ -107,11 +112,19 @@ const WARMUP: usize = 256;
 /// Measured steady-state requests per (planner, profile, fleet) row.
 const MEASURED: usize = 512;
 /// Allocations over the measured 1 500 events of the plain `submit`
-/// row (2.9673 per event), debug and release builds alike.
-const PLAIN_SUBMIT_BOUND: u64 = 4_451;
+/// row (0.152 per event), debug and release builds alike.
+const PLAIN_SUBMIT_BOUND: u64 = 228;
 /// Allocations over the measured 835 events of the K = 4 `submit` row
-/// (3.7054 per event), debug and release builds alike.
-const SHARDED_SUBMIT_BOUND: u64 = 3_094;
+/// (0.537 per event), debug and release builds alike.
+const SHARDED_SUBMIT_BOUND: u64 = 448;
+/// Allocations over the measured 1 500 events of the TD `submit` row
+/// (0.071 per event in a release build). A debug build reads more:
+/// `Route::insertion_feasible` cross-checks its splice walk against a
+/// clone of the route, and a clone of a spilled route allocates.
+const TD_SUBMIT_BOUND: u64 = if cfg!(debug_assertions) { 397 } else { 107 };
+/// Allocations inside `tick` over the measured 835 events of the K = 4
+/// stream, WAL on (0.539 per event), debug and release builds alike.
+const INGEST_TICK_BOUND: u64 = 450;
 /// The congested rows straddle the 08:00 peak, like
 /// `tests/congestion_equivalence.rs`.
 const RUSH_SHIFT: Time = 7 * HOUR_CS + HOUR_CS / 2;
@@ -348,7 +361,8 @@ fn prune_greedy_dp_plans_without_allocating() {
 }
 
 /// Warm goal-directed `TdDijkstra` searches (generation-stamped arenas,
-/// a reusable heap) and warm `TdCachedOracle` hits (in-bucket lookups)
+/// a reusable heap), warm `TdCachedOracle` hits (in-bucket lookups) and
+/// warm path queries (the path written into a buffer the caller keeps)
 /// allocate nothing per query. Queries keep `depart + duration` inside
 /// one profile bucket, so every second-pass lookup is an exact hit.
 #[test]
@@ -390,34 +404,49 @@ fn warm_td_queries_allocate_nothing() {
         .filter(|(u, v, _)| u != v)
         .collect();
 
-    // Warmup: size every arena and fill the cache.
+    // Warmup: size every arena and the path buffer, and fill the cache.
+    let mut path = Vec::new();
     for &(u, v, t) in &queries {
         engine.dis_at(u, v, t);
         cached.dis_at(u, v, t);
+        cached.path_and_duration_at(u, v, t, &mut path);
     }
 
     let oracles: [(&str, &dyn TimeDependentOracle); 2] =
         [("td-astar (search)", &engine), ("td-cache (hit)", &cached)];
-    let rows: Vec<Row> = oracles
+    let mut rows: Vec<Row> = oracles
         .into_iter()
-        .map(|(name, oracle)| {
-            let (mut served, mut total, mut max) = (0, 0, 0);
-            for &(u, v, t) in &queries {
-                let (d, allocs) = measure(|| oracle.dis_at(u, v, t));
-                total += allocs;
-                max = max.max(allocs);
-                served += usize::from(d < urpsm::network::INF);
-            }
-            Row {
-                name: name.to_string(),
-                requests: queries.len(),
-                served,
-                total,
-                max,
-            }
-        })
+        .map(|(name, oracle)| td_row(name, &queries, |u, v, t| oracle.dis_at(u, v, t)))
         .collect();
+    rows.push(td_row("td-cache (path)", &queries, |u, v, t| {
+        cached
+            .path_and_duration_at(u, v, t, &mut path)
+            .unwrap_or(INF)
+    }));
     assert_zero(&rows);
+}
+
+/// The row of one TD query kind over `queries`; `served` counts the
+/// reachable answers.
+fn td_row(
+    name: &str,
+    queries: &[(VertexId, VertexId, Time)],
+    mut query: impl FnMut(VertexId, VertexId, Time) -> Cost,
+) -> Row {
+    let (mut served, mut total, mut max) = (0, 0, 0);
+    for &(u, v, t) in queries {
+        let (d, allocs) = measure(|| query(u, v, t));
+        total += allocs;
+        max = max.max(allocs);
+        served += usize::from(d < INF);
+    }
+    Row {
+        name: name.to_string(),
+        requests: queries.len(),
+        served,
+        total,
+        max,
+    }
 }
 
 /// The allocations of `submit` over the second half of `scenario`'s
@@ -492,26 +521,111 @@ fn plain_submit_stays_within_its_allocation_bound() {
     assert_at_most(&row, PLAIN_SUBMIT_BOUND);
 }
 
-/// `ShardedService::submit` at K = 4 on the reduced `metropolis` stream
-/// of `tests/sharded_digests.rs`.
+/// The plain row's stream moved across the 08:00 peak of the core-jam
+/// profile (a 3 × 3 lattice whose centre cell runs a two-peak day),
+/// with the time-dependent oracle on: every leg is re-timed, and every
+/// expanded leg re-routed, through TD-A\*.
 #[test]
-fn sharded_submit_stays_within_its_allocation_bound() {
-    let sc = metropolis(7)
+fn td_submit_stays_within_its_allocation_bound() {
+    let mut sc = chengdu_like(7).build();
+    for r in &mut sc.requests {
+        r.release += RUSH_SHIFT;
+        r.deadline += RUSH_SHIFT;
+    }
+    let mut service = MobilityService::new(
+        sc.oracle.clone(),
+        sc.workers.clone(),
+        Box::new(PruneGreedyDp::new()),
+        SimConfig {
+            congestion: Some(Arc::new(core_jam_profile(&sc.network))),
+            td_oracle: true,
+            ..sim(&sc)
+        },
+        sc.start_time(),
+    );
+    let row = submit_row("submit (TD)", &sc, |e| assigned(service.submit(e)));
+    assert_at_most(&row, TD_SUBMIT_BOUND);
+}
+
+/// The reduced `metropolis` stream of `tests/sharded_digests.rs`.
+fn sharded_scenario() -> Scenario {
+    metropolis(7)
         .requests(1_500)
         .workers(150)
         .cancel_rate(0.1)
         .fleet_churn(15, 15)
-        .build();
-    let mut service = ShardedService::new(
+        .build()
+}
+
+fn sharded(sc: &Scenario) -> ShardedService<'static> {
+    ShardedService::new(
         sc.oracle.clone(),
         sc.workers.clone(),
         |_| Box::new(PruneGreedyDp::new()),
         ShardConfig {
             shards: 4,
-            sim: sim(&sc),
+            sim: sim(sc),
         },
         sc.start_time(),
-    );
+    )
+}
+
+/// `ShardedService::submit` at K = 4.
+#[test]
+fn sharded_submit_stays_within_its_allocation_bound() {
+    let sc = sharded_scenario();
+    let mut service = sharded(&sc);
     let row = submit_row("submit (K=4)", &sc, |e| assigned(service.submit(e)));
     assert_at_most(&row, SHARDED_SUBMIT_BOUND);
+}
+
+/// `IngestServer::tick` over the K = 4 row's backend with the WAL on,
+/// fed as a live clock would: each one-minute window's events are sent,
+/// then ticked. Only the allocations inside `tick` count; the producer's
+/// `send` allocates the channel's own blocks, which is not server code.
+#[test]
+fn ingest_tick_stays_within_its_allocation_bound() {
+    let sc = sharded_scenario();
+    let dir = std::env::temp_dir().join(format!("urpsm-alloc-gate-{}", std::process::id()));
+    let config = ServerConfig {
+        tick: MINUTE_CS,
+        wal: Some(WalConfig::new(&dir)),
+        ..ServerConfig::default()
+    };
+    let mut server =
+        IngestServer::new(Backend::Sharded(sharded(&sc)), config).expect("the WAL opens");
+    let producer = server.handle();
+    let stream = sc.event_stream();
+    let (warmup, measured) = stream.split_at(stream.len() / 2);
+    // Feeds `events` window by window; returns the admitted events, and
+    // the allocations inside `tick`: in total and in the largest tick.
+    let mut feed = |events: &[PlatformEvent]| {
+        let (mut next, mut admitted, mut total, mut max) = (0, 0, 0, 0);
+        while next < events.len() {
+            let until = (events[next].time() / MINUTE_CS + 1) * MINUTE_CS;
+            while next < events.len() && events[next].time() <= until {
+                producer
+                    .send(events[next])
+                    .expect("the server owns the receiver");
+                next += 1;
+            }
+            let (report, allocs) = measure(|| server.tick(until).expect("the WAL appends"));
+            admitted += report.admitted;
+            total += allocs;
+            max = max.max(allocs);
+        }
+        (admitted, total, max)
+    };
+    feed(warmup);
+    let (admitted, total, max) = feed(measured);
+    drop(server);
+    std::fs::remove_dir_all(&dir).expect("the WAL directory is removed");
+    let row = Row {
+        name: "tick (K=4, WAL)".to_string(),
+        requests: measured.len(),
+        served: admitted,
+        total,
+        max,
+    };
+    assert_at_most(&row, INGEST_TICK_BOUND);
 }

@@ -8,13 +8,17 @@
 //! the pickup budget, shortlists the workers found there, and places
 //! the request with basic `O(n³)` insertion.
 //!
+//! The sorted cell order is T-Share's own, but its cells are those of
+//! the platform's one worker grid (the platform's `g`), and the workers
+//! it finds are read from that grid, which every planner shares.
+//!
 //! The search estimates reachability with the *average urban driving
-//! speed* over straight-line cell distances. That estimate is not a
-//! lower bound — workers reachable via fast roads get discarded, which
-//! is exactly the behaviour the URPSM paper reports: "its searching
-//! process mistakenly removes many possible workers, which leads to the
-//! lowest served rate (from 1% to 16%)" while also making it the
-//! fastest algorithm.
+//! speed* ([`AVG_SPEED_MPS`]) over straight-line cell distances. That
+//! estimate is not a lower bound — workers reachable via fast roads get
+//! discarded, which is exactly the behaviour the URPSM paper reports:
+//! "its searching process mistakenly removes many possible workers,
+//! which leads to the lowest served rate (from 1% to 16%)" while also
+//! making it the fastest algorithm.
 
 use urpsm_core::insertion::basic_insertion;
 use urpsm_core::planner::{reply_one, Planner, PlannerReplies};
@@ -22,7 +26,14 @@ use urpsm_core::platform::{Outcome, PlatformState};
 use urpsm_core::route::{InsertionPlan, Route};
 use urpsm_core::types::{Request, WorkerId};
 
+use road_network::grid::SortedCellTable;
 use road_network::{Cost, INF};
+
+/// The average urban driving speed (m/s) T-Share's cell reachability
+/// estimate assumes: about 29 km/h. T-Share plans with expected urban
+/// speeds, not the network's top speed — the source of its false
+/// negatives, since a worker on fast roads covers more than this.
+pub const AVG_SPEED_MPS: f64 = 8.0;
 
 /// T-Share's two candidate-search strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,33 +48,21 @@ pub enum SearchMode {
     DualSide,
 }
 
-/// Configuration of the T-Share baseline.
-#[derive(Debug, Clone, Copy)]
+/// Configuration of the T-Share baseline. Its cell size is the
+/// platform's grid size `g`, its speed estimate [`AVG_SPEED_MPS`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TShareConfig {
-    /// Grid cell size in meters (Table 5's `g`, there in km).
-    pub grid_cell_m: f64,
-    /// Assumed average driving speed (m/s) for the cell reachability
-    /// estimate. T-Share plans with expected urban speeds, not the
-    /// motorway top speed — the source of its false negatives.
-    pub avg_speed_mps: f64,
     /// Single- or dual-side candidate search.
     pub search: SearchMode,
-}
-
-impl Default for TShareConfig {
-    fn default() -> Self {
-        TShareConfig {
-            grid_cell_m: 2_000.0,
-            avg_speed_mps: 8.0,
-            search: SearchMode::SingleSide,
-        }
-    }
 }
 
 /// The T-Share planner.
 #[derive(Debug, Default)]
 pub struct TSharePlanner {
     cfg: TShareConfig,
+    /// The sorted cell order over the platform grid's cells, built on
+    /// the first request and rebuilt only if the cell count differs.
+    cells: SortedCellTable,
     candidates: Vec<u64>,
     dual_scratch: Vec<u64>,
     /// The spare an idle candidate's route is re-timed into
@@ -85,14 +84,21 @@ impl TSharePlanner {
         }
     }
 
-    /// Memory footprint of the sorted-cell index (Fig. 5 memory panel).
-    pub fn index_mem_bytes(&self, state: &PlatformState) -> usize {
-        state.sorted_grid().map_or(0, |sg| sg.mem_bytes())
+    /// Memory footprint of T-Share's index over `state` (Fig. 5 memory
+    /// panel): the platform's worker grid plus the sorted cell order
+    /// over its cells.
+    pub fn index_mem_bytes(state: &PlatformState) -> usize {
+        let grid = state.grid();
+        grid.mem_bytes() + SortedCellTable::mem_bytes(grid.num_cells())
     }
 
     /// T-Share's candidate search into `self.candidates`, in id order.
-    /// `direct` is `L = dis(o_r, d_r)`; the sorted grid must be enabled.
+    /// `direct` is `L = dis(o_r, d_r)`.
     fn search(&mut self, state: &PlatformState, r: &Request, direct: Cost) {
+        let grid = state.grid();
+        if self.cells.num_cells() != grid.num_cells() {
+            self.cells = SortedCellTable::new(grid);
+        }
         // Single-side search: walk cells outward until the center
         // distance is no longer reachable within the pickup budget at
         // the assumed average speed.
@@ -101,18 +107,19 @@ impl TSharePlanner {
             .deadline
             .saturating_sub(direct)
             .saturating_sub(state.now());
-        let reach_m = (pickup_budget_cs as f64 / 100.0) * self.cfg.avg_speed_mps;
+        let reach_m = (pickup_budget_cs as f64 / 100.0) * AVG_SPEED_MPS;
         let origin_pt = oracle.point(r.origin);
-        let sg = state.sorted_grid().expect("sorted grid enabled");
         // Lazy single-side search: only the first non-empty ring of
         // cells is considered (T-Share's candidate search), so a busy
         // nearby worker shadows feasible farther ones.
-        sg.items_in_first_hit(origin_pt, reach_m, &mut self.candidates);
+        self.cells
+            .items_in_first_hit(grid, origin_pt, reach_m, &mut self.candidates);
         if self.cfg.search == SearchMode::DualSide {
             // Dual-side refinement: also consider workers near the
             // drop-off (they may collect the rider on their way out).
             let dest_pt = oracle.point(r.destination);
-            sg.items_in_first_hit(dest_pt, reach_m, &mut self.dual_scratch);
+            self.cells
+                .items_in_first_hit(grid, dest_pt, reach_m, &mut self.dual_scratch);
             self.candidates.extend_from_slice(&self.dual_scratch);
         }
         self.candidates.sort_unstable();
@@ -126,14 +133,13 @@ impl TSharePlanner {
 
 impl Planner for TSharePlanner {
     // Default lifecycle hooks apply: T-Share decides immediately, and
-    // its sorted-cell index lives in the platform state, which already
-    // drops retired workers and admits joiners on its own.
+    // it reads workers from the platform's grid, which already drops
+    // retired workers and admits joiners on its own.
     fn name(&self) -> &'static str {
         "tshare"
     }
 
     fn on_request(&mut self, state: &mut PlatformState, r: &Request) -> PlannerReplies {
-        state.enable_sorted_grid(self.cfg.grid_cell_m);
         let oracle = state.oracle_arc();
         let direct = oracle.dis(r.origin, r.destination);
         if direct >= INF {
@@ -191,6 +197,7 @@ mod tests {
     use road_network::VertexId;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use urpsm_core::planner::PruneGreedyDp;
     use urpsm_core::types::RequestId;
     use urpsm_core::types::{Time, Worker};
 
@@ -233,13 +240,8 @@ mod tests {
     #[test]
     fn serves_reachable_requests_with_nearest_worker() {
         let mut st = state(&[10, 50, 90]);
-        let mut p = TSharePlanner::from_config(TShareConfig {
-            grid_cell_m: 500.0,
-            avg_speed_mps: 10.0,
-            search: SearchMode::SingleSide,
-        });
         let r = request(1, 48, 60, 1_000_000);
-        let out = p.on_request(&mut st, &r);
+        let out = TSharePlanner::new().on_request(&mut st, &r);
         match out[0].1 {
             Outcome::Assigned { worker, .. } => assert_eq!(worker, WorkerId(1)),
             Outcome::Rejected => panic!("should serve"),
@@ -249,51 +251,35 @@ mod tests {
     #[test]
     fn conservative_speed_estimate_drops_feasible_workers() {
         // Worker at 0, pickup at 80 (8 km). True travel time at the
-        // road speed (10 m/s): 800 s. Budget: 900 s — feasible!
-        let mk_req = || request(1, 80, 81, 91_000);
-        let mut st = state(&[0]);
-        let mut lossy = TSharePlanner::from_config(TShareConfig {
-            grid_cell_m: 500.0,
-            avg_speed_mps: 8.0, // assumes 8 m/s ⇒ thinks 1000 s needed
-            search: SearchMode::SingleSide,
-        });
-        let out = lossy.on_request(&mut st, &mk_req());
+        // road speed (10 m/s): 800 s. Pickup budget: 900 s — feasible!
+        // T-Share's 8 m/s estimate reaches 7.2 km, short of the 8 km
+        // between the two cells' centers.
+        let r = request(1, 80, 81, 91_000);
+        let out = TSharePlanner::new().on_request(&mut state(&[0]), &r);
         assert_eq!(out[0].1, Outcome::Rejected, "lossy search must drop it");
 
-        // With an honest estimate the same request is served — this is
-        // precisely the served-rate gap the paper reports.
-        let mut st = state(&[0]);
-        let mut honest = TSharePlanner::from_config(TShareConfig {
-            grid_cell_m: 500.0,
-            avg_speed_mps: 10.0,
-            search: SearchMode::SingleSide,
-        });
-        let out = honest.on_request(&mut st, &mk_req());
+        // pruneGreedyDP shortlists at the network's top speed (10 m/s,
+        // a true bound) and serves the same request — precisely the
+        // served-rate gap the paper reports.
+        let out = PruneGreedyDp::new().on_request(&mut state(&[0]), &r);
         assert!(matches!(out[0].1, Outcome::Assigned { .. }));
     }
 
     #[test]
     fn dual_side_search_finds_workers_near_destination() {
-        // The estimator (5 m/s) is conservative vs the true road speed
-        // (10 m/s) — exactly T-Share's lossiness. A worker 600 m from
-        // the pickup but 100 m from the drop-off is outside the
+        // The 8 m/s estimator is conservative vs the true road speed
+        // (10 m/s) — exactly T-Share's lossiness. A worker parked at
+        // the drop-off, 1 km from the pickup, is outside the
         // single-side reach estimate yet truly feasible; dual-side
-        // search recovers it through the destination ring.
-        let mk = |mode| {
-            TSharePlanner::from_config(TShareConfig {
-                grid_cell_m: 250.0,
-                avg_speed_mps: 5.0,
-                search: mode,
-            })
-        };
-        // o = v40, d = v45 (L = 5,000 cs); pickup budget 8,000 cs ⇒
-        // estimated reach 80 s × 5 m/s = 400 m < 600 m to the worker.
-        // True pickup travel: 6,000 cs ≤ 8,000 cs, so it is feasible.
-        let r = request(1, 40, 45, 13_000);
-        let mut st = state(&[46]);
-        let out_single = mk(SearchMode::SingleSide).on_request(&mut st, &r);
-        let mut st = state(&[46]);
-        let out_dual = mk(SearchMode::DualSide).on_request(&mut st, &r);
+        // search recovers it through the destination's cell.
+        let mk = |search| TSharePlanner::from_config(TShareConfig { search });
+        // o = v40, d = v50 (L = 10,000 cs); pickup budget 11,000 cs ⇒
+        // estimated reach 110 s × 8 m/s = 880 m < 1,000 m between the
+        // 500 m cells' centers. True pickup travel: 10,000 cs, so the
+        // delivery lands at 20,000 cs ≤ 21,000 cs.
+        let r = request(1, 40, 50, 21_000);
+        let out_single = mk(SearchMode::SingleSide).on_request(&mut state(&[50]), &r);
+        let out_dual = mk(SearchMode::DualSide).on_request(&mut state(&[50]), &r);
         assert_eq!(
             out_single[0].1,
             Outcome::Rejected,
@@ -310,10 +296,17 @@ mod tests {
     fn sorted_index_memory_reported() {
         let mut st = state(&[0]);
         let mut p = TSharePlanner::new();
-        assert_eq!(p.index_mem_bytes(&st), 0, "index built lazily");
-        let r = request(1, 5, 6, 1_000_000);
-        p.on_request(&mut st, &r);
-        assert!(p.index_mem_bytes(&st) > 0);
+        assert_eq!(p.cells.num_cells(), 0, "the table is built lazily");
+        p.on_request(&mut st, &request(1, 5, 6, 1_000_000));
+        // The table orders the platform grid's own cells: a 9.9 km
+        // line in 500 m cells.
+        let c = st.grid().num_cells();
+        assert_eq!((c, p.cells.num_cells()), (20, 20));
+        // Fig. 5 charges the worker grid plus C lists of C entries.
+        assert_eq!(
+            TSharePlanner::index_mem_bytes(&st),
+            st.grid().mem_bytes() + c * c * 8 + c * 24
+        );
     }
 
     /// Forwards to a profile and counts `leg_time_between` calls.
@@ -340,7 +333,6 @@ mod tests {
 
     /// T-Share's decision with every plan found gated, winner or not.
     fn gate_every_plan(p: &mut TSharePlanner, state: &mut PlatformState, r: &Request) -> Outcome {
-        state.enable_sorted_grid(p.cfg.grid_cell_m);
         let oracle = state.oracle_arc();
         p.search(state, r, oracle.dis(r.origin, r.destination));
         let mut best: Option<(Cost, WorkerId, InsertionPlan)> = None;
@@ -430,16 +422,9 @@ mod tests {
                 (decided, provider.calls.load(Ordering::Relaxed) - before)
             };
 
-        let fine = || {
-            TSharePlanner::from_config(TShareConfig {
-                grid_cell_m: 500.0,
-                avg_speed_mps: 10.0,
-                search: SearchMode::SingleSide,
-            })
-        };
-        let mut planner = fine();
+        let mut planner = TSharePlanner::new();
         let (engine, engine_calls) = run(true, &mut |st, r| planner.on_request(st, r)[0].1);
-        let mut planner = fine();
+        let mut planner = TSharePlanner::new();
         let (reference, reference_calls) =
             run(true, &mut |st, r| gate_every_plan(&mut planner, st, r));
         assert_eq!(engine, reference, "outcomes and dis counts");
@@ -449,7 +434,7 @@ mod tests {
              {engine_calls} vs {reference_calls}"
         );
         // The profile bites, and most requests are still served.
-        let mut planner = fine();
+        let mut planner = TSharePlanner::new();
         let (free_flow, _) = run(false, &mut |st, r| planner.on_request(st, r)[0].1);
         assert_ne!(engine, free_flow, "the 2× profile must reject some plans");
         let served = engine.iter().filter(|(o, _)| *o != Outcome::Rejected);

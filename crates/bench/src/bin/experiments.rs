@@ -969,11 +969,7 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
         ("tshare single-side (paper)", SearchMode::SingleSide),
         ("tshare dual-side", SearchMode::DualSide),
     ] {
-        let mut p = TSharePlanner::from_config(TShareConfig {
-            grid_cell_m: cell.sim.grid_cell_m,
-            avg_speed_mps: 8.0,
-            search: mode,
-        });
+        let mut p = TSharePlanner::from_config(TShareConfig { search: mode });
         let m = run(&mut p, cell.oracle.clone());
         push_metrics(&mut t, label, &m);
     }

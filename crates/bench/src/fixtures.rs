@@ -93,7 +93,7 @@ impl CityFixture {
     /// * `capacity_mu` — Gaussian mean of `K_w`,
     /// * `deadline_cs` — deadline offset Δ,
     /// * `penalty_factor` — β in `p_r = β · dis(o_r, d_r)`,
-    /// * `grid_cell_m` — the platform/tshare grid size `g`.
+    /// * `grid_cell_m` — the platform grid size `g`, T-Share's cells too.
     pub fn cell(
         &self,
         workers: usize,

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use road_network::oracle::{CountingOracle, DistanceOracle, QueryStats};
 use urpsm_baselines::batch::BatchPlanner;
 use urpsm_baselines::kinetic::{KineticConfig, KineticPlanner};
-use urpsm_baselines::tshare::{TShareConfig, TSharePlanner};
+use urpsm_baselines::tshare::TSharePlanner;
 use urpsm_core::event::PlatformEvent;
 use urpsm_core::planner::{GreedyDp, Planner, PlannerConfig, PruneGreedyDp};
 use urpsm_core::types::{Request, Worker};
@@ -52,14 +52,10 @@ impl Algo {
         }
     }
 
-    /// Instantiates the planner with the cell's parameters.
-    pub fn planner(self, alpha: u64, grid_cell_m: f64) -> Box<dyn Planner> {
+    /// Instantiates the planner with the cell's objective weight `α`.
+    pub fn planner(self, alpha: u64) -> Box<dyn Planner> {
         match self {
-            Algo::TShare => Box::new(TSharePlanner::from_config(TShareConfig {
-                grid_cell_m,
-                avg_speed_mps: 8.0,
-                search: urpsm_baselines::tshare::SearchMode::SingleSide,
-            })),
+            Algo::TShare => Box::new(TSharePlanner::new()),
             Algo::Kinetic => Box::new(KineticPlanner::from_config(KineticConfig {
                 alpha,
                 node_budget: 50_000,
@@ -108,7 +104,8 @@ pub struct CellResult {
     pub response_time: Duration,
     /// Shortest-distance / path query counters (planner-issued).
     pub queries: QueryStats,
-    /// Index memory (tshare: sorted-cell grid; others: plain grid).
+    /// Index memory (tshare: the worker grid plus its sorted cell
+    /// order; others: the worker grid alone).
     pub index_mem_bytes: usize,
     /// Served requests per vehicle class (one entry for a homogeneous
     /// fleet; indexed by `ClassId` otherwise).
@@ -131,7 +128,7 @@ pub fn run_cell(cell: &Cell, algo: Algo) -> CellResult {
     let mut service = ShardedService::new(
         counting.clone(),
         cell.workers.clone(),
-        |_| algo.planner(cell.sim.alpha, cell.sim.grid_cell_m),
+        |_| algo.planner(cell.sim.alpha),
         ShardConfig {
             shards: cell.shards,
             sim: cell.sim.clone(),
@@ -142,17 +139,14 @@ pub fn run_cell(cell: &Cell, algo: Algo) -> CellResult {
         service.submit(PlatformEvent::RequestArrived(*r));
     }
     let out = service.drain();
-    // Index memory: tshare's sorted grid lives in the platform state;
-    // everyone else pays only the plain bucket grid.
+    // Index memory: every planner reads the platform's worker grid;
+    // tshare also pays for its `O(C²)` sorted cell order over it.
     let index_mem_bytes = out
         .shards
         .iter()
-        .map(|s| {
-            s.outcome
-                .state
-                .sorted_grid()
-                .map(|sg| sg.mem_bytes())
-                .unwrap_or_else(|| s.outcome.state.grid_mem_bytes())
+        .map(|s| match algo {
+            Algo::TShare => TSharePlanner::index_mem_bytes(&s.outcome.state),
+            _ => s.outcome.state.grid().mem_bytes(),
         })
         .sum();
     CellResult {

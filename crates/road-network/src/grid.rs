@@ -1,21 +1,23 @@
-//! Uniform grid indexes over moving items (workers).
+//! The uniform grid index over moving items (workers), and T-Share's
+//! cell order over its geometry.
 //!
-//! Two variants, matching the two index designs compared in §6.2:
+//! The two index designs §6.2 compares share one worker index:
 //!
-//! * [`GridIndex`] — plain per-cell buckets of item ids. This is what
-//!   `pruneGreedyDP`, `GreedyDP`, `kinetic` and `batch` use: "the grid
-//!   index of the other algorithms only stores the IDs of workers in
-//!   the grid". Each bucket carries its items' points in a parallel
-//!   column, so a range query is a linear scan of dense arrays. It has
-//!   one static user too: the request generator snaps trip endpoints
-//!   to road vertices with [`GridIndex::nearest`] over a grid of the
-//!   network's vertices.
-//! * [`SortedCellGrid`] — additionally precomputes, for every cell, all
-//!   cells sorted by center distance (T-Share's "spatio-temporally
-//!   ordered grid lists"). Candidate search walks that list outward.
-//!   This is the memory-hungry design: `O(C²)` for `C` cells, which is
-//!   exactly why the paper's Fig. 5 memory panel shows `tshare` using
-//!   orders of magnitude more memory at small `g`.
+//! * [`GridIndex`] — plain per-cell buckets of item ids, the platform's
+//!   one index of where workers are. "The grid index of the other
+//!   algorithms only stores the IDs of workers in the grid": every
+//!   planner reads it, T-Share included. Each bucket carries its items'
+//!   points in a parallel column, so a range query is a linear scan of
+//!   dense arrays. It has one static user too: the request generator
+//!   snaps trip endpoints to road vertices with [`GridIndex::nearest`]
+//!   over a grid of the network's vertices.
+//! * [`SortedCellTable`] — what T-Share adds on top: for every cell of
+//!   a grid, all cells sorted by center distance (its "spatio-temporally
+//!   ordered grid lists"). It holds no items; candidate search walks it
+//!   outward and reads the buckets of the [`GridIndex`] it was built
+//!   from. This is the memory-hungry design: `O(C²)` for `C` cells,
+//!   which is exactly why the paper's Fig. 5 memory panel shows
+//!   `tshare` using orders of magnitude more memory at small `g`.
 
 use crate::fxhash::FxHashMap;
 use crate::geo::{BoundingBox, Point};
@@ -443,22 +445,21 @@ impl GridIndex {
     }
 }
 
-/// T-Share-style grid: per-cell list of *all* cells ordered by center
-/// distance, plus the same item buckets as [`GridIndex`].
-#[derive(Debug, Clone)]
-pub struct SortedCellGrid {
-    base: GridIndex,
+/// T-Share's cell order over a grid's geometry: for every cell, *all*
+/// cells ordered by center distance. It holds no items: a search reads
+/// the buckets of the [`GridIndex`] it was built from.
+#[derive(Debug, Clone, Default)]
+pub struct SortedCellTable {
     /// `sorted[c]` = every cell id ordered by distance from `c`'s
     /// center (including `c` itself, first). `O(C²)` memory by design.
     sorted: Vec<Vec<(f32, u32)>>,
 }
 
-impl SortedCellGrid {
-    /// Builds the sorted cell lists for a grid over `bbox`.
-    pub fn new(bbox: BoundingBox, cell_m: f64) -> Self {
-        let base = GridIndex::new(bbox, cell_m);
-        let c = base.num_cells();
-        let centers: Vec<Point> = (0..c).map(|i| base.cell_center(i)).collect();
+impl SortedCellTable {
+    /// Builds the sorted cell lists for `grid`'s cells.
+    pub fn new(grid: &GridIndex) -> Self {
+        let c = grid.num_cells();
+        let centers: Vec<Point> = (0..c).map(|i| grid.cell_center(i)).collect();
         let mut sorted = Vec::with_capacity(c);
         for i in 0..c {
             let mut row: Vec<(f32, u32)> = centers
@@ -469,27 +470,30 @@ impl SortedCellGrid {
             row.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
             sorted.push(row);
         }
-        SortedCellGrid { base, sorted }
+        SortedCellTable { sorted }
     }
 
-    /// The underlying plain grid (item operations live there).
-    pub fn grid(&self) -> &GridIndex {
-        &self.base
+    /// Number of cells ordered (0 for the empty default).
+    pub fn num_cells(&self) -> usize {
+        self.sorted.len()
     }
 
-    /// Mutable access to the underlying grid.
-    pub fn grid_mut(&mut self) -> &mut GridIndex {
-        &mut self.base
-    }
-
-    /// T-Share's *lazy single-side search*: walk cells outward and stop
-    /// at the first ring of cells that yields any item at all (or when
-    /// `radius_m` is exceeded). Nearer-but-busy workers shadow farther
-    /// feasible ones — the designed-in lossiness behind T-Share's low
-    /// served rate in §6.2.
-    pub fn items_in_first_hit(&self, p: Point, radius_m: f64, out: &mut Vec<ItemId>) {
+    /// T-Share's *lazy single-side search* over `grid`'s items: walk
+    /// cells outward and stop at the first ring of cells that yields
+    /// any item at all (or when `radius_m` is exceeded). Nearer-but-busy
+    /// workers shadow farther feasible ones — the designed-in lossiness
+    /// behind T-Share's low served rate in §6.2. `grid` must be the
+    /// grid the table was built from, or one of the same geometry.
+    pub fn items_in_first_hit(
+        &self,
+        grid: &GridIndex,
+        p: Point,
+        radius_m: f64,
+        out: &mut Vec<ItemId>,
+    ) {
+        debug_assert_eq!(self.num_cells(), grid.num_cells(), "another grid's table");
         out.clear();
-        let origin = self.base.cell_of(p);
+        let origin = grid.cell_of(p);
         let mut hit_dist: Option<f32> = None;
         for &(d, cell) in &self.sorted[origin] {
             if f64::from(d) > radius_m {
@@ -501,20 +505,20 @@ impl SortedCellGrid {
                     break;
                 }
             }
-            if !self.base.cells[cell as usize].is_empty() {
-                out.extend_from_slice(&self.base.cells[cell as usize]);
+            if !grid.cells[cell as usize].is_empty() {
+                out.extend_from_slice(&grid.cells[cell as usize]);
                 hit_dist.get_or_insert(d);
             }
         }
     }
 
-    /// Approximate heap usage in bytes: the base grid plus the `O(C²)`
-    /// sorted lists — the number the paper's Fig. 5 memory panel tracks.
-    pub fn mem_bytes(&self) -> usize {
-        let lists: usize = self.sorted.iter().map(|r| r.capacity() * 8).sum();
-        self.base.mem_bytes()
-            + lists
-            + self.sorted.capacity() * std::mem::size_of::<Vec<(f32, u32)>>()
+    /// Heap bytes of a table over `num_cells` cells: `C` lists of `C`
+    /// 8-byte entries, each behind a `Vec` header — the `O(C²)` the
+    /// paper's Fig. 5 memory panel tracks. It depends on nothing but
+    /// the cell count, so it is known without building the table.
+    pub fn mem_bytes(num_cells: usize) -> usize {
+        num_cells * num_cells * std::mem::size_of::<(f32, u32)>()
+            + num_cells * std::mem::size_of::<Vec<(f32, u32)>>()
     }
 }
 
@@ -607,38 +611,53 @@ mod tests {
     }
 
     #[test]
-    fn sorted_cell_grid_walks_outward() {
-        let mut s = SortedCellGrid::new(bbox(4_000.0, 4_000.0), 1_000.0);
-        s.grid_mut().upsert(1, Point::new(500.0, 500.0));
-        s.grid_mut().upsert(2, Point::new(3_500.0, 3_500.0));
+    fn sorted_cell_table_walks_outward() {
+        let mut g = GridIndex::new(bbox(4_000.0, 4_000.0), 1_000.0);
+        g.upsert(1, Point::new(500.0, 500.0));
+        g.upsert(2, Point::new(3_500.0, 3_500.0));
+        let s = SortedCellTable::new(&g);
         let mut out = Vec::new();
         // Small reach: only the local cell cluster.
-        s.items_in_first_hit(Point::new(500.0, 500.0), 600.0, &mut out);
+        s.items_in_first_hit(&g, Point::new(500.0, 500.0), 600.0, &mut out);
         assert_eq!(out, vec![1]);
         // Reach across the whole box: the nearer item shadows the other.
-        s.items_in_first_hit(Point::new(500.0, 500.0), 10_000.0, &mut out);
+        s.items_in_first_hit(&g, Point::new(500.0, 500.0), 10_000.0, &mut out);
         assert_eq!(out, vec![1]);
-        s.items_in_first_hit(Point::new(3_500.0, 3_500.0), 10_000.0, &mut out);
+        s.items_in_first_hit(&g, Point::new(3_500.0, 3_500.0), 10_000.0, &mut out);
         assert_eq!(out, vec![2]);
         // No cell with an item within reach of an empty one.
-        s.items_in_first_hit(Point::new(2_500.0, 500.0), 100.0, &mut out);
+        s.items_in_first_hit(&g, Point::new(2_500.0, 500.0), 100.0, &mut out);
         assert!(out.is_empty());
+        // The table reads the grid it is handed: a move shows at once.
+        g.upsert(2, Point::new(2_400.0, 400.0));
+        s.items_in_first_hit(&g, Point::new(2_500.0, 500.0), 100.0, &mut out);
+        assert_eq!(out, vec![2]);
     }
 
     #[test]
-    fn sorted_grid_memory_dominates_plain_grid() {
+    fn table_bytes_are_the_capacity_sum_of_a_built_table() {
+        for (side, cell_m) in [(1.0, 1_000.0), (4_000.0, 1_000.0), (7_300.0, 500.0)] {
+            let g = GridIndex::new(bbox(side, side / 2.0), cell_m);
+            let s = SortedCellTable::new(&g);
+            let built: usize = s.sorted.iter().map(|r| r.capacity() * 8).sum::<usize>()
+                + s.sorted.capacity() * std::mem::size_of::<Vec<(f32, u32)>>();
+            assert_eq!(SortedCellTable::mem_bytes(g.num_cells()), built);
+        }
+    }
+
+    #[test]
+    fn sorted_table_memory_dominates_plain_grid() {
         let plain = GridIndex::new(bbox(20_000.0, 20_000.0), 1_000.0);
-        let sorted = SortedCellGrid::new(bbox(20_000.0, 20_000.0), 1_000.0);
         // 400 cells -> 160k sorted entries vs ~0 for the plain grid.
-        assert!(sorted.mem_bytes() > plain.mem_bytes() * 10);
+        assert!(SortedCellTable::mem_bytes(plain.num_cells()) > plain.mem_bytes() * 10);
     }
 
     #[test]
-    fn smaller_cells_blow_up_sorted_grid_memory() {
+    fn smaller_cells_blow_up_sorted_table_memory() {
         // The Fig. 5 effect: tshare memory grows sharply as g shrinks.
-        let coarse = SortedCellGrid::new(bbox(10_000.0, 10_000.0), 2_000.0);
-        let fine = SortedCellGrid::new(bbox(10_000.0, 10_000.0), 500.0);
-        assert!(fine.mem_bytes() > coarse.mem_bytes() * 50);
+        let cells = |cell_m| GridIndex::new(bbox(10_000.0, 10_000.0), cell_m).num_cells();
+        let (coarse, fine) = (cells(2_000.0), cells(500.0));
+        assert!(SortedCellTable::mem_bytes(fine) > SortedCellTable::mem_bytes(coarse) * 50);
     }
 
     mod props {
@@ -1094,6 +1113,56 @@ mod tests {
                         r,
                         marked_only
                     );
+                }
+            }
+
+            /// T-Share's first-hit walk is the brute-force scan it
+            /// stands for: over every cell, the nearest non-empty ones
+            /// within the radius by the same `f32` center distances
+            /// from the query's cell, and all their items. Boxes of any
+            /// shape and cell size, a fifth of the items outside the
+            /// box, items stacked on a few points, radii from zero to
+            /// past the box.
+            #[test]
+            fn first_hit_is_the_nearest_non_empty_ring_by_scan(
+                (w, h) in (1.0..6_000.0f64, prop_oneof![Just(0.0f64), 1.0..6_000.0]),
+                cell_m in prop_oneof![Just(250.0f64), Just(1_000.0), 40.0..3_000.0],
+                items in collection::vec(prop_oneof![
+                    (-0.1..1.1f64, -0.1..1.1f64),
+                    (0u32..3, 0u32..3).prop_map(|(i, j)| (f64::from(i) / 2.0, f64::from(j) / 2.0)),
+                ], 0..40),
+                queries in collection::vec(
+                    ((-0.2..1.2f64, -0.2..1.2f64), prop_oneof![Just(0.0f64), 0.0..9_000.0]),
+                    1..12,
+                ),
+            ) {
+                let at = |(x, y): (f64, f64)| Point::new(x * w, y * h);
+                let mut g = GridIndex::new(bbox(w, h), cell_m);
+                for (id, &p) in items.iter().enumerate() {
+                    g.upsert(id as ItemId, at(p));
+                }
+                let mut in_cell = vec![Vec::new(); g.num_cells()];
+                for (id, &p) in items.iter().enumerate() {
+                    in_cell[g.cell_of(at(p))].push(id as ItemId);
+                }
+                let table = SortedCellTable::new(&g);
+                let mut out = Vec::new();
+                for (q, r) in queries {
+                    let p = at(q);
+                    let origin = g.cell_center(g.cell_of(p));
+                    let ring = |c: usize| origin.euclidean_m(&g.cell_center(c)) as f32;
+                    let hit = (0..g.num_cells())
+                        .filter(|&c| f64::from(ring(c)) <= r && !in_cell[c].is_empty())
+                        .map(ring)
+                        .min_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+                    let mut scan: Vec<ItemId> = (0..g.num_cells())
+                        .filter(|&c| Some(ring(c)) == hit)
+                        .flat_map(|c| in_cell[c].iter().copied())
+                        .collect();
+                    scan.sort_unstable();
+                    table.items_in_first_hit(&g, p, r, &mut out);
+                    out.sort_unstable();
+                    prop_assert_eq!(&out, &scan, "first hit from {:?} within {}", p, r);
                 }
             }
 

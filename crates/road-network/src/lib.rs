@@ -20,9 +20,9 @@
 //!   because no measured workload ever fills it).
 //! * [`oracle`] — the [`oracle::DistanceOracle`] trait plus counting
 //!   decorators used to reproduce the paper's saved-query statistics.
-//! * [`grid`] — the uniform grid index used to shortlist candidate
-//!   workers (plain buckets) and the heavier sorted-cell variant used by
-//!   the `tshare` baseline.
+//! * [`grid`] — the uniform grid index of worker positions every
+//!   planner shortlists from, and the `O(C²)` sorted cell order the
+//!   `tshare` baseline walks over it.
 //!
 //! All travel costs are integer **centiseconds** of travel time
 //! (see [`Cost`]); the paper uses time and distance interchangeably
@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::dijkstra::DijkstraEngine;
     pub use crate::geo::Point;
     pub use crate::graph::{RoadClass, RoadNetwork};
-    pub use crate::grid::{GridIndex, SortedCellGrid};
+    pub use crate::grid::{GridIndex, SortedCellTable};
     pub use crate::hub_labels::HubLabels;
     pub use crate::matrix::MatrixOracle;
     pub use crate::oracle::{CountingOracle, DistanceOracle, QueryStats};

@@ -38,12 +38,18 @@ impl MatrixOracle {
     pub fn from_matrix(dist_rows: &[Vec<Cost>], points: Vec<Point>, top_speed_mps: f64) -> Self {
         let me = Self::from_matrix_unchecked(dist_rows, points, top_speed_mps);
         let (n, dist) = (me.n, &me.dist);
+        let row = |u: usize| &dist[u * n..(u + 1) * n];
+        // Every triple `(u, w, v)`, row against row: a hop `u → w` that
+        // does not exist bounds nothing, so its whole row is skipped.
         for u in 0..n {
-            for v in 0..n {
-                for w in 0..n {
-                    if dist[u * n + w] < INF && dist[w * n + v] < INF {
+            for (w, &duw) in row(u).iter().enumerate() {
+                if duw >= INF {
+                    continue;
+                }
+                for (v, (&duv, &dwv)) in row(u).iter().zip(row(w)).enumerate() {
+                    if dwv < INF {
                         assert!(
-                            dist[u * n + v] <= dist[u * n + w] + dist[w * n + v],
+                            duv <= duw + dwv,
                             "triangle inequality violated at ({u},{w},{v})"
                         );
                     }

@@ -33,7 +33,7 @@ use road_network::congestion::TravelTimeProvider;
 use road_network::fxhash::{FxHashMap, FxHashSet};
 use road_network::geo::Point;
 use road_network::graph::euclidean_cost;
-use road_network::grid::{GridIndex, SortedCellGrid};
+use road_network::grid::GridIndex;
 use road_network::oracle::DistanceOracle;
 use road_network::{cost_add, Cost, VertexId, INF};
 
@@ -146,9 +146,6 @@ pub struct PlatformState {
     /// so the DP engine can stream idle workers nearest-first
     /// ([`CandidateStream`]) while still collecting busy ones whole.
     grid: GridIndex,
-    /// T-Share's sorted-cell index, built on demand (only the `tshare`
-    /// baseline pays its `O(C²)` memory — Fig. 5's memory panel).
-    sorted_grid: Option<SortedCellGrid>,
     rejected: Vec<(RequestId, Cost)>,
     /// Served requests, counted by the class of the worker holding
     /// each, indexed by `ClassId`; grown on a class's first commit.
@@ -392,7 +389,6 @@ impl PlatformState {
             oracle,
             agents,
             grid,
-            sorted_grid: None,
             rejected: Vec::new(),
             served: Vec::new(),
             assignment: FxHashMap::default(),
@@ -451,31 +447,6 @@ impl PlatformState {
     #[inline]
     pub fn congestion(&self) -> Option<&Arc<dyn TravelTimeProvider>> {
         self.congestion.as_ref()
-    }
-
-    /// Builds the T-Share sorted-cell index with cell size `cell_m`
-    /// (idempotent). Worker positions are mirrored into it from then
-    /// on; see [`SortedCellGrid`] for the memory implications.
-    pub fn enable_sorted_grid(&mut self, cell_m: f64) {
-        if self.sorted_grid.is_some() {
-            return;
-        }
-        let bbox = road_network::geo::BoundingBox::around(
-            (0..self.oracle.num_vertices()).map(|i| self.oracle.point(VertexId(i as u32))),
-        );
-        let mut sg = SortedCellGrid::new(bbox, cell_m);
-        for a in self.agents.iter().filter(|a| a.active) {
-            sg.grid_mut().upsert(
-                u64::from(a.worker.id.0),
-                self.oracle.point(a.route.start_vertex()),
-            );
-        }
-        self.sorted_grid = Some(sg);
-    }
-
-    /// The T-Share index, if enabled.
-    pub fn sorted_grid(&self) -> Option<&SortedCellGrid> {
-        self.sorted_grid.as_ref()
     }
 
     /// Current platform time.
@@ -592,11 +563,7 @@ impl PlatformState {
         }
         let id = u64::from(w.0);
         if was.vertex != head.vertex {
-            let p = self.oracle.point(head.vertex);
-            self.grid.upsert(id, p);
-            if let Some(sg) = self.sorted_grid.as_mut() {
-                sg.grid_mut().upsert(id, p);
-            }
+            self.grid.upsert(id, self.oracle.point(head.vertex));
         }
         if was.idle != head.idle {
             self.grid.set_marked(id, head.idle);
@@ -677,9 +644,12 @@ impl PlatformState {
         (spare, head.capacity)
     }
 
-    /// Grid-index memory estimate (Fig. 5's memory panel).
-    pub fn grid_mem_bytes(&self) -> usize {
-        self.grid.mem_bytes()
+    /// The grid index, read-only: every active worker at its `l_0`.
+    /// T-Share walks it through its own sorted cell order, and Fig. 5's
+    /// memory panel reads its [`GridIndex::mem_bytes`].
+    #[inline]
+    pub fn grid(&self) -> &GridIndex {
+        &self.grid
     }
 
     /// Shortlists workers eligible to serve `r` (Algo. 5 line 3):
@@ -860,11 +830,12 @@ impl PlatformState {
     }
 
     /// The class half of the eligibility seam, for planners that build
-    /// their own *spatial* shortlist (T-Share's sorted-cell rings):
-    /// drops every worker the request's class constraint excludes,
-    /// preserving order. Grid item ids (`u64`) because that is what the
-    /// cell indexes yield. A no-op for unconstrained requests, so the
-    /// homogeneous fleet is untouched byte for byte.
+    /// their own *spatial* shortlist (T-Share's sorted-cell rings over
+    /// [`PlatformState::grid`]): drops every worker the request's class
+    /// constraint excludes, preserving order. Grid item ids (`u64`)
+    /// because that is what the grid's cells yield. A no-op for
+    /// unconstrained requests, so the homogeneous fleet is untouched
+    /// byte for byte.
     pub fn retain_class_eligible(&self, r: &Request, ids: &mut Vec<u64>) {
         ids.retain(|&id| r.class.allows(self.heads[id as usize].class));
     }
@@ -1118,12 +1089,9 @@ impl PlatformState {
             self.agents.len(),
             "joining workers must take the next dense id"
         );
-        let p = self.oracle.point(w.origin);
-        self.grid.upsert(u64::from(w.id.0), p);
+        self.grid
+            .upsert(u64::from(w.id.0), self.oracle.point(w.origin));
         self.grid.set_marked(u64::from(w.id.0), true);
-        if let Some(sg) = self.sorted_grid.as_mut() {
-            sg.grid_mut().upsert(u64::from(w.id.0), p);
-        }
         let mut route = Route::new(w.origin, self.now);
         if self.congestion.is_some() {
             route.set_congestion(self.congestion.clone());
@@ -1146,7 +1114,7 @@ impl PlatformState {
             .push(WorkerHead::of(self.agents.last().expect("just pushed")));
     }
 
-    /// Retires a worker: it leaves the grid indexes (so it is never
+    /// Retires a worker: it leaves the grid index (so it is never
     /// shortlisted again) but keeps its committed stops — the driver
     /// keeps moving it until its route drains. Idempotent.
     pub fn retire_worker(&mut self, w: WorkerId) {
@@ -1156,9 +1124,6 @@ impl PlatformState {
         }
         agent.active = false;
         self.grid.remove(u64::from(w.0));
-        if let Some(sg) = self.sorted_grid.as_mut() {
-            sg.grid_mut().remove(u64::from(w.0));
-        }
     }
 
     /// Exports an **idle** worker for a cross-platform handoff: retires

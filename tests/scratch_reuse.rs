@@ -188,16 +188,12 @@ fn kinetic_scratch_reuse_is_invisible() {
 
 #[test]
 fn tshare_probe_reuse_is_invisible() {
-    // T-Share's persistent grid index is *supposed* to carry state; a
-    // fresh planner per request would rebuild it differently after the
-    // mid-stream pops. Compare on the congested probe path only, with
-    // no pops, where the persistent piece under test is the probe
-    // route alone.
+    // T-Share carries its sorted cell order and its re-timed spare
+    // route across requests; a fresh planner per request rebuilds both
+    // from the same platform state, so no decision may move.
     let requests = stream(160);
     let make = || -> Box<dyn Planner> {
         Box::new(TSharePlanner::from_config(TShareConfig {
-            grid_cell_m: 2_000.0,
-            avg_speed_mps: 8.0,
             search: SearchMode::SingleSide,
         }))
     };
@@ -208,8 +204,6 @@ fn tshare_probe_reuse_is_invisible() {
             let mut outs = Vec::new();
             for r in &requests {
                 if !persistent {
-                    // A fresh planner must re-learn the fleet: replay
-                    // the grid bootstrap by handing it the same state.
                     planner = make();
                 }
                 outs.extend(planner.on_request(&mut state, r));

@@ -321,7 +321,7 @@ impl KineticPlanner {
             Some(delta)
         } else if let Some(delta) = seed {
             // Fall back to the insertion seed (or infeasible).
-            self.eval_stops.extend_from_slice(self.seed_route.stops());
+            self.eval_stops.extend(self.seed_route.stops());
             self.eval_legs
                 .extend((1..=self.seed_route.len()).map(|k| self.seed_route.leg(k)));
             Some(delta)

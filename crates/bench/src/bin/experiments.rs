@@ -817,8 +817,6 @@ fn congestion(opts: &Opts, out: &mut impl Write) {
 /// only the class tags (and the per-class capacity redraw) differ, so
 /// the delta is attributable to heterogeneity alone.
 fn fleet(opts: &Opts, out: &mut impl Write) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     use urpsm_workloads::fleet::FleetMix;
 
     eprintln!("fleet experiment (scale ÷{})…", opts.scale);
@@ -827,17 +825,8 @@ fn fleet(opts: &Opts, out: &mut impl Write) {
 
     let mix = FleetMix::mixed();
     let mut mixed = single.clone();
-    // Same class-assignment stream the scenario builder uses
-    // (seed + 0xc1a5): sample the class by cumulative fraction, then
-    // redraw capacity around the class mean (Irwin–Hall(4), the §6.1
-    // capacity distribution).
-    let mut rng = StdRng::seed_from_u64(opts.seed.wrapping_add(0xc1a5));
-    for w in &mut mixed.workers {
-        w.class = mix.sample(rng.gen::<f64>());
-        let mu = mix.entries()[w.class.idx()].0.capacity;
-        let sum4: f64 = (0..4).map(|_| rng.gen::<f64>()).sum::<f64>() / 4.0;
-        w.capacity = ((f64::from(mu) + (sum4 - 0.5) * 6.93).round()).max(1.0) as u32;
-    }
+    // The scenario builder's class draw, on the fixture's fleet.
+    mix.assign(opts.seed, &mut mixed.workers);
     mixed.sim.classes = Some(Arc::new(mix.class_table()));
 
     let class_names: Vec<&str> = mix.entries().iter().map(|(c, _)| c.name).collect();

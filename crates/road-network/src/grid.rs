@@ -6,9 +6,9 @@
 //! * [`GridIndex`] — plain per-cell buckets of item ids, the platform's
 //!   one index of where workers are. "The grid index of the other
 //!   algorithms only stores the IDs of workers in the grid": every
-//!   planner reads it, T-Share included. Each bucket carries its items'
-//!   points in a parallel column, so a range query is a linear scan of
-//!   dense arrays. It has one static user too: the request generator
+//!   planner reads it, T-Share included. Each bucket holds its items'
+//!   ids with their points, so a range query is a linear scan of one
+//!   dense array. It has one static user too: the request generator
 //!   snaps trip endpoints to road vertices with [`GridIndex::nearest`]
 //!   over a grid of the network's vertices.
 //! * [`SortedCellTable`] — what T-Share adds on top: for every cell of
@@ -37,11 +37,10 @@ pub struct GridIndex {
     cell_m: f64,
     nx: usize,
     ny: usize,
-    cells: Vec<Vec<ItemId>>,
-    /// `cell_pts[c][k]` is the exact position of item `cells[c][k]`:
-    /// range queries filter by true distance off this column, without a
-    /// lookup per item. Every bucket edit moves both columns alike.
-    cell_pts: Vec<Vec<Point>>,
+    /// Every cell's items with their exact positions: range queries
+    /// filter by true distance off the bucket, without a lookup per
+    /// item.
+    cells: Vec<Vec<(ItemId, Point)>>,
     /// `marked[c]` leading items of cell `c`'s bucket are *marked*, the
     /// rest are not: a caller-defined two-way split of every cell (the
     /// platform marks idle workers) that one sweep can read both halves
@@ -67,7 +66,6 @@ impl GridIndex {
             nx,
             ny,
             cells: vec![Vec::new(); nx * ny],
-            cell_pts: vec![Vec::new(); nx * ny],
             marked: vec![0; nx * ny],
             items: FxHashMap::default(),
         }
@@ -123,7 +121,7 @@ impl GridIndex {
                 *old_p = p;
                 if old_cell == new_cell {
                     let slot = Self::slot_in(&self.cells[old_cell], id);
-                    self.cell_pts[old_cell][slot] = p;
+                    self.cells[old_cell][slot].1 = p;
                 } else {
                     let marked = self.remove_from_cell(old_cell, id);
                     self.push_to_cell(new_cell, id, p, marked);
@@ -159,7 +157,7 @@ impl GridIndex {
             // The item trades places with the split's neighbour on the
             // other side, and the split moves past it.
             let edge = if marked { split } else { split - 1 };
-            self.swap_in_cell(cell, slot, edge);
+            self.cells[cell].swap(slot, edge);
             self.marked[cell] = if marked { split + 1 } else { split - 1 } as u32;
         }
         true
@@ -171,24 +169,20 @@ impl GridIndex {
         Some(Self::slot_in(&self.cells[cell], id) < self.marked[cell] as usize)
     }
 
-    fn slot_in(bucket: &[ItemId], id: ItemId) -> usize {
+    fn slot_in(bucket: &[(ItemId, Point)], id: ItemId) -> usize {
         bucket
             .iter()
-            .position(|&x| x == id)
+            .position(|&(x, _)| x == id)
             .expect("an indexed item is in its cell's bucket")
     }
 
-    fn swap_in_cell(&mut self, cell: usize, a: usize, b: usize) {
-        self.cells[cell].swap(a, b);
-        self.cell_pts[cell].swap(a, b);
-    }
-
     fn push_to_cell(&mut self, cell: usize, id: ItemId, p: Point, marked: bool) {
-        self.cells[cell].push(id);
-        self.cell_pts[cell].push(p);
+        let bucket = &mut self.cells[cell];
+        bucket.push((id, p));
         if marked {
             let split = self.marked[cell] as usize;
-            self.swap_in_cell(cell, split, self.cells[cell].len() - 1);
+            let last = bucket.len() - 1;
+            bucket.swap(split, last);
             self.marked[cell] += 1;
         }
     }
@@ -201,12 +195,11 @@ impl GridIndex {
         if marked {
             // Move it to the end of the marked run, then fill that place
             // from the bucket's end, which is unmarked (or itself).
-            self.swap_in_cell(cell, slot, split - 1);
+            self.cells[cell].swap(slot, split - 1);
             self.marked[cell] -= 1;
             slot = split - 1;
         }
         self.cells[cell].swap_remove(slot);
-        self.cell_pts[cell].swap_remove(slot);
         marked
     }
 
@@ -220,7 +213,7 @@ impl GridIndex {
     /// by cell in bucket order.
     pub fn for_each_within(&self, p: Point, radius_m: f64, mut visit: impl FnMut(ItemId)) {
         self.for_each_cell_in_sweep(p, radius_m, |c| {
-            for (&id, q) in self.cells[c].iter().zip(&self.cell_pts[c]) {
+            for &(id, q) in &self.cells[c] {
                 if q.euclidean_m(&p) <= radius_m {
                     visit(id);
                 }
@@ -297,7 +290,7 @@ impl GridIndex {
                 if end == 0 || self.cell_min_distance(c, p) > limit {
                     return;
                 }
-                for (&id, q) in self.cells[c][..end].iter().zip(&self.cell_pts[c]) {
+                for &(id, q) in &self.cells[c][..end] {
                     let d = q.euclidean_m(&p);
                     if d <= limit && best.is_none_or(|b| (d, id) < b) && accept(id) {
                         best = Some((d, id));
@@ -344,10 +337,7 @@ impl GridIndex {
     ) {
         self.for_each_cell_in_sweep(p, radius_m, |c| {
             let split = self.marked[c] as usize;
-            for (&id, q) in self.cells[c][split..]
-                .iter()
-                .zip(&self.cell_pts[c][split..])
-            {
+            for &(id, q) in &self.cells[c][split..] {
                 if q.euclidean_m(&p) <= radius_m {
                     unmarked(id);
                 }
@@ -361,11 +351,9 @@ impl GridIndex {
         });
     }
 
-    /// The marked items of cell `c` and their exact positions
-    /// (`ids[k]` sits at `points[k]`).
-    pub fn marked_items(&self, c: usize) -> (&[ItemId], &[Point]) {
-        let split = self.marked[c] as usize;
-        (&self.cells[c][..split], &self.cell_pts[c][..split])
+    /// The marked items of cell `c`, each with its exact position.
+    pub fn marked_items(&self, c: usize) -> &[(ItemId, Point)] {
+        &self.cells[c][..self.marked[c] as usize]
     }
 
     /// A lower bound on `q.euclidean_m(&p)` over every item position `q`
@@ -430,17 +418,14 @@ impl GridIndex {
 
     /// Approximate heap usage in bytes.
     pub fn mem_bytes(&self) -> usize {
-        let buckets: usize = self.cells.iter().map(|c| c.capacity() * 8).sum();
-        let points: usize = self
-            .cell_pts
+        let buckets: usize = self
+            .cells
             .iter()
-            .map(|c| c.capacity() * std::mem::size_of::<Point>())
+            .map(|c| c.capacity() * std::mem::size_of::<(ItemId, Point)>())
             .sum();
-        self.cells.capacity() * std::mem::size_of::<Vec<ItemId>>()
-            + self.cell_pts.capacity() * std::mem::size_of::<Vec<Point>>()
+        self.cells.capacity() * std::mem::size_of::<Vec<(ItemId, Point)>>()
             + self.marked.capacity() * 4
             + buckets
-            + points
             + self.items.capacity() * (8 + std::mem::size_of::<(usize, Point)>() + 8)
     }
 }
@@ -505,8 +490,9 @@ impl SortedCellTable {
                     break;
                 }
             }
-            if !grid.cells[cell as usize].is_empty() {
-                out.extend_from_slice(&grid.cells[cell as usize]);
+            let bucket = &grid.cells[cell as usize];
+            if !bucket.is_empty() {
+                out.extend(bucket.iter().map(|&(id, _)| id));
                 hit_dist.get_or_insert(d);
             }
         }
@@ -696,23 +682,22 @@ mod tests {
             ]
         }
 
-        /// Both bucket columns agree with the by-id map, item for item,
-        /// and every cell's marked run is its marked items.
-        fn check_columns(
+        /// The buckets agree with the by-id map, item for item, and
+        /// every cell's marked run is its marked items.
+        fn check_buckets(
             g: &GridIndex,
             model: &[(ItemId, Point, bool)],
         ) -> Result<(), TestCaseError> {
             let mut bucketed = 0;
-            for (c, (ids, pts)) in g.cells.iter().zip(&g.cell_pts).enumerate() {
-                prop_assert_eq!(ids.len(), pts.len());
-                prop_assert!(g.marked[c] as usize <= ids.len());
-                for (k, (id, p)) in ids.iter().zip(pts).enumerate() {
+            for (c, bucket) in g.cells.iter().enumerate() {
+                prop_assert!(g.marked[c] as usize <= bucket.len());
+                for (k, (id, p)) in bucket.iter().enumerate() {
                     prop_assert_eq!(g.items.get(id), Some(&(c, *p)));
                     prop_assert_eq!(g.cell_of(*p), c);
                     let marked = model.iter().find(|m| m.0 == *id).map(|m| m.2);
                     prop_assert_eq!(Some(k < g.marked[c] as usize), marked);
                 }
-                bucketed += ids.len();
+                bucketed += bucket.len();
             }
             prop_assert_eq!(bucketed, g.items.len());
             Ok(())
@@ -781,9 +766,8 @@ mod tests {
                         unmarked.sort_unstable();
                         let mut marked_in_reach = Vec::new();
                         for &c in &cells {
-                            let (ids, pts) = g.marked_items(c);
                             marked_in_reach.extend(
-                                ids.iter().zip(pts).filter(|(_, q)| q.euclidean_m(&p) <= r).map(|(&id, _)| id),
+                                g.marked_items(c).iter().filter(|(_, q)| q.euclidean_m(&p) <= r).map(|&(id, _)| id),
                             );
                         }
                         marked_in_reach.sort_unstable();
@@ -806,7 +790,7 @@ mod tests {
                         let marked = find(&model, id).map(|k| model[k].2);
                         prop_assert_eq!(g.is_marked(id), marked);
                     }
-                    check_columns(&g, &model)?;
+                    check_buckets(&g, &model)?;
                 }
             }
         }
@@ -939,9 +923,9 @@ mod tests {
                     });
                     for (c, &seen) in visited.iter().enumerate() {
                         let bound = g.cell_min_distance(c, p);
-                        let (ids, pts) = g.marked_items(c);
-                        prop_assert_eq!(ids.len(), g.cells[c].len());
-                        for (id, q) in ids.iter().zip(pts) {
+                        let marked = g.marked_items(c);
+                        prop_assert_eq!(marked.len(), g.cells[c].len());
+                        for (id, q) in marked {
                             let d = q.euclidean_m(&p);
                             prop_assert!(bound <= d, "item {} at {:?}: bound {} > {}", id, q, bound, d);
                             prop_assert!(seen || d > r, "item {} within {} unvisited", id, r);

@@ -176,9 +176,10 @@ fn indexed_motion_equals_the_full_sweep() {
                     // to strip, so one is staged: the first active
                     // worker still owing a pickup leaves with
                     // `Reassign`.
-                    let owing = indexed.state.agents().iter().find(|a| {
-                        a.active && a.route.stops().iter().any(|s| s.kind == StopKind::Pickup)
-                    });
+                    let owing =
+                        indexed.state.agents().iter().find(|a| {
+                            a.active && a.route.stops().any(|s| s.kind == StopKind::Pickup)
+                        });
                     let leave = PlatformEvent::WorkerLeft {
                         at: indexed.now(),
                         worker: owing.expect("someone owes a pickup").worker.id,

@@ -110,9 +110,10 @@ fn simulate_candidate(
         load <= worker_capacity
     };
 
+    let mut stops = route.stops();
     for k in 0..=n {
         if k > 0 {
-            let s = &route.stops()[k - 1];
+            let s = stops.next().expect("one stop per location k ≥ 1");
             // Stops that stay adjacent keep their stored leg (the
             // ledger's ground truth — see module docs); a hop following
             // an inserted stop is a new leg and is queried fresh.
@@ -339,8 +340,7 @@ mod tests {
         route.apply_insertion(&p2, &r2);
         assert!(route.validate(4).is_ok());
         // Pickups in order 5, 6; deliveries 14, 15.
-        let kinds: Vec<(u32, StopKind)> =
-            route.stops().iter().map(|s| (s.vertex.0, s.kind)).collect();
+        let kinds: Vec<(u32, StopKind)> = route.stops().map(|s| (s.vertex.0, s.kind)).collect();
         assert_eq!(
             kinds,
             vec![

@@ -809,9 +809,8 @@ impl PlatformState {
         };
         let (r, direct) = stream.request();
         let speed = self.oracle.top_speed_mps();
-        let (ids, points) = self.grid.marked_items(cell as usize);
         let mut bounded = 0;
-        for (&id, q) in ids.iter().zip(points) {
+        for &(id, q) in self.grid.marked_items(cell as usize) {
             let d = q.euclidean_m(&stream.origin);
             if d <= stream.radius_m {
                 let w = WorkerId(id as u32);
@@ -887,23 +886,15 @@ impl PlatformState {
         self.retime(w);
         let agent = &mut self.agents[w.idx()];
         #[cfg(debug_assertions)]
-        let before: std::collections::BTreeSet<(RequestId, crate::types::StopKind)> = agent
-            .route
-            .stops()
-            .iter()
-            .map(|s| (s.request, s.kind))
-            .collect();
+        let before: std::collections::BTreeSet<(RequestId, crate::types::StopKind)> =
+            agent.route.stops().map(|s| (s.request, s.kind)).collect();
         #[cfg(debug_assertions)]
         let old_remaining = agent.route.remaining_distance();
         agent.route.replace_tail(stops, legs);
         #[cfg(debug_assertions)]
         {
-            let after: std::collections::BTreeSet<(RequestId, crate::types::StopKind)> = agent
-                .route
-                .stops()
-                .iter()
-                .map(|s| (s.request, s.kind))
-                .collect();
+            let after: std::collections::BTreeSet<(RequestId, crate::types::StopKind)> =
+                agent.route.stops().map(|s| (s.request, s.kind)).collect();
             for key in &before {
                 assert!(
                     after.contains(key),
@@ -1358,7 +1349,6 @@ mod tests {
                 .agent(WorkerId(0))
                 .route
                 .stops()
-                .iter()
                 .any(|s| s.request == RequestId(2))
         };
         assert!(holds_r2(&state));

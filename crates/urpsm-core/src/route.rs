@@ -2,21 +2,22 @@
 //!
 //! A [`Route`] is the paper's `S_w = ⟨l_0, l_1, …, l_n⟩`: the worker's
 //! current location `l_0` followed by an ordered sequence of pickup and
-//! delivery stops. Alongside the stops it maintains exactly the arrays
-//! the DP insertion needs:
+//! delivery stops. It is one array of `n + 1` locations, and location
+//! `l_k` carries exactly the entries the DP insertion needs:
 //!
 //! * `arr[k]` — arrival time at `l_k` (Eq. 7),
 //! * `ddl[k]` — latest feasible arrival at `l_k` (Eq. 6; `∞` for `l_0`),
 //! * `slack[k]` — tolerable detour between `l_k` and `l_{k+1}` (Eq. 8;
 //!   `slack[n] = ∞`),
-//! * `picked[k]` — passengers/items on board after `l_k` (Eq. 9),
+//! * `picked[k]` — passengers/items on board after `l_k` (Eq. 9;
+//!   `picked[0]` is the onboard load),
 //! * `leg[k]` — `dis(l_{k-1}, l_k)`, the auxiliary distance array noted
 //!   in Lemma 7, so schedules rebuild without new shortest-distance
-//!   queries.
+//!   queries (`leg[0] = 0`).
 //!
 //! Speculative insertion *planning* never mutates a route; a chosen
 //! [`InsertionPlan`] is applied with [`Route::apply_insertion`], which
-//! splices the two stops and rebuilds the arrays in `O(n)`.
+//! splices the two locations in and rebuilds the schedule in `O(n)`.
 //!
 //! Only arrivals that can move are re-timed: a mutation keeps every
 //! `arr[k]` whose leg and departure it leaves alone (an insertion keeps
@@ -32,21 +33,52 @@ use smallvec::SmallVec;
 
 use crate::types::{Request, RequestId, Stop, StopKind, Time};
 
-/// Inline capacity of the stop array: 8 stops = 4 pooled requests per
+/// Inline capacity of a route in stops: 8 stops = 4 pooled requests per
 /// vehicle, which covers the common case at the paper's capacities
 /// (Table 5 sweeps `K_w` around 4; even capacity 20 workers rarely
 /// carry 8 *pending* stops at once). Longer routes spill to the heap
 /// and keep working — the inline size is a fast path, not a limit.
 pub const ROUTE_INLINE_STOPS: usize = 8;
 
-/// The schedule arrays hold `n + 1` entries (location `l_0` plus `n`
-/// stops), so they get one slot more than the stop array.
-const ROUTE_INLINE_SCHED: usize = ROUTE_INLINE_STOPS + 1;
+/// One location `l_k` of a route and its schedule entries.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Location {
+    /// The stop at `l_k` for `k ≥ 1`. For `l_0` only `vertex` and
+    /// `ddl = ∞` are read, and no accessor hands it out as a stop.
+    stop: Stop,
+    arr: Time,
+    slack: Cost,
+    picked: u32,
+    /// `dis(l_{k-1}, l_k)`; `0` for `l_0`.
+    leg: Cost,
+}
 
-/// Inline-capacity storage for the stop sequence.
-pub(crate) type StopArray = SmallVec<Stop, ROUTE_INLINE_STOPS>;
-/// Inline-capacity storage for the per-location schedule arrays.
-pub(crate) type SchedArray<T> = SmallVec<T, ROUTE_INLINE_SCHED>;
+impl Location {
+    /// `l_0`: the worker at `vertex` at `time` with `load` on board.
+    fn start(vertex: VertexId, time: Time, load: u32) -> Self {
+        Location {
+            stop: Stop {
+                vertex,
+                ddl: INF,
+                ..Stop::default()
+            },
+            arr: time,
+            slack: INF,
+            picked: load,
+            leg: 0,
+        }
+    }
+
+    /// A stop reached over a leg of free-flow cost `leg`; the rebuild
+    /// that follows every splice fills in its schedule.
+    fn stop(stop: Stop, leg: Cost) -> Self {
+        Location {
+            stop,
+            leg,
+            ..Location::default()
+        }
+    }
+}
 
 /// How the two new stops sit in the old route; carries the leg costs the
 /// commit needs so no shortest-distance query is repeated (§5.3).
@@ -96,7 +128,7 @@ pub struct InsertionPlan {
     pub shape: PlanShape,
 }
 
-/// A worker's route plus its schedule arrays.
+/// A worker's route: its locations and their schedule entries.
 ///
 /// # Time-dependent travel times
 ///
@@ -121,17 +153,10 @@ pub struct InsertionPlan {
 /// integrated from its start, which is always a vertex at a known time
 /// (after a pop it already was, so a pop re-times nothing).
 pub struct Route {
-    start_vertex: VertexId,
-    /// `picked[0]`: passengers/items currently on board.
-    initial_load: u32,
-    stops: StopArray,
-    /// Never empty: `arr[0]` is the route's start time — when the
-    /// worker is (or will be) at `start_vertex` — and its only copy.
-    arr: SchedArray<Time>,
-    slack: SchedArray<Cost>,
-    picked: SchedArray<u32>,
-    /// `leg[k] = dis(l_{k-1}, l_k)` for `k ≥ 1`; `leg[0] = 0`.
-    leg: SchedArray<Cost>,
+    /// `l_0, l_1, …, l_n`: never empty. `locs[0].arr` is the route's
+    /// start time — when the worker is (or will be) at `l_0` — and its
+    /// only copy.
+    locs: SmallVec<Location, { ROUTE_INLINE_STOPS + 1 }>,
     /// Departure-time-aware travel times; `None` = free flow.
     congestion: Option<Arc<dyn TravelTimeProvider>>,
     /// Per-mille vehicle-class travel-time multiplier (1000 = network
@@ -149,20 +174,14 @@ pub struct Route {
     head_time: Option<Cost>,
 }
 
-// Manual `Clone` so `clone_from` reuses the destination's buffers: a
+// Manual `Clone` so `clone_from` reuses the destination's buffer: a
 // planner's spare route is `clone_from`-ed once per re-timed idle
-// candidate, and with inline arrays (or retained heap capacity after a
-// spill) that copy allocates nothing.
+// candidate, and with the inline array (or retained heap capacity
+// after a spill) that copy allocates nothing.
 impl Clone for Route {
     fn clone(&self) -> Self {
         Route {
-            start_vertex: self.start_vertex,
-            initial_load: self.initial_load,
-            stops: self.stops.clone(),
-            arr: self.arr.clone(),
-            slack: self.slack.clone(),
-            picked: self.picked.clone(),
-            leg: self.leg.clone(),
+            locs: self.locs.clone(),
             congestion: self.congestion.clone(),
             speed_permille: self.speed_permille,
             range: self.range,
@@ -171,14 +190,8 @@ impl Clone for Route {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.start_vertex = source.start_vertex;
-        self.initial_load = source.initial_load;
-        self.stops.clone_from(&source.stops);
-        self.arr.clone_from(&source.arr);
-        self.slack.clone_from(&source.slack);
-        self.picked.clone_from(&source.picked);
+        self.locs.clone_from(&source.locs);
         self.congestion.clone_from(&source.congestion);
-        self.leg.clone_from(&source.leg);
         self.speed_permille = source.speed_permille;
         self.range = source.range;
         self.head_time = source.head_time;
@@ -190,14 +203,7 @@ impl Clone for Route {
 // `dyn` handle lives inside.)
 impl PartialEq for Route {
     fn eq(&self, other: &Self) -> bool {
-        self.start_vertex == other.start_vertex
-            && self.initial_load == other.initial_load
-            && self.stops == other.stops
-            && self.arr == other.arr
-            && self.slack == other.slack
-            && self.picked == other.picked
-            && self.leg == other.leg
-            && self.head_time == other.head_time
+        self.locs == other.locs && self.head_time == other.head_time
     }
 }
 
@@ -206,13 +212,7 @@ impl Eq for Route {}
 impl std::fmt::Debug for Route {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Route")
-            .field("start_vertex", &self.start_vertex)
-            .field("initial_load", &self.initial_load)
-            .field("stops", &self.stops)
-            .field("arr", &self.arr)
-            .field("slack", &self.slack)
-            .field("picked", &self.picked)
-            .field("leg", &self.leg)
+            .field("locs", &self.locs)
             .field("head_time", &self.head_time)
             .field(
                 "congestion",
@@ -237,13 +237,7 @@ impl Route {
     /// An empty route for a worker standing at `start` at `time`.
     pub fn new(start: VertexId, time: Time) -> Self {
         Route {
-            start_vertex: start,
-            initial_load: 0,
-            stops: StopArray::new(),
-            arr: SchedArray::from_slice(&[time]),
-            slack: SchedArray::from_slice(&[INF]),
-            picked: SchedArray::from_slice(&[0]),
-            leg: SchedArray::from_slice(&[0]),
+            locs: SmallVec::from_slice(&[Location::start(start, time, 0)]),
             congestion: None,
             speed_permille: crate::types::SPEED_BASELINE_PM,
             range: None,
@@ -252,8 +246,8 @@ impl Route {
     }
 
     /// Installs (or removes) a departure-time-aware travel-time
-    /// provider and rebuilds the schedule under it. The leg array —
-    /// and with it every economic quantity — is untouched; only `arr`
+    /// provider and rebuilds the schedule under it. The legs — and
+    /// with them every economic quantity — are untouched; only `arr`
     /// and `slack` change. A flat provider reproduces the free-flow
     /// schedule exactly.
     pub fn set_congestion(&mut self, provider: Option<Arc<dyn TravelTimeProvider>>) {
@@ -350,104 +344,95 @@ impl Route {
                 return frozen;
             }
         }
-        self.leg_time(self.vertex(k - 1), self.vertex(k), self.leg[k], depart)
+        self.leg_time(self.vertex(k - 1), self.vertex(k), self.locs[k].leg, depart)
     }
 
     /// Number of stops `n` (the paper's route has `n + 1` locations).
     #[inline]
     pub fn len(&self) -> usize {
-        self.stops.len()
+        self.locs.len() - 1
     }
 
     /// Whether the route has no pending stops.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.stops.is_empty()
+        self.locs.len() == 1
     }
 
-    /// The stops `l_1 … l_n`.
+    /// The stops `l_1 … l_n`, in route order.
     #[inline]
-    pub fn stops(&self) -> &[Stop] {
-        &self.stops
+    pub fn stops(&self) -> impl Iterator<Item = &Stop> + '_ {
+        self.locs[1..].iter().map(|l| &l.stop)
     }
 
     /// Location `l_k` (`k = 0` is the worker's current location).
     #[inline]
     pub fn vertex(&self, k: usize) -> VertexId {
-        if k == 0 {
-            self.start_vertex
-        } else {
-            self.stops[k - 1].vertex
-        }
+        self.locs[k].stop.vertex
     }
 
     /// Arrival time `arr[k]` (Eq. 7).
     #[inline]
     pub fn arr(&self, k: usize) -> Time {
-        self.arr[k]
+        self.locs[k].arr
     }
 
     /// Latest feasible arrival `ddl[k]` (Eq. 6); `∞` for `k = 0`.
     #[inline]
     pub fn ddl(&self, k: usize) -> Time {
-        if k == 0 {
-            INF
-        } else {
-            self.stops[k - 1].ddl
-        }
+        self.locs[k].stop.ddl
     }
 
     /// Slack time `slack[k]` (Eq. 8); `∞` for `k = n`.
     #[inline]
     pub fn slack(&self, k: usize) -> Cost {
-        self.slack[k]
+        self.locs[k].slack
     }
 
     /// On-board load `picked[k]` after `l_k` (Eq. 9).
     #[inline]
     pub fn picked(&self, k: usize) -> u32 {
-        self.picked[k]
+        self.locs[k].picked
     }
 
     /// Stored leg distance `dis(l_{k-1}, l_k)` for `k ≥ 1`.
     #[inline]
     pub fn leg(&self, k: usize) -> Cost {
-        self.leg[k]
+        self.locs[k].leg
     }
 
     /// The worker's current location `l_0`.
     #[inline]
     pub fn start_vertex(&self) -> VertexId {
-        self.start_vertex
+        self.vertex(0)
     }
 
     /// The time the worker is/will be at `l_0` (`arr[0]`).
     #[inline]
     pub fn start_time(&self) -> Time {
-        self.arr[0]
+        self.arr(0)
     }
 
     /// Passengers/items currently on board (`picked[0]`).
     #[inline]
     pub fn onboard(&self) -> u32 {
-        self.initial_load
+        self.picked(0)
     }
 
     /// Remaining planned travel time, `Σ leg[k]`.
     pub fn remaining_distance(&self) -> Cost {
-        self.leg.iter().sum()
+        self.locs.iter().map(|l| l.leg).sum()
     }
 
-    /// Rebuilds `arr[1..]`, `picked` and `slack` from the stops, legs
-    /// and start state in `O(n)`.
+    /// Rebuilds `arr[1..]`, `picked[1..]` and `slack` from the stops,
+    /// legs and start state in `O(n)`.
     fn rebuild(&mut self) {
         self.rebuild_from(1);
     }
 
-    /// Re-times `arr[first..]` and recomputes `picked` and `slack`,
-    /// keeping `arr[..first]` as stored. `arr[0]` is the start time
-    /// itself — the arrays never shrink below one entry, so `resize`
-    /// keeps it.
+    /// Re-times `arr[first..]` and recomputes `picked[1..]` and `slack`,
+    /// keeping `arr[..first]` as stored. Every splice has already put
+    /// its locations in place, so nothing here grows the array.
     ///
     /// Sound exactly when the mutation left the leg, both endpoints and
     /// the departure of every kept arrival alone (each caller says
@@ -455,27 +440,26 @@ impl Route {
     /// unchanged, so a mutation that moves an arrival it did not re-time
     /// fails every debug test that reaches it.
     fn rebuild_from(&mut self, first: usize) {
-        let n = self.stops.len();
-        self.arr.resize(n + 1, 0);
-        self.picked.resize(n + 1, 0);
-        self.slack.resize(n + 1, 0);
+        let n = self.len();
         #[cfg(debug_assertions)]
         self.debug_assert_timed_before(first.min(n + 1));
         for k in first..=n {
-            self.arr[k] = cost_add(self.arr[k - 1], self.leg_time_at(k, self.arr[k - 1]));
+            let depart = self.locs[k - 1].arr;
+            self.locs[k].arr = cost_add(depart, self.leg_time_at(k, depart));
         }
-        self.picked[0] = self.initial_load;
         for k in 1..=n {
-            let s = &self.stops[k - 1];
-            self.picked[k] = match s.kind {
-                StopKind::Pickup => self.picked[k - 1] + s.load,
-                StopKind::Delivery => self.picked[k - 1].saturating_sub(s.load),
+            let before = self.locs[k - 1].picked;
+            let l = &mut self.locs[k];
+            l.picked = match l.stop.kind {
+                StopKind::Pickup => before + l.stop.load,
+                StopKind::Delivery => before.saturating_sub(l.stop.load),
             };
         }
-        self.slack[n] = INF;
+        self.locs[n].slack = INF;
         for k in (0..n).rev() {
-            let headroom = self.ddl(k + 1).saturating_sub(self.arr[k + 1]);
-            self.slack[k] = self.slack[k + 1].min(headroom);
+            let next = self.locs[k + 1];
+            let headroom = next.stop.ddl.saturating_sub(next.arr);
+            self.locs[k].slack = next.slack.min(headroom);
         }
     }
 
@@ -485,9 +469,10 @@ impl Route {
     fn debug_assert_timed_before(&self, first: usize) {
         cross_check(|| {
             for k in 1..first {
-                let retimed = cost_add(self.arr[k - 1], self.leg_time_at(k, self.arr[k - 1]));
+                let depart = self.locs[k - 1].arr;
+                let retimed = cost_add(depart, self.leg_time_at(k, depart));
                 assert_eq!(
-                    self.arr[k], retimed,
+                    self.locs[k].arr, retimed,
                     "kept arr[{k}] is stale: a mutation moved an arrival it did not re-time"
                 );
             }
@@ -501,11 +486,11 @@ impl Route {
     /// # Panics
     /// If the route has stops but no `new_first_leg` is supplied.
     pub fn set_start(&mut self, v: VertexId, time: Time, new_first_leg: Option<Cost>) {
-        self.start_vertex = v;
-        self.arr[0] = time;
+        self.locs[0].stop.vertex = v;
+        self.locs[0].arr = time;
         self.head_time = None;
-        if !self.stops.is_empty() {
-            self.leg[1] = new_first_leg.expect("non-empty route needs dis(l_0, l_1)");
+        if !self.is_empty() {
+            self.locs[1].leg = new_first_leg.expect("non-empty route needs dis(l_0, l_1)");
         }
         self.rebuild();
     }
@@ -522,17 +507,17 @@ impl Route {
     /// # Panics
     /// If the route is empty or `time > arr[1]`.
     pub fn snap_on_leg(&mut self, v: VertexId, time: Time, remaining_base: Cost) {
-        assert!(!self.stops.is_empty(), "no leg to snap onto");
-        let arr1 = self.arr[1];
+        assert!(!self.is_empty(), "no leg to snap onto");
+        let arr1 = self.locs[1].arr;
         assert!(time <= arr1, "snap time {time} past arr[1] = {arr1}");
-        self.start_vertex = v;
-        self.arr[0] = time;
-        self.leg[1] = remaining_base;
+        self.locs[0].stop.vertex = v;
+        self.locs[0].arr = time;
+        self.locs[1].leg = remaining_base;
         self.head_time = Some(arr1 - time);
         // The freeze keeps `arr[1]`, and every later leg departs from an
         // unchanged arrival: nothing is re-timed.
-        self.rebuild_from(self.stops.len() + 1);
-        debug_assert_eq!(self.arr[1], arr1, "a snap must never move arr[1]");
+        self.rebuild_from(self.len() + 1);
+        debug_assert_eq!(self.locs[1].arr, arr1, "a snap must never move arr[1]");
     }
 
     /// Re-times an idle/parked worker to `time` without moving it.
@@ -540,18 +525,12 @@ impl Route {
     /// On an empty route this is one store: `arr[0]` is the only entry
     /// that depends on the start time (`picked[0]`, `slack[0] = ∞` and
     /// the cleared head freeze already hold — every path that empties a
-    /// route ends in a rebuild with the freeze dropped). Emptiness is
-    /// read off `arr`'s own length (`n + 1` after every rebuild), which
-    /// the store has already pulled into cache; `stops` lives lines
-    /// away, and the idle clock pays for every line it touches.
+    /// route ends in a rebuild with the freeze dropped).
     pub fn set_start_time(&mut self, time: Time) {
-        self.arr[0] = time;
-        if self.arr.len() == 1 {
+        self.locs[0].arr = time;
+        if self.is_empty() {
             debug_assert!(
-                self.stops.is_empty()
-                    && self.head_time.is_none()
-                    && self.slack[0] == INF
-                    && self.picked[0] == self.initial_load,
+                self.head_time.is_none() && self.locs[0].slack == INF,
                 "an empty route holds nothing but its start state"
             );
             return;
@@ -567,22 +546,16 @@ impl Route {
     /// # Panics
     /// If the route is empty.
     pub fn pop_front_stop(&mut self) -> (Stop, Time) {
-        assert!(!self.stops.is_empty(), "no stop to pop");
-        let reached_at = self.arr[1];
-        let stop = self.stops.remove(0);
-        self.leg.remove(1);
-        // The new `arr[0]` is `reached_at`, and every remaining leg
-        // departs when it did (the new head, never frozen before, from
-        // `reached_at`): the arrivals shift down one slot, none re-timed.
-        self.arr.remove(0);
+        assert!(!self.is_empty(), "no stop to pop");
+        let reached = self.locs.remove(1);
+        // `l_1` becomes `l_0`: reached at its arrival with its load on
+        // board, and every remaining leg departs when it did (the new
+        // head, never frozen before, from `reached.arr`): the arrivals
+        // shift down one slot, none re-timed.
+        self.locs[0] = Location::start(reached.stop.vertex, reached.arr, reached.picked);
         self.head_time = None;
-        self.start_vertex = stop.vertex;
-        self.initial_load = match stop.kind {
-            StopKind::Pickup => self.initial_load + stop.load,
-            StopKind::Delivery => self.initial_load.saturating_sub(stop.load),
-        };
-        self.rebuild_from(self.stops.len() + 1);
-        (stop, reached_at)
+        self.rebuild_from(self.len() + 1);
+        (reached.stop, reached.arr)
     }
 
     /// Applies a committed insertion plan for request `r`, splicing the
@@ -590,7 +563,7 @@ impl Route {
     /// using only the distances carried by the plan. Arrivals up to the
     /// splice are kept; only legs `i + 1 ..= n + 2` are re-timed.
     pub fn apply_insertion(&mut self, plan: &InsertionPlan, r: &Request) {
-        let n = self.stops.len();
+        let n = self.len();
         let (i, j) = plan_positions(plan, n);
         if i == 0 {
             // The head leg is replaced by dis(l_0, o_r) — a fresh leg
@@ -602,21 +575,24 @@ impl Route {
 
         match plan.shape {
             PlanShape::Append { dis_tail_pickup } => {
-                self.stops.push(pickup);
-                self.stops.push(delivery);
-                self.leg.push(dis_tail_pickup);
-                self.leg.push(plan.direct);
+                self.locs.extend_from_slice(&[
+                    Location::stop(pickup, dis_tail_pickup),
+                    Location::stop(delivery, plan.direct),
+                ]);
             }
             PlanShape::Adjacent {
                 dis_prev_pickup,
                 dis_delivery_next,
             } => {
-                self.stops.insert(i, pickup);
-                self.stops.insert(i + 1, delivery);
                 // Old leg l_i → l_{i+1} becomes three legs.
-                self.leg[i + 1] = dis_prev_pickup;
-                self.leg
-                    .insert_from_slice(i + 2, &[plan.direct, dis_delivery_next]);
+                self.locs.insert_from_slice(
+                    i + 1,
+                    &[
+                        Location::stop(pickup, dis_prev_pickup),
+                        Location::stop(delivery, plan.direct),
+                    ],
+                );
+                self.locs[i + 3].leg = dis_delivery_next;
             }
             PlanShape::Split {
                 dis_prev_pickup,
@@ -624,24 +600,20 @@ impl Route {
                 dis_prev_delivery,
                 dis_delivery_next,
             } => {
-                self.stops.insert(i, pickup);
-                self.leg[i + 1] = dis_prev_pickup;
-                self.leg.insert(i + 2, dis_pickup_next);
-                // After the pickup splice, old position j sits at stop
-                // index j, i.e. the leg into l_{j+1} is leg[j + 2].
-                self.stops.insert(j + 1, delivery);
-                match dis_delivery_next {
-                    Some(next) if j < n => {
-                        self.leg[j + 2] = dis_prev_delivery;
-                        self.leg.insert(j + 3, next);
-                    }
-                    _ => self.leg.push(dis_prev_delivery),
+                self.locs
+                    .insert(i + 1, Location::stop(pickup, dis_prev_pickup));
+                self.locs[i + 2].leg = dis_pickup_next;
+                // After the pickup splice, old `l_j` sits at index
+                // `j + 1`, and old `l_{j+1}` (if any) at `j + 2`.
+                self.locs
+                    .insert(j + 2, Location::stop(delivery, dis_prev_delivery));
+                if let Some(next) = dis_delivery_next.filter(|_| j < n) {
+                    self.locs[j + 3].leg = next;
                 }
             }
         }
         // Legs `1..=i` and their departures are untouched.
         self.rebuild_from(i + 1);
-        debug_assert_eq!(self.leg.len(), self.stops.len() + 1);
     }
 
     /// Removes the pending stops of a cancelled request, bridging each
@@ -661,28 +633,22 @@ impl Route {
         rid: RequestId,
         mut dis: impl FnMut(VertexId, VertexId) -> Cost,
     ) -> Option<Cost> {
-        let has_pending_pickup = self
-            .stops
-            .iter()
-            .any(|s| s.request == rid && s.kind == StopKind::Pickup);
-        if !has_pending_pickup {
+        if !self
+            .stops()
+            .any(|s| s.request == rid && s.kind == StopKind::Pickup)
+        {
             return None;
         }
         let before = self.remaining_distance();
-        // Positions (1-based, the paper's `l_k` indexing) of the stops
-        // to remove; reverse order keeps earlier indices valid. At most
-        // a pickup and a delivery, so two inline slots suffice.
-        let positions: SmallVec<usize, 2> = self
-            .stops
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.request == rid)
-            .map(|(i, _)| i + 1)
+        // Positions (the paper's `l_k` indexing) of the stops to
+        // remove; reverse order keeps earlier indices valid. At most a
+        // pickup and a delivery, so two inline slots suffice.
+        let positions: SmallVec<usize, 2> = (1..=self.len())
+            .filter(|&k| self.locs[k].stop.request == rid)
             .collect();
         for &k in positions.iter().rev() {
-            self.stops.remove(k - 1);
-            let removed = self.leg.remove(k);
-            if k <= self.stops.len() {
+            let removed = self.locs.remove(k).leg;
+            if k < self.locs.len() {
                 // A stop follows the removed one: bridge the gap. The
                 // bridge is capped at the coverage it replaces — on a
                 // metric oracle the triangle inequality makes the cap
@@ -691,8 +657,8 @@ impl Route {
                 // and an uncapped bridge past it would mint planned
                 // distance no commit ever accounted for (the unsigned
                 // `freed` ledger cannot express negative amounts).
-                let coverage = cost_add(removed, self.leg[k]);
-                self.leg[k] = dis(self.vertex(k - 1), self.vertex(k)).min(coverage);
+                let coverage = cost_add(removed, self.locs[k].leg);
+                self.locs[k].leg = dis(self.vertex(k - 1), self.vertex(k)).min(coverage);
             }
             if k == 1 {
                 // The head leg was replaced by a fresh bridge from the
@@ -722,10 +688,13 @@ impl Route {
     /// layer enforce this in debug builds.
     pub fn replace_tail(&mut self, stops: &[Stop], legs: &[Cost]) {
         assert_eq!(stops.len(), legs.len(), "one leg per stop");
-        self.stops.clear();
-        self.stops.extend_from_slice(stops);
-        self.leg.truncate(1); // keep leg[0] = 0 sentinel
-        self.leg.extend_from_slice(legs);
+        self.locs.truncate(1); // keep l_0
+        self.locs.extend(
+            stops
+                .iter()
+                .zip(legs)
+                .map(|(&stop, &leg)| Location::stop(stop, leg)),
+        );
         self.head_time = None;
         self.rebuild();
     }
@@ -740,7 +709,7 @@ impl Route {
     /// The answer is exactly that of `clone + apply_insertion +`
     /// [`Route::schedule_feasible`], without the copy:
     ///
-    /// * stops `1..=i` are read off the stored arrays — the splice
+    /// * stops `1..=i` are read off the stored entries — the splice
     ///   leaves their legs and departures alone, a frozen head included;
     /// * the range budget is checked against `Σleg − replaced + added`;
     /// * the spliced stops are walked from `arr[i]` through the same
@@ -777,9 +746,9 @@ impl Route {
 
     /// The body of [`Route::insertion_feasible`].
     fn walk_insertion(&self, plan: &InsertionPlan, r: &Request, capacity: u32) -> bool {
-        let n = self.stops.len();
+        let n = self.len();
         let (i, j) = plan_positions(plan, n);
-        if self.initial_load > capacity {
+        if self.onboard() > capacity {
             return false;
         }
         if let Some(range) = self.range {
@@ -789,7 +758,7 @@ impl Route {
                     dis_prev_pickup,
                     dis_delivery_next,
                 } => (
-                    self.leg[i + 1],
+                    self.leg(i + 1),
                     dis_prev_pickup + plan.direct + dis_delivery_next,
                 ),
                 PlanShape::Split {
@@ -799,11 +768,11 @@ impl Route {
                     dis_delivery_next,
                 } => {
                     let (into_next, out_of_delivery) = match dis_delivery_next {
-                        Some(next) if j < n => (self.leg[j + 1], next),
+                        Some(next) if j < n => (self.leg(j + 1), next),
                         _ => (0, 0),
                     };
                     (
-                        self.leg[i + 1] + into_next,
+                        self.leg(i + 1) + into_next,
                         dis_prev_pickup + dis_pickup_next + dis_prev_delivery + out_of_delivery,
                     )
                 }
@@ -812,18 +781,16 @@ impl Route {
                 return false;
             }
         }
-        for k in 1..=i {
-            if self.arr[k] > self.stops[k - 1].ddl || self.picked[k] > capacity {
-                return false;
-            }
+        if !fits(&self.locs[1..=i], capacity) {
+            return false;
         }
 
         let (pickup, delivery) = request_stops(plan, r);
         let mut walk = SpliceWalk {
             route: self,
             at: self.vertex(i),
-            time: self.arr[i],
-            load: self.picked[i],
+            time: self.arr(i),
+            load: self.picked(i),
             capacity,
         };
         match plan.shape {
@@ -836,7 +803,7 @@ impl Route {
             } => {
                 walk.visit(&pickup, dis_prev_pickup)
                     && walk.visit(&delivery, plan.direct)
-                    && walk.visit(&self.stops[i], dis_delivery_next)
+                    && walk.visit(&self.locs[i + 1].stop, dis_delivery_next)
                     && walk.stored(i + 2..=n)
             }
             PlanShape::Split {
@@ -846,12 +813,12 @@ impl Route {
                 dis_delivery_next,
             } => {
                 walk.visit(&pickup, dis_prev_pickup)
-                    && walk.visit(&self.stops[i], dis_pickup_next)
+                    && walk.visit(&self.locs[i + 1].stop, dis_pickup_next)
                     && walk.stored(i + 2..=j)
                     && walk.visit(&delivery, dis_prev_delivery)
                     && match dis_delivery_next {
                         Some(next) if j < n => {
-                            walk.visit(&self.stops[j], next) && walk.stored(j + 2..=n)
+                            walk.visit(&self.locs[j + 1].stop, next) && walk.stored(j + 2..=n)
                         }
                         _ => true,
                     }
@@ -880,32 +847,23 @@ impl Route {
     }
 
     /// The schedule half of [`Route::validate`]: deadlines and capacity
-    /// straight off the `arr`/`picked` arrays, no precedence pass, no
+    /// straight off the `arr`/`picked` entries, no precedence pass, no
     /// allocation. Sound on its own whenever the stop *sequence* is
     /// known valid — which is the case after `apply_insertion` on a
     /// committed route (see [`Route::insertion_feasible`]).
     pub fn schedule_feasible(&self, worker_capacity: u32) -> bool {
-        if self.initial_load > worker_capacity {
-            return false;
-        }
-        if let Some(range) = self.range {
-            if self.remaining_distance() > range {
-                return false;
-            }
-        }
-        for k in 1..=self.stops.len() {
-            if self.arr[k] > self.stops[k - 1].ddl || self.picked[k] > worker_capacity {
-                return false;
-            }
-        }
-        true
+        self.onboard() <= worker_capacity
+            && self
+                .range
+                .is_none_or(|range| self.remaining_distance() <= range)
+            && fits(&self.locs[1..], worker_capacity)
     }
 
     /// Iterates the route's locations `l_0, l_1, …, l_n` (the start
     /// vertex followed by every stop's vertex) without collecting —
     /// the borrow-only twin of calling [`Route::vertex`] in a loop.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        std::iter::once(self.start_vertex).chain(self.stops.iter().map(|s| s.vertex))
+        self.locs.iter().map(|l| l.stop.vertex)
     }
 
     /// Full `O(n)` feasibility re-check (Def. 4), used by tests and the
@@ -913,11 +871,10 @@ impl Route {
     /// precedence (pickup before delivery; deliveries may lack a pickup
     /// only if the request is already on board), deadlines and capacity.
     pub fn validate(&self, worker_capacity: u32) -> Result<(), String> {
-        let n = self.stops.len();
-        if self.initial_load > worker_capacity {
+        if self.onboard() > worker_capacity {
             return Err(format!(
                 "initial load {} exceeds capacity {worker_capacity}",
-                self.initial_load
+                self.onboard()
             ));
         }
         if let Some(range) = self.range {
@@ -932,8 +889,8 @@ impl Route {
         // allocates nothing. A pickup must be the request's first stop,
         // a delivery its only one, and every pickup needs a later
         // delivery. A delivery with no pickup is an onboard rider.
-        for (k, s) in self.stops.iter().enumerate() {
-            let mut earlier = self.stops[..k].iter().filter(|e| e.request == s.request);
+        for (k, s) in self.stops().enumerate() {
+            let mut earlier = self.stops().take(k).filter(|e| e.request == s.request);
             match s.kind {
                 StopKind::Pickup if earlier.next().is_some() => {
                     return Err(format!("duplicate stop for {} at {k}", s.request));
@@ -944,33 +901,41 @@ impl Route {
                 _ => {}
             }
         }
-        for (k, s) in self.stops.iter().enumerate() {
+        for (k, s) in self.stops().enumerate() {
             if s.kind == StopKind::Pickup
-                && !self.stops[k + 1..]
-                    .iter()
+                && !self
+                    .stops()
+                    .skip(k + 1)
                     .any(|e| e.request == s.request && e.kind == StopKind::Delivery)
             {
                 return Err(format!("pickup without delivery for {}", s.request));
             }
         }
-        // Deadlines and capacity from the schedule arrays.
-        for k in 1..=n {
-            if self.arr[k] > self.ddl(k) {
+        // Deadlines and capacity from the schedule entries.
+        for (k, l) in self.locs.iter().enumerate().skip(1) {
+            if l.arr > l.stop.ddl {
                 return Err(format!(
                     "deadline violated at stop {k}: arr {} > ddl {}",
-                    self.arr[k],
-                    self.ddl(k)
+                    l.arr, l.stop.ddl
                 ));
             }
-            if self.picked[k] > worker_capacity {
+            if l.picked > worker_capacity {
                 return Err(format!(
                     "capacity violated after stop {k}: {} > {worker_capacity}",
-                    self.picked[k]
+                    l.picked
                 ));
             }
         }
         Ok(())
     }
+}
+
+/// Whether every location of `locs` is reached by its deadline and
+/// leaves at most `capacity` on board — the per-stop test of
+/// [`Route::schedule_feasible`].
+fn fits(locs: &[Location], capacity: u32) -> bool {
+    locs.iter()
+        .all(|l| l.arr <= l.stop.ddl && l.picked <= capacity)
 }
 
 /// `(i, j)` of `plan` on a route of `n` stops.
@@ -1048,7 +1013,7 @@ impl SpliceWalk<'_> {
     /// legs.
     fn stored(&mut self, mut ks: std::ops::RangeInclusive<usize>) -> bool {
         let route = self.route;
-        ks.all(|k| self.visit(&route.stops[k - 1], route.leg[k]))
+        ks.all(|k| self.visit(&route.locs[k].stop, route.leg(k)))
     }
 }
 
@@ -1420,8 +1385,9 @@ mod tests {
     #[test]
     fn validate_catches_pickup_without_delivery() {
         let mut route = Route::new(VertexId(0), 0);
-        route.stops.push(stop(1, 1, StopKind::Pickup, 1, 1_000));
-        route.leg.push(10);
+        route
+            .locs
+            .push(Location::stop(stop(1, 1, StopKind::Pickup, 1, 1_000), 10));
         route.rebuild();
         assert!(route
             .validate(4)
@@ -1433,8 +1399,9 @@ mod tests {
     fn validate_catches_a_duplicate_or_out_of_order_pickup() {
         let mut route = Route::new(VertexId(0), 0);
         for kind in [StopKind::Pickup, StopKind::Pickup, StopKind::Delivery] {
-            route.stops.push(stop(1, 1, kind, 1, 1_000));
-            route.leg.push(10);
+            route
+                .locs
+                .push(Location::stop(stop(1, 1, kind, 1, 1_000), 10));
         }
         route.rebuild();
         assert_eq!(
@@ -1444,10 +1411,11 @@ mod tests {
 
         // A pickup after its own delivery is out of order.
         let mut route = Route::new(VertexId(0), 0);
-        route.initial_load = 1;
+        route.locs[0].picked = 1;
         for kind in [StopKind::Delivery, StopKind::Pickup, StopKind::Delivery] {
-            route.stops.push(stop(1, 1, kind, 1, 1_000));
-            route.leg.push(10);
+            route
+                .locs
+                .push(Location::stop(stop(1, 1, kind, 1, 1_000), 10));
         }
         route.rebuild();
         assert_eq!(
@@ -1460,8 +1428,9 @@ mod tests {
     fn validate_catches_a_double_delivery() {
         let mut route = Route::new(VertexId(0), 0);
         for kind in [StopKind::Pickup, StopKind::Delivery, StopKind::Delivery] {
-            route.stops.push(stop(1, 1, kind, 1, 1_000));
-            route.leg.push(10);
+            route
+                .locs
+                .push(Location::stop(stop(1, 1, kind, 1, 1_000), 10));
         }
         route.rebuild();
         assert_eq!(route.validate(4), Err("double delivery for r1".to_string()));
@@ -1470,9 +1439,10 @@ mod tests {
     #[test]
     fn delivery_only_is_valid_for_onboard_rider() {
         let mut route = Route::new(VertexId(0), 0);
-        route.initial_load = 1;
-        route.stops.push(stop(1, 1, StopKind::Delivery, 1, 1_000));
-        route.leg.push(10);
+        route.locs[0].picked = 1;
+        route
+            .locs
+            .push(Location::stop(stop(1, 1, StopKind::Delivery, 1, 1_000), 10));
         route.rebuild();
         assert!(route.validate(4).is_ok());
         assert_eq!(route.picked(1), 0);
@@ -1850,12 +1820,15 @@ mod tests {
 
         // Pops shift the schedule down a slot — the first one clearing
         // the freeze — and re-time nothing.
+        let arrivals = |route: &Route, from: usize| -> Vec<Time> {
+            (from..=route.len()).map(|k| route.arr(k)).collect()
+        };
         while !route.is_empty() {
-            let (next, after) = (route.arr(1), route.arr[2..].to_vec());
+            let (next, after) = (route.arr(1), arrivals(&route, 2));
             let mut reached = 0;
             let popped = calls(&mut || reached = route.pop_front_stop().1);
             assert_eq!(popped, 0, "a pop re-times nothing");
-            assert_eq!((reached, &route.arr[1..]), (next, &after[..]));
+            assert_eq!((reached, arrivals(&route, 1)), (next, after));
             assert_eq!(route, rebuilt(&route));
         }
     }
@@ -1953,7 +1926,7 @@ mod tests {
             assert!(route.is_empty());
             let t = route.start_time() + 500;
             let mut rebuilt = route.clone();
-            rebuilt.arr[0] = t;
+            rebuilt.locs[0].arr = t;
             rebuilt.head_time = None;
             rebuilt.rebuild();
 
@@ -1962,7 +1935,7 @@ mod tests {
             // `==` skips the context fields; `Debug` prints them all.
             assert_eq!(route, rebuilt);
             assert_eq!(format!("{route:?}"), format!("{rebuilt:?}"));
-            assert_eq!(route.arr.len(), 1);
+            assert_eq!(route.locs.len(), 1);
             assert_eq!(route.head_time, None);
             assert_eq!((route.slack(0), route.picked(0)), (INF, route.onboard()));
         }

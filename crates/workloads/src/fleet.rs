@@ -12,7 +12,11 @@
 //! fleet-origin or request draws — the same independence contract as
 //! the lifecycle and congestion knobs.
 
-use urpsm_core::types::{ClassId, ClassTable, VehicleClass};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use urpsm_core::types::{ClassId, ClassTable, VehicleClass, Worker};
+
+use crate::scenario::gauss_capacity;
 
 /// A fleet composition: one fraction per vehicle class.
 #[derive(Debug, Clone)]
@@ -102,6 +106,18 @@ impl FleetMix {
             }
         }
         ClassId((self.entries.len() - 1) as u16)
+    }
+
+    /// Draws a class for each of `workers`, in order, from the mix's
+    /// own stream (`seed + 0xc1a5`): the class by cumulative fraction
+    /// ([`FleetMix::sample`]), then a capacity around the class mean
+    /// from §6.1's capacity distribution.
+    pub fn assign<'a>(&self, seed: u64, workers: impl IntoIterator<Item = &'a mut Worker>) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0xc1a5));
+        for w in workers {
+            w.class = self.sample(rng.gen::<f64>());
+            w.capacity = gauss_capacity(&mut rng, self.entries[w.class.idx()].0.capacity);
+        }
     }
 }
 

@@ -499,19 +499,11 @@ impl ScenarioBuilder {
         let mut classes = None;
         if heterogeneous {
             let mix = mix.expect("heterogeneous implies a mix");
-            let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0xc1a5));
-            let assign = |w: &mut Worker, rng: &mut StdRng| {
-                w.class = mix.sample(rng.gen::<f64>());
-                w.capacity = gauss_capacity(rng, mix.entries()[w.class.idx()].0.capacity);
-            };
-            for w in &mut workers {
-                assign(w, &mut rng);
-            }
-            for e in &mut fleet_events {
-                if let PlatformEvent::WorkerJoined { worker, .. } = e {
-                    assign(worker, &mut rng);
-                }
-            }
+            let joiners = fleet_events.iter_mut().filter_map(|e| match e {
+                PlatformEvent::WorkerJoined { worker, .. } => Some(worker),
+                _ => None,
+            });
+            mix.assign(self.seed, workers.iter_mut().chain(joiners));
             classes = Some(Arc::new(mix.class_table()));
         }
 
@@ -535,7 +527,7 @@ impl ScenarioBuilder {
 /// approximation (§6.1's capacity distribution), clamped to ≥ 1 — one
 /// draw function so the initial fleet and mid-horizon joiners share
 /// the same distribution.
-fn gauss_capacity(rng: &mut StdRng, mu: u32) -> u32 {
+pub(crate) fn gauss_capacity(rng: &mut StdRng, mu: u32) -> u32 {
     let sum4: f64 = (0..4).map(|_| rng.gen::<f64>()).sum::<f64>() / 4.0;
     let cap = (f64::from(mu) + (sum4 - 0.5) * 6.93).round();
     cap.max(1.0) as u32

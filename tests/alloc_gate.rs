@@ -28,7 +28,9 @@
 //! `IngestServer::tick` over that K = 4 backend with the WAL on. They
 //! are not zero: what is left are high-water marks (a route, a leg or a
 //! grid cell growing past its largest size so far) and run-long logs
-//! doubling. Each row is held to the exact count it reads.
+//! doubling. Each row is held to the exact count it reads. One more
+//! row grows a single route far past its inline capacity and holds it
+//! to one allocation per growth of its location array.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,7 +40,7 @@ use urpsm::core::event::PlatformEvent;
 use urpsm::core::insertion::linear_dp_insertion;
 use urpsm::core::planner::{GreedyDp, Planner, PruneGreedyDp};
 use urpsm::core::platform::{Outcome, PlatformState};
-use urpsm::core::route::Route;
+use urpsm::core::route::{InsertionPlan, PlanShape, Route, ROUTE_INLINE_STOPS};
 use urpsm::core::types::{ClassConstraint, ClassId, Request, RequestId, Time, Worker, WorkerId};
 use urpsm::dispatch::service::{ShardConfig, ShardedService};
 use urpsm::network::congestion::{CongestionProfile, HOUR_CS};
@@ -112,19 +114,19 @@ const WARMUP: usize = 256;
 /// Measured steady-state requests per (planner, profile, fleet) row.
 const MEASURED: usize = 512;
 /// Allocations over the measured 1 500 events of the plain `submit`
-/// row (0.152 per event), debug and release builds alike.
-const PLAIN_SUBMIT_BOUND: u64 = 228;
+/// row (0.031 per event), debug and release builds alike.
+const PLAIN_SUBMIT_BOUND: u64 = 47;
 /// Allocations over the measured 835 events of the K = 4 `submit` row
-/// (0.537 per event), debug and release builds alike.
-const SHARDED_SUBMIT_BOUND: u64 = 448;
+/// (0.296 per event), debug and release builds alike.
+const SHARDED_SUBMIT_BOUND: u64 = 247;
 /// Allocations over the measured 1 500 events of the TD `submit` row
-/// (0.071 per event in a release build). A debug build reads more:
+/// (0.019 per event in a release build). A debug build reads more:
 /// `Route::insertion_feasible` cross-checks its splice walk against a
 /// clone of the route, and a clone of a spilled route allocates.
-const TD_SUBMIT_BOUND: u64 = if cfg!(debug_assertions) { 397 } else { 107 };
+const TD_SUBMIT_BOUND: u64 = if cfg!(debug_assertions) { 58 } else { 29 };
 /// Allocations inside `tick` over the measured 835 events of the K = 4
-/// stream, WAL on (0.539 per event), debug and release builds alike.
-const INGEST_TICK_BOUND: u64 = 450;
+/// stream, WAL on (0.298 per event), debug and release builds alike.
+const INGEST_TICK_BOUND: u64 = 249;
 /// The congested rows straddle the 08:00 peak, like
 /// `tests/congestion_equivalence.rs`.
 const RUSH_SHIFT: Time = 7 * HOUR_CS + HOUR_CS / 2;
@@ -358,6 +360,47 @@ fn prune_greedy_dp_plans_without_allocating() {
         || Box::new(PruneGreedyDp::with_threads(4)),
         &[Fleet::Drained],
     ));
+}
+
+/// A route grown one appended request at a time far past its inline
+/// capacity allocates once per growth of its one location array: once
+/// when it spills (to twice the inline capacity), then once per
+/// doubling. Arrays kept in step would each grow on their own.
+#[test]
+fn a_growing_route_allocates_once_per_growth() {
+    const REQUESTS: u32 = 32;
+    let mut route = Route::new(VertexId(0), 0);
+    let (mut total, mut max) = (0, 0);
+    for i in 0..REQUESTS {
+        let n = route.len();
+        let mut r = request(0, 0);
+        (r.id, r.origin, r.destination) = (RequestId(i), VertexId(2 * i + 1), VertexId(2 * i + 2));
+        let plan = InsertionPlan {
+            pickup_after: n,
+            delivery_after: n,
+            delta: 300,
+            direct: 150,
+            shape: PlanShape::Append {
+                dis_tail_pickup: 150,
+            },
+        };
+        let ((), allocs) = measure(|| route.apply_insertion(&plan, &r));
+        total += allocs;
+        max = max.max(allocs);
+    }
+    assert_eq!(route.len(), 2 * REQUESTS as usize);
+    assert!(route.validate(1).is_ok());
+    let locations = route.len() + 1;
+    let (mut capacity, mut growths) = (2 * (ROUTE_INLINE_STOPS + 1), 1);
+    while capacity < locations {
+        capacity *= 2;
+        growths += 1;
+    }
+    assert_eq!(
+        (total, max),
+        (growths, 1),
+        "{locations} locations: {total} allocations (max {max} in one insertion), {growths} growths"
+    );
 }
 
 /// Warm goal-directed `TdDijkstra` searches (generation-stamped arenas,

@@ -50,7 +50,7 @@ fn check_schedule(route: &Route, oracle: &dyn DistanceOracle) {
         let d = oracle.dis(route.vertex(k - 1), route.vertex(k));
         arr = cost_add(arr, d);
         assert_eq!(route.arr(k), arr, "arr[{k}] mismatch");
-        let s = &route.stops()[k - 1];
+        let s = route.stops().nth(k - 1).expect("stop k");
         load = match s.kind {
             StopKind::Pickup => load + s.load,
             StopKind::Delivery => load - s.load,
@@ -214,17 +214,16 @@ proptest! {
         let route = state.agent(WorkerId(0)).route.clone();
         let mut items: Vec<(VertexId, Time, bool, u32)> = route
             .stops()
-            .iter()
             .map(|s| (s.vertex, s.ddl, s.kind == StopKind::Pickup, s.load))
             .collect();
         let mut pred: Vec<Option<usize>> = route
             .stops()
-            .iter()
             .enumerate()
             .map(|(i, s)| {
                 if s.kind == StopKind::Delivery {
-                    route.stops()[..i]
-                        .iter()
+                    route
+                        .stops()
+                        .take(i)
                         .position(|p| p.kind == StopKind::Pickup && p.request == s.request)
                 } else {
                     None

@@ -1,10 +1,10 @@
 //! The inline-capacity storage swap must be invisible.
 //!
-//! PR 6 re-based `Route`'s five schedule arrays (and the motion plane's
-//! leg paths) from `Vec` onto the vendored inline-capacity `SmallVec`:
-//! routes of ≤ 8 stops — the steady-state common case — never touch the
-//! heap, longer routes spill and keep working. Two property suites pin
-//! the swap down:
+//! `Route` keeps its locations — each stop with its schedule entries —
+//! in one vendored inline-capacity `SmallVec` (the motion plane's leg
+//! paths sit on it too): routes of ≤ 8 stops — the steady-state common
+//! case — never touch the heap, longer routes spill and keep working.
+//! Two property suites pin the swap down:
 //!
 //! * a **differential** suite driving `SmallVec<u32, 4>` and `Vec<u32>`
 //!   through the same operation sequences, crossing the inline→spill
@@ -17,7 +17,7 @@
 //!   is the route's one start time: after every mutator
 //!   `start_time() == arr(0)`, and a route that became empty — by pop or
 //!   by cancellation after a snap — is indistinguishable from a freshly
-//!   built one (no leftover head freeze, one-entry arrays).
+//!   built one (no leftover head freeze, only the location `l_0`).
 
 use proptest::prelude::*;
 use smallvec::SmallVec;
@@ -182,7 +182,7 @@ fn delivery_stop(r: &Request) -> Stop {
 /// arrival schedule from the oracle.
 fn check_against_shadow(route: &Route, shadow: &[Stop], oracle: &dyn DistanceOracle) {
     assert_eq!(route.len(), shadow.len());
-    assert_eq!(route.stops(), shadow);
+    assert_eq!(route.stops().copied().collect::<Vec<_>>(), shadow);
     assert!(route.validate(8).is_ok());
     // One start time: the accessor and the schedule array agree.
     assert_eq!(route.start_time(), route.arr(0));

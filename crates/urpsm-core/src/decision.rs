@@ -13,7 +13,7 @@
 
 use road_network::Cost;
 
-use crate::lower_bound::{idle_lower_bound, insertion_lower_bound};
+use crate::lower_bound::{idle_lower_bound, insertion_lower_bound, scan_lower_bound};
 use crate::platform::{CandidateStream, EligibleCandidates, PlatformState};
 use crate::shortlist::{LowerBoundSink, Shortlist};
 use crate::types::{Request, WorkerId};
@@ -107,6 +107,22 @@ pub struct StreamedShortlist {
     source: CandidateStream,
     /// Whether the busy candidates have been bounded yet.
     busy_bounded: bool,
+    /// The exact bounds computed so far, over every request.
+    work: BoundWork,
+}
+
+/// What the decision phase paid for in exact bounds, summed over every
+/// request a [`StreamedShortlist`] was opened for. Both are
+/// deterministic counts — the work gate (`tests/work_gate.rs`) pins
+/// them, so a change to how many candidates the phase bounds is a diff
+/// of two constants.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct BoundWork {
+    /// [`insertion_lower_bound`] evaluations: busy candidates bounded.
+    pub exact: u64,
+    /// Route positions those evaluations visited (each costs two
+    /// `euc` calls).
+    pub positions: u64,
 }
 
 impl StreamedShortlist {
@@ -131,10 +147,21 @@ impl StreamedShortlist {
             shortlist,
             source,
             busy_bounded,
+            work,
         } = self;
         if !*busy_bounded {
             let (r, direct) = source.request();
-            collect_lower_bounds(state, r, direct, source.busy().iter().copied(), shortlist);
+            for &w in source.busy() {
+                let agent = state.agent(w);
+                let capacity = agent.worker.capacity;
+                let (lb, positions) =
+                    scan_lower_bound(&agent.route, capacity, r, direct, state.oracle());
+                work.exact += 1;
+                work.positions += positions as u64;
+                if let Some(lb) = lb {
+                    shortlist.push_bound(lb, w);
+                }
+            }
             *busy_bounded = true;
         }
         while let Some(bound) = source.next_bound() {
@@ -182,6 +209,11 @@ impl StreamedShortlist {
     /// eligible idle workers in visited cells.
     pub fn bounded(&self) -> usize {
         self.source.busy().len() + self.source.idle_bounded()
+    }
+
+    /// The exact bounds computed so far, over every request.
+    pub fn work(&self) -> BoundWork {
+        self.work
     }
 }
 

@@ -53,10 +53,24 @@ pub fn insertion_lower_bound(
     direct: Cost,
     oracle: &dyn DistanceOracle,
 ) -> Option<Cost> {
+    scan_lower_bound(route, worker_capacity, r, direct, oracle).0
+}
+
+/// [`insertion_lower_bound`], with the number of route positions whose
+/// `euc` pair its scan computed (the stopping position's lookahead
+/// included): the DP engine counts both ([`crate::decision::BoundWork`]).
+pub(crate) fn scan_lower_bound(
+    route: &Route,
+    worker_capacity: u32,
+    r: &Request,
+    direct: Cost,
+    oracle: &dyn DistanceOracle,
+) -> (Option<Cost>, usize) {
     if r.capacity > worker_capacity || direct >= INF {
-        return None;
+        return (None, 0);
     }
     let n = route.len();
+    let mut visited = n + 1;
     let free = worker_capacity - r.capacity;
 
     // Euclidean bounds against every route location — no dis() queries.
@@ -108,6 +122,7 @@ pub fn insertion_lower_bound(
         // Relaxed safe prune (mirrors Algo. 3 line 8 with euc ≤ dis, so
         // it fires no earlier than the exact prune would).
         if cost_add(route.arr(j), e_dr_j) > r.deadline {
+            visited = (j + 2).min(n + 1);
             break;
         }
 
@@ -124,7 +139,7 @@ pub fn insertion_lower_bound(
         }
         (e_or_j, e_dr_j) = (e_or_next, e_dr_next);
     }
-    best
+    (best, visited)
 }
 
 /// [`insertion_lower_bound`] of an idle worker, from its head-plane
@@ -482,7 +497,8 @@ mod tests {
 
             /// Two `euc` calls per visited position — the positions up
             /// to the one whose relaxed prune stops the scan, plus its
-            /// one-slot lookahead — and never a `dis` call.
+            /// one-slot lookahead — and never a `dis` call; the visited
+            /// count is the one [`scan_lower_bound`] reports.
             #[test]
             fn lb_costs_two_euc_per_visited_position(
                 seed in 0u64..1_000_000,
@@ -500,10 +516,11 @@ mod tests {
                     });
                     let visited = stopped_at.map_or(stops + 1, |j| (j + 2).min(stops + 1));
                     oracle.reset();
-                    let _ = insertion_lower_bound(&route, capacity, &r, direct, &oracle);
+                    let (_, counted) = scan_lower_bound(&route, capacity, &r, direct, &oracle);
                     let stats = oracle.stats();
                     prop_assert_eq!(stats.dis, 0);
                     prop_assert_eq!(stats.euc, 2 * visited as u64);
+                    prop_assert_eq!(counted, visited);
                 }
             }
         }

@@ -34,7 +34,7 @@ use road_network::oracle::DistanceOracle;
 use road_network::{Cost, INF};
 use urpsm_obs::PlanPhase;
 
-use crate::decision::{economic_reject, StreamedShortlist};
+use crate::decision::{economic_reject, BoundWork, StreamedShortlist};
 use crate::insertion::linear_dp_insertion_with;
 use crate::platform::{Outcome, PlatformState};
 use crate::route::{InsertionPlan, Route};
@@ -311,6 +311,12 @@ impl PruneGreedyDp {
     /// runs the one sequential scan.
     pub fn with_threads(_threads: usize) -> Self {
         Self::new()
+    }
+
+    /// The exact lower bounds the decision phase computed over every
+    /// request this planner handled.
+    pub fn bound_work(&self) -> BoundWork {
+        self.engine.shortlist.work()
     }
 }
 

@@ -419,8 +419,14 @@ impl<'p> ShardedService<'p> {
         // The shard plans in its own dense worker-id space: worker ids
         // are localised on the way in. An id the plane cannot localise
         // (a join that skips a global id, a departure of an unknown
-        // worker) leaves only the event's clock advance to deliver.
+        // worker) or must not take again (a reused request id) leaves
+        // only the event's clock advance to deliver.
         let local = match event {
+            // A reused request id is dropped like a malformed join: the
+            // first arrival of an id is the request (DESIGN.md §1).
+            PlatformEvent::RequestArrived(r) if self.request_home.contains_key(&r.id) => {
+                PlatformEvent::Tick { at: t }
+            }
             PlatformEvent::RequestArrived(r) => {
                 self.request_home.insert(r.id, home);
                 if self.shards.len() > 1

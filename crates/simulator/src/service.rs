@@ -194,9 +194,12 @@ impl<'p> MobilityService<'p> {
     /// dense-id contract (see [`PlatformEvent::WorkerJoined`]), names
     /// a class outside the installed table, or comes online off the
     /// network: the clock advances, the fleet does not change, there
-    /// is no reply. An arrival with an endpoint off the network is an
-    /// unreachable trip and is answered `Rejected` (its penalty
-    /// accrues) without the oracle or the planner ever seeing it.
+    /// is no reply. An arrival under an id the service has already
+    /// seen is dropped the same way — the first arrival of an id is the
+    /// request, so no request is decided twice (DESIGN.md §1). An
+    /// arrival with an endpoint off the network is an unreachable trip
+    /// and is answered `Rejected` (its penalty accrues) without the
+    /// oracle or the planner ever seeing it.
     pub fn submit(&mut self, event: PlatformEvent) -> &[SimEvent] {
         urpsm_obs::with(|m| m.service_events.inc());
         let mark = self.events.len();
@@ -206,6 +209,9 @@ impl<'p> MobilityService<'p> {
         self.last_time = t;
 
         match event {
+            // A reused id is dropped (the time advance above still
+            // counts).
+            PlatformEvent::RequestArrived(r) if self.registry.contains_key(&r.id) => {}
             PlatformEvent::RequestArrived(r) => {
                 self.registry.insert(r.id, r);
                 self.arrived.push(r);

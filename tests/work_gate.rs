@@ -1,8 +1,10 @@
 //! The work gate: the decision phase's exact bounds, counted.
 //!
-//! `pruneGreedyDP` plans the `chengdu_like(7)` stream (200 workers,
-//! 3 000 requests) through `MobilityService`, and the test pins, to
-//! the unit, how many busy candidates `insertion_lower_bound`
+//! `pruneGreedyDP` plans two `chengdu_like(7)` streams through
+//! `MobilityService` — the preset as it is (200 workers, 3 000
+//! requests), and the repo benchmark's `chengdu-dense` input (600
+//! workers, 5 000 requests, 25-minute deadlines) — and the test pins,
+//! to the unit, how many busy candidates `insertion_lower_bound`
 //! evaluated, how many route positions those evaluations visited, and
 //! how many `dis` queries the run made. The counts are deterministic,
 //! so a change to how much work a request costs shows up here as an
@@ -12,23 +14,23 @@
 
 use std::sync::Arc;
 
+use urpsm::core::decision::BoundWork;
 use urpsm::core::planner::PruneGreedyDp;
 use urpsm::network::oracle::{CountingOracle, DistanceOracle};
 use urpsm::prelude::*;
 use urpsm::workloads::scenario::chengdu_like;
 
-/// `insertion_lower_bound` evaluations over the stream.
-const EXACT_BOUNDS: u64 = 149_980;
-/// Route positions those evaluations visited.
-const POSITIONS: u64 = 568_321;
-/// `dis` queries over the stream, planning and motion together.
-const DIS_CALLS: u64 = 148_385;
-/// Served requests of the drained run (of 3 000).
-const SERVED: usize = 2_644;
+/// What one stream cost: served requests, `dis` queries, and the
+/// `(evaluations, positions)` of the exact bounds.
+#[derive(Debug, PartialEq, Eq)]
+struct Work {
+    served: usize,
+    dis: u64,
+    exact: u64,
+    positions: u64,
+}
 
-#[test]
-fn the_decision_phase_bounds_a_pinned_number_of_busy_workers() {
-    let sc = chengdu_like(7).build();
+fn work(sc: &Scenario) -> Work {
     let counting = Arc::new(CountingOracle::new(sc.oracle.clone()));
     let mut planner = PruneGreedyDp::new();
     let mut service = MobilityService::new(
@@ -47,12 +49,39 @@ fn the_decision_phase_bounds_a_pinned_number_of_busy_workers() {
     }
     let out = service.drain();
     assert_eq!(out.audit_errors, Vec::<String>::new());
-    let work = planner.bound_work();
-    assert_eq!(out.metrics.served, SERVED);
-    assert_eq!(counting.stats().dis, DIS_CALLS);
-    assert_eq!(
-        (work.exact, work.positions),
-        (EXACT_BOUNDS, POSITIONS),
-        "(evaluations, positions)"
-    );
+    let BoundWork { exact, positions } = planner.bound_work();
+    Work {
+        served: out.metrics.served,
+        dis: counting.stats().dis,
+        exact,
+        positions,
+    }
+}
+
+#[test]
+fn the_preset_stream_costs_a_pinned_number_of_exact_bounds() {
+    let sc = chengdu_like(7).build();
+    let want = Work {
+        served: 2_644,
+        dis: 148_385,
+        exact: 149_980,
+        positions: 568_321,
+    };
+    assert_eq!(work(&sc), want);
+}
+
+#[test]
+fn the_dense_stream_costs_a_pinned_number_of_exact_bounds() {
+    let sc = chengdu_like(7)
+        .workers(600)
+        .requests(5_000)
+        .deadline_offset(25 * MINUTE_CS)
+        .build();
+    let want = Work {
+        served: 5_000,
+        dis: 662_771,
+        exact: 753_316,
+        positions: 5_032_775,
+    };
+    assert_eq!(work(&sc), want);
 }

@@ -80,6 +80,21 @@ impl BoundingBox {
     pub fn contains(&self, p: Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
+
+    /// Straight-line distance from `p` to the box, in meters (0 inside).
+    /// Never above the computed [`Point::euclidean_m`] between `p` and a
+    /// point the box contains: outside the box's extent on an axis, the
+    /// gap is a correctly rounded difference of the same operands as
+    /// that point's own difference, so it is no larger in magnitude,
+    /// and every step after it is monotone. Branch-free: the gap is the
+    /// larger of the two differences, or 0 inside.
+    #[inline]
+    pub fn distance_m(&self, p: Point) -> f64 {
+        let gap = |v: f64, min: f64, max: f64| (min - v).max(v - max).max(0.0);
+        let dx = gap(p.x, self.min.x, self.max.x);
+        let dy = gap(p.y, self.min.y, self.max.y);
+        (dx * dx + dy * dy).sqrt()
+    }
 }
 
 #[cfg(test)]
@@ -116,5 +131,43 @@ mod tests {
         let b = BoundingBox::empty();
         assert_eq!(b.width(), 0.0);
         assert_eq!(b.height(), 0.0);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Coordinates on a coarse lattice (ties on the box's edges) or
+        /// anywhere in a city-sized square.
+        fn coordinate() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                (0u32..8).prop_map(|k| f64::from(k) * 1_250.0 - 3_000.0),
+                -3_000.0f64..9_000.0,
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// No point of the box lies nearer `p` than the box does,
+            /// in either argument order of `euclidean_m`, and a point
+            /// inside is at distance 0.
+            #[test]
+            fn no_contained_point_is_nearer_than_the_box(
+                pts in collection::vec((coordinate(), coordinate()), 1..12),
+                px in coordinate(),
+                py in coordinate(),
+            ) {
+                let pts: Vec<Point> = pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+                let b = BoundingBox::around(pts.iter().copied());
+                let p = Point::new(px, py);
+                let d = b.distance_m(p);
+                for q in &pts {
+                    prop_assert!(d <= q.euclidean_m(&p), "{:?} to {:?}", q, p);
+                    prop_assert!(d <= p.euclidean_m(q), "{:?} to {:?}", p, q);
+                }
+                prop_assert_eq!(d == 0.0, b.contains(p));
+            }
+        }
     }
 }

@@ -64,10 +64,17 @@ pub fn travel_cost(length_m: f64, speed_mps: f64) -> Cost {
 /// Converts a straight-line length in meters into the travel-time lower
 /// bound at the network's top speed, rounding **down** (a lower bound
 /// must never overshoot).
+///
+/// The rounding is the `as` cast alone, with no `floor`: for every
+/// `f64` the cast equals `floor` followed by the cast — truncation is
+/// flooring on `x ≥ 0`, negative values and NaN cast to 0 either way,
+/// and `+∞` and everything from 2⁶⁴ up saturate to `u64::MAX` either
+/// way — and on the default x86-64 target `floor` is a call into libm,
+/// paid on every Euclidean bound. A test compares the two bit for bit.
 #[inline]
 pub fn euclidean_cost(length_m: f64, top_speed_mps: f64) -> Cost {
     debug_assert!(length_m >= 0.0 && top_speed_mps > 0.0);
-    ((length_m / top_speed_mps) * 100.0).floor() as Cost
+    ((length_m / top_speed_mps) * 100.0) as Cost
 }
 
 /// An undirected road network in CSR form.
@@ -259,6 +266,85 @@ mod tests {
         assert_eq!(travel_cost(100.0, 23.0), 435);
         assert_eq!(euclidean_cost(100.0, 23.0), 434);
         assert!(euclidean_cost(100.0, 23.0) <= travel_cost(100.0, 23.0));
+    }
+
+    /// What `euclidean_cost` computed before it dropped `floor`.
+    fn floored(x: f64) -> Cost {
+        x.floor() as Cost
+    }
+
+    /// The `as` cast rounds every `f64` the way `floor` then the cast
+    /// did: signed zeros and subnormals, negative values and NaN, the
+    /// infinities, the neighbourhoods of 2⁵³, 2⁶³ and 2⁶⁴, and values
+    /// one ulp below an integer.
+    #[test]
+    fn the_cast_is_floor_on_the_edge_cases() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            0.5,
+            0.999_999_999_999_999_9,
+            434.782_608_695_652_2,
+        ];
+        for e in [52, 53, 54, 63, 64, 65] {
+            let p = two(e);
+            xs.extend([p, p + 0.5, p - 0.5, p - 1.0, p + 2.0]);
+            xs.push(f64::from_bits(p.to_bits() - 1));
+            xs.push(f64::from_bits(p.to_bits() + 1));
+        }
+        for k in [1u64, 2, 3, 100, 434, 1 << 20, (1 << 52) - 1, 1 << 52] {
+            // One ulp below the integer `k`.
+            xs.push(f64::from_bits((k as f64).to_bits() - 1));
+        }
+        for x in xs {
+            assert_eq!(x as Cost, floored(x), "{x:e}");
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            /// The cast is `floor` then the cast on any bit pattern.
+            #[test]
+            fn the_cast_is_floor_on_any_bits(bits in any::<u64>()) {
+                let x = f64::from_bits(bits);
+                prop_assert_eq!(x as Cost, floored(x), "{:e}", x);
+            }
+
+            /// `euclidean_cost` is the floored formula on any length and
+            /// speed it accepts.
+            #[test]
+            fn euclidean_cost_is_the_floored_formula(
+                length in any::<u64>(),
+                speed in any::<u64>(),
+            ) {
+                let length = f64::from_bits(length).abs();
+                let speed = f64::from_bits(speed).abs();
+                prop_assume!(!length.is_nan() && speed > 0.0);
+                prop_assert_eq!(
+                    euclidean_cost(length, speed),
+                    floored((length / speed) * 100.0)
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,21 @@ use crate::geo::{BoundingBox, Point};
 /// Opaque item identifier (worker id in the planners).
 pub type ItemId = u64;
 
+/// What [`GridIndex::sweep_split`] reports.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SweepHit {
+    /// An unmarked item within the radius.
+    Unmarked(ItemId),
+    /// A cell holding marked items, `bound_m` (its
+    /// [`GridIndex::cell_min_distance`]) within the radius.
+    MarkedCell {
+        /// The cell.
+        cell: usize,
+        /// No item of the cell lies nearer than this.
+        bound_m: f64,
+    },
+}
+
 /// How far a cell bound is widened past its computed edge: a
 /// millimetre, far above the rounding of any city coordinate, far
 /// below any distance a query tells apart.
@@ -320,32 +335,26 @@ impl GridIndex {
     }
 
     /// One sweep of the disc of `radius_m` around `p` that reads the two
-    /// halves of every cell differently: `unmarked(id)` is called for
-    /// every unmarked item within the radius, by the exact filter of
-    /// [`GridIndex::for_each_within`]; `marked_cell(cell, bound)` for
-    /// every cell holding marked items whose
-    /// [`GridIndex::cell_min_distance`] `bound` is within the radius —
-    /// no item of a farther cell can pass the exact filter. The
+    /// halves of every cell differently: `hit` gets
+    /// [`SweepHit::Unmarked`] for every unmarked item within the radius,
+    /// by the exact filter of [`GridIndex::for_each_within`], and
+    /// [`SweepHit::MarkedCell`] for every cell holding marked items
+    /// whose [`GridIndex::cell_min_distance`] is within the radius — no
+    /// item of a farther cell can pass the exact filter. The
     /// nearest-first walks start here and read a cell's marked items
     /// with [`GridIndex::marked_items`].
-    pub fn sweep_split(
-        &self,
-        p: Point,
-        radius_m: f64,
-        mut unmarked: impl FnMut(ItemId),
-        mut marked_cell: impl FnMut(usize, f64),
-    ) {
+    pub fn sweep_split(&self, p: Point, radius_m: f64, mut hit: impl FnMut(SweepHit)) {
         self.for_each_cell_in_sweep(p, radius_m, |c| {
             let split = self.marked[c] as usize;
             for &(id, q) in &self.cells[c][split..] {
                 if q.euclidean_m(&p) <= radius_m {
-                    unmarked(id);
+                    hit(SweepHit::Unmarked(id));
                 }
             }
             if split > 0 {
-                let bound = self.cell_min_distance(c, p);
-                if bound <= radius_m {
-                    marked_cell(c, bound);
+                let bound_m = self.cell_min_distance(c, p);
+                if bound_m <= radius_m {
+                    hit(SweepHit::MarkedCell { cell: c, bound_m });
                 }
             }
         });
@@ -762,7 +771,10 @@ mod tests {
                         // and every cell holding a marked item in reach.
                         let mut unmarked = Vec::new();
                         let mut cells = Vec::new();
-                        g.sweep_split(p, r, |id| unmarked.push(id), |c, _| cells.push(c));
+                        g.sweep_split(p, r, |hit| match hit {
+                            SweepHit::Unmarked(id) => unmarked.push(id),
+                            SweepHit::MarkedCell { cell, .. } => cells.push(cell),
+                        });
                         unmarked.sort_unstable();
                         let mut marked_in_reach = Vec::new();
                         for &c in &cells {
@@ -917,9 +929,12 @@ mod tests {
                 }
                 for (p, r) in queries {
                     let mut visited = vec![false; g.num_cells()];
-                    g.sweep_split(p, r, |_| unreachable!("every item is marked"), |c, bound| {
-                        assert_eq!(bound, g.cell_min_distance(c, p));
-                        visited[c] = true;
+                    g.sweep_split(p, r, |hit| {
+                        let SweepHit::MarkedCell { cell, bound_m } = hit else {
+                            unreachable!("every item is marked")
+                        };
+                        assert_eq!(bound_m, g.cell_min_distance(cell, p));
+                        visited[cell] = true;
                     });
                     for (c, &seen) in visited.iter().enumerate() {
                         let bound = g.cell_min_distance(c, p);

@@ -13,7 +13,7 @@
 
 use road_network::Cost;
 
-use crate::lower_bound::{idle_lower_bound, insertion_lower_bound, scan_lower_bound};
+use crate::lower_bound::{idle_lower_bound, insertion_lower_bound};
 use crate::platform::{CandidateStream, EligibleCandidates, PlatformState};
 use crate::shortlist::{LowerBoundSink, Shortlist};
 use crate::types::{Request, WorkerId};
@@ -92,12 +92,13 @@ pub fn decision_phase(
 
 /// Algo. 4 as the DP engine runs it: the `(LBΔ*, worker)` list of
 /// [`decision_phase`], grown only as far as the scan reads it
-/// (DESIGN.md §5, "The idle stream"). Busy candidates are bounded whole;
-/// idle ones are pulled a grid cell at a time, nearest cell first, off
-/// the platform's [`CandidateStream`]. Rank `k` is settled once `k + 1`
-/// bounds lie strictly below the next unvisited cell's bound, which no
-/// idle worker left in the grid can undercut — so whatever the sequence
-/// of [`StreamedShortlist::order_through`] calls, the ordered prefix and
+/// (DESIGN.md §5, "The candidate stream"). Candidates are pulled off the
+/// platform's [`CandidateStream`] in ascending key order — a busy
+/// worker keyed by its route box, bounded alone; an idle cell keyed by
+/// its nearest point, bounded a cell at a time. Rank `k` is settled once
+/// `k + 1` bounds lie strictly below the next key, which no candidate
+/// left in the stream can undercut — so whatever the sequence of
+/// [`StreamedShortlist::order_through`] calls, the ordered prefix and
 /// [`StreamedShortlist::min_lb`] are those of [`decision_phase`]'s full
 /// sort over [`PlatformState::candidate_workers`]. Buffers are reused
 /// across requests.
@@ -105,10 +106,52 @@ pub fn decision_phase(
 pub struct StreamedShortlist {
     shortlist: Shortlist,
     source: CandidateStream,
-    /// Whether the busy candidates have been bounded yet.
-    busy_bounded: bool,
+    /// The settle test's running count, for the request opened last.
+    settle: SettleCount,
     /// The exact bounds computed so far, over every request.
     work: BoundWork,
+}
+
+/// How many of a shortlist's bounds lie strictly below a key that only
+/// rises — the stream's next key — without a rescan per pull: `below`
+/// of the first `counted` bounds lie below the key last asked about,
+/// and the least of the others is `least_above`. A bound counted above
+/// stays above until the key passes `least_above`; then one rescan
+/// moves at least that bound below, so a test for `end` ranks rescans
+/// at most `end` times.
+#[derive(Debug, Default)]
+struct SettleCount {
+    below: usize,
+    counted: usize,
+    least_above: Cost,
+}
+
+impl SettleCount {
+    /// Forgets every bound.
+    fn clear(&mut self) {
+        *self = SettleCount {
+            least_above: Cost::MAX,
+            ..SettleCount::default()
+        };
+    }
+
+    /// How many of `bounds` (in push order, a prefix of them counted
+    /// before) lie strictly below `key`, which is no lower than any key
+    /// asked about since the last `clear`.
+    fn below(&mut self, bounds: &[Cost], key: Cost) -> usize {
+        if key > self.least_above {
+            self.clear();
+        }
+        for &lb in &bounds[self.counted..] {
+            if lb < key {
+                self.below += 1;
+            } else {
+                self.least_above = self.least_above.min(lb);
+            }
+        }
+        self.counted = bounds.len();
+        self.below
+    }
 }
 
 /// What the decision phase paid for in exact bounds, summed over every
@@ -132,45 +175,25 @@ impl StreamedShortlist {
     }
 
     /// Starts the list for `r` (`direct` is `L = dis(o_r, d_r)`): the
-    /// platform shortlists the busy candidates and lists the cells
-    /// holding idle ones. Nothing is bounded or ordered yet.
+    /// platform keys every eligible candidate into one stream. Nothing
+    /// is bounded or ordered yet.
     pub fn open(&mut self, state: &PlatformState, r: &Request, direct: Cost) {
         self.shortlist.clear();
-        self.busy_bounded = false;
+        self.settle.clear();
         state.open_candidate_stream(r, direct, &mut self.source);
     }
 
-    /// Bounds the busy candidates, then pulls idle cells until ranks
-    /// `..end` are settled or none is left.
+    /// Pulls candidates until ranks `..end` are settled or none is
+    /// left.
     pub fn bound_through(&mut self, state: &PlatformState, end: usize) {
-        let StreamedShortlist {
-            shortlist,
-            source,
-            busy_bounded,
-            work,
-        } = self;
-        if !*busy_bounded {
-            let (r, direct) = source.request();
-            for &w in source.busy() {
-                let agent = state.agent(w);
-                let capacity = agent.worker.capacity;
-                let (lb, positions) =
-                    scan_lower_bound(&agent.route, capacity, r, direct, state.oracle());
-                work.exact += 1;
-                work.positions += positions as u64;
-                if let Some(lb) = lb {
-                    shortlist.push_bound(lb, w);
-                }
-            }
-            *busy_bounded = true;
-        }
-        while let Some(bound) = source.next_bound() {
+        while let Some(bound) = self.source.next_bound() {
             // The `end`-th smallest key is below `bound` exactly when
             // `end` keys are.
-            if shortlist.len() >= end && shortlist.count_below(bound) >= end {
+            let bounds = self.shortlist.bounds();
+            if bounds.len() >= end && self.settle.below(bounds, bound) >= end {
                 break;
             }
-            state.pull_idle_cell(source, shortlist);
+            state.pull_candidate(&mut self.source, &mut self.shortlist, &mut self.work);
         }
     }
 
@@ -205,10 +228,10 @@ impl StreamedShortlist {
         self.source.next_bound().is_none() && self.ordered() == self.shortlist.len()
     }
 
-    /// Candidates bounded so far: the eligible busy workers and the
+    /// Candidates bounded so far: the busy workers pulled, and the
     /// eligible idle workers in visited cells.
     pub fn bounded(&self) -> usize {
-        self.source.busy().len() + self.source.idle_bounded()
+        self.source.bounded()
     }
 
     /// The exact bounds computed so far, over every request.

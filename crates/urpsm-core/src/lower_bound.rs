@@ -33,6 +33,8 @@
 //! stretched-schedule test happens once per probed plan that could
 //! win, at the planner's gate (`Route::insertion_feasible`).
 
+use road_network::geo::{BoundingBox, Point};
+use road_network::graph::euclidean_cost;
 use road_network::oracle::DistanceOracle;
 use road_network::{cost_add, cost_add3, Cost, INF};
 
@@ -140,6 +142,61 @@ pub(crate) fn scan_lower_bound(
         (e_or_j, e_dr_j) = (e_or_next, e_dr_next);
     }
     (best, visited)
+}
+
+/// A route summed up for the candidate stream (DESIGN.md §5, "The
+/// candidate stream"): the bounding box of the coordinates of its
+/// locations `l_0 … l_n` and its longest leg `M`. Kept beside every
+/// route by `PlatformState::reindex`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RouteBox {
+    area: BoundingBox,
+    longest_leg: Cost,
+}
+
+impl RouteBox {
+    /// The summary of `route`, its locations placed by `oracle`.
+    pub(crate) fn of(route: &Route, oracle: &dyn DistanceOracle) -> Self {
+        let n = route.len();
+        RouteBox {
+            area: BoundingBox::around((0..=n).map(|k| oracle.point(route.vertex(k)))),
+            longest_leg: (1..=n).map(|k| route.leg(k)).max().unwrap_or(0),
+        }
+    }
+
+    /// A key no [`insertion_lower_bound`] of the summed-up route can
+    /// undercut, for a request from `origin` to `destination` with
+    /// `L = direct`, at the top speed `speed` of the oracle's `euc`:
+    ///
+    /// `B = min(g_o + L, (g_o + L + g_d) ⊖ M, (2g_o ⊖ M) + min(g_d, 2g_d ⊖ M))`
+    ///
+    /// where `g_o`, `g_d` are the Euclidean bounds from `o_r` and `d_r`
+    /// to the box and `⊖` saturates at 0. Every `euc(l_k, o_r) ≥ g_o`
+    /// and every `euc(l_k, d_r) ≥ g_d` (the box distance never exceeds
+    /// a contained point's, and `euclidean_cost` is monotone), and
+    /// every leg is at most `M`; so each of the scan's three candidate
+    /// values — `e_or_n + L` at the route's end, `(e_or_j + L +
+    /// e_dr_{j+1}) ⊖ leg_{j+1}` for both stops in one leg, and
+    /// `Dio + ldet_j` for a split pair with `ldet_j = e_dr_n` or
+    /// `(e_dr_j + e_dr_{j+1}) ⊖ leg_{j+1}` — is at least the matching
+    /// term, term by term. Saturating addition and subtraction are
+    /// monotone, so the same order holds in `Cost` arithmetic.
+    pub(crate) fn bound(
+        &self,
+        origin: Point,
+        destination: Point,
+        direct: Cost,
+        speed: f64,
+    ) -> Cost {
+        let g_o = euclidean_cost(self.area.distance_m(origin), speed);
+        let g_d = euclidean_cost(self.area.distance_m(destination), speed);
+        let m = self.longest_leg;
+        let at_end = cost_add(g_o, direct);
+        let one_leg = cost_add3(g_o, direct, g_d).saturating_sub(m);
+        let ldet = g_d.min(cost_add(g_d, g_d).saturating_sub(m));
+        let split = cost_add(cost_add(g_o, g_o).saturating_sub(m), ldet);
+        at_end.min(one_leg).min(split)
+    }
 }
 
 /// [`insertion_lower_bound`] of an idle worker, from its head-plane
@@ -411,8 +468,70 @@ mod tests {
             (request(1, o, d, deadline), capacity)
         }
 
+        /// A plane city for the route box: a jittered 8 × 5 lattice,
+        /// 10 m/s top speed, road times 1.4× the straight line rounded
+        /// up. Vertices 0 and 1 stand on one spot, so a leg between them
+        /// has length 0.
+        fn plane_oracle() -> MatrixOracle {
+            let n = VERTICES as usize;
+            let points: Vec<Point> = (0..n)
+                .map(|k| {
+                    let k = k.max(1);
+                    let jitter = |m: usize, p: usize| ((k * m) % p) as f64;
+                    Point::new(
+                        (k % 8) as f64 * 130.0 + jitter(37, 23),
+                        (k / 8) as f64 * 110.0 + jitter(53, 17),
+                    )
+                })
+                .collect();
+            let rows: Vec<Vec<Cost>> = points
+                .iter()
+                .map(|u| {
+                    points
+                        .iter()
+                        .map(|v| (u.euclidean_m(v) * 14.0).ceil() as Cost)
+                        .collect()
+                })
+                .collect();
+            MatrixOracle::from_matrix(&rows, points, 10.0)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The route box's key is never above the scan's bound: `B ≤
+            /// insertion_lower_bound` whenever the latter is `Some`, on
+            /// plane routes with zero-length legs, stretched arrivals, a
+            /// head snapped onto its first leg and full positions.
+            #[test]
+            fn the_route_box_key_never_exceeds_the_bound(
+                seed in 0u64..1_000_000,
+                stops in 0usize..13,
+                congested in any::<bool>(),
+                snapped in any::<bool>(),
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let oracle = plane_oracle();
+                let mut route = random_route(&mut rng, &oracle, stops, congested);
+                if snapped && stops > 0 {
+                    // Motion's snap: `l_0` becomes a vertex of the
+                    // driven path, part of the first leg still ahead.
+                    let v = VertexId(rng.gen_range(0..VERTICES));
+                    let time = rng.gen_range(route.arr(0)..=route.arr(1));
+                    route.snap_on_leg(v, time, rng.gen_range(0..=route.leg(1)));
+                }
+                let summary = RouteBox::of(&route, &oracle);
+                let speed = oracle.top_speed_mps();
+                for _ in 0..32 {
+                    let (r, capacity) = random_query(&mut rng, &route);
+                    let direct = oracle.dis(r.origin, r.destination);
+                    let (o, d) = (oracle.point(r.origin), oracle.point(r.destination));
+                    let key = summary.bound(o, d, direct, speed);
+                    if let Some(lb) = insertion_lower_bound(&route, capacity, &r, direct, &oracle) {
+                        prop_assert!(key <= lb, "key {} > bound {} for {:?} on {:?}", key, lb, r, route);
+                    }
+                }
+            }
 
             /// Rolling the `euc` pair forward changes no answer: equal
             /// `Option<Cost>` to the closure-per-read reference on

@@ -33,11 +33,12 @@ use road_network::congestion::TravelTimeProvider;
 use road_network::fxhash::{FxHashMap, FxHashSet};
 use road_network::geo::Point;
 use road_network::graph::euclidean_cost;
-use road_network::grid::GridIndex;
+use road_network::grid::{GridIndex, SweepHit};
 use road_network::oracle::DistanceOracle;
 use road_network::{cost_add, Cost, VertexId, INF};
 
-use crate::lower_bound::idle_bound_at;
+use crate::decision::BoundWork;
+use crate::lower_bound::{idle_bound_at, scan_lower_bound, RouteBox};
 use crate::objective::UnifiedCost;
 use crate::route::{InsertionPlan, Route};
 use crate::shortlist::LowerBoundSink;
@@ -62,6 +63,10 @@ pub struct WorkerAgent {
     /// leave the grid indexes (never shortlisted again) but keep
     /// driving their committed stops.
     pub active: bool,
+    /// The route's box and longest leg, what the candidate stream keys
+    /// the worker by while it is busy (DESIGN.md §5). Kept by
+    /// `PlatformState::reindex` with the route.
+    pub(crate) route_box: RouteBox,
 }
 
 /// What happened to a cancellation, as reported by
@@ -302,54 +307,52 @@ impl<'a> EligibleCandidates<'a> {
     }
 }
 
-/// The DP engine's candidates for one request, split at the idle flag
-/// (DESIGN.md §5, "The idle stream"): the eligible busy workers,
-/// collected whole, and the grid cells holding idle workers, visited
-/// nearest-first on demand by `PlatformState::pull_idle_cell`. Like
+/// The DP engine's candidates for one request, as one stream keyed by
+/// lower bounds (DESIGN.md §5, "The candidate stream"): every eligible
+/// busy worker, keyed by its route box ([`RouteBox::bound`]), and every
+/// grid cell holding idle workers, keyed by its nearest point, in one
+/// min-heap that `PlatformState::pull_candidate` pops on demand. Like
 /// [`CandidateBuf`] it is owned by a planner and `clear()`-reused, and
 /// only [`PlatformState::open_candidate_stream`] fills it: the class
 /// filter and the radius test stay on the platform's side of the seam.
 #[derive(Debug, Default)]
 pub struct CandidateStream {
-    /// Eligible busy workers, in grid order.
-    busy: Vec<WorkerId>,
-    /// The unvisited cells as `(bound, cell)`, a min-heap: built in
-    /// linear time, it pays a `log` only for the cells a request pulls.
-    /// No idle worker in a cell bounds below its `bound`:
-    /// `euclidean_cost` is monotone in the distance, and the cell's
-    /// distance never exceeds any of its items'.
-    cells: BinaryHeap<Reverse<(Cost, u32)>>,
+    /// The candidates not yet pulled as `(key, candidate)`, a min-heap:
+    /// built in linear time, it pays a `log` only for the entries a
+    /// request pulls. No candidate bounds below its key: a busy
+    /// worker's key is its route box's bound, and no idle worker in a
+    /// cell bounds below the cell's — `euclidean_cost` is monotone in
+    /// the distance, and the cell's distance never exceeds any of its
+    /// items'.
+    heap: BinaryHeap<Reverse<(Cost, Candidate)>>,
     /// The request, and `L = dis(o_r, d_r)`, the stream was opened for.
     request: Option<(Request, Cost)>,
     origin: Point,
     radius_m: f64,
-    /// Idle workers bounded so far: in a visited cell, within the
-    /// radius and class-eligible.
-    idle_bounded: usize,
+    /// Candidates bounded so far: the busy workers pulled, and the idle
+    /// workers in visited cells within the radius and class-eligible.
+    bounded: usize,
+}
+
+/// One entry of a [`CandidateStream`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Candidate {
+    /// An eligible busy worker.
+    Busy(WorkerId),
+    /// A grid cell holding idle workers.
+    Cell(u32),
 }
 
 impl CandidateStream {
-    /// The eligible busy workers, in grid order: the shortlist orders
-    /// by `(lb, worker)`, so no id sort is needed.
-    pub(crate) fn busy(&self) -> &[WorkerId] {
-        &self.busy
-    }
-
-    /// The least lower bound an idle worker not yet pulled can have;
-    /// `None` once every cell has been visited.
+    /// The least lower bound a candidate not yet pulled can have;
+    /// `None` once every candidate has been pulled.
     pub(crate) fn next_bound(&self) -> Option<Cost> {
-        self.cells.peek().map(|&Reverse((bound, _))| bound)
+        self.heap.peek().map(|&Reverse((bound, _))| bound)
     }
 
-    /// Idle workers bounded so far.
-    pub(crate) fn idle_bounded(&self) -> usize {
-        self.idle_bounded
-    }
-
-    /// The request the stream was opened for, with its `L`.
-    pub(crate) fn request(&self) -> (&Request, Cost) {
-        let (r, direct) = self.request.as_ref().expect("stream not opened");
-        (r, *direct)
+    /// Candidates bounded so far.
+    pub(crate) fn bounded(&self) -> usize {
+        self.bounded
     }
 }
 
@@ -375,9 +378,11 @@ impl PlatformState {
                 assert_eq!(w.id.idx(), i, "workers must be densely indexed by id");
                 grid.upsert(u64::from(w.id.0), oracle.point(w.origin));
                 grid.set_marked(u64::from(w.id.0), true);
+                let route = Route::new(w.origin, start_time);
                 WorkerAgent {
                     worker: *w,
-                    route: Route::new(w.origin, start_time),
+                    route_box: RouteBox::of(&route, &*oracle),
+                    route,
                     assigned_distance: 0,
                     active: true,
                 }
@@ -485,10 +490,11 @@ impl PlatformState {
         self.heads[w.idx()]
     }
 
-    /// Recomputes the motion index, its block summary and the head
-    /// plane from the agents and compares: every `due[w]` matches its
-    /// formula, every `due_min[b]` its block and every `heads[w]` its
-    /// agent. For tests and audits; `O(fleet)`.
+    /// Recomputes the motion index, its block summary, the head plane
+    /// and the route boxes from the agents and compares: every `due[w]`
+    /// matches its formula, every `due_min[b]` its block, every
+    /// `heads[w]` its agent and every agent's box its route. For tests
+    /// and audits; `O(fleet)`.
     pub fn check_motion_index(&self) -> Result<(), String> {
         let n = self.agents.len();
         if self.due.len() != n
@@ -506,6 +512,13 @@ impl PlatformState {
             let want = due_time(&agent.route);
             if self.due[w] != want {
                 return Err(format!("due[{w}] = {}, route says {want}", self.due[w]));
+            }
+            let route_box = RouteBox::of(&agent.route, &*self.oracle);
+            if agent.route_box != route_box {
+                return Err(format!(
+                    "w{w}'s box is {:?}, route says {route_box:?}",
+                    agent.route_box
+                ));
             }
             let want = WorkerHead::of(agent);
             if self.heads[w] != want {
@@ -538,13 +551,15 @@ impl PlatformState {
         Ok(())
     }
 
-    /// Refreshes `w`'s entries of the motion index and the head plane,
-    /// and moves an active worker's grid entry when its `l_0` or its
-    /// idle flag changed. Every method that mutates a route ends here;
-    /// routes are reachable for writing through no other door (there is
-    /// no `agent_mut`).
+    /// Refreshes `w`'s entries of the motion index and the head plane
+    /// and its route box, and moves an active worker's grid entry when
+    /// its `l_0` or its idle flag changed. Every method that mutates a
+    /// route ends here; routes are reachable for writing through no
+    /// other door (there is no `agent_mut`).
     fn reindex(&mut self, w: WorkerId) {
         let i = w.idx();
+        let agent = &mut self.agents[i];
+        agent.route_box = RouteBox::of(&agent.route, &*self.oracle);
         let agent = &self.agents[i];
         let (was, due) = (self.due[i], due_time(&agent.route));
         self.due[i] = due;
@@ -761,53 +776,82 @@ impl PlatformState {
 
     /// Opens the DP engine's [`CandidateStream`] for `r`: exactly the
     /// workers [`PlatformState::candidate_workers`] would shortlist,
-    /// the busy ones collected now, the idle ones left in their cells
-    /// for `PlatformState::pull_idle_cell`. `direct` is
+    /// the busy ones keyed by their route boxes, the idle ones left in
+    /// their cells, for `PlatformState::pull_candidate`. `direct` is
     /// `L = dis(o_r, d_r)`. Pure read.
     pub fn open_candidate_stream(&self, r: &Request, direct: Cost, stream: &mut CandidateStream) {
         let (origin, radius_m) = self.reach(r, direct);
+        let destination = self.oracle.point(r.destination);
         let speed = self.oracle.top_speed_mps();
-        let busy = &mut stream.busy;
-        busy.clear();
         // Heapify in place: the buffer moves out and back, never freed.
-        let mut cells = std::mem::take(&mut stream.cells).into_vec();
-        cells.clear();
-        self.grid.sweep_split(
-            origin,
-            radius_m,
-            |id| {
+        let mut heap = std::mem::take(&mut stream.heap).into_vec();
+        heap.clear();
+        self.grid.sweep_split(origin, radius_m, |hit| match hit {
+            SweepHit::Unmarked(id) => {
                 let w = WorkerId(id as u32);
                 if r.class.allows(self.heads[w.idx()].class) {
-                    busy.push(w);
+                    let key =
+                        self.agents[w.idx()]
+                            .route_box
+                            .bound(origin, destination, direct, speed);
+                    heap.push(Reverse((key, Candidate::Busy(w))));
                 }
-            },
-            |cell, bound_m| {
-                let bound = cost_add(euclidean_cost(bound_m, speed), direct);
-                cells.push(Reverse((bound, cell as u32)));
-            },
-        );
-        stream.cells = BinaryHeap::from(cells);
+            }
+            SweepHit::MarkedCell { cell, bound_m } => {
+                let key = cost_add(euclidean_cost(bound_m, speed), direct);
+                heap.push(Reverse((key, Candidate::Cell(cell as u32))));
+            }
+        });
+        stream.heap = BinaryHeap::from(heap);
         stream.request = Some((*r, direct));
         stream.origin = origin;
         stream.radius_m = radius_m;
-        stream.idle_bounded = 0;
+        stream.bounded = 0;
     }
 
-    /// Visits the nearest unvisited cell of `stream` (a no-op once none
-    /// is left): every idle worker in it that passes
-    /// [`PlatformState::candidate_workers`]' radius test — the same
-    /// comparison on the same distance — and class filter is bounded
-    /// by `lower_bound::idle_lower_bound`'s rule, its `euc(l_0, o_r)`
-    /// taken from that distance, and the survivors go to `out`.
-    pub(crate) fn pull_idle_cell<S: LowerBoundSink>(
+    /// Pulls the candidate of `stream` with the least key (a no-op once
+    /// none is left) and pushes what survives its bound to `out`. A busy
+    /// worker is bounded by [`crate::lower_bound::insertion_lower_bound`]
+    /// over its route, counted in `work`. A cell yields every idle
+    /// worker in it that passes [`PlatformState::candidate_workers`]'
+    /// radius test — the same comparison on the same distance — and
+    /// class filter, bounded by `lower_bound::idle_lower_bound`'s rule
+    /// with its `euc(l_0, o_r)` taken from that distance.
+    pub(crate) fn pull_candidate<S: LowerBoundSink>(
         &self,
         stream: &mut CandidateStream,
         out: &mut S,
+        work: &mut BoundWork,
     ) {
-        let Some(Reverse((_, cell))) = stream.cells.pop() else {
+        let Some(Reverse((key, candidate))) = stream.heap.pop() else {
             return;
         };
-        let (r, direct) = stream.request();
+        let (r, direct) = stream
+            .request
+            .as_ref()
+            .map(|(r, direct)| (r, *direct))
+            .expect("stream not opened");
+        let cell = match candidate {
+            Candidate::Busy(w) => {
+                let agent = self.agent(w);
+                let (lb, positions) = scan_lower_bound(
+                    &agent.route,
+                    agent.worker.capacity,
+                    r,
+                    direct,
+                    self.oracle(),
+                );
+                stream.bounded += 1;
+                work.exact += 1;
+                work.positions += positions as u64;
+                if let Some(lb) = lb {
+                    debug_assert!(key <= lb, "{w}: box key {key} above its bound {lb}");
+                    out.push_bound(lb, w);
+                }
+                return;
+            }
+            Candidate::Cell(cell) => cell,
+        };
         let speed = self.oracle.top_speed_mps();
         let mut bounded = 0;
         for &(id, q) in self.grid.marked_items(cell as usize) {
@@ -825,7 +869,7 @@ impl PlatformState {
                 }
             }
         }
-        stream.idle_bounded += bounded;
+        stream.bounded += bounded;
     }
 
     /// The class half of the eligibility seam, for planners that build
@@ -1093,6 +1137,7 @@ impl PlatformState {
         }
         self.agents.push(WorkerAgent {
             worker: w,
+            route_box: RouteBox::of(&route, &*self.oracle),
             route,
             assigned_distance: 0,
             active: true,

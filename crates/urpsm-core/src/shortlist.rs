@@ -130,9 +130,9 @@ impl Shortlist {
         }
     }
 
-    /// Number of entries whose lower bound is strictly below `bound`.
-    pub fn count_below(&self, bound: Cost) -> usize {
-        self.lbs.iter().filter(|&&lb| lb < bound).count()
+    /// The lower bounds, in push order.
+    pub fn bounds(&self) -> &[Cost] {
+        &self.lbs
     }
 
     /// Iterates the ordered prefix in ascending `(lb, worker)` order.

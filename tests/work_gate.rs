@@ -64,8 +64,8 @@ fn the_preset_stream_costs_a_pinned_number_of_exact_bounds() {
     let want = Work {
         served: 2_644,
         dis: 148_385,
-        exact: 149_980,
-        positions: 568_321,
+        exact: 122_068,
+        positions: 485_759,
     };
     assert_eq!(work(&sc), want);
 }
@@ -80,8 +80,8 @@ fn the_dense_stream_costs_a_pinned_number_of_exact_bounds() {
     let want = Work {
         served: 5_000,
         dis: 662_771,
-        exact: 753_316,
-        positions: 5_032_775,
+        exact: 309_079,
+        positions: 2_563_943,
     };
     assert_eq!(work(&sc), want);
 }

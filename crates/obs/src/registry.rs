@@ -263,7 +263,7 @@ metrics! {
     counter plan_probes "Linear-DP insertion probes executed";
     counter plan_bound_improvements "Times the Lemma-8 best-Δ bound was lowered";
     histogram plan_latency_ns "Per-request planning latency (nanoseconds)";
-    histogram plan_shortlist_len "Candidates the DP engine bounded per request: eligible busy workers plus eligible idle workers in the grid cells it visited";
+    histogram plan_shortlist_len "Candidates the DP engine bounded per request: the busy workers its candidate stream pulled plus the eligible idle workers in the grid cells it visited";
     counter plan_ordered_ranks "Shortlist ranks put in `(LB, worker)` order (the lazily ordered prefix of each shortlist)";
     counter plan_gate_td_misses "TD distance-cache misses incurred inside the probes' insertion gate (only concurrent `experiments --parallel` cells can share the counter)";
     histogram[PlanPhase] plan_phase_ns "Per-request wall-clock of one planning phase (nanoseconds)";

@@ -186,6 +186,12 @@ impl StreamedShortlist {
     /// Pulls candidates until ranks `..end` are settled or none is
     /// left.
     pub fn bound_through(&mut self, state: &PlatformState, end: usize) {
+        if end == usize::MAX {
+            // No count settles every rank: everything will be bounded,
+            // so the key order buys nothing.
+            state.drain_candidates(&mut self.source, &mut self.shortlist, &mut self.work);
+            return;
+        }
         while let Some(bound) = self.source.next_bound() {
             // The `end`-th smallest key is below `bound` exactly when
             // `end` keys are.

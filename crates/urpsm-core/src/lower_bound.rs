@@ -218,9 +218,9 @@ pub fn idle_lower_bound(
 }
 
 /// [`idle_lower_bound`] with `e_or = euc(l_0, o_r)` already in hand —
-/// the platform's idle stream computes it from the distance its radius
-/// test measured (DESIGN.md §5, "The idle stream"). The one place the
-/// idle rule is written.
+/// the platform's candidate stream computes it from the distance its
+/// radius test measured (DESIGN.md §5, "The candidate stream"). The
+/// one place the idle rule is written.
 pub(crate) fn idle_bound_at(
     head: &WorkerHead,
     now: Time,

@@ -24,11 +24,12 @@
 //! every `dis` call are those of a scan over the fully sorted list;
 //! `GreedyDP` probes everything and orders everything at once.
 //!
-//! The shortlist grows the same way: idle candidates are streamed in
-//! nearest grid cell first and bounded only until the ranks asked for
-//! are settled ([`StreamedShortlist`], DESIGN.md §5 "The idle stream"),
-//! so a request bounds the few hundred workers near its pickup, not
-//! every one its deadline can reach.
+//! The shortlist grows the same way: candidates are streamed in least
+//! key first — an idle grid cell by its nearest point, a busy worker by
+//! its route box — and bounded only until the ranks asked for are
+//! settled ([`StreamedShortlist`], DESIGN.md §5 "The candidate
+//! stream"), so a request bounds the workers its scan can reach, not
+//! every one its deadline can.
 
 use road_network::oracle::DistanceOracle;
 use road_network::{Cost, INF};
@@ -112,9 +113,9 @@ impl DpEngine {
 
         // Phase 0 (Algo. 5 line 3): the platform's eligibility seam —
         // grid reachability joined with the class filter. Busy
-        // candidates come back whole, idle ones as a nearest-first
-        // stream over the grid; the engine cannot add a worker to
-        // either.
+        // candidates come back keyed by their route boxes, idle ones
+        // as the grid cells holding them, in one stream; the engine
+        // cannot add a worker to it.
         shortlist.open(state, r, direct);
         clock.lap(PlanPhase::Shortlist);
         if direct >= INF {
@@ -124,7 +125,7 @@ impl DpEngine {
         // Phase 1 (Algo. 4): lower bounds, the head of the
         // `(LB, worker)` order and the economic test — the bounds and
         // order of `decision_phase`, into `clear()`-reused storage, for
-        // only as many idle workers as the head needs. No `dis` query.
+        // only as many candidates as the head needs. No `dis` query.
         let first = if prune { FIRST_CHUNK } else { usize::MAX };
         shortlist.bound_through(state, first);
         clock.lap(PlanPhase::Bounds);

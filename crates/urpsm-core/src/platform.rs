@@ -309,9 +309,9 @@ impl<'a> EligibleCandidates<'a> {
 
 /// The DP engine's candidates for one request, as one stream keyed by
 /// lower bounds (DESIGN.md §5, "The candidate stream"): every eligible
-/// busy worker, keyed by its route box ([`RouteBox::bound`]), and every
-/// grid cell holding idle workers, keyed by its nearest point, in one
-/// min-heap that `PlatformState::pull_candidate` pops on demand. Like
+/// busy worker, keyed by its route box (`lower_bound::RouteBox`), and
+/// every grid cell holding idle workers, keyed by its nearest point, in
+/// one min-heap that `PlatformState::pull_candidate` pops on demand. Like
 /// [`CandidateBuf`] it is owned by a planner and `clear()`-reused, and
 /// only [`PlatformState::open_candidate_stream`] fills it: the class
 /// filter and the radius test stay on the platform's side of the seam.
@@ -810,22 +810,50 @@ impl PlatformState {
     }
 
     /// Pulls the candidate of `stream` with the least key (a no-op once
-    /// none is left) and pushes what survives its bound to `out`. A busy
-    /// worker is bounded by [`crate::lower_bound::insertion_lower_bound`]
-    /// over its route, counted in `work`. A cell yields every idle
-    /// worker in it that passes [`PlatformState::candidate_workers`]'
-    /// radius test — the same comparison on the same distance — and
-    /// class filter, bounded by `lower_bound::idle_lower_bound`'s rule
-    /// with its `euc(l_0, o_r)` taken from that distance.
+    /// none is left) and bounds it into `out` ([`Self::bound_candidate`]).
     pub(crate) fn pull_candidate<S: LowerBoundSink>(
         &self,
         stream: &mut CandidateStream,
         out: &mut S,
         work: &mut BoundWork,
     ) {
-        let Some(Reverse((key, candidate))) = stream.heap.pop() else {
-            return;
-        };
+        if let Some(Reverse((key, candidate))) = stream.heap.pop() {
+            self.bound_candidate(stream, key, candidate, out, work);
+        }
+    }
+
+    /// Bounds every candidate left in `stream` into `out`, in heap
+    /// order rather than key order: once everything is bounded the
+    /// order is the shortlist's to make, so no pop is paid for.
+    pub(crate) fn drain_candidates<S: LowerBoundSink>(
+        &self,
+        stream: &mut CandidateStream,
+        out: &mut S,
+        work: &mut BoundWork,
+    ) {
+        let mut heap = std::mem::take(&mut stream.heap);
+        for Reverse((key, candidate)) in heap.drain() {
+            self.bound_candidate(stream, key, candidate, out, work);
+        }
+        stream.heap = heap;
+    }
+
+    /// Pushes what survives of `candidate`, pulled under `key`, to
+    /// `out`. A busy worker is bounded by
+    /// [`crate::lower_bound::insertion_lower_bound`] over its route,
+    /// counted in `work`. A cell yields every idle worker in it that
+    /// passes [`PlatformState::candidate_workers`]' radius test — the
+    /// same comparison on the same distance — and class filter, bounded
+    /// by `lower_bound::idle_lower_bound`'s rule with its
+    /// `euc(l_0, o_r)` taken from that distance.
+    fn bound_candidate<S: LowerBoundSink>(
+        &self,
+        stream: &mut CandidateStream,
+        key: Cost,
+        candidate: Candidate,
+        out: &mut S,
+        work: &mut BoundWork,
+    ) {
         let (r, direct) = stream
             .request
             .as_ref()
@@ -864,6 +892,7 @@ impl PlatformState {
                     let e_or = euclidean_cost(d, speed);
                     debug_assert_eq!(e_or, self.oracle.euc(head.vertex, r.origin), "{w}");
                     if let Some(lb) = idle_bound_at(&head, self.now, r, direct, e_or) {
+                        debug_assert!(key <= lb, "{w}: cell key {key} above its bound {lb}");
                         out.push_bound(lb, w);
                     }
                 }

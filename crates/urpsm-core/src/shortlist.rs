@@ -19,8 +19,9 @@
 //!   of just that chunk) and the tail stays unordered until asked for.
 //!
 //! Entries may be pushed after ordering began, as long as every new key
-//! exceeds the ordered prefix — the DP engine's idle stream adds the
-//! workers of farther cells that way ([`crate::decision::StreamedShortlist`]).
+//! exceeds the ordered prefix — the DP engine's candidate stream adds
+//! the candidates it pulls later that way
+//! ([`crate::decision::StreamedShortlist`]).
 //!
 //! The ordered prefix is byte-compatible with the same-length prefix of
 //! the historical `Vec<(Cost, WorkerId)>::sort_unstable()`: the key is

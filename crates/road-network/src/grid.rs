@@ -370,12 +370,12 @@ impl GridIndex {
     /// bounding box, clamped into a border cell: a border cell extends
     /// to infinity on its outer sides. The cell's rectangle is widened
     /// by a millimetre so that a point rounded into the cell from just
-    /// outside its computed edge is still covered; every step after
-    /// that is a correctly rounded, hence monotone, operation on the
-    /// same operand order as [`Point::euclidean_m`].
+    /// outside its computed edge is still covered; the distance to it
+    /// is [`BoundingBox::distance_m`], never above the computed
+    /// [`Point::euclidean_m`] of a point it contains.
     pub fn cell_min_distance(&self, c: usize, p: Point) -> f64 {
         let (cx, cy) = (c % self.nx, c / self.nx);
-        let gap = |v: f64, min: f64, k: usize, n: usize| {
+        let edges = |min: f64, k: usize, n: usize| {
             let lo = if k == 0 {
                 f64::NEG_INFINITY
             } else {
@@ -386,17 +386,15 @@ impl GridIndex {
             } else {
                 min + (k + 1) as f64 * self.cell_m + SLACK_M
             };
-            if v < lo {
-                lo - v
-            } else if v > hi {
-                v - hi
-            } else {
-                0.0
-            }
+            (lo, hi)
         };
-        let dx = gap(p.x, self.bbox.min.x, cx, self.nx);
-        let dy = gap(p.y, self.bbox.min.y, cy, self.ny);
-        (dx * dx + dy * dy).sqrt()
+        let (x0, x1) = edges(self.bbox.min.x, cx, self.nx);
+        let (y0, y1) = edges(self.bbox.min.y, cy, self.ny);
+        BoundingBox {
+            min: Point::new(x0, y0),
+            max: Point::new(x1, y1),
+        }
+        .distance_m(p)
     }
 
     /// Calls `visit` with every cell of the sweep box of the disc of

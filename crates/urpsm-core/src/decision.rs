@@ -15,7 +15,7 @@ use road_network::Cost;
 
 use crate::lower_bound::{idle_lower_bound, insertion_lower_bound};
 use crate::platform::{CandidateStream, EligibleCandidates, PlatformState};
-use crate::shortlist::{LowerBoundSink, Shortlist};
+use crate::shortlist::Shortlist;
 use crate::types::{Request, WorkerId};
 
 /// Output of the decision phase.
@@ -37,24 +37,23 @@ impl DecisionOutcome {
     }
 }
 
-/// The one Algo. 4 inner loop every scan shares: compute `LBΔ*` for
-/// each yielded worker and append survivors to `out`. The public
-/// [`decision_phase`] and the DP engine both call this, so the
-/// lower-bound filter can never diverge between them. Generic over
-/// the sink so the engine can fill its reusable SoA
-/// [`crate::shortlist::Shortlist`] with the very same loop that builds
-/// the `Vec`-based [`DecisionOutcome`]. An idle worker is bounded from
-/// its head-plane entry ([`idle_lower_bound`]); only a busy one's
+/// Runs Algo. 4 over the platform's eligibility shortlist. `direct` is
+/// `L = dis(o_r, d_r)`, queried once by the caller. Taking the opaque
+/// [`EligibleCandidates`] view (rather than raw worker ids) means every
+/// caller — in-tree planners and external baselines alike — can only
+/// score workers the platform seam cleared. An idle worker is bounded
+/// from its head-plane entry ([`idle_lower_bound`]); only a busy one's
 /// agent is read.
-pub(crate) fn collect_lower_bounds<S: LowerBoundSink>(
+pub fn decision_phase(
+    alpha: u64,
     state: &PlatformState,
+    candidates: EligibleCandidates<'_>,
     r: &Request,
     direct: Cost,
-    workers: impl Iterator<Item = WorkerId>,
-    out: &mut S,
-) {
+) -> DecisionOutcome {
     let oracle = state.oracle();
-    for w in workers {
+    let mut lower_bounds = Vec::with_capacity(candidates.len());
+    for w in candidates.iter() {
         let head = state.head(w);
         let lb = if head.idle {
             idle_lower_bound(&head, state.now(), r, direct, oracle)
@@ -63,25 +62,9 @@ pub(crate) fn collect_lower_bounds<S: LowerBoundSink>(
             insertion_lower_bound(&agent.route, head.capacity, r, direct, oracle)
         };
         if let Some(lb) = lb {
-            out.push_bound(lb, w);
+            lower_bounds.push((lb, w));
         }
     }
-}
-
-/// Runs Algo. 4 over the platform's eligibility shortlist. `direct` is
-/// `L = dis(o_r, d_r)`, queried once by the caller. Taking the opaque
-/// [`EligibleCandidates`] view (rather than raw worker ids) means every
-/// caller — in-tree planners and external baselines alike — can only
-/// score workers the platform seam cleared.
-pub fn decision_phase(
-    alpha: u64,
-    state: &PlatformState,
-    candidates: EligibleCandidates<'_>,
-    r: &Request,
-    direct: Cost,
-) -> DecisionOutcome {
-    let mut lower_bounds = Vec::with_capacity(candidates.len());
-    collect_lower_bounds(state, r, direct, candidates.iter(), &mut lower_bounds);
     lower_bounds.sort_unstable();
     let reject = economic_reject(alpha, r, lower_bounds.first().map(|(lb, _)| *lb));
     DecisionOutcome {

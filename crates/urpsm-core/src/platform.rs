@@ -41,7 +41,7 @@ use crate::decision::BoundWork;
 use crate::lower_bound::{idle_bound_at, scan_lower_bound, RouteBox};
 use crate::objective::UnifiedCost;
 use crate::route::{InsertionPlan, Route};
-use crate::shortlist::LowerBoundSink;
+use crate::shortlist::Shortlist;
 use crate::types::{
     ClassId, ClassTable, Request, RequestId, Stop, StopKind, Time, Worker, WorkerId,
 };
@@ -811,10 +811,10 @@ impl PlatformState {
 
     /// Pulls the candidate of `stream` with the least key (a no-op once
     /// none is left) and bounds it into `out` ([`Self::bound_candidate`]).
-    pub(crate) fn pull_candidate<S: LowerBoundSink>(
+    pub(crate) fn pull_candidate(
         &self,
         stream: &mut CandidateStream,
-        out: &mut S,
+        out: &mut Shortlist,
         work: &mut BoundWork,
     ) {
         if let Some(Reverse((key, candidate))) = stream.heap.pop() {
@@ -825,10 +825,10 @@ impl PlatformState {
     /// Bounds every candidate left in `stream` into `out`, in heap
     /// order rather than key order: once everything is bounded the
     /// order is the shortlist's to make, so no pop is paid for.
-    pub(crate) fn drain_candidates<S: LowerBoundSink>(
+    pub(crate) fn drain_candidates(
         &self,
         stream: &mut CandidateStream,
-        out: &mut S,
+        out: &mut Shortlist,
         work: &mut BoundWork,
     ) {
         let mut heap = std::mem::take(&mut stream.heap);
@@ -846,12 +846,12 @@ impl PlatformState {
     /// same comparison on the same distance — and class filter, bounded
     /// by `lower_bound::idle_lower_bound`'s rule with its
     /// `euc(l_0, o_r)` taken from that distance.
-    fn bound_candidate<S: LowerBoundSink>(
+    fn bound_candidate(
         &self,
         stream: &mut CandidateStream,
         key: Cost,
         candidate: Candidate,
-        out: &mut S,
+        out: &mut Shortlist,
         work: &mut BoundWork,
     ) {
         let (r, direct) = stream

@@ -34,23 +34,6 @@ use road_network::Cost;
 
 use crate::types::WorkerId;
 
-/// Sink for the Algo. 4 lower-bound loop
-/// (`crate::decision::collect_lower_bounds`): the public decision
-/// phase appends to a plain `Vec` (its `DecisionOutcome` contract),
-/// while the DP engine appends straight into its reusable
-/// [`Shortlist`]. One trait keeps the survivor filter itself
-/// shared — it can never diverge between the two representations.
-pub(crate) trait LowerBoundSink {
-    /// Append one surviving `(LBΔ*, worker)` pair.
-    fn push_bound(&mut self, lb: Cost, w: WorkerId);
-}
-
-impl LowerBoundSink for Vec<(Cost, WorkerId)> {
-    fn push_bound(&mut self, lb: Cost, w: WorkerId) {
-        self.push((lb, w));
-    }
-}
-
 /// The SoA candidate shortlist. See the module docs for layout and
 /// ordering guarantees.
 #[derive(Debug, Default, Clone)]
@@ -68,6 +51,20 @@ pub(crate) struct Shortlist {
 }
 
 impl Shortlist {
+    /// Appends one surviving `(LBΔ*, worker)` pair to the unordered
+    /// tail. Once ordering has begun, only a key above the whole
+    /// ordered prefix may join (what the candidate stream guarantees,
+    /// DESIGN.md §5), so the prefix stays final.
+    pub fn push_bound(&mut self, lb: Cost, w: WorkerId) {
+        debug_assert!(
+            self.ordered == 0 || self.get(self.ordered - 1) < (lb, w),
+            "({lb}, {w}) pushed below the ordered prefix"
+        );
+        self.perm.push(self.lbs.len() as u32);
+        self.lbs.push(lb);
+        self.workers.push(w);
+    }
+
     /// Drops all entries but keeps the allocated capacity.
     pub fn clear(&mut self) {
         self.lbs.clear();
@@ -140,21 +137,6 @@ impl Shortlist {
     #[cfg(test)]
     pub fn iter_ordered(&self) -> impl Iterator<Item = (Cost, WorkerId)> + '_ {
         (0..self.ordered).map(move |rank| self.get(rank))
-    }
-}
-
-impl LowerBoundSink for Shortlist {
-    /// Appends to the unordered tail. Once ordering has begun, only a
-    /// key above the whole ordered prefix may join (what the idle
-    /// stream guarantees, DESIGN.md §5), so the prefix stays final.
-    fn push_bound(&mut self, lb: Cost, w: WorkerId) {
-        debug_assert!(
-            self.ordered == 0 || self.get(self.ordered - 1) < (lb, w),
-            "({lb}, {w}) pushed below the ordered prefix"
-        );
-        self.perm.push(self.lbs.len() as u32);
-        self.lbs.push(lb);
-        self.workers.push(w);
     }
 }
 

@@ -161,20 +161,21 @@ impl StreamedShortlist {
     /// platform keys every eligible candidate into one stream. Nothing
     /// is bounded or ordered yet.
     pub fn open(&mut self, state: &PlatformState, r: &Request, direct: Cost) {
+        self.clear();
+        state.open_candidate_stream(r, direct, &mut self.source);
+    }
+
+    /// Empties the list: no candidate is left, none is bounded or
+    /// ordered.
+    pub fn clear(&mut self) {
         self.shortlist.clear();
         self.settle.clear();
-        state.open_candidate_stream(r, direct, &mut self.source);
+        self.source.clear();
     }
 
     /// Pulls candidates until ranks `..end` are settled or none is
     /// left.
     pub fn bound_through(&mut self, state: &PlatformState, end: usize) {
-        if end == usize::MAX {
-            // No count settles every rank: everything will be bounded,
-            // so the key order buys nothing.
-            state.drain_candidates(&mut self.source, &mut self.shortlist, &mut self.work);
-            return;
-        }
         while let Some(bound) = self.source.next_bound() {
             // The `end`-th smallest key is below `bound` exactly when
             // `end` keys are.

@@ -111,6 +111,12 @@ impl DpEngine {
         let direct = oracle.dis(r.origin, r.destination);
         clock.restart();
 
+        if direct >= INF {
+            // No worker can serve an unreachable trip: nothing is keyed.
+            shortlist.clear();
+            return (0, None);
+        }
+
         // Phase 0 (Algo. 5 line 3): the platform's eligibility seam —
         // grid reachability joined with the class filter. Busy
         // candidates come back keyed by their route boxes, idle ones
@@ -118,9 +124,6 @@ impl DpEngine {
         // cannot add a worker to it.
         shortlist.open(state, r, direct);
         clock.lap(PlanPhase::Shortlist);
-        if direct >= INF {
-            return (0, None);
-        }
 
         // Phase 1 (Algo. 4): lower bounds, the head of the
         // `(LB, worker)` order and the economic test — the bounds and

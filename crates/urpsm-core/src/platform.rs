@@ -344,6 +344,13 @@ enum Candidate {
 }
 
 impl CandidateStream {
+    /// Forgets the request: no candidate is left, none is bounded.
+    pub(crate) fn clear(&mut self) {
+        self.heap.clear();
+        self.request = None;
+        self.bounded = 0;
+    }
+
     /// The least lower bound a candidate not yet pulled can have;
     /// `None` once every candidate has been pulled.
     pub(crate) fn next_bound(&self) -> Option<Cost> {
@@ -810,50 +817,22 @@ impl PlatformState {
     }
 
     /// Pulls the candidate of `stream` with the least key (a no-op once
-    /// none is left) and bounds it into `out` ([`Self::bound_candidate`]).
+    /// none is left) and pushes what survives its bound to `out`. A busy
+    /// worker is bounded by [`crate::lower_bound::insertion_lower_bound`]
+    /// over its route, counted in `work`. A cell yields every idle
+    /// worker in it that passes [`PlatformState::candidate_workers`]'
+    /// radius test — the same comparison on the same distance — and
+    /// class filter, bounded by `lower_bound::idle_lower_bound`'s rule
+    /// with its `euc(l_0, o_r)` taken from that distance.
     pub(crate) fn pull_candidate(
         &self,
         stream: &mut CandidateStream,
         out: &mut Shortlist,
         work: &mut BoundWork,
     ) {
-        if let Some(Reverse((key, candidate))) = stream.heap.pop() {
-            self.bound_candidate(stream, key, candidate, out, work);
-        }
-    }
-
-    /// Bounds every candidate left in `stream` into `out`, in heap
-    /// order rather than key order: once everything is bounded the
-    /// order is the shortlist's to make, so no pop is paid for.
-    pub(crate) fn drain_candidates(
-        &self,
-        stream: &mut CandidateStream,
-        out: &mut Shortlist,
-        work: &mut BoundWork,
-    ) {
-        let mut heap = std::mem::take(&mut stream.heap);
-        for Reverse((key, candidate)) in heap.drain() {
-            self.bound_candidate(stream, key, candidate, out, work);
-        }
-        stream.heap = heap;
-    }
-
-    /// Pushes what survives of `candidate`, pulled under `key`, to
-    /// `out`. A busy worker is bounded by
-    /// [`crate::lower_bound::insertion_lower_bound`] over its route,
-    /// counted in `work`. A cell yields every idle worker in it that
-    /// passes [`PlatformState::candidate_workers`]' radius test — the
-    /// same comparison on the same distance — and class filter, bounded
-    /// by `lower_bound::idle_lower_bound`'s rule with its
-    /// `euc(l_0, o_r)` taken from that distance.
-    fn bound_candidate(
-        &self,
-        stream: &mut CandidateStream,
-        key: Cost,
-        candidate: Candidate,
-        out: &mut Shortlist,
-        work: &mut BoundWork,
-    ) {
+        let Some(Reverse((key, candidate))) = stream.heap.pop() else {
+            return;
+        };
         let (r, direct) = stream
             .request
             .as_ref()
